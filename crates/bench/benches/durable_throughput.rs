@@ -1,5 +1,5 @@
-//! E10 — incremental durability: per-item write-through commits vs whole-database snapshot
-//! saves, and recovery from the storage WAL.
+//! E10 — incremental durability: per-item write-through commits vs whole-database checkpoints
+//! (one snapshot image of the entire key space), and recovery from the storage WAL.
 //!
 //! The quick-report rendition (`cargo run -p seed-bench --release`, row E10) measures the same
 //! scenario at 10k objects; here each leg gets Criterion statistics.
@@ -11,7 +11,10 @@ use seed_schema::figure3_schema;
 const OBJECTS: usize = 2_000;
 
 fn temp_dir(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("seed-bench-e10c-{}-{name}", std::process::id()));
+    static DIRS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let n = DIRS.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+    let dir =
+        std::env::temp_dir().join(format!("seed-bench-e10c-{}-{name}-{n}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
@@ -45,12 +48,10 @@ fn write_through_vs_snapshot(c: &mut Criterion) {
         })
     });
 
-    let snap_dir = temp_dir("snapshot-target");
-    group.bench_function("snapshot_save_full", |b| b.iter(|| db.save_to_dir(&snap_dir).unwrap()));
+    group.bench_function("checkpoint_full", |b| b.iter(|| db.checkpoint().unwrap()));
     group.finish();
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&snap_dir);
 }
 
 fn recovery(c: &mut Criterion) {

@@ -1,25 +1,13 @@
-//! E7 — storage substrate micro-benchmarks: page operations, WAL appends, engine put/get and
-//! B+ tree lookups.
+//! E7 — storage substrate micro-benchmarks: WAL appends and engine put/get.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use seed_storage::{BPlusTree, LogRecord, Page, StorageEngine, WriteAheadLog};
+use seed_storage::{LogRecord, StorageEngine, WriteAheadLog};
 
-fn page_and_wal(c: &mut Criterion) {
-    let mut group = c.benchmark_group("E7_page_and_wal");
+fn wal(c: &mut Criterion) {
+    let mut group = c.benchmark_group("E7_wal");
     group.sample_size(20);
     group.measurement_time(std::time::Duration::from_secs(2));
     group.warm_up_time(std::time::Duration::from_millis(300));
-    group.bench_function("page_fill", |b| {
-        b.iter(|| {
-            let mut page = Page::new(1);
-            let record = [0xA5u8; 120];
-            let mut inserted = 0;
-            while page.insert(&record).is_ok() {
-                inserted += 1;
-            }
-            inserted
-        })
-    });
     group.bench_function("wal_append_100", |b| {
         b.iter(|| {
             let wal = WriteAheadLog::in_memory();
@@ -37,8 +25,8 @@ fn page_and_wal(c: &mut Criterion) {
     group.finish();
 }
 
-fn engine_and_index(c: &mut Criterion) {
-    let mut group = c.benchmark_group("E7_engine_and_index");
+fn engine(c: &mut Criterion) {
+    let mut group = c.benchmark_group("E7_engine");
     group.sample_size(10);
     group.measurement_time(std::time::Duration::from_secs(2));
     group.warm_up_time(std::time::Duration::from_millis(300));
@@ -57,23 +45,8 @@ fn engine_and_index(c: &mut Criterion) {
             found
         })
     });
-    let tree = {
-        let mut t = BPlusTree::new();
-        for i in 0..10_000u64 {
-            t.insert(format!("key{i:06}").as_bytes(), i);
-        }
-        t
-    };
-    group.bench_function("btree_lookup", |b| {
-        let mut i = 0u64;
-        b.iter(|| {
-            i = (i + 6151) % 10_000;
-            tree.get(format!("key{i:06}").as_bytes())
-        })
-    });
-    group.bench_function("btree_prefix_scan", |b| b.iter(|| tree.scan_prefix(b"key00042").len()));
     group.finish();
 }
 
-criterion_group!(benches, page_and_wal, engine_and_index);
+criterion_group!(benches, wal, engine);
 criterion_main!(benches);

@@ -69,6 +69,18 @@ fn time<R>(f: impl FnOnce() -> R) -> (Duration, R) {
     (start.elapsed(), r)
 }
 
+/// A fresh scratch directory for one experiment run: the process id keeps concurrent report
+/// runs apart, the counter keeps experiments of one process (tests run them on parallel
+/// threads) apart.
+fn scratch_dir(experiment: &str) -> std::path::PathBuf {
+    static RUNS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let n = RUNS.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+    let dir =
+        std::env::temp_dir().join(format!("seed-bench-{experiment}-{}-{n}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
 fn row(id: &str, what: &str, measurement: String) {
     println!("{id:<4} {what:<58} {measurement}");
 }
@@ -274,8 +286,7 @@ pub fn e7_storage_engine(n: usize) -> ExperimentMetrics {
             engine.get(format!("obj/{i:06}").as_bytes()).unwrap().unwrap();
         }
     });
-    let dir = std::env::temp_dir().join(format!("seed-bench-e7-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = scratch_dir("e7");
     let durable = StorageEngine::open(&dir).unwrap();
     let (durable_write, _) = time(|| {
         let txn = durable.begin().unwrap();
@@ -390,17 +401,15 @@ pub fn e9_indexed_retrieval(sizes: &[usize]) -> ExperimentMetrics {
     ExperimentMetrics { id: "E9", metrics, obs: Vec::new() }
 }
 
-/// E10 — incremental durability: per-item write-through commits vs whole-database snapshot
-/// saves, and recovery time vs WAL length.
+/// E10 — incremental durability: per-item write-through commits vs whole-database checkpoints,
+/// and recovery time vs WAL length.
 ///
 /// The acceptance bar of the durability refactor: at `objects` database size, the durable cost
-/// of committing **one** object mutation must be O(delta) — at least 50× cheaper than a full
-/// [`Database::save_to_dir`] snapshot of the same database.
+/// of committing **one** object mutation must be O(delta) — at least 50× cheaper than a
+/// [`Database::checkpoint`], which writes the whole key space as one snapshot image.
 pub fn e10_durable_throughput(objects: usize, probe_commits: usize) -> ExperimentMetrics {
-    let base = std::env::temp_dir().join(format!("seed-bench-e10-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&base);
+    let base = scratch_dir("e10");
     let durable_dir = base.join("durable");
-    let snapshot_dir = base.join("snapshot");
 
     let mut db = Database::create_durable(&durable_dir, figure3_schema()).unwrap();
     // Bulk-load the fixture inside one transaction: one group commit, one WAL sync.
@@ -421,14 +430,13 @@ pub fn e10_durable_throughput(objects: usize, probe_commits: usize) -> Experimen
     });
     let write_through_us = wt.as_secs_f64() * 1e6 / probe_commits as f64;
 
-    // Snapshot baseline: one full save of the same database.
-    let (snap, _) = time(|| db.save_to_dir(&snapshot_dir).unwrap());
-    let snapshot_us = snap.as_secs_f64() * 1e6;
-    let speedup = snapshot_us / write_through_us.max(f64::EPSILON);
+    // Whole-image baseline: one checkpoint of the same database (snapshot write + WAL prune).
+    let (snap, _) = time(|| db.checkpoint().unwrap());
+    let checkpoint_us = snap.as_secs_f64() * 1e6;
+    let speedup = checkpoint_us / write_through_us.max(f64::EPSILON);
 
     // Recovery time vs WAL length: reopen right after a checkpoint (short WAL), then again
     // with `probe_commits` commits in the WAL.
-    db.checkpoint().unwrap();
     drop(db);
     let (recovery_short, db) = time(|| Database::open_durable(&durable_dir).unwrap());
     let mut db = db;
@@ -441,10 +449,10 @@ pub fn e10_durable_throughput(objects: usize, probe_commits: usize) -> Experimen
 
     row(
         "E10",
-        &format!("durable write-through vs snapshot save, {objects} objects"),
+        &format!("durable write-through vs checkpoint, {objects} objects"),
         format!(
-            "commit {write_through_us:.1} µs vs save {:.1} ms ({speedup:.0}x); recovery {:.1} ms, +{probe_commits} WAL commits ({wal_bytes} B): {:.1} ms",
-            snapshot_us / 1e3,
+            "commit {write_through_us:.1} µs vs checkpoint {:.1} ms ({speedup:.0}x); recovery {:.1} ms, +{probe_commits} WAL commits ({wal_bytes} B): {:.1} ms",
+            checkpoint_us / 1e3,
             recovery_short.as_secs_f64() * 1e3,
             recovery_long.as_secs_f64() * 1e3
         ),
@@ -455,7 +463,7 @@ pub fn e10_durable_throughput(objects: usize, probe_commits: usize) -> Experimen
         &[
             ("objects", objects as f64),
             ("write_through_commit_us", write_through_us),
-            ("snapshot_save_us", snapshot_us),
+            ("checkpoint_us", checkpoint_us),
             ("speedup_x", speedup),
             ("recovery_after_checkpoint_us", recovery_short.as_secs_f64() * 1e6),
             ("recovery_with_wal_us", recovery_long.as_secs_f64() * 1e6),
@@ -606,8 +614,7 @@ pub fn e12_replicated_read_throughput(
         (clients * ops) as f64 / start.elapsed().as_secs_f64().max(f64::EPSILON)
     }
 
-    let base = std::env::temp_dir().join(format!("seed-bench-e12-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&base);
+    let base = scratch_dir("e12");
 
     // A durable primary (replication ships its WAL), populated in one bulk transaction.
     let mut db = Database::create_durable(base.join("primary"), figure3_schema()).unwrap();
@@ -711,8 +718,7 @@ pub fn e12_replicated_read_throughput(
 pub fn e13_segmented_recovery(commits: usize, segment_max_bytes: u64) -> ExperimentMetrics {
     use seed_storage::{LogRecord, WalConfig, WriteAheadLog};
 
-    let dir = std::env::temp_dir().join(format!("seed-bench-e13-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = scratch_dir("e13");
     let config = WalConfig { segment_max_bytes, ..WalConfig::default() };
 
     // Build a committed history long enough to span many sealed segments.
@@ -868,8 +874,7 @@ pub fn e14_mvcc_snapshot_reads(
     let retention = contended_ops_per_s / quiescent_ops_per_s.max(f64::EPSILON);
 
     // Half 2: replica lag with incremental apply (durable primary over loopback).
-    let base = std::env::temp_dir().join(format!("seed-bench-e14-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&base);
+    let base = scratch_dir("e14");
     let mut db = Database::create_durable(base.join("primary"), figure3_schema()).unwrap();
     db.begin_transaction().unwrap();
     for i in 0..objects {
@@ -1121,8 +1126,7 @@ pub fn e16_metrics_overhead(objects: usize, total_ops: usize) -> ExperimentMetri
 pub fn e17_failover_downtime(objects: usize, rounds: usize) -> ExperimentMetrics {
     use seed_net::{RemoteClient, ReplicaNode, SeedNetServer};
 
-    let base = std::env::temp_dir().join(format!("seed-bench-e17-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&base);
+    let base = scratch_dir("e17");
     let mut windows: Vec<Duration> = Vec::with_capacity(rounds);
     for round in 0..rounds {
         let primary_dir = base.join(format!("primary-{round}"));
@@ -1508,7 +1512,7 @@ mod tests {
         let speedup = result.get("speedup_x").expect("metric present");
         assert!(
             speedup >= 50.0,
-            "write-through commit must be >= 50x cheaper than snapshot save, got {speedup}x"
+            "write-through commit must be >= 50x cheaper than a checkpoint, got {speedup}x"
         );
     }
 }

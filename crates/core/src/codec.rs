@@ -18,10 +18,6 @@
 //! Ids are zero-padded hexadecimal so that lexicographic key order equals numeric id order and
 //! prefix/range scans (`o/`, `v/1.0/`, ...) retrieve exactly one kind of record.  All values go
 //! through the storage crate's explicit little-endian codec; nothing here touches serde.
-//!
-//! The legacy whole-database blob layout (`seed/schema`, `seed/objects`, ...) lives in
-//! [`crate::persist`] and shares these record encoders; [`crate::durability`] migrates blob
-//! databases to this layout on open.
 
 use seed_schema::{
     AssociationId, AttachedProcedure, Cardinality, ClassId, Domain, RelationshipAttribute, Role,
@@ -604,25 +600,6 @@ pub(crate) fn encode_relationship_entry(r: &RelationshipRecord) -> Vec<u8> {
 pub(crate) fn decode_relationship_entry(bytes: &[u8]) -> SeedResult<RelationshipRecord> {
     let mut d = Decoder::new(bytes);
     decode_relationship(&mut d)
-}
-
-pub(crate) fn encode_item_id(e: &mut Encoder, item: &ItemId) {
-    match item {
-        ItemId::Object(o) => {
-            e.put_u8(0).put_u64(o.0);
-        }
-        ItemId::Relationship(r) => {
-            e.put_u8(1).put_u64(r.0);
-        }
-    }
-}
-
-pub(crate) fn decode_item_id(d: &mut Decoder<'_>) -> SeedResult<ItemId> {
-    Ok(match d.get_u8()? {
-        0 => ItemId::Object(ObjectId(d.get_u64()?)),
-        1 => ItemId::Relationship(RelationshipId(d.get_u64()?)),
-        other => return Err(SeedError::Invalid(format!("unknown item tag {other}"))),
-    })
 }
 
 // --------------------------------------------------------------------------------------------

@@ -105,28 +105,11 @@ impl Database {
         }
     }
 
-    /// Opens a database persisted earlier with [`Database::save_to_dir`].
-    pub fn open_dir(dir: impl AsRef<Path>) -> SeedResult<Self> {
-        crate::persist::load_dir(dir)
-    }
-
-    /// Persists the database (schema registry, data, versions) to a directory through the
-    /// `seed-storage` engine as a whole-database snapshot.
-    ///
-    /// This is the legacy O(database) export path; a database opened with
-    /// [`Database::open_durable`] persists every committed mutation incrementally instead.
-    pub fn save_to_dir(&self, dir: impl AsRef<Path>) -> SeedResult<()> {
-        crate::persist::save_dir(self, dir)
-    }
-
     // ----- write-through durability -----------------------------------------------------------
 
     /// Opens a durable database: every committed mutation is written through to storage as
     /// per-item records, and the directory's WAL recovers the committed state after a crash
     /// (see [`crate::durability`] for the contract).
-    ///
-    /// Databases saved with the legacy blob layout ([`Database::save_to_dir`]) are detected and
-    /// migrated to the per-item layout on open.
     pub fn open_durable(dir: impl AsRef<Path>) -> SeedResult<Self> {
         let dir = dir.as_ref();
         let engine = durability::open_engine(dir)?;
@@ -145,16 +128,13 @@ impl Database {
     }
 
     fn open_durable_engine(dir: &Path, engine: seed_storage::StorageEngine) -> SeedResult<Self> {
-        let mut db = if durability::is_legacy_layout(&engine)? {
-            durability::migrate_legacy(&engine)?
-        } else if durability::is_keyed_layout(&engine)? {
-            durability::load_keyed(&engine)?
-        } else {
+        if !durability::is_keyed_layout(&engine)? {
             return Err(SeedError::NotFound(format!(
                 "no SEED database in '{}' (use Database::create_durable to start one)",
                 dir.display()
             )));
-        };
+        }
+        let mut db = durability::load_keyed(&engine)?;
         db.attach_durability(engine);
         Ok(db)
     }
@@ -183,7 +163,7 @@ impl Database {
         schema: Schema,
         engine: seed_storage::StorageEngine,
     ) -> SeedResult<Self> {
-        if durability::is_legacy_layout(&engine)? || durability::is_keyed_layout(&engine)? {
+        if durability::is_keyed_layout(&engine)? {
             return Err(SeedError::Invalid(format!(
                 "'{}' already holds a SEED database; use Database::open_durable",
                 dir.display()
@@ -317,7 +297,8 @@ impl Database {
         }
     }
 
-    /// Checkpoints the durable storage (flush pages, persist the catalog, truncate the WAL).
+    /// Checkpoints the durable storage (write the whole key space as one snapshot, prune the
+    /// WAL).
     /// The engine also checkpoints automatically once its WAL outgrows the configured
     /// threshold; this call is for explicit quiesce points (e.g. before a backup).
     pub fn checkpoint(&self) -> SeedResult<()> {
@@ -1588,7 +1569,7 @@ impl Database {
         }
     }
 
-    // ----- persistence plumbing (used by crate::persist) ------------------------------------------------------------
+    // ----- persistence plumbing (used by crate::durability and crate::replica) --------------------------------------
 
     pub(crate) fn parts(
         &self,

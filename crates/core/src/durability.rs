@@ -12,9 +12,7 @@
 //!   [`Database::rollback_transaction`], aborts) in lockstep with the in-memory undo log;
 //! * version creation writes the version's delta snapshots (`v/<vid>/…`), its metadata record
 //!   (`vi/<vid>`) and the drained dirty markers in the same commit;
-//! * loading is a keyed range scan per record kind plus an in-memory index rebuild — no
-//!   whole-database blob decoding — and legacy blob databases (the [`crate::persist`] layout)
-//!   are detected and migrated on open.
+//! * loading is a keyed range scan per record kind plus an in-memory index rebuild.
 //!
 //! Crash contract: dropping the database (or the process) without a checkpoint loses nothing
 //! that was committed — recovery replays the storage WAL, which holds only complete
@@ -134,9 +132,8 @@ pub(crate) fn stage_meta(
     Ok(())
 }
 
-/// Stages **every** record of the database into `txn` — the migration path that rewrites a
-/// legacy blob database in the per-item layout (and the initial write of a fresh durable
-/// database).
+/// Stages **every** record of the database into `txn` — the initial write of a fresh durable
+/// database.
 pub(crate) fn write_full(db: &Database, engine: &StorageEngine, txn: TxnId) -> SeedResult<()> {
     let (schemas, store, versions, rules) = db.parts();
     for svid in schemas.version_ids() {
@@ -286,28 +283,9 @@ pub(crate) fn load_keyed(engine: &StorageEngine) -> SeedResult<Database> {
     Ok(db)
 }
 
-/// Whether `engine` holds a legacy blob-layout database (the pre-write-through format).
-pub(crate) fn is_legacy_layout(engine: &StorageEngine) -> SeedResult<bool> {
-    Ok(engine.contains(b"seed/schema")?)
-}
-
 /// Whether `engine` holds a per-item-layout database.
 pub(crate) fn is_keyed_layout(engine: &StorageEngine) -> SeedResult<bool> {
     Ok(engine.contains(codec::KEY_META)?)
-}
-
-/// Migrates a legacy blob database in `engine` to the per-item layout: decode the blobs, write
-/// every per-item record and delete the blobs in one storage transaction, then checkpoint.
-pub(crate) fn migrate_legacy(engine: &StorageEngine) -> SeedResult<Database> {
-    let db = crate::persist::load(engine)?;
-    let txn = engine.begin()?;
-    write_full(&db, engine, txn)?;
-    for (key, _) in engine.scan_prefix(crate::persist::BLOB_PREFIX)? {
-        engine.txn_delete(txn, &key)?;
-    }
-    engine.commit(txn)?;
-    engine.checkpoint()?;
-    Ok(db)
 }
 
 /// Opens the storage engine for a durable database directory.
@@ -392,7 +370,7 @@ pub(crate) mod test_support {
 
 #[cfg(test)]
 mod tests {
-    use super::test_support::{assert_same_state, temp_dir};
+    use super::test_support::temp_dir;
     use super::*;
     use crate::index::ValueOp;
     use crate::value::Value;
@@ -635,39 +613,6 @@ mod tests {
         drop(recovered);
         let recovered = Database::open_durable(&dir).unwrap();
         assert!(recovered.inherited_patterns(a).is_empty());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn legacy_blob_database_is_migrated_on_open() {
-        let dir = temp_dir("migration");
-        // Build a database through the legacy snapshot path.
-        let mut db = Database::new(figure3_schema());
-        db.add_transition_rule(crate::history::TransitionRule::NoDeletions).unwrap();
-        let alarms = db.create_object("Thing", "Alarms").unwrap();
-        let sensor = db.create_object("Action", "Sensor").unwrap();
-        db.reclassify_object(alarms, "OutputData").unwrap();
-        db.create_relationship("Write", &[("to", alarms), ("by", sensor)]).unwrap();
-        db.create_version("before migration").unwrap();
-        let desc = db.create_dependent(sensor, "Description", Value::Undefined).unwrap();
-        db.set_value(desc, Value::string("senses")).unwrap();
-        db.save_to_dir(&dir).unwrap();
-
-        // Opening durable migrates the blobs to per-item records.
-        let mut migrated = Database::open_durable(&dir).unwrap();
-        assert_same_state(&migrated, &db, true);
-        // Write-through now applies; a further mutation survives a crash.
-        migrated.create_object("Data", "PostMigration").unwrap();
-        drop(migrated);
-        {
-            let engine = open_engine(&dir).unwrap();
-            assert!(!engine.contains(b"seed/schema").unwrap(), "blob keys removed");
-            assert!(engine.contains(codec::KEY_META).unwrap());
-        }
-        let recovered = Database::open_durable(&dir).unwrap();
-        assert!(recovered.object_by_name("PostMigration").is_ok());
-        assert!(recovered.object_by_name("Alarms").is_ok());
-        assert_eq!(recovered.versions().len(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -24,7 +24,7 @@
 //!   immutability in the inheritor's context ([`pattern`]);
 //! * a **procedural operational interface** ([`database::Database`]) with **incremental
 //!   durability**: per-item write-through persistence over the storage engine's WAL
-//!   ([`durability`], [`codec`]), plus legacy whole-database snapshots ([`persist`]).
+//!   ([`durability`], [`codec`]).
 //!
 //! ## Quick start
 //!
@@ -60,7 +60,6 @@ pub mod index;
 pub mod name;
 pub mod object;
 pub mod pattern;
-pub mod persist;
 pub mod procedures;
 pub mod relationship;
 pub mod replica;

@@ -261,7 +261,7 @@ impl ReplicaStore {
         Ok(touched)
     }
 
-    /// Checkpoints the replica's own engine (flush pages, truncate its local WAL).  The engine
+    /// Checkpoints the replica's own engine (write its snapshot, prune its local WAL).  The engine
     /// also does this automatically past its WAL threshold; replication correctness does not
     /// depend on it — the cursor lives in the keyed state, not the local WAL.
     pub fn checkpoint(&self) -> SeedResult<()> {

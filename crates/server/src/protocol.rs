@@ -386,7 +386,7 @@ pub enum Request {
     /// Ask for the durability state of the central database (exposes restart recovery: after a
     /// reopen, the reply reports what was reconstructed from the per-item records and the WAL).
     Persistence,
-    /// Ask the server to checkpoint its durable storage (flush pages, truncate the WAL).
+    /// Ask the server to checkpoint its durable storage (write the snapshot, prune the WAL).
     Checkpoint,
     /// Ask for a structural summary of the current schema (class/association names, hierarchy
     /// links, role names) so the client can interpret records locally.

@@ -105,13 +105,13 @@ impl RemoteBackend {
                 return Err(e);
             }
         };
-        match self.client.borrow_mut().checkin(updates) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                let _ = self.client.borrow_mut().release();
-                Err(server_to_spades(e))
-            }
-        }
+        // Bind the outcome first: a borrow taken in the match scrutinee would live through
+        // the arms, and the release below needs the client again.
+        let checked_in = self.client.borrow_mut().checkin(updates);
+        checked_in.map_err(|e| {
+            let _ = self.client.borrow_mut().release();
+            server_to_spades(e)
+        })
     }
 
     /// The name segment the server will give the next auto-named `class_local` dependent of
@@ -448,15 +448,17 @@ mod tests {
     use crate::seed_backend::SeedBackend;
     use crate::workload::{Workload, WorkloadConfig};
     use seed_net::SeedNetServer;
-    use seed_schema::figure3_schema;
+    use seed_schema::{figure3_schema, AttachedProcedure, Schema};
     use seed_server::SeedServer;
 
     fn remote_backend() -> (SeedNetServer, RemoteBackend) {
-        let server = SeedNetServer::bind(
-            SeedServer::new(seed_core::Database::new(figure3_schema())),
-            "127.0.0.1:0",
-        )
-        .unwrap();
+        remote_backend_over(figure3_schema())
+    }
+
+    fn remote_backend_over(schema: Schema) -> (SeedNetServer, RemoteBackend) {
+        let server =
+            SeedNetServer::bind(SeedServer::new(seed_core::Database::new(schema)), "127.0.0.1:0")
+                .unwrap();
         let client = RemoteClient::connect(server.local_addr()).unwrap();
         let backend = RemoteBackend::new(client).unwrap();
         (server, backend)
@@ -549,6 +551,29 @@ mod tests {
         remote.set_description("Sensor", "v1").unwrap();
         remote.set_description("Sensor", "v2").unwrap();
         assert_eq!(remote.element("Sensor").unwrap().description.as_deref(), Some("v2"));
+        server.shutdown();
+    }
+
+    #[test]
+    fn rejected_description_edit_returns_an_error_and_releases_the_locks() {
+        let mut schema = figure3_schema();
+        let description = schema.class_id("Action.Description").unwrap();
+        schema.attach_class_procedure(description, AttachedProcedure::MaxLength(8)).unwrap();
+        let (server, mut remote) = remote_backend_over(schema);
+        remote.add_element("Sensor", ElementKind::Action).unwrap();
+        // Rejected on creation of the description, and on an in-place edit of it.
+        assert!(matches!(
+            remote.set_description("Sensor", "far longer than eight"),
+            Err(SpadesError::Seed(_))
+        ));
+        assert_eq!(server.core().locked_count(), 0);
+        remote.set_description("Sensor", "short").unwrap();
+        assert!(matches!(
+            remote.set_description("Sensor", "far longer than eight"),
+            Err(SpadesError::Seed(_))
+        ));
+        assert_eq!(server.core().locked_count(), 0, "the rejected check-in released its locks");
+        assert_eq!(remote.element("Sensor").unwrap().description.as_deref(), Some("short"));
         server.shutdown();
     }
 }

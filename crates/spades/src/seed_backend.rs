@@ -50,6 +50,11 @@ impl SeedBackend {
         &mut self.db
     }
 
+    /// Consumes the backend, handing over the database it built (e.g. to serve it).
+    pub fn into_database(self) -> Database {
+        self.db
+    }
+
     fn object_id(&self, name: &str) -> SpadesResult<ObjectId> {
         self.db
             .object_by_name(name)

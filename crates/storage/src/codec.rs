@@ -255,18 +255,32 @@ impl<'a> Decoder<'a> {
     }
 }
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected) used to protect WAL frames and page headers.
+/// Byte-at-a-time lookup table for [`crc32`]: entry `i` is the CRC register after shifting the
+/// byte `i` through eight rounds of the reflected IEEE polynomial.
+const CRC32_TABLE: [u32; 256] = {
+    const POLY: u32 = 0xEDB8_8320;
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 == 1 { (crc >> 1) ^ POLY } else { crc >> 1 };
+            bit += 1;
+        }
+        table[i] = crc;
+        i += 1;
+    }
+    table
+};
+
+/// CRC-32 (IEEE 802.3 polynomial, reflected) used to protect WAL frames and snapshot images.
 ///
 /// Implemented locally to stay within the allowed dependency set.
 pub fn crc32(data: &[u8]) -> u32 {
-    const POLY: u32 = 0xEDB8_8320;
     let mut crc: u32 = 0xFFFF_FFFF;
     for &byte in data {
-        crc ^= u32::from(byte);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (POLY & mask);
-        }
+        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ u32::from(byte)) & 0xFF) as usize];
     }
     !crc
 }

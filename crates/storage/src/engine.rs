@@ -1,43 +1,47 @@
 //! The storage engine: a durable, transactional key/value store.
 //!
 //! `seed-core` persists objects, relationships, version deltas and the schema catalog as
-//! key/value pairs with hierarchical keys (`obj/<id>`, `rel/<id>`, `ver/<id>/...`).  The engine
+//! key/value pairs with hierarchical keys (`o/<id>`, `r/<id>`, `v/<vid>/...`).  The engine
 //! provides:
 //!
 //! * durable `put`/`get`/`delete` with write-ahead logging,
 //! * transactions (`begin`/`commit`/`abort`) with **group commit**: effects are buffered and
 //!   written to the WAL as one contiguous batch with a single sync at commit time, so a crash
 //!   before commit leaves no trace and a transaction's durability cost is O(1) syncs,
-//! * ordered prefix and range scans through the B+ tree name index,
-//! * checkpointing (flush pages, persist the index, truncate the WAL), either explicit or
+//! * ordered prefix and range scans,
+//! * checkpointing (write a snapshot of the whole key space, prune the WAL), either explicit or
 //!   automatic once the WAL outgrows [`EngineConfig::checkpoint_wal_bytes`],
-//! * recovery on open (replay committed WAL records on top of the last checkpoint).
+//! * recovery on open (load the last snapshot, replay the committed WAL records on top).
 //!
-//! Data layout: each key/value pair is one heap-file record `key_len | key | value`.  The index
-//! maps key → packed [`RecordId`].  On checkpoint, the index and the list of heap pages are
-//! written to a catalog page (page 0 of the page store).
+//! Data layout: committed state is one in-memory ordered map, so every read is served from
+//! memory.  On disk there is exactly one format — the WAL segments plus one snapshot image
+//! written through [`SegmentIo::write_snapshot`]:
+//!
+//! ```text
+//! magic "SEEDSNP1" | count: u64 | count × (key: bytes, value: bytes) in key order | crc32: u32
+//! ```
+//!
+//! (`bytes` = LEB128 length + raw bytes; the CRC covers everything before it).  A damaged
+//! image — bad magic, bad CRC, short file, unsorted keys — is [`StorageError::Corrupt`], never
+//! an empty database.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::btree::BPlusTree;
-use crate::buffer::BufferPool;
-use crate::codec::{Decoder, Encoder};
+use crate::codec::{crc32, Decoder, Encoder};
 use crate::error::{StorageError, StorageResult};
-use crate::heapfile::{HeapFile, RecordId};
-use crate::page::PageId;
-use crate::pagestore::{FilePageStore, MemoryPageStore, PageStore};
-use crate::wal::{replay_committed, LogRecord, Lsn, WalConfig, WalTail, WriteAheadLog};
+use crate::wal::{
+    replay_committed, FileSegmentIo, KeyEffect, LogRecord, Lsn, MemorySegmentIo, SegmentIo,
+    WalConfig, WalTail, WriteAheadLog,
+};
 
 /// Configuration for opening a [`StorageEngine`].
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Number of pages the buffer pool may keep resident.
-    pub buffer_pool_pages: usize,
     /// Whether every commit forces the WAL to disk (`true` = durability on commit).
     pub sync_on_commit: bool,
     /// Checkpoint automatically once the uncheckpointed WAL grows past this many bytes
@@ -57,7 +61,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         let wal = WalConfig::default();
         Self {
-            buffer_pool_pages: 256,
             sync_on_commit: true,
             checkpoint_wal_bytes: Some(4 * 1024 * 1024),
             segment_max_bytes: wal.segment_max_bytes,
@@ -73,17 +76,79 @@ pub type TxnId = u64;
 /// replication snapshot ([`StorageEngine::snapshot_with_lsn`]).
 pub type KeySpaceDump = Vec<(Vec<u8>, Vec<u8>)>;
 
+/// Magic (and format version) opening every snapshot image.
+const SNAPSHOT_MAGIC: &[u8; 8] = b"SEEDSNP1";
+
+/// Serializes the committed key space into one snapshot image (layout in the module docs).
+fn encode_snapshot(map: &BTreeMap<Vec<u8>, Vec<u8>>) -> Vec<u8> {
+    let payload: usize = map.iter().map(|(k, v)| k.len() + v.len() + 10).sum();
+    let mut e = Encoder::with_capacity(SNAPSHOT_MAGIC.len() + 8 + payload + 4);
+    e.put_raw(SNAPSHOT_MAGIC).put_u64(map.len() as u64);
+    for (key, value) in map {
+        e.put_bytes(key).put_bytes(value);
+    }
+    let crc = crc32(e.as_slice());
+    e.put_u32(crc);
+    e.finish()
+}
+
+/// Parses a snapshot image produced by [`encode_snapshot`], verifying magic, CRC, key order
+/// and that the pairs fill the image exactly.
+fn decode_snapshot(image: &[u8]) -> StorageResult<BTreeMap<Vec<u8>, Vec<u8>>> {
+    let corrupt = |what: &str| StorageError::Corrupt(format!("snapshot: {what}"));
+    if image.len() < SNAPSHOT_MAGIC.len() + 8 + 4 {
+        return Err(corrupt("image too short"));
+    }
+    if &image[..SNAPSHOT_MAGIC.len()] != SNAPSHOT_MAGIC {
+        return Err(corrupt("bad magic"));
+    }
+    let (body, tail) = image.split_at(image.len() - 4);
+    if crc32(body) != u32::from_le_bytes(tail.try_into().expect("4 bytes")) {
+        return Err(corrupt("checksum mismatch"));
+    }
+    let mut d = Decoder::new(&body[SNAPSHOT_MAGIC.len()..]);
+    let count = d.get_u64()?;
+    let mut pairs: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
+    for _ in 0..count {
+        let key = d.get_bytes()?;
+        let value = d.get_bytes()?;
+        if pairs.last().is_some_and(|(prev, _)| prev.as_slice() >= key) {
+            return Err(corrupt("keys out of order"));
+        }
+        pairs.push((key.to_vec(), value.to_vec()));
+    }
+    if !d.is_exhausted() {
+        return Err(corrupt("trailing bytes after the last pair"));
+    }
+    Ok(pairs.into_iter().collect())
+}
+
 struct EngineInner {
-    index: BPlusTree,
-    heap: HeapFile,
+    /// The committed key space.
+    map: BTreeMap<Vec<u8>, Vec<u8>>,
     /// Pending (uncommitted) effects per transaction: key -> Some(value) for put, None for delete.
-    pending: HashMap<TxnId, Vec<crate::wal::KeyEffect>>,
+    pending: HashMap<TxnId, Vec<KeyEffect>>,
     closed: bool,
+}
+
+impl EngineInner {
+    fn apply(&mut self, key: Vec<u8>, value: Option<Vec<u8>>) {
+        match value {
+            Some(v) => {
+                self.map.insert(key, v);
+            }
+            None => {
+                self.map.remove(&key);
+            }
+        }
+    }
 }
 
 /// A durable key/value storage engine with WAL-based recovery.
 pub struct StorageEngine {
-    pool: Arc<BufferPool>,
+    /// Every byte the engine persists goes through this one door: WAL segments and the
+    /// checkpoint snapshot alike.
+    io: Arc<dyn SegmentIo>,
     wal: WriteAheadLog,
     inner: Mutex<EngineInner>,
     next_txn: AtomicU64,
@@ -95,12 +160,7 @@ pub struct StorageEngine {
 impl StorageEngine {
     /// Opens an ephemeral in-memory engine.
     pub fn in_memory() -> StorageResult<Self> {
-        Self::build(
-            Arc::new(MemoryPageStore::new()),
-            WriteAheadLog::in_memory(),
-            None,
-            EngineConfig::default(),
-        )
+        Self::with_io(Arc::new(MemorySegmentIo::new()), EngineConfig::default())
     }
 
     /// Opens (or creates) a durable engine in directory `dir` using default configuration.
@@ -112,38 +172,42 @@ impl StorageEngine {
     pub fn open_with(dir: impl AsRef<Path>, config: EngineConfig) -> StorageResult<Self> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
-        let store = Arc::new(FilePageStore::open(dir.join("pages.db"))?);
-        let wal = WriteAheadLog::open_dir(
-            &dir,
+        let mut engine = Self::with_io(Arc::new(FileSegmentIo::new(&dir)), config)?;
+        engine.path = Some(dir);
+        Ok(engine)
+    }
+
+    /// Opens an engine over an arbitrary [`SegmentIo`] — what [`StorageEngine::open_with`] and
+    /// [`StorageEngine::in_memory`] build on, and the injection point for fault-injection
+    /// tests.  Recovery loads the snapshot, then replays the committed WAL records on top.
+    pub fn with_io(io: Arc<dyn SegmentIo>, config: EngineConfig) -> StorageResult<Self> {
+        // The snapshot is validated before the WAL's open-time repair touches any segment.
+        let snapshot = io.read_snapshot()?.map(|image| decode_snapshot(&image)).transpose()?;
+        let wal = WriteAheadLog::with_io(
+            io.clone(),
             WalConfig {
                 segment_max_bytes: config.segment_max_bytes,
                 retention_budget_bytes: config.retention_budget_bytes,
             },
         )?;
-        Self::build(store, wal, Some(dir), config)
-    }
-
-    fn build(
-        store: Arc<dyn PageStore>,
-        wal: WriteAheadLog,
-        path: Option<PathBuf>,
-        config: EngineConfig,
-    ) -> StorageResult<Self> {
-        let pool = Arc::new(BufferPool::new(store.clone(), config.buffer_pool_pages)?);
-        // Page 0 is reserved for the catalog (index checkpoint).  Allocate it on first open.
-        if store.num_pages() == 0 {
-            let id = pool.allocate_page()?;
-            debug_assert_eq!(id, 0);
-            pool.flush_all()?;
+        if snapshot.is_none() && wal.base_lsn() > 0 {
+            // Only a checkpoint prunes the log, and it writes the snapshot first.
+            return Err(StorageError::Corrupt(format!(
+                "WAL starts after LSN {} but no snapshot covers the pruned records",
+                wal.base_lsn()
+            )));
         }
-        let (index, heap) = Self::load_checkpoint(&pool)?;
         let engine = Self {
-            pool,
+            io,
             wal,
-            inner: Mutex::new(EngineInner { index, heap, pending: HashMap::new(), closed: false }),
+            inner: Mutex::new(EngineInner {
+                map: snapshot.unwrap_or_default(),
+                pending: HashMap::new(),
+                closed: false,
+            }),
             next_txn: AtomicU64::new(1),
             config,
-            path,
+            path: None,
         };
         engine.recover()?;
         Ok(engine)
@@ -154,110 +218,22 @@ impl StorageEngine {
         self.path.as_deref()
     }
 
-    /// The buffer pool (exposed for benchmarks and statistics).
-    pub fn buffer_pool(&self) -> &Arc<BufferPool> {
-        &self.pool
-    }
-
-    // ----- catalog (checkpoint) persistence ---------------------------------------------------
-
-    /// Serializes the index and the heap page list into page 0.  Large catalogs spill into
-    /// continuation records on the same chain of catalog pages.
-    fn write_checkpoint(&self, inner: &EngineInner) -> StorageResult<()> {
-        let mut enc = Encoder::new();
-        let pages = inner.heap.pages();
-        enc.put_varint(pages.len() as u64);
-        for p in &pages {
-            enc.put_u64(*p);
-        }
-        let entries = inner.index.iter_all();
-        enc.put_varint(entries.len() as u64);
-        for (k, v) in &entries {
-            enc.put_bytes(k);
-            enc.put_u64(*v);
-        }
-        let payload = enc.finish();
-        // The catalog is stored outside the slotted-page machinery: it is written to a dedicated
-        // side file for durable engines, or kept in page 0's record 0 when it fits.
-        match &self.path {
-            Some(dir) => {
-                // Crash-safe replace: the new catalog reaches disk before the rename makes it
-                // visible, and the directory sync makes the rename itself durable — a crash at
-                // any point leaves either the old or the new catalog, never a torn one.
-                let tmp = dir.join("catalog.tmp");
-                let fin = dir.join("catalog.db");
-                {
-                    let mut file = std::fs::File::create(&tmp)?;
-                    use std::io::Write as _;
-                    file.write_all(&payload)?;
-                    file.sync_data()?;
-                }
-                std::fs::rename(&tmp, &fin)?;
-                if let Ok(d) = std::fs::File::open(dir) {
-                    let _ = d.sync_data();
-                }
-            }
-            None => {
-                // In-memory engines do not need a durable catalog.
-            }
-        }
-        Ok(())
-    }
-
-    fn load_checkpoint(pool: &Arc<BufferPool>) -> StorageResult<(BPlusTree, HeapFile)> {
-        // For durable engines the catalog lives in `catalog.db` next to the page file.  We find
-        // the path through the page store; in-memory stores start empty.
-        // (The pool does not expose the path, so durable catalogs are loaded in `recover` via
-        //  `reload_catalog`.)
-        Ok((BPlusTree::new(), HeapFile::new(pool.clone())))
-    }
-
-    fn reload_catalog(&self) -> StorageResult<()> {
-        let Some(dir) = &self.path else { return Ok(()) };
-        let catalog_path = dir.join("catalog.db");
-        if !catalog_path.exists() {
-            return Ok(());
-        }
-        let payload = std::fs::read(&catalog_path)?;
-        let mut dec = Decoder::new(&payload);
-        let n_pages = dec.get_varint()? as usize;
-        let mut pages: Vec<PageId> = Vec::with_capacity(n_pages);
-        for _ in 0..n_pages {
-            pages.push(dec.get_u64()?);
-        }
-        let n_entries = dec.get_varint()? as usize;
-        let mut tree = BPlusTree::new();
-        for _ in 0..n_entries {
-            let k = dec.get_bytes()?.to_vec();
-            let v = dec.get_u64()?;
-            tree.insert(&k, v);
-        }
-        let heap = HeapFile::attach(self.pool.clone(), pages)?;
-        let mut inner = self.inner.lock();
-        inner.index = tree;
-        inner.heap = heap;
-        Ok(())
-    }
-
     // ----- recovery ----------------------------------------------------------------------------
 
-    /// Replays committed WAL records over the checkpointed state.  Sealed segments are parsed
-    /// in parallel across threads; the replay itself (and the active segment's tail) stays
-    /// serial, in LSN order.
+    /// Replays committed WAL records over the snapshot.  Replaying records the snapshot already
+    /// covers (a crash between the snapshot write and the prune, or segments retained for
+    /// replication) is harmless: the log is replayed in order, so the last effect per key wins.
+    /// Sealed segments are parsed in parallel across threads; the replay itself (and the
+    /// active segment's tail) stays serial, in LSN order.
     fn recover(&self) -> StorageResult<()> {
         let start = std::time::Instant::now();
-        self.reload_catalog()?;
         let records = self.wal.read_all_parallel()?;
         if records.is_empty() {
             return Ok(());
         }
-        let effects = replay_committed(&records);
         let mut inner = self.inner.lock();
-        for (key, value) in effects {
-            match value {
-                Some(v) => Self::apply_put(&mut inner, &key, &v)?,
-                None => Self::apply_delete(&mut inner, &key)?,
-            }
+        for (key, value) in replay_committed(&records) {
+            inner.apply(key, value);
         }
         // Track transaction ids so new transactions do not collide with logged ones.
         let max_txn = records
@@ -277,37 +253,13 @@ impl StorageEngine {
         Ok(())
     }
 
-    // ----- low-level application of effects ----------------------------------------------------
-
-    fn encode_record(key: &[u8], value: &[u8]) -> Vec<u8> {
-        let mut e = Encoder::with_capacity(key.len() + value.len() + 8);
-        e.put_bytes(key).put_bytes(value);
-        e.finish()
-    }
-
-    fn apply_put(inner: &mut EngineInner, key: &[u8], value: &[u8]) -> StorageResult<()> {
-        let record = Self::encode_record(key, value);
-        match inner.index.get(key) {
-            Some(packed) => {
-                let rid = RecordId::from_u64(packed);
-                let new_rid = inner.heap.update(rid, &record)?;
-                if new_rid != rid {
-                    inner.index.insert(key, new_rid.to_u64());
-                }
-            }
-            None => {
-                let rid = inner.heap.insert(&record)?;
-                inner.index.insert(key, rid.to_u64());
-            }
+    /// Locks the engine state, failing once the engine is closed.
+    fn open_inner(&self) -> StorageResult<parking_lot::MutexGuard<'_, EngineInner>> {
+        let inner = self.inner.lock();
+        if inner.closed {
+            return Err(StorageError::Closed);
         }
-        Ok(())
-    }
-
-    fn apply_delete(inner: &mut EngineInner, key: &[u8]) -> StorageResult<()> {
-        if let Some(packed) = inner.index.remove(key) {
-            inner.heap.delete(RecordId::from_u64(packed))?;
-        }
-        Ok(())
+        Ok(inner)
     }
 
     // ----- public non-transactional API (auto-commit) ------------------------------------------
@@ -340,65 +292,42 @@ impl StorageEngine {
 
     /// Reads the value stored under `key`.
     pub fn get(&self, key: &[u8]) -> StorageResult<Option<Vec<u8>>> {
-        let inner = self.inner.lock();
-        if inner.closed {
-            return Err(StorageError::Closed);
-        }
-        let Some(packed) = inner.index.get(key) else { return Ok(None) };
-        let record = inner.heap.get(RecordId::from_u64(packed))?;
-        let mut dec = Decoder::new(&record);
-        let stored_key = dec.get_bytes()?;
-        if stored_key != key {
-            return Err(StorageError::Corrupt(format!(
-                "index points at record with different key ({} vs {})",
-                String::from_utf8_lossy(stored_key),
-                String::from_utf8_lossy(key)
-            )));
-        }
-        Ok(Some(dec.get_bytes()?.to_vec()))
+        Ok(self.open_inner()?.map.get(key).cloned())
     }
 
     /// Whether `key` exists.
     pub fn contains(&self, key: &[u8]) -> StorageResult<bool> {
-        Ok(self.get(key)?.is_some())
+        Ok(self.open_inner()?.map.contains_key(key))
     }
 
     /// Returns all `(key, value)` pairs whose key starts with `prefix`, in key order.
     pub fn scan_prefix(&self, prefix: &[u8]) -> StorageResult<Vec<(Vec<u8>, Vec<u8>)>> {
-        let inner = self.inner.lock();
-        if inner.closed {
-            return Err(StorageError::Closed);
-        }
-        Self::resolve_entries(&inner, inner.index.scan_prefix(prefix))
+        let inner = self.open_inner()?;
+        Ok(inner
+            .map
+            .range(prefix.to_vec()..)
+            .take_while(|(k, _)| k.starts_with(prefix))
+            .map(|(k, v)| (k.clone(), v.clone()))
+            .collect())
     }
 
     /// Returns all `(key, value)` pairs with `low <= key < high`, in key order (the ordered
     /// range scan backing keyed database loads).
     pub fn scan_range(&self, low: &[u8], high: &[u8]) -> StorageResult<Vec<(Vec<u8>, Vec<u8>)>> {
-        let inner = self.inner.lock();
-        if inner.closed {
-            return Err(StorageError::Closed);
+        let inner = self.open_inner()?;
+        if low >= high {
+            return Ok(Vec::new());
         }
-        Self::resolve_entries(&inner, inner.index.scan_range(low, high))
-    }
-
-    fn resolve_entries(
-        inner: &EngineInner,
-        entries: Vec<(Vec<u8>, u64)>,
-    ) -> StorageResult<Vec<(Vec<u8>, Vec<u8>)>> {
-        let mut out = Vec::with_capacity(entries.len());
-        for (key, packed) in entries {
-            let record = inner.heap.get(RecordId::from_u64(packed))?;
-            let mut dec = Decoder::new(&record);
-            let _k = dec.get_bytes()?;
-            out.push((key, dec.get_bytes()?.to_vec()));
-        }
-        Ok(out)
+        Ok(inner
+            .map
+            .range::<[u8], _>((std::ops::Bound::Included(low), std::ops::Bound::Excluded(high)))
+            .map(|(k, v)| (k.clone(), v.clone()))
+            .collect())
     }
 
     /// Number of keys stored.
     pub fn len(&self) -> usize {
-        self.inner.lock().index.len()
+        self.inner.lock().map.len()
     }
 
     /// Whether the engine stores no keys.
@@ -413,10 +342,7 @@ impl StorageEngine {
     /// single backend write and a single sync regardless of how many keys it touches — and an
     /// abort (or crash) before commit leaves no trace in the log at all.
     pub fn begin(&self) -> StorageResult<TxnId> {
-        let mut inner = self.inner.lock();
-        if inner.closed {
-            return Err(StorageError::Closed);
-        }
+        let mut inner = self.open_inner()?;
         let txn = self.next_txn.fetch_add(1, Ordering::SeqCst);
         inner.pending.insert(txn, Vec::new());
         Ok(txn)
@@ -424,56 +350,42 @@ impl StorageEngine {
 
     /// Buffers a put inside transaction `txn`.
     pub fn txn_put(&self, txn: TxnId, key: &[u8], value: &[u8]) -> StorageResult<()> {
-        let mut inner = self.inner.lock();
-        if inner.closed {
-            return Err(StorageError::Closed);
-        }
-        inner
-            .pending
-            .get_mut(&txn)
-            .ok_or_else(|| StorageError::InvalidArgument(format!("unknown transaction {txn}")))?
-            .push((key.to_vec(), Some(value.to_vec())));
-        Ok(())
+        self.buffer_effect(txn, key, Some(value.to_vec()))
     }
 
     /// Buffers a delete inside transaction `txn`.
     pub fn txn_delete(&self, txn: TxnId, key: &[u8]) -> StorageResult<()> {
-        let mut inner = self.inner.lock();
-        if inner.closed {
-            return Err(StorageError::Closed);
-        }
-        inner
+        self.buffer_effect(txn, key, None)
+    }
+
+    fn buffer_effect(&self, txn: TxnId, key: &[u8], value: Option<Vec<u8>>) -> StorageResult<()> {
+        self.open_inner()?
             .pending
             .get_mut(&txn)
             .ok_or_else(|| StorageError::InvalidArgument(format!("unknown transaction {txn}")))?
-            .push((key.to_vec(), None));
+            .push((key.to_vec(), value));
         Ok(())
     }
 
     /// Reads a key as seen by transaction `txn` (its own writes win over the committed state).
     pub fn txn_get(&self, txn: TxnId, key: &[u8]) -> StorageResult<Option<Vec<u8>>> {
+        let inner = self.open_inner()?;
+        // The latest buffered effect for this key, if any, wins.
+        if let Some((_, v)) =
+            inner.pending.get(&txn).and_then(|effects| effects.iter().rev().find(|(k, _)| k == key))
         {
-            let inner = self.inner.lock();
-            if let Some(effects) = inner.pending.get(&txn) {
-                // The latest buffered effect for this key, if any, wins.
-                if let Some((_, v)) = effects.iter().rev().find(|(k, _)| k == key) {
-                    return Ok(v.clone());
-                }
-            }
+            return Ok(v.clone());
         }
-        self.get(key)
+        Ok(inner.map.get(key).cloned())
     }
 
     /// Commits transaction `txn`: writes the transaction's `Begin`/effect/`Commit` frames to the
     /// WAL as one batch, forces the WAL once (if configured), and applies the buffered effects
-    /// to the heap and index.  When the WAL has grown past the configured threshold, a
-    /// checkpoint runs afterwards to bound recovery time.
+    /// to the key space.  When the WAL has grown past the configured threshold, a checkpoint
+    /// runs afterwards to bound recovery time.
     pub fn commit(&self, txn: TxnId) -> StorageResult<()> {
         let wal_bytes = {
-            let mut inner = self.inner.lock();
-            if inner.closed {
-                return Err(StorageError::Closed);
-            }
+            let mut inner = self.open_inner()?;
             let effects = inner.pending.remove(&txn).ok_or_else(|| {
                 StorageError::InvalidArgument(format!("unknown transaction {txn}"))
             })?;
@@ -491,10 +403,7 @@ impl StorageEngine {
                 self.wal.sync()?;
             }
             for (key, value) in effects {
-                match value {
-                    Some(v) => Self::apply_put(&mut inner, &key, &v)?,
-                    None => Self::apply_delete(&mut inner, &key)?,
-                }
+                inner.apply(key, value);
             }
             // The auto-checkpoint policy watches the *uncheckpointed* bytes, not the total:
             // segments retained for replication would otherwise re-trigger a checkpoint on
@@ -515,17 +424,12 @@ impl StorageEngine {
     /// Aborts transaction `txn`, discarding its buffered effects.  Nothing of the transaction
     /// was logged, so the abort costs no I/O.
     pub fn abort(&self, txn: TxnId) -> StorageResult<()> {
-        let mut inner = self.inner.lock();
-        if inner.closed {
-            return Err(StorageError::Closed);
-        }
-        inner
+        self.open_inner()?
             .pending
             .remove(&txn)
             .ok_or_else(|| StorageError::InvalidArgument(format!("unknown transaction {txn}")))?;
         Ok(())
     }
-
     // ----- checkpoint / close -------------------------------------------------------------------
 
     /// Bytes currently held by the WAL (recovery replay work is proportional to this).
@@ -575,23 +479,19 @@ impl StorageEngine {
     /// effects, so the pairs and the LSN cannot tear).  This is the full-resync path for
     /// replication subscribers whose cursor fell behind a checkpoint.
     pub fn snapshot_with_lsn(&self) -> StorageResult<(KeySpaceDump, Lsn)> {
-        let inner = self.inner.lock();
-        if inner.closed {
-            return Err(StorageError::Closed);
-        }
-        let pairs = Self::resolve_entries(&inner, inner.index.scan_prefix(b""))?;
+        let inner = self.open_inner()?;
+        let pairs = inner.map.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
         Ok((pairs, self.wal.durable_lsn()))
     }
 
-    /// Flushes dirty pages, persists the catalog and truncates the WAL.
+    /// Writes the whole key space as the new snapshot, then logs the checkpoint, syncs and
+    /// prunes the WAL.  The snapshot replace is atomic ([`SegmentIo::write_snapshot`]) and
+    /// precedes the prune, so a crash anywhere leaves a snapshot plus a log that together
+    /// recover every committed transaction.
     pub fn checkpoint(&self) -> StorageResult<()> {
         let start = std::time::Instant::now();
-        let inner = self.inner.lock();
-        if inner.closed {
-            return Err(StorageError::Closed);
-        }
-        self.pool.flush_all()?;
-        self.write_checkpoint(&inner)?;
+        let inner = self.open_inner()?;
+        self.io.write_snapshot(&encode_snapshot(&inner.map))?;
         self.wal.append(&LogRecord::Checkpoint { up_to: self.wal.next_lsn() })?;
         self.wal.sync()?;
         self.wal.truncate()?;
@@ -614,9 +514,13 @@ impl StorageEngine {
 mod tests {
     use super::*;
 
-    fn temp_dir(name: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("seed-engine-test-{}-{}", std::process::id(), name));
+    /// A fresh directory per call: the process id keeps concurrent test runs apart, the counter
+    /// keeps this process's tests (threads of one binary) apart.
+    pub(super) fn temp_dir(name: &str) -> PathBuf {
+        static COUNTER: AtomicU64 = AtomicU64::new(0);
+        let n = COUNTER.fetch_add(1, Ordering::SeqCst);
+        let dir = std::env::temp_dir()
+            .join(format!("seed-engine-test-{}-{name}-{n}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }
@@ -809,7 +713,7 @@ mod tests {
                 engine.wal_size_bytes().unwrap() < 512,
                 "WAL stays bounded by the checkpoint policy"
             );
-            // No explicit checkpoint/close: recovery must come from catalog + short WAL.
+            // No explicit checkpoint/close: recovery must come from snapshot + short WAL.
         }
         {
             let engine = StorageEngine::open(&dir).unwrap();
@@ -898,6 +802,106 @@ mod tests {
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
+
+    #[test]
+    fn checkpointed_directory_holds_only_wal_segments_and_the_snapshot() {
+        let dir = temp_dir("layout");
+        let engine = StorageEngine::open(&dir).unwrap();
+        engine.put(b"k", b"v").unwrap();
+        engine.checkpoint().unwrap();
+        let names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        let is_segment = |n: &String| n.starts_with("wal.") && n.ends_with(".seg");
+        assert_eq!(names.iter().filter(|n| *n == "snapshot.db").count(), 1, "{names:?}");
+        assert!(names.iter().any(is_segment), "{names:?}");
+        assert!(names.iter().all(|n| n == "snapshot.db" || is_segment(n)), "{names:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn values_have_no_record_size_cap() {
+        let dir = temp_dir("large");
+        let big: Vec<u8> = (0..200_000u32).map(|i| (i % 253) as u8).collect();
+        {
+            let engine = StorageEngine::open(&dir).unwrap();
+            engine.put(b"big/wal", &big).unwrap();
+            engine.checkpoint().unwrap();
+            engine.put(b"big/after", &big).unwrap();
+        }
+        let engine = StorageEngine::open(&dir).unwrap();
+        assert_eq!(engine.get(b"big/wal").unwrap().unwrap(), big);
+        assert_eq!(engine.get(b"big/after").unwrap().unwrap(), big);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A checkpointed directory plus its snapshot image.
+    fn checkpointed_dir(name: &str) -> (PathBuf, Vec<u8>) {
+        let dir = temp_dir(name);
+        let engine = StorageEngine::open(&dir).unwrap();
+        engine.put(b"obj/Alarms", b"alarm data").unwrap();
+        engine.put(b"obj/Sensor", b"").unwrap();
+        engine.checkpoint().unwrap();
+        drop(engine);
+        let image = std::fs::read(dir.join("snapshot.db")).unwrap();
+        (dir, image)
+    }
+
+    #[test]
+    fn truncated_snapshot_is_corrupt_not_empty() {
+        let (dir, image) = checkpointed_dir("snap-truncated");
+        for len in 0..image.len() {
+            std::fs::write(dir.join("snapshot.db"), &image[..len]).unwrap();
+            match StorageEngine::open(&dir) {
+                Err(StorageError::Corrupt(_)) => {}
+                Err(other) => panic!("truncated to {len}: expected Corrupt, got {other}"),
+                Ok(_) => panic!("truncated to {len}: expected Corrupt, opened"),
+            }
+        }
+        std::fs::write(dir.join("snapshot.db"), &image).unwrap();
+        assert_eq!(StorageEngine::open(&dir).unwrap().len(), 2, "the intact image still opens");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn flipped_snapshot_byte_is_corrupt() {
+        let (dir, image) = checkpointed_dir("snap-flipped");
+        for pos in 0..image.len() {
+            let mut damaged = image.clone();
+            damaged[pos] ^= 0x20;
+            std::fs::write(dir.join("snapshot.db"), &damaged).unwrap();
+            match StorageEngine::open(&dir) {
+                Err(StorageError::Corrupt(_)) => {}
+                Err(other) => panic!("byte {pos} flipped: expected Corrupt, got {other}"),
+                Ok(_) => panic!("byte {pos} flipped: expected Corrupt, opened"),
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn missing_snapshot_behind_a_pruned_log_is_corrupt() {
+        let (dir, _) = checkpointed_dir("snap-missing");
+        std::fs::remove_file(dir.join("snapshot.db")).unwrap();
+        assert!(matches!(StorageEngine::open(&dir), Err(StorageError::Corrupt(_))));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn snapshot_codec_rejects_unsorted_keys() {
+        let mut map = BTreeMap::new();
+        map.insert(b"a".to_vec(), b"1".to_vec());
+        map.insert(b"b".to_vec(), b"2".to_vec());
+        assert_eq!(decode_snapshot(&encode_snapshot(&map)).unwrap(), map);
+        // Well framed, correctly checksummed, but out of key order.
+        let mut e = Encoder::new();
+        e.put_raw(SNAPSHOT_MAGIC).put_u64(2);
+        e.put_bytes(b"b").put_bytes(b"2").put_bytes(b"a").put_bytes(b"1");
+        let crc = crc32(e.as_slice());
+        e.put_u32(crc);
+        assert!(matches!(decode_snapshot(&e.finish()), Err(StorageError::Corrupt(_))));
+    }
 }
 
 #[cfg(test)]
@@ -935,6 +939,78 @@ mod proptests {
             let scanned = engine.scan_prefix(b"").unwrap();
             let expected: Vec<(Vec<u8>, Vec<u8>)> = model.into_iter().collect();
             prop_assert_eq!(scanned, expected);
+        }
+    }
+
+    /// One step of the durable model test.
+    #[derive(Debug, Clone)]
+    enum Step {
+        Put(Vec<u8>, Vec<u8>),
+        Delete(Vec<u8>),
+        Checkpoint,
+        Reopen,
+    }
+
+    /// Mostly puts over a bounded key space (so overwrites grow and shrink values), some
+    /// deletes, and occasional explicit checkpoints and drop-and-reopen cycles.
+    fn arb_step() -> impl Strategy<Value = Step> {
+        (0u8..100, 0u8..128, proptest::collection::vec(any::<u8>(), 0..300)).prop_map(
+            |(kind, key, value)| {
+                let key = format!("k/{key:03}").into_bytes();
+                match kind {
+                    0..=59 => Step::Put(key, value),
+                    60..=84 => Step::Delete(key),
+                    85..=92 => Step::Checkpoint,
+                    _ => Step::Reopen,
+                }
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+        /// The durable variant: a directory-backed engine with a small auto-checkpoint
+        /// threshold and segment cap (so checkpoints, rotations and prunes fire constantly)
+        /// must agree with the model after every reopen, whatever mix of value sizes and
+        /// overwrites came before.
+        #[test]
+        fn durable_engine_matches_btreemap_model(
+            steps in proptest::collection::vec(arb_step(), 1..400)
+        ) {
+            let dir = super::tests::temp_dir("model");
+            let config = EngineConfig {
+                checkpoint_wal_bytes: Some(4096),
+                segment_max_bytes: 1024,
+                ..EngineConfig::default()
+            };
+            let mut engine = StorageEngine::open_with(&dir, config.clone()).unwrap();
+            let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+            for (i, step) in steps.into_iter().enumerate() {
+                match step {
+                    Step::Put(key, value) => {
+                        engine.put(&key, &value).unwrap_or_else(|e| panic!("step {i}: put: {e}"));
+                        model.insert(key, value);
+                    }
+                    Step::Delete(key) => {
+                        engine.delete(&key).unwrap_or_else(|e| panic!("step {i}: delete: {e}"));
+                        model.remove(&key);
+                    }
+                    Step::Checkpoint => engine.checkpoint().unwrap(),
+                    Step::Reopen => {
+                        drop(engine);
+                        engine = StorageEngine::open_with(&dir, config.clone()).unwrap();
+                        let scanned = engine.scan_prefix(b"").unwrap();
+                        let expected: Vec<(Vec<u8>, Vec<u8>)> =
+                            model.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+                        prop_assert_eq!(scanned, expected);
+                    }
+                }
+            }
+            drop(engine);
+            let engine = StorageEngine::open_with(&dir, config).unwrap();
+            let expected: Vec<(Vec<u8>, Vec<u8>)> = model.into_iter().collect();
+            prop_assert_eq!(engine.scan_prefix(b"").unwrap(), expected);
+            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 }

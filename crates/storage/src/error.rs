@@ -9,27 +9,17 @@ pub type StorageResult<T> = Result<T, StorageError>;
 /// Errors raised by the storage substrate.
 #[derive(Debug)]
 pub enum StorageError {
-    /// Underlying I/O failure (file-backed page store or WAL).
+    /// Underlying I/O failure (WAL segment or snapshot file).
     Io(io::Error),
-    /// A page id referred to a page that does not exist in the store.
-    PageNotFound(u64),
-    /// A record id referred to a slot that does not exist or was deleted.
-    RecordNotFound { page: u64, slot: u16 },
-    /// A record was too large to fit into a single page.
-    RecordTooLarge { size: usize, max: usize },
-    /// The requested page has no room for the record and could not be compacted enough.
-    PageFull { page: u64, needed: usize, free: usize },
-    /// Malformed bytes encountered while decoding (corrupt page, WAL frame, or value).
+    /// Malformed bytes encountered while decoding (corrupt snapshot, WAL frame, or value).
     Corrupt(String),
     /// The write-ahead log contained a frame whose checksum did not match.
     ChecksumMismatch { lsn: u64 },
-    /// The buffer pool could not evict a page because every frame is pinned.
-    NoEvictablePage,
-    /// A key was not found in an index.
+    /// A key was not found.
     KeyNotFound,
     /// The engine was asked to operate after being closed.
     Closed,
-    /// Catch-all for invalid arguments (zero-sized pool, bad configuration, ...).
+    /// Catch-all for invalid arguments (unknown transaction, bad configuration, ...).
     InvalidArgument(String),
 }
 
@@ -37,21 +27,10 @@ impl fmt::Display for StorageError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             StorageError::Io(e) => write!(f, "i/o error: {e}"),
-            StorageError::PageNotFound(p) => write!(f, "page {p} not found"),
-            StorageError::RecordNotFound { page, slot } => {
-                write!(f, "record not found (page {page}, slot {slot})")
-            }
-            StorageError::RecordTooLarge { size, max } => {
-                write!(f, "record of {size} bytes exceeds maximum of {max} bytes")
-            }
-            StorageError::PageFull { page, needed, free } => {
-                write!(f, "page {page} full: needed {needed} bytes, only {free} free")
-            }
             StorageError::Corrupt(msg) => write!(f, "corrupt data: {msg}"),
             StorageError::ChecksumMismatch { lsn } => {
                 write!(f, "checksum mismatch in WAL frame at lsn {lsn}")
             }
-            StorageError::NoEvictablePage => write!(f, "buffer pool exhausted: all pages pinned"),
             StorageError::KeyNotFound => write!(f, "key not found"),
             StorageError::Closed => write!(f, "storage engine is closed"),
             StorageError::InvalidArgument(msg) => write!(f, "invalid argument: {msg}"),
@@ -80,12 +59,11 @@ mod tests {
 
     #[test]
     fn display_includes_context() {
-        let e = StorageError::RecordNotFound { page: 3, slot: 7 };
-        assert!(e.to_string().contains("page 3"));
-        assert!(e.to_string().contains("slot 7"));
+        let e = StorageError::Corrupt("snapshot: bad magic".into());
+        assert!(e.to_string().contains("bad magic"));
 
-        let e = StorageError::PageFull { page: 1, needed: 100, free: 10 };
-        assert!(e.to_string().contains("needed 100"));
+        let e = StorageError::ChecksumMismatch { lsn: 42 };
+        assert!(e.to_string().contains("lsn 42"));
     }
 
     #[test]

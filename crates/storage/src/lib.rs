@@ -3,40 +3,29 @@
 //! Storage substrate for the SEED DBMS reproduction (Glinz & Ludewig, ICDE 1986).
 //!
 //! The 1986 SEED prototype was "implemented in a straightforward manner, deriving the
-//! implementation concepts from the model".  A DBMS of that era nonetheless needs a record
-//! store; this crate provides the persistent machinery the upper layers sit on:
+//! implementation concepts from the model".  This crate follows suit: committed state lives in
+//! one in-memory ordered map, and the disk holds exactly one format —
 //!
-//! * [`page`] — fixed-size slotted pages holding variable-length records,
-//! * [`pagestore`] — page-granular I/O backends (in-memory and file-backed),
-//! * [`buffer`] — an LRU buffer pool mediating page access,
-//! * [`heapfile`] — record-level storage with stable [`RecordId`]s and free-space tracking,
 //! * [`wal`] — a segmented write-ahead log with CRC-protected frames, whole-segment checkpoint
 //!   pruning, replication retention, and parallel redo recovery,
-//! * [`btree`] — an ordered in-memory B+ tree used for the name index, persisted on checkpoint,
-//! * [`engine`] — a small key/value storage engine tying the pieces together.
+//! * one CRC-framed, key-sorted snapshot image of the whole key space, rewritten atomically
+//!   on every checkpoint,
+//!
+//! both reached through one door, the [`SegmentIo`] trait.  [`engine`] ties them together as a
+//! small transactional key/value engine; [`codec`] holds the binary primitives and the CRC.
 //!
 //! The engine exposes exactly what `seed-core` needs: durable `put`/`get`/`delete`/`scan_prefix`
 //! over byte keys plus checkpoint/recovery.  Higher-level notions (objects, relationships,
 //! versions, patterns) live in `seed-core`.
 
-pub mod btree;
-pub mod buffer;
 pub mod codec;
 pub mod engine;
 pub mod error;
-pub mod heapfile;
-pub mod page;
-pub mod pagestore;
 pub mod wal;
 
-pub use btree::BPlusTree;
-pub use buffer::BufferPool;
 pub use codec::{Decoder, Encoder};
 pub use engine::{EngineConfig, StorageEngine, TxnId};
 pub use error::{StorageError, StorageResult};
-pub use heapfile::{HeapFile, RecordId};
-pub use page::{Page, PageId, PAGE_SIZE};
-pub use pagestore::{FilePageStore, MemoryPageStore, PageStore};
 pub use wal::{
     replay_committed, FileSegmentIo, KeyEffect, LogRecord, Lsn, MemorySegmentIo, SegmentId,
     SegmentIo, WalConfig, WalTail, WriteAheadLog,

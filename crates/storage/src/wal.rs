@@ -1,9 +1,9 @@
 //! Segmented write-ahead log.
 //!
-//! Every engine mutation is appended to the log before the corresponding page is allowed to be
-//! written back.  Frames are CRC-protected; recovery replays committed transactions in order and
-//! stops at the first corrupt or torn frame (everything after a torn write is, by definition,
-//! not yet durable).
+//! Every engine mutation is appended to the log before it is applied to the in-memory key space
+//! (and so before any snapshot can contain it).  Frames are CRC-protected; recovery replays
+//! committed transactions in order and stops at the first corrupt or torn frame (everything
+//! after a torn write is, by definition, not yet durable).
 //!
 //! The log is a sequence of bounded **segment files** (`wal.000017.seg`) instead of one
 //! monolithic file:
@@ -26,14 +26,14 @@
 //!
 //! LSNs are **absolute**: they number every record ever appended, and checkpoint pruning does
 //! not reset them.  Each segment's header carries its *base* — the LSN before its first record —
-//! so the first frame of segment with base `b` always carries LSN `b + 1` (this generalizes the
-//! single-file log's `.base` sidecar, which is migrated on open).  This is what lets a
+//! so the first frame of segment with base `b` always carries LSN `b + 1`.  This is what lets a
 //! replication subscriber hold a durable cursor into the primary's log
 //! ([`WriteAheadLog::read_from`]) across checkpoints and restarts on either side.
 //!
-//! All storage I/O goes through the [`SegmentIo`] trait ([`FileSegmentIo`] for durable
-//! directories, [`MemorySegmentIo`] for ephemeral logs), which is also the injection point for
-//! the deterministic crash-injection harness in `tests/crash_injection.rs`.
+//! All storage I/O — the segments and the engine's checkpoint snapshot — goes through the
+//! [`SegmentIo`] trait ([`FileSegmentIo`] for durable directories, [`MemorySegmentIo`] for
+//! ephemeral engines), which is also the injection point for the deterministic crash-injection
+//! harness in `tests/crash_injection.rs`.
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
@@ -105,7 +105,7 @@ pub enum LogRecord {
     Put { txn: u64, key: Vec<u8>, value: Vec<u8> },
     /// A key was removed within a transaction.
     Delete { txn: u64, key: Vec<u8> },
-    /// A checkpoint: all effects of LSNs up to and including `up_to` are in the page store.
+    /// A checkpoint: all effects of LSNs before `up_to` are in the snapshot.
     Checkpoint { up_to: Lsn },
 }
 
@@ -190,13 +190,15 @@ impl Default for WalConfig {
 
 // ----- segment I/O ------------------------------------------------------------------------------
 
-/// Byte-level storage for WAL segments.
+/// Byte-level storage for WAL segments and the engine's checkpoint snapshot.
 ///
 /// The log's durability argument rests on three properties implementations must provide:
 /// `create` persists the initial bytes (and the segment's existence) before returning, `sync`
 /// is a write barrier for earlier `append`s to the same segment, and `delete` durably removes
 /// the segment.  `append` may tear at any byte boundary on a crash — recovery handles that —
-/// which is exactly the surface the crash-injection harness drives.
+/// which is exactly the surface the crash-injection harness drives.  The snapshot has one
+/// property of its own: `write_snapshot` replaces it atomically and durably, so after a crash
+/// `read_snapshot` returns either the previous image or the new one, whole.
 pub trait SegmentIo: Send + Sync {
     /// Ids of all existing segments, in ascending order.
     fn list(&self) -> StorageResult<Vec<SegmentId>>;
@@ -212,9 +214,14 @@ pub trait SegmentIo: Send + Sync {
     fn truncate(&self, id: SegmentId, len: u64) -> StorageResult<()>;
     /// Durably removes segment `id` (absent segments are not an error).
     fn delete(&self, id: SegmentId) -> StorageResult<()>;
+    /// Atomically and durably replaces the snapshot with `image`.
+    fn write_snapshot(&self, image: &[u8]) -> StorageResult<()>;
+    /// The current snapshot image (`None` when no snapshot was ever written).
+    fn read_snapshot(&self) -> StorageResult<Option<Vec<u8>>>;
 }
 
-/// File-backed [`SegmentIo`]: one `wal.<id:06>.seg` file per segment inside a directory.
+/// File-backed [`SegmentIo`]: one `wal.<id:06>.seg` file per segment plus `snapshot.db`
+/// inside a directory.
 pub struct FileSegmentIo {
     dir: PathBuf,
     /// Cached handle of the segment currently being appended to, so the group-commit hot path
@@ -237,13 +244,9 @@ impl FileSegmentIo {
         name.strip_prefix("wal.")?.strip_suffix(".seg")?.parse().ok()
     }
 
+    /// Directory sync: makes creates, renames and deletes durable.
     fn sync_dir(&self) -> StorageResult<()> {
-        // Directory sync makes renames/creates/deletes durable; best-effort on filesystems
-        // that reject opening directories.
-        if let Ok(dir) = File::open(&self.dir) {
-            let _ = dir.sync_data();
-        }
-        Ok(())
+        Ok(File::open(&self.dir)?.sync_all()?)
     }
 }
 
@@ -314,13 +317,35 @@ impl SegmentIo for FileSegmentIo {
             Err(e) => Err(e.into()),
         }
     }
+
+    /// Crash-safe replace: the new image reaches disk under a temporary name before the rename
+    /// makes it visible, and the directory sync makes the rename itself durable — a crash at
+    /// any point leaves either the old or the new snapshot, never a torn one.
+    fn write_snapshot(&self, image: &[u8]) -> StorageResult<()> {
+        let tmp = self.dir.join("snapshot.tmp");
+        {
+            let mut file = File::create(&tmp)?;
+            file.write_all(image)?;
+            file.sync_data()?;
+        }
+        std::fs::rename(&tmp, self.dir.join("snapshot.db"))?;
+        self.sync_dir()
+    }
+
+    fn read_snapshot(&self) -> StorageResult<Option<Vec<u8>>> {
+        match std::fs::read(self.dir.join("snapshot.db")) {
+            Ok(image) => Ok(Some(image)),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+            Err(e) => Err(e.into()),
+        }
+    }
 }
 
-/// In-memory [`SegmentIo`] (ephemeral databases, tests, and the seed state the crash-injection
-/// harness reopens from).
+/// In-memory [`SegmentIo`] (ephemeral databases and tests).
 #[derive(Default)]
 pub struct MemorySegmentIo {
     segments: Mutex<BTreeMap<SegmentId, Vec<u8>>>,
+    snapshot: Mutex<Option<Vec<u8>>>,
 }
 
 impl MemorySegmentIo {
@@ -331,12 +356,7 @@ impl MemorySegmentIo {
 
     /// A store seeded with existing segment contents (reopening a crash survivor state).
     pub fn from_segments(segments: BTreeMap<SegmentId, Vec<u8>>) -> Self {
-        Self { segments: Mutex::new(segments) }
-    }
-
-    /// A copy of every segment's current contents.
-    pub fn dump(&self) -> BTreeMap<SegmentId, Vec<u8>> {
-        self.segments.lock().clone()
+        Self { segments: Mutex::new(segments), snapshot: Mutex::new(None) }
     }
 }
 
@@ -390,6 +410,15 @@ impl SegmentIo for MemorySegmentIo {
     fn delete(&self, id: SegmentId) -> StorageResult<()> {
         self.segments.lock().remove(&id);
         Ok(())
+    }
+
+    fn write_snapshot(&self, image: &[u8]) -> StorageResult<()> {
+        *self.snapshot.lock() = Some(image.to_vec());
+        Ok(())
+    }
+
+    fn read_snapshot(&self) -> StorageResult<Option<Vec<u8>>> {
+        Ok(self.snapshot.lock().clone())
     }
 }
 
@@ -542,60 +571,10 @@ impl WriteAheadLog {
     }
 
     /// Opens (or creates) a segmented log inside directory `dir`.
-    ///
-    /// A legacy single-file log (`wal.log` + `wal.log.base` sidecar) found in `dir` is migrated
-    /// into segment 1 first: the bytes are copied into a segment whose header carries the
-    /// sidecar's base, crash-safely (write-temp, sync, rename, sync dir), and the legacy files
-    /// are removed.  An interrupted migration redoes or completes itself on the next open.
     pub fn open_dir(dir: impl AsRef<Path>, config: WalConfig) -> StorageResult<Self> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
-        Self::migrate_legacy(&dir)?;
         Self::with_io(Arc::new(FileSegmentIo::new(&dir)), config)
-    }
-
-    fn migrate_legacy(dir: &Path) -> StorageResult<()> {
-        let legacy = dir.join("wal.log");
-        let sidecar = dir.join("wal.log.base");
-        // Stale temp files are failed migrations (pre-rename); redo from the legacy source.
-        for entry in std::fs::read_dir(dir)? {
-            let entry = entry?;
-            if entry.file_name().to_string_lossy().ends_with(".seg.tmp") {
-                let _ = std::fs::remove_file(entry.path());
-            }
-        }
-        if !legacy.exists() {
-            return Ok(());
-        }
-        let has_segments = std::fs::read_dir(dir)?.any(|e| {
-            e.ok()
-                .and_then(|e| e.file_name().to_str().and_then(FileSegmentIo::parse_name))
-                .is_some()
-        });
-        if !has_segments {
-            // The sidecar held the count of records truncated away; it becomes segment 1's base.
-            let base = std::fs::read(&sidecar)
-                .ok()
-                .and_then(|bytes| bytes.try_into().ok().map(u64::from_le_bytes))
-                .unwrap_or(0);
-            let raw = std::fs::read(&legacy)?;
-            let tmp = dir.join("wal.000001.seg.tmp");
-            {
-                let mut file = File::create(&tmp)?;
-                file.write_all(&segment_header(base))?;
-                file.write_all(&raw)?;
-                file.sync_data()?;
-            }
-            std::fs::rename(&tmp, dir.join("wal.000001.seg"))?;
-        }
-        // Past the rename (now, or in the interrupted run that left segments behind), the
-        // segments are authoritative; drop the legacy files.
-        let _ = std::fs::remove_file(&legacy);
-        let _ = std::fs::remove_file(&sidecar);
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_data();
-        }
-        Ok(())
     }
 
     /// Opens a log over an arbitrary [`SegmentIo`] — the injection point for fault-injection
@@ -1451,34 +1430,6 @@ mod tests {
             (all[0].0..=all[all.len() - 1].0).collect::<Vec<_>>(),
             "surviving records are contiguous"
         );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn legacy_single_file_log_is_migrated_on_open() {
-        let dir = temp_dir("legacy");
-        // Fabricate a pre-segmentation log: raw frames in `wal.log`, base in the sidecar.
-        let mut raw = Vec::new();
-        raw.extend_from_slice(&frame_bytes(&LogRecord::Begin { txn: 9 }));
-        raw.extend_from_slice(&frame_bytes(&LogRecord::Commit { txn: 9 }));
-        std::fs::write(dir.join("wal.log"), &raw).unwrap();
-        std::fs::write(dir.join("wal.log.base"), 5u64.to_le_bytes()).unwrap();
-        {
-            let wal = WriteAheadLog::open_dir(&dir, WalConfig::default()).unwrap();
-            assert_eq!(wal.base_lsn(), 5, "sidecar base became the segment header base");
-            assert_eq!(
-                wal.read_all().unwrap(),
-                vec![(6, LogRecord::Begin { txn: 9 }), (7, LogRecord::Commit { txn: 9 })]
-            );
-            assert!(!dir.join("wal.log").exists(), "legacy file removed after migration");
-            assert!(!dir.join("wal.log.base").exists());
-            assert!(dir.join("wal.000001.seg").exists());
-            wal.append(&LogRecord::Begin { txn: 10 }).unwrap();
-            wal.sync().unwrap();
-        }
-        let wal = WriteAheadLog::open_dir(&dir, WalConfig::default()).unwrap();
-        assert_eq!(wal.read_all().unwrap().len(), 3);
-        assert_eq!(wal.next_lsn(), 9);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,15 +1,17 @@
-//! Deterministic crash-injection harness for the segmented WAL.
+//! Deterministic crash-injection harness for the segmented WAL and the storage engine.
 //!
-//! A [`FaultFs`] wraps the log's segment storage with a *crash point*: a budget of disk-op
-//! units (one unit per written byte, one per metadata operation) after which every operation
-//! fails — the process is dead.  Sweeping the crash point across **every** unit of a workload
-//! kills the log at every byte boundary of every append, every segment rotation (header
-//! creation), every checkpoint prune (segment deletion) and every sync, including mid-operation
-//! tears: an append or segment creation cut by the budget applies only a byte prefix, exactly
-//! like a torn write.
+//! A [`FaultFs`] wraps the engine's whole disk — the WAL segments and the checkpoint snapshot —
+//! with a *crash point*: a budget of disk-op units (one unit per written byte, one per metadata
+//! operation) after which every operation fails — the process is dead.  Sweeping the crash
+//! point across **every** unit of a workload kills the log at every byte boundary of every
+//! append, every segment rotation (header creation), every checkpoint prune (segment deletion),
+//! every snapshot write (temp bytes, sync, rename, directory sync) and every sync, including
+//! mid-operation tears: an append or segment creation cut by the budget applies only a byte
+//! prefix, exactly like a torn write, and a snapshot write cut before its rename leaves the old
+//! snapshot in place.
 //!
-//! For each crash point the harness reopens the surviving bytes and asserts the recovery
-//! contract:
+//! For each crash point of the WAL-level workload the harness reopens the surviving bytes and
+//! asserts the recovery contract:
 //!
 //! * recovery always succeeds (no crash state is unopenable),
 //! * the recovered effects are a **contiguous run of whole transactions** — never a torn or
@@ -18,8 +20,9 @@
 //!   checkpoint had not already pruned) is recovered,
 //! * parallel segment replay recovers byte-for-byte what serial replay recovers.
 //!
-//! This extends the torn-tail tests of the incremental-durability PR to torn *rotations* and
-//! torn *segment deletions*, which only exist in a segmented log.
+//! The engine-level sweep drives commits with auto-checkpoints, rotations and prunes through a
+//! [`StorageEngine`] and asserts that every crash state reopens and holds exactly the key space
+//! of some prefix of the commits that contains every acknowledged one.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -29,26 +32,45 @@ use parking_lot::Mutex;
 use seed_storage::wal::{
     replay_committed, LogRecord, MemorySegmentIo, SegmentId, SegmentIo, WalConfig, WriteAheadLog,
 };
-use seed_storage::{StorageError, StorageResult};
+use seed_storage::{EngineConfig, StorageEngine, StorageError, StorageResult};
 
 /// The crash point: how many disk-op units the process survives before it dies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct CrashPoint(u64);
 
-/// Segment storage that dies at a [`CrashPoint`].
+/// Segment and snapshot storage that dies at a [`CrashPoint`].
 ///
-/// Costs: 1 unit per byte written (`append` and the contents of `create`), 1 unit per metadata
-/// operation (`create` itself, `sync`, `delete`, `truncate`).  Reads and listings are free.
-/// When the budget runs out mid-write, the byte prefix that fit is applied — a torn write —
-/// and the operation (plus everything after it) fails.
+/// Costs: 1 unit per byte written (`append`, the contents of `create`, the snapshot's temp
+/// file), 1 unit per metadata operation (`create` itself, `sync`, `delete`, `truncate`, and the
+/// snapshot's sync, rename and directory sync).  Reads and listings are free.  When the budget
+/// runs out mid-write, the byte prefix that fit is applied — a torn write — and the operation
+/// (plus everything after it) fails.
 struct FaultFs {
     segments: Mutex<BTreeMap<SegmentId, Vec<u8>>>,
+    snapshot: Mutex<Option<Vec<u8>>>,
     remaining: AtomicU64,
 }
 
+/// What a restarted process finds on disk: the segments and the snapshot.
+type DiskState = (BTreeMap<SegmentId, Vec<u8>>, Option<Vec<u8>>);
+
 impl FaultFs {
     fn new(crash_point: CrashPoint) -> Self {
-        Self { segments: Mutex::new(BTreeMap::new()), remaining: AtomicU64::new(crash_point.0) }
+        Self::reopen((BTreeMap::new(), None), crash_point)
+    }
+
+    /// A disk holding a crash survivor's state, with a fresh budget.
+    fn reopen((segments, snapshot): DiskState, crash_point: CrashPoint) -> Self {
+        Self {
+            segments: Mutex::new(segments),
+            snapshot: Mutex::new(snapshot),
+            remaining: AtomicU64::new(crash_point.0),
+        }
+    }
+
+    /// Everything that survives the crash.
+    fn surviving_disk(&self) -> DiskState {
+        (self.segments.lock().clone(), self.snapshot.lock().clone())
     }
 
     /// Takes up to `want` units from the budget, returning how many were granted.
@@ -65,9 +87,9 @@ impl FaultFs {
         StorageError::Io(std::io::Error::other("injected crash"))
     }
 
-    /// The bytes that survive the crash (what a restarted process would find on disk).
+    /// The segment bytes that survive the crash (the WAL-level workload writes no snapshot).
     fn surviving_segments(&self) -> BTreeMap<SegmentId, Vec<u8>> {
-        self.segments.lock().clone()
+        self.surviving_disk().0
     }
 
     /// Units consumed so far (used once, with an effectively infinite budget, to size the sweep).
@@ -146,6 +168,26 @@ impl SegmentIo for FaultFs {
         }
         self.segments.lock().remove(&id);
         Ok(())
+    }
+
+    /// Temp-file bytes, sync, rename, directory sync.  Only the rename changes what a restart
+    /// sees: a crash before it leaves the old snapshot, at or after it the new one.
+    fn write_snapshot(&self, image: &[u8]) -> StorageResult<()> {
+        let written = self.take(image.len() as u64) == image.len() as u64;
+        // Temp bytes, then their sync, then the rename.
+        if !written || self.take(1) < 1 || self.take(1) < 1 {
+            return Err(Self::died());
+        }
+        *self.snapshot.lock() = Some(image.to_vec());
+        // Directory sync.
+        if self.take(1) < 1 {
+            return Err(Self::died());
+        }
+        Ok(())
+    }
+
+    fn read_snapshot(&self) -> StorageResult<Option<Vec<u8>>> {
+        Ok(self.snapshot.lock().clone())
     }
 }
 
@@ -306,4 +348,140 @@ fn the_crash_sweep_covers_rotations_and_deletions() {
     assert!(first > 1, "workload must have deleted (pruned) early segments");
     let last = *survivors.keys().last().unwrap();
     assert!(last > first, "workload must have created later segments (rotations)");
+}
+
+// ----- engine-level sweep: commits, auto-checkpoints, rotations, prunes --------------------------
+
+/// Small caps so the engine workload rotates segments and auto-checkpoints every few commits;
+/// the retention budget keeps a segment or two for the subscriber the workload pins midway.
+fn engine_config() -> EngineConfig {
+    EngineConfig {
+        sync_on_commit: true,
+        checkpoint_wal_bytes: Some(320),
+        segment_max_bytes: 128,
+        retention_budget_bytes: 256,
+    }
+}
+
+const COMMITS: usize = 20;
+
+/// Commit `i`'s effects, over a small key space so later commits overwrite (growing and
+/// shrinking values) and delete what earlier ones wrote.
+fn commit_effects(i: usize) -> Vec<(Vec<u8>, Option<Vec<u8>>)> {
+    let key = |k: usize| format!("k/{k}").into_bytes();
+    let mut effects = vec![(key(i % 5), Some(vec![i as u8; (i * 7) % 40]))];
+    if i % 3 == 2 {
+        effects.push((key((i + 2) % 5), None));
+    }
+    if i % 4 == 1 {
+        effects.push((key(5 + i % 2), Some(vec![0xEE; 16 + i])));
+    }
+    effects
+}
+
+type KeySpace = BTreeMap<Vec<u8>, Vec<u8>>;
+
+/// `states[k]` is the key space after the first `k` commits.
+fn model_states() -> Vec<KeySpace> {
+    let mut states = vec![KeySpace::new()];
+    for i in 0..COMMITS {
+        let mut next = states[i].clone();
+        for (key, value) in commit_effects(i) {
+            match value {
+                Some(v) => next.insert(key, v),
+                None => next.remove(&key),
+            };
+        }
+        states.push(next);
+    }
+    states
+}
+
+/// Drives the commits until the crash point kills one; returns how many were acknowledged.
+/// Midway a replication subscriber pins the log (checkpoints then retain segments) and later
+/// lets go; one explicit checkpoint joins the automatic ones.
+fn run_engine_workload(engine: &StorageEngine) -> usize {
+    for i in 0..COMMITS {
+        if i == 10 {
+            engine.set_replication_retention(Some(engine.durable_lsn().saturating_sub(8).max(1)));
+        }
+        if i == 16 {
+            engine.set_replication_retention(None);
+        }
+        let Ok(txn) = engine.begin() else { return i };
+        for (key, value) in commit_effects(i) {
+            let staged = match value {
+                Some(v) => engine.txn_put(txn, &key, &v),
+                None => engine.txn_delete(txn, &key),
+            };
+            staged.expect("staging does no I/O");
+        }
+        if engine.commit(txn).is_err() {
+            return i;
+        }
+        if i == 6 && engine.checkpoint().is_err() {
+            return i + 1;
+        }
+    }
+    COMMITS
+}
+
+fn key_space(engine: &StorageEngine) -> KeySpace {
+    engine.scan_prefix(b"").expect("scan").into_iter().collect()
+}
+
+#[test]
+fn engine_recovers_a_committed_prefix_at_every_crash_point() {
+    let states = model_states();
+    let infinite = CrashPoint(u64::MAX / 2);
+    let probe = Arc::new(FaultFs::new(infinite));
+    let engine = StorageEngine::with_io(probe.clone(), engine_config()).unwrap();
+    assert_eq!(run_engine_workload(&engine), COMMITS, "the probe run must complete");
+    assert_eq!(key_space(&engine), states[COMMITS]);
+    drop(engine);
+    let total = probe.consumed(infinite);
+    assert!(total > 1000, "expected a few thousand crash points, got {total}");
+
+    for point in 0..=total {
+        let fs = Arc::new(FaultFs::new(CrashPoint(point)));
+        // Opening an empty disk creates the first segment, which itself can crash.
+        let acked = match StorageEngine::with_io(fs.clone(), engine_config()) {
+            Ok(engine) => run_engine_workload(&engine),
+            Err(_) => 0,
+        };
+        let disk = fs.surviving_disk();
+        let reopened = Arc::new(FaultFs::reopen(disk, infinite));
+        let engine = StorageEngine::with_io(reopened.clone(), engine_config())
+            .unwrap_or_else(|e| panic!("crash point {point}: reopen failed: {e}"));
+        let recovered = key_space(&engine);
+        // Some prefix of the commits containing every acknowledged one; at most the one commit
+        // in flight at the crash beyond that.
+        let attempted = (acked + 1).min(COMMITS);
+        assert!(
+            (acked..=attempted).any(|k| states[k] == recovered),
+            "crash point {point}: recovered key space matches no prefix in {acked}..={attempted} \
+             (recovered {recovered:?})"
+        );
+        // The recovered engine keeps working: a further commit survives another restart.
+        engine.put(b"after/crash", b"ok").unwrap();
+        drop(engine);
+        let engine = StorageEngine::with_io(reopened, engine_config()).unwrap();
+        let mut expected = recovered;
+        expected.insert(b"after/crash".to_vec(), b"ok".to_vec());
+        assert_eq!(key_space(&engine), expected, "crash point {point}: second restart");
+    }
+}
+
+#[test]
+fn the_engine_sweep_covers_checkpoints_rotations_and_prunes() {
+    let infinite = CrashPoint(u64::MAX / 2);
+    let fs = Arc::new(FaultFs::new(infinite));
+    let engine = StorageEngine::with_io(fs.clone(), engine_config()).unwrap();
+    run_engine_workload(&engine);
+    let (segments, snapshot) = fs.surviving_disk();
+    assert!(snapshot.is_some(), "auto-checkpoints must have written a snapshot");
+    let first = *segments.keys().next().unwrap();
+    let last = *segments.keys().last().unwrap();
+    assert!(first > 1, "checkpoints must have pruned early segments");
+    assert!(last >= 4, "the workload must rotate through several segments");
 }

@@ -6,7 +6,7 @@
 //!
 //! * [`obs`] — lock-free metrics registry, structured event ring and slow-operation log
 //!   shared by every layer (catalog: `docs/OBSERVABILITY.md`);
-//! * [`storage`] — pages, buffer pool, heap files, WAL, B+ tree, key/value engine;
+//! * [`storage`] — in-memory key/value engine over a segmented WAL and one snapshot file;
 //! * [`schema`] — classes, associations, generalization, SDL, validation, versioning;
 //! * [`core`] — the DBMS: objects, relationships, consistency/completeness, versions, patterns;
 //! * [`query`] — the `find …` retrieval language, entity-relationship algebra and the

@@ -1,13 +1,26 @@
 //! End-to-end integration tests spanning several crates: SDL-defined schemas, persistence
 //! through the storage engine, the query language, and the SPADES tool.
 
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use seed_core::{Database, TransitionRule, Value};
 use seed_query::run as query;
 use seed_schema::sdl;
 use spades::{DirectBackend, SeedBackend, SpecBackend, Workload, WorkloadConfig};
 
-/// A schema written in SDL drives a database, which survives a save/load round trip through the
-/// storage engine, and answers queries afterwards.
+/// A fresh directory per call: the process id keeps concurrent runs apart, the counter keeps
+/// this binary's tests (threads of one process) apart.
+fn temp_dir(name: &str) -> PathBuf {
+    static DIRS: AtomicU64 = AtomicU64::new(0);
+    let n = DIRS.fetch_add(1, Ordering::SeqCst);
+    let dir = std::env::temp_dir().join(format!("seed-e2e-{name}-{}-{n}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// A schema written in SDL drives a durable database, which survives a close/reopen round trip
+/// through the storage engine, and answers queries afterwards.
 #[test]
 fn sdl_schema_persistence_and_query() {
     let schema = sdl::parse(
@@ -35,7 +48,8 @@ fn sdl_schema_persistence_and_query() {
     .expect("SDL parses");
     assert!(seed_schema::validate_schema(&schema).is_empty());
 
-    let mut db = Database::new(schema);
+    let dir = temp_dir("sdl");
+    let mut db = Database::create_durable(&dir, schema).unwrap();
     db.add_transition_rule(TransitionRule::NoDeletions).unwrap();
 
     let spec = db.create_object("Document", "RequirementsSpec").unwrap();
@@ -52,15 +66,16 @@ fn sdl_schema_persistence_and_query() {
     assert!(db.create_relationship("Refines", &[("refined", program), ("by", spec)]).is_err());
     let v1 = db.create_version("baseline").unwrap();
 
-    // Persist and reload through the seed-storage engine.
-    let dir = std::env::temp_dir().join(format!("seed-e2e-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    db.save_to_dir(&dir).unwrap();
-    let reloaded = Database::open_dir(&dir).unwrap();
-    assert_eq!(reloaded.object_count(), db.object_count());
-    assert_eq!(reloaded.relationship_count(), db.relationship_count());
+    // Checkpoint, close and reopen through the seed-storage engine.
+    db.checkpoint().unwrap();
+    let (objects, relationships, rules) =
+        (db.object_count(), db.relationship_count(), db.transition_rules().to_vec());
+    drop(db);
+    let reloaded = Database::open_durable(&dir).unwrap();
+    assert_eq!(reloaded.object_count(), objects);
+    assert_eq!(reloaded.relationship_count(), relationships);
     assert_eq!(reloaded.versions().len(), 1);
-    assert_eq!(reloaded.transition_rules(), db.transition_rules());
+    assert_eq!(reloaded.transition_rules(), rules.as_slice());
 
     // Queries over the reloaded database.
     assert_eq!(query(&reloaded, "count Artifact").unwrap().count(), 3);
@@ -167,14 +182,12 @@ fn queries_respect_selected_versions() {
     assert_eq!(query(&db, "count Data").unwrap().count(), 2);
 }
 
-/// Incremental durability end-to-end: an SDL-defined schema drives a durable database whose
-/// committed mutations survive a crash (engine dropped without checkpoint), the recovered
-/// database answers queries through the rebuilt indexes, and a legacy snapshot directory is
-/// migrated to the per-item layout on durable open.
+/// Incremental durability end-to-end: a durable database whose committed mutations survive a
+/// crash (engine dropped without checkpoint), and the recovered database answers queries
+/// through the rebuilt indexes.
 #[test]
 fn durable_database_survives_crash_and_answers_queries() {
-    let dir = std::env::temp_dir().join(format!("seed-e2e-durable-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = temp_dir("durable");
 
     let mut db = Database::create_durable(&dir, seed_schema::figure3_schema()).unwrap();
     let alarms = db.create_object("Thing", "Alarms").unwrap();
@@ -204,15 +217,5 @@ fn durable_database_survives_crash_and_answers_queries() {
     );
     assert_eq!(recovered.versions().len(), 1);
 
-    // Legacy snapshot directories migrate on durable open.
-    let legacy_dir =
-        std::env::temp_dir().join(format!("seed-e2e-durable-legacy-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&legacy_dir);
-    recovered.save_to_dir(&legacy_dir).unwrap();
-    let migrated = Database::open_durable(&legacy_dir).unwrap();
-    assert_eq!(migrated.object_count(), recovered.object_count());
-    assert_eq!(query(&migrated, "count Data").unwrap().count(), 2);
-
     let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&legacy_dir);
 }

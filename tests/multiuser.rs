@@ -14,13 +14,7 @@ fn populated_database() -> Database {
         ..WorkloadConfig::default()
     });
     assert_eq!(workload.apply(&mut backend), 0);
-    // Take the database out of the tool by rebuilding through persistence.
-    let dir = std::env::temp_dir().join(format!("seed-multiuser-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    backend.database().save_to_dir(&dir).unwrap();
-    let db = Database::open_dir(&dir).unwrap();
-    let _ = std::fs::remove_dir_all(&dir);
-    db
+    backend.into_database()
 }
 
 #[test]
