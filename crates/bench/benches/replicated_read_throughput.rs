@@ -23,7 +23,10 @@ fn replicated_reads(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_millis(300));
     for replicas in [0usize, 1, 2] {
         group.bench_with_input(BenchmarkId::from_parameter(replicas), &replicas, |b, &replicas| {
-            let base = std::env::temp_dir().join(format!("seed-bench-e12c-{}", std::process::id()));
+            static DIRS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+            let n = DIRS.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            let base =
+                std::env::temp_dir().join(format!("seed-bench-e12c-{}-{n}", std::process::id()));
             let _ = std::fs::remove_dir_all(&base);
             let mut db =
                 Database::create_durable(base.join("primary"), figure3_schema()).expect("primary");

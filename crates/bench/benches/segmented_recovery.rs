@@ -11,7 +11,10 @@ const COMMITS: u64 = 5_000;
 const SEGMENT_MAX_BYTES: u64 = 64 * 1024;
 
 fn temp_dir(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("seed-bench-e13c-{}-{name}", std::process::id()));
+    static DIRS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let n = DIRS.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+    let dir =
+        std::env::temp_dir().join(format!("seed-bench-e13c-{}-{name}-{n}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }

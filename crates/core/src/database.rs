@@ -1677,74 +1677,22 @@ impl Database {
     /// Index maintenance rides on the store's ordinary mutators, so the patched clone is
     /// byte-identical to a fresh [`Database::clone_for_snapshot`] of `src`.
     pub(crate) fn sync_snapshot_from(&mut self, src: &Database, items: &[ItemId]) {
-        // Cross-item renames within one delta (A→B while B→A) would corrupt the name index if
-        // patched in place, because `update_object` unconditionally re-inserts the new name:
-        // park every live-and-renamed (or soon-removed) object under a collision-free temporary
-        // name first, then apply the real records.
-        for item in items {
-            let ItemId::Object(oid) = item else { continue };
-            let stale = match self.store.object(*oid) {
-                Some(rec) if !rec.deleted => rec,
-                _ => continue,
-            };
-            let needs_parking = match src.store.object(*oid) {
-                None => true,
-                Some(new) => new.name.to_string() != stale.name.to_string(),
-            };
-            if needs_parking {
-                let parked = format!("\u{1}snap-parked-{}", oid.0);
-                self.store.update_object(*oid, |o| o.name = o.name.with_root_renamed(parked));
-            }
-        }
+        let mut objects = Vec::new();
+        let mut relationships = Vec::new();
         for item in items {
             match *item {
-                ItemId::Object(oid) => {
-                    match src.store.object(oid) {
-                        Some(rec) => {
-                            let rec = rec.clone();
-                            if self.store.object(oid).is_some() {
-                                self.store.update_object(oid, |o| *o = rec);
-                            } else {
-                                self.store.insert_object(rec);
-                            }
-                        }
-                        None => {
-                            if self.store.object(oid).is_some() {
-                                self.store.remove_object(oid);
-                            }
-                        }
-                    }
-                    // The inherits-links of a changed object travel with it (mirroring the
-                    // durable codec, where the object record carries them).
-                    let want = src.store.inherited_patterns(oid);
-                    for have in self.store.inherited_patterns(oid) {
-                        if !want.contains(&have) {
-                            self.store.remove_inherits(oid, have);
-                        }
-                    }
-                    for pattern in want {
-                        if !self.store.inherited_patterns(oid).contains(&pattern) {
-                            self.store.add_inherits(oid, pattern);
-                        }
-                    }
+                ItemId::Object(oid) => objects.push((
+                    oid,
+                    src.store
+                        .object(oid)
+                        .map(|rec| (rec.clone(), src.store.inherited_patterns(oid))),
+                )),
+                ItemId::Relationship(rid) => {
+                    relationships.push((rid, src.store.relationship(rid).cloned()))
                 }
-                ItemId::Relationship(rid) => match src.store.relationship(rid) {
-                    Some(rec) => {
-                        let rec = rec.clone();
-                        if self.store.relationship(rid).is_some() {
-                            self.store.update_relationship(rid, |r| *r = rec);
-                        } else {
-                            self.store.insert_relationship(rec);
-                        }
-                    }
-                    None => {
-                        if self.store.relationship(rid).is_some() {
-                            self.store.remove_relationship(rid);
-                        }
-                    }
-                },
             }
         }
+        self.store.apply_changes(objects, relationships);
         let (obj_floor, rel_floor) = src.store.id_floor();
         self.store.raise_id_floor(obj_floor, rel_floor);
         if self.schemas != src.schemas {

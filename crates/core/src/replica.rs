@@ -33,9 +33,8 @@ use crate::codec;
 use crate::database::Database;
 use crate::durability;
 use crate::error::{SeedError, SeedResult};
-use crate::ident::{ItemId, ObjectId, RelationshipId};
-use crate::object::ObjectRecord;
-use crate::relationship::RelationshipRecord;
+use crate::ident::ItemId;
+use crate::store::{ObjectChange, RelationshipChange};
 
 /// Key holding the replica's durable cursor: the last primary LSN whose effects are committed
 /// locally.  Outside every per-item prefix (`o/`, `r/`, `s/`, `vi/`, `v/`, `d/`, `meta`), so
@@ -137,11 +136,9 @@ impl ReplicaStore {
     /// Only valid for **incremental** batches applied on top of the state `db` was loaded
     /// from; after a **reset** batch, reload wholesale instead.
     pub fn apply_to_database(&self, db: &mut Database, effects: &[KeyEffect]) -> SeedResult<usize> {
-        /// A decoded `o/<id>` effect: the record plus its inherits-links, or `None` (delete).
-        type ObjectEffect = Option<(ObjectRecord, Vec<ObjectId>)>;
         // Decode the per-item effects up front, partitioned by record kind.
-        let mut objects: Vec<(ObjectId, ObjectEffect)> = Vec::new();
-        let mut relationships: Vec<(RelationshipId, Option<RelationshipRecord>)> = Vec::new();
+        let mut objects: Vec<ObjectChange> = Vec::new();
+        let mut relationships: Vec<RelationshipChange> = Vec::new();
         let mut dirty_marks: Vec<(ItemId, bool)> = Vec::new();
         let mut schemas_changed = false;
         let mut versions_changed = false;
@@ -169,72 +166,8 @@ impl ReplicaStore {
             // Anything else (the repl/ cursor) carries no database state.
         }
         let touched = objects.len() + relationships.len();
-
-        // Cross-item renames within one batch (A→B while B→A) would corrupt the name index if
-        // patched in place, because `update_object` unconditionally re-inserts the new name:
-        // park every live-and-renamed (or soon-removed) object under a collision-free
-        // temporary name first, exactly as `Database::sync_snapshot_from` does.
-        objects.sort_by_key(|(id, _)| *id);
-        relationships.sort_by_key(|(id, _)| *id);
         let store = db.store_mut();
-        for (oid, entry) in &objects {
-            let stale = match store.object(*oid) {
-                Some(rec) if !rec.deleted => rec,
-                _ => continue,
-            };
-            let needs_parking = match entry {
-                None => true,
-                Some((new, _)) => new.name.to_string() != stale.name.to_string(),
-            };
-            if needs_parking {
-                let parked = format!("\u{1}repl-parked-{}", oid.0);
-                store.update_object(*oid, |o| o.name = o.name.with_root_renamed(parked));
-            }
-        }
-        for (oid, entry) in objects {
-            match entry {
-                Some((rec, inherits)) => {
-                    if store.object(oid).is_some() {
-                        store.update_object(oid, |o| *o = rec);
-                    } else {
-                        store.insert_object(rec);
-                    }
-                    // The inherits-links of a changed object travel with it (they are part of
-                    // the `o/` record).
-                    for have in store.inherited_patterns(oid) {
-                        if !inherits.contains(&have) {
-                            store.remove_inherits(oid, have);
-                        }
-                    }
-                    for pattern in inherits {
-                        if !store.inherited_patterns(oid).contains(&pattern) {
-                            store.add_inherits(oid, pattern);
-                        }
-                    }
-                }
-                None => {
-                    if store.object(oid).is_some() {
-                        store.remove_object(oid);
-                    }
-                }
-            }
-        }
-        for (rid, entry) in relationships {
-            match entry {
-                Some(rec) => {
-                    if store.relationship(rid).is_some() {
-                        store.update_relationship(rid, |r| *r = rec);
-                    } else {
-                        store.insert_relationship(rec);
-                    }
-                }
-                None => {
-                    if store.relationship(rid).is_some() {
-                        store.remove_relationship(rid);
-                    }
-                }
-            }
-        }
+        store.apply_changes(objects, relationships);
         // The shipped dirty markers override whatever the mutators above flagged: the replica
         // mirrors the primary's persisted dirty set, not its own apply work.
         for (item, dirty) in dirty_marks {

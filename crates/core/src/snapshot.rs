@@ -428,7 +428,9 @@ mod tests {
 
     #[test]
     fn snapshot_lsn_tracks_the_durable_cursor() {
-        let dir = std::env::temp_dir().join(format!("seed-snap-lsn-{}", std::process::id()));
+        static DIRS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let n = DIRS.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        let dir = std::env::temp_dir().join(format!("seed-snap-lsn-{}-{n}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut db = Database::create_durable(&dir, figure3_schema()).unwrap();
         let cell = SnapshotCell::new(&mut db);

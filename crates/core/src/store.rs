@@ -20,6 +20,13 @@ use crate::index::{AttributeIndex, IndexKey, ValueOp};
 use crate::object::ObjectRecord;
 use crate::relationship::RelationshipRecord;
 
+/// One object's new state for [`DataStore::apply_changes`]: its record plus the patterns it
+/// inherits, or `None` when the object is gone.
+pub(crate) type ObjectChange = (ObjectId, Option<(ObjectRecord, Vec<ObjectId>)>);
+
+/// One relationship's new state for [`DataStore::apply_changes`], or `None` when it is gone.
+pub(crate) type RelationshipChange = (RelationshipId, Option<RelationshipRecord>);
+
 /// The mutable current state of a SEED database.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct DataStore {
@@ -145,6 +152,76 @@ impl DataStore {
     pub fn requeue_changed(&mut self, items: &[ItemId]) {
         if self.journal {
             self.changed.extend(items.iter().copied());
+        }
+    }
+
+    /// Brings the changed items to their given states — the O(delta) patch behind snapshot
+    /// publication and incremental replica apply.  Index maintenance rides on the ordinary
+    /// mutators, and the changes are applied in id order, so the result matches a store built
+    /// from the new states directly.  An object's inherits-links travel with it, as in the
+    /// durable codec, where the object record carries them.
+    pub(crate) fn apply_changes(
+        &mut self,
+        mut objects: Vec<ObjectChange>,
+        mut relationships: Vec<RelationshipChange>,
+    ) {
+        objects.sort_by_key(|(id, _)| *id);
+        relationships.sort_by_key(|(id, _)| *id);
+        // Cross-item renames within one delta (A→B while B→A) would corrupt the name index if
+        // patched in place, because `update_object` unconditionally re-inserts the new name:
+        // park every live-and-renamed (or removed) object under a collision-free temporary name
+        // first, then apply the real records.
+        for (oid, change) in &objects {
+            let stale = match self.object(*oid) {
+                Some(rec) if !rec.deleted => rec,
+                _ => continue,
+            };
+            let needs_parking = match change {
+                None => true,
+                Some((new, _)) => new.name.to_string() != stale.name.to_string(),
+            };
+            if needs_parking {
+                let parked = format!("\u{1}parked-{}", oid.0);
+                self.update_object(*oid, |o| o.name = o.name.with_root_renamed(parked));
+            }
+        }
+        for (oid, change) in objects {
+            match change {
+                Some((rec, inherits)) => {
+                    if self.object(oid).is_some() {
+                        self.update_object(oid, |o| *o = rec);
+                    } else {
+                        self.insert_object(rec);
+                    }
+                    for have in self.inherited_patterns(oid) {
+                        if !inherits.contains(&have) {
+                            self.remove_inherits(oid, have);
+                        }
+                    }
+                    for pattern in inherits {
+                        if !self.inherited_patterns(oid).contains(&pattern) {
+                            self.add_inherits(oid, pattern);
+                        }
+                    }
+                }
+                None => {
+                    self.remove_object(oid);
+                }
+            }
+        }
+        for (rid, change) in relationships {
+            match change {
+                Some(rec) => {
+                    if self.relationship(rid).is_some() {
+                        self.update_relationship(rid, |r| *r = rec);
+                    } else {
+                        self.insert_relationship(rec);
+                    }
+                }
+                None => {
+                    self.remove_relationship(rid);
+                }
+            }
         }
     }
 

@@ -17,14 +17,13 @@ use seed_server::{
 };
 
 use crate::codec::{decode_response, encode_request};
-use crate::wire::{read_frame, write_frame, FrameKind, Hello, Welcome};
+use crate::wire::{read_frame, write_frame, FrameKind, Hello, Welcome, PROTOCOL_VERSION};
 
 /// A blocking connection to a [`crate::SeedNetServer`].
 pub struct RemoteClient {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
     client: ClientId,
-    version: u16,
     banner: String,
     schema: Option<SchemaSummary>,
 }
@@ -34,8 +33,7 @@ fn transport(e: impl std::fmt::Display) -> ServerError {
 }
 
 impl RemoteClient {
-    /// Connects and performs the handshake (protocol version negotiation, client id
-    /// assignment).
+    /// Connects and performs the handshake (protocol version check, client id assignment).
     pub fn connect(addr: impl ToSocketAddrs) -> ServerResult<Self> {
         Self::connect_as(addr, "seed-net client")
     }
@@ -52,11 +50,16 @@ impl RemoteClient {
         match frame.kind {
             FrameKind::Welcome => {
                 let welcome = Welcome::decode(&frame.payload).map_err(ServerError::from)?;
+                if welcome.version != PROTOCOL_VERSION {
+                    return Err(ServerError::Protocol(format!(
+                        "server welcomed protocol v{}, this client speaks v{PROTOCOL_VERSION}",
+                        welcome.version
+                    )));
+                }
                 Ok(Self {
                     reader,
                     writer,
                     client: welcome.client_id,
-                    version: welcome.version,
                     banner: welcome.banner,
                     schema: None,
                 })
@@ -73,11 +76,6 @@ impl RemoteClient {
     /// The client id this connection is bound to.
     pub fn id(&self) -> ClientId {
         self.client
-    }
-
-    /// The negotiated protocol version.
-    pub fn protocol_version(&self) -> u16 {
-        self.version
     }
 
     /// The server's handshake banner.

@@ -143,24 +143,7 @@ fn decode_seed_error(d: &mut Decoder<'_>) -> WireResult<SeedError> {
     })
 }
 
-fn encode_server_error(e: &mut Encoder, err: &ServerError, version: u16) {
-    // Tag 8 (`ReadOnlyReplica`) exists only from v2 on; for a v1 peer the redirect degrades to
-    // a `Protocol` error whose text still names the primary (the peer can't follow a structured
-    // redirect it cannot decode, but it must not be desynchronized by an unknown tag).
-    if version < 2 {
-        if let ServerError::ReadOnlyReplica { .. } = err {
-            e.put_u8(7).put_str(&err.to_string());
-            return;
-        }
-    }
-    // Tag 9 (`Fenced`) exists only from v3 on; older peers get the same degrade — the text
-    // still names the new primary and the epoch.
-    if version < 3 {
-        if let ServerError::Fenced { .. } = err {
-            e.put_u8(7).put_str(&err.to_string());
-            return;
-        }
-    }
+fn encode_server_error(e: &mut Encoder, err: &ServerError) {
     match err {
         ServerError::Locked { object, holder } => {
             e.put_u8(0).put_str(object).put_u64(*holder);
@@ -215,7 +198,6 @@ fn decode_server_error(d: &mut Decoder<'_>) -> WireResult<ServerError> {
 fn put_result<T>(
     e: &mut Encoder,
     r: &Result<T, ServerError>,
-    version: u16,
     mut put_ok: impl FnMut(&mut Encoder, &T),
 ) {
     match r {
@@ -225,7 +207,7 @@ fn put_result<T>(
         }
         Err(err) => {
             e.put_bool(false);
-            encode_server_error(e, err, version);
+            encode_server_error(e, err);
         }
     }
 }
@@ -364,18 +346,13 @@ fn decode_query_answer(d: &mut Decoder<'_>) -> WireResult<QueryAnswer> {
     Ok(QueryAnswer { names, count, plan })
 }
 
-fn encode_persistence_status(e: &mut Encoder, s: &PersistenceStatus, version: u16) {
+fn encode_persistence_status(e: &mut Encoder, s: &PersistenceStatus) {
     e.put_bool(s.durable);
     put_opt_str(e, s.path.as_deref());
     e.put_u64(s.wal_bytes);
     e.put_varint(s.objects as u64);
     e.put_varint(s.relationships as u64);
     e.put_varint(s.versions as u64);
-    if version < 2 {
-        // The replication block was added in v2; a v1 peer's decoder reads exactly the six
-        // fields above and rejects trailing bytes.
-        return;
-    }
     match &s.replication {
         Some(r) => {
             e.put_bool(true)
@@ -386,12 +363,8 @@ fn encode_persistence_status(e: &mut Encoder, s: &PersistenceStatus, version: u1
                 .put_u64(r.applied_lsn)
                 .put_u64(r.primary_lsn)
                 .put_u32(r.subscribers)
-                .put_u64(r.min_acked_lsn);
-            if version >= 3 {
-                // v3 appends the serving snapshot's LSN; a v2 peer's decoder stops at
-                // min_acked_lsn and must see exactly the v2 bytes.
-                e.put_u64(r.snapshot_lsn);
-            }
+                .put_u64(r.min_acked_lsn)
+                .put_u64(r.snapshot_lsn);
         }
         None => {
             e.put_bool(false);
@@ -407,9 +380,7 @@ fn decode_persistence_status(d: &mut Decoder<'_>) -> WireResult<PersistenceStatu
         objects: d.get_varint()? as usize,
         relationships: d.get_varint()? as usize,
         versions: d.get_varint()? as usize,
-        // The replication block is absent on v1 sessions (and the status is the payload's last
-        // field), so exhaustion here means "no block", not truncation.
-        replication: if d.is_exhausted() || !d.get_bool()? {
+        replication: if !d.get_bool()? {
             None
         } else {
             Some(ReplicationStatus {
@@ -422,9 +393,7 @@ fn decode_persistence_status(d: &mut Decoder<'_>) -> WireResult<PersistenceStatu
                 primary_lsn: d.get_u64()?,
                 subscribers: d.get_u32()?,
                 min_acked_lsn: d.get_u64()?,
-                // Appended in v3; a v2 peer's status simply ends here (the replication block
-                // is the payload's last field, so exhaustion means "older peer").
-                snapshot_lsn: if d.is_exhausted() { 0 } else { d.get_u64()? },
+                snapshot_lsn: d.get_u64()?,
             })
         },
     })
@@ -716,16 +685,8 @@ fn decode_records(d: &mut Decoder<'_>) -> WireResult<Vec<seed_core::ObjectRecord
     Ok(records)
 }
 
-/// Encodes one response into a frame payload, at the newest protocol version.
+/// Encodes one response into a frame payload.
 pub fn encode_response(response: &Response) -> Vec<u8> {
-    encode_response_versioned(response, crate::wire::PROTOCOL_VERSION)
-}
-
-/// Encodes one response for a session that negotiated `version`.  v1 sessions never see the
-/// v2 additions: the replication block of the persistence status is omitted and the
-/// `ReadOnlyReplica` error degrades to a `Protocol` error — a v1 frame stays byte-identical to
-/// what a v1 build would have produced (`docs/PROTOCOL.md` §5).
-pub fn encode_response_versioned(response: &Response, version: u16) -> Vec<u8> {
     let mut e = Encoder::new();
     match response {
         Response::Connected(id) => {
@@ -733,29 +694,29 @@ pub fn encode_response_versioned(response: &Response, version: u16) -> Vec<u8> {
         }
         Response::Checkout(result) => {
             e.put_u8(1);
-            put_result(&mut e, result, version, encode_checkout_set);
+            put_result(&mut e, result, encode_checkout_set);
         }
         Response::Ack(result) => {
             e.put_u8(2);
-            put_result(&mut e, result, version, |_, ()| {});
+            put_result(&mut e, result, |_, ()| {});
         }
         Response::Object(result) => {
             e.put_u8(3);
-            put_result(&mut e, result, version, encode_object);
+            put_result(&mut e, result, encode_object);
         }
         Response::Answer(result) => {
             e.put_u8(4);
-            put_result(&mut e, result, version, encode_query_answer);
+            put_result(&mut e, result, encode_query_answer);
         }
         Response::Version(result) => {
             e.put_u8(5);
-            put_result(&mut e, result, version, |e, v: &VersionId| {
+            put_result(&mut e, result, |e, v: &VersionId| {
                 e.put_str(&v.to_string());
             });
         }
         Response::Persistence(status) => {
             e.put_u8(6);
-            encode_persistence_status(&mut e, status, version);
+            encode_persistence_status(&mut e, status);
         }
         Response::Schema(summary) => {
             e.put_u8(7);
@@ -763,11 +724,11 @@ pub fn encode_response_versioned(response: &Response, version: u16) -> Vec<u8> {
         }
         Response::Objects(result) => {
             e.put_u8(8);
-            put_result(&mut e, result, version, |e, records: &Vec<_>| encode_records(e, records));
+            put_result(&mut e, result, |e, records: &Vec<_>| encode_records(e, records));
         }
         Response::Relationships(result) => {
             e.put_u8(9);
-            put_result(&mut e, result, version, |e, infos: &Vec<RelationshipInfo>| {
+            put_result(&mut e, result, |e, infos: &Vec<RelationshipInfo>| {
                 e.put_varint(infos.len() as u64);
                 for info in infos {
                     encode_relationship_info(e, info);
@@ -776,20 +737,17 @@ pub fn encode_response_versioned(response: &Response, version: u16) -> Vec<u8> {
         }
         Response::Count(result) => {
             e.put_u8(10);
-            put_result(&mut e, result, version, |e, n: &usize| {
+            put_result(&mut e, result, |e, n: &usize| {
                 e.put_varint(*n as u64);
             });
         }
         Response::Error(err) => {
             e.put_u8(11);
-            encode_server_error(&mut e, err, version);
+            encode_server_error(&mut e, err);
         }
         Response::ShuttingDown => {
             e.put_u8(12);
         }
-        // Tags 13/14 answer the v3-era Stats/Health requests.  No per-version shaping: a peer
-        // that can send the request can decode the reply, and older peers never see these tags
-        // because they cannot ask.
         Response::Stats(snapshot) => {
             e.put_u8(13);
             encode_registry_snapshot(&mut e, snapshot);
@@ -798,11 +756,9 @@ pub fn encode_response_versioned(response: &Response, version: u16) -> Vec<u8> {
             e.put_u8(14);
             encode_health_status(&mut e, health);
         }
-        // Tag 15 answers the v3-era Promote request — same reasoning as Stats/Health: only a
-        // peer that can ask ever sees it.
         Response::Promoted(result) => {
             e.put_u8(15);
-            put_result(&mut e, result, version, |e, receipt: &PromotionReceipt| {
+            put_result(&mut e, result, |e, receipt: &PromotionReceipt| {
                 e.put_u64(receipt.epoch).put_u64(receipt.last_lsn);
             });
         }

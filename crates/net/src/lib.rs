@@ -3,8 +3,9 @@
 //! The network frontend of the SEED reproduction — what turns the in-process two-level scheme
 //! of `seed-server` into an actual client/server DBMS:
 //!
-//! * [`wire`] — a versioned, length-prefixed binary frame format with per-frame CRC-32
-//!   checksums and a handshake that negotiates the protocol version;
+//! * [`wire`] — a length-prefixed binary frame format with per-frame CRC-32 checksums and a
+//!   handshake that checks the one protocol version ([`PROTOCOL_VERSION`]) and binds the
+//!   connection to a client id;
 //! * [`codec`] — the binary encoding of the existing [`seed_server::Request`] /
 //!   [`seed_server::Response`] protocol (reusing `seed-core`'s record codecs, so records have
 //!   one binary shape on disk and on the wire);
@@ -21,7 +22,7 @@
 //!   and [`ReadPreferredClient`], which fans reads out across replicas and sends writes to the
 //!   primary;
 //! * [`replication`] — [`ReplicaNode`], a read-only replica: it subscribes to a primary's WAL
-//!   stream (protocol v2 `Subscribe` / `LogBatch` / `Ack` frames), applies batches into its own
+//!   stream (`Subscribe` / `LogBatch` / `Ack` frames), applies batches into its own
 //!   durable [`seed_core::ReplicaStore`] and serves the full read surface on its own listener.
 //!   `docs/PROTOCOL.md` pins the wire contract; `docs/OPERATIONS.md` is the runbook.
 //!
@@ -59,7 +60,7 @@ pub use replication::{ReplicaConfig, ReplicaNode};
 pub use server::{NetServerConfig, SeedNetServer};
 pub use wire::{
     Ack, FrameDecoder, FrameKind, HandshakeRole, Hello, LogBatch, Subscribe, Welcome,
-    MAX_FRAME_LEN, PROTOCOL_VERSION, PROTOCOL_VERSION_MIN,
+    MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 
 #[cfg(test)]

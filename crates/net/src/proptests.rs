@@ -1,6 +1,6 @@
 //! Property tests of the wire codec: every [`Request`] / [`Response`] variant round-trips
-//! through encode → frame → read → decode, and truncated or corrupted frames error — they
-//! never panic and never decode to a different message.
+//! through encode → frame → read → decode, every strict prefix of a payload fails to decode,
+//! and corrupted payloads never panic.
 //!
 //! `Request`/`Response` carry error types without `PartialEq`, so equality is checked on the
 //! `Debug` rendering (which covers every field).
@@ -15,7 +15,7 @@ use seed_server::{
 };
 
 use crate::codec::{decode_request, decode_response, encode_request, encode_response};
-use crate::wire::{read_frame, write_frame, FrameDecoder, FrameKind};
+use crate::wire::{read_frame, write_frame, FrameDecoder, FrameKind, HandshakeRole, Hello};
 
 fn ident() -> impl Strategy<Value = String> {
     "[A-Z][a-z0-9]{0,6}"
@@ -177,6 +177,17 @@ fn replication_status() -> BoxedStrategy<ReplicationStatus> {
                 }
             },
         )
+        .boxed()
+}
+
+fn hello() -> BoxedStrategy<Hello> {
+    (any::<u16>(), any::<u16>(), free_text(), any::<bool>())
+        .prop_map(|(min_version, max_version, agent, replica)| Hello {
+            min_version,
+            max_version,
+            agent,
+            role: if replica { HandshakeRole::Replica } else { HandshakeRole::Client },
+        })
         .boxed()
 }
 
@@ -356,17 +367,19 @@ proptest! {
         prop_assert_eq!(format!("{decoded:?}"), format!("{response:?}"));
     }
 
+    /// Every message has one shape, so a payload cut short anywhere — including the empty
+    /// payload — is an error, never a shorter valid message.
     #[test]
-    fn truncated_request_payloads_error_never_panic(request in request(), cut in any::<usize>()) {
+    fn truncated_request_payloads_error_never_panic(request in request(), hello in hello()) {
         let payload = encode_request(&request);
-        if payload.len() > 1 {
-            let cut = 1 + cut % (payload.len() - 1);
-            // Either a clean error, or (for list-carrying messages) a shorter valid prefix —
-            // but never a panic.
-            let _ = decode_request(&payload[..cut]);
+        for cut in 0..payload.len() {
+            prop_assert!(decode_request(&payload[..cut]).is_err(), "request prefix {} decoded", cut);
         }
-        // Empty payloads are always an error.
-        prop_assert!(decode_request(&[]).is_err());
+        let payload = hello.encode();
+        prop_assert_eq!(Hello::decode(&payload).unwrap(), hello);
+        for cut in 0..payload.len() {
+            prop_assert!(Hello::decode(&payload[..cut]).is_err(), "hello prefix {} decoded", cut);
+        }
     }
 
     #[test]
@@ -376,6 +389,14 @@ proptest! {
         bit in 0u8..8,
     ) {
         let payload = encode_response(&response);
+        for cut in 0..payload.len() {
+            prop_assert!(
+                decode_response(&payload[..cut]).is_err(),
+                "response prefix {} of {} decoded",
+                cut,
+                payload.len()
+            );
+        }
         if !payload.is_empty() {
             let mut corrupted = payload.clone();
             let idx = idx % corrupted.len();
@@ -384,7 +405,6 @@ proptest! {
             // layer, exercised in wire.rs); must never panic.
             let _ = decode_response(&corrupted);
         }
-        prop_assert!(decode_response(&[]).is_err());
     }
 
     /// The pipelined server decodes from a byte stream, not from whole reads: a burst of

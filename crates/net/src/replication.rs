@@ -462,8 +462,8 @@ pub(crate) enum ShipmentPlan {
 /// The cursor is driven by the **acks** (`next = acked + 1`), so a batch the replica never made
 /// durable is simply cut again.  `answer_now` is set for the first tick after the subscribe —
 /// the opener deserves a position sync even when there is nothing to ship — and idle periods
-/// are bridged by heartbeat batches (`heartbeat_due`, paced by
-/// [`NetServerConfig::replication_heartbeat`]).  A cursor the WAL no longer covers (the replica
+/// are bridged by heartbeat batches (`heartbeat_due`, paced by the server's one-second
+/// heartbeat interval).  A cursor the WAL no longer covers (the replica
 /// outslept the retention budget, or its store belongs to a different log) is answered with a
 /// full-snapshot reset batch.
 ///
@@ -994,7 +994,7 @@ mod tests {
             assert_eq!(status.lag(), 0, "caught-up replica reports zero lag");
             assert_eq!(
                 status.snapshot_lsn, status.applied_lsn,
-                "the serving snapshot is keyed to the applied cursor (protocol v3)"
+                "the serving snapshot is keyed to the applied cursor"
             );
         }
         // The primary reports its subscribers.

@@ -37,7 +37,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use polling::{Event, Poller};
 use seed_server::{ClientId, Request, Response, SeedServer, ServerError};
 
-use crate::codec::{decode_request, encode_response_versioned};
+use crate::codec::{decode_request, encode_response};
 use crate::error::WireError;
 use crate::replication::{cut_shipment, ShipmentPlan};
 use crate::wire::{
@@ -55,11 +55,6 @@ pub struct NetServerConfig {
     pub reaper_interval: Duration,
     /// Free-form server identification sent in the handshake.
     pub banner: String,
-    /// How often a replication session polls the WAL for news to ship.
-    pub replication_poll: Duration,
-    /// Longest a replication session stays silent: an empty heartbeat batch ships after this,
-    /// so replicas can track the primary's end of log (and their lag) through idle periods.
-    pub replication_heartbeat: Duration,
     /// Number of worker shards executing requests.  A connection is pinned to one shard
     /// (its requests run serially, in order); throughput scales across connections.
     pub worker_shards: usize,
@@ -77,8 +72,6 @@ impl Default for NetServerConfig {
             idle_timeout: None,
             reaper_interval: Duration::from_millis(200),
             banner: format!("seed-net/{}", env!("CARGO_PKG_VERSION")),
-            replication_poll: Duration::from_millis(10),
-            replication_heartbeat: Duration::from_secs(1),
             worker_shards: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1)
@@ -96,6 +89,13 @@ const LISTENER: usize = 0;
 /// that connects and never sends its hello would hold a registration for the server's whole
 /// lifetime — and the idle reaper cannot reclaim it, because no client id exists yet.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// How often a replication session polls the WAL for news to ship.
+const REPLICATION_POLL: Duration = Duration::from_millis(10);
+
+/// Longest a replication session stays silent: an empty heartbeat batch ships after this, so
+/// replicas can track the primary's end of log (and their lag) through idle periods.
+const REPLICATION_HEARTBEAT: Duration = Duration::from_secs(1);
 
 /// Stop reading a connection whose un-flushed output backlog passes this (the peer is not
 /// draining its socket; buffering more responses for it would be unbounded memory).
@@ -267,13 +267,7 @@ enum Job {
     /// Answer one client request frame.  `frame` is the request payload, or the ordered
     /// protocol-error text when the reactor already rejected the frame (wrong kind, recoverable
     /// framing error) — the error response must still be emitted *in sequence*.
-    Client {
-        token: usize,
-        seq: u64,
-        client: ClientId,
-        version: u16,
-        frame: Result<Vec<u8>, String>,
-    },
+    Client { token: usize, seq: u64, client: ClientId, frame: Result<Vec<u8>, String> },
     /// Cut one replication shipment for the session at cursor `next`.
     Pump { token: usize, next: u64, answer_now: bool, heartbeat_due: bool },
 }
@@ -300,9 +294,9 @@ enum PumpOutcome {
 fn worker_loop(core: &SeedServer, jobs: Receiver<Job>, done: Sender<Done>, poller: &Poller) {
     while let Ok(job) = jobs.recv() {
         let completion = match job {
-            Job::Client { token, seq, client, version, frame } => {
+            Job::Client { token, seq, client, frame } => {
                 let (response, close) = answer(core, client, frame);
-                let payload = encode_response_versioned(&response, version);
+                let payload = encode_response(&response);
                 let mut bytes = Vec::with_capacity(payload.len() + 16);
                 write_frame(&mut bytes, FrameKind::Response, &payload)
                     .expect("writing a frame into a Vec cannot fail");
@@ -396,7 +390,6 @@ enum ConnState {
 
 struct ClientSession {
     client: ClientId,
-    version: u16,
     /// Sequence number assigned to the next admitted request.
     next_seq: u64,
     /// Sequence number of the next response to emit (responses go out in request order).
@@ -416,7 +409,7 @@ struct ReplicaSession {
     next: u64,
     /// The subscribe deserves a position-sync batch even when there is nothing to ship.
     answer_now: bool,
-    /// Pump at the next tick without waiting out `replication_poll` (set by the subscribe and
+    /// Pump at the next tick without waiting out [`REPLICATION_POLL`] (set by the subscribe and
     /// by every ack — new records ship promptly, but a caught-up cursor goes idle instead of
     /// ping-ponging heartbeats against instant acks).
     pump_now: bool,
@@ -611,7 +604,7 @@ impl Reactor {
                     consider(deadline.saturating_duration_since(now));
                 }
                 ConnState::Replica(s) if !s.awaiting_ack && !s.pump_busy && !conn.closing => {
-                    consider(self.config.replication_poll);
+                    consider(REPLICATION_POLL);
                 }
                 _ => {}
             }
@@ -797,12 +790,6 @@ impl Reactor {
                 return;
             }
         };
-        // The replication kinds exist only from v2 on; a v1-negotiated replica could never
-        // speak its own stream.
-        if hello.role == HandshakeRole::Replica && version < 2 {
-            reject(conn, b"replication requires protocol v2");
-            return;
-        }
         let client = self.core.connect();
         let welcome = Welcome { version, client_id: client, banner: self.config.banner.clone() };
         append_frame(&mut conn.out, FrameKind::Welcome, &welcome.encode());
@@ -810,7 +797,6 @@ impl Reactor {
             HandshakeRole::Replica => ConnState::ReplicaPending { client },
             HandshakeRole::Client => ConnState::Client(ClientSession {
                 client,
-                version,
                 next_seq: 0,
                 next_emit: 0,
                 ready: BTreeMap::new(),
@@ -895,8 +881,7 @@ impl Reactor {
         session.in_flight += 1;
         net_metrics().in_flight.inc();
         conn.touched = true;
-        let job =
-            Job::Client { token, seq, client: session.client, version: session.version, frame };
+        let job = Job::Client { token, seq, client: session.client, frame };
         let _ = self.shards[shard].send(job);
     }
 
@@ -977,15 +962,15 @@ impl Reactor {
                         continue;
                     }
                     let due = session.pump_now
-                        || now.duration_since(session.last_pump) >= self.config.replication_poll;
+                        || now.duration_since(session.last_pump) >= REPLICATION_POLL;
                     if due {
                         session.pump_busy = true;
                         session.last_pump = now;
                         let answer_now = session.answer_now;
                         session.answer_now = false;
                         session.pump_now = false;
-                        let heartbeat_due = now.duration_since(session.last_sent)
-                            >= self.config.replication_heartbeat;
+                        let heartbeat_due =
+                            now.duration_since(session.last_sent) >= REPLICATION_HEARTBEAT;
                         pumps.push((
                             *token,
                             Job::Pump {
@@ -1167,7 +1152,6 @@ mod tests {
         let server = start_server();
         let mut client = RemoteClient::connect(server.local_addr()).unwrap();
         assert!(client.id() > 0);
-        assert_eq!(client.protocol_version(), PROTOCOL_VERSION);
         assert!(client.server_banner().starts_with("seed-net/"));
 
         // Reads.
@@ -1373,50 +1357,27 @@ mod tests {
     }
 
     #[test]
-    fn v1_negotiated_sessions_get_v1_byte_shapes() {
-        // A v1-only peer must decode every reply with its original six-field persistence
-        // decoder: the server keys response encoding on the session's negotiated version.
-        let server = start_server();
-        let stream = TcpStream::connect(server.local_addr()).unwrap();
-        let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
-        let mut writer = std::io::BufWriter::new(stream);
-        let v1_hello = Hello { max_version: 1, ..Hello::current("v1 peer") };
-        write_frame(&mut writer, FrameKind::Hello, &v1_hello.encode()).unwrap();
-        let welcome = read_frame(&mut reader).unwrap();
-        assert_eq!(welcome.kind, FrameKind::Welcome);
-        assert_eq!(crate::wire::Welcome::decode(&welcome.payload).unwrap().version, 1);
-        write_frame(
-            &mut writer,
-            FrameKind::Request,
-            &crate::codec::encode_request(&Request::Persistence),
-        )
-        .unwrap();
-        let reply = read_frame(&mut reader).unwrap();
-        // The payload must end right after the `versions` varint — no v2 replication flag.
-        let expected = crate::codec::encode_response_versioned(
-            &Response::Persistence(server.core().persistence_status()),
-            1,
-        );
-        assert_eq!(reply.payload, expected, "v1 session got a non-v1 byte shape");
-        server.shutdown();
-    }
-
-    #[test]
     fn incompatible_versions_are_rejected_at_handshake() {
         let server = start_server();
-        let stream = TcpStream::connect(server.local_addr()).unwrap();
-        let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
-        let mut writer = std::io::BufWriter::new(stream);
-        let future = Hello {
-            min_version: PROTOCOL_VERSION + 1,
-            max_version: PROTOCOL_VERSION + 2,
-            agent: "from the future".into(),
-            role: HandshakeRole::Client,
+        let handshake = |min_version, max_version| {
+            let stream = TcpStream::connect(server.local_addr()).unwrap();
+            let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
+            let mut writer = std::io::BufWriter::new(stream);
+            let hello = Hello { min_version, max_version, ..Hello::current("range probe") };
+            write_frame(&mut writer, FrameKind::Hello, &hello.encode()).unwrap();
+            read_frame(&mut reader).unwrap()
         };
-        write_frame(&mut writer, FrameKind::Hello, &future.encode()).unwrap();
-        let reply = read_frame(&mut reader).unwrap();
-        assert_eq!(reply.kind, FrameKind::Reject);
-        assert!(String::from_utf8_lossy(&reply.payload).contains("no common protocol version"));
+        let too_old = [(1, 1), (2, 2), (1, 2)];
+        let future = (PROTOCOL_VERSION + 1, PROTOCOL_VERSION + 2);
+        for (min, max) in too_old.into_iter().chain([future]) {
+            let reply = handshake(min, max);
+            assert_eq!(reply.kind, FrameKind::Reject, "{min}..={max} must be rejected");
+            assert!(String::from_utf8_lossy(&reply.payload).contains("no common protocol version"));
+        }
+        // A range that covers the one version, as older builds send, still connects.
+        let reply = handshake(1, 3);
+        assert_eq!(reply.kind, FrameKind::Welcome);
+        assert_eq!(crate::wire::Welcome::decode(&reply.payload).unwrap().version, 3);
         server.shutdown();
     }
 

@@ -18,12 +18,11 @@
 //!
 //! Connections open with a handshake: the client sends [`Hello`] (the protocol version range it
 //! speaks, plus the role it wants — ordinary client or replication subscriber), the server
-//! answers [`Welcome`] (the negotiated version plus the client id this connection is bound to)
+//! answers [`Welcome`] ([`PROTOCOL_VERSION`] plus the client id this connection is bound to)
 //! or a [`FrameKind::Reject`] frame with a reason, then closes.
 //!
-//! Protocol **v2** adds the replication kinds ([`FrameKind::Subscribe`], [`FrameKind::LogBatch`],
-//! [`FrameKind::Ack`]) and the handshake role byte; every v1 frame is byte-identical under v2.
-//! The complete wire contract is pinned in `docs/PROTOCOL.md` and enforced byte-exactly by
+//! There is one protocol version; new kinds and tags are only ever appended.  The complete
+//! wire contract is pinned in `docs/PROTOCOL.md` and enforced byte-exactly by
 //! `tests/protocol_contract.rs` — change all three together.
 
 use std::io::{Read, Write};
@@ -36,11 +35,7 @@ use crate::error::{WireError, WireResult};
 /// Frame magic: "SEED wire protocol".
 pub const MAGIC: [u8; 4] = *b"SEWP";
 
-/// Oldest protocol version this build still speaks.
-pub const PROTOCOL_VERSION_MIN: u16 = 1;
-
-/// Newest protocol version this build speaks (v2 = v1 plus the replication frame kinds;
-/// v3 = v2 plus the serving-snapshot LSN in the persistence status's replication block).
+/// The protocol version this build speaks — the only one.
 pub const PROTOCOL_VERSION: u16 = 3;
 
 /// Upper bound on one frame's payload; larger lengths are treated as stream desync.
@@ -59,11 +54,11 @@ pub enum FrameKind {
     Response,
     /// Server → client: the connection is being refused or abandoned (reason in the payload).
     Reject,
-    /// Replica → primary: open a replication stream from an LSN (v2; one [`Subscribe`]).
+    /// Replica → primary: open a replication stream from an LSN (one [`Subscribe`]).
     Subscribe,
-    /// Primary → replica: one batch of shipped WAL records (v2; one [`LogBatch`]).
+    /// Primary → replica: one batch of shipped WAL records (one [`LogBatch`]).
     LogBatch,
-    /// Replica → primary: the batch is durable locally (v2; one [`Ack`]).
+    /// Replica → primary: the batch is durable locally (one [`Ack`]).
     Ack,
 }
 
@@ -274,9 +269,7 @@ pub struct Hello {
     pub max_version: u16,
     /// Free-form client software identification (for server logs).
     pub agent: String,
-    /// The role this connection wants.  Encoded as a trailing byte that v1 decoders never read
-    /// (they ignore trailing payload bytes), so a v2 replica hello still parses — and is then
-    /// version-rejected, not desynchronized — on a v1 server.
+    /// The role this connection wants.
     pub role: HandshakeRole,
 }
 
@@ -284,18 +277,17 @@ impl Hello {
     /// The hello an ordinary client sends.
     pub fn current(agent: impl Into<String>) -> Self {
         Self {
-            min_version: PROTOCOL_VERSION_MIN,
+            min_version: PROTOCOL_VERSION,
             max_version: PROTOCOL_VERSION,
             agent: agent.into(),
             role: HandshakeRole::Client,
         }
     }
 
-    /// The hello a replication subscriber sends (requires v2: replication kinds do not exist
-    /// in v1).
+    /// The hello a replication subscriber sends.
     pub fn replica(agent: impl Into<String>) -> Self {
         Self {
-            min_version: 2,
+            min_version: PROTOCOL_VERSION,
             max_version: PROTOCOL_VERSION,
             agent: agent.into(),
             role: HandshakeRole::Replica,
@@ -312,20 +304,21 @@ impl Hello {
         e.finish()
     }
 
-    /// Decodes a hello payload.  The role byte is optional: a v1 hello ends after the agent
-    /// string and decodes as [`HandshakeRole::Client`].
+    /// Decodes a hello payload.
     pub fn decode(bytes: &[u8]) -> WireResult<Self> {
         let mut d = Decoder::new(bytes);
         let min_version = d.get_u16()?;
         let max_version = d.get_u16()?;
         let agent = d.get_str()?.to_string();
-        let role = if d.is_exhausted() {
-            HandshakeRole::Client
-        } else {
-            let raw = d.get_u8()?;
-            HandshakeRole::from_u8(raw)
-                .ok_or_else(|| WireError::Recoverable(format!("unknown handshake role {raw}")))?
-        };
+        let raw = d.get_u8()?;
+        let role = HandshakeRole::from_u8(raw)
+            .ok_or_else(|| WireError::Recoverable(format!("unknown handshake role {raw}")))?;
+        if !d.is_exhausted() {
+            return Err(WireError::Recoverable(format!(
+                "{} trailing bytes after hello",
+                d.remaining()
+            )));
+        }
         Ok(Self { min_version, max_version, agent, role })
     }
 }
@@ -333,7 +326,7 @@ impl Hello {
 /// The server's handshake acceptance.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Welcome {
-    /// The negotiated protocol version (both peers must use it from here on).
+    /// The protocol version the connection speaks (always [`PROTOCOL_VERSION`]).
     pub version: u16,
     /// The client id this connection is bound to; the lock table knows the client by this id,
     /// and the server refuses requests claiming any other id.
@@ -485,22 +478,17 @@ impl Ack {
     }
 }
 
-/// Picks the protocol version for a client's [`Hello`], or explains why there is none.
+/// Accepts a client's [`Hello`] if its version range covers [`PROTOCOL_VERSION`], or explains
+/// why there is no common version.
 pub fn negotiate(hello: &Hello) -> Result<u16, String> {
-    if hello.min_version > hello.max_version {
-        return Err(format!(
-            "client version range {}..={} is empty",
+    if (hello.min_version..=hello.max_version).contains(&PROTOCOL_VERSION) {
+        Ok(PROTOCOL_VERSION)
+    } else {
+        Err(format!(
+            "no common protocol version: client speaks {}..={}, server speaks {PROTOCOL_VERSION}",
             hello.min_version, hello.max_version
-        ));
+        ))
     }
-    let candidate = hello.max_version.min(PROTOCOL_VERSION);
-    if candidate < hello.min_version || candidate < PROTOCOL_VERSION_MIN {
-        return Err(format!(
-            "no common protocol version: client speaks {}..={}, server speaks {}..={}",
-            hello.min_version, hello.max_version, PROTOCOL_VERSION_MIN, PROTOCOL_VERSION
-        ));
-    }
-    Ok(candidate)
 }
 
 #[cfg(test)]
@@ -633,23 +621,20 @@ mod tests {
         let replica = Hello::replica("replica-agent");
         assert_eq!(replica.role, HandshakeRole::Replica);
         assert_eq!(Hello::decode(&replica.encode()).unwrap(), replica);
-        let welcome = Welcome { version: 1, client_id: 42, banner: "seed-net".into() };
+        let welcome = Welcome { version: 3, client_id: 42, banner: "seed-net".into() };
         assert_eq!(Welcome::decode(&welcome.encode()).unwrap(), welcome);
         assert!(Hello::decode(&[1, 2]).is_err());
-    }
-
-    #[test]
-    fn v1_hello_without_role_byte_decodes_as_client() {
-        // A v1 peer's hello ends after the agent string.
+        // The role byte is required, an unknown role or trailing bytes are malformed
+        // (recoverable) payloads, not a desync.
         let mut e = Encoder::new();
-        e.put_u16(1).put_u16(1).put_str("old client");
-        let hello = Hello::decode(&e.finish()).unwrap();
-        assert_eq!(hello.role, HandshakeRole::Client);
-        assert_eq!(hello.max_version, 1);
-        // An unknown role byte is a malformed (recoverable) payload, not a desync.
-        let mut e = Encoder::new();
-        e.put_u16(1).put_u16(2).put_str("x").put_u8(9);
+        e.put_u16(1).put_u16(3).put_str("no role byte");
         assert!(Hello::decode(&e.finish()).unwrap_err().is_recoverable());
+        let mut e = Encoder::new();
+        e.put_u16(1).put_u16(3).put_str("x").put_u8(9);
+        assert!(Hello::decode(&e.finish()).unwrap_err().is_recoverable());
+        let mut bytes = hello.encode();
+        bytes.push(0);
+        assert!(Hello::decode(&bytes).unwrap_err().is_recoverable());
     }
 
     #[test]

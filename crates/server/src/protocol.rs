@@ -195,8 +195,7 @@ pub struct PersistenceStatus {
     /// Stored versions.
     pub versions: usize,
     /// Replication progress and the serving snapshot's LSN.  Always `Some` on a server (both
-    /// roles report the snapshot LSN so operators can observe staleness); `None` only in
-    /// statuses decoded from peers speaking a protocol version without the replication block.
+    /// roles report the snapshot LSN so operators can observe staleness).
     pub replication: Option<ReplicationStatus>,
 }
 

@@ -1282,8 +1282,10 @@ mod tests {
     }
 
     fn temp_dir(name: &str) -> std::path::PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("seed-server-durable-{}-{name}", std::process::id()));
+        static DIRS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let n = DIRS.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        let dir = std::env::temp_dir()
+            .join(format!("seed-server-durable-{}-{name}-{n}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }

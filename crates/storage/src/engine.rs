@@ -42,8 +42,6 @@ use crate::wal::{
 /// Configuration for opening a [`StorageEngine`].
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Whether every commit forces the WAL to disk (`true` = durability on commit).
-    pub sync_on_commit: bool,
     /// Checkpoint automatically once the uncheckpointed WAL grows past this many bytes
     /// (`None` = only on explicit [`StorageEngine::checkpoint`] calls).  Bounding the WAL
     /// bounds recovery time: replay work on open is proportional to the log, not to the
@@ -61,7 +59,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         let wal = WalConfig::default();
         Self {
-            sync_on_commit: true,
             checkpoint_wal_bytes: Some(4 * 1024 * 1024),
             segment_max_bytes: wal.segment_max_bytes,
             retention_budget_bytes: wal.retention_budget_bytes,
@@ -399,9 +396,7 @@ impl StorageEngine {
             }
             records.push(LogRecord::Commit { txn });
             self.wal.append_batch(&records)?;
-            if self.config.sync_on_commit {
-                self.wal.sync()?;
-            }
+            self.wal.sync()?;
             for (key, value) in effects {
                 inner.apply(key, value);
             }

@@ -356,7 +356,6 @@ fn the_crash_sweep_covers_rotations_and_deletions() {
 /// the retention budget keeps a segment or two for the subscriber the workload pins midway.
 fn engine_config() -> EngineConfig {
     EngineConfig {
-        sync_on_commit: true,
         checkpoint_wal_bytes: Some(320),
         segment_max_bytes: 128,
         retention_budget_bytes: 256,

@@ -12,7 +12,7 @@
 //! watches the server reclaim its locks — the paper's crash-recovery rule.
 
 use seed::core::Database;
-use seed::net::{RemoteClient, SeedNetServer};
+use seed::net::{RemoteClient, SeedNetServer, PROTOCOL_VERSION};
 use seed::schema::figure3_schema;
 use seed::server::{SeedServer, ServerError};
 use seed::spades::{
@@ -44,7 +44,7 @@ fn main() {
     println!(
         "  remote client {} connected (protocol v{}, server '{}')",
         client.id(),
-        client.protocol_version(),
+        PROTOCOL_VERSION,
         client.server_banner()
     );
     let mut remote = RemoteBackend::new(client).expect("schema fetch");

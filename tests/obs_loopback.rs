@@ -6,6 +6,7 @@
 //! The registry is process-global, so everything that needs an exact count measures a *delta*
 //! between two `Stats` snapshots inside one test.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use seed::core::Database;
@@ -14,7 +15,10 @@ use seed::schema::figure3_schema;
 use seed::server::{ReplicationRole, SeedServer, Update};
 
 fn temp_dir(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("seed-obs-loopback-{}-{name}", std::process::id()));
+    static DIRS: AtomicU64 = AtomicU64::new(0);
+    let n = DIRS.fetch_add(1, Ordering::SeqCst);
+    let dir =
+        std::env::temp_dir().join(format!("seed-obs-loopback-{}-{name}-{n}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }

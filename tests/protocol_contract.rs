@@ -6,7 +6,7 @@
 use seed::net::wire::{
     negotiate, read_frame, write_frame, Ack, Hello, LogBatch, Subscribe, Welcome,
 };
-use seed::net::{FrameKind, WireError, MAX_FRAME_LEN, PROTOCOL_VERSION, PROTOCOL_VERSION_MIN};
+use seed::net::{FrameKind, WireError, MAX_FRAME_LEN, PROTOCOL_VERSION};
 use seed::server::{Request, Response, ServerError};
 use seed::storage::LogRecord;
 
@@ -25,7 +25,6 @@ fn constants_match_the_document() {
     assert_eq!(seed::net::wire::MAGIC, *b"SEWP");
     assert_eq!(hex(&seed::net::wire::MAGIC), "53 45 57 50");
     assert_eq!(MAX_FRAME_LEN, 64 * 1024 * 1024);
-    assert_eq!(PROTOCOL_VERSION_MIN, 1);
     assert_eq!(PROTOCOL_VERSION, 3);
 }
 
@@ -63,18 +62,15 @@ fn worked_frame_example_renders_exactly_as_documented() {
 #[test]
 fn handshake_dumps_render_exactly_as_documented() {
     // §4.
-    assert_eq!(hex(&Hello::current("spades").encode()), "01 00 03 00 06 73 70 61 64 65 73 00");
-    assert_eq!(hex(&Hello::replica("spades").encode()), "02 00 03 00 06 73 70 61 64 65 73 01");
+    assert_eq!(hex(&Hello::current("spades").encode()), "03 00 03 00 06 73 70 61 64 65 73 00");
+    assert_eq!(hex(&Hello::replica("spades").encode()), "03 00 03 00 06 73 70 61 64 65 73 01");
     let welcome = Welcome { version: 3, client_id: 7, banner: "seed-net/0.1.0".into() };
     assert_eq!(
         hex(&welcome.encode()),
         "03 00 07 00 00 00 00 00 00 00 0e 73 65 65 64 2d 6e 65 74 2f 30 2e 31 2e 30"
     );
-    // Negotiation: min(client max, server max), inside both ranges.
+    // Negotiation: a hello is accepted if and only if its range covers the one version.
     assert_eq!(negotiate(&Hello::current("x")).unwrap(), PROTOCOL_VERSION);
-    let mut v1_only = Hello::current("old");
-    v1_only.max_version = 1;
-    assert_eq!(negotiate(&v1_only).unwrap(), 1);
 }
 
 #[test]
@@ -207,7 +203,7 @@ fn response_and_error_tags_match_the_tables() {
 
 #[test]
 fn promotion_frames_render_exactly_as_documented() {
-    // §5: the v3 failover frames, byte-exact.  `Promote` carries the epoch then the advertised
+    // §5: the failover frames, byte-exact.  `Promote` carries the epoch then the advertised
     // address of the node being promoted; `Promoted` wraps the receipt in the usual result
     // encoding; `Fenced` reaches clients as error tag 9 under a `Response::Error` (tag 11).
     use seed::net::codec::{decode_request, decode_response, encode_request, encode_response};
@@ -235,102 +231,6 @@ fn promotion_frames_render_exactly_as_documented() {
         Response::Error(ServerError::Fenced { new_primary: "10.0.0.9:1".into(), epoch: 7 });
     let payload = encode_response(&fenced);
     assert_eq!(hex(&payload), "0b 09 0a 31 30 2e 30 2e 30 2e 39 3a 31 07 00 00 00 00 00 00 00");
-}
-
-#[test]
-fn old_sessions_never_see_newer_additions() {
-    // §5: per-session encoding.  A v1-negotiated session gets the exact v1 byte shape — the
-    // persistence payload ends after `versions` (no replication flag)...
-    use seed::net::codec::{decode_response, encode_response_versioned};
-    use seed::server::{PersistenceStatus, ReplicationRole, ReplicationStatus};
-    let status = PersistenceStatus {
-        durable: true,
-        path: None,
-        wal_bytes: 9,
-        objects: 1,
-        relationships: 2,
-        versions: 3,
-        replication: Some(ReplicationStatus {
-            role: ReplicationRole::Replica,
-            applied_lsn: 4,
-            primary_lsn: 5,
-            subscribers: 0,
-            min_acked_lsn: 0,
-            snapshot_lsn: 4,
-        }),
-    };
-    let v1 = encode_response_versioned(&Response::Persistence(status.clone()), 1);
-    let v2 = encode_response_versioned(&Response::Persistence(status.clone()), 2);
-    let v3 = encode_response_versioned(&Response::Persistence(status.clone()), 3);
-    assert_eq!(v2.len(), v1.len() + 1 + 1 + 8 + 8 + 4 + 8, "v2 adds exactly the block of §5");
-    assert_eq!(v3.len(), v2.len() + 8, "v3 adds exactly the trailing snapshot_lsn");
-    match decode_response(&v1).unwrap() {
-        Response::Persistence(decoded) => {
-            assert!(decoded.replication.is_none(), "v1 payload decodes with no block");
-            assert_eq!(decoded.versions, 3);
-        }
-        other => panic!("unexpected decode: {other:?}"),
-    }
-    // A v2 payload decodes on a v3 peer with the snapshot LSN defaulted to 0 (unknown).
-    match decode_response(&v2).unwrap() {
-        Response::Persistence(decoded) => {
-            let replication = decoded.replication.expect("v2 payload carries the block");
-            assert_eq!(replication.applied_lsn, 4);
-            assert_eq!(replication.snapshot_lsn, 0, "absent on the wire decodes as 0");
-        }
-        other => panic!("unexpected decode: {other:?}"),
-    }
-    match decode_response(&v3).unwrap() {
-        Response::Persistence(decoded) => {
-            assert_eq!(decoded.replication.expect("block present").snapshot_lsn, 4);
-        }
-        other => panic!("unexpected decode: {other:?}"),
-    }
-    // ...and the ReadOnlyReplica redirect degrades to tag 7 (Protocol) with the primary named.
-    let redirect = Response::Error(ServerError::ReadOnlyReplica { primary: "10.0.0.9:1".into() });
-    let v1 = encode_response_versioned(&redirect, 1);
-    assert_eq!(v1[1], 7, "tag 8 must not reach a v1 peer");
-    match decode_response(&v1).unwrap() {
-        Response::Error(ServerError::Protocol(message)) => {
-            assert!(message.contains("10.0.0.9:1"), "the primary is still named: {message}");
-        }
-        other => panic!("unexpected decode: {other:?}"),
-    }
-    // The fencing error (tag 9, v3-era) takes the same degrade on every pre-v3 session; the
-    // text still names the new primary and the epoch, so even an old client can follow it.
-    let fenced =
-        Response::Error(ServerError::Fenced { new_primary: "10.0.0.9:1".into(), epoch: 7 });
-    for version in [1u16, 2] {
-        let bytes = encode_response_versioned(&fenced, version);
-        assert_eq!(bytes[1], 7, "tag 9 must not reach a v{version} peer");
-        match decode_response(&bytes).unwrap() {
-            Response::Error(ServerError::Protocol(message)) => {
-                assert!(
-                    message.contains("10.0.0.9:1") && message.contains("epoch 7"),
-                    "new primary and epoch still named: {message}"
-                );
-            }
-            other => panic!("unexpected decode: {other:?}"),
-        }
-    }
-    assert_eq!(encode_response_versioned(&fenced, 3)[1], 9, "a v3 peer gets the structured tag");
-    // Append-only discipline: everything that existed before v3 still encodes byte-identically
-    // on every negotiated session version — new frames extend the protocol, never reshape it.
-    let stable: Vec<Response> = vec![
-        Response::Connected(9),
-        Response::Ack(Ok(())),
-        Response::Error(ServerError::Disconnected),
-        Response::Error(ServerError::Locked { object: "X".into(), holder: 1 }),
-        Response::ShuttingDown,
-        Response::Count(Ok(3)),
-    ];
-    for response in stable {
-        let v1 = encode_response_versioned(&response, 1);
-        let v2 = encode_response_versioned(&response, 2);
-        let v3 = encode_response_versioned(&response, 3);
-        assert_eq!(v1, v2, "{response:?} must be version-stable");
-        assert_eq!(v2, v3, "{response:?} must be version-stable");
-    }
 }
 
 #[test]
