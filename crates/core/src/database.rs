@@ -6,8 +6,9 @@
 //! through consistency checking before it touches the store ("SEED permanently ensures database
 //! consistency"); completeness is checked only on demand.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::path::Path;
+use std::sync::Arc;
 
 use seed_schema::{ClassId, Schema, SchemaRegistry, SchemaVersionId};
 
@@ -25,7 +26,6 @@ use crate::pattern::{self, MaterializedChild, MaterializedRelationship};
 use crate::procedures::ProcedureRegistry;
 use crate::relationship::RelationshipRecord;
 use crate::store::DataStore;
-use crate::undo::{UndoEntry, UndoLog};
 use crate::value::Value;
 use crate::version::{VersionInfo, VersionManager};
 
@@ -39,29 +39,26 @@ struct AlternativeContext {
 }
 
 /// A single-user SEED database.
+///
+/// The store is a persistent map and the schema registry and version manager sit behind
+/// copy-on-write `Arc`s, so a read snapshot ([`crate::snapshot`]) and a transaction savepoint
+/// cost the same at any database size.
 pub struct Database {
-    schemas: SchemaRegistry,
+    schemas: Arc<SchemaRegistry>,
     store: DataStore,
-    versions: VersionManager,
+    versions: Arc<VersionManager>,
     procedures: ProcedureRegistry,
     /// Version selected for retrieval (`None` = the current version).
     selected_version: Option<VersionId>,
     /// Materialized view of the selected version.
     selected_view: Option<DataStore>,
     alternative: Option<AlternativeContext>,
-    txn: Option<UndoLog>,
+    /// The open transaction's savepoint: the store as it was at [`Database::begin_transaction`].
+    txn: Option<DataStore>,
     transition_rules: Vec<TransitionRule>,
     consistency_checking: bool,
     /// Write-through persistence handle (`None` for purely in-memory databases).
     durability: Option<Durability>,
-    /// Items mutated since the last snapshot publication (fed from the store's change journal;
-    /// see [`Database::enable_snapshot_tracking`]).
-    snap_changed: HashSet<ItemId>,
-    /// Whether snapshot-delta tracking is on (the server's MVCC read path enables it).
-    snapshot_tracking: bool,
-    /// Set when the store was replaced wholesale (alternative checkout/return, fresh tracking):
-    /// the next snapshot publication must rebuild instead of applying a delta.
-    snap_reset: bool,
     /// Topology epoch: bumped on every replica promotion, persisted in the meta record so a
     /// restarted node knows which fencing round it last witnessed.
     topology_epoch: u64,
@@ -85,24 +82,12 @@ impl std::fmt::Debug for Database {
 impl Database {
     /// Creates an empty in-memory database over `schema`.
     pub fn new(schema: Schema) -> Self {
-        Self {
-            schemas: SchemaRegistry::new(schema),
-            store: DataStore::new(),
-            versions: VersionManager::new(),
-            procedures: ProcedureRegistry::new(),
-            selected_version: None,
-            selected_view: None,
-            alternative: None,
-            txn: None,
-            transition_rules: Vec::new(),
-            consistency_checking: true,
-            durability: None,
-            snap_changed: HashSet::new(),
-            snapshot_tracking: false,
-            snap_reset: false,
-            topology_epoch: 0,
-            fenced_to: None,
-        }
+        Self::from_parts(
+            SchemaRegistry::new(schema),
+            DataStore::new(),
+            VersionManager::new(),
+            Vec::new(),
+        )
     }
 
     // ----- write-through durability -----------------------------------------------------------
@@ -318,21 +303,12 @@ impl Database {
     /// open).  No-op for in-memory databases and while working on an alternative (the
     /// alternative store is scratch state; only its version snapshots persist).
     fn persist_changes(&mut self) -> SeedResult<()> {
-        if self.alternative.is_some() {
-            return Ok(());
-        }
-        if self.durability.is_none() {
-            if self.snapshot_tracking {
-                self.snap_changed.extend(self.store.take_changed());
-            }
+        if self.alternative.is_some() || self.durability.is_none() {
             return Ok(());
         }
         let changed = self.store.take_changed();
         if changed.is_empty() {
             return Ok(());
-        }
-        if self.snapshot_tracking {
-            self.snap_changed.extend(changed.iter().copied());
         }
         let result = self.stage_and_commit_changes(&changed);
         if result.is_err() {
@@ -438,9 +414,10 @@ impl Database {
     /// `v/<vid>/` prefix, plus the updated meta.
     ///
     /// Like schema publication, version deletion is not transactional (the version is gone from
-    /// memory immediately and the undo log cannot restore it), so the deletes commit in their
-    /// own storage transaction even while an explicit transaction is open — otherwise a later
-    /// rollback would abort them and the deleted version would resurrect on reopen.
+    /// memory immediately and the transaction savepoint covers only the store), so the deletes
+    /// commit in their own storage transaction even while an explicit transaction is open —
+    /// otherwise a later rollback would abort them and the deleted version would resurrect on
+    /// reopen.
     fn persist_version_deleted(&mut self, id: &VersionId) -> SeedResult<()> {
         let Some(dur) = self.durability.as_ref() else { return Ok(()) };
         let txn = dur.engine.begin()?;
@@ -477,13 +454,13 @@ impl Database {
     /// Publishes a new schema version; it becomes current (and, on a durable database, is
     /// committed as its own `s/<svid>` record).
     ///
-    /// Schema publication is **not transactional**: the undo log does not cover it, so on a
-    /// durable database the record commits in its own storage transaction even while an
-    /// explicit transaction is open — otherwise a later rollback would abort the `s/<svid>`
-    /// record while the in-memory registry (and the re-committed meta) still reference it,
-    /// leaving the directory unopenable.
+    /// Schema publication is **not transactional**: the transaction savepoint covers only the
+    /// store, so on a durable database the record commits in its own storage transaction even
+    /// while an explicit transaction is open — otherwise a later rollback would abort the
+    /// `s/<svid>` record while the in-memory registry (and the re-committed meta) still
+    /// reference it, leaving the directory unopenable.
     pub fn publish_schema(&mut self, schema: Schema) -> SeedResult<SchemaVersionId> {
-        let id = self.schemas.publish(schema);
+        let id = Arc::make_mut(&mut self.schemas).publish(schema);
         if let Some(dur) = self.durability.as_ref() {
             let txn = dur.engine.begin()?;
             dur.engine.txn_put(
@@ -596,28 +573,6 @@ impl Database {
         Ok(())
     }
 
-    fn record_undo(&mut self, entry: UndoEntry) {
-        if let Some(log) = &mut self.txn {
-            log.push(entry);
-        }
-    }
-
-    fn record_object_change(&mut self, id: ObjectId) {
-        if self.txn.is_some() {
-            if let Some(before) = self.store.object(id).cloned() {
-                self.record_undo(UndoEntry::ObjectChanged(Box::new(before)));
-            }
-        }
-    }
-
-    fn record_relationship_change(&mut self, id: RelationshipId) {
-        if self.txn.is_some() {
-            if let Some(before) = self.store.relationship(id).cloned() {
-                self.record_undo(UndoEntry::RelationshipChanged(Box::new(before)));
-            }
-        }
-    }
-
     fn live_object(&self, id: ObjectId) -> SeedResult<&ObjectRecord> {
         self.store.live_object(id).ok_or_else(|| SeedError::NotFound(format!("object {id}")))
     }
@@ -630,9 +585,10 @@ impl Database {
 
     // ----- transactions ------------------------------------------------------------------------------
 
-    /// Begins a transaction.  All subsequent updates are undone by [`Database::rollback_transaction`].
-    /// On a durable database, a storage transaction is opened in lockstep: staged per-item
-    /// records become durable only at [`Database::commit_transaction`].
+    /// Begins a transaction by saving the store (a clone that shares every node until the
+    /// first write); [`Database::rollback_transaction`] restores it.  On a durable database, a
+    /// storage transaction is opened in lockstep: staged per-item records become durable only
+    /// at [`Database::commit_transaction`].
     pub fn begin_transaction(&mut self) -> SeedResult<()> {
         if self.txn.is_some() {
             return Err(SeedError::Transaction("a transaction is already active".to_string()));
@@ -642,7 +598,7 @@ impl Database {
                 dur.txn = Some(dur.engine.begin()?);
             }
         }
-        self.txn = Some(UndoLog::new());
+        self.txn = Some(self.store.clone());
         Ok(())
     }
 
@@ -650,65 +606,40 @@ impl Database {
     /// durable database the mirrored storage transaction commits now, making every staged
     /// per-item record durable with a single WAL sync).
     pub fn commit_transaction(&mut self) -> SeedResult<()> {
-        match self.txn.take() {
-            Some(_) => {
-                if let Some(dur) = self.durability.as_ref() {
-                    if let Some(txn) = dur.txn {
-                        // Re-stage meta as the transaction's last effect: a non-transactional
-                        // side-commit inside the transaction (publish_schema, delete_version)
-                        // wrote a fresher meta that a copy staged earlier in this transaction
-                        // would otherwise overwrite.
-                        durability::stage_meta(
-                            &dur.engine,
-                            txn,
-                            &self.schemas,
-                            &self.store,
-                            &self.versions,
-                            &self.transition_rules,
-                            self.topology_epoch,
-                            self.fenced_to.as_deref(),
-                        )?;
-                    }
-                }
-                if let Some(dur) = self.durability.as_mut() {
-                    if let Some(txn) = dur.txn.take() {
-                        dur.engine.commit(txn)?;
-                    }
-                }
-                Ok(())
-            }
-            None => Err(SeedError::Transaction("no active transaction".to_string())),
+        if self.txn.take().is_none() {
+            return Err(SeedError::Transaction("no active transaction".to_string()));
         }
+        if self.durability.as_ref().is_some_and(|d| d.txn.is_some()) {
+            // Re-stage meta as the transaction's last effect: a non-transactional side-commit
+            // inside the transaction (publish_schema, delete_version) wrote a fresher meta that
+            // a copy staged earlier in this transaction would otherwise overwrite.
+            self.persist_meta()?;
+            let dur = self.durability.as_mut().expect("checked above");
+            dur.engine.commit(dur.txn.take().expect("checked above"))?;
+        }
+        Ok(())
     }
 
-    /// Rolls back the active transaction, undoing every update made since it began.  On a
-    /// durable database the mirrored storage transaction aborts in lockstep, so nothing staged
-    /// since [`Database::begin_transaction`] reaches storage (or the WAL).
+    /// Rolls back the active transaction by restoring the store saved at
+    /// [`Database::begin_transaction`] — records, indexes, dirty set and change journal alike.
+    /// On a durable database the mirrored storage transaction aborts in lockstep, so nothing
+    /// staged since the begin reaches storage (or the WAL), and memory and disk agree again.
     pub fn rollback_transaction(&mut self) -> SeedResult<()> {
-        match self.txn.take() {
-            Some(log) => {
-                log.rollback(&mut self.store);
-                if let Some(dur) = self.durability.as_mut() {
-                    if let Some(txn) = dur.txn.take() {
-                        dur.engine.abort(txn)?;
-                    }
-                }
-                // The undo replay re-marked the restored items in the change journal, but their
-                // durable state already equals the restored (pre-transaction) state.  A read
-                // snapshot published mid-transaction may have seen the undone values, so the
-                // restored items still count toward the next snapshot delta.
-                let undone = self.store.take_changed();
-                if self.snapshot_tracking {
-                    self.snap_changed.extend(undone.iter().copied());
-                }
-                // The aborted storage transaction also discarded its meta writes; re-commit the
-                // meta record so the durable id floors match the in-memory counters (ids
-                // allocated by the rolled-back transaction stay burned).
-                self.persist_meta()?;
-                Ok(())
+        let Some(savepoint) = self.txn.take() else {
+            return Err(SeedError::Transaction("no active transaction".to_string()));
+        };
+        // Ids allocated by the rolled-back transaction stay burned.
+        let (object_floor, relationship_floor) = self.store.id_floor();
+        self.store = savepoint;
+        self.store.raise_id_floor(object_floor, relationship_floor);
+        if let Some(dur) = self.durability.as_mut() {
+            if let Some(txn) = dur.txn.take() {
+                dur.engine.abort(txn)?;
             }
-            None => Err(SeedError::Transaction("no active transaction".to_string())),
         }
+        // The aborted storage transaction also discarded its meta writes; re-commit the meta
+        // record so the durable id floors match the in-memory counters.
+        self.persist_meta()
     }
 
     /// Whether a transaction is active.
@@ -762,7 +693,6 @@ impl Database {
         record.value = value;
         record.is_pattern = is_pattern;
         self.store.insert_object(record);
-        self.record_undo(UndoEntry::ObjectCreated(id));
         self.persist_changes()?;
         Ok(id)
     }
@@ -816,7 +746,6 @@ impl Database {
         record.value = value;
         record.is_pattern = is_pattern;
         self.store.insert_object(record);
-        self.record_undo(UndoEntry::ObjectCreated(id));
         self.persist_changes()?;
         Ok(id)
     }
@@ -842,7 +771,6 @@ impl Database {
         self.mutation_allowed()?;
         let record = self.live_object(object)?;
         self.enforce(|| self.checker().check_value_update(record, &value))?;
-        self.record_object_change(object);
         self.store.update_object(object, |o| o.value = value);
         self.persist_changes()?;
         Ok(())
@@ -874,7 +802,6 @@ impl Database {
             subtree.extend(self.store.children_of(current).iter().map(|c| c.id));
         }
         for id in subtree {
-            self.record_object_change(id);
             let renamed = new_name.to_string();
             self.store.update_object(id, |o| o.name = o.name.with_root_renamed(renamed));
         }
@@ -898,12 +825,10 @@ impl Database {
         }
         for id in &subtree {
             for rel in self.store.relationships_of(*id).iter().map(|r| r.id).collect::<Vec<_>>() {
-                self.record_relationship_change(rel);
                 self.store.tombstone_relationship(rel);
             }
         }
         for id in subtree {
-            self.record_object_change(id);
             self.store.tombstone_object(id);
         }
         self.persist_changes()?;
@@ -920,7 +845,6 @@ impl Database {
             return Ok(());
         }
         self.enforce(|| self.checker().check_reclassify_object(record, new_class))?;
-        self.record_object_change(object);
         self.store.update_object(object, |o| o.class = new_class);
         self.persist_changes()?;
         Ok(())
@@ -988,7 +912,6 @@ impl Database {
         record.attributes = owned_attributes.into_iter().collect();
         record.is_pattern = is_pattern;
         self.store.insert_relationship(record);
-        self.record_undo(UndoEntry::RelationshipCreated(id));
         self.persist_changes()?;
         Ok(id)
     }
@@ -1003,7 +926,6 @@ impl Database {
         self.mutation_allowed()?;
         let record = self.live_relationship(relationship)?;
         self.enforce(|| self.checker().check_attribute_update(record, attribute, &value))?;
-        self.record_relationship_change(relationship);
         let attribute = attribute.to_string();
         self.store.update_relationship(relationship, |r| {
             r.attributes.insert(attribute, value);
@@ -1035,7 +957,6 @@ impl Database {
             .iter()
             .map(|r| r.name.clone())
             .collect();
-        self.record_relationship_change(relationship);
         self.store.update_relationship(relationship, |r| {
             r.association = new_association;
             for (idx, (role, _)) in r.bindings.iter_mut().enumerate() {
@@ -1052,7 +973,6 @@ impl Database {
     pub fn delete_relationship(&mut self, relationship: RelationshipId) -> SeedResult<()> {
         self.mutation_allowed()?;
         self.live_relationship(relationship)?;
-        self.record_relationship_change(relationship);
         self.store.tombstone_relationship(relationship);
         self.persist_changes()?;
         Ok(())
@@ -1064,7 +984,6 @@ impl Database {
     pub fn mark_pattern(&mut self, object: ObjectId) -> SeedResult<()> {
         self.mutation_allowed()?;
         self.live_object(object)?;
-        self.record_object_change(object);
         self.store.update_object(object, |o| o.is_pattern = true);
         self.persist_changes()?;
         Ok(())
@@ -1107,7 +1026,6 @@ impl Database {
             self.enforce(|| violations)?;
         }
         self.store.add_inherits(inheritor, pattern);
-        self.record_undo(UndoEntry::InheritsAdded { inheritor, pattern });
         self.persist_changes()?;
         Ok(())
     }
@@ -1118,7 +1036,6 @@ impl Database {
         if !self.store.remove_inherits(inheritor, pattern) {
             return Err(SeedError::Pattern(format!("{inheritor} does not inherit {pattern}")));
         }
-        self.record_undo(UndoEntry::InheritsRemoved { inheritor, pattern });
         self.persist_changes()?;
         Ok(())
     }
@@ -1433,14 +1350,9 @@ impl Database {
         }
         // The delta the snapshot will record is the current dirty set; capture it before the
         // version manager drains it, so the durable `v/<vid>/…` records match exactly.
-        let delta: Option<Vec<ItemId>> = if self.durability.is_some() {
-            let mut d: Vec<ItemId> = self.store.dirty_items().iter().copied().collect();
-            d.sort();
-            Some(d)
-        } else {
-            None
-        };
-        self.versions.create_version(
+        let delta: Option<Vec<ItemId>> =
+            self.durability.as_ref().map(|_| self.store.dirty_items().keys().copied().collect());
+        Arc::make_mut(&mut self.versions).create_version(
             id.clone(),
             parent,
             self.schemas.current_id(),
@@ -1491,7 +1403,7 @@ impl Database {
                 "cannot delete the version currently selected for retrieval".to_string(),
             ));
         }
-        self.versions.delete_version(id)?;
+        Arc::make_mut(&mut self.versions).delete_version(id)?;
         self.persist_version_deleted(id)
     }
 
@@ -1532,8 +1444,6 @@ impl Database {
         view.raise_id_floor(obj_floor, rel_floor);
         let stashed = std::mem::replace(&mut self.store, view);
         self.alternative = Some(AlternativeContext { base, stashed });
-        // The working store changed wholesale; a snapshot delta cannot describe it.
-        self.snap_reset = self.snapshot_tracking;
         Ok(())
     }
 
@@ -1562,7 +1472,6 @@ impl Database {
         match self.alternative.take() {
             Some(alt) => {
                 self.store = alt.stashed;
-                self.snap_reset = self.snapshot_tracking;
                 Ok(())
             }
             None => Err(SeedError::Version("not working on an alternative".to_string())),
@@ -1583,6 +1492,15 @@ impl Database {
         versions: VersionManager,
         transition_rules: Vec<TransitionRule>,
     ) -> Self {
+        Self::from_shared(Arc::new(schemas), store, Arc::new(versions), transition_rules)
+    }
+
+    fn from_shared(
+        schemas: Arc<SchemaRegistry>,
+        store: DataStore,
+        versions: Arc<VersionManager>,
+        transition_rules: Vec<TransitionRule>,
+    ) -> Self {
         Self {
             schemas,
             store,
@@ -1595,123 +1513,24 @@ impl Database {
             transition_rules,
             consistency_checking: true,
             durability: None,
-            snap_changed: HashSet::new(),
-            snapshot_tracking: false,
-            snap_reset: false,
             topology_epoch: 0,
             fenced_to: None,
         }
     }
 
-    // ----- snapshot plumbing (used by crate::snapshot) --------------------------------------------------------------
-
-    /// Turns on snapshot-delta tracking: from now on every committed mutation is also recorded
-    /// in a second journal drained by the snapshot publisher ([`crate::snapshot::SnapshotCell`]),
-    /// so a new read snapshot can be produced by an O(delta) copy-on-write sync instead of a
-    /// full clone.  Idempotent; forces the store's change journal on even for in-memory
-    /// databases.
-    pub fn enable_snapshot_tracking(&mut self) {
-        if !self.snapshot_tracking {
-            self.snapshot_tracking = true;
-            self.snap_reset = true;
-            self.store.set_journal(true);
-        }
-    }
-
-    /// Whether snapshot-delta tracking is on.
-    pub fn snapshot_tracking(&self) -> bool {
-        self.snapshot_tracking
-    }
-
-    /// Drains the snapshot delta: the items mutated since the last drain, sorted.  Returns
-    /// `None` when the store changed wholesale (alternative checkout, fresh tracking) and the
-    /// publisher must rebuild instead of patching.
-    pub(crate) fn take_snapshot_changes(&mut self) -> Option<Vec<ItemId>> {
-        // Catch store mutations that bypassed persist_changes (e.g. the replica's direct effect
-        // apply): fold any undrained journal items into the snapshot delta, but leave them
-        // queued for durability (a durable database re-stages them on its next commit).
-        let residue = self.store.take_changed();
-        if !residue.is_empty() {
-            self.snap_changed.extend(residue.iter().copied());
-            if self.durability.is_some() {
-                // Items a durable database failed to stage must stay queued for its retry.
-                self.store.requeue_changed(&residue);
-            }
-        }
-        if self.snap_reset {
-            self.snap_reset = false;
-            self.snap_changed.clear();
-            return None;
-        }
-        let mut items: Vec<ItemId> = self.snap_changed.drain().collect();
-        items.sort();
-        Some(items)
-    }
-
-    /// A deep copy of the queryable state (schemas, store with all indexes, versions, rules) for
-    /// use as an immutable read snapshot.  Durability handles, open transactions and attached
-    /// procedures are not carried over — snapshots never write.
+    /// A copy of the queryable state (schemas, store with all indexes, versions, rules) for use
+    /// as an immutable read snapshot.  Every part is shared, not copied, so the cost does not
+    /// grow with the database.  Durability handles, open transactions and attached procedures
+    /// are not carried over — snapshots never write.
     pub(crate) fn clone_for_snapshot(&self) -> Database {
-        Database {
-            schemas: self.schemas.clone(),
-            store: self.store.clone(),
-            versions: self.versions.clone(),
-            procedures: ProcedureRegistry::new(),
-            selected_version: self.selected_version.clone(),
-            selected_view: self.selected_view.clone(),
-            alternative: None,
-            txn: None,
-            transition_rules: self.transition_rules.clone(),
-            consistency_checking: self.consistency_checking,
-            durability: None,
-            snap_changed: HashSet::new(),
-            snapshot_tracking: false,
-            snap_reset: false,
-            topology_epoch: self.topology_epoch,
-            fenced_to: self.fenced_to.clone(),
-        }
-    }
-
-    /// Patches `self` (a retired snapshot clone) to match `src` given that exactly `items`
-    /// were mutated in between — the O(delta) half of copy-on-write snapshot publication.
-    /// Index maintenance rides on the store's ordinary mutators, so the patched clone is
-    /// byte-identical to a fresh [`Database::clone_for_snapshot`] of `src`.
-    pub(crate) fn sync_snapshot_from(&mut self, src: &Database, items: &[ItemId]) {
-        let mut objects = Vec::new();
-        let mut relationships = Vec::new();
-        for item in items {
-            match *item {
-                ItemId::Object(oid) => objects.push((
-                    oid,
-                    src.store
-                        .object(oid)
-                        .map(|rec| (rec.clone(), src.store.inherited_patterns(oid))),
-                )),
-                ItemId::Relationship(rid) => {
-                    relationships.push((rid, src.store.relationship(rid).cloned()))
-                }
-            }
-        }
-        self.store.apply_changes(objects, relationships);
-        let (obj_floor, rel_floor) = src.store.id_floor();
-        self.store.raise_id_floor(obj_floor, rel_floor);
-        if self.schemas != src.schemas {
-            self.schemas = src.schemas.clone();
-        }
-        if self.versions.seq() != src.versions.seq()
-            || self.versions.version_count() != src.versions.version_count()
-            || self.versions.last_created() != src.versions.last_created()
-        {
-            self.versions = src.versions.clone();
-        }
-        if self.transition_rules != src.transition_rules {
-            self.transition_rules = src.transition_rules.clone();
-        }
-        if self.selected_version != src.selected_version {
-            self.selected_version = src.selected_version.clone();
-            self.selected_view = src.selected_view.clone();
-        }
-        self.consistency_checking = src.consistency_checking;
+        let (schemas, versions) = (Arc::clone(&self.schemas), Arc::clone(&self.versions));
+        let rules = self.transition_rules.clone();
+        let mut db = Self::from_shared(schemas, self.store.clone(), versions, rules);
+        db.selected_version = self.selected_version.clone();
+        db.selected_view = self.selected_view.clone();
+        db.consistency_checking = self.consistency_checking;
+        db.set_topology(self.topology_epoch, self.fenced_to.clone());
+        db
     }
 
     // ----- replica apply plumbing (used by crate::replica) ------------------------------------------------------------
@@ -1721,11 +1540,11 @@ impl Database {
     }
 
     pub(crate) fn set_schemas(&mut self, schemas: SchemaRegistry) {
-        self.schemas = schemas;
+        self.schemas = Arc::new(schemas);
     }
 
     pub(crate) fn set_versions(&mut self, versions: VersionManager) {
-        self.versions = versions;
+        self.versions = Arc::new(versions);
     }
 
     pub(crate) fn set_transition_rules(&mut self, rules: Vec<TransitionRule>) {

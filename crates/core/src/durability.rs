@@ -9,7 +9,7 @@
 //!   O(items touched), not O(database);
 //! * inside [`Database::begin_transaction`] … [`Database::commit_transaction`], all staged
 //!   records ride in **one** storage transaction that commits (or, on
-//!   [`Database::rollback_transaction`], aborts) in lockstep with the in-memory undo log;
+//!   [`Database::rollback_transaction`], aborts) in lockstep with the in-memory savepoint;
 //! * version creation writes the version's delta snapshots (`v/<vid>/…`), its metadata record
 //!   (`vi/<vid>`) and the drained dirty markers in the same commit;
 //! * loading is a keyed range scan per record kind plus an in-memory index rebuild.
@@ -96,7 +96,7 @@ pub(crate) fn stage_item(
     }
     // The on-disk dirty markers mirror the in-memory dirty set, so that a reopened database
     // still knows which items the next version snapshot must record.
-    if store.dirty_items().contains(&item) {
+    if store.dirty_items().contains_key(&item) {
         engine.txn_put(txn, &codec::dirty_key(item), b"")?;
     } else {
         engine.txn_delete(txn, &codec::dirty_key(item))?;
@@ -179,10 +179,8 @@ pub(crate) fn write_full(db: &Database, engine: &StorageEngine, txn: TxnId) -> S
             )?;
         }
     }
-    let mut dirty: Vec<ItemId> = store.dirty_items().iter().copied().collect();
-    dirty.sort();
-    for item in dirty {
-        engine.txn_put(txn, &codec::dirty_key(item), b"")?;
+    for item in store.dirty_items().keys() {
+        engine.txn_put(txn, &codec::dirty_key(*item), b"")?;
     }
     stage_meta(engine, txn, schemas, store, versions, rules, db.topology_epoch(), db.fenced_to())?;
     Ok(())
@@ -319,10 +317,9 @@ pub(crate) mod test_support {
     }
 
     /// Structural equality of two databases: records, links, versions, rules and floors.
-    /// `strict` is off for crash points inside an open transaction, where the recovered dirty
-    /// set may legitimately be a subset (rolled-back items are clean on disk) and the id floors
-    /// may be lower (ids allocated by the lost transaction never became durable and are safely
-    /// reusable).
+    /// `strict` (id floors and dirty set) is off for crash points inside an open transaction,
+    /// where the id floors may be lower (ids allocated by the lost transaction never became
+    /// durable and are safely reusable).
     pub(crate) fn assert_same_state(a: &Database, b: &Database, strict: bool) {
         let sorted_objects = |db: &Database| {
             let mut v: Vec<_> = db.store().all_objects().cloned().collect();
@@ -349,11 +346,8 @@ pub(crate) mod test_support {
         assert_eq!(a.schema(), b.schema(), "current schema differs");
         if strict {
             assert_eq!(a.store().id_floor(), b.store().id_floor(), "id floors differ");
-            let dirty = |db: &Database| {
-                let mut v: Vec<ItemId> = db.store().dirty_items().iter().copied().collect();
-                v.sort();
-                v
-            };
+            let dirty =
+                |db: &Database| db.store().dirty_items().keys().copied().collect::<Vec<ItemId>>();
             assert_eq!(dirty(a), dirty(b), "dirty sets differ");
         }
         // Index rebuild: every live object is reachable through the rebuilt name index.
@@ -794,6 +788,43 @@ mod proptests {
             let _ = recovered.completeness_report();
             let mut recovered = recovered;
             prop_assert!(recovered.create_object("Data", "PostRecovery").is_ok());
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+
+        /// Rollback oracle: random mutations between `begin_transaction` and
+        /// `rollback_transaction` on a durable database leave no trace.  In memory, every read
+        /// equals the state before the begin (the id floors aside: ids the transaction
+        /// allocated stay burned).  On disk, a reopen reproduces the live database exactly,
+        /// dirty set included — the aborted storage transaction wrote no `d/` markers, so the
+        /// rolled-back items must not be dirty in memory either.
+        #[test]
+        fn rollback_restores_memory_and_disk_agrees(
+            setup in proptest::collection::vec(arb_op(), 0..20),
+            in_txn in proptest::collection::vec(arb_op(), 1..24),
+        ) {
+            let without_floors = |print: String| {
+                print.lines().filter(|l| !l.starts_with("floors ")).collect::<Vec<_>>().join("\n")
+            };
+            let is_txn_control = |op: &Op| matches!(op, Op::Begin | Op::Commit | Op::Rollback);
+            let dir = temp_dir("rollback");
+            let mut db = Database::create_durable(&dir, figure3_schema()).unwrap();
+            for op in setup.iter().filter(|op| !is_txn_control(op)) {
+                apply(&mut db, op);
+            }
+            // A version drains the dirty set, so the transaction's writes are all that could
+            // make an existing item dirty.
+            db.create_version("base").unwrap();
+            let before = without_floors(crate::snapshot::tests::fingerprint(&db));
+            db.begin_transaction().unwrap();
+            for op in in_txn.iter().filter(|op| !is_txn_control(op)) {
+                apply(&mut db, op);
+            }
+            db.rollback_transaction().unwrap();
+            prop_assert_eq!(without_floors(crate::snapshot::tests::fingerprint(&db)), before);
+            let live = db.clone_for_snapshot();
+            drop(db);
+            let reopened = Database::open_durable(&dir).unwrap();
+            assert_same_state(&live, &reopened, true);
             let _ = std::fs::remove_dir_all(&dir);
         }
     }

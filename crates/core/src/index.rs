@@ -7,9 +7,10 @@
 //! range selections with a range scan instead of an *O(n)* extent scan.
 //!
 //! The index lives inside [`crate::store::DataStore`] and is maintained on **every** mutation
-//! path — object creation, value update, re-classification, logical deletion, transaction
-//! rollback, version-view reconstruction and persistence load — because all of those funnel
-//! through `DataStore::insert_object` / `update_object` / `remove_object`.
+//! path — object creation, value update, re-classification, logical deletion, replica patching,
+//! version-view reconstruction and persistence load — because all of those funnel through
+//! `DataStore::insert_object` / `update_object` / `remove_object`.  Transaction rollback
+//! restores a savepoint of the whole store, index included.
 //!
 //! ## Key encoding
 //!
@@ -41,12 +42,14 @@
 //!
 //! [planner]: https://docs.rs/seed-query
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::ops::Bound::{Excluded, Included, Unbounded};
+use std::collections::BTreeSet;
+use std::ops::Bound::{self, Excluded, Included, Unbounded};
+use std::sync::Arc;
 
 use seed_schema::ClassId;
 
 use crate::ident::ObjectId;
+use crate::pmap::{PMap, PSet};
 use crate::value::Value;
 
 /// Ordered key under which a defined [`Value`] is indexed.
@@ -58,7 +61,8 @@ pub enum IndexKey {
     /// Key of a [`Value::Integer`] — numeric order.
     Int(i64),
     /// Key of every other defined value — lexical order on its query-comparison string form.
-    Str(String),
+    /// Shared (`Arc`), so copying an index node copies pointers, not strings.
+    Str(Arc<str>),
 }
 
 impl IndexKey {
@@ -69,8 +73,8 @@ impl IndexKey {
             Value::Undefined => None,
             Value::Integer(i) => Some(IndexKey::Int(*i)),
             other => Some(IndexKey::Str(match other.as_str() {
-                Some(s) => s.to_string(),
-                None => other.to_string(),
+                Some(s) => s.into(),
+                None => other.to_string().into(),
             })),
         }
     }
@@ -89,61 +93,49 @@ pub enum ValueOp {
 
 /// Per-class ordered secondary index from value keys to the ids of live objects holding them.
 ///
-/// Reads return the union of matching ids in globally ascending id order (see
+/// Each class holds an ordered set of `(key, id)` pairs, so the ids under one key form one
+/// contiguous run.  Reads return the union of matching ids in globally ascending id order (see
 /// [`AttributeIndex::matching`]); callers resolve ids against the store and apply visibility
 /// filtering (patterns, class hierarchies).
 #[derive(Debug, Clone, Default)]
 pub struct AttributeIndex {
-    classes: HashMap<ClassId, BTreeMap<IndexKey, BTreeSet<ObjectId>>>,
+    classes: PMap<ClassId, PSet<Entry>>,
 }
+
+/// One index entry: a value key and the id of an object holding it.
+type Entry = (IndexKey, ObjectId);
+
+/// The smallest and largest ids, which bound a key's run of `(key, id)` pairs.
+const FIRST: ObjectId = ObjectId(0);
+const LAST: ObjectId = ObjectId(u64::MAX);
 
 impl AttributeIndex {
     /// Indexes `id` under the key of `value` (no-op for undefined values).
     pub fn insert(&mut self, class: ClassId, value: &Value, id: ObjectId) {
         if let Some(key) = IndexKey::of(value) {
-            self.insert_key(class, key, id);
+            self.classes.add_to_set(class, (key, id));
         }
-    }
-
-    /// Indexes `id` under a precomputed key.
-    pub fn insert_key(&mut self, class: ClassId, key: IndexKey, id: ObjectId) {
-        self.classes.entry(class).or_default().entry(key).or_default().insert(id);
     }
 
     /// Removes `id` from the entry of `value` (no-op for undefined values).
     pub fn remove(&mut self, class: ClassId, value: &Value, id: ObjectId) {
         if let Some(key) = IndexKey::of(value) {
-            self.remove_key(class, &key, id);
-        }
-    }
-
-    /// Removes `id` from the entry of a precomputed key.
-    pub fn remove_key(&mut self, class: ClassId, key: &IndexKey, id: ObjectId) {
-        if let Some(tree) = self.classes.get_mut(&class) {
-            if let Some(ids) = tree.get_mut(key) {
-                ids.remove(&id);
-                if ids.is_empty() {
-                    tree.remove(key);
-                }
-            }
-            if tree.is_empty() {
-                self.classes.remove(&class);
-            }
+            self.classes.remove_from_set(&class, &(key, id));
         }
     }
 
     /// Number of indexed (class, value) entries for `class` — the planner's scan-cost proxy.
     pub fn entry_count(&self, class: ClassId) -> usize {
-        self.classes.get(&class).map(|t| t.values().map(BTreeSet::len).sum()).unwrap_or(0)
+        self.classes.get(&class).map(PMap::len).unwrap_or(0)
     }
 
     /// Ids of objects of exactly `class` whose value satisfies `op` against the query literal,
     /// in ascending id order.
     pub fn matching(&self, class: ClassId, op: ValueOp, literal: &str) -> Vec<ObjectId> {
         let mut out = BTreeSet::new();
-        self.walk_matching(class, op, literal, |matched, ids| {
+        self.walk_matching(class, op, literal, |matched, id| {
             if matched {
-                out.extend(ids.iter().copied());
+                out.insert(id);
             }
             true
         });
@@ -152,23 +144,23 @@ impl AttributeIndex {
 
     /// Cost of resolving [`AttributeIndex::matching`] — the planner's cardinality estimate,
     /// computed without materialising records.  Exactly the match count, except in the
-    /// mixed-type fallback where visited-but-unmatched integer keys are charged too (they are
-    /// real walk work).
+    /// mixed-type fallback where visited-but-unmatched integer entries are charged too (they
+    /// are real walk work).
     pub fn estimate(&self, class: ClassId, op: ValueOp, literal: &str) -> usize {
         self.estimate_up_to(class, op, literal, usize::MAX)
     }
 
     /// Like [`AttributeIndex::estimate`], but with an early-exit budget: counting stops at
     /// `cap` (the caller's scan cost — once the index path is at least that expensive, its
-    /// exact cost no longer matters).  This bounds plan-time work: equality probes are O(1),
-    /// range estimates visit at most `cap` entries.  In the rare mixed-type case (a `<`/`>`
-    /// literal that is not an integer), every *visited* integer key charges the budget even
-    /// when it does not match, because the executor would redo that walk — a wide unmatched
-    /// walk must lose to the extent scan.
+    /// exact cost no longer matters).  This bounds plan-time work: every estimate visits at
+    /// most `cap` entries.  In the rare mixed-type case (a `<`/`>` literal that is not an
+    /// integer), every *visited* integer entry charges the budget even when it does not match,
+    /// because the executor would redo that walk — a wide unmatched walk must lose to the
+    /// extent scan.
     pub fn estimate_up_to(&self, class: ClassId, op: ValueOp, literal: &str, cap: usize) -> usize {
         let mut cost = 0usize;
-        self.walk_matching(class, op, literal, |matched, ids| {
-            cost += if matched { ids.len() } else { 1 };
+        self.walk_matching(class, op, literal, |_, _| {
+            cost += 1;
             cost < cap
         });
         cost.min(cap)
@@ -179,7 +171,7 @@ impl AttributeIndex {
     /// compare numerically when the literal parses as an integer (and by their decimal string
     /// form otherwise); all other keys compare lexically on their string form.
     ///
-    /// The visitor receives `(matched, ids)` for every key the walk touches — `matched` is
+    /// The visitor receives `(matched, id)` for every entry the walk touches — `matched` is
     /// false only in the mixed-type fallback (non-integer `<`/`>` literal forcing a walk over
     /// the integer keys), where visiting is real work even without a match.  Returning `false`
     /// stops the walk early.
@@ -188,69 +180,63 @@ impl AttributeIndex {
         class: ClassId,
         op: ValueOp,
         literal: &str,
-        mut visit: impl FnMut(bool, &BTreeSet<ObjectId>) -> bool,
+        mut visit: impl FnMut(bool, ObjectId) -> bool,
     ) {
         let Some(tree) = self.classes.get(&class) else { return };
         let int_literal = literal.parse::<i64>().ok();
+        let str_literal = || IndexKey::Str(literal.into());
+        // Every `(key, id)` range is a run of whole keys: `FIRST`/`LAST` bound a key's ids.
+        let mut ranges: Vec<(Bound<Entry>, Bound<Entry>)> = Vec::new();
         match op {
             ValueOp::Eq => {
-                if let Some(n) = int_literal {
-                    if let Some(ids) = tree.get(&IndexKey::Int(n)) {
-                        if !visit(true, ids) {
-                            return;
-                        }
-                    }
-                }
-                if let Some(ids) = tree.get(&IndexKey::Str(literal.to_string())) {
-                    visit(true, ids);
+                let keys = int_literal.map(IndexKey::Int).into_iter().chain([str_literal()]);
+                for key in keys {
+                    ranges.push((Included((key.clone(), FIRST)), Included((key, LAST))));
                 }
             }
             ValueOp::Less | ValueOp::Greater => {
                 // Integer side.
                 match int_literal {
-                    Some(m) => {
-                        let range = match op {
-                            ValueOp::Less => {
-                                (Included(IndexKey::Int(i64::MIN)), Excluded(IndexKey::Int(m)))
-                            }
-                            _ => (Excluded(IndexKey::Int(m)), Included(IndexKey::Int(i64::MAX))),
-                        };
-                        for (_, ids) in tree.range(range) {
-                            if !visit(true, ids) {
-                                return;
-                            }
-                        }
-                    }
+                    Some(m) => ranges.push(match op {
+                        ValueOp::Less => (Unbounded, Excluded((IndexKey::Int(m), FIRST))),
+                        _ => (
+                            Excluded((IndexKey::Int(m), LAST)),
+                            Included((IndexKey::Int(i64::MAX), LAST)),
+                        ),
+                    }),
                     None => {
                         // Non-numeric literal: integer values fall back to comparing their
                         // decimal string form (numeric key order does not help here, but such
                         // mixed comparisons are rare and the integer side is usually empty).
-                        for (key, ids) in tree.range((Unbounded, Included(IndexKey::Int(i64::MAX))))
-                        {
+                        let ints =
+                            tree.range((Unbounded, Included((IndexKey::Int(i64::MAX), LAST))));
+                        for ((key, id), _) in ints {
                             let IndexKey::Int(i) = key else { continue };
                             let s = i.to_string();
                             let matched = match op {
                                 ValueOp::Less => s.as_str() < literal,
                                 _ => s.as_str() > literal,
                             };
-                            if !visit(matched, ids) {
+                            if !visit(matched, *id) {
                                 return;
                             }
                         }
                     }
                 }
                 // String side: plain lexical range over the `Str` keys.
-                let range = match op {
+                ranges.push(match op {
                     ValueOp::Less => (
-                        Included(IndexKey::Str(String::new())),
-                        Excluded(IndexKey::Str(literal.to_string())),
+                        Included((IndexKey::Str("".into()), FIRST)),
+                        Excluded((str_literal(), FIRST)),
                     ),
-                    _ => (Excluded(IndexKey::Str(literal.to_string())), Unbounded),
-                };
-                for (_, ids) in tree.range(range) {
-                    if !visit(true, ids) {
-                        return;
-                    }
+                    _ => (Excluded((str_literal(), LAST)), Unbounded),
+                });
+            }
+        }
+        for range in ranges {
+            for ((_, id), _) in tree.range(range) {
+                if !visit(true, *id) {
+                    return;
                 }
             }
         }
@@ -279,7 +265,7 @@ mod tests {
         assert_eq!(IndexKey::of(&Value::Undefined), None);
         // Integers order numerically and before all string keys.
         assert!(IndexKey::Int(7) < IndexKey::Int(40));
-        assert!(IndexKey::Int(i64::MAX) < IndexKey::Str(String::new()));
+        assert!(IndexKey::Int(i64::MAX) < IndexKey::Str("".into()));
     }
 
     #[test]

@@ -22,6 +22,8 @@
 //!   per-version views ([`version`]), plus history-sensitive transition rules ([`history`]);
 //! * **Patterns and variants** with inherits-relationships, automatic propagation and
 //!   immutability in the inheritor's context ([`pattern`]);
+//! * a **structure-shared store**: every store map is a persistent B+ tree ([`pmap`]), so read
+//!   snapshots and transaction savepoints are clones that cost the same at any size;
 //! * a **procedural operational interface** ([`database::Database`]) with **incremental
 //!   durability**: per-item write-through persistence over the storage engine's WAL
 //!   ([`durability`], [`codec`]).
@@ -60,12 +62,12 @@ pub mod index;
 pub mod name;
 pub mod object;
 pub mod pattern;
+pub mod pmap;
 pub mod procedures;
 pub mod relationship;
 pub mod replica;
 pub mod snapshot;
 pub mod store;
-pub mod undo;
 pub mod value;
 pub mod version;
 

@@ -1,4 +1,4 @@
-//! MVCC snapshot reads: immutable, LSN-keyed read snapshots published copy-on-write.
+//! MVCC snapshot reads: immutable, LSN-keyed read snapshots.
 //!
 //! The server's `RwLock<Database>` gives writers exclusivity, but it also means one long
 //! check-in stalls every reader.  This module generalizes the delta-version machinery into a
@@ -6,29 +6,20 @@
 //! queryable state, readers pin it with one atomic refcount bump and then run entirely
 //! lock-free, and writers publish a successor snapshot after each commit.
 //!
-//! ## Publication protocol
+//! ## Publication
 //!
-//! Publication is O(delta), not O(database).  The cell keeps a **spare generation** — the
-//! snapshot it retired last time — together with the exact item delta (`lag`) that spare is
-//! missing relative to the published one.  To publish generation *N+1*:
-//!
-//! 1. drain the database's snapshot delta (*N → N+1*, maintained by
-//!    [`Database::enable_snapshot_tracking`]);
-//! 2. patch the spare (generation *N−1*) with `lag ∪ delta` via
-//!    `Database::sync_snapshot_from`, which replays the changed records through the store's
-//!    ordinary index-maintaining mutators — if a straggler reader still pins the spare,
-//!    `Arc::make_mut` clones it first so the pinned snapshot is never mutated;
-//! 3. swap the patched spare into the published slot (a brief write lock; readers hold the
-//!    slot lock only long enough to clone an `Arc`), and demote the old published snapshot to
-//!    be the next spare with `lag = delta`.
+//! Publishing clones the database's queryable state and swaps the clone into the published
+//! slot.  The store is a persistent map ([`crate::pmap`]) and the schema registry and version
+//! manager are copy-on-write `Arc`s, so the clone shares everything with the live database
+//! and costs the same at any size.  The writer's next mutation copies only the nodes on the
+//! paths it touches; the snapshot keeps the old ones.
 //!
 //! ## Memory lifecycle
 //!
-//! At most two full copies of the database are alive in steady state: the published snapshot
-//! and the spare (plus the authoritative store itself).  A retired snapshot that readers still
-//! pin survives exactly until the last reader drops it — the `Arc` refcount is the retention
-//! mechanism, there is no epoch table to administer.  Long-lived readers therefore cost one
-//! database copy each, which is the operational trade-off documented in OPERATIONS.md.
+//! The live database and the published snapshot share every node neither has written since
+//! the publication.  A retired snapshot that readers still pin survives exactly until the last
+//! reader drops it — the `Arc` refcount is the retention mechanism, there is no epoch table to
+//! administer — and it holds apart only the nodes the writer replaced since it was published.
 //!
 //! ## LSN keying
 //!
@@ -44,7 +35,6 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::database::Database;
 use crate::durability::DurabilityStatus;
-use crate::ident::ItemId;
 
 /// One immutable generation of the queryable state.
 struct SnapshotGen {
@@ -54,20 +44,13 @@ struct SnapshotGen {
     durability: Option<DurabilityStatus>,
 }
 
-impl Clone for SnapshotGen {
-    fn clone(&self) -> Self {
-        Self {
-            db: self.db.clone_for_snapshot(),
-            lsn: self.lsn,
-            epoch: self.epoch,
-            durability: self.durability.clone(),
-        }
-    }
-}
-
-impl SnapshotGen {
-    fn capture(db: &Database, epoch: u64, lsn: u64) -> Self {
-        Self { db: db.clone_for_snapshot(), lsn, epoch, durability: db.durability_status() }
+/// A generation of `db`'s current state, its epoch and LSN still to be assigned.
+fn capture(db: &Database) -> SnapshotGen {
+    SnapshotGen {
+        db: db.clone_for_snapshot(),
+        lsn: 0,
+        epoch: 0,
+        durability: db.durability_status(),
     }
 }
 
@@ -117,35 +100,22 @@ impl std::fmt::Debug for Snapshot {
     }
 }
 
-/// Publisher-side state: the retired generation kept as the next build buffer, and the delta
-/// it is missing relative to the published snapshot.
-struct Publisher {
-    spare: Option<Arc<SnapshotGen>>,
-    lag: Vec<ItemId>,
-    epoch: u64,
-}
-
-/// The snapshot publication cell: readers call [`SnapshotCell::read`], the single writer calls
-/// [`SnapshotCell::publish`] after each commit.
-///
-/// The published slot is behind its own `RwLock` so a slow publication (a forced full clone
-/// because a straggler pinned the spare) never blocks readers — all patching happens on the
-/// spare under the publisher mutex, and the slot lock is held only for the pointer swap.
+/// The snapshot publication cell: readers call [`SnapshotCell::read`], the writer calls
+/// [`SnapshotCell::publish`] after each commit.  Readers hold the slot lock only long enough
+/// to clone an `Arc`; a publication holds it only for the pointer swap.
 pub struct SnapshotCell {
     published: RwLock<Snapshot>,
-    state: Mutex<Publisher>,
+    /// Serializes publications, so a state captured earlier never replaces a later one.
+    publishing: Mutex<()>,
 }
 
 impl SnapshotCell {
-    /// Builds the initial snapshot (epoch 1) and enables snapshot-delta tracking on `db`.
-    pub fn new(db: &mut Database) -> Self {
-        db.enable_snapshot_tracking();
-        let _ = db.take_snapshot_changes();
-        let lsn = db.durable_lsn().unwrap_or(1);
-        let gen = Arc::new(SnapshotGen::capture(db, 1, lsn));
+    /// Builds the initial snapshot (epoch 1).
+    pub fn new(db: &Database) -> Self {
+        let gen = SnapshotGen { epoch: 1, lsn: db.durable_lsn().unwrap_or(1), ..capture(db) };
         Self {
-            published: RwLock::new(Snapshot { inner: gen }),
-            state: Mutex::new(Publisher { spare: None, lag: Vec::new(), epoch: 1 }),
+            published: RwLock::new(Snapshot { inner: Arc::new(gen) }),
+            publishing: Mutex::new(()),
         }
     }
 
@@ -156,77 +126,38 @@ impl SnapshotCell {
 
     /// Publishes the database's current state as the next snapshot generation (LSN taken from
     /// the database's durable cursor, or the epoch when in-memory).
-    pub fn publish(&self, db: &mut Database) {
+    pub fn publish(&self, db: &Database) {
         self.publish_at(db, None)
     }
 
     /// [`SnapshotCell::publish`] with an explicit LSN — the replica apply path, where the
     /// serving database is in-memory but the position is the shipped batch's `last_lsn`.
-    pub fn publish_at(&self, db: &mut Database, lsn_hint: Option<u64>) {
+    pub fn publish_at(&self, db: &Database, lsn_hint: Option<u64>) {
         let start = std::time::Instant::now();
-        let registry = seed_obs::global();
-        let mut st = self.state.lock();
-        // A wholesale-replaced database (replica snapshot resync) arrives untracked; enabling
-        // tracking marks it for a rebuild, which take_snapshot_changes reports as `None`.
-        db.enable_snapshot_tracking();
-        let delta = db.take_snapshot_changes();
-        st.epoch += 1;
-        let epoch = st.epoch;
-        let lsn = lsn_hint.or_else(|| db.durable_lsn()).unwrap_or(epoch);
-
-        let fresh = match (&delta, st.spare.take()) {
-            (Some(items), Some(mut spare)) => {
-                // O(delta) path: the spare is two generations behind `db`, by exactly
-                // `lag ∪ items`.  A straggler still pinning it forces a one-off clone.
-                if Arc::get_mut(&mut spare).is_none() {
-                    registry.counter("snapshot_straggler_copies_total").inc();
-                }
-                let gen = Arc::make_mut(&mut spare);
-                let missing: Vec<ItemId> = st.lag.iter().chain(items.iter()).copied().collect();
-                registry.histogram("snapshot_patch_items").observe(missing.len() as u64);
-                gen.db.sync_snapshot_from(db, &missing);
-                gen.lsn = lsn;
-                gen.epoch = epoch;
-                gen.durability = db.durability_status();
-                spare
-            }
-            _ => {
-                registry.counter("snapshot_full_captures_total").inc();
-                Arc::new(SnapshotGen::capture(db, epoch, lsn))
-            }
-        };
-
+        let _publishing = self.publishing.lock();
+        let mut gen = capture(db);
         let retired = {
             let mut slot = self.published.write();
-            std::mem::replace(&mut *slot, Snapshot { inner: fresh })
+            gen.epoch = slot.epoch() + 1;
+            gen.lsn = lsn_hint.or_else(|| db.durable_lsn()).unwrap_or(gen.epoch);
+            std::mem::replace(&mut *slot, Snapshot { inner: Arc::new(gen) })
         };
-        match delta {
-            Some(items) => {
-                // The retired snapshot is one generation behind by exactly this delta.
-                st.lag = items;
-                st.spare = Some(retired.inner);
-            }
-            None => {
-                // Wholesale rebuild: the retired snapshot predates the reset and cannot be
-                // patched back into currency; drop it (readers may still pin it).
-                st.lag = Vec::new();
-                st.spare = None;
-            }
-        }
-        registry.histogram("snapshot_publish_us").observe_duration(start.elapsed());
+        // Release the retired generation outside the slot lock.
+        drop(retired);
+        seed_obs::global().histogram("snapshot_publish_us").observe_duration(start.elapsed());
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::name::NameSegment;
     use crate::value::Value;
     use seed_schema::figure3_schema;
 
     /// A deterministic, exhaustive rendering of the queryable state: every read in here must be
-    /// byte-identical between a patched snapshot and a fresh full clone.
-    pub(super) fn fingerprint(db: &Database) -> String {
+    /// byte-identical between a published snapshot and the live database it was taken from.
+    pub(crate) fn fingerprint(db: &Database) -> String {
         let mut out = String::new();
         let mut objects: Vec<_> = db.store().all_objects().collect();
         objects.sort_by_key(|o| o.id);
@@ -272,31 +203,31 @@ mod tests {
     fn snapshots_are_immutable_and_publication_is_incremental() {
         let mut db = Database::new(figure3_schema());
         let alarms = db.create_object("Data", "Alarms").unwrap();
-        let cell = SnapshotCell::new(&mut db);
+        let cell = SnapshotCell::new(&db);
 
         let s1 = cell.read();
         assert_eq!(s1.epoch(), 1);
         let s1_print = fingerprint(&s1);
         assert!(s1.object_by_name("Alarms").is_ok());
 
-        // Mutate + publish twice: the second publish exercises the patched-spare path.
+        // Mutate + publish twice: later writes must not reach earlier snapshots.
         let sensor = db.create_object("Action", "Sensor").unwrap();
-        cell.publish(&mut db);
+        cell.publish(&db);
         let s2 = cell.read();
         db.create_relationship("Access", &[("from", alarms), ("by", sensor)]).unwrap();
         db.set_value(alarms, Value::Undefined).unwrap();
-        cell.publish(&mut db);
+        cell.publish(&db);
         let s3 = cell.read();
 
         assert_eq!(s2.epoch(), 2);
         assert_eq!(s3.epoch(), 3);
-        // Retired snapshots never change, even though their generation became the spare.
+        // Retired snapshots never change, even though they share nodes with the live store.
         assert_eq!(fingerprint(&s1), s1_print);
         assert!(s1.object_by_name("Sensor").is_err());
         assert!(s2.object_by_name("Sensor").is_ok());
         assert_eq!(s2.relationship_count(), 0);
         assert_eq!(s3.relationship_count(), 1);
-        // The patched snapshot is byte-identical to a fresh full clone.
+        // The published snapshot is byte-identical to the live database.
         assert_eq!(fingerprint(&s3), fingerprint(&db.clone_for_snapshot()));
     }
 
@@ -305,18 +236,18 @@ mod tests {
         let mut db = Database::new(figure3_schema());
         let a = db.create_object("Data", "Left").unwrap();
         let b = db.create_object("Data", "Right").unwrap();
-        let cell = SnapshotCell::new(&mut db);
-        // Publish once so the next publish patches the spare in place.
+        let cell = SnapshotCell::new(&db);
+        // Publish once so the renames below copy nodes the published snapshot shares.
         db.create_object("Action", "Warmup").unwrap();
-        cell.publish(&mut db);
+        cell.publish(&db);
         // Swap the two names within a single delta.
         db.rename_object(a, "Parked").unwrap();
         db.rename_object(b, "Left").unwrap();
         db.rename_object(a, "Right").unwrap();
-        cell.publish(&mut db);
-        // And once more so the spare (which saw the swap as lag) is patched and republished.
+        cell.publish(&db);
+        // And once more after the swap.
         db.create_object("Action", "Warmup2").unwrap();
-        cell.publish(&mut db);
+        cell.publish(&db);
         let s = cell.read();
         assert_eq!(s.object_by_name("Right").unwrap().id, a);
         assert_eq!(s.object_by_name("Left").unwrap().id, b);
@@ -326,18 +257,18 @@ mod tests {
     #[test]
     fn deletes_tombstones_and_dependents_patch_cleanly() {
         let mut db = Database::new(figure3_schema());
-        let cell = SnapshotCell::new(&mut db);
+        let cell = SnapshotCell::new(&db);
         let alarms = db.create_object("Data", "Alarms").unwrap();
         let text = db
             .create_dependent_named(alarms, "Text", NameSegment::plain("Text"), Value::Undefined)
             .unwrap();
         let sensor = db.create_object("Action", "Sensor").unwrap();
         db.create_relationship("Access", &[("from", alarms), ("by", sensor)]).unwrap();
-        cell.publish(&mut db);
+        cell.publish(&db);
         db.delete_object(alarms).unwrap();
-        cell.publish(&mut db);
+        cell.publish(&db);
         db.create_object("Data", "Alarms").unwrap(); // name reuse after tombstone
-        cell.publish(&mut db);
+        cell.publish(&db);
         let s = cell.read();
         assert!(s.object(text).is_err());
         assert!(s.object_by_name("Alarms").is_ok());
@@ -349,18 +280,18 @@ mod tests {
         use crate::history::TransitionRule;
         let mut db = Database::new(figure3_schema());
         db.add_transition_rule(TransitionRule::NoDeletions).unwrap();
-        let cell = SnapshotCell::new(&mut db);
+        let cell = SnapshotCell::new(&db);
         db.create_object("Data", "Warmup").unwrap();
-        cell.publish(&mut db);
-        // Swap the rule set for a different one of the SAME length: the patched spare must
-        // pick it up (a count-based comparison would silently serve the stale rules).
+        cell.publish(&db);
+        // Swap the rule set for a different one of the SAME length: the next snapshot must
+        // pick it up.
         db.set_transition_rules(vec![TransitionRule::MustDiffer]);
         db.create_object("Data", "Warmup2").unwrap();
-        cell.publish(&mut db);
+        cell.publish(&db);
         assert_eq!(cell.read().transition_rules(), &[TransitionRule::MustDiffer]);
-        // And again, so the spare that still carries the old rules is patched and republished.
+        // And again, one publication later.
         db.create_object("Data", "Warmup3").unwrap();
-        cell.publish(&mut db);
+        cell.publish(&db);
         assert_eq!(cell.read().transition_rules(), &[TransitionRule::MustDiffer]);
     }
 
@@ -368,14 +299,14 @@ mod tests {
     fn rolled_back_transactions_leave_the_next_snapshot_clean() {
         let mut db = Database::new(figure3_schema());
         let alarms = db.create_object("Data", "Alarms").unwrap();
-        let cell = SnapshotCell::new(&mut db);
+        let cell = SnapshotCell::new(&db);
         db.create_object("Action", "Keep").unwrap();
-        cell.publish(&mut db);
+        cell.publish(&db);
         db.begin_transaction().unwrap();
         db.create_object("Action", "Ghost").unwrap();
         db.reclassify_object(alarms, "OutputData").unwrap();
         db.rollback_transaction().unwrap();
-        cell.publish(&mut db);
+        cell.publish(&db);
         let s = cell.read();
         assert!(s.object_by_name("Ghost").is_err());
         assert!(s.object_by_name("Keep").is_ok());
@@ -388,19 +319,19 @@ mod tests {
         db.create_object("Data", "Alarms").unwrap();
         let v1 = db.create_version("v1").unwrap();
         db.create_object("Data", "Later").unwrap();
-        let cell = SnapshotCell::new(&mut db);
+        let cell = SnapshotCell::new(&db);
         // An alternative checkout swaps the whole working store: the snapshot must follow.
         db.checkout_alternative(v1).unwrap();
-        cell.publish(&mut db);
+        cell.publish(&db);
         assert!(cell.read().object_by_name("Later").is_err());
         db.return_to_current().unwrap();
-        cell.publish(&mut db);
+        cell.publish(&db);
         assert!(cell.read().object_by_name("Later").is_ok());
-        // Incremental publishing resumes after the resets.
+        // Publishing goes on after the resets.
         db.create_object("Action", "After").unwrap();
-        cell.publish(&mut db);
+        cell.publish(&db);
         db.create_object("Action", "After2").unwrap();
-        cell.publish(&mut db);
+        cell.publish(&db);
         let s = cell.read();
         assert!(s.object_by_name("After2").is_ok());
         assert_eq!(fingerprint(&s), fingerprint(&db.clone_for_snapshot()));
@@ -410,15 +341,15 @@ mod tests {
     fn straggler_readers_force_a_clone_but_never_see_changes() {
         let mut db = Database::new(figure3_schema());
         db.create_object("Data", "Alarms").unwrap();
-        let cell = SnapshotCell::new(&mut db);
+        let cell = SnapshotCell::new(&db);
         let mut pinned = Vec::new();
         let mut prints = Vec::new();
         for i in 0..6 {
             db.create_object("Data", &format!("D{i}")).unwrap();
-            cell.publish(&mut db);
+            cell.publish(&db);
             let s = cell.read();
             prints.push(fingerprint(&s));
-            pinned.push(s); // every generation stays pinned → every publish hits make_mut
+            pinned.push(s); // every generation stays pinned → every write copies shared nodes
         }
         for (s, print) in pinned.iter().zip(&prints) {
             assert_eq!(&fingerprint(s), print, "pinned snapshot mutated after retirement");
@@ -433,17 +364,17 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("seed-snap-lsn-{}-{n}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut db = Database::create_durable(&dir, figure3_schema()).unwrap();
-        let cell = SnapshotCell::new(&mut db);
+        let cell = SnapshotCell::new(&db);
         let initial = cell.read().lsn();
         assert_eq!(Some(initial), db.durable_lsn());
         db.create_object("Data", "Alarms").unwrap();
-        cell.publish(&mut db);
+        cell.publish(&db);
         let s = cell.read();
         assert_eq!(Some(s.lsn()), db.durable_lsn());
         assert!(s.lsn() > initial);
         assert!(s.durability().is_some(), "durable snapshots carry the storage status");
         // Explicit override (the replica path).
-        cell.publish_at(&mut db, Some(777));
+        cell.publish_at(&db, Some(777));
         assert_eq!(cell.read().lsn(), 777);
         drop(db);
         let _ = std::fs::remove_dir_all(&dir);
@@ -458,8 +389,8 @@ mod proptests {
     use seed_schema::figure3_schema;
 
     /// One step of the randomized reader/writer schedule.  `Publish` is the interleaving point:
-    /// wherever it lands, the published snapshot must equal an exclusive-lock deep copy taken
-    /// at the same instant.
+    /// wherever it lands, the published snapshot must equal an exclusive-lock copy taken at the
+    /// same instant.
     #[derive(Debug, Clone)]
     enum Op {
         CreateData(u8),
@@ -590,22 +521,21 @@ mod proptests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
         /// The MVCC oracle: for a random interleaved writer/publish schedule, every published
-        /// snapshot must be byte-identical to a deep copy taken under the exclusive lock at the
-        /// same instant ("the database rolled to LSN L"), and must still be byte-identical at
-        /// the end of the run (immutability across later publications that reuse its
-        /// generation as the build buffer).
+        /// snapshot must be byte-identical to a copy taken under the exclusive lock at the same
+        /// instant ("the database rolled to LSN L"), and must still be byte-identical at the
+        /// end of the run (immutability across later writes to the nodes it shares).
         #[test]
         fn published_snapshots_equal_exclusive_lock_reads(
             ops in proptest::collection::vec(arb_op(), 1..48),
         ) {
             let mut db = Database::new(figure3_schema());
-            let cell = SnapshotCell::new(&mut db);
+            let cell = SnapshotCell::new(&db);
             let mut retained: Vec<(Snapshot, String)> = Vec::new();
             for op in &ops {
                 if matches!(op, Op::Publish) {
-                    cell.publish(&mut db);
+                    cell.publish(&db);
                     let snap = cell.read();
-                    // The exclusive-lock oracle: a full deep copy at the same LSN.
+                    // The exclusive-lock oracle: a copy at the same LSN.
                     let locked = db.clone_for_snapshot();
                     let expect = super::tests::fingerprint(&locked);
                     prop_assert_eq!(super::tests::fingerprint(&snap), expect.clone());
@@ -619,7 +549,7 @@ mod proptests {
                 prop_assert!(pair[0].0.epoch() < pair[1].0.epoch());
             }
             for (snap, expect) in &retained {
-                // Retired snapshots must never be mutated by a later publication.
+                // Retired snapshots must never be mutated by a later write.
                 prop_assert_eq!(&super::tests::fingerprint(snap), expect);
             }
         }

@@ -5,19 +5,25 @@
 //! name is the prototype's primary access path), class and association extents, per-object
 //! adjacency lists and the pattern-inheritance links.
 //!
+//! Every field is a persistent map ([`crate::pmap::PMap`]), so cloning a store costs the same
+//! at any size and the clone shares all nodes until one side writes.  The database clones its
+//! store to publish a read snapshot and to take a transaction savepoint; nothing here tracks
+//! what changed for either purpose.  Rollback restores the savepoint instead of undoing
+//! mutations, so records leave the store physically only through `DataStore::apply_changes`
+//! (`remove_object` / `remove_relationship`), when a replica's batch deletes them.
+//!
 //! The store itself performs **no** consistency checking — it is a dumb, always-successful
 //! container.  The [`crate::database::Database`] layer checks consistency *before* mutating the
 //! store, which is how SEED "permanently ensures database consistency".
 
-use std::collections::{BTreeMap, HashMap, HashSet};
-
-use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 use seed_schema::{AssociationId, ClassId};
 
 use crate::ident::{ItemId, ObjectId, RelationshipId};
-use crate::index::{AttributeIndex, IndexKey, ValueOp};
+use crate::index::{AttributeIndex, ValueOp};
 use crate::object::ObjectRecord;
+use crate::pmap::{PMap, PSet};
 use crate::relationship::RelationshipRecord;
 
 /// One object's new state for [`DataStore::apply_changes`]: its record plus the patterns it
@@ -28,32 +34,34 @@ pub(crate) type ObjectChange = (ObjectId, Option<(ObjectRecord, Vec<ObjectId>)>)
 pub(crate) type RelationshipChange = (RelationshipId, Option<RelationshipRecord>);
 
 /// The mutable current state of a SEED database.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct DataStore {
-    objects: HashMap<ObjectId, ObjectRecord>,
-    relationships: HashMap<RelationshipId, RelationshipRecord>,
+    /// Records sit behind their own `Arc`, so copying a shared leaf copies pointers, not
+    /// records; a write clones only the record it changes.
+    objects: PMap<ObjectId, Arc<ObjectRecord>>,
+    relationships: PMap<RelationshipId, Arc<RelationshipRecord>>,
     /// name (string form) → object id, for *live* (possibly pattern) objects.
-    name_index: BTreeMap<String, ObjectId>,
+    name_index: PMap<Arc<str>, ObjectId>,
     /// class → ordered value index over live objects (patterns included; retrieval filters
     /// them).  Derived data, kept in lock-step by every insert/update/remove below.
     value_index: AttributeIndex,
     /// class → live object ids (patterns included; retrieval filters them).
-    class_extent: HashMap<ClassId, HashSet<ObjectId>>,
+    class_extent: PMap<ClassId, PSet<ObjectId>>,
     /// association → live relationship ids.
-    association_extent: HashMap<AssociationId, HashSet<RelationshipId>>,
+    association_extent: PMap<AssociationId, PSet<RelationshipId>>,
     /// object → live relationships it participates in.
-    adjacency: HashMap<ObjectId, HashSet<RelationshipId>>,
-    /// parent object → live dependent objects.
-    children: HashMap<ObjectId, Vec<ObjectId>>,
+    adjacency: PMap<ObjectId, PSet<RelationshipId>>,
+    /// parent object → dependent objects.
+    children: PMap<ObjectId, PSet<ObjectId>>,
     /// inheritor object → patterns it inherits.
-    inherits: HashMap<ObjectId, HashSet<ObjectId>>,
+    inherits: PMap<ObjectId, PSet<ObjectId>>,
     /// pattern object → its inheritors.
-    inheritors: HashMap<ObjectId, HashSet<ObjectId>>,
+    inheritors: PMap<ObjectId, PSet<ObjectId>>,
     /// Items changed since the last version snapshot (drives delta version storage).
-    dirty: HashSet<ItemId>,
+    dirty: PSet<ItemId>,
     /// Items changed since the durability layer last flushed (drives per-item write-through;
     /// only populated while `journal` is on, so non-durable databases pay nothing).
-    changed: HashSet<ItemId>,
+    changed: PSet<ItemId>,
     /// Whether the change journal is recording (enabled by `Database::open_durable`).
     journal: bool,
     next_object: u64,
@@ -95,25 +103,30 @@ impl DataStore {
     // ----- dirty tracking -------------------------------------------------------------------------
 
     /// Items changed since the dirty set was last drained (used by the version manager).
-    pub fn dirty_items(&self) -> &HashSet<ItemId> {
+    pub fn dirty_items(&self) -> &PSet<ItemId> {
         &self.dirty
     }
 
     /// Clears the dirty set (after a version snapshot has recorded the changes).
     pub fn clear_dirty(&mut self) {
-        self.dirty.clear();
+        self.dirty = PSet::new();
     }
 
     fn mark_dirty(&mut self, item: ItemId) {
-        self.dirty.insert(item);
-        if self.journal {
-            self.changed.insert(item);
+        // Test first: inserting a present key would still copy the path it shares.
+        if !self.dirty.contains_key(&item) {
+            self.dirty.insert(item, ());
+        }
+        if self.journal && !self.changed.contains_key(&item) {
+            self.changed.insert(item, ());
         }
     }
 
     /// Marks a set of items dirty (used when restoring a persisted dirty set).
     pub fn mark_dirty_bulk(&mut self, items: &[ItemId]) {
-        self.dirty.extend(items.iter().copied());
+        for item in items {
+            self.dirty.insert(*item, ());
+        }
     }
 
     /// Sets one item's dirty flag directly, without journaling — used when mirroring a shipped
@@ -121,7 +134,7 @@ impl DataStore {
     /// persisted dirty set rather than the local mutations that applied the batch.
     pub fn sync_dirty_mark(&mut self, item: ItemId, dirty: bool) {
         if dirty {
-            self.dirty.insert(item);
+            self.dirty.insert(item, ());
         } else {
             self.dirty.remove(&item);
         }
@@ -135,31 +148,31 @@ impl DataStore {
     pub fn set_journal(&mut self, enabled: bool) {
         self.journal = enabled;
         if !enabled {
-            self.changed.clear();
+            self.changed = PSet::new();
         }
     }
 
     /// Drains the change journal, returning the items touched since the last drain in sorted
     /// order (deterministic storage-transaction layout).
     pub fn take_changed(&mut self) -> Vec<ItemId> {
-        let mut items: Vec<ItemId> = self.changed.drain().collect();
-        items.sort();
-        items
+        std::mem::take(&mut self.changed).keys().copied().collect()
     }
 
     /// Puts drained items back into the change journal — used when staging them to storage
     /// failed after the drain, so a later commit retries instead of silently dropping them.
     pub fn requeue_changed(&mut self, items: &[ItemId]) {
         if self.journal {
-            self.changed.extend(items.iter().copied());
+            for item in items {
+                self.changed.insert(*item, ());
+            }
         }
     }
 
-    /// Brings the changed items to their given states — the O(delta) patch behind snapshot
-    /// publication and incremental replica apply.  Index maintenance rides on the ordinary
-    /// mutators, and the changes are applied in id order, so the result matches a store built
-    /// from the new states directly.  An object's inherits-links travel with it, as in the
-    /// durable codec, where the object record carries them.
+    /// Brings the changed items to their given states — the O(delta) patch behind incremental
+    /// replica apply.  Index maintenance rides on the ordinary mutators, and the changes are
+    /// applied in id order, so the result matches a store built from the new states directly.
+    /// An object's inherits-links travel with it, as in the durable codec, where the object
+    /// record carries them.
     pub(crate) fn apply_changes(
         &mut self,
         mut objects: Vec<ObjectChange>,
@@ -168,9 +181,10 @@ impl DataStore {
         objects.sort_by_key(|(id, _)| *id);
         relationships.sort_by_key(|(id, _)| *id);
         // Cross-item renames within one delta (A→B while B→A) would corrupt the name index if
-        // patched in place, because `update_object` unconditionally re-inserts the new name:
-        // park every live-and-renamed (or removed) object under a collision-free temporary name
-        // first, then apply the real records.
+        // patched in place, because `update_object` drops the entry of the old name, which an
+        // object patched earlier may already own: park every live object that the delta
+        // renames, tombstones or removes under a collision-free temporary name first, then
+        // apply the real records.
         for (oid, change) in &objects {
             let stale = match self.object(*oid) {
                 Some(rec) if !rec.deleted => rec,
@@ -178,7 +192,7 @@ impl DataStore {
             };
             let needs_parking = match change {
                 None => true,
-                Some((new, _)) => new.name.to_string() != stale.name.to_string(),
+                Some((new, _)) => new.deleted || new.name != stale.name,
             };
             if needs_parking {
                 let parked = format!("\u{1}parked-{}", oid.0);
@@ -235,26 +249,26 @@ impl DataStore {
             // live records enter the live indexes.  (A replayed tombstone must never shadow a
             // live object's name-index entry, and the planner's extent estimates count these
             // sets.)
-            self.name_index.insert(record.name.to_string(), id);
-            self.class_extent.entry(record.class).or_default().insert(id);
+            self.name_index.insert(record.name.to_string().into(), id);
+            self.class_extent.add_to_set(record.class, id);
             self.value_index.insert(record.class, &record.value, id);
         }
         if let Some(parent) = record.parent {
-            self.children.entry(parent).or_default().push(id);
+            self.children.add_to_set(parent, id);
         }
         self.next_object = self.next_object.max(id.0);
-        self.objects.insert(id, record);
+        self.objects.insert(id, Arc::new(record));
         self.mark_dirty(ItemId::Object(id));
     }
 
     /// Looks up an object record (live or deleted).
     pub fn object(&self, id: ObjectId) -> Option<&ObjectRecord> {
-        self.objects.get(&id)
+        self.objects.get(&id).map(|o| &**o)
     }
 
     /// Looks up a *live* object record.
     pub fn live_object(&self, id: ObjectId) -> Option<&ObjectRecord> {
-        self.objects.get(&id).filter(|o| !o.deleted)
+        self.object(id).filter(|o| !o.deleted)
     }
 
     /// Looks up a live object by its full name.
@@ -270,42 +284,33 @@ impl DataStore {
     /// Mutates an object record through a closure; maintains the secondary indexes and the
     /// dirty set.  Returns `false` if the object does not exist.
     pub fn update_object(&mut self, id: ObjectId, f: impl FnOnce(&mut ObjectRecord)) -> bool {
-        // Take a snapshot of index-relevant fields, mutate, then fix the indexes.
-        let Some(record) = self.objects.get_mut(&id) else { return false };
-        let old_name = record.name.to_string();
-        let old_class = record.class;
-        let old_key = IndexKey::of(&record.value);
-        let was_deleted = record.deleted;
-        f(record);
-        let new_name = record.name.to_string();
-        let new_class = record.class;
-        let new_key = IndexKey::of(&record.value);
-        let now_deleted = record.deleted;
-
-        if old_name != new_name || (!was_deleted && now_deleted) {
-            self.name_index.remove(&old_name);
-        }
-        if !now_deleted {
-            self.name_index.insert(new_name, id);
-        }
-        if old_class != new_class || now_deleted != was_deleted {
-            if let Some(ext) = self.class_extent.get_mut(&old_class) {
-                ext.remove(&id);
+        let Some(slot) = self.objects.get_mut(&id) else { return false };
+        // Keep the old record to fix the indexes against; the write goes to a copy.
+        let old = Arc::clone(slot);
+        f(Arc::make_mut(slot));
+        let new = Arc::clone(slot);
+        let liveness_changed = old.deleted != new.deleted;
+        if old.name != new.name || liveness_changed {
+            // Only live records hold index entries.
+            if !old.deleted {
+                self.name_index.remove(old.name.to_string().as_str());
             }
-            if !now_deleted {
-                self.class_extent.entry(new_class).or_default().insert(id);
+            if !new.deleted {
+                self.name_index.insert(new.name.to_string().into(), id);
             }
         }
-        if old_class != new_class || old_key != new_key || now_deleted != was_deleted {
-            if !was_deleted {
-                if let Some(key) = old_key {
-                    self.value_index.remove_key(old_class, &key, id);
-                }
+        if old.class != new.class || liveness_changed {
+            self.class_extent.remove_from_set(&old.class, &id);
+            if !new.deleted {
+                self.class_extent.add_to_set(new.class, id);
             }
-            if !now_deleted {
-                if let Some(key) = new_key {
-                    self.value_index.insert_key(new_class, key, id);
-                }
+        }
+        if old.class != new.class || old.value != new.value || liveness_changed {
+            if !old.deleted {
+                self.value_index.remove(old.class, &old.value, id);
+            }
+            if !new.deleted {
+                self.value_index.insert(new.class, &new.value, id);
             }
         }
         self.mark_dirty(ItemId::Object(id));
@@ -317,71 +322,60 @@ impl DataStore {
         self.update_object(id, |o| o.deleted = true)
     }
 
-    /// Physically removes an object from the store and all indexes.  Only used to roll back a
-    /// creation inside an aborted transaction — versioned data is never removed physically.
-    pub fn remove_object(&mut self, id: ObjectId) -> Option<ObjectRecord> {
-        let record = self.objects.remove(&id)?;
+    /// Physically removes an object from the store and all indexes.  Only
+    /// `DataStore::apply_changes` calls it, for an object a replica's batch deleted —
+    /// versioned data is never removed physically.
+    pub fn remove_object(&mut self, id: ObjectId) -> bool {
+        let Some(record) = self.objects.remove(&id) else { return false };
         if !record.deleted {
             // Tombstoned records left the live indexes when they were tombstoned; touching the
             // name index here could otherwise evict a live object that has reused the name.
-            self.name_index.remove(&record.name.to_string());
+            self.name_index.remove(record.name.to_string().as_str());
             self.value_index.remove(record.class, &record.value, id);
         }
-        if let Some(ext) = self.class_extent.get_mut(&record.class) {
-            ext.remove(&id);
-        }
+        self.class_extent.remove_from_set(&record.class, &id);
         if let Some(parent) = record.parent {
-            if let Some(children) = self.children.get_mut(&parent) {
-                children.retain(|c| *c != id);
-            }
+            self.children.remove_from_set(&parent, &id);
         }
         self.children.remove(&id);
         self.adjacency.remove(&id);
         self.dirty.remove(&ItemId::Object(id));
         if self.journal {
-            self.changed.insert(ItemId::Object(id));
+            self.changed.insert(ItemId::Object(id), ());
         }
         // Drop any inherits links touching the object.
         if let Some(patterns) = self.inherits.remove(&id) {
-            for p in patterns {
-                if let Some(s) = self.inheritors.get_mut(&p) {
-                    s.remove(&id);
-                }
+            for p in patterns.keys() {
+                self.inheritors.remove_from_set(p, &id);
             }
         }
         if let Some(inheritors) = self.inheritors.remove(&id) {
-            for i in inheritors {
-                if let Some(s) = self.inherits.get_mut(&i) {
-                    s.remove(&id);
-                }
+            for i in inheritors.keys() {
+                self.inherits.remove_from_set(i, &id);
             }
         }
-        Some(record)
+        true
     }
 
-    /// Physically removes a relationship (rollback of an aborted creation only).
-    pub fn remove_relationship(&mut self, id: RelationshipId) -> Option<RelationshipRecord> {
-        let record = self.relationships.remove(&id)?;
-        if let Some(ext) = self.association_extent.get_mut(&record.association) {
-            ext.remove(&id);
-        }
+    /// Physically removes a relationship (only `DataStore::apply_changes` calls it).
+    pub fn remove_relationship(&mut self, id: RelationshipId) -> bool {
+        let Some(record) = self.relationships.remove(&id) else { return false };
+        self.association_extent.remove_from_set(&record.association, &id);
         for (_, obj) in &record.bindings {
-            if let Some(adj) = self.adjacency.get_mut(obj) {
-                adj.remove(&id);
-            }
+            self.adjacency.remove_from_set(obj, &id);
         }
         self.dirty.remove(&ItemId::Relationship(id));
         if self.journal {
-            self.changed.insert(ItemId::Relationship(id));
+            self.changed.insert(ItemId::Relationship(id), ());
         }
-        Some(record)
+        true
     }
 
-    /// Live dependent objects of `parent`.
+    /// Live dependent objects of `parent`, in id (creation) order.
     pub fn children_of(&self, parent: ObjectId) -> Vec<&ObjectRecord> {
         self.children
             .get(&parent)
-            .map(|ids| ids.iter().filter_map(|id| self.live_object(*id)).collect())
+            .map(|ids| ids.keys().filter_map(|id| self.live_object(*id)).collect())
             .unwrap_or_default()
     }
 
@@ -394,29 +388,29 @@ impl DataStore {
     pub fn extent(&self, class: ClassId) -> Vec<&ObjectRecord> {
         self.class_extent
             .get(&class)
-            .map(|ids| ids.iter().filter_map(|id| self.live_object(*id)).collect())
+            .map(|ids| ids.keys().filter_map(|id| self.live_object(*id)).collect())
             .unwrap_or_default()
     }
 
     /// All object records, including deleted ones (used by persistence and versioning).
     pub fn all_objects(&self) -> impl Iterator<Item = &ObjectRecord> {
-        self.objects.values()
+        self.objects.values().map(|o| &**o)
     }
 
     /// All live, visible (non-pattern) objects.
     pub fn visible_objects(&self) -> impl Iterator<Item = &ObjectRecord> {
-        self.objects.values().filter(|o| o.is_visible())
+        self.all_objects().filter(|o| o.is_visible())
     }
 
     /// Number of live objects (patterns included).
     pub fn live_object_count(&self) -> usize {
-        self.objects.values().filter(|o| !o.deleted).count()
+        self.all_objects().filter(|o| !o.deleted).count()
     }
 
     /// Live objects whose name starts with `prefix` (in name order).
     pub fn objects_with_name_prefix(&self, prefix: &str) -> Vec<&ObjectRecord> {
         self.name_index
-            .range(prefix.to_string()..)
+            .range(Arc::<str>::from(prefix)..)
             .take_while(|(name, _)| name.starts_with(prefix))
             .filter_map(|(_, id)| self.live_object(*id))
             .collect()
@@ -427,7 +421,7 @@ impl DataStore {
     /// stops counting at the competing scan cost instead of walking the whole index).
     pub fn name_prefix_count(&self, prefix: &str, cap: usize) -> usize {
         self.name_index
-            .range(prefix.to_string()..)
+            .range(Arc::<str>::from(prefix)..)
             .take_while(|(name, _)| name.starts_with(prefix))
             .take(cap)
             .count()
@@ -459,7 +453,7 @@ impl DataStore {
     /// Number of live objects of exactly `class` (patterns included) — the planner's scan-cost
     /// proxy, read off the class extent without touching records.
     pub fn extent_size(&self, class: ClassId) -> usize {
-        self.class_extent.get(&class).map(HashSet::len).unwrap_or(0)
+        self.class_extent.get(&class).map(PMap::len).unwrap_or(0)
     }
 
     /// Read access to the secondary value index.
@@ -474,24 +468,24 @@ impl DataStore {
         let id = record.id;
         if !record.deleted {
             // Same rule as insert_object: replayed tombstones stay out of the live indexes.
-            self.association_extent.entry(record.association).or_default().insert(id);
+            self.association_extent.add_to_set(record.association, id);
             for (_, obj) in &record.bindings {
-                self.adjacency.entry(*obj).or_default().insert(id);
+                self.adjacency.add_to_set(*obj, id);
             }
         }
         self.next_relationship = self.next_relationship.max(id.0);
-        self.relationships.insert(id, record);
+        self.relationships.insert(id, Arc::new(record));
         self.mark_dirty(ItemId::Relationship(id));
     }
 
     /// Looks up a relationship record (live or deleted).
     pub fn relationship(&self, id: RelationshipId) -> Option<&RelationshipRecord> {
-        self.relationships.get(&id)
+        self.relationships.get(&id).map(|r| &**r)
     }
 
     /// Looks up a live relationship record.
     pub fn live_relationship(&self, id: RelationshipId) -> Option<&RelationshipRecord> {
-        self.relationships.get(&id).filter(|r| !r.deleted)
+        self.relationship(id).filter(|r| !r.deleted)
     }
 
     /// Mutates a relationship record; maintains indexes and the dirty set.
@@ -500,32 +494,24 @@ impl DataStore {
         id: RelationshipId,
         f: impl FnOnce(&mut RelationshipRecord),
     ) -> bool {
-        let Some(record) = self.relationships.get_mut(&id) else { return false };
-        let old_assoc = record.association;
-        let old_objects: Vec<ObjectId> = record.objects();
-        let was_deleted = record.deleted;
-        f(record);
-        let new_assoc = record.association;
-        let new_objects: Vec<ObjectId> = record.objects();
-        let now_deleted = record.deleted;
-
-        if old_assoc != new_assoc || now_deleted != was_deleted {
-            if let Some(ext) = self.association_extent.get_mut(&old_assoc) {
-                ext.remove(&id);
-            }
-            if !now_deleted {
-                self.association_extent.entry(new_assoc).or_default().insert(id);
+        let Some(slot) = self.relationships.get_mut(&id) else { return false };
+        let old = Arc::clone(slot);
+        f(Arc::make_mut(slot));
+        let new = Arc::clone(slot);
+        let liveness_changed = old.deleted != new.deleted;
+        if old.association != new.association || liveness_changed {
+            self.association_extent.remove_from_set(&old.association, &id);
+            if !new.deleted {
+                self.association_extent.add_to_set(new.association, id);
             }
         }
-        if old_objects != new_objects || now_deleted != was_deleted {
-            for obj in &old_objects {
-                if let Some(adj) = self.adjacency.get_mut(obj) {
-                    adj.remove(&id);
-                }
+        if old.bindings != new.bindings || liveness_changed {
+            for obj in old.objects() {
+                self.adjacency.remove_from_set(&obj, &id);
             }
-            if !now_deleted {
-                for obj in &new_objects {
-                    self.adjacency.entry(*obj).or_default().insert(id);
+            if !new.deleted {
+                for obj in new.objects() {
+                    self.adjacency.add_to_set(obj, id);
                 }
             }
         }
@@ -542,7 +528,7 @@ impl DataStore {
     pub fn association_extent(&self, association: AssociationId) -> Vec<&RelationshipRecord> {
         self.association_extent
             .get(&association)
-            .map(|ids| ids.iter().filter_map(|id| self.live_relationship(*id)).collect())
+            .map(|ids| ids.keys().filter_map(|id| self.live_relationship(*id)).collect())
             .unwrap_or_default()
     }
 
@@ -550,76 +536,55 @@ impl DataStore {
     pub fn relationships_of(&self, object: ObjectId) -> Vec<&RelationshipRecord> {
         self.adjacency
             .get(&object)
-            .map(|ids| ids.iter().filter_map(|id| self.live_relationship(*id)).collect())
+            .map(|ids| ids.keys().filter_map(|id| self.live_relationship(*id)).collect())
             .unwrap_or_default()
     }
 
     /// All relationship records, including deleted ones.
     pub fn all_relationships(&self) -> impl Iterator<Item = &RelationshipRecord> {
-        self.relationships.values()
+        self.relationships.values().map(|r| &**r)
     }
 
     /// Number of live relationships (patterns included).
     pub fn live_relationship_count(&self) -> usize {
-        self.relationships.values().filter(|r| !r.deleted).count()
+        self.all_relationships().filter(|r| !r.deleted).count()
     }
 
     // ----- pattern inheritance links -----------------------------------------------------------------
 
     /// Records that `inheritor` inherits `pattern`.
     pub fn add_inherits(&mut self, inheritor: ObjectId, pattern: ObjectId) {
-        self.inherits.entry(inheritor).or_default().insert(pattern);
-        self.inheritors.entry(pattern).or_default().insert(inheritor);
+        self.inherits.add_to_set(inheritor, pattern);
+        self.inheritors.add_to_set(pattern, inheritor);
         self.mark_dirty(ItemId::Object(inheritor));
     }
 
     /// Removes an inherits link.
     pub fn remove_inherits(&mut self, inheritor: ObjectId, pattern: ObjectId) -> bool {
-        let removed =
-            self.inherits.get_mut(&inheritor).map(|s| s.remove(&pattern)).unwrap_or(false);
+        let removed = self.inherits.remove_from_set(&inheritor, &pattern);
         if removed {
-            if let Some(s) = self.inheritors.get_mut(&pattern) {
-                s.remove(&inheritor);
-            }
+            self.inheritors.remove_from_set(&pattern, &inheritor);
             self.mark_dirty(ItemId::Object(inheritor));
         }
         removed
     }
 
-    /// Patterns inherited by `inheritor`.
+    /// Patterns inherited by `inheritor`, sorted.
     pub fn inherited_patterns(&self, inheritor: ObjectId) -> Vec<ObjectId> {
-        self.inherits
-            .get(&inheritor)
-            .map(|s| {
-                let mut v: Vec<ObjectId> = s.iter().copied().collect();
-                v.sort();
-                v
-            })
-            .unwrap_or_default()
+        self.inherits.get(&inheritor).map(|s| s.keys().copied().collect()).unwrap_or_default()
     }
 
-    /// Inheritors of `pattern`.
+    /// Inheritors of `pattern`, sorted.
     pub fn inheritors_of(&self, pattern: ObjectId) -> Vec<ObjectId> {
-        self.inheritors
-            .get(&pattern)
-            .map(|s| {
-                let mut v: Vec<ObjectId> = s.iter().copied().collect();
-                v.sort();
-                v
-            })
-            .unwrap_or_default()
+        self.inheritors.get(&pattern).map(|s| s.keys().copied().collect()).unwrap_or_default()
     }
 
-    /// All `(inheritor, pattern)` pairs (used by persistence).
+    /// All `(inheritor, pattern)` pairs, sorted (used by persistence).
     pub fn all_inherits_links(&self) -> Vec<(ObjectId, ObjectId)> {
-        let mut out = Vec::new();
-        for (inheritor, patterns) in &self.inherits {
-            for pattern in patterns {
-                out.push((*inheritor, *pattern));
-            }
-        }
-        out.sort();
-        out
+        self.inherits
+            .iter()
+            .flat_map(|(inheritor, patterns)| patterns.keys().map(|pattern| (*inheritor, *pattern)))
+            .collect()
     }
 }
 
@@ -724,7 +689,7 @@ mod tests {
         store.clear_dirty();
         assert!(store.dirty_items().is_empty());
         store.update_object(alarms, |o| o.value = Value::string("x"));
-        assert!(store.dirty_items().contains(&ItemId::Object(alarms)));
+        assert!(store.dirty_items().contains_key(&ItemId::Object(alarms)));
     }
 
     #[test]
@@ -789,13 +754,13 @@ mod tests {
         assert!(store.objects_by_value(ClassId(0), ValueOp::Eq, "9").is_empty());
         assert_eq!(store.objects_by_value(ClassId(3), ValueOp::Eq, "9")[0].id, a);
 
-        // Tombstoning removes; restoring a live record (undo) re-adds.
+        // Tombstoning removes; restoring a live record (a replica patch) re-adds.
         store.tombstone_object(a);
         assert!(store.objects_by_value(ClassId(3), ValueOp::Eq, "9").is_empty());
         store.update_object(a, |o| o.deleted = false);
         assert_eq!(store.objects_by_value(ClassId(3), ValueOp::Eq, "9")[0].id, a);
 
-        // Physical removal (transaction rollback) drops the entry.
+        // Physical removal (a replica patch) drops the entry.
         store.remove_object(b);
         assert!(store.objects_by_value(ClassId(0), ValueOp::Eq, "x").is_empty());
         assert_eq!(store.value_index().entry_count(ClassId(0)), 0);
@@ -861,5 +826,24 @@ mod tests {
         assert_eq!(store.objects_with_name_prefix("Alarms").len(), 2);
         assert_eq!(store.objects_with_name_prefix("Alarm").len(), 3);
         assert_eq!(store.objects_with_name_prefix("Z").len(), 0);
+    }
+
+    #[test]
+    fn a_patch_that_deletes_a_name_and_gives_it_to_an_older_object_keeps_the_entry() {
+        // One replica batch: delete "A", then rename the older object "B" to "A".  B is
+        // patched first (lower id) and takes the name; A's tombstone must not take it away.
+        let mut store = DataStore::new();
+        let b = obj(&mut store, "B", 0);
+        let a = obj(&mut store, "A", 0);
+        let mut renamed = store.object(b).unwrap().clone();
+        renamed.name = ObjectName::root("A");
+        let mut deleted = store.object(a).unwrap().clone();
+        deleted.deleted = true;
+        store.apply_changes(
+            vec![(b, Some((renamed, vec![]))), (a, Some((deleted, vec![])))],
+            vec![],
+        );
+        assert_eq!(store.object_by_name("A").map(|o| o.id), Some(b));
+        assert!(store.object_by_name("B").is_none());
     }
 }

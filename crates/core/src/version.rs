@@ -152,7 +152,7 @@ impl VersionManager {
                 return Err(SeedError::Version(format!("parent version {p} does not exist")));
             }
         }
-        let dirty: Vec<ItemId> = store.dirty_items().iter().copied().collect();
+        let dirty: Vec<ItemId> = store.dirty_items().keys().copied().collect();
         let mut delta_size = 0usize;
         for item in dirty {
             let snapshot = match item {

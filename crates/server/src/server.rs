@@ -105,8 +105,8 @@ const RETIRED_ACK_CAP: usize = 16;
 
 impl SeedServer {
     /// Creates a server around an existing database.
-    pub fn new(mut db: Database) -> Self {
-        let snapshots = SnapshotCell::new(&mut db);
+    pub fn new(db: Database) -> Self {
+        let snapshots = SnapshotCell::new(&db);
         // A fenced primary stays fenced across restarts: the fence was persisted to meta.
         let fenced = db.fenced_to().map(|p| (p.to_string(), db.topology_epoch()));
         Self {
@@ -234,7 +234,7 @@ impl SeedServer {
         *self.read_only.lock() = None;
         *self.replica_progress.lock() = None;
         *self.fenced.lock() = None;
-        self.snapshots.publish(&mut slot);
+        self.snapshots.publish(&slot);
     }
 
     /// Replaces the served database wholesale and publishes a fresh snapshot (the replica
@@ -243,7 +243,7 @@ impl SeedServer {
     pub fn replace_database(&self, db: Database) {
         let mut slot = self.db.write();
         *slot = db;
-        self.snapshots.publish(&mut slot);
+        self.snapshots.publish(&slot);
     }
 
     /// Like [`SeedServer::replace_database`], keying the published snapshot to an explicit
@@ -251,7 +251,7 @@ impl SeedServer {
     pub fn replace_database_at(&self, db: Database, lsn: u64) {
         let mut slot = self.db.write();
         *slot = db;
-        self.snapshots.publish_at(&mut slot, Some(lsn));
+        self.snapshots.publish_at(&slot, Some(lsn));
     }
 
     /// Runs a mutating closure under the database write lock, then publishes a new snapshot —
@@ -259,7 +259,7 @@ impl SeedServer {
     pub fn with_database_mut<R>(&self, f: impl FnOnce(&mut Database) -> R) -> R {
         let mut db = self.db.write();
         let result = f(&mut db);
-        self.snapshots.publish(&mut db);
+        self.snapshots.publish(&db);
         result
     }
 
@@ -269,7 +269,7 @@ impl SeedServer {
     pub fn with_database_mut_at<R>(&self, lsn: u64, f: impl FnOnce(&mut Database) -> R) -> R {
         let mut db = self.db.write();
         let result = f(&mut db);
-        self.snapshots.publish_at(&mut db, Some(lsn));
+        self.snapshots.publish_at(&db, Some(lsn));
         result
     }
 
@@ -286,7 +286,7 @@ impl SeedServer {
         let mut db = self.db.write();
         let result = f(&mut db);
         if result.is_ok() {
-            self.snapshots.publish_at(&mut db, Some(lsn));
+            self.snapshots.publish_at(&db, Some(lsn));
         }
         result
     }
@@ -471,9 +471,9 @@ impl SeedServer {
     /// Checkpoints the durable storage (errors when the database is in-memory).  Publishes a
     /// snapshot on success so the status surface sees the truncated WAL immediately.
     pub fn checkpoint(&self) -> ServerResult<()> {
-        let mut db = self.db.write();
+        let db = self.db.write();
         db.checkpoint().map_err(ServerError::Rejected)?;
-        self.snapshots.publish(&mut db);
+        self.snapshots.publish(&db);
         Ok(())
     }
 
@@ -805,7 +805,7 @@ impl SeedServer {
                 db.commit_transaction().map_err(ServerError::Rejected)?;
                 // Publish before releasing the write lock: once any reader can observe the
                 // released locks, the serving snapshot already contains this check-in.
-                self.snapshots.publish(&mut db);
+                self.snapshots.publish(&db);
                 drop(db);
                 self.release(client);
                 Ok(())
@@ -922,7 +922,7 @@ impl SeedServer {
         let mut db = self.db.write();
         Self::guard_unfenced(&db)?;
         let version = db.create_version(comment).map_err(ServerError::Rejected)?;
-        self.snapshots.publish(&mut db);
+        self.snapshots.publish(&db);
         Ok(version)
     }
 
@@ -998,28 +998,18 @@ impl SeedServer {
     }
 
     /// Spawns a server thread servicing requests over a channel; returns a cloneable handle.
+    /// The thread owns the server and hands it back from `join` once it stops.
     pub fn spawn(self) -> (ServerHandle, JoinHandle<SeedServer>) {
-        let server = Arc::new(self);
         let (tx, rx) = unbounded::<(Request, Sender<Response>)>();
-        let thread_server = server.clone();
         let join = std::thread::spawn(move || {
             while let Ok((request, reply)) = rx.recv() {
                 let shutdown = matches!(request, Request::Shutdown);
-                let response = thread_server.handle(request);
-                let _ = reply.send(response);
+                let _ = reply.send(self.handle(request));
                 if shutdown {
                     break;
                 }
             }
-            // Hand the server back to the caller when the thread finishes.
-            Arc::try_unwrap(thread_server).unwrap_or_else(|arc| {
-                // A handle still exists; clone the database out so callers can inspect it.
-                SeedServer::new(arc.with_database(|db| {
-                    // Databases are not `Clone`; rebuild from persistence parts is overkill here,
-                    // so return an empty database over the same schema.
-                    Database::new(db.schema().clone())
-                }))
-            })
+            self
         });
         (ServerHandle { tx: Some(tx) }, join)
     }

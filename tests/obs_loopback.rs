@@ -7,12 +7,17 @@
 //! between two `Stats` snapshots inside one test.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::Duration;
 
 use seed::core::Database;
 use seed::net::{RemoteClient, ReplicaNode, SeedNetServer};
 use seed::schema::figure3_schema;
 use seed::server::{ReplicationRole, SeedServer, Update};
+
+/// The `repl_ack_lag` gauge is process-global, and the two replica tests below both write and
+/// assert on it, so they take turns.
+static ACK_LAG_GAUGE: Mutex<()> = Mutex::new(());
 
 fn temp_dir(name: &str) -> std::path::PathBuf {
     static DIRS: AtomicU64 = AtomicU64::new(0);
@@ -28,6 +33,7 @@ fn stats_and_health_round_trip_with_consistent_counters_after_a_mixed_workload()
     if !seed::obs::recording_compiled_in() {
         return; // compiled with seed-obs/off: there is nothing to count
     }
+    let _gauge = ACK_LAG_GAUGE.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     let primary_dir = temp_dir("primary");
     let replica_dir = temp_dir("replica");
     let db = Database::create_durable(&primary_dir, figure3_schema()).unwrap();
@@ -113,6 +119,7 @@ fn failover_flips_health_and_resets_the_ack_lag_gauge() {
     if !seed::obs::recording_compiled_in() {
         return; // compiled with seed-obs/off: gauges and health detail are not recorded
     }
+    let _gauge = ACK_LAG_GAUGE.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     let primary_dir = temp_dir("fo-primary");
     let replica_dir = temp_dir("fo-replica");
     let db = Database::create_durable(&primary_dir, figure3_schema()).unwrap();
