@@ -658,6 +658,7 @@ mod tests {
 mod proptests {
     use super::test_support::{assert_same_state, temp_dir};
     use super::*;
+    use crate::replica::{snapshot_records, ReplicaStore};
     use crate::value::Value;
     use proptest::prelude::*;
     use seed_schema::figure3_schema;
@@ -826,6 +827,145 @@ mod proptests {
             let reopened = Database::open_durable(&dir).unwrap();
             assert_same_state(&live, &reopened, true);
             let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// One step of the lockstep oracle.  Every step ends with no explicit transaction open, so
+    /// after it the live database is exactly the committed state every other copy must hold.
+    #[derive(Debug, Clone)]
+    enum Step {
+        /// One auto-committed mutation (create, update, delete, re-classify, link, version).
+        Op(Op),
+        PublishSchema,
+        DeleteVersion(u8),
+        /// `begin_transaction`, the ops, then commit (`true`) or rollback.
+        Txn(Vec<Op>, bool),
+        Checkpoint,
+    }
+
+    fn arb_step() -> impl Strategy<Value = Step> {
+        (0u8..11, arb_op(), proptest::collection::vec(arb_op(), 1..6), any::<bool>(), 0u8..4)
+            .prop_map(|(kind, op, ops, commit, i)| match kind {
+                0..=5 => Step::Op(op),
+                6 => Step::PublishSchema,
+                7 => Step::DeleteVersion(i),
+                8 | 9 => Step::Txn(ops, commit),
+                _ => Step::Checkpoint,
+            })
+    }
+
+    /// Transaction control belongs to [`Step::Txn`]; inside a step it is skipped.
+    fn is_txn_control(op: &Op) -> bool {
+        matches!(op, Op::Begin | Op::Commit | Op::Rollback)
+    }
+
+    fn run_step(db: &mut Database, step: &Step) {
+        match step {
+            Step::Op(op) if !is_txn_control(op) => {
+                apply(db, op);
+            }
+            Step::Op(_) => {}
+            Step::PublishSchema => {
+                db.publish_schema(figure3_schema()).unwrap();
+            }
+            Step::DeleteVersion(i) => {
+                let ids: Vec<VersionId> = db.versions().iter().map(|v| v.id.clone()).collect();
+                if !ids.is_empty() {
+                    db.delete_version(&ids[*i as usize % ids.len()]).unwrap();
+                }
+            }
+            Step::Txn(ops, commit) => {
+                db.begin_transaction().unwrap();
+                for op in ops.iter().filter(|op| !is_txn_control(op)) {
+                    apply(db, op);
+                }
+                if *commit {
+                    db.commit_transaction().unwrap();
+                } else {
+                    db.rollback_transaction().unwrap();
+                }
+            }
+            Step::Checkpoint => db.checkpoint().unwrap(),
+        }
+    }
+
+    /// The key space the encoder derives from the live database.
+    fn encoder_pairs(db: &Database) -> Vec<(Vec<u8>, Vec<u8>)> {
+        let engine = StorageEngine::in_memory().unwrap();
+        let txn = engine.begin().unwrap();
+        write_full(db, &engine, txn).unwrap();
+        engine.commit(txn).unwrap();
+        engine.scan_prefix(b"").unwrap()
+    }
+
+    /// Ships the primary's WAL tail past the replica's cursor as one incremental batch.
+    fn feed(replica: &mut ReplicaStore, primary: &Database) {
+        let records = match primary.wal_tail(replica.applied_lsn() + 1).unwrap() {
+            seed_storage::WalTail::Records(records) => records,
+            other => panic!("the retention floor must keep the replica's tail, got {other:?}"),
+        };
+        if let Some(&(up_to, _)) = records.last() {
+            let records: Vec<_> = records.into_iter().map(|(_, r)| r).collect();
+            replica.apply(&records, up_to, false).unwrap();
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+        /// Lockstep durability oracle: after every step of a random workload (mutations,
+        /// re-classification, versions, schema publication, explicit commit and rollback,
+        /// checkpoints — explicit and automatic), the live database agrees with every other
+        /// copy of its state: the directory dropped and reopened, a replica fed the WAL tail
+        /// incrementally, a second replica reset from the replication snapshot, and that
+        /// replica promoted to a primary.  The encoder's key space equals the durable one, so
+        /// a checkpoint image can be derived from memory.
+        #[test]
+        fn lockstep_memory_disk_and_replicas_agree(
+            steps in proptest::collection::vec(arb_step(), 1..14)
+        ) {
+            let dir = temp_dir("lockstep");
+            let incremental_dir = temp_dir("lockstep-incremental");
+            let config = seed_storage::EngineConfig {
+                checkpoint_wal_bytes: Some(2048),
+                segment_max_bytes: 512,
+                retention_budget_bytes: 1 << 30,
+            };
+            let mut db = Database::create_durable_with(&dir, figure3_schema(), config.clone())
+                .unwrap();
+            let mut incremental = ReplicaStore::open(&incremental_dir).unwrap();
+            for (i, step) in steps.iter().enumerate() {
+                db.set_replication_retention(Some(incremental.applied_lsn() + 1));
+                run_step(&mut db, step);
+                prop_assert!(!db.in_transaction());
+                let (durable_pairs, lsn) = db.replication_snapshot().unwrap();
+                prop_assert!(encoder_pairs(&db) == durable_pairs, "step {}: encoder differs", i);
+
+                let live = db.clone_for_snapshot();
+                let live_pairs = encoder_pairs(&live);
+                drop(db);
+                db = Database::open_durable_with(&dir, config.clone()).unwrap();
+                assert_same_state(&live, &db, true);
+                prop_assert!(encoder_pairs(&db) == live_pairs, "step {}: reopened differs", i);
+
+                feed(&mut incremental, &db);
+                let replica_db = incremental.load().unwrap();
+                assert_same_state(&live, &replica_db, true);
+                prop_assert!(encoder_pairs(&replica_db) == live_pairs, "step {}: replica", i);
+
+                let reset_dir = temp_dir("lockstep-reset");
+                let mut reset = ReplicaStore::open(&reset_dir).unwrap();
+                reset.apply(&snapshot_records(durable_pairs), lsn, true).unwrap();
+                let reset_db = reset.load().unwrap();
+                assert_same_state(&live, &reset_db, true);
+                prop_assert!(encoder_pairs(&reset_db) == live_pairs, "step {}: reset", i);
+                let promoted = reset.into_primary(1).unwrap();
+                assert_same_state(&live, &promoted, true);
+                drop(promoted);
+                let _ = std::fs::remove_dir_all(&reset_dir);
+            }
+            drop(db);
+            let _ = std::fs::remove_dir_all(&dir);
+            let _ = std::fs::remove_dir_all(&incremental_dir);
         }
     }
 }
