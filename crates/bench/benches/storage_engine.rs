@@ -1,4 +1,4 @@
-//! E7 — storage substrate micro-benchmarks: WAL appends and engine put/get.
+//! E7 — storage substrate micro-benchmarks: WAL appends and engine puts.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use seed_storage::{LogRecord, StorageEngine, WriteAheadLog};
@@ -30,19 +30,15 @@ fn engine(c: &mut Criterion) {
     group.sample_size(10);
     group.measurement_time(std::time::Duration::from_secs(2));
     group.warm_up_time(std::time::Duration::from_millis(300));
-    group.bench_function("engine_put_get_1000", |b| {
+    group.bench_function("engine_put_1000", |b| {
         b.iter(|| {
             let engine = StorageEngine::in_memory().unwrap();
             for i in 0..1000u32 {
-                engine.put(format!("obj/{i:05}").as_bytes(), &[0u8; 128]).unwrap();
+                let txn = engine.begin().unwrap();
+                engine.txn_put(txn, format!("obj/{i:05}").as_bytes(), &[0u8; 128]).unwrap();
+                engine.commit(txn).unwrap();
             }
-            let mut found = 0;
-            for i in 0..1000u32 {
-                if engine.get(format!("obj/{i:05}").as_bytes()).unwrap().is_some() {
-                    found += 1;
-                }
-            }
-            found
+            engine.durable_lsn()
         })
     });
     group.finish();

@@ -14,15 +14,18 @@
 //! | `v/<vid>/o<id:016x>`   | an object's delta snapshot recorded at version `vid` |
 //! | `v/<vid>/r<id:016x>`   | a relationship's delta snapshot recorded at `vid` |
 //! | `d/o<id:016x>` etc.    | presence marker: the item is dirty (changed since the last version snapshot) |
+//! | `repl/applied`         | a replica's cursor: the last primary LSN applied (replica stores only) |
 //!
 //! Ids are zero-padded hexadecimal so that lexicographic key order equals numeric id order and
-//! prefix/range scans (`o/`, `v/1.0/`, ...) retrieve exactly one kind of record.  All values go
-//! through the storage crate's explicit little-endian codec; nothing here touches serde.
+//! each prefix (`o/`, `v/1.0/`, ...) names exactly one kind of record.  All values go through
+//! the storage crate's explicit little-endian codec; nothing here touches serde.
 
 use seed_schema::{
     AssociationId, AttachedProcedure, Cardinality, ClassId, Domain, RelationshipAttribute, Role,
     Schema, SchemaVersionId,
 };
+use std::fmt::Write as _;
+
 use seed_storage::{Decoder, Encoder};
 
 use crate::error::{SeedError, SeedResult};
@@ -38,7 +41,7 @@ use crate::version::{ItemSnapshot, VersionInfo};
 pub(crate) const FORMAT_VERSION: u32 = 1;
 
 /// The key of the meta record.
-pub(crate) const KEY_META: &[u8] = b"meta";
+pub(crate) const KEY_META: &str = "meta";
 
 // --------------------------------------------------------------------------------------------
 // Key construction and parsing
@@ -52,47 +55,107 @@ pub(crate) const PREFIX_VERSION_INFO: &[u8] = b"vi/";
 pub(crate) const PREFIX_VERSION_DELTA: &[u8] = b"v/";
 pub(crate) const PREFIX_DIRTY: &[u8] = b"d/";
 
-/// `o/<id:016x>`
-pub(crate) fn object_key(id: ObjectId) -> Vec<u8> {
-    format!("o/{:016x}", id.0).into_bytes()
+/// Key holding a replica's durable cursor: the last primary LSN whose effects are committed
+/// locally.  Outside every per-item prefix, so it carries no database state.
+pub(crate) const KEY_APPLIED: &str = "repl/applied";
+
+/// One key of the layout (the table above), written straight into a buffer
+/// ([`Key::write_to`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Key<'a> {
+    Meta,
+    Applied,
+    Object(ObjectId),
+    Relationship(RelationshipId),
+    Schema(SchemaVersionId),
+    VersionInfo(&'a VersionId),
+    VersionDelta(&'a VersionId, ItemId),
+    Dirty(ItemId),
 }
 
-/// `r/<id:016x>`
-pub(crate) fn relationship_key(id: RelationshipId) -> Vec<u8> {
-    format!("r/{:016x}", id.0).into_bytes()
+impl Key<'_> {
+    /// Writes the key's bytes (hot keys without the formatting machinery: a checkpoint
+    /// writes one per item).
+    pub(crate) fn write_to(self, e: &mut Encoder) {
+        match self {
+            Key::Meta => {
+                e.put_raw(KEY_META.as_bytes());
+            }
+            Key::Applied => {
+                e.put_raw(KEY_APPLIED.as_bytes());
+            }
+            Key::Object(id) => put_hex(e.put_raw(b"o/"), id.0, 16),
+            Key::Relationship(id) => put_hex(e.put_raw(b"r/"), id.0, 16),
+            Key::Schema(id) => put_hex(e.put_raw(b"s/"), u64::from(id.0), 8),
+            Key::VersionInfo(vid) => {
+                write!(e, "vi/{vid}").expect("writing into a buffer cannot fail");
+            }
+            Key::VersionDelta(vid, item) => {
+                write!(e, "v/{vid}/").expect("writing into a buffer cannot fail");
+                put_item_suffix(e, item);
+            }
+            Key::Dirty(item) => put_item_suffix(e.put_raw(b"d/"), item),
+        }
+    }
+
+    /// The key's bytes.
+    pub(crate) fn to_vec(self) -> Vec<u8> {
+        let mut e = Encoder::new();
+        self.write_to(&mut e);
+        e.finish()
+    }
+}
+
+/// `value` as `digits` lower-case hex digits, zero-padded.
+fn put_hex(e: &mut Encoder, value: u64, digits: usize) {
+    let mut text = [0u8; 16];
+    for (i, digit) in text[..digits].iter_mut().enumerate() {
+        *digit = b"0123456789abcdef"[(value >> (4 * (digits - 1 - i))) as usize & 0xF];
+    }
+    e.put_raw(&text[..digits]);
+}
+
+/// `o<id:016x>` or `r<id:016x>`: one item inside a version-delta or dirty key.
+fn put_item_suffix(e: &mut Encoder, item: ItemId) {
+    match item {
+        ItemId::Object(o) => put_hex(e.put_raw(b"o"), o.0, 16),
+        ItemId::Relationship(r) => put_hex(e.put_raw(b"r"), r.0, 16),
+    }
+}
+
+/// The text of `key` after `prefix`.
+fn key_text<'k>(key: &'k [u8], prefix: &str, what: &str) -> SeedResult<&'k str> {
+    std::str::from_utf8(key)
+        .ok()
+        .and_then(|text| text.strip_prefix(prefix))
+        .ok_or_else(|| SeedError::Invalid(format!("malformed {what} key {key:?}")))
+}
+
+/// The number of a `<prefix><hex>` key.
+fn parse_hex_key(key: &[u8], prefix: &str, what: &str) -> SeedResult<u64> {
+    u64::from_str_radix(key_text(key, prefix, what)?, 16)
+        .map_err(|_| SeedError::Invalid(format!("malformed {what} key {key:?}")))
 }
 
 /// Parses an `o/<id>` key back into its object id.
 pub(crate) fn parse_object_key(key: &[u8]) -> SeedResult<ObjectId> {
-    let bad = || SeedError::Invalid(format!("malformed object key {key:?}"));
-    let text = std::str::from_utf8(key).map_err(|_| bad())?;
-    let hex = text.strip_prefix("o/").ok_or_else(bad)?;
-    Ok(ObjectId(u64::from_str_radix(hex, 16).map_err(|_| bad())?))
+    parse_hex_key(key, "o/", "object").map(ObjectId)
 }
 
 /// Parses an `r/<id>` key back into its relationship id.
 pub(crate) fn parse_relationship_key(key: &[u8]) -> SeedResult<RelationshipId> {
-    let bad = || SeedError::Invalid(format!("malformed relationship key {key:?}"));
-    let text = std::str::from_utf8(key).map_err(|_| bad())?;
-    let hex = text.strip_prefix("r/").ok_or_else(bad)?;
-    Ok(RelationshipId(u64::from_str_radix(hex, 16).map_err(|_| bad())?))
+    parse_hex_key(key, "r/", "relationship").map(RelationshipId)
 }
 
-/// `s/<svid:08x>`
-pub(crate) fn schema_key(id: SchemaVersionId) -> Vec<u8> {
-    format!("s/{:08x}", id.0).into_bytes()
+/// Parses an `s/<svid>` key back into its schema version id.
+pub(crate) fn parse_schema_key(key: &[u8]) -> SeedResult<SchemaVersionId> {
+    let id = parse_hex_key(key, "s/", "schema")?;
+    u32::try_from(id).map(SchemaVersionId).map_err(|_| SeedError::Invalid(format!("schema {id}")))
 }
 
-/// `vi/<vid>`
-pub(crate) fn version_info_key(id: &VersionId) -> Vec<u8> {
-    format!("vi/{id}").into_bytes()
-}
-
-fn item_suffix(item: ItemId) -> String {
-    match item {
-        ItemId::Object(o) => format!("o{:016x}", o.0),
-        ItemId::Relationship(r) => format!("r{:016x}", r.0),
-    }
+/// Parses a `vi/<vid>` key back into its version id.
+pub(crate) fn parse_version_info_key(key: &[u8]) -> SeedResult<VersionId> {
+    VersionId::parse(key_text(key, "vi/", "version info")?)
 }
 
 fn parse_item_suffix(s: &str) -> SeedResult<ItemId> {
@@ -106,42 +169,18 @@ fn parse_item_suffix(s: &str) -> SeedResult<ItemId> {
     }
 }
 
-/// `v/<vid>/<item-suffix>`
-pub(crate) fn version_delta_key(vid: &VersionId, item: ItemId) -> Vec<u8> {
-    format!("v/{vid}/{}", item_suffix(item)).into_bytes()
-}
-
-/// The prefix under which all delta snapshots of version `vid` live.
-pub(crate) fn version_delta_prefix(vid: &VersionId) -> Vec<u8> {
-    format!("v/{vid}/").into_bytes()
-}
-
 /// Parses a `v/<vid>/<item>` key back into its version id and item.
 pub(crate) fn parse_version_delta_key(key: &[u8]) -> SeedResult<(VersionId, ItemId)> {
-    let text = std::str::from_utf8(key)
-        .map_err(|_| SeedError::Invalid("version delta key is not UTF-8".to_string()))?;
-    let rest = text
-        .strip_prefix("v/")
-        .ok_or_else(|| SeedError::Invalid(format!("not a version delta key: '{text}'")))?;
+    let rest = key_text(key, "v/", "version delta")?;
     let (vid, item) = rest
         .rsplit_once('/')
-        .ok_or_else(|| SeedError::Invalid(format!("malformed version delta key: '{text}'")))?;
+        .ok_or_else(|| SeedError::Invalid(format!("malformed version delta key {key:?}")))?;
     Ok((VersionId::parse(vid)?, parse_item_suffix(item)?))
-}
-
-/// `d/<item-suffix>` — the dirty-set presence marker for one item.
-pub(crate) fn dirty_key(item: ItemId) -> Vec<u8> {
-    format!("d/{}", item_suffix(item)).into_bytes()
 }
 
 /// Parses a `d/<item>` key back into the dirty item.
 pub(crate) fn parse_dirty_key(key: &[u8]) -> SeedResult<ItemId> {
-    let text = std::str::from_utf8(key)
-        .map_err(|_| SeedError::Invalid("dirty key is not UTF-8".to_string()))?;
-    let rest = text
-        .strip_prefix("d/")
-        .ok_or_else(|| SeedError::Invalid(format!("not a dirty key: '{text}'")))?;
-    parse_item_suffix(rest)
+    parse_item_suffix(key_text(key, "d/", "dirty")?)
 }
 
 // --------------------------------------------------------------------------------------------
@@ -482,13 +521,6 @@ pub(crate) fn decode_schema(d: &mut Decoder<'_>) -> SeedResult<Schema> {
     Ok(schema)
 }
 
-/// Encodes one schema version as a standalone `s/<svid>` record.
-pub(crate) fn encode_schema_entry(schema: &Schema) -> Vec<u8> {
-    let mut e = Encoder::new();
-    encode_schema(&mut e, schema);
-    e.finish()
-}
-
 /// Decodes a standalone `s/<svid>` record.
 pub(crate) fn decode_schema_entry(bytes: &[u8]) -> SeedResult<Schema> {
     let mut d = Decoder::new(bytes);
@@ -502,7 +534,8 @@ pub(crate) fn decode_schema_entry(bytes: &[u8]) -> SeedResult<Schema> {
 /// Encodes one [`ObjectRecord`] (without inherits-links; the `o/<id>` storage record adds
 /// those).  Public for reuse by the network wire format.
 pub fn encode_object(e: &mut Encoder, o: &ObjectRecord) {
-    e.put_u64(o.id.0).put_u32(o.class.0).put_str(&o.name.to_string());
+    e.put_u64(o.id.0).put_u32(o.class.0);
+    put_name(e, &o.name);
     match o.parent {
         Some(p) => {
             e.put_bool(true).put_u64(p.0);
@@ -513,6 +546,29 @@ pub fn encode_object(e: &mut Encoder, o: &ObjectRecord) {
     }
     encode_value(e, &o.value);
     e.put_bool(o.is_pattern).put_bool(o.deleted);
+}
+
+/// Writes `name` exactly as `put_str(&name.to_string())` would, without building the string.
+fn put_name(e: &mut Encoder, name: &ObjectName) {
+    let digits = |i: u32| i.checked_ilog10().map_or(1, |d| d as usize + 1);
+    let segments = name.segments();
+    let len = segments.len() - 1
+        + segments
+            .iter()
+            .map(|s| s.name.len() + s.index.map_or(0, |i| digits(i) + 2))
+            .sum::<usize>();
+    e.put_varint(len as u64);
+    let start = e.len();
+    for (i, segment) in segments.iter().enumerate() {
+        if i > 0 {
+            e.put_raw(b".");
+        }
+        e.put_raw(segment.name.as_bytes());
+        if let Some(index) = segment.index {
+            write!(e, "[{index}]").expect("writing into a buffer cannot fail");
+        }
+    }
+    assert_eq!(e.len() - start, len, "an object name's length prefix must match its text");
 }
 
 /// Decodes one [`ObjectRecord`] written by [`encode_object`].
@@ -565,16 +621,21 @@ pub fn decode_relationship(d: &mut Decoder<'_>) -> SeedResult<RelationshipRecord
     Ok(record)
 }
 
+/// The bytes one encoder call writes (staging a single record).
+pub(crate) fn encoded(write: impl FnOnce(&mut Encoder)) -> Vec<u8> {
+    let mut e = Encoder::new();
+    write(&mut e);
+    e.finish()
+}
+
 /// Encodes one `o/<id>` record: the object plus the patterns it inherits (the inherits-links
 /// travel with the inheritor so that a pattern-inheritance change re-writes exactly one key).
-pub(crate) fn encode_object_entry(o: &ObjectRecord, inherits: &[ObjectId]) -> Vec<u8> {
-    let mut e = Encoder::new();
-    encode_object(&mut e, o);
+pub(crate) fn encode_object_entry(e: &mut Encoder, o: &ObjectRecord, inherits: &[ObjectId]) {
+    encode_object(e, o);
     e.put_varint(inherits.len() as u64);
     for p in inherits {
         e.put_u64(p.0);
     }
-    e.finish()
 }
 
 /// Decodes an `o/<id>` record into the object and its inherited patterns.
@@ -589,13 +650,6 @@ pub(crate) fn decode_object_entry(bytes: &[u8]) -> SeedResult<(ObjectRecord, Vec
     Ok((record, inherits))
 }
 
-/// Encodes one `r/<id>` record.
-pub(crate) fn encode_relationship_entry(r: &RelationshipRecord) -> Vec<u8> {
-    let mut e = Encoder::new();
-    encode_relationship(&mut e, r);
-    e.finish()
-}
-
 /// Decodes an `r/<id>` record.
 pub(crate) fn decode_relationship_entry(bytes: &[u8]) -> SeedResult<RelationshipRecord> {
     let mut d = Decoder::new(bytes);
@@ -607,19 +661,17 @@ pub(crate) fn decode_relationship_entry(bytes: &[u8]) -> SeedResult<Relationship
 // --------------------------------------------------------------------------------------------
 
 /// Encodes one `v/<vid>/<item>` delta snapshot.
-pub(crate) fn encode_snapshot(snapshot: &ItemSnapshot) -> Vec<u8> {
-    let mut e = Encoder::new();
+pub(crate) fn encode_snapshot(e: &mut Encoder, snapshot: &ItemSnapshot) {
     match snapshot {
         ItemSnapshot::Object(o) => {
             e.put_u8(0);
-            encode_object(&mut e, o);
+            encode_object(e, o);
         }
         ItemSnapshot::Relationship(r) => {
             e.put_u8(1);
-            encode_relationship(&mut e, r);
+            encode_relationship(e, r);
         }
     }
-    e.finish()
 }
 
 /// Decodes a `v/<vid>/<item>` delta snapshot.
@@ -633,8 +685,7 @@ pub(crate) fn decode_snapshot(bytes: &[u8]) -> SeedResult<ItemSnapshot> {
 }
 
 /// Encodes one `vi/<vid>` version-metadata record.
-pub(crate) fn encode_version_info(info: &VersionInfo) -> Vec<u8> {
-    let mut e = Encoder::new();
+pub(crate) fn encode_version_info(e: &mut Encoder, info: &VersionInfo) {
     e.put_str(&info.id.to_string());
     match &info.parent {
         Some(p) => {
@@ -648,7 +699,6 @@ pub(crate) fn encode_version_info(info: &VersionInfo) -> Vec<u8> {
     e.put_str(&info.comment);
     e.put_u64(info.seq);
     e.put_varint(info.delta_size as u64);
-    e.finish()
 }
 
 /// Decodes a `vi/<vid>` record.
@@ -718,14 +768,13 @@ pub(crate) struct MetaRecord {
     pub fenced_to: Option<String>,
 }
 
-pub(crate) fn encode_meta(meta: &MetaRecord) -> Vec<u8> {
-    let mut e = Encoder::new();
+pub(crate) fn encode_meta(e: &mut Encoder, meta: &MetaRecord) {
     e.put_u32(meta.format);
     e.put_u64(meta.object_floor).put_u64(meta.relationship_floor);
     e.put_u32(meta.current_schema.0);
     e.put_varint(meta.rules.len() as u64);
     for rule in &meta.rules {
-        encode_transition_rule(&mut e, rule);
+        encode_transition_rule(e, rule);
     }
     match &meta.last_created {
         Some(v) => {
@@ -745,7 +794,6 @@ pub(crate) fn encode_meta(meta: &MetaRecord) -> Vec<u8> {
             e.put_bool(false);
         }
     }
-    e.finish()
 }
 
 pub(crate) fn decode_meta(bytes: &[u8]) -> SeedResult<MetaRecord> {
@@ -791,7 +839,7 @@ mod tests {
     #[test]
     fn schema_roundtrips_through_binary_encoding() {
         let schema = figure3_schema();
-        let bytes = encode_schema_entry(&schema);
+        let bytes = encoded(|e| encode_schema(e, &schema));
         assert_eq!(decode_schema_entry(&bytes).unwrap(), schema);
     }
 
@@ -823,7 +871,7 @@ mod tests {
         record.value = Value::string("x");
         record.is_pattern = false;
         let inherits = vec![ObjectId(3), ObjectId(9)];
-        let bytes = encode_object_entry(&record, &inherits);
+        let bytes = encoded(|e| encode_object_entry(e, &record, &inherits));
         let (decoded, links) = decode_object_entry(&bytes).unwrap();
         assert_eq!(decoded, record);
         assert_eq!(links, inherits);
@@ -831,23 +879,27 @@ mod tests {
 
     #[test]
     fn keys_sort_by_id_and_parse_back() {
-        assert!(object_key(ObjectId(2)) < object_key(ObjectId(10)));
-        assert!(object_key(ObjectId(255)) < object_key(ObjectId(256)));
+        let object_key = |id| Key::Object(ObjectId(id)).to_vec();
+        assert!(object_key(2) < object_key(10));
+        assert!(object_key(255) < object_key(256));
+        assert_eq!(parse_object_key(&object_key(255)).unwrap(), ObjectId(255));
         let vid = VersionId::parse("1.0.2").unwrap();
-        let key = version_delta_key(&vid, ItemId::Object(ObjectId(77)));
-        assert!(key.starts_with(&version_delta_prefix(&vid)));
+        let key = Key::VersionDelta(&vid, ItemId::Object(ObjectId(77))).to_vec();
+        assert!(key.starts_with(b"v/1.0.2/"));
         let (back_vid, back_item) = parse_version_delta_key(&key).unwrap();
         assert_eq!(back_vid, vid);
         assert_eq!(back_item, ItemId::Object(ObjectId(77)));
-        let rkey = version_delta_key(&vid, ItemId::Relationship(RelationshipId(5)));
+        let rkey = Key::VersionDelta(&vid, ItemId::Relationship(RelationshipId(5))).to_vec();
         assert_eq!(
             parse_version_delta_key(&rkey).unwrap().1,
             ItemId::Relationship(RelationshipId(5))
         );
-        let dkey = dirty_key(ItemId::Relationship(RelationshipId(12)));
+        let dkey = Key::Dirty(ItemId::Relationship(RelationshipId(12))).to_vec();
         assert_eq!(parse_dirty_key(&dkey).unwrap(), ItemId::Relationship(RelationshipId(12)));
         assert!(parse_dirty_key(b"d/x123").is_err());
         assert!(parse_version_delta_key(b"v/not-a-key").is_err());
+        assert_eq!(parse_schema_key(&Key::Schema(SchemaVersionId(26)).to_vec()).unwrap().0, 26);
+        assert_eq!(parse_version_info_key(&Key::VersionInfo(&vid).to_vec()).unwrap(), vid);
     }
 
     #[test]
@@ -860,7 +912,7 @@ mod tests {
             seq: 9,
             delta_size: 4,
         };
-        assert_eq!(decode_version_info(&encode_version_info(&info)).unwrap(), info);
+        assert_eq!(decode_version_info(&encoded(|e| encode_version_info(e, &info))).unwrap(), info);
     }
 
     #[test]
@@ -879,10 +931,10 @@ mod tests {
             epoch: 3,
             fenced_to: Some("10.0.0.9:7044".to_string()),
         };
-        assert_eq!(decode_meta(&encode_meta(&meta)).unwrap(), meta);
+        assert_eq!(decode_meta(&encoded(|e| encode_meta(e, &meta))).unwrap(), meta);
         let mut bad = meta.clone();
         bad.format = FORMAT_VERSION + 1;
-        assert!(decode_meta(&encode_meta(&bad)).is_err());
+        assert!(decode_meta(&encoded(|e| encode_meta(e, &bad))).is_err());
     }
 
     #[test]
@@ -900,7 +952,7 @@ mod tests {
             epoch: 0,
             fenced_to: None,
         };
-        let mut bytes = encode_meta(&meta);
+        let mut bytes = encoded(|e| encode_meta(e, &meta));
         bytes.truncate(bytes.len() - 8 - 1); // drop epoch (u64) and the fenced_to flag
         let decoded = decode_meta(&bytes).unwrap();
         assert_eq!(decoded.epoch, 0);

@@ -11,8 +11,10 @@ use std::path::Path;
 use std::sync::Arc;
 
 use seed_schema::{ClassId, Schema, SchemaRegistry, SchemaVersionId};
+use seed_storage::{Recovered, StorageEngine, TxnId};
 
 use crate::codec;
+use crate::codec::Key;
 use crate::completeness::{self, CompletenessReport};
 use crate::consistency::ConsistencyChecker;
 use crate::durability::{self, Durability, DurabilityStatus};
@@ -96,30 +98,28 @@ impl Database {
     /// per-item records, and the directory's WAL recovers the committed state after a crash
     /// (see [`crate::durability`] for the contract).
     pub fn open_durable(dir: impl AsRef<Path>) -> SeedResult<Self> {
-        let dir = dir.as_ref();
-        let engine = durability::open_engine(dir)?;
-        Self::open_durable_engine(dir, engine)
+        Self::open_durable_with(dir, seed_storage::EngineConfig::default())
     }
 
     /// [`Database::open_durable`] with an explicit storage configuration (WAL segment cap,
-    /// replication retention budget, auto-checkpoint threshold).
+    /// replication retention budget, checkpoint threshold).
     pub fn open_durable_with(
         dir: impl AsRef<Path>,
         config: seed_storage::EngineConfig,
     ) -> SeedResult<Self> {
-        let dir = dir.as_ref();
-        let engine = durability::open_engine_with(dir, config)?;
-        Self::open_durable_engine(dir, engine)
+        let (engine, recovered) = StorageEngine::open_with(dir, config)?;
+        Self::open_recovered(engine, &recovered)
     }
 
-    fn open_durable_engine(dir: &Path, engine: seed_storage::StorageEngine) -> SeedResult<Self> {
-        if !durability::is_keyed_layout(&engine)? {
+    /// Rebuilds the database an engine recovered and attaches write-through durability.
+    pub(crate) fn open_recovered(engine: StorageEngine, recovered: &Recovered) -> SeedResult<Self> {
+        if recovered.get(codec::KEY_META.as_bytes()).is_none() {
             return Err(SeedError::NotFound(format!(
                 "no SEED database in '{}' (use Database::create_durable to start one)",
-                dir.display()
+                engine.path().unwrap_or(Path::new("")).display()
             )));
         }
-        let mut db = durability::load_keyed(&engine)?;
+        let mut db = durability::recover(recovered)?;
         db.attach_durability(engine);
         Ok(db)
     }
@@ -127,9 +127,7 @@ impl Database {
     /// Creates a fresh durable database over `schema` in `dir` (which must not already hold
     /// one), committing the schema and meta records immediately.
     pub fn create_durable(dir: impl AsRef<Path>, schema: Schema) -> SeedResult<Self> {
-        let dir = dir.as_ref();
-        let engine = durability::open_engine(dir)?;
-        Self::create_durable_engine(dir, schema, engine)
+        Self::create_durable_with(dir, schema, seed_storage::EngineConfig::default())
     }
 
     /// [`Database::create_durable`] with an explicit storage configuration.
@@ -138,34 +136,42 @@ impl Database {
         schema: Schema,
         config: seed_storage::EngineConfig,
     ) -> SeedResult<Self> {
-        let dir = dir.as_ref();
-        let engine = durability::open_engine_with(dir, config)?;
-        Self::create_durable_engine(dir, schema, engine)
+        let (engine, recovered) = StorageEngine::open_with(dir, config)?;
+        Self::create_recovered(engine, &recovered, schema)
     }
 
-    fn create_durable_engine(
-        dir: &Path,
+    /// Writes a fresh database over `schema` through `engine`, whose recovered key space must
+    /// not already hold one: the encoder's pairs, committed as one transaction.
+    pub(crate) fn create_recovered(
+        engine: StorageEngine,
+        recovered: &Recovered,
         schema: Schema,
-        engine: seed_storage::StorageEngine,
     ) -> SeedResult<Self> {
-        if durability::is_keyed_layout(&engine)? {
+        if recovered.get(codec::KEY_META.as_bytes()).is_some() {
             return Err(SeedError::Invalid(format!(
                 "'{}' already holds a SEED database; use Database::open_durable",
-                dir.display()
+                engine.path().unwrap_or(Path::new("")).display()
             )));
         }
         let mut db = Database::new(schema);
         let txn = engine.begin()?;
-        durability::write_full(&db, &engine, txn)?;
+        let mut staged = Ok(());
+        durability::encode_pairs(&db, None, &mut |key, value| {
+            if staged.is_ok() {
+                staged = engine.txn_put(txn, key, value);
+            }
+        });
+        staged?;
         engine.commit(txn)?;
         db.attach_durability(engine);
         Ok(db)
     }
 
-    pub(crate) fn attach_durability(&mut self, engine: seed_storage::StorageEngine) {
+    pub(crate) fn attach_durability(&mut self, engine: StorageEngine) {
         self.store.set_journal(true);
         let _ = self.store.take_changed();
-        self.durability = Some(Durability { engine, txn: None });
+        let engine = Arc::new(engine);
+        self.durability = Some(Durability { engine, txn: None, checkpoint: Default::default() });
     }
 
     /// Whether this database writes mutations through to durable storage.
@@ -178,25 +184,27 @@ impl Database {
         self.durability.as_ref().and_then(|d| d.engine.path())
     }
 
-    /// Storage-level status of a durable database (WAL size, key count) — `None` when the
-    /// database is in-memory.
+    /// Storage-level status of a durable database (its directory and WAL size) — `None` when
+    /// the database is in-memory.
     pub fn durability_status(&self) -> Option<DurabilityStatus> {
         self.durability.as_ref().map(|d| DurabilityStatus {
             path: d.engine.path().map(|p| p.to_path_buf()).unwrap_or_default(),
             wal_bytes: d.engine.wal_size_bytes().unwrap_or(0),
-            keys: d.engine.len(),
         })
     }
 
     /// A write-path probe for health checks: fsyncs the active WAL segment of a durable
-    /// database and reports whether the log currently accepts writes (a failing disk or a
-    /// vanished directory surfaces here).  `true` for in-memory databases, whose write path
-    /// cannot fail on I/O.
+    /// database and reports whether the log currently accepts writes.  `true` for in-memory
+    /// databases, whose write path cannot fail on I/O.
     pub fn wal_writable(&self) -> bool {
-        match &self.durability {
-            Some(d) => d.engine.wal_probe().is_ok(),
-            None => true,
-        }
+        self.wal_fault().is_none()
+    }
+
+    /// Why the write path refuses work, if it does: a poisoned storage engine (an earlier
+    /// commit or checkpoint failed on I/O), a failing disk or a vanished directory.
+    pub fn wal_fault(&self) -> Option<String> {
+        let d = self.durability.as_ref()?;
+        d.engine.wal_probe().err().map(|e| e.to_string())
     }
 
     // ----- topology (replica promotion / fencing) ---------------------------------------------
@@ -226,18 +234,8 @@ impl Database {
         self.fenced_to = fenced_to;
         let Some(dur) = self.durability.as_ref() else { return Ok(()) };
         let txn = dur.engine.begin()?;
-        durability::stage_meta(
-            &dur.engine,
-            txn,
-            &self.schemas,
-            &self.store,
-            &self.versions,
-            &self.transition_rules,
-            self.topology_epoch,
-            self.fenced_to.as_deref(),
-        )?;
-        dur.engine.commit(txn)?;
-        Ok(())
+        durability::stage_meta(&dur.engine, txn, self)?;
+        self.commit_storage(txn)
     }
 
     // ----- replication feed (the primary side of WAL shipping) --------------------------------
@@ -259,16 +257,27 @@ impl Database {
         Ok(dur.engine.wal_tail(from)?)
     }
 
-    /// Every committed per-item `(key, value)` record plus the LSN the snapshot corresponds to
-    /// — the full-resync payload for a replica whose cursor fell behind a checkpoint.  Errors
-    /// for in-memory databases.
-    pub fn replication_snapshot(
-        &self,
-    ) -> SeedResult<(seed_storage::engine::KeySpaceDump, seed_storage::Lsn)> {
+    /// The committed state as an O(1) read-only copy plus the LSN it corresponds to — the
+    /// full-resync cut for a replica whose cursor fell behind a checkpoint
+    /// ([`crate::replica::snapshot_records`] encodes it).  Errors for in-memory databases and
+    /// while a transaction is open or an alternative is checked out.
+    pub fn replication_snapshot(&self) -> SeedResult<(Database, seed_storage::Lsn)> {
         let dur = self.durability.as_ref().ok_or_else(|| {
             SeedError::Invalid("in-memory database has no state to replicate".to_string())
         })?;
-        Ok(dur.engine.snapshot_with_lsn()?)
+        self.committed_state_only()?;
+        Ok((self.clone_for_snapshot(), dur.engine.durable_lsn()))
+    }
+
+    /// Fails unless memory holds exactly the committed state: no open transaction, no
+    /// alternative checked out.
+    fn committed_state_only(&self) -> SeedResult<()> {
+        match self.txn.is_none() && self.alternative.is_none() {
+            true => Ok(()),
+            false => Err(SeedError::Transaction(
+                "finish the transaction or alternative first: memory is not committed state".into(),
+            )),
+        }
     }
 
     /// Pins WAL segments for lagging replication subscribers: checkpoints keep (budget
@@ -282,20 +291,31 @@ impl Database {
         }
     }
 
-    /// Checkpoints the durable storage (write the whole key space as one snapshot, prune the
-    /// WAL).
-    /// The engine also checkpoints automatically once its WAL outgrows the configured
-    /// threshold; this call is for explicit quiesce points (e.g. before a backup).
+    /// Checkpoints the durable storage: waits for a background checkpoint in flight, then
+    /// encodes the whole database as one snapshot image and prunes the WAL below it.  Durable
+    /// databases also checkpoint on their own, off the write path, once the WAL outgrows the
+    /// configured threshold; this call is for explicit quiesce points (e.g. before a backup).
     pub fn checkpoint(&self) -> SeedResult<()> {
-        match &self.durability {
-            Some(d) => {
-                d.engine.checkpoint()?;
-                Ok(())
-            }
-            None => {
-                Err(SeedError::Invalid("database is not durable; nothing to checkpoint".into()))
-            }
+        let Some(dur) = &self.durability else {
+            return Err(SeedError::Invalid(
+                "database is not durable; nothing to checkpoint".into(),
+            ));
+        };
+        dur.join_checkpoint()?;
+        self.committed_state_only()?;
+        let image = durability::encode_image(self, dur.engine.durable_lsn(), None);
+        Ok(dur.engine.checkpoint(&image)?)
+    }
+
+    /// Commits a storage transaction; when that leaves memory equal to the committed state
+    /// and the WAL has outgrown its threshold, a background checkpoint starts.
+    fn commit_storage(&self, txn: TxnId) -> SeedResult<()> {
+        let dur = self.durability.as_ref().expect("only durable databases stage");
+        dur.engine.commit(txn)?;
+        if self.committed_state_only().is_ok() {
+            dur.checkpoint_in_background(|| self.clone_for_snapshot(), dur.engine.durable_lsn());
         }
+        Ok(())
     }
 
     /// Write-through: drains the store's change journal and stages the touched records into the
@@ -326,18 +346,9 @@ impl Database {
         for item in changed {
             durability::stage_item(&dur.engine, txn, &self.store, *item)?;
         }
-        durability::stage_meta(
-            &dur.engine,
-            txn,
-            &self.schemas,
-            &self.store,
-            &self.versions,
-            &self.transition_rules,
-            self.topology_epoch,
-            self.fenced_to.as_deref(),
-        )?;
+        durability::stage_meta(&dur.engine, txn, self)?;
         if auto {
-            dur.engine.commit(txn)?;
+            self.commit_storage(txn)?;
         }
         Ok(())
     }
@@ -346,18 +357,9 @@ impl Database {
     fn persist_meta(&mut self) -> SeedResult<()> {
         let Some(dur) = self.durability.as_ref() else { return Ok(()) };
         let (txn, auto) = dur.stage_txn()?;
-        durability::stage_meta(
-            &dur.engine,
-            txn,
-            &self.schemas,
-            &self.store,
-            &self.versions,
-            &self.transition_rules,
-            self.topology_epoch,
-            self.fenced_to.as_deref(),
-        )?;
+        durability::stage_meta(&dur.engine, txn, self)?;
         if auto {
-            dur.engine.commit(txn)?;
+            self.commit_storage(txn)?;
         }
         Ok(())
     }
@@ -382,61 +384,43 @@ impl Database {
             if let Some(snapshot) = snapshot {
                 dur.engine.txn_put(
                     txn,
-                    &codec::version_delta_key(id, *item),
-                    &codec::encode_snapshot(&snapshot),
+                    &Key::VersionDelta(id, *item).to_vec(),
+                    &codec::encoded(|e| codec::encode_snapshot(e, &snapshot)),
                 )?;
             }
             if !in_alternative {
                 // The on-disk dirty markers mirror the main store's dirty set; an alternative
                 // drains its own scratch dirty set, which never had markers.
-                dur.engine.txn_delete(txn, &codec::dirty_key(*item))?;
+                dur.engine.txn_delete(txn, &Key::Dirty(*item).to_vec())?;
             }
         }
         let info = self.versions.info(id)?;
-        dur.engine.txn_put(txn, &codec::version_info_key(id), &codec::encode_version_info(info))?;
-        durability::stage_meta(
-            &dur.engine,
-            txn,
-            &self.schemas,
-            &self.store,
-            &self.versions,
-            &self.transition_rules,
-            self.topology_epoch,
-            self.fenced_to.as_deref(),
-        )?;
+        let info = codec::encoded(|e| codec::encode_version_info(e, info));
+        dur.engine.txn_put(txn, &Key::VersionInfo(id).to_vec(), &info)?;
+        durability::stage_meta(&dur.engine, txn, self)?;
         if auto {
-            dur.engine.commit(txn)?;
+            self.commit_storage(txn)?;
         }
         Ok(())
     }
 
-    /// Stages a version deletion: drop its metadata record and every delta snapshot under its
-    /// `v/<vid>/` prefix, plus the updated meta.
+    /// Stages a version deletion: drop its metadata record and the delta snapshot of every
+    /// item it had recorded (`dropped`), plus the updated meta.
     ///
     /// Like schema publication, version deletion is not transactional (the version is gone from
     /// memory immediately and the transaction savepoint covers only the store), so the deletes
     /// commit in their own storage transaction even while an explicit transaction is open —
     /// otherwise a later rollback would abort them and the deleted version would resurrect on
     /// reopen.
-    fn persist_version_deleted(&mut self, id: &VersionId) -> SeedResult<()> {
+    fn persist_version_deleted(&mut self, id: &VersionId, dropped: &[ItemId]) -> SeedResult<()> {
         let Some(dur) = self.durability.as_ref() else { return Ok(()) };
         let txn = dur.engine.begin()?;
-        dur.engine.txn_delete(txn, &codec::version_info_key(id))?;
-        for (key, _) in dur.engine.scan_prefix(&codec::version_delta_prefix(id))? {
-            dur.engine.txn_delete(txn, &key)?;
+        dur.engine.txn_delete(txn, &Key::VersionInfo(id).to_vec())?;
+        for item in dropped {
+            dur.engine.txn_delete(txn, &Key::VersionDelta(id, *item).to_vec())?;
         }
-        durability::stage_meta(
-            &dur.engine,
-            txn,
-            &self.schemas,
-            &self.store,
-            &self.versions,
-            &self.transition_rules,
-            self.topology_epoch,
-            self.fenced_to.as_deref(),
-        )?;
-        dur.engine.commit(txn)?;
-        Ok(())
+        durability::stage_meta(&dur.engine, txn, self)?;
+        self.commit_storage(txn)
     }
 
     // ----- accessors ------------------------------------------------------------------------------
@@ -463,22 +447,10 @@ impl Database {
         let id = Arc::make_mut(&mut self.schemas).publish(schema);
         if let Some(dur) = self.durability.as_ref() {
             let txn = dur.engine.begin()?;
-            dur.engine.txn_put(
-                txn,
-                &codec::schema_key(id),
-                &codec::encode_schema_entry(self.schemas.get(id)?),
-            )?;
-            durability::stage_meta(
-                &dur.engine,
-                txn,
-                &self.schemas,
-                &self.store,
-                &self.versions,
-                &self.transition_rules,
-                self.topology_epoch,
-                self.fenced_to.as_deref(),
-            )?;
-            dur.engine.commit(txn)?;
+            let schema = codec::encoded(|e| codec::encode_schema(e, self.schemas.current()));
+            dur.engine.txn_put(txn, &Key::Schema(id).to_vec(), &schema)?;
+            durability::stage_meta(&dur.engine, txn, self)?;
+            self.commit_storage(txn)?;
         }
         Ok(id)
     }
@@ -614,8 +586,8 @@ impl Database {
             // inside the transaction (publish_schema, delete_version) wrote a fresher meta that
             // a copy staged earlier in this transaction would otherwise overwrite.
             self.persist_meta()?;
-            let dur = self.durability.as_mut().expect("checked above");
-            dur.engine.commit(dur.txn.take().expect("checked above"))?;
+            let txn = self.durability.as_mut().and_then(|d| d.txn.take()).expect("checked above");
+            self.commit_storage(txn)?;
         }
         Ok(())
     }
@@ -1403,8 +1375,8 @@ impl Database {
                 "cannot delete the version currently selected for retrieval".to_string(),
             ));
         }
-        Arc::make_mut(&mut self.versions).delete_version(id)?;
-        self.persist_version_deleted(id)
+        let dropped = Arc::make_mut(&mut self.versions).delete_version(id)?;
+        self.persist_version_deleted(id, &dropped)
     }
 
     /// History retrieval: all stored versions of an object, optionally "beginning with version
@@ -1533,18 +1505,18 @@ impl Database {
         db
     }
 
-    // ----- replica apply plumbing (used by crate::replica) ------------------------------------------------------------
+    // ----- applier plumbing (used by crate::durability) ---------------------------------------
 
     pub(crate) fn store_mut(&mut self) -> &mut DataStore {
         &mut self.store
     }
 
-    pub(crate) fn set_schemas(&mut self, schemas: SchemaRegistry) {
-        self.schemas = Arc::new(schemas);
+    pub(crate) fn schemas_mut(&mut self) -> &mut SchemaRegistry {
+        Arc::make_mut(&mut self.schemas)
     }
 
-    pub(crate) fn set_versions(&mut self, versions: VersionManager) {
-        self.versions = Arc::new(versions);
+    pub(crate) fn versions_mut(&mut self) -> &mut VersionManager {
+        Arc::make_mut(&mut self.versions)
     }
 
     pub(crate) fn set_transition_rules(&mut self, rules: Vec<TransitionRule>) {

@@ -11,8 +11,15 @@
 //!   records ride in **one** storage transaction that commits (or, on
 //!   [`Database::rollback_transaction`], aborts) in lockstep with the in-memory savepoint;
 //! * version creation writes the version's delta snapshots (`v/<vid>/…`), its metadata record
-//!   (`vi/<vid>`) and the drained dirty markers in the same commit;
-//! * loading is a keyed range scan per record kind plus an in-memory index rebuild.
+//!   (`vi/<vid>`) and the drained dirty markers in the same commit.
+//!
+//! The storage engine keeps no copy of the data; the database in memory is the one resident
+//! copy.  [`encode_pairs`] (**the encoder**) turns a database into its ordered key/value pairs:
+//! checkpoint images, the initial write, replica resyncs.  [`Changes`] (**the applier**) turns
+//! key effects into database state: open-time recovery and both replica batch shapes.  Once
+//! the WAL outgrows its threshold, a commit that leaves no transaction open hands an O(1)
+//! clone of the database to a background thread, which encodes and writes the checkpoint
+//! holding no database lock.
 //!
 //! Crash contract: dropping the database (or the process) without a checkpoint loses nothing
 //! that was committed — recovery replays the storage WAL, which holds only complete
@@ -22,24 +29,27 @@
 //! layout and the contract in full.
 
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
+use std::sync::{Arc, Mutex, PoisonError};
+use std::thread::JoinHandle;
 
-use seed_schema::SchemaRegistry;
-use seed_storage::{StorageEngine, TxnId};
+use seed_schema::{Schema, SchemaRegistry, SchemaVersionId};
+use seed_storage::{Encoder, ImageWriter, Lsn, Recovered, SnapshotImage, StorageEngine, TxnId};
 
-use crate::codec;
+use crate::codec::{self, Key};
 use crate::database::Database;
 use crate::error::{SeedError, SeedResult};
-use crate::history::TransitionRule;
 use crate::ident::{ItemId, VersionId};
-use crate::store::DataStore;
-use crate::version::{ItemSnapshot, VersionManager};
+use crate::store::{DataStore, ObjectChange, RelationshipChange};
+use crate::version::{ItemSnapshot, VersionInfo, VersionManager};
 
-/// The write-through handle a durable [`Database`] carries: the storage engine plus the storage
-/// transaction mirroring the database's explicit transaction, when one is open.
+/// The write-through handle a durable [`Database`] carries: the storage engine, the storage
+/// transaction mirroring the database's explicit transaction when one is open, and the
+/// background checkpoint in flight, if any (at most one).
 pub(crate) struct Durability {
-    pub(crate) engine: StorageEngine,
+    pub(crate) engine: Arc<StorageEngine>,
     pub(crate) txn: Option<TxnId>,
+    pub(crate) checkpoint: Mutex<Option<JoinHandle<SeedResult<()>>>>,
 }
 
 impl Durability {
@@ -51,6 +61,45 @@ impl Durability {
             None => Ok((self.engine.begin()?, true)),
         }
     }
+
+    fn in_flight(&self) -> std::sync::MutexGuard<'_, Option<JoinHandle<SeedResult<()>>>> {
+        self.checkpoint.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Waits for the background checkpoint in flight, if any, and returns its outcome.
+    pub(crate) fn join_checkpoint(&self) -> SeedResult<()> {
+        match self.in_flight().take() {
+            Some(handle) => handle.join().unwrap_or_else(|_| {
+                Err(SeedError::Invalid("the background checkpoint panicked".to_string()))
+            }),
+            None => Ok(()),
+        }
+    }
+
+    /// Starts a background checkpoint when the engine reports one due and none is in flight:
+    /// `view` (an O(1) clone of the committed state) is encoded at `lsn` on its own thread.
+    pub(crate) fn checkpoint_in_background(&self, view: impl FnOnce() -> Database, lsn: Lsn) {
+        let mut in_flight = self.in_flight();
+        if in_flight.as_ref().is_some_and(|handle| !handle.is_finished())
+            || !self.engine.checkpoint_due()
+        {
+            return;
+        }
+        if let Some(done) = in_flight.take() {
+            // A failed checkpoint has poisoned the engine, which reports it from then on.
+            let _ = done.join();
+        }
+        let (view, engine) = (view(), self.engine.clone());
+        *in_flight = Some(std::thread::spawn(move || {
+            Ok(engine.checkpoint(&encode_image(&view, lsn, None))?)
+        }));
+    }
+}
+
+impl Drop for Durability {
+    fn drop(&mut self) {
+        let _ = self.join_checkpoint();
+    }
 }
 
 /// A snapshot of a durable database's storage state (surfaced over the server protocol so that
@@ -61,8 +110,6 @@ pub struct DurabilityStatus {
     pub path: PathBuf,
     /// Bytes currently in the WAL (recovery replay work is proportional to this).
     pub wal_bytes: u64,
-    /// Number of keys in the per-item store.
-    pub keys: usize,
 }
 
 /// Stages the current state of one item: a put of its record (objects travel with their
@@ -77,47 +124,35 @@ pub(crate) fn stage_item(
         ItemId::Object(id) => match store.object(id) {
             Some(record) => {
                 let inherits = store.inherited_patterns(id);
-                engine.txn_put(
-                    txn,
-                    &codec::object_key(id),
-                    &codec::encode_object_entry(record, &inherits),
-                )?;
+                let value = codec::encoded(|e| codec::encode_object_entry(e, record, &inherits));
+                engine.txn_put(txn, &Key::Object(id).to_vec(), &value)?;
             }
-            None => engine.txn_delete(txn, &codec::object_key(id))?,
+            None => engine.txn_delete(txn, &Key::Object(id).to_vec())?,
         },
         ItemId::Relationship(id) => match store.relationship(id) {
             Some(record) => engine.txn_put(
                 txn,
-                &codec::relationship_key(id),
-                &codec::encode_relationship_entry(record),
+                &Key::Relationship(id).to_vec(),
+                &codec::encoded(|e| codec::encode_relationship(e, record)),
             )?,
-            None => engine.txn_delete(txn, &codec::relationship_key(id))?,
+            None => engine.txn_delete(txn, &Key::Relationship(id).to_vec())?,
         },
     }
     // The on-disk dirty markers mirror the in-memory dirty set, so that a reopened database
     // still knows which items the next version snapshot must record.
     if store.dirty_items().contains_key(&item) {
-        engine.txn_put(txn, &codec::dirty_key(item), b"")?;
+        engine.txn_put(txn, &Key::Dirty(item).to_vec(), b"")?;
     } else {
-        engine.txn_delete(txn, &codec::dirty_key(item))?;
+        engine.txn_delete(txn, &Key::Dirty(item).to_vec())?;
     }
     Ok(())
 }
 
-/// Stages the small `meta` record from the database's current state.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn stage_meta(
-    engine: &StorageEngine,
-    txn: TxnId,
-    schemas: &SchemaRegistry,
-    store: &DataStore,
-    versions: &VersionManager,
-    rules: &[TransitionRule],
-    epoch: u64,
-    fenced_to: Option<&str>,
-) -> SeedResult<()> {
+/// The `meta` record describing `db`'s current state.
+fn meta_record(db: &Database) -> codec::MetaRecord {
+    let (schemas, store, versions, rules) = db.parts();
     let (object_floor, relationship_floor) = store.id_floor();
-    let meta = codec::MetaRecord {
+    codec::MetaRecord {
         format: codec::FORMAT_VERSION,
         object_floor,
         relationship_floor,
@@ -125,179 +160,218 @@ pub(crate) fn stage_meta(
         rules: rules.to_vec(),
         last_created: versions.last_created().cloned(),
         version_seq: versions.seq(),
-        epoch,
-        fenced_to: fenced_to.map(str::to_string),
+        epoch: db.topology_epoch(),
+        fenced_to: db.fenced_to().map(str::to_string),
+    }
+}
+
+/// Stages the small `meta` record from the database's current state.
+pub(crate) fn stage_meta(engine: &StorageEngine, txn: TxnId, db: &Database) -> SeedResult<()> {
+    let meta = meta_record(db);
+    engine.txn_put(
+        txn,
+        codec::KEY_META.as_bytes(),
+        &codec::encoded(|e| codec::encode_meta(e, &meta)),
+    )?;
+    Ok(())
+}
+
+/// **The encoder**: hands every record of `db` to `sink` as a `(key, value)` pair, in key
+/// order, out of two reused buffers — no allocation per item.  `cursor` adds a replica's
+/// `repl/applied` cell at its place in that order.  Callers make sure no transaction is open
+/// and no alternative is checked out, so `db` is exactly its committed state.
+pub(crate) fn encode_pairs(db: &Database, cursor: Option<Lsn>, sink: &mut dyn FnMut(&[u8], &[u8])) {
+    let (schemas, store, versions, _) = db.parts();
+    let (mut key, mut value) = (Encoder::new(), Encoder::new());
+    let mut out = |k: Key, write_value: &dyn Fn(&mut Encoder)| {
+        key.clear();
+        k.write_to(&mut key);
+        value.clear();
+        write_value(&mut value);
+        sink(key.as_slice(), value.as_slice());
     };
-    engine.txn_put(txn, codec::KEY_META, &codec::encode_meta(&meta))?;
-    Ok(())
-}
-
-/// Stages **every** record of the database into `txn` — the initial write of a fresh durable
-/// database.
-pub(crate) fn write_full(db: &Database, engine: &StorageEngine, txn: TxnId) -> SeedResult<()> {
-    let (schemas, store, versions, rules) = db.parts();
-    for svid in schemas.version_ids() {
-        engine.txn_put(
-            txn,
-            &codec::schema_key(svid),
-            &codec::encode_schema_entry(schemas.get(svid)?),
-        )?;
-    }
-    let mut objects: Vec<_> = store.all_objects().collect();
-    objects.sort_by_key(|o| o.id);
-    for record in objects {
-        let inherits = store.inherited_patterns(record.id);
-        engine.txn_put(
-            txn,
-            &codec::object_key(record.id),
-            &codec::encode_object_entry(record, &inherits),
-        )?;
-    }
-    let mut rels: Vec<_> = store.all_relationships().collect();
-    rels.sort_by_key(|r| r.id);
-    for record in rels {
-        engine.txn_put(
-            txn,
-            &codec::relationship_key(record.id),
-            &codec::encode_relationship_entry(record),
-        )?;
-    }
-    let (infos, histories, _, _) = versions.export_state();
-    for info in &infos {
-        engine.txn_put(
-            txn,
-            &codec::version_info_key(&info.id),
-            &codec::encode_version_info(info),
-        )?;
-    }
-    for (item, entries) in &histories {
-        for (vid, snapshot) in entries {
-            engine.txn_put(
-                txn,
-                &codec::version_delta_key(vid, *item),
-                &codec::encode_snapshot(snapshot),
-            )?;
-        }
-    }
+    // Key order: d/ < meta < o/ < r/ < repl/applied < s/ < v/ < vi/.
     for item in store.dirty_items().keys() {
-        engine.txn_put(txn, &codec::dirty_key(*item), b"")?;
+        out(Key::Dirty(*item), &|_| {});
     }
-    stage_meta(engine, txn, schemas, store, versions, rules, db.topology_epoch(), db.fenced_to())?;
-    Ok(())
+    let meta = meta_record(db);
+    out(Key::Meta, &|e| codec::encode_meta(e, &meta));
+    for record in store.all_objects() {
+        let inherits = store.inherited_patterns(record.id);
+        out(Key::Object(record.id), &|e| codec::encode_object_entry(e, record, &inherits));
+    }
+    for record in store.all_relationships() {
+        out(Key::Relationship(record.id), &|e| codec::encode_relationship(e, record));
+    }
+    if let Some(cursor) = cursor {
+        out(Key::Applied, &|e| {
+            e.put_raw(&cursor.to_le_bytes());
+        });
+    }
+    for id in schemas.version_ids() {
+        let schema = schemas.get(id).expect("listed versions exist");
+        out(Key::Schema(id), &|e| codec::encode_schema(e, schema));
+    }
+    // Version ids do not sort like their key text (`10.0` < `2.0`, `1.0.1/` < `1.0/`), so
+    // both version ranges are sorted by the text their keys carry.
+    let mut prefixes: HashMap<&VersionId, String> = HashMap::new();
+    for (id, _, _) in versions.deltas() {
+        prefixes.entry(id).or_insert_with(|| format!("{id}/"));
+    }
+    let mut deltas: Vec<(&str, ItemId, &VersionId, &ItemSnapshot)> = versions
+        .deltas()
+        .map(|(id, item, snapshot)| (prefixes[id].as_str(), item, id, snapshot))
+        .collect();
+    deltas.sort_unstable_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)));
+    for (_, item, id, snapshot) in deltas {
+        out(Key::VersionDelta(id, item), &|e| codec::encode_snapshot(e, snapshot));
+    }
+    let mut infos: Vec<(String, &VersionInfo)> =
+        versions.versions().into_iter().map(|info| (info.id.to_string(), info)).collect();
+    infos.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    for (_, info) in infos {
+        out(Key::VersionInfo(&info.id), &|e| codec::encode_version_info(e, info));
+    }
 }
 
-/// Reads and decodes the `meta` record.
-pub(crate) fn load_meta(engine: &StorageEngine) -> SeedResult<codec::MetaRecord> {
-    let meta_bytes = engine
-        .get(codec::KEY_META)?
-        .ok_or_else(|| SeedError::NotFound("missing key 'meta'".to_string()))?;
-    codec::decode_meta(&meta_bytes)
+/// The checkpoint image of `db` covering the WAL up to `lsn`.
+pub(crate) fn encode_image(db: &Database, lsn: Lsn, cursor: Option<Lsn>) -> SnapshotImage {
+    let mut writer = ImageWriter::new(lsn);
+    encode_pairs(db, cursor, &mut |key, value| writer.put(key, value));
+    writer.finish()
 }
 
-/// Rebuilds the schema registry from one ordered `s/` range scan (`s/` keys sort by schema
-/// version id).  Factored out of [`load_keyed`] so the replica's incremental apply can rescan
-/// exactly one record kind when a batch ships schema changes.
-pub(crate) fn load_schemas(
-    engine: &StorageEngine,
-    current: seed_schema::SchemaVersionId,
-) -> SeedResult<SchemaRegistry> {
-    let mut schemas = Vec::new();
-    for (_, bytes) in engine.scan_prefix(codec::PREFIX_SCHEMA)? {
-        schemas.push(codec::decode_schema_entry(&bytes)?);
-    }
-    if schemas.is_empty() {
-        return Err(SeedError::Invalid("persisted database has no schema".to_string()));
-    }
-    let mut iter = schemas.into_iter();
-    let mut registry = SchemaRegistry::new(iter.next().expect("non-empty"));
-    for schema in iter {
-        registry.publish(schema);
-    }
-    registry.select(current)?;
-    Ok(registry)
+/// Decoded key effects: **the applier**'s input.  Decoding is the only step that can fail, and
+/// it touches no state; [`Changes::apply`] cannot fail.
+#[derive(Default)]
+pub(crate) struct Changes {
+    objects: Vec<ObjectChange>,
+    relationships: Vec<RelationshipChange>,
+    dirty: Vec<(ItemId, bool)>,
+    schemas: Vec<(SchemaVersionId, Schema)>,
+    infos: Vec<(VersionId, Option<VersionInfo>)>,
+    deltas: Vec<(VersionId, ItemId, Option<ItemSnapshot>)>,
+    meta: Option<codec::MetaRecord>,
 }
 
-/// Rebuilds the version manager from the `vi/` and `v/` ranges.  Factored out of
-/// [`load_keyed`] for the same reason as [`load_schemas`]: version-creating batches are rare,
-/// and when one arrives the replica rescans only these two ranges.
-pub(crate) fn load_versions(
-    engine: &StorageEngine,
-    meta: &codec::MetaRecord,
-) -> SeedResult<VersionManager> {
-    let mut infos = Vec::new();
-    for (_, bytes) in engine.scan_prefix(codec::PREFIX_VERSION_INFO)? {
-        infos.push(codec::decode_version_info(&bytes)?);
-    }
-    let mut histories: HashMap<ItemId, Vec<(VersionId, ItemSnapshot)>> = HashMap::new();
-    for (key, bytes) in engine.scan_prefix(codec::PREFIX_VERSION_DELTA)? {
-        let (vid, item) = codec::parse_version_delta_key(&key)?;
-        histories.entry(item).or_default().push((vid, codec::decode_snapshot(&bytes)?));
-    }
-    let mut histories: Vec<(ItemId, Vec<(VersionId, ItemSnapshot)>)> =
-        histories.into_iter().collect();
-    histories.sort_by_key(|(item, _)| *item);
-    Ok(VersionManager::from_state(infos, histories, meta.last_created.clone(), meta.version_seq))
-}
-
-/// Loads a database from the per-item layout: one ordered scan per record kind, then an
-/// in-memory index rebuild (the store's secondary indexes are reconstructed by the inserts).
-pub(crate) fn load_keyed(engine: &StorageEngine) -> SeedResult<Database> {
-    let meta = load_meta(engine)?;
-    let registry = load_schemas(engine, meta.current_schema)?;
-
-    // Data store: objects (with their inherits-links), then relationships.
-    let mut store = DataStore::new();
-    let mut inherits_links = Vec::new();
-    for (_, bytes) in engine.scan_prefix(codec::PREFIX_OBJECT)? {
-        let (record, inherits) = codec::decode_object_entry(&bytes)?;
-        let id = record.id;
-        store.insert_object(record);
-        for pattern in inherits {
-            inherits_links.push((id, pattern));
+impl Changes {
+    /// Decodes key effects (`None` = deleted), in log order.  `known` is the schema registry
+    /// the changes will be applied to (`None` for a fresh database): the meta record's current
+    /// schema must exist there or in the effects themselves.
+    pub(crate) fn decode<'a>(
+        effects: impl IntoIterator<Item = (&'a [u8], Option<&'a [u8]>)>,
+        known: Option<&SchemaRegistry>,
+    ) -> SeedResult<Self> {
+        let mut changes = Self::default();
+        for (key, value) in effects {
+            let kept = |what: &str| {
+                value.ok_or_else(|| SeedError::Invalid(format!("{what} is never deleted")))
+            };
+            if key.starts_with(codec::PREFIX_OBJECT) {
+                let entry = value.map(codec::decode_object_entry).transpose()?;
+                changes.objects.push((codec::parse_object_key(key)?, entry));
+            } else if key.starts_with(codec::PREFIX_RELATIONSHIP) {
+                let entry = value.map(codec::decode_relationship_entry).transpose()?;
+                changes.relationships.push((codec::parse_relationship_key(key)?, entry));
+            } else if key.starts_with(codec::PREFIX_DIRTY) {
+                changes.dirty.push((codec::parse_dirty_key(key)?, value.is_some()));
+            } else if key.starts_with(codec::PREFIX_SCHEMA) {
+                let schema = codec::decode_schema_entry(kept("a schema version")?)?;
+                changes.schemas.push((codec::parse_schema_key(key)?, schema));
+            } else if key.starts_with(codec::PREFIX_VERSION_INFO) {
+                let info = value.map(codec::decode_version_info).transpose()?;
+                changes.infos.push((codec::parse_version_info_key(key)?, info));
+            } else if key.starts_with(codec::PREFIX_VERSION_DELTA) {
+                let (vid, item) = codec::parse_version_delta_key(key)?;
+                changes.deltas.push((vid, item, value.map(codec::decode_snapshot).transpose()?));
+            } else if key == codec::KEY_META.as_bytes() {
+                changes.meta = Some(codec::decode_meta(kept("the meta record")?)?);
+            }
+            // Anything else (a replica's `repl/applied` cursor) carries no database state.
         }
-    }
-    for (_, bytes) in engine.scan_prefix(codec::PREFIX_RELATIONSHIP)? {
-        store.insert_relationship(codec::decode_relationship_entry(&bytes)?);
-    }
-    for (inheritor, pattern) in inherits_links {
-        store.add_inherits(inheritor, pattern);
+        if let Some(meta) = &changes.meta {
+            let current = meta.current_schema;
+            if !changes.schemas.iter().any(|(id, _)| *id == current)
+                && !known.is_some_and(|registry| registry.get(current).is_ok())
+            {
+                return Err(SeedError::Invalid(format!("meta names unknown schema {current}")));
+            }
+        }
+        Ok(changes)
     }
 
-    // Version manager: metadata records plus per-version delta snapshots.
-    let versions = load_versions(engine, &meta)?;
-
-    // Id floors and the dirty set (the inserts above marked everything dirty; the real dirty
-    // set is the persisted one).
-    store.raise_id_floor(meta.object_floor, meta.relationship_floor);
-    store.clear_dirty();
-    let mut dirty = Vec::new();
-    for (key, _) in engine.scan_prefix(codec::PREFIX_DIRTY)? {
-        dirty.push(codec::parse_dirty_key(&key)?);
+    /// Objects plus relationships changed — the per-item cost of applying the batch.
+    pub(crate) fn items(&self) -> usize {
+        self.objects.len() + self.relationships.len()
     }
-    store.mark_dirty_bulk(&dirty);
 
-    let mut db = Database::from_parts(registry, store, versions, meta.rules);
-    db.set_topology(meta.epoch, meta.fenced_to);
-    Ok(db)
+    /// Brings `db` to the decoded state, O(changes): item records through the store's
+    /// ordinary mutators (so every index follows), then dirty markers, schema versions,
+    /// version records and the meta record.
+    pub(crate) fn apply(self, db: &mut Database) {
+        let store = db.store_mut();
+        store.apply_changes(self.objects, self.relationships);
+        for (item, dirty) in self.dirty {
+            store.sync_dirty_mark(item, dirty);
+        }
+        if !self.schemas.is_empty() {
+            let registry = db.schemas_mut();
+            for (id, schema) in self.schemas {
+                registry.insert(id, schema);
+            }
+        }
+        if !self.infos.is_empty() || !self.deltas.is_empty() {
+            let versions = db.versions_mut();
+            for (id, info) in self.infos {
+                versions.set_info(id, info);
+            }
+            for (id, item, snapshot) in self.deltas {
+                versions.set_delta(id, item, snapshot);
+            }
+        }
+        let Some(meta) = self.meta else { return };
+        db.store_mut().raise_id_floor(meta.object_floor, meta.relationship_floor);
+        if db.schema_registry().current_id() != meta.current_schema {
+            db.schemas_mut()
+                .select(meta.current_schema)
+                .expect("decoding checked that the current schema exists");
+        }
+        let versions = db.version_manager();
+        if versions.seq() != meta.version_seq
+            || versions.last_created() != meta.last_created.as_ref()
+        {
+            db.versions_mut().set_counters(meta.last_created, meta.version_seq);
+        }
+        db.set_transition_rules(meta.rules);
+        db.set_topology(meta.epoch, meta.fenced_to);
+    }
+
+    /// A fresh database holding exactly the decoded state (recovery, replica resets).
+    pub(crate) fn into_database(mut self) -> SeedResult<Database> {
+        if self.meta.is_none() {
+            return Err(SeedError::NotFound("missing key 'meta'".to_string()));
+        }
+        let first = self.schemas.iter().position(|(id, _)| id.0 == 1).ok_or_else(|| {
+            SeedError::Invalid("persisted database has no first schema version".to_string())
+        })?;
+        let (_, schema) = self.schemas.remove(first);
+        let mut db = Database::from_parts(
+            SchemaRegistry::new(schema),
+            DataStore::new(),
+            VersionManager::new(),
+            Vec::new(),
+        );
+        self.apply(&mut db);
+        Ok(db)
+    }
 }
 
-/// Whether `engine` holds a per-item-layout database.
-pub(crate) fn is_keyed_layout(engine: &StorageEngine) -> SeedResult<bool> {
-    Ok(engine.contains(codec::KEY_META)?)
-}
-
-/// Opens the storage engine for a durable database directory.
-pub(crate) fn open_engine(dir: impl AsRef<Path>) -> SeedResult<StorageEngine> {
-    Ok(StorageEngine::open(dir)?)
-}
-
-/// Opens the storage engine with an explicit configuration (segment cap, retention budget,
-/// checkpoint threshold) — the tuning surface [`Database::open_durable_with`] exposes.
-pub(crate) fn open_engine_with(
-    dir: impl AsRef<Path>,
-    config: seed_storage::EngineConfig,
-) -> SeedResult<StorageEngine> {
-    Ok(StorageEngine::open_with(dir, config)?)
+/// Open-time recovery: the snapshot's pairs, then the effects logged after it, applied to an
+/// empty database.
+pub(crate) fn recover(recovered: &Recovered) -> SeedResult<Database> {
+    let snapshot = recovered.snapshot.iter().map(|(k, v)| (k.as_slice(), Some(v.as_slice())));
+    let logged = recovered.effects.iter().map(|(k, v)| (k.as_slice(), v.as_deref()));
+    Changes::decode(snapshot.chain(logged), None)?.into_database()
 }
 
 #[cfg(test)]
@@ -364,11 +438,12 @@ pub(crate) mod test_support {
 
 #[cfg(test)]
 mod tests {
-    use super::test_support::temp_dir;
+    use super::test_support::{assert_same_state, temp_dir};
     use super::*;
     use crate::index::ValueOp;
     use crate::value::Value;
     use seed_schema::{figure2_schema, figure3_schema};
+    use seed_storage::StorageResult;
 
     #[test]
     fn create_mutate_reopen_roundtrip() {
@@ -618,7 +693,6 @@ mod tests {
         let status = db.durability_status().unwrap();
         assert_eq!(status.path, dir);
         assert!(status.wal_bytes > 0, "committed mutations sit in the WAL");
-        assert!(status.keys >= 2, "schema + meta + object records");
         db.checkpoint().unwrap();
         let status = db.durability_status().unwrap();
         assert_eq!(status.wal_bytes, 0, "checkpoint truncates the WAL");
@@ -627,6 +701,98 @@ mod tests {
         assert!(mem.durability_status().is_none());
         assert!(mem.checkpoint().is_err());
         assert!(!mem.is_durable());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// In-memory segments whose next snapshot write fails (the image's own sync).
+    #[derive(Default)]
+    struct FlakySnapshots {
+        inner: seed_storage::MemorySegmentIo,
+        fail_snapshot: std::sync::atomic::AtomicBool,
+    }
+
+    impl seed_storage::SegmentIo for FlakySnapshots {
+        fn list(&self) -> seed_storage::StorageResult<Vec<seed_storage::SegmentId>> {
+            self.inner.list()
+        }
+        fn read(&self, id: seed_storage::SegmentId) -> seed_storage::StorageResult<Vec<u8>> {
+            self.inner.read(id)
+        }
+        fn create(&self, id: seed_storage::SegmentId, initial: &[u8]) -> StorageResult<()> {
+            self.inner.create(id, initial)
+        }
+        fn append(&self, id: seed_storage::SegmentId, bytes: &[u8]) -> StorageResult<()> {
+            self.inner.append(id, bytes)
+        }
+        fn sync(&self, id: seed_storage::SegmentId) -> StorageResult<()> {
+            self.inner.sync(id)
+        }
+        fn truncate(&self, id: seed_storage::SegmentId, len: u64) -> StorageResult<()> {
+            self.inner.truncate(id, len)
+        }
+        fn delete(&self, id: seed_storage::SegmentId) -> StorageResult<()> {
+            self.inner.delete(id)
+        }
+        fn write_snapshot(&self, image: &[u8]) -> StorageResult<()> {
+            if self.fail_snapshot.swap(false, std::sync::atomic::Ordering::SeqCst) {
+                let failed = std::io::Error::other("injected snapshot sync failure");
+                return Err(seed_storage::StorageError::Io(failed));
+            }
+            self.inner.write_snapshot(image)
+        }
+        fn read_snapshot(&self) -> StorageResult<Option<Vec<u8>>> {
+            self.inner.read_snapshot()
+        }
+    }
+
+    #[test]
+    fn poison_after_a_failed_background_checkpoint_keeps_every_acknowledged_commit() {
+        let io = std::sync::Arc::new(FlakySnapshots::default());
+        let config =
+            seed_storage::EngineConfig { checkpoint_wal_bytes: Some(2048), ..Default::default() };
+        let (engine, recovered) = StorageEngine::with_io(io.clone(), config.clone()).unwrap();
+        let mut db = Database::create_recovered(engine, &recovered, figure3_schema()).unwrap();
+        io.fail_snapshot.store(true, std::sync::atomic::Ordering::SeqCst);
+        // Commit until a background checkpoint has failed and poisoned the engine.
+        let mut acked = 0;
+        let reason = loop {
+            assert!(acked < 10_000, "no checkpoint ever became due");
+            match db.create_object("Data", &format!("D{acked}")) {
+                Ok(_) => acked += 1,
+                Err(SeedError::Storage(seed_storage::StorageError::Poisoned(reason))) => {
+                    break reason
+                }
+                Err(other) => panic!("commit {acked} failed with {other}"),
+            }
+        };
+        assert!(reason.contains("checkpoint"), "{reason}");
+        assert!(!db.wal_writable());
+        assert!(db.wal_fault().unwrap().contains("poisoned"));
+        assert!(matches!(db.begin_transaction(), Err(SeedError::Storage(_))));
+        drop(db);
+        let (engine, recovered) = StorageEngine::with_io(io, config).unwrap();
+        let reopened = Database::open_recovered(engine, &recovered).unwrap();
+        assert_eq!(reopened.object_count(), acked, "exactly the acknowledged commits");
+        assert!(reopened.object_by_name(&format!("D{}", acked - 1)).is_ok());
+    }
+
+    #[test]
+    fn commits_past_the_threshold_checkpoint_in_the_background() {
+        let dir = temp_dir("background");
+        let config = seed_storage::EngineConfig {
+            checkpoint_wal_bytes: Some(4096),
+            ..seed_storage::EngineConfig::default()
+        };
+        let mut db = Database::create_durable_with(&dir, figure3_schema(), config.clone()).unwrap();
+        for i in 0..300 {
+            db.create_object("Data", &format!("D{i:03}")).unwrap();
+        }
+        db.checkpoint().unwrap(); // joins the one in flight, then quiesces
+        assert!(dir.join("snapshot.db").exists());
+        let live = db.clone_for_snapshot();
+        drop(db);
+        let reopened = Database::open_durable_with(&dir, config).unwrap();
+        assert_same_state(&live, &reopened, true);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -891,11 +1057,9 @@ mod proptests {
 
     /// The key space the encoder derives from the live database.
     fn encoder_pairs(db: &Database) -> Vec<(Vec<u8>, Vec<u8>)> {
-        let engine = StorageEngine::in_memory().unwrap();
-        let txn = engine.begin().unwrap();
-        write_full(db, &engine, txn).unwrap();
-        engine.commit(txn).unwrap();
-        engine.scan_prefix(b"").unwrap()
+        let mut pairs = Vec::new();
+        encode_pairs(db, None, &mut |key, value| pairs.push((key.to_vec(), value.to_vec())));
+        pairs
     }
 
     /// Ships the primary's WAL tail past the replica's cursor as one incremental batch.
@@ -937,27 +1101,41 @@ mod proptests {
                 db.set_replication_retention(Some(incremental.applied_lsn() + 1));
                 run_step(&mut db, step);
                 prop_assert!(!db.in_transaction());
-                let (durable_pairs, lsn) = db.replication_snapshot().unwrap();
-                prop_assert!(encoder_pairs(&db) == durable_pairs, "step {}: encoder differs", i);
-
                 let live = db.clone_for_snapshot();
                 let live_pairs = encoder_pairs(&live);
+                let (resync_cut, lsn) = db.replication_snapshot().unwrap();
+
                 drop(db);
-                db = Database::open_durable_with(&dir, config.clone()).unwrap();
+                let (engine, recovered) =
+                    StorageEngine::open_with(&dir, config.clone()).unwrap();
+                db = Database::open_recovered(engine, &recovered).unwrap();
                 assert_same_state(&live, &db, true);
                 prop_assert!(encoder_pairs(&db) == live_pairs, "step {}: reopened differs", i);
+                let mut on_disk: std::collections::BTreeMap<_, _> =
+                    recovered.snapshot.into_iter().collect();
+                for (key, value) in recovered.effects {
+                    match value {
+                        Some(value) => on_disk.insert(key, value),
+                        None => on_disk.remove(&key),
+                    };
+                }
+                let on_disk: Vec<_> = on_disk.into_iter().collect();
+                prop_assert!(on_disk == live_pairs, "step {}: disk differs from memory", i);
 
                 feed(&mut incremental, &db);
-                let replica_db = incremental.load().unwrap();
-                assert_same_state(&live, &replica_db, true);
-                prop_assert!(encoder_pairs(&replica_db) == live_pairs, "step {}: replica", i);
+                let replica_db = incremental.database().unwrap();
+                assert_same_state(&live, replica_db, true);
+                prop_assert!(encoder_pairs(replica_db) == live_pairs, "step {}: replica", i);
 
                 let reset_dir = temp_dir("lockstep-reset");
                 let mut reset = ReplicaStore::open(&reset_dir).unwrap();
-                reset.apply(&snapshot_records(durable_pairs), lsn, true).unwrap();
-                let reset_db = reset.load().unwrap();
-                assert_same_state(&live, &reset_db, true);
-                prop_assert!(encoder_pairs(&reset_db) == live_pairs, "step {}: reset", i);
+                reset.apply(&snapshot_records(&resync_cut), lsn, true).unwrap();
+                drop(reset);
+                let reset = ReplicaStore::open(&reset_dir).unwrap();
+                prop_assert_eq!(reset.applied_lsn(), lsn);
+                let reset_db = reset.database().unwrap();
+                assert_same_state(&live, reset_db, true);
+                prop_assert!(encoder_pairs(reset_db) == live_pairs, "step {}: reset", i);
                 let promoted = reset.into_primary(1).unwrap();
                 assert_same_state(&live, &promoted, true);
                 drop(promoted);

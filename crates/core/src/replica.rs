@@ -1,12 +1,13 @@
 //! The replica side of WAL-shipping replication: a durable store rebuilt from a primary's
 //! shipped log records.
 //!
-//! A [`ReplicaStore`] owns its **own** storage engine (its own pages, WAL and checkpoints) and
-//! applies batches of the primary's [`LogRecord`]s through the same machinery PR 3's restart
-//! recovery uses: [`replay_committed`] reduces a batch to committed key effects, the effects
-//! commit as **one** local storage transaction together with the new cursor position, and
-//! [`ReplicaStore::load`] rebuilds a serving [`Database`] with the keyed range scans and index
-//! rebuild of [`crate::durability`].  Because the applied-LSN cursor rides in the same
+//! A [`ReplicaStore`] owns its **own** storage engine (its own WAL and checkpoints) and the
+//! database it mirrors.  A shipped batch of the primary's [`LogRecord`]s is reduced to its
+//! committed key effects ([`replay_committed`], exactly as restart recovery does) and decoded
+//! **completely** before anything is committed, so a batch that fails to decode touches
+//! neither disk nor memory.  Then the effects commit as **one** local storage transaction
+//! together with the new cursor position, and the applier of [`crate::durability`] patches
+//! the mirrored database in O(delta).  Because the applied-LSN cursor rides in the same
 //! transaction as the effects it covers, a crash mid-batch loses the whole batch or nothing:
 //! on reopen the replica resumes from its last durable LSN and re-requests exactly the records
 //! it lost.
@@ -14,15 +15,15 @@
 //! Two batch shapes exist (see `docs/PROTOCOL.md` for the wire contract):
 //!
 //! * **incremental** — the primary's WAL tail since the replica's cursor; applied on top of the
-//!   current keys;
+//!   mirrored database;
 //! * **reset** — a full keyed snapshot (shipped when the replica's cursor fell behind a primary
 //!   checkpoint, or when the replica is empty and the primary's WAL no longer reaches back to
-//!   LSN 1); the store's keys are cleared and rebuilt in the same transaction.
+//!   LSN 1); it is applied to a fresh database, which the store writes as its own snapshot
+//!   image — cursor included — in one atomic replace.
 //!
 //! The store never mutates through [`Database`] write paths — replicas are read-only by
-//! construction.  The serving database they load is plain in-memory state; an incremental
-//! batch's committed effects can be patched onto it in O(delta) with
-//! [`ReplicaStore::apply_to_database`] (reset batches reload wholesale).
+//! construction.  A serving copy of the mirrored database ([`ReplicaStore::serving_copy`])
+//! costs O(1).
 
 use std::path::Path;
 
@@ -31,21 +32,16 @@ use seed_storage::{KeyEffect, LogRecord, Lsn, StorageEngine};
 
 use crate::codec;
 use crate::database::Database;
-use crate::durability;
+use crate::durability::{self, Changes};
 use crate::error::{SeedError, SeedResult};
-use crate::ident::ItemId;
-use crate::store::{ObjectChange, RelationshipChange};
 
-/// Key holding the replica's durable cursor: the last primary LSN whose effects are committed
-/// locally.  Outside every per-item prefix (`o/`, `r/`, `s/`, `vi/`, `v/`, `d/`, `meta`), so
-/// the keyed loader never sees it.
-const KEY_APPLIED: &[u8] = b"repl/applied";
-
-/// A replica's durable store: the local mirror of a primary's per-item key space plus the
-/// cursor of how far into the primary's WAL that mirror reaches.
+/// A replica's durable store: the mirrored database, its local WAL and snapshot, and the
+/// cursor of how far into the primary's WAL the mirror reaches.
 pub struct ReplicaStore {
     engine: StorageEngine,
     applied: Lsn,
+    /// `None` until a batch carrying the primary's `meta` record has been applied.
+    db: Option<Database>,
 }
 
 impl ReplicaStore {
@@ -53,9 +49,16 @@ impl ReplicaStore {
     /// recovery.  A fresh directory starts at cursor 0 — the first subscription asks the
     /// primary for everything.
     pub fn open(dir: impl AsRef<Path>) -> SeedResult<Self> {
-        let engine = StorageEngine::open(dir)?;
-        let applied = engine.get_u64_cell(KEY_APPLIED, 0)?;
-        Ok(Self { engine, applied })
+        let (engine, recovered) = StorageEngine::open(dir)?;
+        let applied = recovered
+            .get(codec::KEY_APPLIED.as_bytes())
+            .and_then(|bytes| <[u8; 8]>::try_from(bytes).ok())
+            .map_or(0, u64::from_le_bytes);
+        let db = match recovered.get(codec::KEY_META.as_bytes()) {
+            Some(_) => Some(durability::recover(&recovered)?),
+            None => None,
+        };
+        Ok(Self { engine, applied, db })
     }
 
     /// The last primary LSN whose effects are durable locally (0 = nothing applied yet).
@@ -64,197 +67,131 @@ impl ReplicaStore {
     }
 
     /// Whether at least one batch carrying the primary's `meta` record has been applied — i.e.
-    /// whether [`ReplicaStore::load`] can produce a database.
-    pub fn is_initialized(&self) -> SeedResult<bool> {
-        Ok(self.engine.contains(codec::KEY_META)?)
+    /// whether the store mirrors a database.
+    pub fn is_initialized(&self) -> bool {
+        self.db.is_some()
     }
 
-    /// Directory of the store.
-    pub fn path(&self) -> Option<&Path> {
-        self.engine.path()
+    /// The mirrored database, once initialized.
+    pub fn database(&self) -> Option<&Database> {
+        self.db.as_ref()
     }
 
-    /// Bytes currently in the replica's own WAL (bounded by the engine's auto-checkpoint).
-    pub fn wal_bytes(&self) -> u64 {
-        self.engine.wal_size_bytes().unwrap_or(0)
+    /// An O(1) copy of the mirrored database for serving reads (structure-shared; it never
+    /// writes).
+    pub fn serving_copy(&self) -> Option<Database> {
+        self.db.as_ref().map(Database::clone_for_snapshot)
     }
 
-    /// Applies one shipped batch as **one** local storage transaction: the committed key
-    /// effects of `records` (uncommitted transactions are discarded, exactly as restart
-    /// recovery would) plus the new cursor `up_to`.  With `reset`, every existing key is
-    /// deleted first — the snapshot-resync path — in the same transaction, so a crash
-    /// mid-resync leaves the old state intact.
+    /// Applies one shipped batch: the committed key effects of `records` (uncommitted
+    /// transactions are discarded, exactly as restart recovery would) plus the new cursor
+    /// `up_to`.  The batch is decoded completely first; a batch that fails to decode changes
+    /// nothing.  An incremental batch commits as **one** local storage transaction and patches
+    /// the mirrored database; with `reset`, the batch becomes a fresh database written as the
+    /// store's own snapshot in one atomic replace, so a crash mid-resync leaves the old state
+    /// intact.
     ///
-    /// Returns the committed key effects, so that a caller serving reads can patch its
-    /// in-memory database with [`ReplicaStore::apply_to_database`] — O(delta) — instead of
-    /// rebuilding it with [`ReplicaStore::load`] — O(database).
-    pub fn apply(
-        &mut self,
-        records: &[LogRecord],
-        up_to: Lsn,
-        reset: bool,
-    ) -> SeedResult<Vec<KeyEffect>> {
+    /// Returns the number of per-item records the batch changed (the replica's cost
+    /// observable: O(delta) for incremental batches).
+    pub fn apply(&mut self, records: &[LogRecord], up_to: Lsn, reset: bool) -> SeedResult<usize> {
         let numbered: Vec<(Lsn, LogRecord)> =
             records.iter().cloned().enumerate().map(|(i, r)| (i as Lsn + 1, r)).collect();
         let effects = replay_committed(&numbered);
-        let txn = self.engine.begin()?;
-        if reset {
-            for (key, _) in self.engine.scan_prefix(b"")? {
-                self.engine.txn_delete(txn, &key)?;
+        let known = self.db.as_ref().filter(|_| !reset).map(Database::schema_registry);
+        let changes =
+            Changes::decode(effects.iter().map(|(k, v)| (k.as_slice(), v.as_deref())), known)?;
+        let items = changes.items();
+        match self.db {
+            Some(_) if !reset => {
+                self.commit_effects(&effects, up_to)?;
+                changes.apply(self.db.as_mut().expect("matched above"));
+            }
+            _ => {
+                let db = changes.into_database()?;
+                if reset {
+                    let lsn = self.engine.durable_lsn();
+                    self.engine.checkpoint(&durability::encode_image(&db, lsn, Some(up_to)))?;
+                } else {
+                    self.commit_effects(&effects, up_to)?;
+                }
+                self.db = Some(db);
             }
         }
-        for (key, value) in &effects {
+        self.applied = up_to;
+        if self.engine.checkpoint_due() {
+            // A failure poisons the engine, which then refuses the next batch.
+            let _ = self.checkpoint();
+        }
+        Ok(items)
+    }
+
+    /// Commits a batch's effects and the new cursor as one local storage transaction.
+    fn commit_effects(&self, effects: &[KeyEffect], up_to: Lsn) -> SeedResult<()> {
+        let txn = self.engine.begin()?;
+        for (key, value) in effects {
             match value {
                 Some(v) => self.engine.txn_put(txn, key, v)?,
                 None => self.engine.txn_delete(txn, key)?,
             }
         }
-        self.engine.txn_put(txn, KEY_APPLIED, &up_to.to_le_bytes())?;
-        self.engine.commit(txn)?;
-        self.applied = up_to;
-        Ok(effects)
+        self.engine.txn_put(txn, codec::KEY_APPLIED.as_bytes(), &up_to.to_le_bytes())?;
+        Ok(self.engine.commit(txn)?)
     }
 
-    /// Rebuilds a serving [`Database`] from the store — the PR 3 recovery path: one keyed range
-    /// scan per record kind, then an in-memory index rebuild.  The returned database is plain
-    /// in-memory state (replicas never write through it); call again after applying a batch.
-    pub fn load(&self) -> SeedResult<Database> {
-        if !self.is_initialized()? {
-            return Err(SeedError::NotFound(
-                "replica store holds no database yet (no batch applied)".to_string(),
-            ));
-        }
-        durability::load_keyed(&self.engine)
-    }
-
-    /// Patches a previously loaded serving database with the key effects one incremental batch
-    /// committed — the O(delta) alternative to calling [`ReplicaStore::load`] again.  Index
-    /// maintenance rides on the store's ordinary mutators, so the patched database matches a
-    /// fresh [`ReplicaStore::load`] of the post-batch store exactly.  Returns the number of
-    /// per-item records touched (the replica's staleness/cost observable).
-    ///
-    /// Only valid for **incremental** batches applied on top of the state `db` was loaded
-    /// from; after a **reset** batch, reload wholesale instead.
-    pub fn apply_to_database(&self, db: &mut Database, effects: &[KeyEffect]) -> SeedResult<usize> {
-        // Decode the per-item effects up front, partitioned by record kind.
-        let mut objects: Vec<ObjectChange> = Vec::new();
-        let mut relationships: Vec<RelationshipChange> = Vec::new();
-        let mut dirty_marks: Vec<(ItemId, bool)> = Vec::new();
-        let mut schemas_changed = false;
-        let mut versions_changed = false;
-        let mut meta_changed = false;
-        for (key, value) in effects {
-            if key.starts_with(codec::PREFIX_OBJECT) {
-                let id = codec::parse_object_key(key)?;
-                let entry = value.as_deref().map(codec::decode_object_entry).transpose()?;
-                objects.push((id, entry));
-            } else if key.starts_with(codec::PREFIX_RELATIONSHIP) {
-                let id = codec::parse_relationship_key(key)?;
-                let entry = value.as_deref().map(codec::decode_relationship_entry).transpose()?;
-                relationships.push((id, entry));
-            } else if key.starts_with(codec::PREFIX_DIRTY) {
-                dirty_marks.push((codec::parse_dirty_key(key)?, value.is_some()));
-            } else if key.starts_with(codec::PREFIX_SCHEMA) {
-                schemas_changed = true;
-            } else if key.starts_with(codec::PREFIX_VERSION_INFO)
-                || key.starts_with(codec::PREFIX_VERSION_DELTA)
-            {
-                versions_changed = true;
-            } else if key.as_slice() == codec::KEY_META {
-                meta_changed = true;
-            }
-            // Anything else (the repl/ cursor) carries no database state.
-        }
-        let touched = objects.len() + relationships.len();
-        let store = db.store_mut();
-        store.apply_changes(objects, relationships);
-        // The shipped dirty markers override whatever the mutators above flagged: the replica
-        // mirrors the primary's persisted dirty set, not its own apply work.
-        for (item, dirty) in dirty_marks {
-            store.sync_dirty_mark(item, dirty);
-        }
-
-        // Rare, coarse-grained state reloads straight from the (already committed) engine:
-        // schema publishes and version creations rescan exactly their own key ranges.
-        if meta_changed || schemas_changed || versions_changed {
-            let meta = durability::load_meta(&self.engine)?;
-            let store = db.store_mut();
-            store.raise_id_floor(meta.object_floor, meta.relationship_floor);
-            if schemas_changed || db.parts().0.current_id() != meta.current_schema {
-                db.set_schemas(durability::load_schemas(&self.engine, meta.current_schema)?);
-            }
-            if versions_changed
-                || db.parts().2.seq() != meta.version_seq
-                || db.parts().2.last_created() != meta.last_created.as_ref()
-            {
-                db.set_versions(durability::load_versions(&self.engine, &meta)?);
-            }
-            db.set_transition_rules(meta.rules);
-        }
-        Ok(touched)
-    }
-
-    /// Checkpoints the replica's own engine (write its snapshot, prune its local WAL).  The engine
-    /// also does this automatically past its WAL threshold; replication correctness does not
-    /// depend on it — the cursor lives in the keyed state, not the local WAL.
+    /// Checkpoints the replica's own engine: the mirrored database and the cursor as one
+    /// snapshot image, then the local WAL pruned.  [`ReplicaStore::apply`] does this whenever
+    /// the local WAL outgrows its threshold; replication correctness does not depend on it —
+    /// the cursor lives in the keyed state, not the local WAL.
     pub fn checkpoint(&self) -> SeedResult<()> {
-        Ok(self.engine.checkpoint()?)
+        let db = self.db.as_ref().ok_or_else(not_initialized)?;
+        let image = durability::encode_image(db, self.engine.durable_lsn(), Some(self.applied));
+        Ok(self.engine.checkpoint(&image)?)
     }
 
     /// The topology epoch recorded in the mirrored meta record (0 for an uninitialized store
     /// or a pre-promotion primary's state).  A `ReplicaNode` re-pointed at a new primary
     /// compares this against the promotion epoch to decide whether its local state may be
     /// continued incrementally or must be resynced from a snapshot.
-    pub fn topology_epoch(&self) -> SeedResult<u64> {
-        match self.engine.get(codec::KEY_META)? {
-            Some(bytes) => Ok(codec::decode_meta(&bytes)?.epoch),
-            None => Ok(0),
-        }
+    pub fn topology_epoch(&self) -> u64 {
+        self.db.as_ref().map_or(0, Database::topology_epoch)
     }
 
     /// Promotion: consumes the replica store and turns its directory into a **durable primary**
-    /// at topology epoch `epoch` — reusing the engine, pages and segmented WAL in place, no
-    /// data copy.  In one local transaction the replication cursor key is deleted (the
-    /// directory stops being a replica store; a later [`ReplicaStore::open`] on it reads cursor
-    /// 0, which forces the snapshot resync path on rejoin-as-replica) and the meta record is
-    /// rewritten with the new epoch and no fence.  Then the keyed state is loaded exactly as
-    /// [`Database::open_durable`] would and write-through durability is attached.
+    /// at topology epoch `epoch` — reusing the engine, the mirrored database and the segmented
+    /// WAL in place, no data copy.  In one local transaction the replication cursor key is
+    /// deleted (the directory stops being a replica store; a later [`ReplicaStore::open`] on it
+    /// reads cursor 0, which forces the snapshot resync path on rejoin-as-replica) and the meta
+    /// record is rewritten with the new epoch and no fence.  Then write-through durability is
+    /// attached to the mirrored database.
     ///
     /// The caller is responsible for having drained the shipped tail first: records the old
     /// primary committed but never shipped here are lost by design (they were never
     /// acknowledged to this node).
     pub fn into_primary(self, epoch: u64) -> SeedResult<Database> {
+        let mut db = self.db.ok_or_else(not_initialized)?;
+        db.set_topology(epoch, None);
         let txn = self.engine.begin()?;
-        self.engine.txn_delete(txn, KEY_APPLIED)?;
-        let mut meta = durability::load_meta(&self.engine)?;
-        meta.epoch = epoch;
-        meta.fenced_to = None;
-        self.engine.txn_put(txn, codec::KEY_META, &codec::encode_meta(&meta))?;
+        self.engine.txn_delete(txn, codec::KEY_APPLIED.as_bytes())?;
+        durability::stage_meta(&self.engine, txn, &db)?;
         self.engine.commit(txn)?;
-        let mut db = durability::load_keyed(&self.engine)?;
         db.attach_durability(self.engine);
         Ok(db)
     }
 }
 
-impl std::fmt::Debug for ReplicaStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ReplicaStore")
-            .field("path", &self.engine.path())
-            .field("applied", &self.applied)
-            .finish()
-    }
+fn not_initialized() -> SeedError {
+    SeedError::NotFound("replica store holds no database yet (no batch applied)".to_string())
 }
 
-/// Builds the reset-batch record list from a primary snapshot: one synthetic committed
-/// transaction (`Begin`, one `Put` per key, `Commit`) that rebuilds the whole key space.  Kept
-/// next to [`ReplicaStore::apply`] so the two sides of the snapshot contract stay in one file.
-pub fn snapshot_records(pairs: Vec<(Vec<u8>, Vec<u8>)>) -> Vec<LogRecord> {
-    let mut records = Vec::with_capacity(pairs.len() + 2);
-    records.push(LogRecord::Begin { txn: 0 });
-    for (key, value) in pairs {
-        records.push(LogRecord::Put { txn: 0, key, value });
-    }
+/// Builds the reset-batch record list from a primary's committed state (see
+/// [`Database::replication_snapshot`]): one synthetic committed transaction (`Begin`, one
+/// `Put` per encoded pair, `Commit`) that rebuilds the whole key space.  Kept next to
+/// [`ReplicaStore::apply`] so the two sides of the snapshot contract stay in one file.
+pub fn snapshot_records(db: &Database) -> Vec<LogRecord> {
+    let mut records = vec![LogRecord::Begin { txn: 0 }];
+    durability::encode_pairs(db, None, &mut |key, value| {
+        records.push(LogRecord::Put { txn: 0, key: key.to_vec(), value: value.to_vec() });
+    });
     records.push(LogRecord::Commit { txn: 0 });
     records
 }
@@ -288,14 +225,14 @@ mod tests {
 
         let mut replica = ReplicaStore::open(&replica_dir).unwrap();
         assert_eq!(replica.applied_lsn(), 0);
-        assert!(!replica.is_initialized().unwrap());
-        assert!(replica.load().is_err(), "no batch applied yet");
+        assert!(!replica.is_initialized());
+        assert!(replica.database().is_none(), "no batch applied yet");
 
         // First batch: the whole WAL from LSN 1 (the primary never checkpointed).
         let (records, up_to) = tail_records(&primary, 1);
         replica.apply(&records, up_to, false).unwrap();
         assert_eq!(replica.applied_lsn(), up_to);
-        assert_same_state(&replica.load().unwrap(), &primary, true);
+        assert_same_state(replica.database().unwrap(), &primary, true);
 
         // Incremental batch on top: only the new records ship.
         let desc = primary.create_dependent(sensor, "Description", Value::string("v1")).unwrap();
@@ -303,13 +240,13 @@ mod tests {
         let (records, new_up_to) = tail_records(&primary, up_to + 1);
         assert!(!records.is_empty());
         replica.apply(&records, new_up_to, false).unwrap();
-        assert_same_state(&replica.load().unwrap(), &primary, true);
+        assert_same_state(replica.database().unwrap(), &primary, true);
 
         // Cursor is durable: reopening the store resumes where it left off.
         drop(replica);
         let replica = ReplicaStore::open(&replica_dir).unwrap();
         assert_eq!(replica.applied_lsn(), new_up_to);
-        assert_same_state(&replica.load().unwrap(), &primary, true);
+        assert_same_state(replica.database().unwrap(), &primary, true);
         let _ = std::fs::remove_dir_all(&primary_dir);
         let _ = std::fs::remove_dir_all(&replica_dir);
     }
@@ -331,16 +268,16 @@ mod tests {
             other => panic!("expected truncation, got {other:?}"),
         }
         // Resync from the snapshot, as the primary's session loop would.
-        let (pairs, lsn) = primary.replication_snapshot().unwrap();
-        replica.apply(&snapshot_records(pairs), lsn, true).unwrap();
+        let (view, lsn) = primary.replication_snapshot().unwrap();
+        replica.apply(&snapshot_records(&view), lsn, true).unwrap();
         assert_eq!(replica.applied_lsn(), lsn);
-        assert_same_state(&replica.load().unwrap(), &primary, true);
+        assert_same_state(replica.database().unwrap(), &primary, true);
 
         // And incremental shipping continues cleanly after the reset.
         primary.create_object("Action", "Later").unwrap();
         let (records, up_to) = tail_records(&primary, lsn + 1);
         replica.apply(&records, up_to, false).unwrap();
-        assert_same_state(&replica.load().unwrap(), &primary, true);
+        assert_same_state(replica.database().unwrap(), &primary, true);
         let _ = std::fs::remove_dir_all(&primary_dir);
         let _ = std::fs::remove_dir_all(&replica_dir);
     }
@@ -354,15 +291,15 @@ mod tests {
         let mut replica = ReplicaStore::open(&replica_dir).unwrap();
         let (records, up_to) = tail_records(&primary, 1);
         replica.apply(&records, up_to, false).unwrap();
-        assert!(replica.load().unwrap().object_by_name("Doomed").is_ok());
+        assert!(replica.database().unwrap().object_by_name("Doomed").is_ok());
 
         // The primary physically removes the object's key space... (delete marks it deleted;
         // exercise the reset path with a checkpoint + fresh snapshot instead).
         primary.delete_object(doomed).unwrap();
         primary.checkpoint().unwrap();
-        let (pairs, lsn) = primary.replication_snapshot().unwrap();
-        replica.apply(&snapshot_records(pairs), lsn, true).unwrap();
-        assert_same_state(&replica.load().unwrap(), &primary, true);
+        let (view, lsn) = primary.replication_snapshot().unwrap();
+        replica.apply(&snapshot_records(&view), lsn, true).unwrap();
+        assert_same_state(replica.database().unwrap(), &primary, true);
         let _ = std::fs::remove_dir_all(&primary_dir);
         let _ = std::fs::remove_dir_all(&replica_dir);
     }
@@ -413,22 +350,22 @@ mod tests {
             batch1_lsn,
             "the torn batch must roll back atomically, cursor included"
         );
-        assert!(replica.load().unwrap().object_by_name("InFlight").is_err());
+        assert!(replica.database().unwrap().object_by_name("InFlight").is_err());
 
         // Re-request from the durable cursor and converge.
         let (records, up_to) = tail_records(&primary, replica.applied_lsn() + 1);
         replica.apply(&records, up_to, false).unwrap();
         assert_eq!(up_to, batch2_lsn);
-        assert_same_state(&replica.load().unwrap(), &primary, true);
+        assert_same_state(replica.database().unwrap(), &primary, true);
         let _ = std::fs::remove_dir_all(&primary_dir);
         let _ = std::fs::remove_dir_all(&replica_dir);
     }
 
-    /// The tentpole's replica half: patching the serving database with a batch's committed
-    /// effects yields exactly the database a wholesale reload would, while touching only
-    /// O(delta) items — including across renames, deletes, rollbacks and version creation.
+    /// Patching the mirrored database with each incremental batch yields exactly the database
+    /// a wholesale reload (reopening the store) would, while touching only O(delta) items —
+    /// including across renames, deletes, rollbacks and version creation.
     #[test]
-    fn incremental_apply_to_database_matches_a_wholesale_reload() {
+    fn incremental_apply_matches_a_wholesale_reload() {
         let primary_dir = temp_dir("repl-incr-primary");
         let replica_dir = temp_dir("repl-incr-replica");
         let mut primary = Database::create_durable(&primary_dir, figure3_schema()).unwrap();
@@ -439,7 +376,6 @@ mod tests {
         let mut replica = ReplicaStore::open(&replica_dir).unwrap();
         let (records, mut cursor) = tail_records(&primary, 1);
         replica.apply(&records, cursor, false).unwrap();
-        let mut serving = replica.load().unwrap();
 
         // A sequence of batches exercising every record kind; after each one, the patched
         // database must equal a fresh reload, and the touched count must stay O(delta).
@@ -470,14 +406,49 @@ mod tests {
         for mutate in mutate {
             mutate(&mut primary);
             let (records, up_to) = tail_records(&primary, cursor + 1);
-            let effects = replica.apply(&records, up_to, false).unwrap();
+            let touched = replica.apply(&records, up_to, false).unwrap();
             cursor = up_to;
-            let touched = replica.apply_to_database(&mut serving, &effects).unwrap();
             assert!(touched <= 8, "batch touched {touched} items, expected O(delta)");
-            assert_same_state(&serving, &replica.load().unwrap(), true);
-            assert_same_state(&serving, &primary, true);
+            let patched = replica.serving_copy().unwrap();
+            drop(replica);
+            replica = ReplicaStore::open(&replica_dir).unwrap();
+            assert_same_state(&patched, replica.database().unwrap(), true);
+            assert_same_state(&patched, &primary, true);
         }
-        assert_eq!(serving.versions().len(), 1);
+        assert_eq!(replica.database().unwrap().versions().len(), 1);
+        let _ = std::fs::remove_dir_all(&primary_dir);
+        let _ = std::fs::remove_dir_all(&replica_dir);
+    }
+
+    /// A batch that fails to decode touches neither disk nor memory: the cursor, the mirrored
+    /// database and what a restart recovers all stay where they were.
+    #[test]
+    fn a_batch_with_a_corrupt_record_changes_nothing() {
+        let primary_dir = temp_dir("repl-corrupt-primary");
+        let replica_dir = temp_dir("repl-corrupt-replica");
+        let mut primary = Database::create_durable(&primary_dir, figure3_schema()).unwrap();
+        primary.create_object("Data", "Before").unwrap();
+        let mut replica = ReplicaStore::open(&replica_dir).unwrap();
+        let (records, cursor) = tail_records(&primary, 1);
+        replica.apply(&records, cursor, false).unwrap();
+
+        primary.create_object("Data", "Shipped").unwrap();
+        let (mut records, up_to) = tail_records(&primary, cursor + 1);
+        for record in &mut records {
+            if let LogRecord::Put { key, value, .. } = record {
+                if key.starts_with(codec::PREFIX_OBJECT) {
+                    value.truncate(value.len() / 2); // a torn `o/` record
+                }
+            }
+        }
+        let before = replica.serving_copy().unwrap();
+        assert!(replica.apply(&records, up_to, false).is_err());
+        assert_eq!(replica.applied_lsn(), cursor);
+        assert_same_state(replica.database().unwrap(), &before, true);
+        drop(replica);
+        let replica = ReplicaStore::open(&replica_dir).unwrap();
+        assert_eq!(replica.applied_lsn(), cursor, "nothing reached the replica's disk");
+        assert_same_state(replica.database().unwrap(), &before, true);
         let _ = std::fs::remove_dir_all(&primary_dir);
         let _ = std::fs::remove_dir_all(&replica_dir);
     }
@@ -496,7 +467,7 @@ mod tests {
         let mut replica = ReplicaStore::open(&replica_dir).unwrap();
         let (records, up_to) = tail_records(&primary, 1);
         replica.apply(&records, up_to, false).unwrap();
-        assert_eq!(replica.topology_epoch().unwrap(), 0);
+        assert_eq!(replica.topology_epoch(), 0);
 
         let mut promoted = replica.into_primary(7).unwrap();
         assert!(promoted.is_durable(), "the flipped store writes through");
@@ -516,8 +487,8 @@ mod tests {
         // former-primary signature that demotion-to-replica resyncs from a snapshot.
         let rejoined = ReplicaStore::open(&replica_dir).unwrap();
         assert_eq!(rejoined.applied_lsn(), 0);
-        assert!(rejoined.is_initialized().unwrap());
-        assert_eq!(rejoined.topology_epoch().unwrap(), 7);
+        assert!(rejoined.is_initialized());
+        assert_eq!(rejoined.topology_epoch(), 7);
         let _ = std::fs::remove_dir_all(&primary_dir);
         let _ = std::fs::remove_dir_all(&replica_dir);
     }
@@ -535,7 +506,7 @@ mod tests {
         let mut replica = ReplicaStore::open(&replica_dir).unwrap();
         let (records, up_to) = tail_records(&primary, 1);
         replica.apply(&records, up_to, false).unwrap();
-        let mut loaded = replica.load().unwrap();
+        let mut loaded = replica.serving_copy().unwrap();
         assert_eq!(loaded.versions().len(), 1);
         loaded.select_version(Some(v1)).unwrap();
         assert_eq!(loaded.object(desc).unwrap().value, Value::string("v1"));

@@ -122,16 +122,9 @@ impl DataStore {
         }
     }
 
-    /// Marks a set of items dirty (used when restoring a persisted dirty set).
-    pub fn mark_dirty_bulk(&mut self, items: &[ItemId]) {
-        for item in items {
-            self.dirty.insert(*item, ());
-        }
-    }
-
-    /// Sets one item's dirty flag directly, without journaling — used when mirroring a shipped
-    /// `d/` marker onto a replica's serving database, where the flag must track the primary's
-    /// persisted dirty set rather than the local mutations that applied the batch.
+    /// Sets one item's dirty flag directly, without journaling — used when applying a persisted
+    /// `d/` marker, where the flag must track the persisted dirty set rather than the
+    /// mutations that applied the records.
     pub fn sync_dirty_mark(&mut self, item: ItemId, dirty: bool) {
         if dirty {
             self.dirty.insert(item, ());
@@ -168,18 +161,26 @@ impl DataStore {
         }
     }
 
-    /// Brings the changed items to their given states — the O(delta) patch behind incremental
-    /// replica apply.  Index maintenance rides on the ordinary mutators, and the changes are
-    /// applied in id order, so the result matches a store built from the new states directly.
-    /// An object's inherits-links travel with it, as in the durable codec, where the object
-    /// record carries them.
+    /// Brings the changed items to their given states — the O(delta) patch behind recovery and
+    /// replica apply.  The changes come in log order, so the last one per item is its state.
+    /// Index maintenance rides on the ordinary mutators, and the states are applied in id
+    /// order, so the result matches a store built from them directly.  An object's
+    /// inherits-links travel with it, as in the durable codec, where the object record carries
+    /// them.  The dirty set is left as it was: persisted `d/` markers, not this patch, decide
+    /// it.
     pub(crate) fn apply_changes(
         &mut self,
         mut objects: Vec<ObjectChange>,
         mut relationships: Vec<RelationshipChange>,
     ) {
+        let dirty = std::mem::take(&mut self.dirty);
+        // Newest first, then a stable sort by id: each item's last change leads its run.
+        objects.reverse();
         objects.sort_by_key(|(id, _)| *id);
+        objects.dedup_by_key(|(id, _)| *id);
+        relationships.reverse();
         relationships.sort_by_key(|(id, _)| *id);
+        relationships.dedup_by_key(|(id, _)| *id);
         // Cross-item renames within one delta (A→B while B→A) would corrupt the name index if
         // patched in place, because `update_object` drops the entry of the old name, which an
         // object patched earlier may already own: park every live object that the delta
@@ -237,6 +238,7 @@ impl DataStore {
                 }
             }
         }
+        self.dirty = dirty;
     }
 
     // ----- objects --------------------------------------------------------------------------------

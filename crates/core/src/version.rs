@@ -182,19 +182,23 @@ impl VersionManager {
     }
 
     /// Deletes a version ("versions cannot be modified, except for deletion").  Its recorded
-    /// deltas are dropped; views of later versions that relied on them fall back to earlier
+    /// deltas are dropped (the returned items are those it had recorded); views of later versions that relied on them fall back to earlier
     /// snapshots of the same items.
-    pub fn delete_version(&mut self, id: &VersionId) -> SeedResult<()> {
+    pub fn delete_version(&mut self, id: &VersionId) -> SeedResult<Vec<ItemId>> {
         if self.versions.remove(id).is_none() {
             return Err(SeedError::Version(format!("unknown version {id}")));
         }
-        for history in self.histories.values_mut() {
-            history.remove(id);
+        let mut dropped = Vec::new();
+        for (item, history) in self.histories.iter_mut() {
+            if history.remove(id).is_some() {
+                dropped.push(*item);
+            }
         }
         if self.last_created.as_ref() == Some(id) {
             self.last_created = self.versions.keys().next_back().cloned();
         }
-        Ok(())
+        dropped.sort_unstable();
+        Ok(dropped)
     }
 
     /// The snapshot of `item` visible in version `at`, following the paper's rule (greatest
@@ -256,43 +260,47 @@ impl VersionManager {
         self.seq
     }
 
-    /// Exports the manager's full state for persistence: version metadata, per-item histories,
-    /// the last-created version and the sequence counter.
-    #[allow(clippy::type_complexity)]
-    pub fn export_state(
-        &self,
-    ) -> (Vec<VersionInfo>, Vec<(ItemId, Vec<(VersionId, ItemSnapshot)>)>, Option<VersionId>, u64)
-    {
-        let versions = self.versions.values().cloned().collect();
-        let mut histories: Vec<(ItemId, Vec<(VersionId, ItemSnapshot)>)> = self
-            .histories
-            .iter()
-            .map(|(item, h)| (*item, h.iter().map(|(v, s)| (v.clone(), s.clone())).collect()))
-            .collect();
-        histories.sort_by_key(|(item, _)| *item);
-        (versions, histories, self.last_created.clone(), self.seq)
+    /// Every recorded delta snapshot, as `(version, item, snapshot)`, in no particular order.
+    pub(crate) fn deltas(&self) -> impl Iterator<Item = (&VersionId, ItemId, &ItemSnapshot)> {
+        self.histories.iter().flat_map(|(item, history)| {
+            history.iter().map(move |(version, snapshot)| (version, *item, snapshot))
+        })
     }
 
-    /// Rebuilds a manager from state exported with [`VersionManager::export_state`].
-    pub fn from_state(
-        versions: Vec<VersionInfo>,
-        histories: Vec<(ItemId, Vec<(VersionId, ItemSnapshot)>)>,
-        last_created: Option<VersionId>,
-        seq: u64,
-    ) -> Self {
-        let mut manager = Self::new();
-        for info in versions {
-            manager.versions.insert(info.id.clone(), info);
-        }
-        for (item, entries) in histories {
-            let history = manager.histories.entry(item).or_default();
-            for (version, snapshot) in entries {
-                history.insert(version, snapshot);
+    /// Sets (or, with `None`, removes) one version's metadata — how persisted `vi/` records
+    /// are applied.
+    pub(crate) fn set_info(&mut self, id: VersionId, info: Option<VersionInfo>) {
+        match info {
+            Some(info) => self.versions.insert(id, info),
+            None => self.versions.remove(&id),
+        };
+    }
+
+    /// Sets (or, with `None`, removes) one item's delta snapshot at version `id` — how
+    /// persisted `v/` records are applied.
+    pub(crate) fn set_delta(
+        &mut self,
+        id: VersionId,
+        item: ItemId,
+        snapshot: Option<ItemSnapshot>,
+    ) {
+        match snapshot {
+            Some(snapshot) => {
+                self.histories.entry(item).or_default().insert(id, snapshot);
+            }
+            None => {
+                if let Some(history) = self.histories.get_mut(&item) {
+                    history.remove(&id);
+                }
             }
         }
-        manager.last_created = last_created;
-        manager.seq = seq;
-        manager
+    }
+
+    /// Sets the last-created version and the sequence counter — the persisted meta record's
+    /// share of the manager.
+    pub(crate) fn set_counters(&mut self, last_created: Option<VersionId>, seq: u64) {
+        self.last_created = last_created;
+        self.seq = seq;
     }
 }
 

@@ -13,10 +13,11 @@
 //! 1. **Initial sync** — `start` blocks until the first batch is applied (the primary answers a
 //!    subscribe immediately, with a snapshot reset batch when the replica's cursor fell behind
 //!    the primary's WAL), so the node never listens before it has a database to serve.
-//! 2. **Streaming** — a background thread applies batches and patches the serving database
-//!    **in place, O(delta)** with the batch's committed key effects (reset batches reload
-//!    wholesale), publishing a fresh read snapshot keyed to the applied LSN — a read sees
-//!    whole batches, never halves — and acknowledges each batch once it is durable locally.
+//! 2. **Streaming** — a background thread applies batches to the [`ReplicaStore`], which
+//!    decodes each one completely, commits it locally and patches its mirrored database
+//!    **O(delta)** (a reset batch builds a fresh one); the node then publishes an O(1) copy of
+//!    it as the read snapshot keyed to the applied LSN — a read sees whole batches, never
+//!    halves — and acknowledges each batch once it is durable locally.
 //! 3. **Reconnect** — a dropped primary connection is retried with a fixed backoff, resuming
 //!    from the replica's durable cursor; a crash mid-batch loses that batch atomically and it
 //!    is simply shipped again.
@@ -364,7 +365,7 @@ fn prepare_promotion(
     epoch: u64,
     new_primary: &str,
 ) -> ServerResult<()> {
-    let current = store.topology_epoch().map_err(ServerError::Rejected)?;
+    let current = store.topology_epoch();
     if epoch <= current {
         return Err(ServerError::Protocol(format!(
             "stale promotion epoch {epoch}: this replica is already at epoch {current}"
@@ -434,8 +435,9 @@ enum Shipment {
     CaughtUp { durable: u64 },
     /// Log records covering the cursor onwards.
     Records { records: Vec<(u64, seed_storage::LogRecord)>, durable: u64 },
-    /// The log no longer reaches the cursor; a full keyed snapshot with reset semantics.
-    Snapshot { pairs: seed_storage::engine::KeySpaceDump, lsn: u64 },
+    /// The log no longer reaches the cursor; the committed state (an O(1) copy, encoded
+    /// outside the lock) ships as a full keyed snapshot with reset semantics.
+    Snapshot { cut: Box<seed_core::Database>, lsn: u64 },
     /// A storage error reading the tail or cutting the snapshot; end the session.
     Failed,
 }
@@ -491,7 +493,7 @@ pub(crate) fn cut_shipment(
             Err(_) => Shipment::Failed,
             Ok(seed_storage::WalTail::Records(records)) => Shipment::Records { records, durable },
             Ok(seed_storage::WalTail::Truncated { .. }) => match db.replication_snapshot() {
-                Ok((pairs, lsn)) => Shipment::Snapshot { pairs, lsn },
+                Ok((cut, lsn)) => Shipment::Snapshot { cut: Box::new(cut), lsn },
                 Err(_) => Shipment::Failed,
             },
         }
@@ -526,12 +528,12 @@ pub(crate) fn cut_shipment(
                 records: records.into_iter().map(|(_, record)| record).collect(),
             })
         }
-        Shipment::Snapshot { pairs, lsn } => ShipmentPlan::Batch(LogBatch {
+        Shipment::Snapshot { cut, lsn } => ShipmentPlan::Batch(LogBatch {
             reset: true,
             first_lsn: 0,
             last_lsn: lsn,
             primary_lsn: lsn,
-            records: seed_core::replica::snapshot_records(pairs),
+            records: seed_core::replica::snapshot_records(&cut),
         }),
     }
 }
@@ -583,10 +585,8 @@ impl ReplicaNode {
         // against the new primary would read a foreign LSN space.  Any configured epoch at or
         // past the store's therefore forces the resync; plain restarts (default `epoch: 0`
         // against an un-promoted topology) keep the cheap cursor resume.
-        let demoted =
-            store.is_initialized().map_err(ServerError::Rejected)? && store.applied_lsn() == 0;
-        let repointed = config.epoch > 0
-            && config.epoch >= store.topology_epoch().map_err(ServerError::Rejected)?;
+        let demoted = store.is_initialized() && store.applied_lsn() == 0;
+        let repointed = config.epoch > 0 && config.epoch >= store.topology_epoch();
         let from_lsn = if demoted || repointed { u64::MAX } else { store.applied_lsn() + 1 };
 
         // Initial sync: subscribe and apply the first batch — the primary answers immediately
@@ -597,9 +597,12 @@ impl ReplicaNode {
         feed.deadline = None; // the stream is live; only shutdown unblocks it from here on
         store.apply(&batch.records, batch.last_lsn, batch.reset).map_err(ServerError::Rejected)?;
         feed.ack(store.applied_lsn())?;
-        let db = store.load().map_err(ServerError::Rejected)?;
-
-        let server = SeedServer::new(db);
+        let db = || {
+            store.serving_copy().ok_or_else(|| {
+                ServerError::Protocol("the primary's first batch carried no database".into())
+            })
+        };
+        let server = SeedServer::new(db()?);
         server.set_read_only(primary.to_string());
         let promote = Arc::new(PromoteCell::new());
         server.set_promoter(Arc::new(PromotionDriver { cell: promote.clone() }));
@@ -609,9 +612,9 @@ impl ReplicaNode {
             repl_metrics().resets.inc();
         }
         repl_metrics().ack_lag.set(batch.primary_lsn.saturating_sub(store.applied_lsn()) as i64);
-        // Key the serving snapshot to the synced cursor (the loaded database is plain
-        // in-memory state and cannot derive the primary's LSN itself).
-        server.with_database_mut_at(store.applied_lsn(), |_| ());
+        // Key the serving snapshot to the synced cursor (the served copy is plain in-memory
+        // state and cannot derive the primary's LSN itself).
+        server.replace_database_at(db()?, store.applied_lsn());
         let net = SeedNetServer::with_config(server, listen, config.net.clone())
             .map_err(|e| ServerError::Transport(e.to_string()))?;
         let core = net.core();
@@ -634,10 +637,6 @@ impl ReplicaNode {
             let max_attempts = config.max_reconnect_attempts.max(1);
             std::thread::spawn(move || {
                 let mut feed = Some(feed);
-                // Set when the serving database may be torn (a failed incremental patch whose
-                // wholesale-reload fallback also failed): nothing was published, and only a
-                // successful wholesale swap may publish again.
-                let mut serving_stale = false;
                 // Consecutive failed reconnects; `gave_up` parks the stream once the per-epoch
                 // cap is hit.
                 let mut failed_attempts: u32 = 0;
@@ -748,67 +747,23 @@ impl ReplicaNode {
                             }
                             continue;
                         }
-                        let effects = match store.apply(&batch.records, batch.last_lsn, batch.reset)
-                        {
-                            Ok(effects) => effects,
-                            Err(_) => break,
+                        // A batch that fails to decode or to commit changed nothing; the
+                        // session drops and resumes from the durable cursor.
+                        let Ok(items) = store.apply(&batch.records, batch.last_lsn, batch.reset)
+                        else {
+                            break;
                         };
                         if live.ack(store.applied_lsn()).is_err() {
                             break;
                         }
-                        if batch.reset || serving_stale {
-                            // Reset semantics replace the whole key space — and a torn serving
-                            // database (earlier failed patch) likewise only recovers by a
-                            // wholesale swap: reload and swap, keyed to the new cursor.
-                            if batch.reset {
-                                progress.resets.fetch_add(1, Ordering::SeqCst);
-                                repl_metrics().resets.inc();
-                            }
-                            match store.load() {
-                                Ok(db) => {
-                                    core.replace_database_at(db, store.applied_lsn());
-                                    serving_stale = false;
-                                }
-                                Err(_) => {
-                                    serving_stale = true;
-                                    break;
-                                }
-                            }
+                        let served =
+                            store.serving_copy().expect("an applied batch leaves a database");
+                        core.replace_database_at(served, store.applied_lsn());
+                        if batch.reset {
+                            progress.resets.fetch_add(1, Ordering::SeqCst);
+                            repl_metrics().resets.inc();
                         } else {
-                            // Incremental batch: patch the serving database in place — O(delta)
-                            // per batch — and publish the snapshot at the applied LSN.  The
-                            // patch and its decode-error fallback (a wholesale reload,
-                            // correctness over speed) both run inside ONE publication closure,
-                            // so only the final consistent state is ever published: readers
-                            // see whole batches, never halves.
-                            let patched = core.try_with_database_mut_at(
-                                store.applied_lsn(),
-                                |db| match store.apply_to_database(db, &effects) {
-                                    Ok(touched) => Ok(Some(touched)),
-                                    Err(_) => match store.load() {
-                                        Ok(fresh) => {
-                                            *db = fresh;
-                                            Ok(None)
-                                        }
-                                        Err(_) => Err(()),
-                                    },
-                                },
-                            );
-                            match patched {
-                                Ok(Some(touched)) => {
-                                    progress
-                                        .items_applied
-                                        .fetch_add(touched as u64, Ordering::SeqCst);
-                                }
-                                Ok(None) => {}
-                                // Patch AND reload failed: nothing was published, but the
-                                // serving database may be torn — reconnect, and make the next
-                                // applied batch swap wholesale before publishing again.
-                                Err(()) => {
-                                    serving_stale = true;
-                                    break;
-                                }
-                            }
+                            progress.items_applied.fetch_add(items as u64, Ordering::SeqCst);
                         }
                         core.set_replica_progress(store.applied_lsn(), batch.primary_lsn);
                         progress.applied.store(store.applied_lsn(), Ordering::SeqCst);

@@ -66,6 +66,12 @@ impl SchemaRegistry {
         SchemaVersionId(id)
     }
 
+    /// Stores `schema` under `id`, replacing any version there, without changing which
+    /// version is current — how persisted schema records are applied.
+    pub fn insert(&mut self, id: SchemaVersionId, schema: Schema) {
+        self.versions.insert(id.0, schema);
+    }
+
     /// Makes a historical schema version current again (e.g. when working on a database
     /// alternative rooted before a schema change).
     pub fn select(&mut self, id: SchemaVersionId) -> SchemaResult<()> {

@@ -263,34 +263,6 @@ impl SeedServer {
         result
     }
 
-    /// Like [`SeedServer::with_database_mut`], keying the published snapshot to an explicit
-    /// LSN — the replica's **incremental** apply path: the batch's effects are patched onto
-    /// the serving database in O(delta) and the snapshot advances to the batch's last LSN.
-    pub fn with_database_mut_at<R>(&self, lsn: u64, f: impl FnOnce(&mut Database) -> R) -> R {
-        let mut db = self.db.write();
-        let result = f(&mut db);
-        self.snapshots.publish_at(&db, Some(lsn));
-        result
-    }
-
-    /// Like [`SeedServer::with_database_mut_at`], but publishes only when the closure
-    /// succeeds: on `Err` the previously published snapshot keeps serving, so a closure that
-    /// fails partway through a mutation never exposes a torn intermediate state to readers.
-    /// The caller owns recovery of the (possibly half-mutated) authoritative database — e.g.
-    /// by replacing it wholesale before the next publication.
-    pub fn try_with_database_mut_at<R, E>(
-        &self,
-        lsn: u64,
-        f: impl FnOnce(&mut Database) -> Result<R, E>,
-    ) -> Result<R, E> {
-        let mut db = self.db.write();
-        let result = f(&mut db);
-        if result.is_ok() {
-            self.snapshots.publish_at(&db, Some(lsn));
-        }
-        result
-    }
-
     /// Records a subscriber's acknowledged LSN (primary side; called by the network layer's
     /// replication sessions).  The subscriber's cursor pins WAL retention on the served
     /// database: checkpoints keep (budget permitting) every segment the slowest subscriber
@@ -422,7 +394,8 @@ impl SeedServer {
 
     /// The liveness/readiness probe ([`Request::Health`]).  Liveness is implied by any answer
     /// at all; readiness means the node can do its job right now — a primary's WAL accepts
-    /// writes ([`Database::wal_writable`]), a replica is within its lag budget.  Lock-free on
+    /// writes ([`Database::wal_fault`] names the reason when it does not, e.g. a storage
+    /// engine poisoned by a failed commit or checkpoint), a replica is within its lag budget.  Lock-free on
     /// the replica path; the primary path takes the database read lock for the WAL probe.
     pub fn health(&self) -> HealthStatus {
         let snapshot = self.snapshots.read();
@@ -456,13 +429,16 @@ impl SeedServer {
                 }
             }
             ReplicationRole::Primary => {
-                let ready = self.with_database(|db| db.wal_writable());
+                let fault = self.with_database(|db| db.wal_fault());
                 HealthStatus {
-                    ready,
+                    ready: fault.is_none(),
                     role: ReplicationRole::Primary,
                     lag: 0,
                     lag_budget,
-                    detail: if ready { "ok".to_string() } else { "WAL not writable".to_string() },
+                    detail: match fault {
+                        None => "ok".to_string(),
+                        Some(reason) => format!("WAL not writable: {reason}"),
+                    },
                 }
             }
         }
@@ -1417,33 +1393,6 @@ mod tests {
     }
 
     #[test]
-    fn failed_fallible_mutations_publish_nothing() {
-        let server = server_with_data();
-        let torn: Result<(), ()> = server.try_with_database_mut_at(99, |db| {
-            db.create_object("Data", "Torn").unwrap();
-            Err(())
-        });
-        assert!(torn.is_err());
-        // The half-applied mutation is invisible: the previous snapshot keeps serving.
-        assert!(server.retrieve("Torn").is_err());
-        let whole: Result<(), ()> = server.try_with_database_mut_at(100, |db| {
-            db.create_object("Data", "Whole").unwrap();
-            Ok(())
-        });
-        assert!(whole.is_ok());
-        // A successful closure publishes the authoritative state wholesale — including the
-        // earlier unpublished mutation, whose recovery the caller owns (replica apply swaps
-        // in a freshly loaded database before publishing again).
-        assert!(server.retrieve("Whole").is_ok());
-        assert!(server.retrieve("Torn").is_ok());
-        // Through the replica status surface, the serving snapshot carries only the
-        // successfully published LSN — the failed publication never surfaced its own.
-        server.set_replica_progress(100, 100);
-        let replication = server.persistence_status().replication.expect("replica status");
-        assert_eq!(replication.snapshot_lsn, 100, "failed publication must not surface its LSN");
-    }
-
-    #[test]
     fn subscriber_acks_pin_wal_retention_across_checkpoints() {
         use seed_storage::WalTail;
         let dir = temp_dir("retention");
@@ -1537,6 +1486,22 @@ mod tests {
         let client = server.connect();
         assert!(matches!(server.checkin(client, &[]).unwrap_err(), ServerError::Fenced { .. }));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_poisoned_engine_makes_the_primary_not_ready_with_the_reason() {
+        let dir = temp_dir("poison");
+        let server = SeedServer::create_durable(&dir, figure3_schema()).unwrap();
+        assert!(server.health().ready);
+        // The directory vanishes under the primary: the checkpoint cannot write its image,
+        // and the failure poisons the storage engine.
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert!(server.checkpoint().is_err());
+        let health = server.health();
+        assert!(!health.ready);
+        assert_eq!(health.role, ReplicationRole::Primary);
+        assert!(health.detail.contains("poisoned"), "got: {}", health.detail);
+        assert!(health.detail.contains("checkpoint"), "got: {}", health.detail);
     }
 
     #[test]

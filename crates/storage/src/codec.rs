@@ -129,6 +129,19 @@ impl Encoder {
     pub fn as_slice(&self) -> &[u8] {
         &self.buf
     }
+
+    /// Forgets the bytes written so far, keeping the allocation for reuse.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+}
+
+/// Formatted text goes in raw, without a length prefix (how hierarchical keys are built).
+impl std::fmt::Write for Encoder {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.put_raw(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// Reads values back out of a byte slice in the order they were encoded.
@@ -255,23 +268,29 @@ impl<'a> Decoder<'a> {
     }
 }
 
-/// Byte-at-a-time lookup table for [`crc32`]: entry `i` is the CRC register after shifting the
-/// byte `i` through eight rounds of the reflected IEEE polynomial.
-const CRC32_TABLE: [u32; 256] = {
+/// Slicing-by-8 lookup tables for [`crc32`].  `CRC32_TABLES[0]` is the byte-at-a-time table:
+/// entry `i` is the CRC register after shifting the byte `i` through eight rounds of the
+/// reflected IEEE polynomial.  `CRC32_TABLES[k]` advances that register over `k` more zero
+/// bytes, so eight input bytes fold in with eight independent lookups.
+const CRC32_TABLES: [[u32; 256]; 8] = {
     const POLY: u32 = 0xEDB8_8320;
-    let mut table = [0u32; 256];
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 == 1 { (crc >> 1) ^ POLY } else { crc >> 1 };
-            bit += 1;
-        }
-        table[i] = crc;
+    while i < 256 * 8 {
+        let (k, n) = (i / 256, i % 256);
+        tables[k][n] = if k == 0 {
+            let (mut crc, mut bit) = (n as u32, 0);
+            while bit < 8 {
+                crc = if crc & 1 == 1 { (crc >> 1) ^ POLY } else { crc >> 1 };
+                bit += 1;
+            }
+            crc
+        } else {
+            (tables[k - 1][n] >> 8) ^ tables[0][(tables[k - 1][n] & 0xFF) as usize]
+        };
         i += 1;
     }
-    table
+    tables
 };
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected) used to protect WAL frames and snapshot images.
@@ -279,8 +298,13 @@ const CRC32_TABLE: [u32; 256] = {
 /// Implemented locally to stay within the allowed dependency set.
 pub fn crc32(data: &[u8]) -> u32 {
     let mut crc: u32 = 0xFFFF_FFFF;
-    for &byte in data {
-        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ u32::from(byte)) & 0xFF) as usize];
+    let mut chunks = data.chunks_exact(8);
+    for chunk in &mut chunks {
+        let word = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")) ^ u64::from(crc);
+        crc = (0..8).fold(0, |acc, k| acc ^ CRC32_TABLES[7 - k][(word >> (8 * k)) as u8 as usize]);
+    }
+    for &byte in chunks.remainder() {
+        crc = (crc >> 8) ^ CRC32_TABLES[0][((crc ^ u32::from(byte)) & 0xFF) as usize];
     }
     !crc
 }

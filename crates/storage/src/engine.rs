@@ -1,38 +1,41 @@
-//! The storage engine: a durable, transactional key/value store.
+//! The storage engine: the durable, transactional I/O half of SEED's storage.
 //!
 //! `seed-core` persists objects, relationships, version deltas and the schema catalog as
 //! key/value pairs with hierarchical keys (`o/<id>`, `r/<id>`, `v/<vid>/...`).  The engine
-//! provides:
+//! keeps **no copy** of that key space — the in-memory database is the one resident copy of
+//! the data — and provides:
 //!
-//! * durable `put`/`get`/`delete` with write-ahead logging,
 //! * transactions (`begin`/`commit`/`abort`) with **group commit**: effects are buffered and
 //!   written to the WAL as one contiguous batch with a single sync at commit time, so a crash
 //!   before commit leaves no trace and a transaction's durability cost is O(1) syncs,
-//! * ordered prefix and range scans,
-//! * checkpointing (write a snapshot of the whole key space, prune the WAL), either explicit or
-//!   automatic once the WAL outgrows [`EngineConfig::checkpoint_wal_bytes`],
-//! * recovery on open (load the last snapshot, replay the committed WAL records on top).
+//! * checkpoints of a [`SnapshotImage`] the caller encodes from its own state: the image
+//!   replaces the snapshot on disk and the log below the image's LSN is pruned,
+//! * recovery on open: the snapshot's pairs plus the committed effects logged after its LSN,
+//!   handed to the caller once, by value ([`Recovered`]),
+//! * poisoning: once a commit or a checkpoint fails on I/O, every later `begin`, `commit` and
+//!   `checkpoint` fails with [`StorageError::Poisoned`] until the engine is reopened.
 //!
-//! Data layout: committed state is one in-memory ordered map, so every read is served from
-//! memory.  On disk there is exactly one format — the WAL segments plus one snapshot image
-//! written through [`SegmentIo::write_snapshot`]:
+//! On disk there is exactly one format — the WAL segments plus one snapshot image written
+//! through [`SegmentIo::write_snapshot`]:
 //!
 //! ```text
-//! magic "SEEDSNP1" | count: u64 | count × (key: bytes, value: bytes) in key order | crc32: u32
+//! magic "SEEDSNP2" | lsn: u64 | count: u64
+//!     | count × (key_len: u32 | key | value_len: u32 | value) in key order | crc32: u32
 //! ```
 //!
-//! (`bytes` = LEB128 length + raw bytes; the CRC covers everything before it).  A damaged
-//! image — bad magic, bad CRC, short file, unsorted keys — is [`StorageError::Corrupt`], never
-//! an empty database.
+//! (integers little-endian; the CRC covers everything before it; `lsn` is the last WAL record
+//! whose effects the image holds).  A damaged image — bad magic (the older `SEEDSNP1` layout
+//! included), bad CRC, short file, unsorted keys — is [`StorageError::Corrupt`], never an empty
+//! database.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
-use crate::codec::{crc32, Decoder, Encoder};
+use crate::codec::crc32;
 use crate::error::{StorageError, StorageResult};
 use crate::wal::{
     replay_committed, FileSegmentIo, KeyEffect, LogRecord, Lsn, MemorySegmentIo, SegmentIo,
@@ -42,10 +45,9 @@ use crate::wal::{
 /// Configuration for opening a [`StorageEngine`].
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Checkpoint automatically once the uncheckpointed WAL grows past this many bytes
-    /// (`None` = only on explicit [`StorageEngine::checkpoint`] calls).  Bounding the WAL
-    /// bounds recovery time: replay work on open is proportional to the log, not to the
-    /// database.
+    /// [`StorageEngine::checkpoint_due`] turns true once the uncheckpointed WAL grows past this
+    /// many bytes (`None` = never).  Bounding the WAL bounds recovery time: replay work on open
+    /// is proportional to the log, not to the database.
     pub checkpoint_wal_bytes: Option<u64>,
     /// Size cap of one WAL segment file: the log rotates to a fresh segment once the active
     /// one reaches this many frame bytes (see [`WalConfig::segment_max_bytes`]).
@@ -69,85 +71,156 @@ impl Default for EngineConfig {
 /// Identifier of an open transaction.
 pub type TxnId = u64;
 
-/// Every committed `(key, value)` pair of an engine, in key order — the shape of a full
-/// replication snapshot ([`StorageEngine::snapshot_with_lsn`]).
-pub type KeySpaceDump = Vec<(Vec<u8>, Vec<u8>)>;
-
 /// Magic (and format version) opening every snapshot image.
-const SNAPSHOT_MAGIC: &[u8; 8] = b"SEEDSNP1";
+const SNAPSHOT_MAGIC: &[u8; 8] = b"SEEDSNP2";
 
-/// Serializes the committed key space into one snapshot image (layout in the module docs).
-fn encode_snapshot(map: &BTreeMap<Vec<u8>, Vec<u8>>) -> Vec<u8> {
-    let payload: usize = map.iter().map(|(k, v)| k.len() + v.len() + 10).sum();
-    let mut e = Encoder::with_capacity(SNAPSHOT_MAGIC.len() + 8 + payload + 4);
-    e.put_raw(SNAPSHOT_MAGIC).put_u64(map.len() as u64);
-    for (key, value) in map {
-        e.put_bytes(key).put_bytes(value);
-    }
-    let crc = crc32(e.as_slice());
-    e.put_u32(crc);
-    e.finish()
+/// Magic + LSN + pair count.
+const IMAGE_HEADER_LEN: usize = 24;
+
+/// A complete snapshot image, ready for [`StorageEngine::checkpoint`].
+#[derive(Debug, Clone)]
+pub struct SnapshotImage {
+    bytes: Vec<u8>,
+    lsn: Lsn,
 }
 
-/// Parses a snapshot image produced by [`encode_snapshot`], verifying magic, CRC, key order
-/// and that the pairs fill the image exactly.
-fn decode_snapshot(image: &[u8]) -> StorageResult<BTreeMap<Vec<u8>, Vec<u8>>> {
+impl SnapshotImage {
+    /// The last WAL record whose effects the image holds.
+    pub fn lsn(&self) -> Lsn {
+        self.lsn
+    }
+}
+
+/// Builds a [`SnapshotImage`] pair by pair, straight into one buffer.
+pub struct ImageWriter {
+    buf: Vec<u8>,
+    lsn: Lsn,
+    count: u64,
+    /// Where the previous key sits in `buf`, for the key-order check.
+    last_key: std::ops::Range<usize>,
+}
+
+impl ImageWriter {
+    /// An empty image covering the WAL up to and including `lsn`.
+    pub fn new(lsn: Lsn) -> Self {
+        let mut buf = Vec::with_capacity(64 * 1024);
+        buf.extend_from_slice(SNAPSHOT_MAGIC);
+        buf.extend_from_slice(&lsn.to_le_bytes());
+        buf.extend_from_slice(&0u64.to_le_bytes()); // the pair count, patched by `finish`
+        Self { buf, lsn, count: 0, last_key: 0..0 }
+    }
+
+    /// Appends one pair.  Keys must arrive in strictly increasing byte order.
+    pub fn put(&mut self, key: &[u8], value: &[u8]) {
+        assert!(
+            self.count == 0 || self.buf[self.last_key.clone()] < *key,
+            "snapshot image keys must arrive in strictly increasing order"
+        );
+        put_len(&mut self.buf, key.len());
+        self.last_key = self.buf.len()..self.buf.len() + key.len();
+        self.buf.extend_from_slice(key);
+        put_len(&mut self.buf, value.len());
+        self.buf.extend_from_slice(value);
+        self.count += 1;
+    }
+
+    /// Seals the image: patches in the pair count and appends the CRC.
+    pub fn finish(mut self) -> SnapshotImage {
+        self.buf[16..IMAGE_HEADER_LEN].copy_from_slice(&self.count.to_le_bytes());
+        let crc = crc32(&self.buf);
+        self.buf.extend_from_slice(&crc.to_le_bytes());
+        SnapshotImage { bytes: self.buf, lsn: self.lsn }
+    }
+}
+
+fn put_len(buf: &mut Vec<u8>, len: usize) {
+    let len = u32::try_from(len).expect("snapshot keys and values are shorter than 4 GiB");
+    buf.extend_from_slice(&len.to_le_bytes());
+}
+
+/// Parses a snapshot image, verifying magic, CRC, key order and that the pairs fill the image
+/// exactly.  Returns the image's LSN and its pairs in key order.
+fn decode_snapshot(image: &[u8]) -> StorageResult<(Lsn, Pairs)> {
     let corrupt = |what: &str| StorageError::Corrupt(format!("snapshot: {what}"));
-    if image.len() < SNAPSHOT_MAGIC.len() + 8 + 4 {
+    if image.len() >= 8 && &image[..8] == b"SEEDSNP1" {
+        return Err(corrupt("SEEDSNP1 image (no LSN field); this build reads only SEEDSNP2"));
+    }
+    if image.len() < IMAGE_HEADER_LEN + 4 {
         return Err(corrupt("image too short"));
     }
-    if &image[..SNAPSHOT_MAGIC.len()] != SNAPSHOT_MAGIC {
+    if &image[..8] != SNAPSHOT_MAGIC {
         return Err(corrupt("bad magic"));
     }
     let (body, tail) = image.split_at(image.len() - 4);
     if crc32(body) != u32::from_le_bytes(tail.try_into().expect("4 bytes")) {
         return Err(corrupt("checksum mismatch"));
     }
-    let mut d = Decoder::new(&body[SNAPSHOT_MAGIC.len()..]);
-    let count = d.get_u64()?;
-    let mut pairs: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
+    let u64_at = |at: usize| u64::from_le_bytes(body[at..at + 8].try_into().expect("8 bytes"));
+    let (lsn, count) = (u64_at(8), u64_at(16));
+    let mut rest = &body[IMAGE_HEADER_LEN..];
+    let mut take = || -> StorageResult<Vec<u8>> {
+        let short = || corrupt("pair runs past the end of the image");
+        let len = rest.get(..4).ok_or_else(short)?;
+        let len = u32::from_le_bytes(len.try_into().expect("4 bytes")) as usize;
+        let bytes = rest.get(4..4 + len).ok_or_else(short)?.to_vec();
+        rest = &rest[4 + len..];
+        Ok(bytes)
+    };
+    let mut pairs = Pairs::new();
     for _ in 0..count {
-        let key = d.get_bytes()?;
-        let value = d.get_bytes()?;
-        if pairs.last().is_some_and(|(prev, _)| prev.as_slice() >= key) {
+        let key = take()?;
+        let value = take()?;
+        if pairs.last().is_some_and(|(prev, _)| *prev >= key) {
             return Err(corrupt("keys out of order"));
         }
-        pairs.push((key.to_vec(), value.to_vec()));
+        pairs.push((key, value));
     }
-    if !d.is_exhausted() {
+    if !rest.is_empty() {
         return Err(corrupt("trailing bytes after the last pair"));
     }
-    Ok(pairs.into_iter().collect())
+    Ok((lsn, pairs))
+}
+
+/// `(key, value)` pairs in key order.
+type Pairs = Vec<(Vec<u8>, Vec<u8>)>;
+
+/// What recovery found on disk, handed to the caller once when the engine opens.
+#[derive(Debug, Default)]
+pub struct Recovered {
+    /// The snapshot image's pairs, in key order (empty without a snapshot).
+    pub snapshot: Pairs,
+    /// The committed effects logged after the snapshot's LSN, in log order.
+    pub effects: Vec<KeyEffect>,
+}
+
+impl Recovered {
+    /// The recovered value of `key`: its last logged effect, else its snapshot pair.
+    pub fn get(&self, key: &[u8]) -> Option<&[u8]> {
+        if let Some((_, value)) = self.effects.iter().rev().find(|(k, _)| k.as_slice() == key) {
+            return value.as_deref();
+        }
+        let i = self.snapshot.binary_search_by(|(k, _)| k.as_slice().cmp(key)).ok()?;
+        Some(&self.snapshot[i].1)
+    }
 }
 
 struct EngineInner {
-    /// The committed key space.
-    map: BTreeMap<Vec<u8>, Vec<u8>>,
     /// Pending (uncommitted) effects per transaction: key -> Some(value) for put, None for delete.
     pending: HashMap<TxnId, Vec<KeyEffect>>,
-    closed: bool,
+    /// Why the engine refuses work, once a commit or a checkpoint failed on I/O.
+    poisoned: Option<String>,
 }
 
-impl EngineInner {
-    fn apply(&mut self, key: Vec<u8>, value: Option<Vec<u8>>) {
-        match value {
-            Some(v) => {
-                self.map.insert(key, v);
-            }
-            None => {
-                self.map.remove(&key);
-            }
-        }
-    }
-}
-
-/// A durable key/value storage engine with WAL-based recovery.
+/// A durable, transactional key/value log with snapshot checkpoints and WAL-based recovery.
 pub struct StorageEngine {
     /// Every byte the engine persists goes through this one door: WAL segments and the
     /// checkpoint snapshot alike.
     io: Arc<dyn SegmentIo>,
     wal: WriteAheadLog,
     inner: Mutex<EngineInner>,
+    /// The LSN the snapshot on disk covers; held while a checkpoint runs, so checkpoints never
+    /// overlap and an image older than the one on disk is refused.
+    snapshot_lsn: Mutex<Lsn>,
     next_txn: AtomicU64,
     config: EngineConfig,
     /// Path of the database directory (None for in-memory engines).
@@ -155,31 +228,45 @@ pub struct StorageEngine {
 }
 
 impl StorageEngine {
-    /// Opens an ephemeral in-memory engine.
+    /// Opens an ephemeral in-memory engine (nothing to recover).
     pub fn in_memory() -> StorageResult<Self> {
-        Self::with_io(Arc::new(MemorySegmentIo::new()), EngineConfig::default())
+        let (engine, _) = Self::with_io(Arc::new(MemorySegmentIo::new()), EngineConfig::default())?;
+        Ok(engine)
     }
 
     /// Opens (or creates) a durable engine in directory `dir` using default configuration.
-    pub fn open(dir: impl AsRef<Path>) -> StorageResult<Self> {
+    pub fn open(dir: impl AsRef<Path>) -> StorageResult<(Self, Recovered)> {
         Self::open_with(dir, EngineConfig::default())
     }
 
     /// Opens (or creates) a durable engine in directory `dir`.
-    pub fn open_with(dir: impl AsRef<Path>, config: EngineConfig) -> StorageResult<Self> {
+    pub fn open_with(
+        dir: impl AsRef<Path>,
+        config: EngineConfig,
+    ) -> StorageResult<(Self, Recovered)> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
-        let mut engine = Self::with_io(Arc::new(FileSegmentIo::new(&dir)), config)?;
+        let (mut engine, recovered) = Self::with_io(Arc::new(FileSegmentIo::new(&dir)), config)?;
         engine.path = Some(dir);
-        Ok(engine)
+        Ok((engine, recovered))
     }
 
     /// Opens an engine over an arbitrary [`SegmentIo`] — what [`StorageEngine::open_with`] and
     /// [`StorageEngine::in_memory`] build on, and the injection point for fault-injection
-    /// tests.  Recovery loads the snapshot, then replays the committed WAL records on top.
-    pub fn with_io(io: Arc<dyn SegmentIo>, config: EngineConfig) -> StorageResult<Self> {
+    /// tests.  Recovery reads the snapshot, then replays the committed WAL records logged
+    /// after the snapshot's LSN; both are returned, and the engine keeps neither.  Sealed
+    /// segments are parsed in parallel across threads; the replay itself stays serial, in LSN
+    /// order.
+    pub fn with_io(
+        io: Arc<dyn SegmentIo>,
+        config: EngineConfig,
+    ) -> StorageResult<(Self, Recovered)> {
         // The snapshot is validated before the WAL's open-time repair touches any segment.
-        let snapshot = io.read_snapshot()?.map(|image| decode_snapshot(&image)).transpose()?;
+        let (snapshot_lsn, snapshot) = io
+            .read_snapshot()?
+            .map(|image| decode_snapshot(&image))
+            .transpose()?
+            .unwrap_or_default();
         let wal = WriteAheadLog::with_io(
             io.clone(),
             WalConfig {
@@ -187,27 +274,51 @@ impl StorageEngine {
                 retention_budget_bytes: config.retention_budget_bytes,
             },
         )?;
-        if snapshot.is_none() && wal.base_lsn() > 0 {
+        if wal.base_lsn() > snapshot_lsn {
             // Only a checkpoint prunes the log, and it writes the snapshot first.
             return Err(StorageError::Corrupt(format!(
-                "WAL starts after LSN {} but no snapshot covers the pruned records",
+                "WAL starts after LSN {} but the snapshot covers only LSN {snapshot_lsn}",
                 wal.base_lsn()
             )));
+        }
+        if wal.durable_lsn() < snapshot_lsn {
+            // New commits would reuse LSNs the snapshot claims, and vanish on the next open.
+            return Err(StorageError::Corrupt(format!(
+                "the snapshot covers LSN {snapshot_lsn} but the WAL ends at LSN {}",
+                wal.durable_lsn()
+            )));
+        }
+        let start = std::time::Instant::now();
+        let records = wal.read_all_parallel()?;
+        // Track transaction ids so new transactions do not collide with logged ones.
+        let max_txn = records
+            .iter()
+            .map(|(_, r)| match r {
+                LogRecord::Begin { txn }
+                | LogRecord::Commit { txn }
+                | LogRecord::Abort { txn }
+                | LogRecord::Put { txn, .. }
+                | LogRecord::Delete { txn, .. } => *txn,
+            })
+            .max()
+            .unwrap_or(0);
+        let covered = records.partition_point(|(lsn, _)| *lsn <= snapshot_lsn);
+        let effects = replay_committed(&records[covered..]);
+        if !records.is_empty() {
+            seed_obs::global()
+                .histogram("wal_recovery_replay_us")
+                .observe_duration(start.elapsed());
         }
         let engine = Self {
             io,
             wal,
-            inner: Mutex::new(EngineInner {
-                map: snapshot.unwrap_or_default(),
-                pending: HashMap::new(),
-                closed: false,
-            }),
-            next_txn: AtomicU64::new(1),
+            inner: Mutex::new(EngineInner { pending: HashMap::new(), poisoned: None }),
+            snapshot_lsn: Mutex::new(snapshot_lsn),
+            next_txn: AtomicU64::new(max_txn + 1),
             config,
             path: None,
         };
-        engine.recover()?;
-        Ok(engine)
+        Ok((engine, Recovered { snapshot, effects }))
     }
 
     /// Directory of a durable engine, if any.
@@ -215,121 +326,13 @@ impl StorageEngine {
         self.path.as_deref()
     }
 
-    // ----- recovery ----------------------------------------------------------------------------
-
-    /// Replays committed WAL records over the snapshot.  Replaying records the snapshot already
-    /// covers (a crash between the snapshot write and the prune, or segments retained for
-    /// replication) is harmless: the log is replayed in order, so the last effect per key wins.
-    /// Sealed segments are parsed in parallel across threads; the replay itself (and the
-    /// active segment's tail) stays serial, in LSN order.
-    fn recover(&self) -> StorageResult<()> {
-        let start = std::time::Instant::now();
-        let records = self.wal.read_all_parallel()?;
-        if records.is_empty() {
-            return Ok(());
-        }
-        let mut inner = self.inner.lock();
-        for (key, value) in replay_committed(&records) {
-            inner.apply(key, value);
-        }
-        // Track transaction ids so new transactions do not collide with logged ones.
-        let max_txn = records
-            .iter()
-            .filter_map(|(_, r)| match r {
-                LogRecord::Begin { txn }
-                | LogRecord::Commit { txn }
-                | LogRecord::Abort { txn }
-                | LogRecord::Put { txn, .. }
-                | LogRecord::Delete { txn, .. } => Some(*txn),
-                LogRecord::Checkpoint { .. } => None,
-            })
-            .max()
-            .unwrap_or(0);
-        self.next_txn.store(max_txn + 1, Ordering::SeqCst);
-        seed_obs::global().histogram("wal_recovery_replay_us").observe_duration(start.elapsed());
-        Ok(())
-    }
-
-    /// Locks the engine state, failing once the engine is closed.
-    fn open_inner(&self) -> StorageResult<parking_lot::MutexGuard<'_, EngineInner>> {
+    /// Locks the engine state, failing once the engine is poisoned.
+    fn usable(&self) -> StorageResult<MutexGuard<'_, EngineInner>> {
         let inner = self.inner.lock();
-        if inner.closed {
-            return Err(StorageError::Closed);
+        match &inner.poisoned {
+            Some(reason) => Err(StorageError::Poisoned(reason.clone())),
+            None => Ok(inner),
         }
-        Ok(inner)
-    }
-
-    // ----- public non-transactional API (auto-commit) ------------------------------------------
-
-    /// Stores `value` under `key` in its own transaction.
-    pub fn put(&self, key: &[u8], value: &[u8]) -> StorageResult<()> {
-        let txn = self.begin()?;
-        self.txn_put(txn, key, value)?;
-        self.commit(txn)
-    }
-
-    /// Deletes `key` in its own transaction.
-    pub fn delete(&self, key: &[u8]) -> StorageResult<()> {
-        let txn = self.begin()?;
-        self.txn_delete(txn, key)?;
-        self.commit(txn)
-    }
-
-    /// Reads a little-endian `u64` cell stored under `key` — the shape of the durable
-    /// single-value bookkeeping keys layered on the engine (a replica's applied-LSN cursor,
-    /// a node's topology epoch).  Returns `default` when the key is absent or its value is
-    /// not exactly eight bytes (a foreign key reused for a cell is treated as unset, not as
-    /// corruption — the callers' recovery paths handle "unset" conservatively).
-    pub fn get_u64_cell(&self, key: &[u8], default: u64) -> StorageResult<u64> {
-        Ok(self
-            .get(key)?
-            .and_then(|bytes| <[u8; 8]>::try_from(bytes.as_slice()).ok().map(u64::from_le_bytes))
-            .unwrap_or(default))
-    }
-
-    /// Reads the value stored under `key`.
-    pub fn get(&self, key: &[u8]) -> StorageResult<Option<Vec<u8>>> {
-        Ok(self.open_inner()?.map.get(key).cloned())
-    }
-
-    /// Whether `key` exists.
-    pub fn contains(&self, key: &[u8]) -> StorageResult<bool> {
-        Ok(self.open_inner()?.map.contains_key(key))
-    }
-
-    /// Returns all `(key, value)` pairs whose key starts with `prefix`, in key order.
-    pub fn scan_prefix(&self, prefix: &[u8]) -> StorageResult<Vec<(Vec<u8>, Vec<u8>)>> {
-        let inner = self.open_inner()?;
-        Ok(inner
-            .map
-            .range(prefix.to_vec()..)
-            .take_while(|(k, _)| k.starts_with(prefix))
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect())
-    }
-
-    /// Returns all `(key, value)` pairs with `low <= key < high`, in key order (the ordered
-    /// range scan backing keyed database loads).
-    pub fn scan_range(&self, low: &[u8], high: &[u8]) -> StorageResult<Vec<(Vec<u8>, Vec<u8>)>> {
-        let inner = self.open_inner()?;
-        if low >= high {
-            return Ok(Vec::new());
-        }
-        Ok(inner
-            .map
-            .range::<[u8], _>((std::ops::Bound::Included(low), std::ops::Bound::Excluded(high)))
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect())
-    }
-
-    /// Number of keys stored.
-    pub fn len(&self) -> usize {
-        self.inner.lock().map.len()
-    }
-
-    /// Whether the engine stores no keys.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     // ----- transactions -------------------------------------------------------------------------
@@ -339,7 +342,7 @@ impl StorageEngine {
     /// single backend write and a single sync regardless of how many keys it touches — and an
     /// abort (or crash) before commit leaves no trace in the log at all.
     pub fn begin(&self) -> StorageResult<TxnId> {
-        let mut inner = self.open_inner()?;
+        let mut inner = self.usable()?;
         let txn = self.next_txn.fetch_add(1, Ordering::SeqCst);
         inner.pending.insert(txn, Vec::new());
         Ok(txn)
@@ -356,7 +359,8 @@ impl StorageEngine {
     }
 
     fn buffer_effect(&self, txn: TxnId, key: &[u8], value: Option<Vec<u8>>) -> StorageResult<()> {
-        self.open_inner()?
+        self.inner
+            .lock()
             .pending
             .get_mut(&txn)
             .ok_or_else(|| StorageError::InvalidArgument(format!("unknown transaction {txn}")))?
@@ -364,54 +368,27 @@ impl StorageEngine {
         Ok(())
     }
 
-    /// Reads a key as seen by transaction `txn` (its own writes win over the committed state).
-    pub fn txn_get(&self, txn: TxnId, key: &[u8]) -> StorageResult<Option<Vec<u8>>> {
-        let inner = self.open_inner()?;
-        // The latest buffered effect for this key, if any, wins.
-        if let Some((_, v)) =
-            inner.pending.get(&txn).and_then(|effects| effects.iter().rev().find(|(k, _)| k == key))
-        {
-            return Ok(v.clone());
-        }
-        Ok(inner.map.get(key).cloned())
-    }
-
-    /// Commits transaction `txn`: writes the transaction's `Begin`/effect/`Commit` frames to the
-    /// WAL as one batch, forces the WAL once (if configured), and applies the buffered effects
-    /// to the key space.  When the WAL has grown past the configured threshold, a checkpoint
-    /// runs afterwards to bound recovery time.
+    /// Commits transaction `txn`: writes its `Begin`/effect/`Commit` frames to the WAL as one
+    /// batch and syncs once.  If the write or the sync fails, the engine is poisoned: the
+    /// batch is cut off the log again, and every later `begin`/`commit` fails.
     pub fn commit(&self, txn: TxnId) -> StorageResult<()> {
-        let wal_bytes = {
-            let mut inner = self.open_inner()?;
-            let effects = inner.pending.remove(&txn).ok_or_else(|| {
-                StorageError::InvalidArgument(format!("unknown transaction {txn}"))
-            })?;
-            let mut records = Vec::with_capacity(effects.len() + 2);
-            records.push(LogRecord::Begin { txn });
-            for (key, value) in &effects {
-                records.push(match value {
-                    Some(v) => LogRecord::Put { txn, key: key.clone(), value: v.clone() },
-                    None => LogRecord::Delete { txn, key: key.clone() },
-                });
-            }
-            records.push(LogRecord::Commit { txn });
-            self.wal.append_batch(&records)?;
-            self.wal.sync()?;
-            for (key, value) in effects {
-                inner.apply(key, value);
-            }
-            // The auto-checkpoint policy watches the *uncheckpointed* bytes, not the total:
-            // segments retained for replication would otherwise re-trigger a checkpoint on
-            // every commit.
-            self.wal.uncheckpointed_bytes()?
-        };
-        if let Some(threshold) = self.config.checkpoint_wal_bytes {
-            if wal_bytes >= threshold {
-                // Best-effort: the transaction is already durable and applied, so a checkpoint
-                // failure here (I/O error, concurrent close) must not be reported as a commit
-                // failure — it only delays WAL truncation, and the next commit retries.
-                let _ = self.checkpoint();
-            }
+        let mut inner = self.usable()?;
+        let effects = inner
+            .pending
+            .remove(&txn)
+            .ok_or_else(|| StorageError::InvalidArgument(format!("unknown transaction {txn}")))?;
+        let mut records = Vec::with_capacity(effects.len() + 2);
+        records.push(LogRecord::Begin { txn });
+        for (key, value) in effects {
+            records.push(match value {
+                Some(value) => LogRecord::Put { txn, key, value },
+                None => LogRecord::Delete { txn, key },
+            });
+        }
+        records.push(LogRecord::Commit { txn });
+        if let Err(e) = self.wal.append_batch(&records) {
+            inner.poisoned = Some(format!("commit of transaction {txn} failed: {e}"));
+            return Err(e);
         }
         Ok(())
     }
@@ -419,23 +396,69 @@ impl StorageEngine {
     /// Aborts transaction `txn`, discarding its buffered effects.  Nothing of the transaction
     /// was logged, so the abort costs no I/O.
     pub fn abort(&self, txn: TxnId) -> StorageResult<()> {
-        self.open_inner()?
+        self.inner
+            .lock()
             .pending
             .remove(&txn)
             .ok_or_else(|| StorageError::InvalidArgument(format!("unknown transaction {txn}")))?;
         Ok(())
     }
-    // ----- checkpoint / close -------------------------------------------------------------------
+
+    // ----- checkpoint ---------------------------------------------------------------------------
+
+    /// Whether the uncheckpointed WAL has grown past [`EngineConfig::checkpoint_wal_bytes`]:
+    /// time for the owner of the data to encode an image and call
+    /// [`StorageEngine::checkpoint`].  Retained replication segments do not count.
+    pub fn checkpoint_due(&self) -> bool {
+        self.config
+            .checkpoint_wal_bytes
+            .is_some_and(|threshold| self.wal.uncheckpointed_bytes().is_ok_and(|b| b >= threshold))
+    }
+
+    /// Writes `image` as the new snapshot, then prunes the WAL below the image's LSN — records
+    /// appended after it stay, so the image may be encoded while commits continue.  The
+    /// snapshot replace is atomic ([`SegmentIo::write_snapshot`]) and precedes the prune, so a
+    /// crash anywhere leaves a snapshot plus a log that together recover every committed
+    /// transaction.  An image older than the snapshot on disk, or past the end of the log, is
+    /// refused; an I/O failure poisons the engine.
+    pub fn checkpoint(&self, image: &SnapshotImage) -> StorageResult<()> {
+        let start = std::time::Instant::now();
+        let mut covered = self.snapshot_lsn.lock();
+        drop(self.usable()?);
+        let end = self.wal.durable_lsn();
+        if image.lsn < *covered || image.lsn > end {
+            return Err(StorageError::InvalidArgument(format!(
+                "a snapshot image at LSN {} must lie between the last checkpoint (LSN {}) and \
+                 the end of the log (LSN {end})",
+                image.lsn, *covered
+            )));
+        }
+        let written =
+            self.io.write_snapshot(&image.bytes).and_then(|()| self.wal.truncate(image.lsn));
+        if let Err(e) = written {
+            self.inner.lock().poisoned =
+                Some(format!("checkpoint at LSN {} failed: {e}", image.lsn));
+            return Err(e);
+        }
+        *covered = image.lsn;
+        let registry = seed_obs::global();
+        registry.counter("wal_checkpoints_total").inc();
+        registry.histogram("wal_checkpoint_us").observe_duration(start.elapsed());
+        Ok(())
+    }
+
+    // ----- WAL status ---------------------------------------------------------------------------
 
     /// Bytes currently held by the WAL (recovery replay work is proportional to this).
     pub fn wal_size_bytes(&self) -> StorageResult<u64> {
         self.wal.size_bytes()
     }
 
-    /// Health probe for the write path: fsyncs the active WAL segment and reports whether the
-    /// log is currently writable at all (a failing disk or a vanished directory surfaces
-    /// here).  No-op `Ok` for in-memory logs.
+    /// Health probe for the write path: reports a poisoned engine, fsyncs the active WAL
+    /// segment and reports whether the log is currently writable at all (a failing disk or a
+    /// vanished directory surfaces here).  No-op `Ok` for in-memory logs.
     pub fn wal_probe(&self) -> StorageResult<()> {
+        drop(self.usable()?);
         self.wal.sync()
     }
 
@@ -450,8 +473,7 @@ impl StorageEngine {
 
     /// The WAL tail from `from` (inclusive): the committed log records a replication subscriber
     /// at position `from - 1` still needs, or [`WalTail::Truncated`] when a checkpoint already
-    /// truncated them away and the subscriber must resync from
-    /// [`StorageEngine::snapshot_with_lsn`].
+    /// truncated them away and the subscriber must resync from a snapshot of the data.
     pub fn wal_tail(&self, from: Lsn) -> StorageResult<WalTail> {
         self.wal.read_from(from)
     }
@@ -463,55 +485,16 @@ impl StorageEngine {
     pub fn set_replication_retention(&self, floor: Option<Lsn>) {
         self.wal.set_retention_floor(floor);
     }
-
-    /// Number of live WAL segment files (exposed for tests and benchmarks).
-    pub fn wal_segment_count(&self) -> usize {
-        self.wal.segment_count()
-    }
-
-    /// Every committed `(key, value)` pair plus the LSN the snapshot corresponds to, read
-    /// atomically (commits hold the same lock while they append to the WAL and apply their
-    /// effects, so the pairs and the LSN cannot tear).  This is the full-resync path for
-    /// replication subscribers whose cursor fell behind a checkpoint.
-    pub fn snapshot_with_lsn(&self) -> StorageResult<(KeySpaceDump, Lsn)> {
-        let inner = self.open_inner()?;
-        let pairs = inner.map.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-        Ok((pairs, self.wal.durable_lsn()))
-    }
-
-    /// Writes the whole key space as the new snapshot, then logs the checkpoint, syncs and
-    /// prunes the WAL.  The snapshot replace is atomic ([`SegmentIo::write_snapshot`]) and
-    /// precedes the prune, so a crash anywhere leaves a snapshot plus a log that together
-    /// recover every committed transaction.
-    pub fn checkpoint(&self) -> StorageResult<()> {
-        let start = std::time::Instant::now();
-        let inner = self.open_inner()?;
-        self.io.write_snapshot(&encode_snapshot(&inner.map))?;
-        self.wal.append(&LogRecord::Checkpoint { up_to: self.wal.next_lsn() })?;
-        self.wal.sync()?;
-        self.wal.truncate()?;
-        let registry = seed_obs::global();
-        registry.counter("wal_checkpoints_total").inc();
-        registry.histogram("wal_checkpoint_us").observe_duration(start.elapsed());
-        Ok(())
-    }
-
-    /// Checkpoints and marks the engine closed; further operations fail with
-    /// [`StorageError::Closed`].
-    pub fn close(&self) -> StorageResult<()> {
-        self.checkpoint()?;
-        self.inner.lock().closed = true;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     /// A fresh directory per call: the process id keeps concurrent test runs apart, the counter
     /// keeps this process's tests (threads of one binary) apart.
-    pub(super) fn temp_dir(name: &str) -> PathBuf {
+    pub(crate) fn temp_dir(name: &str) -> PathBuf {
         static COUNTER: AtomicU64 = AtomicU64::new(0);
         let n = COUNTER.fetch_add(1, Ordering::SeqCst);
         let dir = std::env::temp_dir()
@@ -520,122 +503,154 @@ mod tests {
         dir
     }
 
-    #[test]
-    fn in_memory_put_get_delete() {
-        let engine = StorageEngine::in_memory().unwrap();
-        assert!(engine.is_empty());
-        engine.put(b"obj/Alarms", b"data object").unwrap();
-        engine.put(b"obj/AlarmHandler", b"action object").unwrap();
-        assert_eq!(engine.get(b"obj/Alarms").unwrap().unwrap(), b"data object");
-        assert_eq!(engine.len(), 2);
-        engine.delete(b"obj/Alarms").unwrap();
-        assert_eq!(engine.get(b"obj/Alarms").unwrap(), None);
-        assert!(!engine.contains(b"obj/Alarms").unwrap());
-        assert!(engine.contains(b"obj/AlarmHandler").unwrap());
+    pub(crate) type KeySpace = BTreeMap<Vec<u8>, Vec<u8>>;
+
+    /// The recovered snapshot with the effects replayed on top, as one ordered key space.
+    pub(crate) fn key_space(recovered: Recovered) -> KeySpace {
+        let mut space: KeySpace = recovered.snapshot.into_iter().collect();
+        for (key, value) in recovered.effects {
+            match value {
+                Some(v) => space.insert(key, v),
+                None => space.remove(&key),
+            };
+        }
+        space
+    }
+
+    /// Commits `value` under `key` in a transaction of its own.
+    pub(crate) fn put(engine: &StorageEngine, key: &[u8], value: &[u8]) -> StorageResult<()> {
+        let txn = engine.begin()?;
+        engine.txn_put(txn, key, value)?;
+        engine.commit(txn)
+    }
+
+    /// Commits the removal of `key` in a transaction of its own.
+    pub(crate) fn delete(engine: &StorageEngine, key: &[u8]) -> StorageResult<()> {
+        let txn = engine.begin()?;
+        engine.txn_delete(txn, key)?;
+        engine.commit(txn)
+    }
+
+    /// The image of `space` covering the log up to `lsn`.
+    pub(crate) fn image_of(space: &KeySpace, lsn: Lsn) -> SnapshotImage {
+        let mut writer = ImageWriter::new(lsn);
+        for (key, value) in space {
+            writer.put(key, value);
+        }
+        writer.finish()
+    }
+
+    /// An engine over shared in-memory segments, so a test can "restart" it.
+    fn memory_engine(io: &Arc<MemorySegmentIo>) -> (StorageEngine, KeySpace) {
+        let (engine, recovered) = StorageEngine::with_io(io.clone(), EngineConfig::default())
+            .expect("in-memory recovery");
+        (engine, key_space(recovered))
+    }
+
+    /// What a restart of the directory `dir` recovers.
+    fn recovered(dir: &Path) -> KeySpace {
+        key_space(StorageEngine::open(dir).unwrap().1)
+    }
+
+    fn space(pairs: &[(&str, &[u8])]) -> KeySpace {
+        pairs.iter().map(|(k, v)| (k.as_bytes().to_vec(), v.to_vec())).collect()
     }
 
     #[test]
-    fn u64_cell_reads_defaults_and_round_trips() {
-        let engine = StorageEngine::in_memory().unwrap();
-        assert_eq!(engine.get_u64_cell(b"repl/applied", 0).unwrap(), 0, "absent reads default");
-        engine.put(b"repl/applied", &42u64.to_le_bytes()).unwrap();
-        assert_eq!(engine.get_u64_cell(b"repl/applied", 0).unwrap(), 42);
-        engine.put(b"repl/applied", b"not eight bytes").unwrap();
-        assert_eq!(engine.get_u64_cell(b"repl/applied", 7).unwrap(), 7, "bad shape reads default");
+    fn in_memory_put_get_delete() {
+        let io = Arc::new(MemorySegmentIo::new());
+        let (engine, start) = memory_engine(&io);
+        assert!(start.is_empty());
+        put(&engine, b"obj/Alarms", b"data object").unwrap();
+        put(&engine, b"obj/AlarmHandler", b"action object").unwrap();
+        delete(&engine, b"obj/Alarms").unwrap();
+        drop(engine);
+        assert_eq!(memory_engine(&io).1, space(&[("obj/AlarmHandler", b"action object")]));
     }
 
     #[test]
     fn overwrite_updates_value() {
-        let engine = StorageEngine::in_memory().unwrap();
-        engine.put(b"k", b"v1").unwrap();
-        engine.put(b"k", b"a much longer value than before so the record grows").unwrap();
+        let io = Arc::new(MemorySegmentIo::new());
+        let (engine, _) = memory_engine(&io);
+        put(&engine, b"k", b"v1").unwrap();
+        put(&engine, b"k", b"a much longer value than before so the record grows").unwrap();
+        drop(engine);
+        let (_, recovered) = memory_engine(&io);
         assert_eq!(
-            engine.get(b"k").unwrap().unwrap(),
-            b"a much longer value than before so the record grows"
+            recovered,
+            space(&[("k", b"a much longer value than before so the record grows")])
         );
-        assert_eq!(engine.len(), 1);
-    }
-
-    #[test]
-    fn prefix_scan_orders_keys() {
-        let engine = StorageEngine::in_memory().unwrap();
-        engine.put(b"rel/2", b"two").unwrap();
-        engine.put(b"obj/1", b"one").unwrap();
-        engine.put(b"obj/3", b"three").unwrap();
-        engine.put(b"obj/2", b"two").unwrap();
-        let objs = engine.scan_prefix(b"obj/").unwrap();
-        assert_eq!(objs.len(), 3);
-        assert_eq!(objs[0].0, b"obj/1".to_vec());
-        assert_eq!(objs[2].0, b"obj/3".to_vec());
     }
 
     #[test]
     fn transaction_isolation_until_commit() {
-        let engine = StorageEngine::in_memory().unwrap();
-        let txn = engine.begin().unwrap();
-        engine.txn_put(txn, b"k", b"pending").unwrap();
-        // Not visible to plain reads before commit.
-        assert_eq!(engine.get(b"k").unwrap(), None);
-        // Visible to the transaction itself.
-        assert_eq!(engine.txn_get(txn, b"k").unwrap().unwrap(), b"pending");
-        engine.commit(txn).unwrap();
-        assert_eq!(engine.get(b"k").unwrap().unwrap(), b"pending");
+        // Two open transactions: committing one logs only its own buffered effects.
+        let io = Arc::new(MemorySegmentIo::new());
+        let (engine, _) = memory_engine(&io);
+        let pending = engine.begin().unwrap();
+        engine.txn_put(pending, b"k", b"pending").unwrap();
+        let other = engine.begin().unwrap();
+        engine.txn_put(other, b"other", b"committed").unwrap();
+        engine.commit(other).unwrap();
+        drop(engine);
+        assert_eq!(memory_engine(&io).1, space(&[("other", b"committed")]));
     }
 
     #[test]
     fn abort_discards_effects() {
-        let engine = StorageEngine::in_memory().unwrap();
-        engine.put(b"stable", b"1").unwrap();
+        let io = Arc::new(MemorySegmentIo::new());
+        let (engine, _) = memory_engine(&io);
+        put(&engine, b"stable", b"1").unwrap();
         let txn = engine.begin().unwrap();
         engine.txn_put(txn, b"volatile", b"x").unwrap();
         engine.txn_delete(txn, b"stable").unwrap();
         engine.abort(txn).unwrap();
-        assert_eq!(engine.get(b"volatile").unwrap(), None);
-        assert_eq!(engine.get(b"stable").unwrap().unwrap(), b"1");
         // The aborted transaction can no longer be used.
         assert!(engine.txn_put(txn, b"volatile", b"y").is_err());
+        drop(engine);
+        assert_eq!(memory_engine(&io).1, space(&[("stable", b"1")]));
     }
 
     #[test]
     fn durable_engine_recovers_after_reopen() {
         let dir = temp_dir("recover");
         {
-            let engine = StorageEngine::open(&dir).unwrap();
-            engine.put(b"obj/Alarms", b"alarm data").unwrap();
-            engine.put(b"obj/Sensor", b"sensor action").unwrap();
-            engine.delete(b"obj/Sensor").unwrap();
+            let (engine, _) = StorageEngine::open(&dir).unwrap();
+            put(&engine, b"obj/Alarms", b"alarm data").unwrap();
+            put(&engine, b"obj/Sensor", b"sensor action").unwrap();
+            delete(&engine, b"obj/Sensor").unwrap();
             // No checkpoint: recovery must come from the WAL alone.
         }
-        {
-            let engine = StorageEngine::open(&dir).unwrap();
-            assert_eq!(engine.get(b"obj/Alarms").unwrap().unwrap(), b"alarm data");
-            assert_eq!(engine.get(b"obj/Sensor").unwrap(), None);
-        }
+        let recovered = StorageEngine::open(&dir).unwrap().1;
+        assert_eq!(recovered.get(b"obj/Alarms"), Some(&b"alarm data"[..]));
+        assert_eq!(recovered.get(b"obj/Sensor"), None);
+        assert_eq!(key_space(recovered), space(&[("obj/Alarms", b"alarm data")]));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn durable_engine_recovers_from_checkpoint_plus_wal() {
         let dir = temp_dir("checkpoint");
+        let mut model = KeySpace::new();
         {
-            let engine = StorageEngine::open(&dir).unwrap();
+            let (engine, _) = StorageEngine::open(&dir).unwrap();
             for i in 0..100u32 {
-                engine
-                    .put(format!("key/{i:03}").as_bytes(), format!("value {i}").as_bytes())
-                    .unwrap();
+                let (key, value) = (format!("key/{i:03}"), format!("value {i}"));
+                put(&engine, key.as_bytes(), value.as_bytes()).unwrap();
+                model.insert(key.into_bytes(), value.into_bytes());
             }
-            engine.checkpoint().unwrap();
+            engine.checkpoint(&image_of(&model, engine.durable_lsn())).unwrap();
             // Post-checkpoint mutations only in the WAL.
-            engine.put(b"key/100", b"after checkpoint").unwrap();
-            engine.delete(b"key/000").unwrap();
+            put(&engine, b"key/100", b"after checkpoint").unwrap();
+            delete(&engine, b"key/000").unwrap();
         }
-        {
-            let engine = StorageEngine::open(&dir).unwrap();
-            assert_eq!(engine.get(b"key/001").unwrap().unwrap(), b"value 1");
-            assert_eq!(engine.get(b"key/100").unwrap().unwrap(), b"after checkpoint");
-            assert_eq!(engine.get(b"key/000").unwrap(), None);
-            assert_eq!(engine.len(), 100);
-        }
+        let recovered = StorageEngine::open(&dir).unwrap().1;
+        assert_eq!(recovered.snapshot.len(), 100, "the image holds the checkpointed pairs");
+        assert_eq!(recovered.effects.len(), 2, "only records past the image's LSN replay");
+        assert_eq!(recovered.get(b"key/001"), Some(&b"value 1"[..]));
+        assert_eq!(recovered.get(b"key/100"), Some(&b"after checkpoint"[..]));
+        assert_eq!(recovered.get(b"key/000"), None);
+        assert_eq!(key_space(recovered).len(), 100);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -643,28 +658,14 @@ mod tests {
     fn uncommitted_transaction_is_not_recovered() {
         let dir = temp_dir("uncommitted");
         {
-            let engine = StorageEngine::open(&dir).unwrap();
-            engine.put(b"committed", b"yes").unwrap();
+            let (engine, _) = StorageEngine::open(&dir).unwrap();
+            put(&engine, b"committed", b"yes").unwrap();
             let txn = engine.begin().unwrap();
             engine.txn_put(txn, b"uncommitted", b"no").unwrap();
             // Simulated crash: engine dropped without commit.
         }
-        {
-            let engine = StorageEngine::open(&dir).unwrap();
-            assert_eq!(engine.get(b"committed").unwrap().unwrap(), b"yes");
-            assert_eq!(engine.get(b"uncommitted").unwrap(), None);
-        }
+        assert_eq!(recovered(&dir), space(&[("committed", b"yes")]));
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn closed_engine_rejects_operations() {
-        let engine = StorageEngine::in_memory().unwrap();
-        engine.put(b"a", b"1").unwrap();
-        engine.close().unwrap();
-        assert!(matches!(engine.put(b"b", b"2"), Err(StorageError::Closed)));
-        assert!(matches!(engine.get(b"a"), Err(StorageError::Closed)));
-        assert!(matches!(engine.begin(), Err(StorageError::Closed)));
     }
 
     #[test]
@@ -676,45 +677,35 @@ mod tests {
     }
 
     #[test]
-    fn scan_range_returns_half_open_interval() {
-        let engine = StorageEngine::in_memory().unwrap();
-        for key in ["o/1", "o/2", "o/3", "r/1", "v/1"] {
-            engine.put(key.as_bytes(), key.as_bytes()).unwrap();
-        }
-        let hits = engine.scan_range(b"o/", b"o/\xff").unwrap();
-        assert_eq!(hits.len(), 3);
-        assert_eq!(hits[0].0, b"o/1".to_vec());
-        assert_eq!(hits[2].0, b"o/3".to_vec());
-        let hits = engine.scan_range(b"o/2", b"r/2").unwrap();
-        assert_eq!(
-            hits.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>(),
-            vec![b"o/2".to_vec(), b"o/3".to_vec(), b"r/1".to_vec()]
-        );
-        assert!(engine.scan_range(b"z", b"zz").unwrap().is_empty());
-    }
-
-    #[test]
     fn wal_growth_triggers_automatic_checkpoint() {
+        // The engine reports when a checkpoint is due; a caller that checkpoints whenever it
+        // is keeps the WAL bounded, and recovery comes from the snapshot plus a short log.
         let dir = temp_dir("auto-checkpoint");
+        let mut model = KeySpace::new();
         {
             let config =
                 EngineConfig { checkpoint_wal_bytes: Some(512), ..EngineConfig::default() };
-            let engine = StorageEngine::open_with(&dir, config).unwrap();
+            let (engine, _) = StorageEngine::open_with(&dir, config).unwrap();
+            let mut checkpoints = 0;
             for i in 0..32u32 {
-                engine.put(format!("k/{i:03}").as_bytes(), &[0xAB; 64]).unwrap();
+                let key = format!("k/{i:03}").into_bytes();
+                put(&engine, &key, &[0xAB; 64]).unwrap();
+                model.insert(key, vec![0xAB; 64]);
+                if engine.checkpoint_due() {
+                    engine.checkpoint(&image_of(&model, engine.durable_lsn())).unwrap();
+                    assert!(!engine.checkpoint_due(), "a checkpoint covers the whole log");
+                    checkpoints += 1;
+                }
             }
             // Each put is ~90 bytes of WAL, so the 512-byte threshold has fired several times.
+            assert!(checkpoints >= 4, "only {checkpoints} checkpoints were due");
             assert!(
                 engine.wal_size_bytes().unwrap() < 512,
                 "WAL stays bounded by the checkpoint policy"
             );
-            // No explicit checkpoint/close: recovery must come from snapshot + short WAL.
+            // No close: recovery must come from snapshot + short WAL.
         }
-        {
-            let engine = StorageEngine::open(&dir).unwrap();
-            assert_eq!(engine.len(), 32);
-            assert_eq!(engine.get(b"k/031").unwrap().unwrap(), vec![0xAB; 64]);
-        }
+        assert_eq!(recovered(&dir), model);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -741,30 +732,34 @@ mod tests {
                 checkpoint_wal_bytes: None,
                 ..EngineConfig::default()
             };
-            let engine = StorageEngine::open_with(&dir, config).unwrap();
+            let (engine, _) = StorageEngine::open_with(&dir, config).unwrap();
             for i in 0..40u32 {
-                engine.put(format!("k/{i:03}").as_bytes(), &[0xCD; 48]).unwrap();
+                put(&engine, format!("k/{i:03}").as_bytes(), &[0xCD; 48]).unwrap();
             }
-            assert!(engine.wal_segment_count() > 1, "commits rotated into multiple segments");
-            // No checkpoint/close: recovery replays all segments (in parallel) on reopen.
+            let segments = std::fs::read_dir(&dir)
+                .unwrap()
+                .filter(|e| e.as_ref().unwrap().file_name().to_string_lossy().ends_with(".seg"));
+            assert!(segments.count() > 1, "commits rotated into multiple segments");
+            // No checkpoint: recovery replays all segments (in parallel) on reopen.
         }
-        {
-            let engine = StorageEngine::open(&dir).unwrap();
-            assert_eq!(engine.len(), 40);
-            assert_eq!(engine.get(b"k/039").unwrap().unwrap(), vec![0xCD; 48]);
-        }
+        let recovered = recovered(&dir);
+        assert_eq!(recovered.len(), 40);
+        assert_eq!(recovered[&b"k/039"[..]], vec![0xCD; 48]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn retention_keeps_the_wal_tail_for_subscribers_across_a_checkpoint() {
         let engine = StorageEngine::in_memory().unwrap();
+        let mut model = KeySpace::new();
         for i in 0..20u32 {
-            engine.put(format!("k/{i:02}").as_bytes(), b"v").unwrap();
+            let key = format!("k/{i:02}").into_bytes();
+            put(&engine, &key, b"v").unwrap();
+            model.insert(key, b"v".to_vec());
         }
         let cursor = engine.durable_lsn() - 10; // a lagging subscriber's next LSN
         engine.set_replication_retention(Some(cursor));
-        engine.checkpoint().unwrap();
+        engine.checkpoint(&image_of(&model, engine.durable_lsn())).unwrap();
         match engine.wal_tail(cursor).unwrap() {
             WalTail::Records(recs) => {
                 assert_eq!(recs.first().map(|(l, _)| *l), Some(cursor));
@@ -773,37 +768,68 @@ mod tests {
         }
         // Without subscribers the next checkpoint prunes the retained segments.
         engine.set_replication_retention(None);
-        engine.checkpoint().unwrap();
+        engine.checkpoint(&image_of(&model, engine.durable_lsn())).unwrap();
         assert!(matches!(engine.wal_tail(cursor).unwrap(), WalTail::Truncated { .. }));
         assert_eq!(engine.wal_size_bytes().unwrap(), 0);
     }
 
     #[test]
+    fn checkpoint_keeps_commits_appended_after_the_image() {
+        // The background-checkpoint shape: the image was cut at LSN L, commits kept coming,
+        // and the checkpoint must prune only below L.
+        let dir = temp_dir("late-image");
+        let mut model = KeySpace::new();
+        {
+            let config = EngineConfig { segment_max_bytes: 128, ..EngineConfig::default() };
+            let (engine, _) = StorageEngine::open_with(&dir, config).unwrap();
+            for i in 0..10u32 {
+                put(&engine, format!("k/{i}").as_bytes(), b"before").unwrap();
+                model.insert(format!("k/{i}").into_bytes(), b"before".to_vec());
+            }
+            let image = image_of(&model, engine.durable_lsn());
+            for i in 5..15u32 {
+                put(&engine, format!("k/{i}").as_bytes(), b"after").unwrap();
+                model.insert(format!("k/{i}").into_bytes(), b"after".to_vec());
+            }
+            engine.checkpoint(&image).unwrap();
+            let stale = image_of(&KeySpace::new(), image.lsn() - 1);
+            assert!(
+                matches!(engine.checkpoint(&stale), Err(StorageError::InvalidArgument(_))),
+                "an image older than the snapshot on disk is refused"
+            );
+            let ahead = image_of(&KeySpace::new(), engine.durable_lsn() + 1);
+            assert!(matches!(engine.checkpoint(&ahead), Err(StorageError::InvalidArgument(_))));
+        }
+        assert_eq!(recovered(&dir), model);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn many_keys_round_trip_through_checkpoint() {
         let dir = temp_dir("many");
+        let mut model = KeySpace::new();
         {
-            let engine = StorageEngine::open(&dir).unwrap();
+            let (engine, _) = StorageEngine::open(&dir).unwrap();
             for i in 0..2000u32 {
-                engine
-                    .put(format!("obj/{i:05}").as_bytes(), vec![(i % 251) as u8; 64].as_slice())
-                    .unwrap();
+                let (key, value) = (format!("obj/{i:05}").into_bytes(), vec![(i % 251) as u8; 64]);
+                put(&engine, &key, &value).unwrap();
+                model.insert(key, value);
             }
-            engine.checkpoint().unwrap();
+            engine.checkpoint(&image_of(&model, engine.durable_lsn())).unwrap();
         }
-        {
-            let engine = StorageEngine::open(&dir).unwrap();
-            assert_eq!(engine.len(), 2000);
-            assert_eq!(engine.get(b"obj/01999").unwrap().unwrap(), vec![(1999 % 251) as u8; 64]);
-        }
+        let recovered = StorageEngine::open(&dir).unwrap().1;
+        assert!(recovered.effects.is_empty(), "everything came from the snapshot");
+        assert_eq!(recovered.get(b"obj/01999"), Some(&vec![(1999 % 251) as u8; 64][..]));
+        assert_eq!(key_space(recovered), model);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn checkpointed_directory_holds_only_wal_segments_and_the_snapshot() {
         let dir = temp_dir("layout");
-        let engine = StorageEngine::open(&dir).unwrap();
-        engine.put(b"k", b"v").unwrap();
-        engine.checkpoint().unwrap();
+        let (engine, _) = StorageEngine::open(&dir).unwrap();
+        put(&engine, b"k", b"v").unwrap();
+        engine.checkpoint(&image_of(&space(&[("k", b"v")]), engine.durable_lsn())).unwrap();
         let names: Vec<String> = std::fs::read_dir(&dir)
             .unwrap()
             .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
@@ -820,24 +846,26 @@ mod tests {
         let dir = temp_dir("large");
         let big: Vec<u8> = (0..200_000u32).map(|i| (i % 253) as u8).collect();
         {
-            let engine = StorageEngine::open(&dir).unwrap();
-            engine.put(b"big/wal", &big).unwrap();
-            engine.checkpoint().unwrap();
-            engine.put(b"big/after", &big).unwrap();
+            let (engine, _) = StorageEngine::open(&dir).unwrap();
+            put(&engine, b"big/wal", &big).unwrap();
+            let model: KeySpace = [(b"big/wal".to_vec(), big.clone())].into_iter().collect();
+            engine.checkpoint(&image_of(&model, engine.durable_lsn())).unwrap();
+            put(&engine, b"big/after", &big).unwrap();
         }
-        let engine = StorageEngine::open(&dir).unwrap();
-        assert_eq!(engine.get(b"big/wal").unwrap().unwrap(), big);
-        assert_eq!(engine.get(b"big/after").unwrap().unwrap(), big);
+        let recovered = StorageEngine::open(&dir).unwrap().1;
+        assert_eq!(recovered.get(b"big/wal"), Some(&big[..]));
+        assert_eq!(recovered.get(b"big/after"), Some(&big[..]));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A checkpointed directory plus its snapshot image.
     fn checkpointed_dir(name: &str) -> (PathBuf, Vec<u8>) {
         let dir = temp_dir(name);
-        let engine = StorageEngine::open(&dir).unwrap();
-        engine.put(b"obj/Alarms", b"alarm data").unwrap();
-        engine.put(b"obj/Sensor", b"").unwrap();
-        engine.checkpoint().unwrap();
+        let (engine, _) = StorageEngine::open(&dir).unwrap();
+        put(&engine, b"obj/Alarms", b"alarm data").unwrap();
+        put(&engine, b"obj/Sensor", b"").unwrap();
+        let model = space(&[("obj/Alarms", b"alarm data"), ("obj/Sensor", b"")]);
+        engine.checkpoint(&image_of(&model, engine.durable_lsn())).unwrap();
         drop(engine);
         let image = std::fs::read(dir.join("snapshot.db")).unwrap();
         (dir, image)
@@ -855,7 +883,7 @@ mod tests {
             }
         }
         std::fs::write(dir.join("snapshot.db"), &image).unwrap();
-        assert_eq!(StorageEngine::open(&dir).unwrap().len(), 2, "the intact image still opens");
+        assert_eq!(recovered(&dir).len(), 2, "the intact image still opens");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -883,27 +911,160 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A well-framed, correctly checksummed image body.
+    fn framed(magic: &[u8; 8], lsn: Lsn, pairs: &[(&[u8], &[u8])]) -> Vec<u8> {
+        let mut bytes = magic.to_vec();
+        bytes.extend_from_slice(&lsn.to_le_bytes());
+        bytes.extend_from_slice(&(pairs.len() as u64).to_le_bytes());
+        for (key, value) in pairs {
+            put_len(&mut bytes, key.len());
+            bytes.extend_from_slice(key);
+            put_len(&mut bytes, value.len());
+            bytes.extend_from_slice(value);
+        }
+        let crc = crc32(&bytes);
+        bytes.extend_from_slice(&crc.to_le_bytes());
+        bytes
+    }
+
     #[test]
     fn snapshot_codec_rejects_unsorted_keys() {
-        let mut map = BTreeMap::new();
-        map.insert(b"a".to_vec(), b"1".to_vec());
-        map.insert(b"b".to_vec(), b"2".to_vec());
-        assert_eq!(decode_snapshot(&encode_snapshot(&map)).unwrap(), map);
+        let model = space(&[("a", b"1"), ("b", b"2")]);
+        let image = image_of(&model, 7);
+        let (lsn, pairs) = decode_snapshot(&image.bytes).unwrap();
+        assert_eq!((lsn, pairs.into_iter().collect::<KeySpace>()), (7, model));
         // Well framed, correctly checksummed, but out of key order.
-        let mut e = Encoder::new();
-        e.put_raw(SNAPSHOT_MAGIC).put_u64(2);
-        e.put_bytes(b"b").put_bytes(b"2").put_bytes(b"a").put_bytes(b"1");
-        let crc = crc32(e.as_slice());
-        e.put_u32(crc);
-        assert!(matches!(decode_snapshot(&e.finish()), Err(StorageError::Corrupt(_))));
+        let unsorted = framed(SNAPSHOT_MAGIC, 7, &[(b"b", b"2"), (b"a", b"1")]);
+        assert!(matches!(decode_snapshot(&unsorted), Err(StorageError::Corrupt(_))));
+    }
+
+    #[test]
+    fn snapshot_image_lsn_round_trips_and_snp1_is_refused() {
+        for lsn in [0, 1, 41, u64::MAX] {
+            let image = image_of(&space(&[("k", b"v")]), lsn);
+            assert_eq!(image.lsn(), lsn);
+            assert_eq!(decode_snapshot(&image.bytes).unwrap().0, lsn);
+        }
+        assert_eq!(
+            framed(SNAPSHOT_MAGIC, 3, &[(b"k", b"v")]),
+            image_of(&space(&[("k", b"v")]), 3).bytes
+        );
+        // The pre-LSN layout: magic, count, LEB128-framed pairs, CRC.  No migration.
+        let mut old = b"SEEDSNP1".to_vec();
+        old.extend_from_slice(&0u64.to_le_bytes());
+        let crc = crc32(&old);
+        old.extend_from_slice(&crc.to_le_bytes());
+        match decode_snapshot(&old) {
+            Err(StorageError::Corrupt(reason)) => assert!(reason.contains("SEEDSNP1"), "{reason}"),
+            other => panic!("a SEEDSNP1 image must be refused, got {other:?}"),
+        }
+    }
+
+    /// Segment storage that fails on demand: the next `sync`, or the next snapshot write.
+    pub(crate) struct FailingIo {
+        inner: MemorySegmentIo,
+        pub(crate) fail_sync: std::sync::atomic::AtomicBool,
+        pub(crate) fail_snapshot: std::sync::atomic::AtomicBool,
+    }
+
+    impl FailingIo {
+        pub(crate) fn new() -> Self {
+            Self {
+                inner: MemorySegmentIo::new(),
+                fail_sync: false.into(),
+                fail_snapshot: false.into(),
+            }
+        }
+
+        fn injected(flag: &std::sync::atomic::AtomicBool) -> StorageResult<()> {
+            if flag.swap(false, Ordering::SeqCst) {
+                return Err(StorageError::Io(std::io::Error::other("injected sync failure")));
+            }
+            Ok(())
+        }
+    }
+
+    impl SegmentIo for FailingIo {
+        fn list(&self) -> StorageResult<Vec<crate::wal::SegmentId>> {
+            self.inner.list()
+        }
+        fn read(&self, id: crate::wal::SegmentId) -> StorageResult<Vec<u8>> {
+            self.inner.read(id)
+        }
+        fn create(&self, id: crate::wal::SegmentId, initial: &[u8]) -> StorageResult<()> {
+            self.inner.create(id, initial)
+        }
+        fn append(&self, id: crate::wal::SegmentId, bytes: &[u8]) -> StorageResult<()> {
+            self.inner.append(id, bytes)
+        }
+        fn sync(&self, id: crate::wal::SegmentId) -> StorageResult<()> {
+            Self::injected(&self.fail_sync)?;
+            self.inner.sync(id)
+        }
+        fn truncate(&self, id: crate::wal::SegmentId, len: u64) -> StorageResult<()> {
+            self.inner.truncate(id, len)
+        }
+        fn delete(&self, id: crate::wal::SegmentId) -> StorageResult<()> {
+            self.inner.delete(id)
+        }
+        /// The snapshot's own sync fails: the image never replaces the old one.
+        fn write_snapshot(&self, image: &[u8]) -> StorageResult<()> {
+            Self::injected(&self.fail_snapshot)?;
+            self.inner.write_snapshot(image)
+        }
+        fn read_snapshot(&self) -> StorageResult<Option<Vec<u8>>> {
+            self.inner.read_snapshot()
+        }
+    }
+
+    #[test]
+    fn poison_after_a_failed_commit_sync_keeps_only_acknowledged_commits() {
+        let io = Arc::new(FailingIo::new());
+        let (engine, _) = StorageEngine::with_io(io.clone(), EngineConfig::default()).unwrap();
+        put(&engine, b"acked", b"1").unwrap();
+        io.fail_sync.store(true, Ordering::SeqCst);
+        assert!(matches!(put(&engine, b"failed", b"2"), Err(StorageError::Io(_))));
+        // Every later begin/commit is refused, and the probe reports why.
+        assert!(matches!(engine.begin(), Err(StorageError::Poisoned(_))));
+        assert!(matches!(put(&engine, b"later", b"3"), Err(StorageError::Poisoned(_))));
+        match engine.wal_probe() {
+            Err(StorageError::Poisoned(reason)) => assert!(reason.contains("commit"), "{reason}"),
+            other => panic!("a poisoned engine must fail its probe, got {other:?}"),
+        }
+        let image = image_of(&space(&[("acked", b"1")]), engine.durable_lsn());
+        assert!(matches!(engine.checkpoint(&image), Err(StorageError::Poisoned(_))));
+        drop(engine);
+        let (_, recovered) = StorageEngine::with_io(io, EngineConfig::default()).unwrap();
+        assert_eq!(key_space(recovered), space(&[("acked", b"1")]));
+    }
+
+    #[test]
+    fn poison_after_a_failed_background_checkpoint_keeps_every_commit() {
+        let io = Arc::new(FailingIo::new());
+        let (engine, _) = StorageEngine::with_io(io.clone(), EngineConfig::default()).unwrap();
+        let engine = Arc::new(engine);
+        put(&engine, b"a", b"1").unwrap();
+        let image = image_of(&space(&[("a", b"1")]), engine.durable_lsn());
+        put(&engine, b"b", b"2").unwrap(); // committed while the image was being encoded
+        io.fail_snapshot.store(true, Ordering::SeqCst);
+        let background = {
+            let engine = engine.clone();
+            std::thread::spawn(move || engine.checkpoint(&image))
+        };
+        assert!(matches!(background.join().unwrap(), Err(StorageError::Io(_))));
+        assert!(matches!(engine.begin(), Err(StorageError::Poisoned(_))));
+        assert!(matches!(put(&engine, b"c", b"3"), Err(StorageError::Poisoned(_))));
+        drop(engine);
+        let (_, recovered) = StorageEngine::with_io(io, EngineConfig::default()).unwrap();
+        assert_eq!(key_space(recovered), space(&[("a", b"1"), ("b", b"2")]));
     }
 }
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::{delete, image_of, key_space, put, temp_dir, KeySpace};
     use super::*;
     use proptest::prelude::*;
-    use std::collections::BTreeMap;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
@@ -916,24 +1077,21 @@ mod proptests {
                 1..120,
             )
         ) {
-            let engine = StorageEngine::in_memory().unwrap();
-            let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+            let io = Arc::new(MemorySegmentIo::new());
+            let (engine, _) = StorageEngine::with_io(io.clone(), EngineConfig::default()).unwrap();
+            let mut model = KeySpace::new();
             for (key, value, is_delete) in ops {
                 if is_delete {
-                    engine.delete(&key).unwrap();
+                    delete(&engine, &key).unwrap();
                     model.remove(&key);
                 } else {
-                    engine.put(&key, &value).unwrap();
+                    put(&engine, &key, &value).unwrap();
                     model.insert(key.clone(), value);
                 }
             }
-            prop_assert_eq!(engine.len(), model.len());
-            for (k, v) in &model {
-                prop_assert_eq!(engine.get(k).unwrap().unwrap(), v.clone());
-            }
-            let scanned = engine.scan_prefix(b"").unwrap();
-            let expected: Vec<(Vec<u8>, Vec<u8>)> = model.into_iter().collect();
-            prop_assert_eq!(scanned, expected);
+            drop(engine);
+            let (_, recovered) = StorageEngine::with_io(io, EngineConfig::default()).unwrap();
+            prop_assert_eq!(key_space(recovered), model);
         }
     }
 
@@ -964,47 +1122,50 @@ mod proptests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(8))]
-        /// The durable variant: a directory-backed engine with a small auto-checkpoint
-        /// threshold and segment cap (so checkpoints, rotations and prunes fire constantly)
-        /// must agree with the model after every reopen, whatever mix of value sizes and
-        /// overwrites came before.
+        /// The durable variant: a directory-backed engine with a small checkpoint threshold
+        /// and segment cap (so checkpoints, rotations and prunes fire constantly) must agree
+        /// with the model after every reopen, whatever mix of value sizes and overwrites came
+        /// before.
         #[test]
         fn durable_engine_matches_btreemap_model(
             steps in proptest::collection::vec(arb_step(), 1..400)
         ) {
-            let dir = super::tests::temp_dir("model");
+            let dir = temp_dir("model");
             let config = EngineConfig {
                 checkpoint_wal_bytes: Some(4096),
                 segment_max_bytes: 1024,
                 ..EngineConfig::default()
             };
-            let mut engine = StorageEngine::open_with(&dir, config.clone()).unwrap();
-            let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+            let (mut engine, _) = StorageEngine::open_with(&dir, config.clone()).unwrap();
+            let mut model = KeySpace::new();
             for (i, step) in steps.into_iter().enumerate() {
                 match step {
                     Step::Put(key, value) => {
-                        engine.put(&key, &value).unwrap_or_else(|e| panic!("step {i}: put: {e}"));
+                        put(&engine, &key, &value).unwrap_or_else(|e| panic!("step {i}: put: {e}"));
                         model.insert(key, value);
                     }
                     Step::Delete(key) => {
-                        engine.delete(&key).unwrap_or_else(|e| panic!("step {i}: delete: {e}"));
+                        delete(&engine, &key).unwrap_or_else(|e| panic!("step {i}: delete: {e}"));
                         model.remove(&key);
                     }
-                    Step::Checkpoint => engine.checkpoint().unwrap(),
+                    Step::Checkpoint => {
+                        engine.checkpoint(&image_of(&model, engine.durable_lsn())).unwrap()
+                    }
                     Step::Reopen => {
                         drop(engine);
-                        engine = StorageEngine::open_with(&dir, config.clone()).unwrap();
-                        let scanned = engine.scan_prefix(b"").unwrap();
-                        let expected: Vec<(Vec<u8>, Vec<u8>)> =
-                            model.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-                        prop_assert_eq!(scanned, expected);
+                        let (reopened, recovered) =
+                            StorageEngine::open_with(&dir, config.clone()).unwrap();
+                        engine = reopened;
+                        prop_assert_eq!(key_space(recovered), model.clone());
                     }
+                }
+                if engine.checkpoint_due() {
+                    engine.checkpoint(&image_of(&model, engine.durable_lsn())).unwrap();
                 }
             }
             drop(engine);
-            let engine = StorageEngine::open_with(&dir, config).unwrap();
-            let expected: Vec<(Vec<u8>, Vec<u8>)> = model.into_iter().collect();
-            prop_assert_eq!(engine.scan_prefix(b"").unwrap(), expected);
+            let (_, recovered) = StorageEngine::open_with(&dir, config).unwrap();
+            prop_assert_eq!(key_space(recovered), model);
             let _ = std::fs::remove_dir_all(&dir);
         }
     }

@@ -17,8 +17,9 @@ pub enum StorageError {
     ChecksumMismatch { lsn: u64 },
     /// A key was not found.
     KeyNotFound,
-    /// The engine was asked to operate after being closed.
-    Closed,
+    /// An earlier commit or checkpoint failed on I/O, so the log may no longer match what
+    /// callers were told; the engine refuses all further work until it is reopened.
+    Poisoned(String),
     /// Catch-all for invalid arguments (unknown transaction, bad configuration, ...).
     InvalidArgument(String),
 }
@@ -32,7 +33,7 @@ impl fmt::Display for StorageError {
                 write!(f, "checksum mismatch in WAL frame at lsn {lsn}")
             }
             StorageError::KeyNotFound => write!(f, "key not found"),
-            StorageError::Closed => write!(f, "storage engine is closed"),
+            StorageError::Poisoned(reason) => write!(f, "storage engine poisoned: {reason}"),
             StorageError::InvalidArgument(msg) => write!(f, "invalid argument: {msg}"),
         }
     }

@@ -3,8 +3,9 @@
 //! Storage substrate for the SEED DBMS reproduction (Glinz & Ludewig, ICDE 1986).
 //!
 //! The 1986 SEED prototype was "implemented in a straightforward manner, deriving the
-//! implementation concepts from the model".  This crate follows suit: committed state lives in
-//! one in-memory ordered map, and the disk holds exactly one format —
+//! implementation concepts from the model".  This crate follows suit: it does the I/O and holds
+//! no copy of the data (the in-memory database in `seed-core` is the one resident copy), and
+//! the disk holds exactly one format —
 //!
 //! * [`wal`] — a segmented write-ahead log with CRC-protected frames, whole-segment checkpoint
 //!   pruning, replication retention, and parallel redo recovery,
@@ -14,9 +15,10 @@
 //! both reached through one door, the [`SegmentIo`] trait.  [`engine`] ties them together as a
 //! small transactional key/value engine; [`codec`] holds the binary primitives and the CRC.
 //!
-//! The engine exposes exactly what `seed-core` needs: durable `put`/`get`/`delete`/`scan_prefix`
-//! over byte keys plus checkpoint/recovery.  Higher-level notions (objects, relationships,
-//! versions, patterns) live in `seed-core`.
+//! The engine exposes exactly what `seed-core` needs: durable transactions over byte keys,
+//! checkpoints of a caller-encoded [`SnapshotImage`], and recovery that hands the recovered
+//! key space back once at open.  Higher-level notions (objects, relationships, versions,
+//! patterns) live in `seed-core`.
 
 pub mod codec;
 pub mod engine;
@@ -24,7 +26,7 @@ pub mod error;
 pub mod wal;
 
 pub use codec::{Decoder, Encoder};
-pub use engine::{EngineConfig, StorageEngine, TxnId};
+pub use engine::{EngineConfig, ImageWriter, Recovered, SnapshotImage, StorageEngine, TxnId};
 pub use error::{StorageError, StorageResult};
 pub use wal::{
     replay_committed, FileSegmentIo, KeyEffect, LogRecord, Lsn, MemorySegmentIo, SegmentId,

@@ -105,8 +105,6 @@ pub enum LogRecord {
     Put { txn: u64, key: Vec<u8>, value: Vec<u8> },
     /// A key was removed within a transaction.
     Delete { txn: u64, key: Vec<u8> },
-    /// A checkpoint: all effects of LSNs before `up_to` are in the snapshot.
-    Checkpoint { up_to: Lsn },
 }
 
 impl LogRecord {
@@ -115,7 +113,6 @@ impl LogRecord {
     const TAG_ABORT: u8 = 3;
     const TAG_PUT: u8 = 4;
     const TAG_DELETE: u8 = 5;
-    const TAG_CHECKPOINT: u8 = 6;
 
     /// Serializes the record to bytes (without the frame header).
     pub fn encode(&self) -> Vec<u8> {
@@ -135,9 +132,6 @@ impl LogRecord {
             }
             LogRecord::Delete { txn, key } => {
                 e.put_u8(Self::TAG_DELETE).put_u64(*txn).put_bytes(key);
-            }
-            LogRecord::Checkpoint { up_to } => {
-                e.put_u8(Self::TAG_CHECKPOINT).put_u64(*up_to);
             }
         }
         e.finish()
@@ -159,7 +153,6 @@ impl LogRecord {
             Self::TAG_DELETE => {
                 LogRecord::Delete { txn: d.get_u64()?, key: d.get_bytes()?.to_vec() }
             }
-            Self::TAG_CHECKPOINT => LogRecord::Checkpoint { up_to: d.get_u64()? },
             other => return Err(StorageError::Corrupt(format!("unknown WAL record tag {other}"))),
         };
         Ok(rec)
@@ -648,17 +641,18 @@ impl WriteAheadLog {
         })
     }
 
-    /// Appends a record, returning its LSN.  The append is buffered; call
-    /// [`WriteAheadLog::sync`] to make it durable.
+    /// Appends one record and syncs it, returning its LSN.
     pub fn append(&self, record: &LogRecord) -> StorageResult<Lsn> {
         self.append_batch(std::slice::from_ref(record))
     }
 
-    /// Appends a batch of records with **one** backend write (the group-commit primitive: a
-    /// committing transaction hands its `Begin`/`Put`/`Delete`/`Commit` frames over in a single
-    /// contiguous write, then syncs once).  Returns the LSN of the first record.  If the active
-    /// segment is already at the rotation threshold, the batch opens a fresh segment — a batch
-    /// never spans two.
+    /// Appends a batch of records with **one** backend write and syncs it — the group-commit
+    /// primitive: a committing transaction hands its `Begin`/`Put`/`Delete`/`Commit` frames over
+    /// in a single contiguous write, then syncs once.  Returns the LSN of the first record.  If
+    /// the active segment is already at the rotation threshold, the batch opens a fresh
+    /// segment — a batch never spans two.  When the write or the sync fails, the batch's frames
+    /// are cut off the segment again (best effort) and the log's counters stay where they were,
+    /// so a reopen does not resurrect a commit that was reported failed.
     pub fn append_batch(&self, records: &[LogRecord]) -> StorageResult<Lsn> {
         let start = Instant::now();
         let mut frames = Vec::new();
@@ -666,18 +660,28 @@ impl WriteAheadLog {
             frames.extend_from_slice(&frame_bytes(record));
         }
         let mut state = self.state.lock();
-        if !records.is_empty() && state.active().bytes >= self.config.segment_max_bytes {
+        if state.active().bytes >= self.config.segment_max_bytes {
             self.rotate_locked(&mut state)?;
         }
+        let (id, bytes) = (state.active().id, state.active().bytes);
+        let metrics = wal_metrics();
+        let written = self.io.append(id, &frames).and_then(|()| {
+            metrics.append_us.observe_duration(start.elapsed());
+            let synced = Instant::now();
+            let result = self.io.sync(id);
+            metrics.fsync_us.observe_duration(synced.elapsed());
+            result
+        });
+        if let Err(e) = written {
+            let _ = self.io.truncate(id, SEGMENT_HEADER_LEN as u64 + bytes);
+            return Err(e);
+        }
         let active = state.active();
-        self.io.append(active.id, &frames)?;
         active.bytes += frames.len() as u64;
         active.records += records.len() as u64;
         let first = state.next_lsn;
         state.next_lsn += records.len() as Lsn;
-        let metrics = wal_metrics();
         metrics.batch_records.observe(records.len() as u64);
-        metrics.append_us.observe_duration(start.elapsed());
         Ok(first)
     }
 
@@ -834,18 +838,20 @@ impl WriteAheadLog {
         Ok(WalTail::Records(out))
     }
 
-    /// Checkpoint pruning (named for the single-file era, where it truncated the log file).
-    /// Seals the active segment and deletes sealed segments oldest-first, except those still
-    /// needed by replication (see [`WriteAheadLog::set_retention_floor`]) within the retention
-    /// budget.  The LSN numbering is **not** reset: segment headers carry absolute bases, so
-    /// the next append continues the sequence ([`WriteAheadLog::read_from`] cursors stay valid
-    /// or report [`WalTail::Truncated`], never silently re-bind to different records).
-    pub fn truncate(&self) -> StorageResult<()> {
+    /// Checkpoint pruning: the log below `up_to` is covered by a snapshot.  Seals the active
+    /// segment and deletes sealed segments that end at or below `up_to`, oldest-first, except
+    /// those still needed by replication (see [`WriteAheadLog::set_retention_floor`]) within
+    /// the retention budget.  Records past `up_to` — commits appended while the snapshot was
+    /// being encoded — stay.  The LSN numbering is **not** reset: segment headers carry
+    /// absolute bases, so the next append continues the sequence ([`WriteAheadLog::read_from`]
+    /// cursors stay valid or report [`WalTail::Truncated`], never silently re-bind to
+    /// different records).
+    pub fn truncate(&self, up_to: Lsn) -> StorageResult<()> {
         let mut state = self.state.lock();
         if state.active().bytes > 0 {
             self.rotate_locked(&mut state)?;
         }
-        state.pruned_to = state.next_lsn - 1;
+        state.pruned_to = state.pruned_to.max(up_to.min(state.next_lsn - 1));
         self.prune_locked(&mut state)
     }
 
@@ -855,7 +861,8 @@ impl WriteAheadLog {
     /// when a crash interrupts the deletes (`with_io`'s hole rule covers the interrupted case).
     fn prune_locked(&self, state: &mut WalState) -> StorageResult<()> {
         let sealed = state.segments.len() - 1;
-        let mut keep_from = sealed;
+        let mut keep_from =
+            state.segments[..sealed].iter().take_while(|s| s.end() <= state.pruned_to).count();
         if let Some(floor) = state.retention_floor {
             let mut retained: u64 = 0;
             while keep_from > 0 {
@@ -880,9 +887,11 @@ impl WriteAheadLog {
         Ok(self.state.lock().segments.iter().map(|s| s.bytes).sum())
     }
 
-    /// Frame bytes not yet covered by a checkpoint — what recovery would have to replay, and
-    /// what the engine's auto-checkpoint policy watches.  Excludes segments retained purely for
-    /// replication, so retention cannot retrigger checkpoints in a loop.
+    /// Frame bytes of the segments that start past the last checkpoint — what the engine's
+    /// checkpoint policy watches.  Excludes segments retained purely for replication, so
+    /// retention cannot retrigger checkpoints in a loop, and the one segment a checkpoint cut
+    /// in two (its records past the checkpoint still replay on recovery, but count toward no
+    /// new checkpoint: at most one segment's worth).
     pub fn uncheckpointed_bytes(&self) -> StorageResult<u64> {
         let state = self.state.lock();
         Ok(state.segments.iter().filter(|s| s.base >= state.pruned_to).map(|s| s.bytes).sum())
@@ -920,7 +929,6 @@ pub fn replay_committed(records: &[(Lsn, LogRecord)]) -> Vec<KeyEffect> {
             LogRecord::Abort { txn } => {
                 pending.remove(txn);
             }
-            LogRecord::Checkpoint { .. } => {}
         }
     }
     committed
@@ -967,7 +975,6 @@ mod tests {
             LogRecord::Delete { txn: 1, key: b"obj/Old".to_vec() },
             LogRecord::Commit { txn: 1 },
             LogRecord::Abort { txn: 2 },
-            LogRecord::Checkpoint { up_to: 42 },
         ];
         for rec in records {
             let bytes = rec.encode();
@@ -1206,7 +1213,7 @@ mod tests {
     fn truncate_clears_bytes_but_keeps_the_lsn_sequence() {
         let wal = WriteAheadLog::in_memory();
         wal.append(&LogRecord::Begin { txn: 1 }).unwrap();
-        wal.truncate().unwrap();
+        wal.truncate(wal.durable_lsn()).unwrap();
         assert_eq!(wal.read_all().unwrap().len(), 0);
         assert_eq!(wal.next_lsn(), 2, "absolute LSNs survive truncation");
         assert_eq!(wal.base_lsn(), 1);
@@ -1236,7 +1243,7 @@ mod tests {
         // Ahead of the log: a foreign cursor, must resync.
         assert!(matches!(wal.read_from(8).unwrap(), WalTail::Truncated { oldest: 1 }));
         // After truncation, old cursors learn they were cut off; new ones still work.
-        wal.truncate().unwrap();
+        wal.truncate(wal.durable_lsn()).unwrap();
         assert!(matches!(wal.read_from(3).unwrap(), WalTail::Truncated { oldest: 7 }));
         assert_eq!(wal.read_from(7).unwrap(), WalTail::Records(vec![]));
         wal.append(&LogRecord::Begin { txn: 9 }).unwrap();
@@ -1254,7 +1261,7 @@ mod tests {
             wal.append(&LogRecord::Begin { txn: 1 }).unwrap();
             wal.append(&LogRecord::Commit { txn: 1 }).unwrap();
             wal.sync().unwrap();
-            wal.truncate().unwrap();
+            wal.truncate(wal.durable_lsn()).unwrap();
             wal.append(&LogRecord::Begin { txn: 2 }).unwrap();
             wal.sync().unwrap();
         }
@@ -1331,7 +1338,7 @@ mod tests {
         wal.sync().unwrap();
         let end = wal.durable_lsn();
         assert!(segment_files(&dir).len() > 1);
-        wal.truncate().unwrap();
+        wal.truncate(wal.durable_lsn()).unwrap();
         assert_eq!(segment_files(&dir).len(), 1, "checkpoint deletes sealed segments");
         assert_eq!(wal.size_bytes().unwrap(), 0);
         assert_eq!(wal.base_lsn(), end);
@@ -1348,7 +1355,7 @@ mod tests {
         let end = wal.durable_lsn();
         let cursor = end - 7; // a lagging subscriber's next LSN
         wal.set_retention_floor(Some(cursor));
-        wal.truncate().unwrap();
+        wal.truncate(wal.durable_lsn()).unwrap();
         assert!(wal.base_lsn() < cursor, "segments covering the cursor survive the checkpoint");
         match wal.read_from(cursor).unwrap() {
             WalTail::Records(recs) => {
@@ -1359,7 +1366,7 @@ mod tests {
         }
         // Once the subscriber is gone, the next checkpoint drops the retained segments.
         wal.set_retention_floor(None);
-        wal.truncate().unwrap();
+        wal.truncate(wal.durable_lsn()).unwrap();
         assert!(matches!(wal.read_from(cursor).unwrap(), WalTail::Truncated { .. }));
         assert_eq!(wal.size_bytes().unwrap(), 0);
     }
@@ -1374,7 +1381,7 @@ mod tests {
             wal.append_batch(&commit_batch(txn, 48)).unwrap();
         }
         wal.set_retention_floor(Some(2));
-        wal.truncate().unwrap();
+        wal.truncate(wal.durable_lsn()).unwrap();
         assert!(
             matches!(wal.read_from(2).unwrap(), WalTail::Truncated { .. }),
             "a zero budget retains nothing, the subscriber must snapshot"
@@ -1505,7 +1512,6 @@ mod proptests {
                 .prop_map(|(txn, key, value)| LogRecord::Put { txn, key, value }),
             (any::<u64>(), proptest::collection::vec(any::<u8>(), 0..64))
                 .prop_map(|(txn, key)| LogRecord::Delete { txn, key }),
-            any::<u64>().prop_map(|up_to| LogRecord::Checkpoint { up_to }),
         ]
     }
 
@@ -1554,8 +1560,8 @@ mod proptests {
                     oracle.append_batch(batch).unwrap()
                 );
                 if *checkpoint {
-                    wal.truncate().unwrap();
-                    oracle.truncate().unwrap();
+                    wal.truncate(wal.durable_lsn()).unwrap();
+                    oracle.truncate(oracle.durable_lsn()).unwrap();
                 }
             }
             prop_assert_eq!(wal.read_all().unwrap(), oracle.read_all().unwrap());

@@ -20,9 +20,10 @@
 //!   checkpoint had not already pruned) is recovered,
 //! * parallel segment replay recovers byte-for-byte what serial replay recovers.
 //!
-//! The engine-level sweep drives commits with auto-checkpoints, rotations and prunes through a
-//! [`StorageEngine`] and asserts that every crash state reopens and holds exactly the key space
-//! of some prefix of the commits that contains every acknowledged one.
+//! The engine-level sweep drives commits, rotations, prunes and model-driven checkpoints (due
+//! ones, an explicit one, one whose image predates the last commit, and a replica-style reset)
+//! through a [`StorageEngine`] and asserts that every crash state reopens and recovers exactly
+//! the key space of some prefix of the steps that contains every acknowledged one.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -32,7 +33,9 @@ use parking_lot::Mutex;
 use seed_storage::wal::{
     replay_committed, LogRecord, MemorySegmentIo, SegmentId, SegmentIo, WalConfig, WriteAheadLog,
 };
-use seed_storage::{EngineConfig, StorageEngine, StorageError, StorageResult};
+use seed_storage::{
+    EngineConfig, ImageWriter, SnapshotImage, StorageEngine, StorageError, StorageResult,
+};
 
 /// The crash point: how many disk-op units the process survives before it dies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -233,7 +236,7 @@ fn run_workload(wal: &WriteAheadLog) -> (Vec<u64>, Vec<u64>) {
         // segments below the floor, retention of the rest).
         if txn == 4 {
             wal.set_retention_floor(None);
-            if wal.truncate().is_err() {
+            if wal.truncate(wal.durable_lsn()).is_err() {
                 break;
             }
             pruned = (1..=4).collect();
@@ -242,7 +245,7 @@ fn run_workload(wal: &WriteAheadLog) -> (Vec<u64>, Vec<u64>) {
             // Txn 7's batch starts at LSN 19 (6 records per txn pair... exactly: 3 per txn).
             let floor = 3 * 6 + 1; // first LSN of txn 7
             wal.set_retention_floor(Some(floor));
-            if wal.truncate().is_err() {
+            if wal.truncate(wal.durable_lsn()).is_err() {
                 break;
             }
         }
@@ -350,9 +353,9 @@ fn the_crash_sweep_covers_rotations_and_deletions() {
     assert!(last > first, "workload must have created later segments (rotations)");
 }
 
-// ----- engine-level sweep: commits, auto-checkpoints, rotations, prunes --------------------------
+// ----- engine-level sweep: commits, checkpoints, rotations, prunes --------------------------------
 
-/// Small caps so the engine workload rotates segments and auto-checkpoints every few commits;
+/// Small caps so the engine workload rotates segments and checkpoints every few commits;
 /// the retention budget keeps a segment or two for the subscriber the workload pins midway.
 fn engine_config() -> EngineConfig {
     EngineConfig {
@@ -363,6 +366,10 @@ fn engine_config() -> EngineConfig {
 }
 
 const COMMITS: usize = 20;
+
+/// The step that is not a commit but a replica-style reset: one image replaces the whole key
+/// space at the end of the log.
+const RESET_AT: usize = 15;
 
 /// Commit `i`'s effects, over a small key space so later commits overwrite (growing and
 /// shrinking values) and delete what earlier ones wrote.
@@ -380,12 +387,22 @@ fn commit_effects(i: usize) -> Vec<(Vec<u8>, Option<Vec<u8>>)> {
 
 type KeySpace = BTreeMap<Vec<u8>, Vec<u8>>;
 
-/// `states[k]` is the key space after the first `k` commits.
+/// The key space a reset installs: some keys kept, some new, the rest gone.
+fn reset_space() -> KeySpace {
+    [(b"k/1".to_vec(), vec![0xAA; 12]), (b"reset/marker".to_vec(), b"fresh".to_vec())]
+        .into_iter()
+        .collect()
+}
+
+/// `states[k]` is the key space after the first `k` steps.
 fn model_states() -> Vec<KeySpace> {
     let mut states = vec![KeySpace::new()];
     for i in 0..COMMITS {
         let mut next = states[i].clone();
-        for (key, value) in commit_effects(i) {
+        if i == RESET_AT {
+            next = reset_space();
+        }
+        for (key, value) in commit_effects(i).into_iter().filter(|_| i != RESET_AT) {
             match value {
                 Some(v) => next.insert(key, v),
                 None => next.remove(&key),
@@ -396,16 +413,34 @@ fn model_states() -> Vec<KeySpace> {
     states
 }
 
-/// Drives the commits until the crash point kills one; returns how many were acknowledged.
-/// Midway a replication subscriber pins the log (checkpoints then retain segments) and later
-/// lets go; one explicit checkpoint joins the automatic ones.
-fn run_engine_workload(engine: &StorageEngine) -> usize {
+/// The snapshot image of `space` covering the log up to `lsn`.
+fn image_of(space: &KeySpace, lsn: u64) -> SnapshotImage {
+    let mut writer = ImageWriter::new(lsn);
+    for (key, value) in space {
+        writer.put(key, value);
+    }
+    writer.finish()
+}
+
+/// Drives the steps until the crash point kills one; returns how many were acknowledged.
+/// Checkpoints come from the model, as the owner of the data drives them: whenever the engine
+/// reports one due, one explicit, one whose image was cut before the next commit was appended
+/// (the shape of a background checkpoint), and one replica-style reset.  Midway a replication
+/// subscriber pins the log (checkpoints then retain segments) and later lets go.
+fn run_engine_workload(engine: &StorageEngine, states: &[KeySpace]) -> usize {
+    let mut late_image = None;
     for i in 0..COMMITS {
         if i == 10 {
             engine.set_replication_retention(Some(engine.durable_lsn().saturating_sub(8).max(1)));
         }
         if i == 16 {
             engine.set_replication_retention(None);
+        }
+        if i == RESET_AT {
+            if engine.checkpoint(&image_of(&states[i + 1], engine.durable_lsn())).is_err() {
+                return i;
+            }
+            continue;
         }
         let Ok(txn) = engine.begin() else { return i };
         for (key, value) in commit_effects(i) {
@@ -418,15 +453,35 @@ fn run_engine_workload(engine: &StorageEngine) -> usize {
         if engine.commit(txn).is_err() {
             return i;
         }
-        if i == 6 && engine.checkpoint().is_err() {
+        let checkpointed = match late_image.take() {
+            Some(image) => engine.checkpoint(&image),
+            None if i == 12 => {
+                late_image = Some(image_of(&states[i + 1], engine.durable_lsn()));
+                Ok(())
+            }
+            None if i == 6 || engine.checkpoint_due() => {
+                engine.checkpoint(&image_of(&states[i + 1], engine.durable_lsn()))
+            }
+            None => Ok(()),
+        };
+        if checkpointed.is_err() {
             return i + 1;
         }
     }
     COMMITS
 }
 
-fn key_space(engine: &StorageEngine) -> KeySpace {
-    engine.scan_prefix(b"").expect("scan").into_iter().collect()
+/// What a restart over `disk` recovers, and the reopened engine.
+fn reopen(disk: Arc<FaultFs>) -> StorageResult<(StorageEngine, KeySpace)> {
+    let (engine, recovered) = StorageEngine::with_io(disk, engine_config())?;
+    let mut space: KeySpace = recovered.snapshot.into_iter().collect();
+    for (key, value) in recovered.effects {
+        match value {
+            Some(v) => space.insert(key, v),
+            None => space.remove(&key),
+        };
+    }
+    Ok((engine, space))
 }
 
 #[test]
@@ -434,25 +489,27 @@ fn engine_recovers_a_committed_prefix_at_every_crash_point() {
     let states = model_states();
     let infinite = CrashPoint(u64::MAX / 2);
     let probe = Arc::new(FaultFs::new(infinite));
-    let engine = StorageEngine::with_io(probe.clone(), engine_config()).unwrap();
-    assert_eq!(run_engine_workload(&engine), COMMITS, "the probe run must complete");
-    assert_eq!(key_space(&engine), states[COMMITS]);
+    let (engine, _) = StorageEngine::with_io(probe.clone(), engine_config()).unwrap();
+    assert_eq!(run_engine_workload(&engine, &states), COMMITS, "the probe run must complete");
     drop(engine);
     let total = probe.consumed(infinite);
+    assert_eq!(
+        reopen(Arc::new(FaultFs::reopen(probe.surviving_disk(), infinite))).unwrap().1,
+        states[COMMITS]
+    );
     assert!(total > 1000, "expected a few thousand crash points, got {total}");
 
     for point in 0..=total {
         let fs = Arc::new(FaultFs::new(CrashPoint(point)));
         // Opening an empty disk creates the first segment, which itself can crash.
         let acked = match StorageEngine::with_io(fs.clone(), engine_config()) {
-            Ok(engine) => run_engine_workload(&engine),
+            Ok((engine, _)) => run_engine_workload(&engine, &states),
             Err(_) => 0,
         };
         let disk = fs.surviving_disk();
         let reopened = Arc::new(FaultFs::reopen(disk, infinite));
-        let engine = StorageEngine::with_io(reopened.clone(), engine_config())
+        let (engine, recovered) = reopen(reopened.clone())
             .unwrap_or_else(|e| panic!("crash point {point}: reopen failed: {e}"));
-        let recovered = key_space(&engine);
         // Some prefix of the commits containing every acknowledged one; at most the one commit
         // in flight at the crash beyond that.
         let attempted = (acked + 1).min(COMMITS);
@@ -462,12 +519,14 @@ fn engine_recovers_a_committed_prefix_at_every_crash_point() {
              (recovered {recovered:?})"
         );
         // The recovered engine keeps working: a further commit survives another restart.
-        engine.put(b"after/crash", b"ok").unwrap();
+        let txn = engine.begin().unwrap();
+        engine.txn_put(txn, b"after/crash", b"ok").unwrap();
+        engine.commit(txn).unwrap();
         drop(engine);
-        let engine = StorageEngine::with_io(reopened, engine_config()).unwrap();
+        let (_, again) = reopen(reopened).unwrap();
         let mut expected = recovered;
         expected.insert(b"after/crash".to_vec(), b"ok".to_vec());
-        assert_eq!(key_space(&engine), expected, "crash point {point}: second restart");
+        assert_eq!(again, expected, "crash point {point}: second restart");
     }
 }
 
@@ -475,10 +534,10 @@ fn engine_recovers_a_committed_prefix_at_every_crash_point() {
 fn the_engine_sweep_covers_checkpoints_rotations_and_prunes() {
     let infinite = CrashPoint(u64::MAX / 2);
     let fs = Arc::new(FaultFs::new(infinite));
-    let engine = StorageEngine::with_io(fs.clone(), engine_config()).unwrap();
-    run_engine_workload(&engine);
+    let (engine, _) = StorageEngine::with_io(fs.clone(), engine_config()).unwrap();
+    run_engine_workload(&engine, &model_states());
     let (segments, snapshot) = fs.surviving_disk();
-    assert!(snapshot.is_some(), "auto-checkpoints must have written a snapshot");
+    assert!(snapshot.is_some(), "checkpoints must have written a snapshot");
     let first = *segments.keys().next().unwrap();
     let last = *segments.keys().last().unwrap();
     assert!(first > 1, "checkpoints must have pruned early segments");
