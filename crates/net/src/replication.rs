@@ -597,12 +597,12 @@ impl ReplicaNode {
         feed.deadline = None; // the stream is live; only shutdown unblocks it from here on
         store.apply(&batch.records, batch.last_lsn, batch.reset).map_err(ServerError::Rejected)?;
         feed.ack(store.applied_lsn())?;
-        let db = || {
+        let served = || {
             store.serving_copy().ok_or_else(|| {
                 ServerError::Protocol("the primary's first batch carried no database".into())
             })
         };
-        let server = SeedServer::new(db()?);
+        let server = SeedServer::new(served()?);
         server.set_read_only(primary.to_string());
         let promote = Arc::new(PromoteCell::new());
         server.set_promoter(Arc::new(PromotionDriver { cell: promote.clone() }));
@@ -614,7 +614,7 @@ impl ReplicaNode {
         repl_metrics().ack_lag.set(batch.primary_lsn.saturating_sub(store.applied_lsn()) as i64);
         // Key the serving snapshot to the synced cursor (the served copy is plain in-memory
         // state and cannot derive the primary's LSN itself).
-        server.replace_database_at(db()?, store.applied_lsn());
+        server.replace_database_at(served()?, store.applied_lsn());
         let net = SeedNetServer::with_config(server, listen, config.net.clone())
             .map_err(|e| ServerError::Transport(e.to_string()))?;
         let core = net.core();
