@@ -14,8 +14,8 @@
 //!   (`vi/<vid>`) and the drained dirty markers in the same commit.
 //!
 //! The storage engine keeps no copy of the data; the database in memory is the one resident
-//! copy.  [`encode_pairs`] (**the encoder**) turns a database into its ordered key/value pairs:
-//! checkpoint images, the initial write, replica resyncs.  [`Changes`] (**the applier**) turns
+//! copy.  `encode_pairs` (**the encoder**) turns a database into its ordered key/value pairs:
+//! checkpoint images, the initial write, replica resyncs.  `Changes` (**the applier**) turns
 //! key effects into database state: open-time recovery and both replica batch shapes.  Once
 //! the WAL outgrows its threshold, a commit that leaves no transaction open hands an O(1)
 //! clone of the database to a background thread, which encodes and writes the checkpoint
@@ -469,7 +469,7 @@ mod tests {
             recovered.relationship(rel).unwrap().attributes.get("NumberOfWrites"),
             Some(&Value::Integer(2))
         );
-        // The value index was rebuilt from the keyed scan.
+        // The value index was rebuilt by recovery.
         let hits =
             recovered.objects_by_value("Action.Description", true, ValueOp::Eq, "reads").unwrap();
         assert_eq!(hits.len(), 1);

@@ -306,7 +306,7 @@ mod tests {
 
     /// The satellite crash test: a replica killed mid-`LogBatch` apply loses the whole batch
     /// (its local transaction never committed), reopens at its last durable LSN, re-requests
-    /// the lost records and converges to the primary's keyed-scan state.
+    /// the lost records and converges to the primary's state.
     #[test]
     fn crash_mid_batch_resumes_from_last_durable_lsn_and_converges() {
         let primary_dir = temp_dir("repl-crash-primary");
