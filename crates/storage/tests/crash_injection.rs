@@ -455,7 +455,7 @@ fn run_engine_workload(engine: &StorageEngine, states: &[KeySpace]) -> usize {
         }
         let checkpointed = match late_image.take() {
             Some(image) => engine.checkpoint(&image),
-            None if i == 12 => {
+            None if i == 17 => {
                 late_image = Some(image_of(&states[i + 1], engine.durable_lsn()));
                 Ok(())
             }
