@@ -660,7 +660,7 @@ impl WriteAheadLog {
             frames.extend_from_slice(&frame_bytes(record));
         }
         let mut state = self.state.lock();
-        if state.active().bytes >= self.config.segment_max_bytes {
+        if !records.is_empty() && state.active().bytes >= self.config.segment_max_bytes {
             self.rotate_locked(&mut state)?;
         }
         let (id, bytes) = (state.active().id, state.active().bytes);
