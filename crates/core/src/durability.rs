@@ -424,7 +424,10 @@ pub(crate) mod test_support {
                 |db: &Database| db.store().dirty_items().keys().copied().collect::<Vec<ItemId>>();
             assert_eq!(dirty(a), dirty(b), "dirty sets differ");
         }
-        // Index rebuild: every live object is reachable through the rebuilt name index.
+        // Index rebuild: the extents and adjacency lists match the records on both sides, and
+        // every live object is reachable through the rebuilt name index.
+        a.store().assert_derived_maps_match_records();
+        b.store().assert_derived_maps_match_records();
         for record in a.store().all_objects().filter(|o| !o.deleted) {
             assert_eq!(
                 a.store().object_by_name(&record.name.to_string()).map(|o| o.id),
@@ -839,6 +842,11 @@ mod proptests {
         SetDescription(u8, String),
         Reclassify(u8),
         Link(u8, u8),
+        /// Creates `D<i>` and `A<j>` when they are missing, then links them, so that deletes
+        /// and unlinks often meet objects with relationships.
+        Relate(u8, u8),
+        /// Deletes the first visible relationship of `D<i>`.
+        Unlink(u8),
         Delete(u8),
         CreateVersion,
         Begin,
@@ -885,6 +893,18 @@ mod proptests {
                     _ => false,
                 }
             }
+            Op::Relate(i, j) => {
+                let _ = db.create_object("Data", &data_name(*i));
+                let _ = db.create_object("Action", &action_name(*j));
+                apply(db, &Op::Link(*i, *j))
+            }
+            Op::Unlink(i) => match db.object_by_name(&data_name(*i)) {
+                Ok(obj) => match db.relationships(obj.id).first() {
+                    Some(rel) => db.delete_relationship(rel.record.id).is_ok(),
+                    None => false,
+                },
+                Err(_) => false,
+            },
             Op::Delete(i) => match db.object_by_name(&data_name(*i)) {
                 Ok(obj) => db.delete_object(obj.id).is_ok(),
                 Err(_) => false,
@@ -912,6 +932,8 @@ mod proptests {
             (idx.clone(), "[a-z]{0,8}").prop_map(|(i, t)| Op::SetDescription(i, t)),
             idx.clone().prop_map(Op::Reclassify),
             (idx.clone(), 0u8..6).prop_map(|(i, j)| Op::Link(i, j)),
+            (idx.clone(), 0u8..6).prop_map(|(i, j)| Op::Relate(i, j)),
+            idx.clone().prop_map(Op::Unlink),
             idx.prop_map(Op::Delete),
             (0u8..1).prop_map(|_| Op::CreateVersion),
             (0u8..1).prop_map(|_| Op::Begin),

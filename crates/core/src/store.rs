@@ -588,6 +588,31 @@ impl DataStore {
             .flat_map(|(inheritor, patterns)| patterns.keys().map(|pattern| (*inheritor, *pattern)))
             .collect()
     }
+
+    /// Rebuilds the class extents and the adjacency lists from the records and panics if the
+    /// maintained maps differ — the structures the query planner's extent estimates and its
+    /// adjacency walk trust.
+    #[cfg(test)]
+    pub(crate) fn assert_derived_maps_match_records(&self) {
+        use std::collections::{BTreeMap, BTreeSet};
+        fn flatten<K: Ord + Clone, T: Ord + Clone>(
+            map: &PMap<K, PSet<T>>,
+        ) -> BTreeMap<K, BTreeSet<T>> {
+            map.iter().map(|(k, set)| (k.clone(), set.keys().cloned().collect())).collect()
+        }
+        let mut extents: BTreeMap<ClassId, BTreeSet<ObjectId>> = BTreeMap::new();
+        for record in self.all_objects().filter(|o| !o.deleted) {
+            extents.entry(record.class).or_default().insert(record.id);
+        }
+        let mut adjacency: BTreeMap<ObjectId, BTreeSet<RelationshipId>> = BTreeMap::new();
+        for record in self.all_relationships().filter(|r| !r.deleted) {
+            for object in record.objects() {
+                adjacency.entry(object).or_default().insert(record.id);
+            }
+        }
+        assert_eq!(flatten(&self.class_extent), extents, "class extents differ from the records");
+        assert_eq!(flatten(&self.adjacency), adjacency, "adjacency differs from the records");
+    }
 }
 
 #[cfg(test)]
