@@ -48,8 +48,10 @@ type LinkSpec = (u8, u8, u8, bool);
 /// A pattern `P<i>`: its relationship's partner, association and side (the pattern binds
 /// itself on the first or second role, or both as a self-link), plus the inheritor.
 type PatternSpec = (u8, u8, u8, u8);
-/// A deletion, after everything is created: a relationship (`true`) or an object (`false`).
-type DeletionSpec = (bool, u8);
+/// A change after everything is created: delete a relationship (kind 0) or an object (kind
+/// 1), or mark an object as a pattern (kind 2), which hides it from retrieval but not from the
+/// relationships that bind it.
+type ChangeSpec = (u8, u8);
 type QuerySpec = ((u8, u8, bool, u8), (u8, i64, String, u8), (u8, u8, u8));
 
 /// A generated database and the names the queries draw `from` objects from.
@@ -79,7 +81,7 @@ fn build_database(
     objects: &[ObjectSpec],
     links: &[LinkSpec],
     patterns: &[PatternSpec],
-    deletions: &[DeletionSpec],
+    changes: &[ChangeSpec],
 ) -> Population {
     let mut db = Database::new(random_schema(domains));
     let mut created = Vec::new();
@@ -129,11 +131,18 @@ fn build_database(
     }
     let relationships: Vec<_> =
         db.store().all_relationships().filter(|r| !r.is_pattern).map(|r| r.id).collect();
-    for (relationship, pick) in deletions {
-        if *relationship && !relationships.is_empty() {
-            let _ = db.delete_relationship(relationships[*pick as usize % relationships.len()]);
-        } else if !*relationship && !created.is_empty() {
-            let _ = db.delete_object(created[*pick as usize % created.len()]);
+    for (kind, pick) in changes {
+        match kind % 3 {
+            0 if !relationships.is_empty() => {
+                let _ = db.delete_relationship(relationships[*pick as usize % relationships.len()]);
+            }
+            1 if !created.is_empty() => {
+                let _ = db.delete_object(created[*pick as usize % created.len()]);
+            }
+            2 if !created.is_empty() => {
+                let _ = db.mark_pattern(created[*pick as usize % created.len()]);
+            }
+            _ => {}
         }
     }
     Population { db, names, patterns: pattern_names, inheritors }
@@ -210,7 +219,7 @@ proptest! {
                     links.into_iter().map(|(a, b, c, s)| (a, b, c, s == 0)).collect::<Vec<_>>()
                 }),
             proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()), 0..3),
-            proptest::collection::vec((any::<bool>(), any::<u8>()), 0..4),
+            proptest::collection::vec((any::<u8>(), any::<u8>()), 0..5),
         ),
         queries in proptest::collection::vec(
             (
@@ -221,8 +230,8 @@ proptest! {
             1..12,
         ),
     ) {
-        let (links, patterns, deletions) = &population;
-        let population = build_database(&domains, &objects, links, patterns, deletions);
+        let (links, patterns, changes) = &population;
+        let population = build_database(&domains, &objects, links, patterns, changes);
         let db = &population.db;
         for spec in &queries {
             let query = build_query(&domains, &population, spec);
