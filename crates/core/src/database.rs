@@ -1159,6 +1159,17 @@ impl Database {
         Ok(out)
     }
 
+    /// Upper bound on the number of objects navigation from the named object can reach: its
+    /// live relationships plus those of every pattern it inherits (see
+    /// [`DataStore::navigation_degree`]).  The query planner's estimate for walking the
+    /// object's adjacency instead of scanning an extent; `O(log n)`, no record is cloned.
+    /// `None` when the name does not resolve to a visible object.
+    pub fn navigation_degree(&self, name: &str) -> Option<usize> {
+        let store = self.read_store();
+        let object = store.object_by_name(name).filter(|o| !o.is_pattern)?;
+        Some(store.navigation_degree(object.id))
+    }
+
     /// Finds visible objects of a class (and its specializations) whose value matches `value`.
     /// Undefined values match nothing.
     pub fn find_by_value(&self, class_name: &str, value: &Value) -> SeedResult<Vec<ObjectRecord>> {

@@ -542,6 +542,15 @@ impl DataStore {
             .unwrap_or_default()
     }
 
+    /// Number of live relationships `object` participates in plus those of every pattern it
+    /// inherits — the relationships [`crate::pattern::materialized_relationships`] draws from,
+    /// so an upper bound on its length.  Read off set lengths: no record is visited.
+    pub fn navigation_degree(&self, object: ObjectId) -> usize {
+        let degree = |id: &ObjectId| self.adjacency.get(id).map(PMap::len).unwrap_or(0);
+        let inherited = self.inherits.get(&object).map(|patterns| patterns.keys().map(degree));
+        degree(&object) + inherited.map(Iterator::sum).unwrap_or(0)
+    }
+
     /// All relationship records, including deleted ones.
     pub fn all_relationships(&self) -> impl Iterator<Item = &RelationshipRecord> {
         self.relationships.values().map(|r| &**r)

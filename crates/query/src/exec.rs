@@ -90,11 +90,9 @@ fn compare_value(value: &Value, op: Comparison, literal: &str) -> bool {
     }
 }
 
-fn apply_navigation(
-    db: &Database,
-    nav: &Navigation,
-    class_set: &ObjectSet,
-) -> QueryResult<ObjectSet> {
+/// The objects navigation reaches from its start object, of any class.  Fails on an unknown
+/// start object, association or role, in that order.
+fn reach(db: &Database, nav: &Navigation) -> QueryResult<ObjectSet> {
     let start = db
         .object_by_name(&nav.from_object)
         .map_err(|_| QueryError::Unknown(format!("object '{}'", nav.from_object)))?;
@@ -114,13 +112,16 @@ fn apply_navigation(
             nav.to_role, nav.association
         )));
     }
-    let reached = ObjectSet::from_records(vec![db.object(start.id)?]).navigate(
-        db,
-        &nav.association,
-        from_role,
-        &nav.to_role,
-    )?;
-    Ok(reached.intersect(class_set))
+    Ok(ObjectSet::from_records([start]).navigate(db, &nav.association, from_role, &nav.to_role)?)
+}
+
+/// The navigation step of the scan pipeline: the reached objects that are in `class_set`.
+fn apply_navigation(
+    db: &Database,
+    nav: &Navigation,
+    class_set: &ObjectSet,
+) -> QueryResult<ObjectSet> {
+    Ok(reach(db, nav)?.intersect(class_set))
 }
 
 fn apply_selection(db: &Database, selection: &Selection, set: ObjectSet) -> QueryResult<ObjectSet> {
@@ -200,9 +201,10 @@ fn class_filter(db: &Database, class: &str, exact: bool) -> QueryResult<HashSet<
         .collect())
 }
 
-/// Runs a physical plan: materialises the access path, applies the navigation step and the
-/// residual selections, and shapes the outcome.
+/// Runs a physical plan: materialises the access path, applies the navigation step (unless the
+/// access path walked it) and the residual selections, and shapes the outcome.
 pub fn run_plan(db: &Database, plan: &Plan) -> QueryResult<QueryOutcome> {
+    let mut navigate = plan.navigate.as_ref();
     let mut set = match &plan.access {
         AccessPath::ClassScan { .. } => {
             let records = db
@@ -242,8 +244,17 @@ pub fn run_plan(db: &Database, plan: &Plan) -> QueryResult<QueryOutcome> {
                 .map_err(|_| QueryError::Unknown(format!("class '{}'", plan.class)))?;
             ObjectSet::from_records(records)
         }
+        // The same membership test as the scan path's intersection with the extent, which
+        // holds no patterns.
+        AccessPath::ByAdjacency { .. } => {
+            let classes = class_filter(db, &plan.class, plan.exact)?;
+            let nav = navigate.take().ok_or_else(|| {
+                QueryError::Unknown("navigation for the adjacency access path".to_string())
+            })?;
+            reach(db, nav)?.select(|o| classes.contains(&o.class) && !o.is_pattern)
+        }
     };
-    if let Some(nav) = &plan.navigate {
+    if let Some(nav) = navigate {
         set = apply_navigation(db, nav, &set)?;
     }
     for selection in plan.residual() {
@@ -460,6 +471,7 @@ mod tests {
             (r#"explain find Data.Text.Selector where value > "V3""#, "range scan value index"),
             (r#"explain find Data.Text.Selector where value != "Aaa""#, "scan extent"),
             (r#"explain find Action navigate Access.by from "Alarms""#, "join    navigate"),
+            (r#"explain find Action navigate Access.by from "Alarms""#, "walk adjacency"),
             ("explain find Data where related Write.to", "filter  related Write.to"),
             ("explain find Action where incomplete", "filter  incomplete"),
             ("explain count Data", "output  count"),

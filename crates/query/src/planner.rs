@@ -1,20 +1,23 @@
 //! Cost-aware physical planning: lower a parsed [`Query`] onto the cheapest access path.
 //!
 //! The executor used to resolve every query by scanning the full class extent and filtering.
-//! The planner instead inspects the query's selections and picks, by simple cardinality
-//! estimates read off the database's indexes, one of four access paths:
+//! The planner instead inspects the query's selections and navigation and picks, by simple
+//! cardinality estimates read off the database's indexes, one of five access paths:
 //!
 //! | access path | backing structure | cost |
 //! |---|---|---|
 //! | [`AccessPath::ByName`] | ordered name index (point probe) | `O(log n)` |
 //! | [`AccessPath::ByNamePrefix`] | ordered name index (range scan) | `O(log n + hits)` |
 //! | [`AccessPath::ByValue`] | secondary value index ([`seed_core::index`]) | `O(log n + hits)` |
+//! | [`AccessPath::ByAdjacency`] | the navigation start object's adjacency list | `O(log n + degree)` |
 //! | [`AccessPath::ClassScan`] | class extents (full scan) | `O(n)` |
 //!
 //! The selection that becomes the access path is *consumed* — it is not re-checked during
 //! execution; every other selection stays as a residual filter, so indexed execution returns
-//! exactly the result set of the scan fallback ([`crate::exec::execute_scan`]).  `explain`
-//! renders the chosen plan instead of running it; the format is specified in `docs/QUERY.md`.
+//! exactly the result set of the scan fallback ([`crate::exec::execute_scan`]).  The adjacency
+//! walk consumes no selection: it replaces the extent the navigation step is intersected
+//! with.  `explain` renders the chosen plan instead of running it; the format is specified in
+//! `docs/QUERY.md`.
 //!
 //! ```
 //! use seed_core::Database;
@@ -67,6 +70,13 @@ pub enum AccessPath {
         /// Estimated number of matching index entries.
         rows: usize,
     },
+    /// Walk of the navigation start object's relationships: the objects they reach, kept when
+    /// they belong to the queried extent.  Replaces the scan the navigation step would
+    /// otherwise be intersected with.
+    ByAdjacency {
+        /// The start object's degree (its relationships plus those of inherited patterns).
+        rows: usize,
+    },
 }
 
 impl AccessPath {
@@ -75,7 +85,8 @@ impl AccessPath {
         match self {
             AccessPath::ClassScan { rows }
             | AccessPath::ByNamePrefix { rows, .. }
-            | AccessPath::ByValue { rows, .. } => *rows,
+            | AccessPath::ByValue { rows, .. }
+            | AccessPath::ByAdjacency { rows } => *rows,
             AccessPath::ByName { .. } => 1,
         }
     }
@@ -98,7 +109,8 @@ pub struct Plan {
     pub consumed: Option<usize>,
     /// All selections of the query (the consumed one is skipped at execution time).
     pub selections: Vec<Selection>,
-    /// Optional navigation step (applied after the access path, before residual filters).
+    /// Optional navigation step (applied after the access path, before residual filters; an
+    /// [`AccessPath::ByAdjacency`] plan performs it as its access path).
     pub navigate: Option<Navigation>,
 }
 
@@ -146,6 +158,10 @@ impl Plan {
                     self.class,
                     rows(*n)
                 )
+            }
+            AccessPath::ByAdjacency { rows: n } => {
+                let from = self.navigate.as_ref().map_or("", |nav| nav.from_object.as_str());
+                format!("walk adjacency of \"{from}\" ({})", rows(*n))
             }
         };
         let _ = writeln!(out, "  access  {access}");
@@ -195,8 +211,9 @@ fn value_op(op: Comparison) -> Option<ValueOp> {
 }
 
 /// Plans a query: resolves the class, estimates the cardinality of every indexable selection
-/// and picks the cheapest access path (`explain` wrappers are transparent).  Fails with
-/// [`QueryError::Unknown`] when the class does not exist.
+/// and of the navigation start object's adjacency, and picks the cheapest access path
+/// (`explain` wrappers are transparent).  Fails with [`QueryError::Unknown`] when the class
+/// does not exist.
 pub fn plan(db: &Database, query: &Query) -> QueryResult<Plan> {
     let (class, exact, selections, navigate, is_count) = match query {
         Query::Explain(inner) => return plan(db, inner),
@@ -237,6 +254,14 @@ pub fn plan(db: &Database, query: &Query) -> QueryResult<Plan> {
                 access = candidate;
                 consumed = Some(i);
             }
+        }
+    }
+    // The last candidate, so a tie keeps the scan or the selection.  A start object that does
+    // not resolve leaves the plan alone: execution then reports it as the scan path does.
+    if let Some(degree) = navigate.as_ref().and_then(|nav| db.navigation_degree(&nav.from_object)) {
+        if degree < best {
+            access = AccessPath::ByAdjacency { rows: degree };
+            consumed = None;
         }
     }
     Ok(Plan {
@@ -358,6 +383,107 @@ mod tests {
         let text = p.render();
         assert!(text.contains("join    navigate Access.by from \"Out01\""), "got: {text}");
         assert!(text.contains("output  count"), "got: {text}");
+    }
+
+    /// `sample()` plus `actions` Actions `A0`, `A1`, ...
+    fn with_actions(actions: usize) -> Database {
+        let mut db = sample();
+        for i in 0..actions {
+            db.create_object("Action", &format!("A{i}")).unwrap();
+        }
+        db
+    }
+
+    fn access(db: &mut Database, data: &str, action: &str) {
+        let from = db.any_object_by_name(data).unwrap().id;
+        let by = db.object_by_name(action).unwrap().id;
+        db.create_relationship("Access", &[("from", from), ("by", by)]).unwrap();
+    }
+
+    /// Both pipelines' answer to `q`, which must agree.
+    fn count_both_ways(db: &Database, q: &str) -> usize {
+        let query = parse(q).unwrap();
+        let indexed = crate::exec::execute(db, &query).unwrap().count();
+        assert_eq!(indexed, crate::exec::execute_scan(db, &query).unwrap().count(), "{q}");
+        indexed
+    }
+
+    #[test]
+    fn adjacency_beats_the_scan_when_the_degree_is_below_the_extent() {
+        let mut db = with_actions(5);
+        access(&mut db, "Out00", "A0");
+        let q = r#"count Action navigate Access.by from "Out00""#;
+        let p = plan_for(&db, q);
+        assert_eq!(p.access, AccessPath::ByAdjacency { rows: 1 });
+        assert_eq!(p.consumed, None);
+        assert!(p.render().contains("access  walk adjacency of \"Out00\" (~1 row)"));
+        assert_eq!(count_both_ways(&db, q), 1);
+        // Selections stay residual filters under the walk.
+        let q = r#"find Action where name prefix "A" navigate Access.by from "Out00""#;
+        let p = plan_for(&db, q);
+        assert_eq!(p.access, AccessPath::ByAdjacency { rows: 1 });
+        assert_eq!(p.residual().count(), 1);
+        assert_eq!(count_both_ways(&db, q), 1);
+    }
+
+    #[test]
+    fn the_plan_stays_a_scan_when_the_extent_is_not_larger_than_the_degree() {
+        let mut db = with_actions(2);
+        access(&mut db, "Out00", "A0");
+        access(&mut db, "Out00", "A1");
+        // Degree 2 against an extent of 2: the tie keeps the scan.
+        let q = r#"count Action navigate Access.by from "Out00""#;
+        assert_eq!(plan_for(&db, q).access, AccessPath::ClassScan { rows: 2 });
+        assert_eq!(count_both_ways(&db, q), 2);
+        // Degree 2 against an extent of 1.
+        db.delete_object(db.object_by_name("A1").unwrap().id).unwrap();
+        assert_eq!(plan_for(&db, q).access, AccessPath::ClassScan { rows: 1 });
+        assert_eq!(count_both_ways(&db, q), 1);
+    }
+
+    #[test]
+    fn a_name_probe_wins_a_tie_with_adjacency() {
+        let mut db = with_actions(5);
+        access(&mut db, "Out00", "A0");
+        let q = r#"find Action where name = "A0" navigate Access.by from "Out00""#;
+        let p = plan_for(&db, q);
+        assert_eq!(p.access, AccessPath::ByName { name: "A0".into() });
+        assert_eq!(p.consumed, Some(0));
+        assert_eq!(count_both_ways(&db, q), 1);
+    }
+
+    #[test]
+    fn the_degree_counts_inherited_pattern_relationships() {
+        let mut db = with_actions(5);
+        let pattern = db.create_pattern_object("OutputData", "Shared").unwrap();
+        for action in ["A0", "A1"] {
+            let by = db.object_by_name(action).unwrap().id;
+            db.create_pattern_relationship("Access", &[("from", pattern), ("by", by)]).unwrap();
+        }
+        let out00 = db.object_by_name("Out00").unwrap().id;
+        db.inherit_pattern(out00, pattern).unwrap();
+        access(&mut db, "Out00", "A2");
+        assert_eq!(db.navigation_degree("Out00"), Some(3));
+        // A pattern is invisible to retrieval, so it is no start object.
+        assert_eq!(db.navigation_degree("Shared"), None);
+        let q = r#"count Action navigate Access.by from "Out00""#;
+        assert_eq!(plan_for(&db, q).access, AccessPath::ByAdjacency { rows: 3 });
+        assert_eq!(count_both_ways(&db, q), 3);
+    }
+
+    #[test]
+    fn an_unknown_start_object_fails_on_both_paths() {
+        let mut db = with_actions(5);
+        db.create_pattern_object("OutputData", "Shared").unwrap();
+        for from in ["Ghost", "Shared"] {
+            let q = format!(r#"count Action navigate Access.by from "{from}""#);
+            let query = parse(&q).unwrap();
+            assert!(matches!(plan(&db, &query).unwrap().access, AccessPath::ClassScan { .. }));
+            let indexed = crate::exec::execute(&db, &query).unwrap_err().to_string();
+            let scanned = crate::exec::execute_scan(&db, &query).unwrap_err().to_string();
+            assert_eq!(indexed, scanned, "{q}");
+            assert!(indexed.contains(&format!("object '{from}'")), "{indexed}");
+        }
     }
 
     #[test]

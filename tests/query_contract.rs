@@ -59,7 +59,7 @@ fn worked_examples_render_exactly_as_documented() {
         (
             r#"explain count Action navigate Access.by from "Alarms""#,
             "plan: count Action (+specializations)\n\
-             \x20 access  scan extent of Action (~2 rows)\n\
+             \x20 access  walk adjacency of \"Alarms\" (~1 row)\n\
              \x20 join    navigate Access.by from \"Alarms\"\n\
              \x20 filter  none\n\
              \x20 output  count",
