@@ -115,15 +115,6 @@ fn reach(db: &Database, nav: &Navigation) -> QueryResult<ObjectSet> {
     Ok(ObjectSet::from_records([start]).navigate(db, &nav.association, from_role, &nav.to_role)?)
 }
 
-/// The navigation step of the scan pipeline: the reached objects that are in `class_set`.
-fn apply_navigation(
-    db: &Database,
-    nav: &Navigation,
-    class_set: &ObjectSet,
-) -> QueryResult<ObjectSet> {
-    Ok(reach(db, nav)?.intersect(class_set))
-}
-
 fn apply_selection(db: &Database, selection: &Selection, set: ObjectSet) -> QueryResult<ObjectSet> {
     Ok(match selection {
         Selection::NameEquals(name) => set.select(|o| o.name.to_string() == *name),
@@ -182,7 +173,7 @@ pub fn execute_scan(db: &Database, query: &Query) -> QueryResult<QueryOutcome> {
         .map_err(|_| QueryError::Unknown(format!("class '{class}'")))?;
     let mut set = ObjectSet::from_records(records);
     if let Some(nav) = navigate {
-        set = apply_navigation(db, nav, &set)?;
+        set = reach(db, nav)?.intersect(&set);
     }
     for selection in selections {
         set = apply_selection(db, selection, set)?;
@@ -201,10 +192,9 @@ fn class_filter(db: &Database, class: &str, exact: bool) -> QueryResult<HashSet<
         .collect())
 }
 
-/// Runs a physical plan: materialises the access path, applies the navigation step (unless the
-/// access path walked it) and the residual selections, and shapes the outcome.
+/// Runs a physical plan: materialises the access path, applies the residual selections, and
+/// shapes the outcome.
 pub fn run_plan(db: &Database, plan: &Plan) -> QueryResult<QueryOutcome> {
-    let mut navigate = plan.navigate.as_ref();
     let mut set = match &plan.access {
         AccessPath::ClassScan { .. } => {
             let records = db
@@ -246,17 +236,11 @@ pub fn run_plan(db: &Database, plan: &Plan) -> QueryResult<QueryOutcome> {
         }
         // The same membership test as the scan path's intersection with the extent, which
         // holds no patterns.
-        AccessPath::ByAdjacency { .. } => {
+        AccessPath::ByAdjacency { navigation, .. } => {
             let classes = class_filter(db, &plan.class, plan.exact)?;
-            let nav = navigate.take().ok_or_else(|| {
-                QueryError::Unknown("navigation for the adjacency access path".to_string())
-            })?;
-            reach(db, nav)?.select(|o| classes.contains(&o.class) && !o.is_pattern)
+            reach(db, navigation)?.select(|o| classes.contains(&o.class) && !o.is_pattern)
         }
     };
-    if let Some(nav) = navigate {
-        set = apply_navigation(db, nav, &set)?;
-    }
     for selection in plan.residual() {
         set = apply_selection(db, selection, set)?;
     }

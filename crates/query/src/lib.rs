@@ -28,9 +28,10 @@
 //! [`parse`] produces a [`Query`] AST; [`plan`] lowers it through the algebra onto the cheapest
 //! physical access path (name-index probe, name-prefix range scan, value-index probe/range
 //! scan, a walk of the navigation start object's adjacency, or the full extent scan) using
-//! simple cardinality estimates; [`execute`] runs the plan.  The scan-only pipeline survives as [`exec::execute_scan`], the fallback path and the
-//! oracle the property tests compare indexed execution against.  The full contract — grammar,
-//! index-selection rules, `explain` format — is specified in `docs/QUERY.md`.
+//! simple cardinality estimates; [`execute`] runs the plan.  The scan-only pipeline survives
+//! as [`exec::execute_scan`], the fallback path and the oracle the property tests compare
+//! indexed execution against.  The full contract — grammar, index-selection rules, `explain`
+//! format — is specified in `docs/QUERY.md`.
 //!
 //! ```
 //! use seed_core::Database;

@@ -1,8 +1,9 @@
 //! Cost-aware physical planning: lower a parsed [`Query`] onto the cheapest access path.
 //!
 //! The executor used to resolve every query by scanning the full class extent and filtering.
-//! The planner instead inspects the query's selections and navigation and picks, by simple
-//! cardinality estimates read off the database's indexes, one of five access paths:
+//! The planner instead inspects the query's selections and navigation and picks one of five
+//! access paths, ranking the selections by simple cardinality estimates read off the
+//! database's indexes:
 //!
 //! | access path | backing structure | cost |
 //! |---|---|---|
@@ -14,10 +15,10 @@
 //!
 //! The selection that becomes the access path is *consumed* — it is not re-checked during
 //! execution; every other selection stays as a residual filter, so indexed execution returns
-//! exactly the result set of the scan fallback ([`crate::exec::execute_scan`]).  The adjacency
-//! walk consumes no selection: it replaces the extent the navigation step is intersected
-//! with.  `explain` renders the chosen plan instead of running it; the format is specified in
-//! `docs/QUERY.md`.
+//! exactly the result set of the scan fallback ([`crate::exec::execute_scan`]).  A navigating
+//! query always walks its start object's adjacency, which any other path would walk as well
+//! before intersecting; the walk consumes no selection.  `explain` renders the chosen plan
+//! instead of running it; the format is specified in `docs/QUERY.md`.
 //!
 //! ```
 //! use seed_core::Database;
@@ -71,9 +72,10 @@ pub enum AccessPath {
         rows: usize,
     },
     /// Walk of the navigation start object's relationships: the objects they reach, kept when
-    /// they belong to the queried extent.  Replaces the scan the navigation step would
-    /// otherwise be intersected with.
+    /// they belong to the queried extent.  Every navigating query takes this path.
     ByAdjacency {
+        /// The navigation the walk performs.
+        navigation: Navigation,
         /// The start object's degree (its relationships plus those of inherited patterns).
         rows: usize,
     },
@@ -86,14 +88,13 @@ impl AccessPath {
             AccessPath::ClassScan { rows }
             | AccessPath::ByNamePrefix { rows, .. }
             | AccessPath::ByValue { rows, .. }
-            | AccessPath::ByAdjacency { rows } => *rows,
+            | AccessPath::ByAdjacency { rows, .. } => *rows,
             AccessPath::ByName { .. } => 1,
         }
     }
 }
 
-/// An executable physical plan: one access path, the residual filters, the optional navigation
-/// step and the output form.  Build with [`plan`], run with [`crate::exec::run_plan`], render
+/// An executable physical plan: one access path, the residual filters and the output form.  Build with [`plan`], run with [`crate::exec::run_plan`], render
 /// with [`Plan::render`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Plan {
@@ -109,9 +110,6 @@ pub struct Plan {
     pub consumed: Option<usize>,
     /// All selections of the query (the consumed one is skipped at execution time).
     pub selections: Vec<Selection>,
-    /// Optional navigation step (applied after the access path, before residual filters; an
-    /// [`AccessPath::ByAdjacency`] plan performs it as its access path).
-    pub navigate: Option<Navigation>,
 }
 
 impl Plan {
@@ -159,13 +157,12 @@ impl Plan {
                     rows(*n)
                 )
             }
-            AccessPath::ByAdjacency { rows: n } => {
-                let from = self.navigate.as_ref().map_or("", |nav| nav.from_object.as_str());
-                format!("walk adjacency of \"{from}\" ({})", rows(*n))
+            AccessPath::ByAdjacency { navigation, rows: n } => {
+                format!("walk adjacency of \"{}\" ({})", navigation.from_object, rows(*n))
             }
         };
         let _ = writeln!(out, "  access  {access}");
-        if let Some(nav) = &self.navigate {
+        if let AccessPath::ByAdjacency { navigation: nav, .. } = &self.access {
             let _ = writeln!(
                 out,
                 "  join    navigate {}.{} from \"{}\"",
@@ -210,10 +207,10 @@ fn value_op(op: Comparison) -> Option<ValueOp> {
     }
 }
 
-/// Plans a query: resolves the class, estimates the cardinality of every indexable selection
-/// and of the navigation start object's adjacency, and picks the cheapest access path
-/// (`explain` wrappers are transparent).  Fails with [`QueryError::Unknown`] when the class
-/// does not exist.
+/// Plans a query: resolves the class, then walks the navigation start object's adjacency when
+/// the query navigates, and otherwise estimates the cardinality of every indexable selection
+/// and picks the cheapest access path (`explain` wrappers are transparent).  Fails with
+/// [`QueryError::Unknown`] when the class does not exist.
 pub fn plan(db: &Database, query: &Query) -> QueryResult<Plan> {
     let (class, exact, selections, navigate, is_count) = match query {
         Query::Explain(inner) => return plan(db, inner),
@@ -227,6 +224,36 @@ pub fn plan(db: &Database, query: &Query) -> QueryResult<Plan> {
     let scan_rows = db
         .class_extent_estimate(class, !exact)
         .map_err(|_| QueryError::Unknown(format!("class '{class}'")))?;
+    // Any other path would still walk the adjacency to reach the navigated objects and then
+    // intersect them with its own candidates, so the walk is never more work.  It consumes no
+    // selection.  An unresolved start object estimates 0 rows, and execution reports it exactly
+    // as the scan pipeline does.
+    let (access, consumed) = match navigate {
+        Some(navigation) => {
+            let rows = db.navigation_degree(&navigation.from_object).unwrap_or(0);
+            (AccessPath::ByAdjacency { navigation: navigation.clone(), rows }, None)
+        }
+        None => cheapest_selection(db, class, exact, selections, scan_rows),
+    };
+    Ok(Plan {
+        class: class.clone(),
+        exact,
+        is_count,
+        access,
+        consumed,
+        selections: selections.clone(),
+    })
+}
+
+/// The access path with the strictly smallest estimate among the extent scan and the indexable
+/// selections (ties keep the scan, then the earlier selection), with the selection it consumes.
+fn cheapest_selection(
+    db: &Database,
+    class: &str,
+    exact: bool,
+    selections: &[Selection],
+    scan_rows: usize,
+) -> (AccessPath, Option<usize>) {
     let mut access = AccessPath::ClassScan { rows: scan_rows };
     let mut consumed = None;
     let mut best = scan_rows;
@@ -256,23 +283,7 @@ pub fn plan(db: &Database, query: &Query) -> QueryResult<Plan> {
             }
         }
     }
-    // The last candidate, so a tie keeps the scan or the selection.  A start object that does
-    // not resolve leaves the plan alone: execution then reports it as the scan path does.
-    if let Some(degree) = navigate.as_ref().and_then(|nav| db.navigation_degree(&nav.from_object)) {
-        if degree < best {
-            access = AccessPath::ByAdjacency { rows: degree };
-            consumed = None;
-        }
-    }
-    Ok(Plan {
-        class: class.clone(),
-        exact,
-        is_count,
-        access,
-        consumed,
-        selections: selections.clone(),
-        navigate: navigate.clone(),
-    })
+    (access, consumed)
 }
 
 #[cfg(test)]
@@ -414,42 +425,59 @@ mod tests {
         access(&mut db, "Out00", "A0");
         let q = r#"count Action navigate Access.by from "Out00""#;
         let p = plan_for(&db, q);
-        assert_eq!(p.access, AccessPath::ByAdjacency { rows: 1 });
+        assert!(matches!(p.access, AccessPath::ByAdjacency { rows: 1, .. }), "got {:?}", p.access);
         assert_eq!(p.consumed, None);
         assert!(p.render().contains("access  walk adjacency of \"Out00\" (~1 row)"));
         assert_eq!(count_both_ways(&db, q), 1);
-        // Selections stay residual filters under the walk.
-        let q = r#"find Action where name prefix "A" navigate Access.by from "Out00""#;
-        let p = plan_for(&db, q);
-        assert_eq!(p.access, AccessPath::ByAdjacency { rows: 1 });
-        assert_eq!(p.residual().count(), 1);
-        assert_eq!(count_both_ways(&db, q), 1);
     }
 
     #[test]
-    fn the_plan_stays_a_scan_when_the_extent_is_not_larger_than_the_degree() {
-        let mut db = with_actions(2);
+    fn the_walk_is_planned_even_when_the_degree_exceeds_the_extent() {
+        let mut db = with_actions(1);
         access(&mut db, "Out00", "A0");
-        access(&mut db, "Out00", "A1");
-        // Degree 2 against an extent of 2: the tie keeps the scan.
-        let q = r#"count Action navigate Access.by from "Out00""#;
-        assert_eq!(plan_for(&db, q).access, AccessPath::ClassScan { rows: 2 });
-        assert_eq!(count_both_ways(&db, q), 2);
-        // Degree 2 against an extent of 1.
-        db.delete_object(db.object_by_name("A1").unwrap().id).unwrap();
-        assert_eq!(plan_for(&db, q).access, AccessPath::ClassScan { rows: 1 });
-        assert_eq!(count_both_ways(&db, q), 1);
+        let (out00, a0) =
+            (db.object_by_name("Out00").unwrap().id, db.object_by_name("A0").unwrap().id);
+        db.create_relationship("Write", &[("to", out00), ("by", a0)]).unwrap();
+        // Degree 2 against an extent of 1: a scan would still walk both relationships.
+        for q in [
+            r#"count Action navigate Access.by from "Out00""#,
+            r#"count Action navigate Write.by from "Out00""#,
+        ] {
+            let p = plan_for(&db, q);
+            assert!(matches!(p.access, AccessPath::ByAdjacency { rows: 2, .. }), "{q}: {p:?}");
+            assert_eq!(count_both_ways(&db, q), 1);
+        }
     }
 
     #[test]
-    fn a_name_probe_wins_a_tie_with_adjacency() {
+    fn selections_stay_residual_filters_under_the_walk() {
         let mut db = with_actions(5);
         access(&mut db, "Out00", "A0");
-        let q = r#"find Action where name = "A0" navigate Access.by from "Out00""#;
-        let p = plan_for(&db, q);
-        assert_eq!(p.access, AccessPath::ByName { name: "A0".into() });
-        assert_eq!(p.consumed, Some(0));
-        assert_eq!(count_both_ways(&db, q), 1);
+        access(&mut db, "Out00", "A1");
+        // The name probe's estimate of 1 is below the degree of 2, yet the walk is planned.
+        for q in [
+            r#"find Action where name = "A0" navigate Access.by from "Out00""#,
+            r#"find Action where name prefix "A" navigate Access.by from "Out00""#,
+        ] {
+            let p = plan_for(&db, q);
+            assert!(matches!(p.access, AccessPath::ByAdjacency { rows: 2, .. }), "{q}: {p:?}");
+            assert_eq!(p.consumed, None);
+            assert_eq!(p.residual().count(), 1);
+        }
+        assert_eq!(
+            count_both_ways(
+                &db,
+                r#"find Action where name = "A0" navigate Access.by from "Out00""#
+            ),
+            1
+        );
+        assert_eq!(
+            count_both_ways(
+                &db,
+                r#"find Action where name prefix "A" navigate Access.by from "Out00""#
+            ),
+            2
+        );
     }
 
     #[test]
@@ -467,7 +495,7 @@ mod tests {
         // A pattern is invisible to retrieval, so it is no start object.
         assert_eq!(db.navigation_degree("Shared"), None);
         let q = r#"count Action navigate Access.by from "Out00""#;
-        assert_eq!(plan_for(&db, q).access, AccessPath::ByAdjacency { rows: 3 });
+        assert!(matches!(plan_for(&db, q).access, AccessPath::ByAdjacency { rows: 3, .. }));
         assert_eq!(count_both_ways(&db, q), 3);
     }
 
@@ -478,7 +506,8 @@ mod tests {
         for from in ["Ghost", "Shared"] {
             let q = format!(r#"count Action navigate Access.by from "{from}""#);
             let query = parse(&q).unwrap();
-            assert!(matches!(plan(&db, &query).unwrap().access, AccessPath::ClassScan { .. }));
+            let access = plan(&db, &query).unwrap().access;
+            assert!(matches!(access, AccessPath::ByAdjacency { rows: 0, .. }), "got {access:?}");
             let indexed = crate::exec::execute(&db, &query).unwrap_err().to_string();
             let scanned = crate::exec::execute_scan(&db, &query).unwrap_err().to_string();
             assert_eq!(indexed, scanned, "{q}");

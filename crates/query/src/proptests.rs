@@ -15,7 +15,7 @@ use seed_schema::{Domain, SchemaBuilder};
 
 use crate::ast::{Comparison, Navigation, Query, Selection};
 use crate::exec::{execute, execute_scan};
-use crate::planner::plan;
+use crate::planner::{plan, AccessPath};
 
 /// The association hierarchy: `Link` generalizes `LinkX` and `LinkY`.  `LinkY` names its roles
 /// differently, so navigating `Link` over a `LinkY` relationship maps roles by position.
@@ -246,6 +246,15 @@ proptest! {
                     );
                     // The estimate that ranked the access path bounds what it returns.
                     let planned = plan(db, &query).expect("the query executed, so it plans");
+                    let navigates = matches!(
+                        &query,
+                        Query::Find { navigate: Some(_), .. } | Query::Count { navigate: Some(_), .. }
+                    );
+                    prop_assert!(
+                        matches!(planned.access, AccessPath::ByAdjacency { .. }) == navigates,
+                        "every navigating query, and only those, walks the adjacency: {:?}",
+                        query
+                    );
                     prop_assert!(
                         planned.access.estimated_rows() >= a.count(),
                         "{:?} estimated below its {} results for {:?}",
