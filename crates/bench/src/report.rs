@@ -949,10 +949,10 @@ pub fn e14_mvcc_snapshot_reads(
 /// depths 8 and 64, against the event-loop server.
 ///
 /// The acceptance bar of the pipelining tentpole: at depth 64 a single connection must push at
-/// least **3×** the synchronous ops/s — the reactor decodes many frames per wakeup, the worker
-/// shard keeps executing while responses coalesce into one write, and the round-trip latency is
-/// paid once per batch instead of once per request.  E11 stays the depth-1 oracle across
-/// connection counts.
+/// least **3×** the synchronous ops/s — the connection's shard decodes and answers many frames
+/// per wakeup, their responses coalesce into one write, and the round-trip latency is paid once
+/// per batch instead of once per request.  E11 stays the depth-1 oracle across connection
+/// counts.
 pub fn e15_pipelined_throughput(objects: usize, total_ops: usize) -> ExperimentMetrics {
     use seed_net::{NetServerConfig, RemoteClient, SeedNetServer};
     use seed_server::Request;
@@ -1397,8 +1397,8 @@ mod tests {
     /// least 3× the synchronous (depth-1) ops/s — the batch pays one round trip and one
     /// coalesced write where the sync loop pays sixty-four.  Timing-sensitive, so asserted only
     /// on optimized builds (CI's net job runs it with `--release`) and only where parallelism
-    /// exists: on a single-core host the reactor, the worker shard and the client timeshare one
-    /// CPU and the ratio measures the scheduler, not the protocol.
+    /// exists: on a single-core host the server's shard and the client timeshare one CPU and the
+    /// ratio measures the scheduler, not the protocol.
     #[test]
     #[cfg_attr(debug_assertions, ignore = "pipelining bar is only meaningful in release builds")]
     fn e15_deep_pipelines_beat_the_sync_baseline() {

@@ -300,9 +300,9 @@ impl RemoteClient {
 
     /// Starts a pipelined batch: queue many requests with [`Pipeline::submit`], then send them
     /// all and collect the responses in submission order with [`Pipeline::flush`].  The
-    /// event-loop server admits many in-flight frames per connection and answers strictly in
-    /// request order, so a deep pipeline pays one round-trip for the whole batch instead of
-    /// one per request.
+    /// event-loop server answers every frame of a burst as it decodes it, strictly in request
+    /// order, so a deep pipeline pays one round-trip for the whole batch instead of one per
+    /// request.
     pub fn pipeline(&mut self) -> Pipeline<'_> {
         Pipeline { client: self, queued: Vec::new(), count: 0 }
     }
@@ -347,8 +347,8 @@ fn resolve(addr: impl ToSocketAddrs) -> ServerResult<SocketAddr> {
 }
 
 /// While a pipelined write stalls on backpressure, wait this long before draining a response
-/// to free the server's in-flight window (the server stops reading a connection whose window
-/// is full; draining is what un-sticks the write).
+/// to shrink the server's output backlog (the server stops reading a connection whose unread
+/// answers pass its high-water mark; draining is what un-sticks the write).
 const PIPELINE_WRITE_SLICE: Duration = Duration::from_millis(100);
 
 /// A batch of requests submitted over one connection before any response is read.
@@ -387,8 +387,9 @@ impl Pipeline<'_> {
     /// Sends every queued frame and drains the responses, in submission order.
     ///
     /// Writing and reading are interleaved: when the server applies backpressure (it stops
-    /// reading a connection past its in-flight window), the flush drains ready responses to
-    /// open the window instead of deadlocking with both sides blocked on full buffers.
+    /// reading a connection whose unread answers pass its output high-water mark), the flush
+    /// drains ready responses to make room instead of deadlocking with both sides blocked on
+    /// full buffers.
     pub fn flush(self) -> ServerResult<Vec<ServerResult<Response>>> {
         let Pipeline { client, queued, count } = self;
         let mut results = Vec::with_capacity(count);
@@ -743,8 +744,10 @@ mod tests {
 
     #[test]
     fn a_pipeline_deeper_than_the_servers_window_still_drains() {
-        // 512 submissions against the default 128-deep in-flight window: the flush leans on
-        // the interleaved write/drain path instead of deadlocking on mutual backpressure.
+        // 512 submissions written before a single response is read.  The server answers each
+        // frame as it decodes it and stops reading only when unread answers pass its output
+        // high-water mark; the flush's interleaved write/drain path is what keeps a burst past
+        // that from deadlocking on mutual backpressure.
         let server = start_server();
         let mut client = RemoteClient::connect(server.local_addr()).unwrap();
         let mut pipeline = client.pipeline();

@@ -10,11 +10,11 @@
 //!   [`seed_server::Response`] protocol (reusing `seed-core`'s record codecs, so records have
 //!   one binary shape on disk and on the wire);
 //! * [`server`] — [`SeedNetServer`], a readiness-polled event-loop TCP server over a shared
-//!   [`seed_server::SeedServer`]: one reactor thread owns every socket and a sharded worker
-//!   pool executes requests, so a connection may *pipeline* many request frames and read the
-//!   responses back in request order.  Sessions are identity-bound (a connection can only act
-//!   for the client id assigned at handshake) and a client's write locks are released on
-//!   disconnect or after an idle timeout — the paper's crash-recovery rule for checked-out
+//!   [`seed_server::SeedServer`]: each shard thread owns the sockets of its connections and
+//!   executes their requests inline, so a connection may *pipeline* many request frames and
+//!   read the responses back in request order.  Sessions are identity-bound (a connection can
+//!   only act for the client id assigned at handshake) and a client's write locks are released
+//!   on disconnect or after an idle timeout — the paper's crash-recovery rule for checked-out
 //!   data;
 //! * [`client`] — [`RemoteClient`], a blocking client exposing the same checkout / check-in /
 //!   query surface as the in-process API, so applications (the SPADES tool, the examples) run

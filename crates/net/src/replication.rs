@@ -244,7 +244,7 @@ enum PromoteState {
     Done(ServerResult<PromotionReceipt>),
 }
 
-/// The promotion mailbox between a request-serving worker (submits an order and waits for the
+/// The promotion mailbox between a request-serving shard (submits an order and waits for the
 /// outcome) and the apply thread (owns the [`ReplicaStore`], so only it can execute the order).
 struct PromoteCell {
     state: Mutex<PromoteState>,
@@ -443,9 +443,9 @@ enum Shipment {
 }
 
 /// What a primary-side replication session should do at this poll tick, as planned by
-/// [`cut_shipment`] on a worker shard.  The event loop in [`crate::server`] owns the framing
-/// (the [`Subscribe`] opener, [`Ack`] consumption, the one-batch-in-flight flow control); this
-/// is the database side of one tick.
+/// [`cut_shipment`] on the shard that owns the session.  That shard's event loop in
+/// [`crate::server`] also owns the framing (the [`Subscribe`] opener, [`Ack`] consumption, the
+/// one-batch-in-flight flow control); this is the database side of one tick.
 pub(crate) enum ShipmentPlan {
     /// Reject the session with this reason and close it.
     Reject(&'static str),
@@ -458,8 +458,8 @@ pub(crate) enum ShipmentPlan {
 }
 
 /// Cuts what a replication session at cursor `next` should ship, under **one** database read
-/// lock — the primary side of the Subscribe/LogBatch/Ack session, shared by the event-loop
-/// server's worker shards.
+/// lock — the primary side of the Subscribe/LogBatch/Ack session, run inline by the shard that
+/// owns the session.
 ///
 /// The cursor is driven by the **acks** (`next = acked + 1`), so a batch the replica never made
 /// durable is simply cut again.  `answer_now` is set for the first tick after the subscribe —

@@ -1,33 +1,43 @@
-//! The event-loop TCP frontend: a readiness-polled reactor over nonblocking sockets, feeding a
-//! sharded worker pool, over a shared [`SeedServer`].
+//! The event-loop TCP frontend: `worker_shards` shard event loops over nonblocking sockets, all
+//! serving one shared [`SeedServer`].
 //!
-//! One reactor thread owns every socket.  It accepts connections, decodes as many complete
-//! frames as each wakeup delivers ([`FrameDecoder`]), and hands the decoded requests to worker
-//! shards over channels; a connection's requests always go to the **same** shard, so they
-//! execute serially in arrival order (checkout → check-in ordering is preserved) while
-//! different connections proceed in parallel.  Responses come back tagged with a per-connection
-//! sequence number and are emitted strictly in request order — a peer may therefore *pipeline*:
-//! write many request frames before reading a single response, and read the responses back in
-//! the order it sent the requests.  The wire format is unchanged (still protocol v3);
-//! pipelining is purely a scheduling property of this server.
+//! Each shard is one thread owning a readiness [`Poller`], its connections and the whole path
+//! for them.  It decodes as many complete frames as each wakeup delivers ([`FrameDecoder`]),
+//! executes every request **inline** as it is decoded, appends the response frame to the
+//! connection's output buffer, and flushes that buffer once per wakeup (one `write` syscall
+//! coalesces every answer).  A connection belongs to one shard for its whole life, so its
+//! requests execute serially in arrival order (checkout → check-in ordering is preserved) and
+//! its responses are produced in request order, while connections on different shards proceed
+//! in parallel.  A peer may therefore *pipeline*: write many request frames before reading a
+//! single response, and read the responses back in the order it sent the requests.  The wire
+//! format is unchanged (still protocol v3); pipelining is purely a scheduling property of this
+//! server.
 //!
-//! Two backpressure rules bound memory per connection: a connection with
-//! [`NetServerConfig::max_in_flight`] requests admitted-but-unanswered is not read from until
-//! responses drain, and a connection whose peer stops draining its socket (output backlog past
-//! a high-water mark) is likewise paused.  All responses ready for a connection are coalesced
-//! into one `write` syscall per wakeup.
+//! Shard 0 also owns the listener.  It hands each accepted stream to its shard (`token %
+//! shards`, round robin) through that shard's inbox channel plus a [`Poller::notify`]: one hop
+//! per connection, none per request.  The idle reaper runs on shard 0 as well; every shard
+//! enforces the handshake deadline of its own connections.
 //!
-//! Each connection is handshaken onto its own [`ClientId`]; the reactor enforces that identity
+//! One backpressure rule bounds memory per connection: a connection whose peer stops draining
+//! its socket (output backlog past a 1 MiB high-water mark) is not read from until the backlog
+//! drains; a request is answered as soon as it is decoded, so nothing else waits in the server.
+//! A panic in one request's handler is contained: that request is answered with an error in its
+//! slot, and the shard's other connections carry on.
+//!
+//! Each connection is handshaken onto its own [`ClientId`]; the shard enforces that identity
 //! on every lock-table request (a peer cannot act for another connection's client), and when
 //! the connection closes — cleanly or not — the client's write locks and checkout bookkeeping
-//! are released, the paper's crash-recovery rule for checked-out data.  The idle reaper runs as
-//! a reactor tick.  Replication sessions (Subscribe / LogBatch / Ack) ride the same event loop:
-//! the reactor owns the framing and the one-batch-in-flight flow control, the worker shards cut
-//! each shipment under one database read lock (`replication::cut_shipment`).
+//! are released, the paper's crash-recovery rule for checked-out data.  The shard is the
+//! executor, so a close never releases locks under a running request.  Replication sessions
+//! (Subscribe / LogBatch / Ack) ride the same loops: the owning shard keeps the framing and the
+//! one-batch-in-flight flow control, and cuts each shipment inline under one database read
+//! lock (`replication::cut_shipment`).
 
-use std::collections::{BTreeMap, HashMap};
+use std::any::Any;
+use std::collections::HashMap;
 use std::io::{Read as _, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
@@ -55,14 +65,12 @@ pub struct NetServerConfig {
     pub reaper_interval: Duration,
     /// Free-form server identification sent in the handshake.
     pub banner: String,
-    /// Number of worker shards executing requests.  A connection is pinned to one shard
-    /// (its requests run serially, in order); throughput scales across connections.
+    /// Number of shard event loops.  Each shard owns the sockets of the connections assigned to
+    /// it (round robin) and executes their requests itself, so a connection's requests run
+    /// serially, in order; throughput scales across connections.
     pub worker_shards: usize,
-    /// Most requests a single connection may have admitted-but-unanswered.  A pipelining peer
-    /// past this window is not read from until responses drain (bounded memory per connection).
-    pub max_in_flight: usize,
-    /// How long shutdown waits for in-flight pipelined requests to finish and their responses
-    /// to flush before closing the remaining connections anyway.
+    /// How long shutdown waits for answered responses to flush before closing the remaining
+    /// connections anyway.
     pub shutdown_drain: Duration,
 }
 
@@ -76,13 +84,13 @@ impl Default for NetServerConfig {
                 .map(|n| n.get())
                 .unwrap_or(1)
                 .clamp(1, 8),
-            max_in_flight: 128,
             shutdown_drain: Duration::from_secs(5),
         }
     }
 }
 
-/// The poller key reserved for the listening socket.  Connection tokens start at 1.
+/// The poller key reserved for the listening socket (on shard 0).  Connection tokens start
+/// at 1 and are unique across shards.
 const LISTENER: usize = 0;
 
 /// How long a fresh connection may take to complete the handshake.  Without a deadline, a peer
@@ -98,7 +106,7 @@ const REPLICATION_POLL: Duration = Duration::from_millis(10);
 const REPLICATION_HEARTBEAT: Duration = Duration::from_secs(1);
 
 /// Stop reading a connection whose un-flushed output backlog passes this (the peer is not
-/// draining its socket; buffering more responses for it would be unbounded memory).
+/// draining its socket; answering more of its requests would buffer without bound).
 const OUT_HIGH_WATER: usize = 1024 * 1024;
 
 /// Read syscall granularity.
@@ -111,11 +119,11 @@ struct NetMetrics {
     connections_total: seed_obs::Counter,
     bytes_in: seed_obs::Counter,
     bytes_out: seed_obs::Counter,
-    in_flight: seed_obs::Gauge,
     backpressure_pauses: seed_obs::Counter,
     write_coalesce_bytes: seed_obs::Histogram,
     reaper_reclaims: seed_obs::Counter,
     io_errors: seed_obs::Counter,
+    request_panics: seed_obs::Counter,
     batches_shipped: seed_obs::Counter,
     request_us: HashMap<&'static str, seed_obs::Histogram>,
 }
@@ -129,11 +137,11 @@ fn net_metrics() -> &'static NetMetrics {
             connections_total: r.counter("net_connections_total"),
             bytes_in: r.counter("net_bytes_in_total"),
             bytes_out: r.counter("net_bytes_out_total"),
-            in_flight: r.gauge("net_in_flight"),
             backpressure_pauses: r.counter("net_backpressure_pauses_total"),
             write_coalesce_bytes: r.histogram("net_write_coalesce_bytes"),
             reaper_reclaims: r.counter("net_reaper_reclaims_total"),
             io_errors: r.counter("net_io_errors_total"),
+            request_panics: r.counter("net_request_panics_total"),
             batches_shipped: r.counter("repl_batches_shipped_total"),
             request_us: Request::KIND_NAMES
                 .iter()
@@ -143,16 +151,34 @@ fn net_metrics() -> &'static NetMetrics {
     })
 }
 
-/// Routes a connection I/O failure into the structured log (and `net_io_errors_total`) with
-/// the peer address and, once handshaken, the session's client id — previously these errors
-/// were dropped on the floor and a dead peer looked identical to a clean close.
-fn log_io_error(conn: &Conn, what: &str, detail: String) {
-    net_metrics().io_errors.inc();
-    let mut fields: Vec<(&str, String)> = vec![("peer", conn.peer.to_string()), ("error", detail)];
+/// Emits a `net` Warn event about one connection, with the peer address and, once handshaken,
+/// the session's client id.
+fn warn(conn: &Conn, what: &str, detail: (&'static str, String)) {
+    let mut fields: Vec<(&str, String)> = vec![("peer", conn.peer.to_string()), detail];
     if let Some(client) = conn.client_id() {
         fields.push(("client", client.to_string()));
     }
     seed_obs::global().events().emit(seed_obs::Level::Warn, "net", what, &fields);
+}
+
+/// Routes a connection I/O failure into the structured log and `net_io_errors_total` — a dead
+/// peer must not look identical to a clean close.
+fn log_io_error(conn: &Conn, what: &str, detail: String) {
+    net_metrics().io_errors.inc();
+    warn(conn, what, ("error", detail));
+}
+
+/// Records a panic caught on `conn`'s behalf (`net_request_panics_total` plus a Warn event) and
+/// returns its message.
+fn note_panic(conn: &Conn, what: &str, panic: &(dyn Any + Send)) -> String {
+    let message = panic
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| panic.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "a panic without a message".to_string());
+    net_metrics().request_panics.inc();
+    warn(conn, what, ("panic", message.clone()));
+    message
 }
 
 /// A running TCP server around a shared [`SeedServer`].
@@ -160,8 +186,8 @@ pub struct SeedNetServer {
     core: Arc<SeedServer>,
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    poller: Arc<Poller>,
-    reactor_thread: Option<JoinHandle<()>>,
+    pollers: Vec<Arc<Poller>>,
+    shards: Vec<JoinHandle<()>>,
 }
 
 impl SeedNetServer {
@@ -171,7 +197,7 @@ impl SeedNetServer {
         Self::with_config(server, addr, NetServerConfig::default())
     }
 
-    /// Binds a listener and starts the reactor and its worker shards.
+    /// Binds a listener and starts the shard event loops.
     pub fn with_config(
         server: SeedServer,
         addr: impl ToSocketAddrs,
@@ -179,48 +205,45 @@ impl SeedNetServer {
     ) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let core = Arc::new(server);
-        let stop = Arc::new(AtomicBool::new(false));
-        let poller = Arc::new(Poller::new()?);
-        poller.add(&listener, Event::readable(LISTENER))?;
-
         let shard_count = config.worker_shards.max(1);
-        let (done_tx, done_rx) = unbounded::<Done>();
-        let mut shards = Vec::with_capacity(shard_count);
-        let mut workers = Vec::with_capacity(shard_count);
-        for i in 0..shard_count {
-            let (job_tx, job_rx) = unbounded::<Job>();
-            shards.push(job_tx);
-            let core = core.clone();
-            let done = done_tx.clone();
-            let poller = poller.clone();
-            let handle = std::thread::Builder::new()
-                .name(format!("seed-net-worker-{i}"))
-                .spawn(move || worker_loop(&core, job_rx, done, &poller))?;
-            workers.push(handle);
+        let mut pollers = Vec::with_capacity(shard_count);
+        let mut inboxes = Vec::with_capacity(shard_count);
+        let mut routes = Vec::with_capacity(shard_count);
+        for _ in 0..shard_count {
+            let poller = Arc::new(Poller::new()?);
+            let (route, inbox) = unbounded::<Accepted>();
+            routes.push((route, poller.clone()));
+            inboxes.push(inbox);
+            pollers.push(poller);
         }
-        drop(done_tx);
-
-        let reactor = Reactor {
-            core: core.clone(),
-            config,
-            poller: poller.clone(),
-            listener,
-            stop: stop.clone(),
-            conns: HashMap::new(),
-            next_token: LISTENER + 1,
-            shards,
-            done_rx,
-            workers,
-            last_reap: Instant::now(),
-            draining_since: None,
+        pollers[0].add(&listener, Event::readable(LISTENER))?;
+        let mut server = Self {
+            core: Arc::new(server),
+            addr: listener.local_addr()?,
+            stop: Arc::new(AtomicBool::new(false)),
+            pollers,
+            shards: Vec::with_capacity(shard_count),
         };
-        let reactor_thread = std::thread::Builder::new()
-            .name("seed-net-reactor".into())
-            .spawn(move || reactor.run())?;
-
-        Ok(Self { core, addr, stop, poller, reactor_thread: Some(reactor_thread) })
+        let mut acceptor = Some(Acceptor { listener, next_token: LISTENER + 1, routes });
+        for (index, inbox) in inboxes.into_iter().enumerate() {
+            let shard = Shard {
+                core: server.core.clone(),
+                config: config.clone(),
+                poller: server.pollers[index].clone(),
+                stop: server.stop.clone(),
+                inbox,
+                acceptor: acceptor.take(),
+                conns: HashMap::new(),
+                last_reap: Instant::now(),
+                draining_since: None,
+            };
+            // On a failed spawn, dropping `server` stops the shards already running.
+            let handle = std::thread::Builder::new()
+                .name(format!("seed-net-shard-{index}"))
+                .spawn(move || shard.run())?;
+            server.shards.push(handle);
+        }
+        Ok(server)
     }
 
     /// The address the server listens on.
@@ -239,100 +262,43 @@ impl SeedNetServer {
         seed_obs::global().snapshot().to_prometheus_text()
     }
 
-    /// Stops accepting, drains in-flight pipelined requests (bounded by
-    /// [`NetServerConfig::shutdown_drain`]) and waits for the reactor and every worker shard.
+    /// Stops accepting, lets every shard flush its answered responses (bounded by
+    /// [`NetServerConfig::shutdown_drain`]) and waits for the shards to exit.
     pub fn shutdown(mut self) {
-        self.stop_threads();
+        self.stop_shards();
     }
 
-    fn stop_threads(&mut self) {
+    fn stop_shards(&mut self) {
         if self.stop.swap(true, Ordering::SeqCst) {
             return;
         }
-        let _ = self.poller.notify();
-        if let Some(handle) = self.reactor_thread.take() {
-            let _ = handle.join();
+        for poller in &self.pollers {
+            let _ = poller.notify();
+        }
+        for shard in self.shards.drain(..) {
+            let _ = shard.join();
         }
     }
 }
 
 impl Drop for SeedNetServer {
     fn drop(&mut self) {
-        self.stop_threads();
+        self.stop_shards();
     }
 }
 
-/// One unit of work for a worker shard.
-enum Job {
-    /// Answer one client request frame.  `frame` is the request payload, or the ordered
-    /// protocol-error text when the reactor already rejected the frame (wrong kind, recoverable
-    /// framing error) — the error response must still be emitted *in sequence*.
-    Client { token: usize, seq: u64, client: ClientId, frame: Result<Vec<u8>, String> },
-    /// Cut one replication shipment for the session at cursor `next`.
-    Pump { token: usize, next: u64, answer_now: bool, heartbeat_due: bool },
+/// An accepted connection on its way to its shard: token, stream, peer address.
+type Accepted = (usize, TcpStream, SocketAddr);
+
+/// The listener and the routes to every shard's inbox, owned by shard 0.
+struct Acceptor {
+    listener: TcpListener,
+    next_token: usize,
+    routes: Vec<(Sender<Accepted>, Arc<Poller>)>,
 }
 
-/// A worker shard's completion, routed back to the reactor.
-enum Done {
-    /// The encoded response frame for (`token`, `seq`); `close` ends the connection after it.
-    Client { token: usize, seq: u64, bytes: Vec<u8>, close: bool },
-    /// The outcome of a replication pump tick.
-    Pump { token: usize, outcome: PumpOutcome },
-}
-
-enum PumpOutcome {
-    /// Nothing to ship and no answer due.
-    Idle,
-    /// An encoded log-batch frame to ship (then await the replica's ack).
-    Batch(Vec<u8>),
-    /// An encoded reject frame; close the session after it flushes.
-    Reject(Vec<u8>),
-    /// Storage failure; close the session.
-    End,
-}
-
-fn worker_loop(core: &SeedServer, jobs: Receiver<Job>, done: Sender<Done>, poller: &Poller) {
-    while let Ok(job) = jobs.recv() {
-        let completion = match job {
-            Job::Client { token, seq, client, frame } => {
-                let (response, close) = answer(core, client, frame);
-                let payload = encode_response(&response);
-                let mut bytes = Vec::with_capacity(payload.len() + 16);
-                write_frame(&mut bytes, FrameKind::Response, &payload)
-                    .expect("writing a frame into a Vec cannot fail");
-                Done::Client { token, seq, bytes, close }
-            }
-            Job::Pump { token, next, answer_now, heartbeat_due } => {
-                let outcome = match cut_shipment(core, next, answer_now, heartbeat_due) {
-                    ShipmentPlan::Idle => PumpOutcome::Idle,
-                    ShipmentPlan::End => PumpOutcome::End,
-                    ShipmentPlan::Reject(reason) => {
-                        let mut bytes = Vec::new();
-                        write_frame(&mut bytes, FrameKind::Reject, reason.as_bytes())
-                            .expect("writing a frame into a Vec cannot fail");
-                        PumpOutcome::Reject(bytes)
-                    }
-                    ShipmentPlan::Batch(batch) => {
-                        let payload = batch.encode();
-                        let mut bytes = Vec::with_capacity(payload.len() + 16);
-                        write_frame(&mut bytes, FrameKind::LogBatch, &payload)
-                            .expect("writing a frame into a Vec cannot fail");
-                        PumpOutcome::Batch(bytes)
-                    }
-                };
-                Done::Pump { token, outcome }
-            }
-        };
-        if done.send(completion).is_err() {
-            break;
-        }
-        // Wake the reactor so the completion is emitted promptly.
-        let _ = poller.notify();
-    }
-}
-
-/// Answers one client frame: the request-validation pipeline of the old per-connection session
-/// loop, unchanged — identity enforcement, the Connect rejection, activity touch, dispatch.
+/// Answers one client frame: identity enforcement, the Connect rejection, activity touch,
+/// dispatch.  Returns the response and whether the session ends after it (`Shutdown`).
 fn answer(core: &SeedServer, client: ClientId, frame: Result<Vec<u8>, String>) -> (Response, bool) {
     let payload = match frame {
         Ok(payload) => payload,
@@ -368,6 +334,8 @@ fn answer(core: &SeedServer, client: ClientId, frame: Result<Vec<u8>, String>) -
     core.touch(client);
     let closing = matches!(request, Request::Shutdown);
     let kind = request.kind_name();
+    #[cfg(test)]
+    tests::panic_probe(&request);
     let start = Instant::now();
     let response = core.handle(request);
     if let Some(latency) = net_metrics().request_us.get(kind) {
@@ -381,26 +349,11 @@ enum ConnState {
     /// Awaiting the hello frame (deadlined — no client id exists for the reaper to govern).
     Handshake { deadline: Instant },
     /// A handshaken request/response session.
-    Client(ClientSession),
+    Client(ClientId),
     /// A handshaken replica awaiting its subscribe frame.
     ReplicaPending { client: ClientId },
     /// A subscribed replication session.
     Replica(ReplicaSession),
-}
-
-struct ClientSession {
-    client: ClientId,
-    /// Sequence number assigned to the next admitted request.
-    next_seq: u64,
-    /// Sequence number of the next response to emit (responses go out in request order).
-    next_emit: u64,
-    /// Completed responses waiting for their turn, keyed by sequence number.
-    ready: BTreeMap<u64, (Vec<u8>, bool)>,
-    /// Requests admitted but not yet completed by a worker.
-    in_flight: usize,
-    /// A close-flagged response (`Request::Shutdown`) was emitted; later responses are dropped,
-    /// exactly as the old per-connection loop never read past a shutdown.
-    halted: bool,
 }
 
 struct ReplicaSession {
@@ -415,8 +368,6 @@ struct ReplicaSession {
     pump_now: bool,
     /// One batch in flight: true from batch emission until the replica's ack.
     awaiting_ack: bool,
-    /// A pump job is on a worker shard; don't schedule another.
-    pump_busy: bool,
     last_sent: Instant,
     last_pump: Instant,
 }
@@ -426,120 +377,343 @@ struct Conn {
     /// Peer address, captured at accept for the I/O-error log.
     peer: SocketAddr,
     decoder: FrameDecoder,
-    /// Coalesced output: every frame ready for this connection, flushed in one write per
+    /// Coalesced output: every frame answered for this connection, flushed in one write per
     /// wakeup.  `out_pos` marks the flushed prefix.
     out: Vec<u8>,
     out_pos: usize,
     state: ConnState,
-    /// No more frames are read or admitted; the connection closes once in-flight work drains
-    /// and the output flushes (or the write side dies).
+    /// No more frames are read or answered; the connection closes once its output flushes (or
+    /// the write side dies).
     closing: bool,
     /// The write side failed; pending output is discarded and the close is immediate.
     write_dead: bool,
-    /// Something happened this wakeup (event, completion, admission): sweep this connection.
+    /// Something happened this wakeup (event, replication shipment, drain): sweep this
+    /// connection.
     touched: bool,
     /// Last pause verdict seen at re-arm time, so `net_backpressure_pauses_total` counts
     /// pause *onsets* instead of every wakeup spent paused.
     paused: bool,
 }
 
+fn append_frame(out: &mut Vec<u8>, kind: FrameKind, payload: &[u8]) {
+    write_frame(out, kind, payload).expect("writing a frame into a Vec cannot fail");
+}
+
 impl Conn {
+    fn new(stream: TcpStream, peer: SocketAddr) -> Self {
+        Self {
+            stream,
+            peer,
+            decoder: FrameDecoder::new(),
+            out: Vec::new(),
+            out_pos: 0,
+            state: ConnState::Handshake { deadline: Instant::now() + HANDSHAKE_TIMEOUT },
+            closing: false,
+            write_dead: false,
+            touched: true,
+            paused: false,
+        }
+    }
+
     fn backlog(&self) -> usize {
         self.out.len() - self.out_pos
+    }
+
+    /// The output backpressure rule, the one reason a live connection is not read from.
+    fn over_high_water(&self) -> bool {
+        self.backlog() > OUT_HIGH_WATER
     }
 
     fn client_id(&self) -> Option<ClientId> {
         match &self.state {
             ConnState::Handshake { .. } => None,
-            ConnState::Client(s) => Some(s.client),
-            ConnState::ReplicaPending { client } => Some(*client),
+            ConnState::Client(client) | ConnState::ReplicaPending { client } => Some(*client),
             ConnState::Replica(s) => Some(s.client),
         }
     }
-}
 
-fn append_frame(out: &mut Vec<u8>, kind: FrameKind, payload: &[u8]) {
-    write_frame(out, kind, payload).expect("writing a frame into a Vec cannot fail");
-}
+    fn reject(&mut self, reason: &[u8]) {
+        append_frame(&mut self.out, FrameKind::Reject, reason);
+        self.closing = true;
+    }
 
-fn reject(conn: &mut Conn, reason: &[u8]) {
-    append_frame(&mut conn.out, FrameKind::Reject, reason);
-    conn.closing = true;
-}
+    /// Reads until the socket runs dry, the connection pauses (backpressure) or closes,
+    /// answering every complete frame as it is decoded.
+    fn pump_read(&mut self, core: &SeedServer, banner: &str) {
+        let mut buf = [0u8; READ_CHUNK];
+        loop {
+            self.serve_frames(core, banner);
+            if self.closing || self.over_high_water() {
+                return;
+            }
+            match self.stream.read(&mut buf) {
+                Ok(0) => {
+                    // EOF: the peer is gone.  Frames still buffered but unanswered are dropped
+                    // — nobody is left to read their answers.
+                    self.closing = true;
+                    return;
+                }
+                Ok(n) => {
+                    self.decoder.extend(&buf[..n]);
+                    net_metrics().bytes_in.add(n as u64);
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => {
+                    log_io_error(self, "read error", e.to_string());
+                    self.closing = true;
+                    self.write_dead = true;
+                    return;
+                }
+            }
+        }
+    }
 
-/// Emits every consecutively-ready response into the connection's output buffer.  Runs during
-/// shutdown drain too: `closing` stops *reads*, never the emission of answers already earned.
-fn emit_ready(conn: &mut Conn) {
-    let ConnState::Client(session) = &mut conn.state else { return };
-    while !session.halted {
-        let Some((bytes, close)) = session.ready.remove(&session.next_emit) else { break };
-        session.next_emit += 1;
-        conn.out.extend_from_slice(&bytes);
+    /// Decodes and serves every complete buffered frame, honoring backpressure between frames.
+    /// Returns whether it stopped at the high-water mark with frames possibly left over.
+    fn serve_frames(&mut self, core: &SeedServer, banner: &str) -> bool {
+        while !self.closing {
+            if self.over_high_water() {
+                return true;
+            }
+            match self.decoder.next_frame() {
+                Ok(Some(frame)) => self.on_frame(core, banner, frame),
+                Ok(None) => break,
+                // The frame boundary held.  A client session answers in the frame's slot and
+                // lives on; any other state treats it as a handshake/stream failure.
+                Err(WireError::Recoverable(msg)) => match self.state {
+                    ConnState::Client(client) => self.respond(core, client, Err(msg)),
+                    _ => self.closing = true,
+                },
+                // Desync (bad magic, unknown kind, oversize): the stream is unusable.
+                Err(_) => self.closing = true,
+            }
+        }
+        false
+    }
+
+    fn on_frame(&mut self, core: &SeedServer, banner: &str, frame: Frame) {
+        match self.state {
+            ConnState::Handshake { .. } => self.on_hello(core, banner, frame),
+            ConnState::Client(client) => {
+                let payload = if frame.kind == FrameKind::Request {
+                    Ok(frame.payload)
+                } else {
+                    Err(format!("expected a request frame, got {:?}", frame.kind))
+                };
+                self.respond(core, client, payload);
+            }
+            ConnState::ReplicaPending { client } => self.on_subscribe(core, client, frame),
+            ConnState::Replica(_) => self.on_ack(core, frame),
+        }
+    }
+
+    /// Executes one client frame and appends its response.  A panicking handler is answered
+    /// with an error in the same slot; a `Shutdown` halts the session after its answer.
+    fn respond(&mut self, core: &SeedServer, client: ClientId, frame: Result<Vec<u8>, String>) {
+        let answered = catch_unwind(AssertUnwindSafe(|| answer(core, client, frame)));
+        let (response, close) = answered.unwrap_or_else(|panic| {
+            let message = note_panic(self, "request handler panicked", panic.as_ref());
+            let error = format!("the server failed while answering this request: {message}");
+            (Response::Error(ServerError::Protocol(error)), false)
+        });
+        append_frame(&mut self.out, FrameKind::Response, &encode_response(&response));
         if close {
-            session.halted = true;
-            conn.closing = true;
+            self.closing = true;
         }
     }
-    if session.halted {
-        session.ready.clear();
+
+    /// Hello in, Welcome (or Reject) out.
+    fn on_hello(&mut self, core: &SeedServer, banner: &str, frame: Frame) {
+        if frame.kind != FrameKind::Hello {
+            self.reject(b"handshake must start with a hello frame");
+            return;
+        }
+        let hello = match Hello::decode(&frame.payload) {
+            Ok(hello) => hello,
+            Err(e) => return self.reject(e.to_string().as_bytes()),
+        };
+        let version = match negotiate(&hello) {
+            Ok(version) => version,
+            Err(reason) => return self.reject(reason.as_bytes()),
+        };
+        let client = core.connect();
+        let welcome = Welcome { version, client_id: client, banner: banner.to_string() };
+        append_frame(&mut self.out, FrameKind::Welcome, &welcome.encode());
+        self.state = match hello.role {
+            HandshakeRole::Replica => ConnState::ReplicaPending { client },
+            HandshakeRole::Client => ConnState::Client(client),
+        };
+    }
+
+    fn on_subscribe(&mut self, core: &SeedServer, client: ClientId, frame: Frame) {
+        if frame.kind != FrameKind::Subscribe {
+            self.reject(b"a replica session must open with a subscribe frame");
+            return;
+        }
+        let subscribe = match Subscribe::decode(&frame.payload) {
+            Ok(subscribe) => subscribe,
+            Err(e) => return self.reject(e.to_string().as_bytes()),
+        };
+        let next = subscribe.from_lsn.max(1);
+        // The subscribe IS the first ack: pin WAL retention to the cursor before the first
+        // batch ships, so a checkpoint racing the subscribe cannot truncate the tail out from
+        // under it.
+        core.note_replica_ack(client, next - 1);
+        let now = Instant::now();
+        self.state = ConnState::Replica(ReplicaSession {
+            client,
+            next,
+            answer_now: true, // the subscribe deserves a prompt position sync
+            pump_now: true,
+            awaiting_ack: false,
+            last_sent: now,
+            last_pump: now,
+        });
+    }
+
+    fn on_ack(&mut self, core: &SeedServer, frame: Frame) {
+        let ConnState::Replica(session) = &mut self.state else { return };
+        // Flow control is one batch in flight; anything but the awaited ack (EOF, desync,
+        // wrong kind) ends the stream.
+        let ack = match Ack::decode(&frame.payload) {
+            Ok(ack) if frame.kind == FrameKind::Ack && session.awaiting_ack => ack,
+            _ => {
+                self.closing = true;
+                return;
+            }
+        };
+        core.touch(session.client);
+        core.note_replica_ack(session.client, ack.applied_lsn);
+        // The ack IS the cursor — including backwards: a reset snapshot rebinds a replica
+        // whose cursor came from a longer (different or restored) log to this log's positions,
+        // and `next` must follow it down or the session would re-ship the snapshot forever.
+        session.next = ack.applied_lsn + 1;
+        session.awaiting_ack = false;
+        session.pump_now = true; // re-check the log promptly; idle if nothing new shipped
+    }
+
+    /// One replication tick: when a shipment is due and no batch awaits its ack, cuts it and
+    /// queues its frame.  A panicking cut ends the session (the replica reconnects).
+    fn pump_replication(&mut self, core: &SeedServer, now: Instant) {
+        let ConnState::Replica(session) = &mut self.state else { return };
+        let due = session.pump_now || now.duration_since(session.last_pump) >= REPLICATION_POLL;
+        if self.closing || session.awaiting_ack || !due {
+            return;
+        }
+        session.last_pump = now;
+        session.pump_now = false;
+        let answer_now = std::mem::take(&mut session.answer_now);
+        let heartbeat_due = now.duration_since(session.last_sent) >= REPLICATION_HEARTBEAT;
+        let next = session.next;
+        let plan =
+            catch_unwind(AssertUnwindSafe(|| cut_shipment(core, next, answer_now, heartbeat_due)));
+        match plan {
+            Ok(ShipmentPlan::Idle) => return,
+            Ok(ShipmentPlan::Batch(batch)) => {
+                append_frame(&mut self.out, FrameKind::LogBatch, &batch.encode());
+                session.awaiting_ack = true;
+                session.last_sent = now;
+                net_metrics().batches_shipped.inc();
+            }
+            Ok(ShipmentPlan::Reject(reason)) => self.reject(reason.as_bytes()),
+            Ok(ShipmentPlan::End) => self.closing = true,
+            Err(panic) => {
+                note_panic(self, "replication shipment panicked", panic.as_ref());
+                self.closing = true;
+            }
+        }
+        self.touched = true;
+    }
+
+    /// Write coalescing: one `write` syscall covers everything answered this wakeup (looping
+    /// only on partial writes).
+    fn flush_out(&mut self) {
+        if self.out_pos < self.out.len() {
+            net_metrics().write_coalesce_bytes.observe(self.backlog() as u64);
+        }
+        while self.out_pos < self.out.len() {
+            match self.stream.write(&self.out[self.out_pos..]) {
+                Ok(0) => {
+                    log_io_error(
+                        self,
+                        "write returned zero bytes",
+                        "peer stopped accepting".into(),
+                    );
+                    self.write_dead = true;
+                    break;
+                }
+                Ok(n) => {
+                    self.out_pos += n;
+                    net_metrics().bytes_out.add(n as u64);
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => {
+                    log_io_error(self, "write error", e.to_string());
+                    self.write_dead = true;
+                    break;
+                }
+            }
+        }
+        if self.write_dead || self.out_pos == self.out.len() {
+            self.out.clear();
+            self.out_pos = 0;
+        } else if self.out_pos >= 64 * 1024 {
+            // Reclaim the flushed prefix before it grows unbounded under a slow peer.
+            self.out.drain(..self.out_pos);
+            self.out_pos = 0;
+        }
+        if self.write_dead {
+            self.closing = true;
+        }
+    }
+
+    /// Re-arms the oneshot interest: read unless closing or paused, write while output waits.
+    fn rearm(&mut self, poller: &Poller, token: usize) {
+        let paused = self.over_high_water();
+        if paused && !self.paused && !self.closing {
+            net_metrics().backpressure_pauses.inc();
+        }
+        self.paused = paused;
+        let readable = !self.closing && !paused;
+        let writable = !self.write_dead && self.backlog() > 0;
+        let _ = poller.modify(&self.stream, Event { key: token, readable, writable });
     }
 }
 
-/// Write coalescing: one `write` syscall covers everything emitted this wakeup (looping only
-/// on partial writes).
-fn flush_out(conn: &mut Conn) {
-    if conn.out_pos < conn.out.len() {
-        net_metrics().write_coalesce_bytes.observe(conn.backlog() as u64);
-    }
-    while conn.out_pos < conn.out.len() {
-        match conn.stream.write(&conn.out[conn.out_pos..]) {
-            Ok(0) => {
-                log_io_error(conn, "write returned zero bytes", "peer stopped accepting".into());
-                conn.write_dead = true;
-                break;
-            }
-            Ok(n) => {
-                conn.out_pos += n;
-                net_metrics().bytes_out.add(n as u64);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => {
-                log_io_error(conn, "write error", e.to_string());
-                conn.write_dead = true;
-                break;
-            }
+/// Retires a closed connection's session and returns the client whose locks and checkouts must
+/// be released (the crash-recovery rule), if a session was ever established.
+fn retire(core: &SeedServer, state: ConnState) -> Option<ClientId> {
+    match state {
+        ConnState::Handshake { .. } => None,
+        ConnState::Client(client) => Some(client),
+        // Retire (not forget): the session's last ack keeps pinning WAL retention so the
+        // replica can catch up from the retained log when it reconnects.
+        ConnState::ReplicaPending { client }
+        | ConnState::Replica(ReplicaSession { client, .. }) => {
+            core.retire_replica(client);
+            Some(client)
         }
-    }
-    if conn.write_dead || conn.out_pos == conn.out.len() {
-        conn.out.clear();
-        conn.out_pos = 0;
-    } else if conn.out_pos >= 64 * 1024 {
-        // Reclaim the flushed prefix before it grows unbounded under a slow peer.
-        conn.out.drain(..conn.out_pos);
-        conn.out_pos = 0;
-    }
-    if conn.write_dead {
-        conn.closing = true;
     }
 }
 
-struct Reactor {
+/// One shard event loop: a poller, the connections it owns, and (on shard 0) the listener and
+/// the idle reaper.
+struct Shard {
     core: Arc<SeedServer>,
     config: NetServerConfig,
     poller: Arc<Poller>,
-    listener: TcpListener,
     stop: Arc<AtomicBool>,
+    inbox: Receiver<Accepted>,
+    /// The listener, on shard 0; the shard that owns it also runs the idle reaper.
+    acceptor: Option<Acceptor>,
     conns: HashMap<usize, Conn>,
-    next_token: usize,
-    shards: Vec<Sender<Job>>,
-    done_rx: Receiver<Done>,
-    workers: Vec<JoinHandle<()>>,
     last_reap: Instant,
     draining_since: Option<Instant>,
 }
 
-impl Reactor {
+impl Shard {
     fn run(mut self) {
         let mut events: Vec<Event> = Vec::new();
         loop {
@@ -553,18 +727,17 @@ impl Reactor {
             }
             events.clear();
             let _ = self.poller.wait(&mut events, self.poll_timeout());
-            // Completions first: a freed in-flight window lets paused connections resume in
-            // the same sweep.
-            while let Ok(done) = self.done_rx.try_recv() {
-                self.on_done(done);
-            }
             for event in events.drain(..) {
                 if event.key == LISTENER {
                     self.accept_burst();
-                } else if event.key != usize::MAX {
-                    self.on_io(event.key, event.readable);
+                } else if let Some(conn) = self.conns.get_mut(&event.key) {
+                    conn.touched = true;
+                    if event.readable && !conn.closing {
+                        conn.pump_read(&self.core, &self.config.banner);
+                    }
                 }
             }
+            self.adopt();
             self.tick();
             self.sweep();
         }
@@ -572,10 +745,12 @@ impl Reactor {
     }
 
     /// Stop accepting and flag every connection for a drained close: reads stop immediately,
-    /// in-flight responses still complete and flush (bounded by `shutdown_drain`).
+    /// answered responses still flush (bounded by `shutdown_drain`).
     fn begin_drain(&mut self) {
         self.draining_since = Some(Instant::now());
-        let _ = self.poller.delete(&self.listener);
+        if let Some(acceptor) = &self.acceptor {
+            let _ = self.poller.delete(&acceptor.listener);
+        }
         for conn in self.conns.values_mut() {
             conn.closing = true;
             conn.touched = true;
@@ -589,12 +764,9 @@ impl Reactor {
         let mut timeout: Option<Duration> = None;
         let mut consider = |d: Duration| {
             let d = d.max(Duration::from_millis(1));
-            timeout = Some(match timeout {
-                Some(t) if t < d => t,
-                _ => d,
-            });
+            timeout = Some(timeout.map_or(d, |t| t.min(d)));
         };
-        if self.config.idle_timeout.is_some() {
+        if self.acceptor.is_some() && self.config.idle_timeout.is_some() {
             consider(self.config.reaper_interval.saturating_sub(self.last_reap.elapsed()));
         }
         let now = Instant::now();
@@ -603,7 +775,7 @@ impl Reactor {
                 ConnState::Handshake { deadline } => {
                     consider(deadline.saturating_duration_since(now));
                 }
-                ConnState::Replica(s) if !s.awaiting_ack && !s.pump_busy && !conn.closing => {
+                ConnState::Replica(s) if !s.awaiting_ack && !conn.closing => {
                     consider(REPLICATION_POLL);
                 }
                 _ => {}
@@ -612,42 +784,22 @@ impl Reactor {
         timeout
     }
 
+    /// Accepts every pending connection and routes each to its shard's inbox.
     fn accept_burst(&mut self) {
+        let Some(acceptor) = &mut self.acceptor else { return };
         loop {
-            match self.listener.accept() {
+            match acceptor.listener.accept() {
                 Ok((stream, peer)) => {
-                    if self.draining_since.is_some() {
-                        let _ = stream.shutdown(Shutdown::Both);
-                        continue;
-                    }
                     let _ = stream.set_nodelay(true);
                     if stream.set_nonblocking(true).is_err() {
                         continue;
                     }
-                    let token = self.next_token;
-                    self.next_token += 1;
-                    if self.poller.add(&stream, Event::readable(token)).is_err() {
-                        continue;
+                    let token = acceptor.next_token;
+                    acceptor.next_token += 1;
+                    let (route, poller) = &acceptor.routes[token % acceptor.routes.len()];
+                    if route.send((token, stream, peer)).is_ok() {
+                        let _ = poller.notify();
                     }
-                    net_metrics().connections.inc();
-                    net_metrics().connections_total.inc();
-                    self.conns.insert(
-                        token,
-                        Conn {
-                            stream,
-                            peer,
-                            decoder: FrameDecoder::new(),
-                            out: Vec::new(),
-                            out_pos: 0,
-                            state: ConnState::Handshake {
-                                deadline: Instant::now() + HANDSHAKE_TIMEOUT,
-                            },
-                            closing: false,
-                            write_dead: false,
-                            touched: true,
-                            paused: false,
-                        },
-                    );
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -655,286 +807,28 @@ impl Reactor {
             }
         }
         // Oneshot delivery: re-arm the listener.
-        let _ = self.poller.modify(&self.listener, Event::readable(LISTENER));
+        let _ = self.poller.modify(&acceptor.listener, Event::readable(LISTENER));
     }
 
-    fn on_io(&mut self, token: usize, readable: bool) {
-        let Some(conn) = self.conns.get_mut(&token) else { return };
-        conn.touched = true;
-        if readable && !conn.closing {
-            self.pump_read(token);
-        }
-    }
-
-    /// Reads until the socket runs dry, the connection pauses (backpressure) or closes,
-    /// dispatching every complete frame as it is decoded.
-    fn pump_read(&mut self, token: usize) {
-        let mut buf = [0u8; READ_CHUNK];
-        loop {
-            self.dispatch_frames(token);
-            let Some(conn) = self.conns.get(&token) else { return };
-            if conn.closing {
-                return;
-            }
-            if self.read_paused(token) {
-                return;
-            }
-            let conn = self.conns.get_mut(&token).expect("checked above");
-            match conn.stream.read(&mut buf) {
-                Ok(0) => {
-                    // EOF: the peer is gone.  Frames still buffered but undispatched are
-                    // dropped — same as the old server, which never read past a disconnect.
-                    conn.closing = true;
-                    return;
-                }
-                Ok(n) => {
-                    conn.decoder.extend(&buf[..n]);
-                    net_metrics().bytes_in.add(n as u64);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    log_io_error(conn, "read error", e.to_string());
-                    conn.closing = true;
-                    conn.write_dead = true;
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Decodes and routes every complete buffered frame, honoring backpressure between frames.
-    fn dispatch_frames(&mut self, token: usize) {
-        loop {
+    /// Registers the connections routed to this shard since the last wakeup.
+    fn adopt(&mut self) {
+        while let Ok((token, stream, peer)) = self.inbox.try_recv() {
+            if self.draining_since.is_some()
+                || self.poller.add(&stream, Event::readable(token)).is_err()
             {
-                let Some(conn) = self.conns.get(&token) else { return };
-                if conn.closing {
-                    return;
-                }
+                let _ = stream.shutdown(Shutdown::Both);
+                continue;
             }
-            if self.read_paused(token) {
-                return;
-            }
-            let step = self.conns.get_mut(&token).expect("checked above").decoder.next_frame();
-            match step {
-                Ok(Some(frame)) => self.route_frame(token, frame),
-                Ok(None) => return,
-                Err(WireError::Recoverable(msg)) => {
-                    // The frame boundary held.  A client session answers in sequence and
-                    // lives on; any other state treats it as a handshake/stream failure.
-                    let conn = self.conns.get_mut(&token).expect("checked above");
-                    if matches!(conn.state, ConnState::Client(_)) {
-                        self.admit(token, Err(msg));
-                    } else {
-                        conn.closing = true;
-                        return;
-                    }
-                }
-                Err(_) => {
-                    // Desync (bad magic, unknown kind, oversize): the stream is unusable.
-                    self.conns.get_mut(&token).expect("checked above").closing = true;
-                    return;
-                }
-            }
+            net_metrics().connections.inc();
+            net_metrics().connections_total.inc();
+            self.conns.insert(token, Conn::new(stream, peer));
         }
     }
 
-    fn route_frame(&mut self, token: usize, frame: Frame) {
-        enum Route {
-            Hello,
-            Client,
-            Subscribe(ClientId),
-            Replica,
-        }
-        let route = match &self.conns.get(&token).expect("routed for a live conn").state {
-            ConnState::Handshake { .. } => Route::Hello,
-            ConnState::Client(_) => Route::Client,
-            ConnState::ReplicaPending { client } => Route::Subscribe(*client),
-            ConnState::Replica(_) => Route::Replica,
-        };
-        match route {
-            Route::Hello => self.on_hello(token, frame),
-            Route::Client => {
-                if frame.kind == FrameKind::Request {
-                    self.admit(token, Ok(frame.payload));
-                } else {
-                    self.admit(
-                        token,
-                        Err(format!("expected a request frame, got {:?}", frame.kind)),
-                    );
-                }
-            }
-            Route::Subscribe(client) => self.on_subscribe(token, client, frame),
-            Route::Replica => self.on_replica_frame(token, frame),
-        }
-    }
-
-    /// Hello in, Welcome (or Reject) out — the old `handshake()`, minus the blocking reads.
-    fn on_hello(&mut self, token: usize, frame: Frame) {
-        let conn = self.conns.get_mut(&token).expect("routed for a live conn");
-        if frame.kind != FrameKind::Hello {
-            reject(conn, b"handshake must start with a hello frame");
-            return;
-        }
-        let hello = match Hello::decode(&frame.payload) {
-            Ok(hello) => hello,
-            Err(e) => {
-                reject(conn, e.to_string().as_bytes());
-                return;
-            }
-        };
-        let version = match negotiate(&hello) {
-            Ok(version) => version,
-            Err(reason) => {
-                reject(conn, reason.as_bytes());
-                return;
-            }
-        };
-        let client = self.core.connect();
-        let welcome = Welcome { version, client_id: client, banner: self.config.banner.clone() };
-        append_frame(&mut conn.out, FrameKind::Welcome, &welcome.encode());
-        conn.state = match hello.role {
-            HandshakeRole::Replica => ConnState::ReplicaPending { client },
-            HandshakeRole::Client => ConnState::Client(ClientSession {
-                client,
-                next_seq: 0,
-                next_emit: 0,
-                ready: BTreeMap::new(),
-                in_flight: 0,
-                halted: false,
-            }),
-        };
-    }
-
-    fn on_subscribe(&mut self, token: usize, client: ClientId, frame: Frame) {
-        if frame.kind != FrameKind::Subscribe {
-            let conn = self.conns.get_mut(&token).expect("routed for a live conn");
-            reject(conn, b"a replica session must open with a subscribe frame");
-            return;
-        }
-        let subscribe = match Subscribe::decode(&frame.payload) {
-            Ok(subscribe) => subscribe,
-            Err(e) => {
-                let conn = self.conns.get_mut(&token).expect("routed for a live conn");
-                reject(conn, e.to_string().as_bytes());
-                return;
-            }
-        };
-        let next = subscribe.from_lsn.max(1);
-        // The subscribe IS the first ack: pin WAL retention to the cursor before the first
-        // batch ships, so a checkpoint racing the subscribe cannot truncate the tail out from
-        // under it.
-        self.core.note_replica_ack(client, next - 1);
-        let now = Instant::now();
-        let conn = self.conns.get_mut(&token).expect("routed for a live conn");
-        conn.state = ConnState::Replica(ReplicaSession {
-            client,
-            next,
-            answer_now: true, // the subscribe deserves a prompt position sync
-            pump_now: true,
-            awaiting_ack: false,
-            pump_busy: false,
-            last_sent: now,
-            last_pump: now,
-        });
-    }
-
-    fn on_replica_frame(&mut self, token: usize, frame: Frame) {
-        let (client, applied) = {
-            let conn = self.conns.get_mut(&token).expect("routed for a live conn");
-            let ConnState::Replica(session) = &mut conn.state else { return };
-            // Flow control is one batch in flight; anything but the awaited ack (EOF, desync,
-            // wrong kind) ends the stream, as in the old session loop.
-            if frame.kind != FrameKind::Ack || !session.awaiting_ack {
-                conn.closing = true;
-                return;
-            }
-            match Ack::decode(&frame.payload) {
-                Ok(ack) => (session.client, ack.applied_lsn),
-                Err(_) => {
-                    conn.closing = true;
-                    return;
-                }
-            }
-        };
-        self.core.touch(client);
-        self.core.note_replica_ack(client, applied);
-        let conn = self.conns.get_mut(&token).expect("routed for a live conn");
-        let ConnState::Replica(session) = &mut conn.state else { return };
-        // The ack IS the cursor — including backwards: a reset snapshot rebinds a replica
-        // whose cursor came from a longer (different or restored) log to this log's positions,
-        // and `next` must follow it down or the session would re-ship the snapshot forever.
-        session.next = applied + 1;
-        session.awaiting_ack = false;
-        session.pump_now = true; // re-check the log promptly; idle if nothing new shipped
-    }
-
-    /// Admits one request (or its ordered rejection) into the connection's pipeline and hands
-    /// it to the connection's shard.  Same shard every time: a connection's requests execute
-    /// serially in arrival order.
-    fn admit(&mut self, token: usize, frame: Result<Vec<u8>, String>) {
-        let shard = token % self.shards.len();
-        let conn = self.conns.get_mut(&token).expect("admitting for a live conn");
-        let ConnState::Client(session) = &mut conn.state else { return };
-        let seq = session.next_seq;
-        session.next_seq += 1;
-        session.in_flight += 1;
-        net_metrics().in_flight.inc();
-        conn.touched = true;
-        let job = Job::Client { token, seq, client: session.client, frame };
-        let _ = self.shards[shard].send(job);
-    }
-
-    fn on_done(&mut self, done: Done) {
-        match done {
-            Done::Client { token, seq, bytes, close } => {
-                net_metrics().in_flight.dec();
-                let Some(conn) = self.conns.get_mut(&token) else { return };
-                conn.touched = true;
-                let ConnState::Client(session) = &mut conn.state else { return };
-                session.in_flight -= 1;
-                session.ready.insert(seq, (bytes, close));
-            }
-            Done::Pump { token, outcome } => {
-                let Some(conn) = self.conns.get_mut(&token) else { return };
-                conn.touched = true;
-                let ConnState::Replica(session) = &mut conn.state else { return };
-                session.pump_busy = false;
-                match outcome {
-                    PumpOutcome::Idle => {}
-                    PumpOutcome::Batch(bytes) => {
-                        if !conn.closing {
-                            conn.out.extend_from_slice(&bytes);
-                            session.awaiting_ack = true;
-                            session.last_sent = Instant::now();
-                            net_metrics().batches_shipped.inc();
-                        }
-                    }
-                    PumpOutcome::Reject(bytes) => {
-                        conn.out.extend_from_slice(&bytes);
-                        conn.closing = true;
-                    }
-                    PumpOutcome::End => conn.closing = true,
-                }
-            }
-        }
-    }
-
-    fn read_paused(&self, token: usize) -> bool {
-        let Some(conn) = self.conns.get(&token) else { return true };
-        if conn.backlog() > OUT_HIGH_WATER {
-            return true;
-        }
-        match &conn.state {
-            ConnState::Client(s) => s.in_flight + s.ready.len() >= self.config.max_in_flight,
-            _ => false,
-        }
-    }
-
-    /// Timer work: the idle reaper, handshake deadlines, replication pump scheduling.
+    /// Timer work: the idle reaper (shard 0), handshake deadlines, replication shipments.
     fn tick(&mut self) {
         let now = Instant::now();
-        if let Some(timeout) = self.config.idle_timeout {
+        if let Some(timeout) = self.config.idle_timeout.filter(|_| self.acceptor.is_some()) {
             if now.duration_since(self.last_reap) >= self.config.reaper_interval {
                 self.last_reap = now;
                 let reclaimed = self.core.reclaim_idle(timeout);
@@ -949,178 +843,66 @@ impl Reactor {
                 }
             }
         }
-        let mut pumps = Vec::new();
-        for (token, conn) in self.conns.iter_mut() {
-            match &mut conn.state {
+        for conn in self.conns.values_mut() {
+            match &conn.state {
                 ConnState::Handshake { deadline } if now >= *deadline => {
                     log_io_error(conn, "handshake timed out", "no hello within deadline".into());
                     conn.closing = true;
                     conn.touched = true;
                 }
-                ConnState::Replica(session) => {
-                    if conn.closing || session.pump_busy || session.awaiting_ack {
-                        continue;
-                    }
-                    let due = session.pump_now
-                        || now.duration_since(session.last_pump) >= REPLICATION_POLL;
-                    if due {
-                        session.pump_busy = true;
-                        session.last_pump = now;
-                        let answer_now = session.answer_now;
-                        session.answer_now = false;
-                        session.pump_now = false;
-                        let heartbeat_due =
-                            now.duration_since(session.last_sent) >= REPLICATION_HEARTBEAT;
-                        pumps.push((
-                            *token,
-                            Job::Pump {
-                                token: *token,
-                                next: session.next,
-                                answer_now,
-                                heartbeat_due,
-                            },
-                        ));
-                    }
-                }
+                ConnState::Replica(_) => conn.pump_replication(&self.core, now),
                 _ => {}
             }
         }
-        for (token, job) in pumps {
-            let shard = token % self.shards.len();
-            let _ = self.shards[shard].send(job);
-        }
     }
 
-    /// Per-wakeup housekeeping for every touched connection: emit ready responses, flush
-    /// coalesced output, resume paused reads, finalize drained closes, re-arm interest.
+    /// Per-wakeup housekeeping for every touched connection: flush coalesced output, serve
+    /// frames buffered while paused, finalize drained closes, re-arm interest.
     fn sweep(&mut self) {
         let touched: Vec<usize> =
             self.conns.iter().filter(|(_, c)| c.touched).map(|(t, _)| *t).collect();
         for token in touched {
-            {
-                let Some(conn) = self.conns.get_mut(&token) else { continue };
-                conn.touched = false;
-                emit_ready(conn);
-                flush_out(conn);
-            }
-            // A completion may have freed the in-flight window: dispatch frames that were
-            // buffered under backpressure (the poller is level-triggered underneath, so
-            // re-arming read interest below re-delivers anything still in the kernel buffer).
-            if !self.conns[&token].closing && !self.read_paused(token) {
-                self.dispatch_frames(token);
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    emit_ready(conn);
-                    flush_out(conn);
+            let Some(conn) = self.conns.get_mut(&token) else { continue };
+            conn.touched = false;
+            conn.flush_out();
+            // Frames left buffered by backpressure are served here as flushes make room: their
+            // bytes were already read, so no read event will come for them (re-arming read
+            // interest below re-delivers anything still in the kernel buffer).
+            while !conn.closing && !conn.over_high_water() && conn.decoder.buffered() > 0 {
+                let stalled = conn.serve_frames(&self.core, &self.config.banner);
+                conn.flush_out();
+                if !stalled {
+                    break;
                 }
             }
-            if self.maybe_finalize(token) {
-                continue;
+            if conn.closing && (conn.write_dead || conn.backlog() == 0) {
+                self.close_conn(token);
+            } else {
+                conn.rearm(&self.poller, token);
             }
-            self.rearm(token);
         }
-    }
-
-    fn rearm(&mut self, token: usize) {
-        let paused = self.read_paused(token);
-        let Some(conn) = self.conns.get_mut(&token) else { return };
-        if paused && !conn.paused && !conn.closing {
-            net_metrics().backpressure_pauses.inc();
-        }
-        conn.paused = paused;
-        let readable = !conn.closing && !paused;
-        let writable = !conn.write_dead && conn.out_pos < conn.out.len();
-        let _ = self.poller.modify(&conn.stream, Event { key: token, readable, writable });
-    }
-
-    /// Closes a `closing` connection once its in-flight work has drained and its output has
-    /// flushed (or its write side died).  Never closes under a live worker job: releasing the
-    /// client's locks mid-request would yank state out from under the handler.
-    fn maybe_finalize(&mut self, token: usize) -> bool {
-        let Some(conn) = self.conns.get(&token) else { return true };
-        if !conn.closing {
-            return false;
-        }
-        let busy = match &conn.state {
-            ConnState::Client(s) => s.in_flight > 0 || (!s.halted && !s.ready.is_empty()),
-            ConnState::Replica(s) => s.pump_busy,
-            _ => false,
-        };
-        if busy {
-            return false;
-        }
-        if !conn.write_dead && conn.out_pos < conn.out.len() {
-            return false;
-        }
-        self.close_conn(token);
-        true
     }
 
     fn close_conn(&mut self, token: usize) {
         let Some(conn) = self.conns.remove(&token) else { return };
         net_metrics().connections.dec();
         let _ = self.poller.delete(&conn.stream);
-        match conn.state {
-            ConnState::Handshake { .. } => {}
-            // The crash-recovery rule: whatever this client still had checked out comes back.
-            ConnState::Client(s) => {
-                self.core.disconnect(s.client);
-            }
-            // Retire (not forget): the session's last ack keeps pinning WAL retention so the
-            // replica can catch up from the retained log when it reconnects.
-            ConnState::ReplicaPending { client } => {
-                self.core.retire_replica(client);
-                self.core.disconnect(client);
-            }
-            ConnState::Replica(s) => {
-                self.core.retire_replica(s.client);
-                self.core.disconnect(s.client);
-            }
+        if let Some(client) = retire(&self.core, conn.state) {
+            self.core.disconnect(client);
         }
         let _ = conn.stream.shutdown(Shutdown::Both);
     }
 
-    /// Shutdown epilogue: flush what completed, retire the workers, then disconnect every
-    /// surviving client in one sweep.  Workers are joined *before* the disconnects so no lock
-    /// is ever released under a still-running request.
+    /// Shutdown epilogue: flush what was answered, then disconnect every surviving client of
+    /// this shard in one sweep.  Nothing runs on this shard any more, so no lock is released
+    /// under a running request.
     fn finish(mut self) {
-        while let Ok(done) = self.done_rx.try_recv() {
-            self.on_done(done);
-        }
-        for conn in self.conns.values_mut() {
-            emit_ready(conn);
-            flush_out(conn);
-        }
-        let shards = std::mem::take(&mut self.shards);
-        drop(shards); // workers drain their queues and exit
-        let workers = std::mem::take(&mut self.workers);
-        for worker in workers {
-            let _ = worker.join();
-        }
-        while let Ok(done) = self.done_rx.try_recv() {
-            self.on_done(done);
-        }
-        let tokens: Vec<usize> = self.conns.keys().copied().collect();
         let mut clients = Vec::new();
-        for token in tokens {
-            if let Some(conn) = self.conns.get_mut(&token) {
-                emit_ready(conn);
-                flush_out(conn);
-            }
-            let Some(conn) = self.conns.remove(&token) else { continue };
+        for (_, mut conn) in self.conns.drain() {
+            conn.flush_out();
             net_metrics().connections.dec();
             let _ = self.poller.delete(&conn.stream);
-            match conn.state {
-                ConnState::Handshake { .. } => {}
-                ConnState::Client(s) => clients.push(s.client),
-                ConnState::ReplicaPending { client } => {
-                    self.core.retire_replica(client);
-                    clients.push(client);
-                }
-                ConnState::Replica(s) => {
-                    self.core.retire_replica(s.client);
-                    clients.push(s.client);
-                }
-            }
+            clients.extend(retire(&self.core, conn.state));
             let _ = conn.stream.shutdown(Shutdown::Both);
         }
         self.core.disconnect_many(&clients);
@@ -1145,6 +927,52 @@ mod tests {
         let handler = db.create_object("Action", "AlarmHandler").unwrap();
         db.create_dependent(handler, "Description", Value::string("Handles alarms")).unwrap();
         SeedNetServer::bind(SeedServer::new(db), "127.0.0.1:0").unwrap()
+    }
+
+    /// The name whose retrieve panics inside the request handler: the test-only seam standing
+    /// in for a handler defect.
+    const PANIC_PROBE: &str = "panic probe";
+
+    /// Called by [`answer`] before dispatch in test builds.
+    pub(super) fn panic_probe(request: &Request) {
+        if matches!(request, Request::Retrieve { name } if name == PANIC_PROBE) {
+            panic!("the handler panicked on purpose");
+        }
+    }
+
+    /// A server over `count` `Data` objects named `{prefix}{i:04}`, with `shards` shards.
+    fn server_over(prefix: &str, count: usize, shards: usize) -> SeedNetServer {
+        let mut db = Database::new(figure3_schema());
+        for i in 0..count {
+            db.create_object("Data", &format!("{prefix}{i:04}")).unwrap();
+        }
+        let config = NetServerConfig { worker_shards: shards, ..NetServerConfig::default() };
+        SeedNetServer::with_config(SeedServer::new(db), "127.0.0.1:0", config).unwrap()
+    }
+
+    /// A handshaken raw client session, for tests that pipeline frames by hand.
+    fn raw_session(addr: SocketAddr, agent: &str) -> (BufReader<TcpStream>, BufWriter<TcpStream>) {
+        let stream = TcpStream::connect(addr).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = BufWriter::new(stream);
+        write_frame(&mut writer, FrameKind::Hello, &Hello::current(agent).encode()).unwrap();
+        writer.flush().unwrap();
+        assert_eq!(read_frame(&mut reader).unwrap().kind, FrameKind::Welcome);
+        (reader, writer)
+    }
+
+    fn send(writer: &mut BufWriter<TcpStream>, request: &Request) {
+        write_frame(writer, FrameKind::Request, &crate::codec::encode_request(request)).unwrap();
+    }
+
+    fn receive(reader: &mut BufReader<TcpStream>) -> Response {
+        let reply = read_frame(reader).unwrap();
+        assert_eq!(reply.kind, FrameKind::Response);
+        crate::codec::decode_response(&reply.payload).unwrap()
+    }
+
+    fn counter(name: &str) -> u64 {
+        seed_obs::global().counter(name).get()
     }
 
     #[test]
@@ -1238,7 +1066,7 @@ mod tests {
             assert!(core.locked_count() > 0);
             // Dropped without release or close: the TCP connection dies with it.
         }
-        // The reactor notices EOF and runs the crash-recovery rule.
+        // The connection's shard notices EOF and runs the crash-recovery rule.
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while core.locked_count() > 0 && std::time::Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(10));
@@ -1435,45 +1263,10 @@ mod tests {
     }
 
     #[test]
-    fn a_tiny_in_flight_window_still_answers_every_request_in_order() {
-        // max_in_flight = 2 forces the reactor through its pause/resume backpressure path on
-        // every burst; all 50 responses must still arrive, in order.
-        let mut db = Database::new(figure3_schema());
-        db.create_object("Data", "Alarms").unwrap();
-        let config = NetServerConfig { max_in_flight: 2, ..NetServerConfig::default() };
-        let server =
-            SeedNetServer::with_config(SeedServer::new(db), "127.0.0.1:0", config).unwrap();
-        let stream = TcpStream::connect(server.local_addr()).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut writer = BufWriter::new(stream);
-        write_frame(&mut writer, FrameKind::Hello, &Hello::current("burst").encode()).unwrap();
-        assert_eq!(read_frame(&mut reader).unwrap().kind, FrameKind::Welcome);
-        for _ in 0..50 {
-            write_frame(
-                &mut writer,
-                FrameKind::Request,
-                &crate::codec::encode_request(&Request::Retrieve { name: "Alarms".to_string() }),
-            )
-            .unwrap();
-        }
-        use std::io::Write as _;
-        writer.flush().unwrap();
-        for i in 0..50 {
-            let reply = read_frame(&mut reader).unwrap();
-            assert_eq!(reply.kind, FrameKind::Response, "response {i}");
-            match crate::codec::decode_response(&reply.payload).unwrap() {
-                Response::Object(Ok(record)) => assert_eq!(record.name.to_string(), "Alarms"),
-                other => panic!("response {i}: expected Alarms, got {other:?}"),
-            }
-        }
-        server.shutdown();
-    }
-
-    #[test]
     fn shutdown_drains_pipelined_work_and_never_parks_on_a_stuffed_socket() {
         // The old thread-per-connection server could park forever in `write_all` against a
-        // peer that stopped draining its socket.  The reactor's shutdown must return within
-        // its drain deadline no matter what the peer does.
+        // peer that stopped draining its socket.  Shutdown must return within its drain
+        // deadline no matter what the peer does.
         let mut db = Database::new(figure3_schema());
         db.create_object("Data", "Alarms").unwrap();
         let config =
@@ -1494,8 +1287,8 @@ mod tests {
         }
         use std::io::Write as _;
         writer.flush().unwrap();
-        // Give the burst a moment to be admitted, then shut down while work is in flight and
-        // the peer never reads a byte.
+        // Give the burst a moment to be answered, then shut down while the peer never reads a
+        // byte of the answers.
         std::thread::sleep(Duration::from_millis(50));
         let started = std::time::Instant::now();
         server.shutdown();
@@ -1505,5 +1298,126 @@ mod tests {
             started.elapsed()
         );
         drop((reader, writer));
+    }
+
+    #[test]
+    fn six_connections_over_two_shards_each_get_their_own_answers_in_order() {
+        // Three connections per shard, all pipelining at once: every connection must get
+        // exactly its own answers, in its own request order, with the malformed frame's error
+        // in its slot.
+        let server = server_over("Obj", 60, 2);
+        let addr = server.local_addr();
+        let barrier = Arc::new(std::sync::Barrier::new(6));
+        let peers: Vec<_> = (0..6)
+            .map(|c| {
+                let barrier = barrier.clone();
+                std::thread::spawn(move || {
+                    let (mut reader, mut writer) = raw_session(addr, "spread");
+                    let names: Vec<String> =
+                        (0..10).map(|k| format!("Obj{:04}", c * 10 + k)).collect();
+                    barrier.wait();
+                    for (k, name) in names.iter().enumerate() {
+                        if k == 5 {
+                            write_frame(&mut writer, FrameKind::Request, &[0xFF, 0xEE]).unwrap();
+                        }
+                        send(&mut writer, &Request::Retrieve { name: name.clone() });
+                    }
+                    writer.flush().unwrap();
+                    for (k, name) in names.iter().enumerate() {
+                        if k == 5 {
+                            let reply = receive(&mut reader);
+                            assert!(
+                                matches!(reply, Response::Error(ServerError::Protocol(_))),
+                                "connection {c}: the malformed frame's slot, got {reply:?}"
+                            );
+                        }
+                        match receive(&mut reader) {
+                            Response::Object(Ok(record)) => {
+                                assert_eq!(&record.name.to_string(), name, "connection {c}")
+                            }
+                            other => panic!("connection {c}: expected {name}, got {other:?}"),
+                        }
+                    }
+                })
+            })
+            .collect();
+        for peer in peers {
+            peer.join().unwrap();
+        }
+        server.shutdown();
+    }
+
+    #[test]
+    fn output_backpressure_pauses_one_connection_while_its_shard_serves_another() {
+        // One shard owns both connections.  The first pipelines listings whose answers exceed
+        // the output high-water mark many times over and reads nothing: its shard must stop
+        // reading it, keep answering the second connection, and deliver every answer in
+        // order once the first starts reading.
+        let server = server_over("Backpressure-listing-member-with-a-long-name-", 2000, 1);
+        let pauses = counter("net_backpressure_pauses_total");
+        let (mut reader, mut writer) = raw_session(server.local_addr(), "firehose");
+        let listing = Request::ObjectsOfClass { class: "Data".into(), transitive: false };
+        let bursts = 128;
+        for i in 0..bursts {
+            send(&mut writer, &listing);
+            let name = format!("Backpressure-listing-member-with-a-long-name-{i:04}");
+            send(&mut writer, &Request::Retrieve { name });
+        }
+        writer.flush().unwrap();
+
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while counter("net_backpressure_pauses_total") == pauses && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert!(counter("net_backpressure_pauses_total") > pauses, "the firehose must pause");
+        let mut other = RemoteClient::connect(server.local_addr()).unwrap();
+        let name = "Backpressure-listing-member-with-a-long-name-1999";
+        assert_eq!(other.retrieve(name).unwrap().name.to_string(), name);
+
+        for i in 0..bursts {
+            match receive(&mut reader) {
+                Response::Objects(Ok(records)) => assert_eq!(records.len(), 2000, "listing {i}"),
+                other => panic!("listing {i}: expected the Data extent, got {other:?}"),
+            }
+            let name = format!("Backpressure-listing-member-with-a-long-name-{i:04}");
+            match receive(&mut reader) {
+                Response::Object(Ok(record)) => assert_eq!(record.name.to_string(), name),
+                other => panic!("retrieve {i}: expected {name}, got {other:?}"),
+            }
+        }
+        other.close().unwrap();
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_panicking_handler_is_answered_in_order_and_the_shard_keeps_serving() {
+        let server = server_over("Obj", 3, 1);
+        let panics = counter("net_request_panics_total");
+        let mut bystander = RemoteClient::connect(server.local_addr()).unwrap();
+        let mut client = RemoteClient::connect(server.local_addr()).unwrap();
+        let mut pipeline = client.pipeline();
+        for name in ["Obj0000", PANIC_PROBE, "Obj0001"] {
+            pipeline.submit(Request::Retrieve { name: name.to_string() });
+        }
+        let results = pipeline.flush().unwrap();
+        assert!(
+            matches!(&results[0], Ok(Response::Object(Ok(r))) if r.name.to_string() == "Obj0000")
+        );
+        match &results[1] {
+            Err(ServerError::Protocol(message)) => {
+                assert!(message.contains("panicked on purpose"), "{message}")
+            }
+            other => panic!("the panicking request's slot: got {other:?}"),
+        }
+        assert!(
+            matches!(&results[2], Ok(Response::Object(Ok(r))) if r.name.to_string() == "Obj0001")
+        );
+        assert!(counter("net_request_panics_total") > panics);
+        // The panicking connection lives on, and so does the other connection on its shard.
+        assert_eq!(client.retrieve("Obj0002").unwrap().name.to_string(), "Obj0002");
+        assert_eq!(bystander.retrieve("Obj0000").unwrap().name.to_string(), "Obj0000");
+        client.close().unwrap();
+        bystander.close().unwrap();
+        server.shutdown();
     }
 }

@@ -7,7 +7,7 @@
 //! * [`metrics`] — [`Counter`], [`Gauge`] and fixed-bucket [`Histogram`] handles.  A handle is
 //!   a clonable wrapper over `Arc`ed atomics: recording is a few relaxed atomic ops — no lock,
 //!   no allocation, no syscall — so the handles live on the hottest paths (the WAL append
-//!   loop, the reactor's read pump, the snapshot publisher).
+//!   loop, the network shards' read pumps, the snapshot publisher).
 //! * [`events`] — [`EventRing`], a bounded ring of recent structured events plus a leveled,
 //!   rate-limited stderr logger, for the *rare and diagnostic* (connection failures, slow
 //!   operations, replication resets).

@@ -2,9 +2,9 @@
 //!
 //! Every handle is a clonable wrapper over an `Arc` of plain atomics.  Recording an event is a
 //! handful of relaxed atomic operations — no lock, no allocation, no syscall — so the handles
-//! are safe to hit from the hottest paths in the system (the WAL append loop, the reactor's
-//! read pump, the snapshot publisher).  Registration and snapshotting are the cold path and go
-//! through the [`Registry`](crate::Registry)'s mutex.
+//! are safe to hit from the hottest paths in the system (the WAL append loop, the network
+//! shards' read pumps, the snapshot publisher).  Registration and snapshotting are the cold
+//! path and go through the [`Registry`](crate::Registry)'s mutex.
 
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
