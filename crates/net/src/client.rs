@@ -19,6 +19,50 @@ use seed_server::{
 use crate::codec::{decode_response, encode_request};
 use crate::wire::{read_frame, write_frame, FrameKind, Hello, Welcome, PROTOCOL_VERSION};
 
+/// A typed result carried by a [`Response`]: the one place a reply is matched against the kind
+/// its request is answered with.  [`RemoteClient`]'s typed methods unwrap through it, and so do
+/// callers of [`Pipeline::flush`] ([`FromResponse::from_reply`]).  A reply of another kind
+/// means the peer does not speak this protocol and is reported as
+/// [`ServerError::Disconnected`].
+pub trait FromResponse: Sized {
+    /// Unwraps `response`, or fails when it is not the kind that carries `Self`.
+    fn from_response(response: Response) -> ServerResult<Self>;
+
+    /// Unwraps one [`Pipeline::flush`] result: an error reply stays an error.
+    fn from_reply(reply: ServerResult<Response>) -> ServerResult<Self> {
+        reply.and_then(Self::from_response)
+    }
+}
+
+macro_rules! from_response {
+    ($($variant:ident($ty:ty) => $unwrap:expr),* $(,)?) => {$(
+        impl FromResponse for $ty {
+            fn from_response(response: Response) -> ServerResult<Self> {
+                match response {
+                    Response::$variant(answer) => $unwrap(answer),
+                    _ => Err(ServerError::Disconnected),
+                }
+            }
+        }
+    )*};
+}
+
+from_response! {
+    Checkout(CheckoutSet) => std::convert::identity,
+    Ack(()) => std::convert::identity,
+    Object(ObjectRecord) => std::convert::identity,
+    Answer(QueryAnswer) => std::convert::identity,
+    Version(VersionId) => std::convert::identity,
+    Objects(Vec<ObjectRecord>) => std::convert::identity,
+    Relationships(Vec<RelationshipInfo>) => std::convert::identity,
+    Count(usize) => std::convert::identity,
+    Promoted(PromotionReceipt) => std::convert::identity,
+    Persistence(PersistenceStatus) => Ok,
+    Schema(SchemaSummary) => Ok,
+    Stats(seed_obs::RegistrySnapshot) => Ok,
+    Health(HealthStatus) => Ok,
+}
+
 /// A blocking connection to a [`crate::SeedNetServer`].
 pub struct RemoteClient {
     reader: BufReader<TcpStream>,
@@ -101,49 +145,39 @@ impl RemoteClient {
         }
     }
 
+    /// Sends one request and unwraps the typed result its reply carries.
+    fn ask<T: FromResponse>(&mut self, request: Request) -> ServerResult<T> {
+        T::from_response(self.call(request)?)
+    }
+
     /// Checks out the named objects, taking central write locks for this client.
     pub fn checkout(&mut self, names: &[&str]) -> ServerResult<CheckoutSet> {
         let request = Request::Checkout {
             client: self.client,
             objects: names.iter().map(|s| s.to_string()).collect(),
         };
-        match self.call(request)? {
-            Response::Checkout(result) => result,
-            _ => Err(ServerError::Disconnected),
-        }
+        self.ask(request)
     }
 
     /// Checks a batch of updates in as one central transaction, releasing this client's locks
     /// on success.
     pub fn checkin(&mut self, updates: Vec<Update>) -> ServerResult<()> {
-        match self.call(Request::Checkin { client: self.client, updates })? {
-            Response::Ack(result) => result,
-            _ => Err(ServerError::Disconnected),
-        }
+        self.ask(Request::Checkin { client: self.client, updates })
     }
 
     /// Releases all of this client's locks without checking anything in.
     pub fn release(&mut self) -> ServerResult<()> {
-        match self.call(Request::Release { client: self.client })? {
-            Response::Ack(result) => result,
-            _ => Err(ServerError::Disconnected),
-        }
+        self.ask(Request::Release { client: self.client })
     }
 
     /// Retrieves one object by name.
     pub fn retrieve(&mut self, name: &str) -> ServerResult<ObjectRecord> {
-        match self.call(Request::Retrieve { name: name.to_string() })? {
-            Response::Object(result) => result,
-            _ => Err(ServerError::Disconnected),
-        }
+        self.ask(Request::Retrieve { name: name.to_string() })
     }
 
     /// Evaluates a retrieval-language query (or an `explain`).
     pub fn query(&mut self, text: &str) -> ServerResult<QueryAnswer> {
-        match self.call(Request::Query { text: text.to_string() })? {
-            Response::Answer(result) => result,
-            _ => Err(ServerError::Disconnected),
-        }
+        self.ask(Request::Query { text: text.to_string() })
     }
 
     /// The rendered physical plan for a query (prepends `explain` when absent).
@@ -158,44 +192,29 @@ impl RemoteClient {
 
     /// Creates a global version snapshot on the central database.
     pub fn create_version(&mut self, comment: &str) -> ServerResult<VersionId> {
-        match self.call(Request::CreateVersion { comment: comment.to_string() })? {
-            Response::Version(result) => result,
-            _ => Err(ServerError::Disconnected),
-        }
+        self.ask(Request::CreateVersion { comment: comment.to_string() })
     }
 
     /// The durability state of the central database.
     pub fn persistence(&mut self) -> ServerResult<PersistenceStatus> {
-        match self.call(Request::Persistence)? {
-            Response::Persistence(status) => Ok(status),
-            _ => Err(ServerError::Disconnected),
-        }
+        self.ask(Request::Persistence)
     }
 
     /// A point-in-time copy of the server's whole metrics registry: every counter, gauge and
     /// latency histogram, ready for percentile extraction or Prometheus re-exposition.
     pub fn stats(&mut self) -> ServerResult<seed_obs::RegistrySnapshot> {
-        match self.call(Request::Stats)? {
-            Response::Stats(snapshot) => Ok(snapshot),
-            _ => Err(ServerError::Disconnected),
-        }
+        self.ask(Request::Stats)
     }
 
     /// The server's liveness/readiness probe: a reply at all is liveness, `ready` is the
     /// readiness verdict (a primary with a writable WAL; a replica within its lag budget).
     pub fn health(&mut self) -> ServerResult<HealthStatus> {
-        match self.call(Request::Health)? {
-            Response::Health(status) => Ok(status),
-            _ => Err(ServerError::Disconnected),
-        }
+        self.ask(Request::Health)
     }
 
     /// Asks the server to checkpoint its durable storage.
     pub fn checkpoint(&mut self) -> ServerResult<()> {
-        match self.call(Request::Checkpoint)? {
-            Response::Ack(result) => result,
-            _ => Err(ServerError::Disconnected),
-        }
+        self.ask(Request::Checkpoint)
     }
 
     /// Orders a topology change under epoch `epoch` (see `docs/OPERATIONS.md` §7).  Sent to a
@@ -205,10 +224,7 @@ impl RemoteClient {
     /// `new_primary`.
     pub fn promote(&mut self, epoch: u64, new_primary: &str) -> ServerResult<PromotionReceipt> {
         let request = Request::Promote { epoch, new_primary: new_primary.to_string() };
-        match self.call(request)? {
-            Response::Promoted(result) => result,
-            _ => Err(ServerError::Disconnected),
-        }
+        self.ask(request)
     }
 
     /// A structural summary of the server's schema (fetched once, then cached).
@@ -216,37 +232,24 @@ impl RemoteClient {
         if let Some(schema) = &self.schema {
             return Ok(schema.clone());
         }
-        match self.call(Request::Schema)? {
-            Response::Schema(summary) => {
-                self.schema = Some(summary.clone());
-                Ok(summary)
-            }
-            _ => Err(ServerError::Disconnected),
-        }
+        let summary: SchemaSummary = self.ask(Request::Schema)?;
+        self.schema = Some(summary.clone());
+        Ok(summary)
     }
 
     /// The (materialized) children of an object.
     pub fn children(&mut self, name: &str) -> ServerResult<Vec<ObjectRecord>> {
-        match self.call(Request::Children { name: name.to_string() })? {
-            Response::Objects(result) => result,
-            _ => Err(ServerError::Disconnected),
-        }
+        self.ask(Request::Children { name: name.to_string() })
     }
 
     /// All objects whose hierarchical name starts with `prefix`.
     pub fn objects_with_prefix(&mut self, prefix: &str) -> ServerResult<Vec<ObjectRecord>> {
-        match self.call(Request::Prefix { prefix: prefix.to_string() })? {
-            Response::Objects(result) => result,
-            _ => Err(ServerError::Disconnected),
-        }
+        self.ask(Request::Prefix { prefix: prefix.to_string() })
     }
 
     /// The relationships an object participates in, rendered by name.
     pub fn relationships_of(&mut self, name: &str) -> ServerResult<Vec<RelationshipInfo>> {
-        match self.call(Request::RelationshipsOf { name: name.to_string() })? {
-            Response::Relationships(result) => result,
-            _ => Err(ServerError::Disconnected),
-        }
+        self.ask(Request::RelationshipsOf { name: name.to_string() })
     }
 
     /// The extent of a class by name.
@@ -256,10 +259,7 @@ impl RemoteClient {
         transitive: bool,
     ) -> ServerResult<Vec<ObjectRecord>> {
         let request = Request::ObjectsOfClass { class: class.to_string(), transitive };
-        match self.call(request)? {
-            Response::Objects(result) => result,
-            _ => Err(ServerError::Disconnected),
-        }
+        self.ask(request)
     }
 
     /// Counts the live relationships of an association (optionally with specializations).
@@ -270,18 +270,12 @@ impl RemoteClient {
     ) -> ServerResult<usize> {
         let request =
             Request::RelationshipCount { association: association.to_string(), transitive };
-        match self.call(request)? {
-            Response::Count(result) => result,
-            _ => Err(ServerError::Disconnected),
-        }
+        self.ask(request)
     }
 
     /// Number of completeness findings on the central database.
     pub fn completeness_count(&mut self) -> ServerResult<usize> {
-        match self.call(Request::Completeness)? {
-            Response::Count(result) => result,
-            _ => Err(ServerError::Disconnected),
-        }
+        self.ask(Request::Completeness)
     }
 
     /// Convenience: sets a value through a one-shot checkout/check-in cycle.
@@ -396,8 +390,20 @@ impl Pipeline<'_> {
         if count == 0 {
             return Ok(results);
         }
-        // Anything buffered from earlier sequential calls goes out first.
         use std::io::Write as _;
+        if count == 1 {
+            // One request cannot stall on backpressure: the server pauses reading a connection
+            // only behind unread answers, and none precede it.  It goes out like a plain call,
+            // without the write-slice timeout and its two socket-option changes.
+            client
+                .writer
+                .write_all(&queued)
+                .and_then(|()| client.writer.flush())
+                .map_err(transport)?;
+            results.push(read_pipelined_response(&mut client.reader)?);
+            return Ok(results);
+        }
+        // Anything buffered from earlier sequential calls goes out first.
         client.writer.flush().map_err(transport)?;
         client.writer.get_mut().set_write_timeout(Some(PIPELINE_WRITE_SLICE)).map_err(transport)?;
         let outcome = interleave(client, &queued, count, &mut results);
@@ -738,6 +744,24 @@ mod tests {
             Ok(Response::Object(Ok(record))) => assert_eq!(record.name.to_string(), "Sensor"),
             other => panic!("index 3: expected Sensor, got {other:?}"),
         }
+        client.close().unwrap();
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_one_request_pipeline_answers_like_a_call() {
+        let server = start_server();
+        let mut client = RemoteClient::connect(server.local_addr()).unwrap();
+        let mut pipeline = client.pipeline();
+        pipeline.submit(Request::Retrieve { name: "Alarms".to_string() });
+        let reply = pipeline.flush().unwrap().pop().unwrap();
+        assert_eq!(ObjectRecord::from_reply(reply).unwrap().name.to_string(), "Alarms");
+        // An error reply stays at its index; it does not break the flush.
+        let mut pipeline = client.pipeline();
+        pipeline.submit(Request::Release { client: u64::MAX });
+        let results = pipeline.flush().unwrap();
+        assert!(matches!(results.as_slice(), [Err(ServerError::Protocol(_))]));
+        assert_eq!(client.retrieve("Sensor").unwrap().name.to_string(), "Sensor");
         client.close().unwrap();
         server.shutdown();
     }

@@ -54,7 +54,7 @@ pub mod replication;
 pub mod server;
 pub mod wire;
 
-pub use client::{Pipeline, ReadPreferredClient, RemoteClient};
+pub use client::{FromResponse, Pipeline, ReadPreferredClient, RemoteClient};
 pub use error::{WireError, WireResult};
 pub use replication::{ReplicaConfig, ReplicaNode};
 pub use server::{NetServerConfig, SeedNetServer};

@@ -7,12 +7,45 @@
 //! single-transaction apply).  The backend reproduces [`crate::SeedBackend`]'s behaviour
 //! byte-for-byte — same dependent-object names, same refinement checks, same report — which
 //! `examples/net_demo.rs` verifies by diffing the two specification reports.
+//!
+//! # Round trips
+//!
+//! A tool step pays one round trip per *dependent* exchange, not one per request: every
+//! exchange is one pipelined flush ([`seed_net::Pipeline`]) whose answers come back in request
+//! order.
+//!
+//! | operation | round trips |
+//! |---|---|
+//! | `add_element` | 2: the duplicate check, then the check-in |
+//! | `refine_element`, `remove_element` | 2: the lookup, then checkout + check-in |
+//! | `add_flow`, `contain` | 2: both lookups, then checkout + check-in |
+//! | `refine_flow` | 2: both lookups and the element's relationships, then checkout + check-in |
+//! | `set_description` | 2: checkout + the reads the batch is built from, then the check-in |
+//! | `add_keyword` | 2 without a `Text` yet, else 3 (the `Text`'s children are read too) |
+//! | `element` | 1: every read of the view |
+//!
+//! A refused step stops early (a refused `refine_element` costs the lookup alone), and a
+//! refused check-in costs one more round trip to release the locks.
+//!
+//! A check-in may ride behind its checkout because the server executes one connection's
+//! requests serially, in order, and a checkout is all-or-nothing.  The tool holds no locks
+//! between steps, so when the checkout is refused the check-in behind it touches objects this
+//! client does not hold: the server's lock-discipline check refuses it (or, for objects that
+//! do not exist, it fails to apply) and nothing changes.  The tool reports the checkout's
+//! error.  Reads that build a batch (`set_description`, `add_keyword`) are queued *after* the
+//! checkout in the same flush, so they run under the locks: a re-classification cannot land
+//! between the read and the lock.
 
+#[cfg(test)]
+use std::cell::Cell;
 use std::cell::RefCell;
 
-use seed_core::{ObjectRecord, SeedError, Value};
-use seed_net::RemoteClient;
-use seed_server::{SchemaSummary, ServerError, Update};
+use seed_core::{ObjectRecord, SeedError, Value, VersionId};
+use seed_net::{FromResponse, RemoteClient};
+use seed_server::{
+    CheckoutSet, ClientId, RelationshipInfo, Request, Response, SchemaSummary, ServerError,
+    ServerResult, Update,
+};
 
 use crate::backend::SpecBackend;
 use crate::error::{SpadesError, SpadesResult};
@@ -21,14 +54,57 @@ use crate::model::{ElementInfo, ElementKind, FlowKind};
 /// The tool backed by a remote SEED server.
 pub struct RemoteBackend {
     client: RefCell<RemoteClient>,
+    id: ClientId,
     schema: SchemaSummary,
     checkpoints: usize,
+    /// Exchanges sent so far: the round trips the tests pin per operation.
+    #[cfg(test)]
+    round_trips: Cell<usize>,
+}
+
+/// The answers of one exchange, taken in request order.
+struct Replies(std::vec::IntoIter<ServerResult<Response>>);
+
+impl Replies {
+    fn next<T: FromResponse>(&mut self) -> ServerResult<T> {
+        T::from_reply(self.0.next().unwrap_or(Err(ServerError::Disconnected)))
+    }
 }
 
 fn server_to_spades(e: ServerError) -> SpadesError {
     match e {
         ServerError::Rejected(inner) => SpadesError::Seed(inner),
         other => SpadesError::Seed(SeedError::Invalid(other.to_string())),
+    }
+}
+
+/// `name`'s record from a `Retrieve` answer.  Only an object the server does not know becomes
+/// [`SpadesError::Unknown`]; a dead connection or a refusal is reported as what it is.
+fn found(name: &str, reply: ServerResult<ObjectRecord>) -> SpadesResult<ObjectRecord> {
+    reply.map_err(|e| match e {
+        ServerError::Unknown(_) => SpadesError::Unknown(name.to_string()),
+        other => server_to_spades(other),
+    })
+}
+
+fn retrieve(name: &str) -> Request {
+    Request::Retrieve { name: name.to_string() }
+}
+
+fn children_of(name: &str) -> Request {
+    Request::Children { name: name.to_string() }
+}
+
+fn is_leaf(record: &ObjectRecord, leaf: &str) -> bool {
+    record.name.leaf().name == leaf
+}
+
+fn body_of(text_name: &str) -> Update {
+    Update::CreateDependentNamed {
+        parent: text_name.to_string(),
+        class_local: "Body".to_string(),
+        name: "Body".to_string(),
+        value: Value::Undefined,
     }
 }
 
@@ -53,9 +129,17 @@ fn flow_from_association(name: &str) -> FlowKind {
 
 impl RemoteBackend {
     /// Wraps a connected client, fetching the schema summary it needs to interpret records.
-    pub fn new(mut client: RemoteClient) -> SpadesResult<Self> {
-        let schema = client.schema().map_err(server_to_spades)?;
-        Ok(Self { client: RefCell::new(client), schema, checkpoints: 0 })
+    pub fn new(client: RemoteClient) -> SpadesResult<Self> {
+        let mut backend = Self {
+            id: client.id(),
+            client: RefCell::new(client),
+            schema: SchemaSummary::default(),
+            checkpoints: 0,
+            #[cfg(test)]
+            round_trips: Cell::new(0),
+        };
+        backend.schema = backend.ask(Request::Schema)?;
+        Ok(backend)
     }
 
     /// Hands the connection back (e.g. to close it politely).
@@ -63,61 +147,116 @@ impl RemoteBackend {
         self.client.into_inner()
     }
 
+    /// The one place this backend talks to the server: `requests` leave in one write and their
+    /// answers come back in request order.  A transport failure fails the whole exchange.
+    fn exchange(&self, requests: Vec<Request>) -> SpadesResult<Replies> {
+        #[cfg(test)]
+        self.round_trips.set(self.round_trips.get() + 1);
+        let mut client = self.client.borrow_mut();
+        let mut pipeline = client.pipeline();
+        for request in requests {
+            pipeline.submit(request);
+        }
+        Ok(Replies(pipeline.flush().map_err(server_to_spades)?.into_iter()))
+    }
+
+    /// An exchange of one request.
+    fn ask<T: FromResponse>(&self, request: Request) -> SpadesResult<T> {
+        self.exchange(vec![request])?.next().map_err(server_to_spades)
+    }
+
     fn lookup(&self, name: &str) -> SpadesResult<ObjectRecord> {
-        self.client.borrow_mut().retrieve(name).map_err(|_| SpadesError::Unknown(name.to_string()))
+        found(name, self.exchange(vec![retrieve(name)])?.next())
+    }
+
+    /// Both elements of a flow or a containment, looked up in one exchange together with
+    /// `more` reads, whose answers are returned; the first unknown name in call order is the
+    /// one reported.
+    fn lookup_pair(&self, first: &str, second: &str, more: Vec<Request>) -> SpadesResult<Replies> {
+        let mut requests = vec![retrieve(first), retrieve(second)];
+        requests.extend(more);
+        let mut replies = self.exchange(requests)?;
+        found(first, replies.next())?;
+        found(second, replies.next())?;
+        Ok(replies)
+    }
+
+    fn checkout(&self, lock: &[&str]) -> Request {
+        Request::Checkout { client: self.id, objects: lock.iter().map(|s| s.to_string()).collect() }
+    }
+
+    fn checkin(&self, updates: Vec<Update>) -> Request {
+        Request::Checkin { client: self.id, updates }
+    }
+
+    /// Releases this client's locks: a refused check-in keeps them server-side for amendment,
+    /// and the tool has nothing to amend.
+    fn release(&self) {
+        let _ = self.exchange(vec![Request::Release { client: self.id }]);
+    }
+
+    /// The outcome of a check-in sent over locks this client holds.
+    fn checked_in(&self, reply: ServerResult<()>) -> SpadesResult<()> {
+        reply.map_err(|refusal| {
+            self.release();
+            server_to_spades(refusal)
+        })
+    }
+
+    /// One tool mutation = one checkout / check-in cycle, in one exchange: the check-in rides
+    /// behind its checkout (see the module documentation for why that is safe).  A creation
+    /// locks nothing and is a check-in alone.
+    fn transact(&self, lock: &[&str], updates: Vec<Update>) -> SpadesResult<()> {
+        if lock.is_empty() {
+            return self.ask(self.checkin(updates));
+        }
+        let mut replies = self.exchange(vec![self.checkout(lock), self.checkin(updates)])?;
+        replies.next::<CheckoutSet>().map_err(server_to_spades)?;
+        self.checked_in(replies.next())
+    }
+
+    /// Checks `name` out and, in the same exchange and so under its locks, reads its record
+    /// and children; `build` makes the update batch from them, which is then checked in.
+    /// An unknown `name` outranks the checkout's error, as in the in-process tool.
+    fn edit_locked(
+        &self,
+        name: &str,
+        build: impl FnOnce(&ObjectRecord, &[ObjectRecord]) -> SpadesResult<Vec<Update>>,
+    ) -> SpadesResult<()> {
+        let mut replies =
+            self.exchange(vec![self.checkout(&[name]), retrieve(name), children_of(name)])?;
+        let checkout = replies.next::<CheckoutSet>().map_err(server_to_spades);
+        let record = found(name, replies.next());
+        let kids = replies.next::<Vec<ObjectRecord>>().map_err(server_to_spades);
+        let locked = checkout.is_ok();
+        let updates = record.and_then(|record| {
+            checkout?;
+            build(&record, &kids?)
+        });
+        match updates {
+            Ok(updates) => self.checked_in(self.exchange(vec![self.checkin(updates)])?.next()),
+            Err(e) => {
+                if locked {
+                    self.release();
+                }
+                Err(e)
+            }
+        }
     }
 
     fn kind_of(&self, record: &ObjectRecord) -> ElementKind {
         self.schema.class_name(record.class.0).map(kind_from_class).unwrap_or(ElementKind::Thing)
     }
 
-    /// One tool mutation = one checkout / check-in cycle.  A rejected check-in keeps the locks
-    /// server-side for amendment; the tool has nothing to amend, so it releases them.
-    fn transact(&self, lock: &[&str], updates: Vec<Update>) -> SpadesResult<()> {
-        let mut client = self.client.borrow_mut();
-        if !lock.is_empty() {
-            client.checkout(lock).map_err(server_to_spades)?;
-        }
-        match client.checkin(updates) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                if !lock.is_empty() {
-                    let _ = client.release();
-                }
-                Err(server_to_spades(e))
-            }
-        }
-    }
-
-    /// Like [`RemoteBackend::transact`], but the update batch is built **after** the checkout:
-    /// reads that predict server-assigned names (auto-indexed dependents) must happen under the
-    /// write locks, or a racing client could shift the prediction between read and apply.
-    fn transact_locked(
-        &self,
-        lock: &[&str],
-        build: impl FnOnce(&Self) -> SpadesResult<Vec<Update>>,
-    ) -> SpadesResult<()> {
-        self.client.borrow_mut().checkout(lock).map_err(server_to_spades)?;
-        let updates = match build(self) {
-            Ok(updates) => updates,
-            Err(e) => {
-                let _ = self.client.borrow_mut().release();
-                return Err(e);
-            }
-        };
-        // Bind the outcome first: a borrow taken in the match scrutinee would live through
-        // the arms, and the release below needs the client again.
-        let checked_in = self.client.borrow_mut().checkin(updates);
-        checked_in.map_err(|e| {
-            let _ = self.client.borrow_mut().release();
-            server_to_spades(e)
-        })
-    }
-
     /// The name segment the server will give the next auto-named `class_local` dependent of
-    /// `parent` — plain when at most one may exist, `Name[n]` otherwise (mirrors
-    /// [`seed_core::Database::create_dependent`]).
-    fn predicted_segment(&self, parent: &ObjectRecord, class_local: &str) -> SpadesResult<String> {
+    /// `parent`, whose children are `siblings` — plain when at most one may exist, `Name[n]`
+    /// otherwise (mirrors [`seed_core::Database::create_dependent`]).
+    fn predicted_segment(
+        &self,
+        parent: &ObjectRecord,
+        siblings: &[ObjectRecord],
+        class_local: &str,
+    ) -> SpadesResult<String> {
         let class = self.schema.dependent_class(parent.class.0, class_local).ok_or_else(|| {
             SpadesError::Seed(SeedError::Invalid(format!(
                 "no dependent class '{class_local}' for '{}'",
@@ -127,44 +266,8 @@ impl RemoteBackend {
         if self.schema.classes[class as usize].occurrence_max == Some(1) {
             return Ok(class_local.to_string());
         }
-        let siblings = self
-            .client
-            .borrow_mut()
-            .children(&parent.name.to_string())
-            .map_err(server_to_spades)?
-            .into_iter()
-            .filter(|c| c.class.0 == class)
-            .count();
+        let siblings = siblings.iter().filter(|c| c.class.0 == class).count();
         Ok(format!("{class_local}[{siblings}]"))
-    }
-
-    fn description_child(&self, name: &str) -> SpadesResult<Option<ObjectRecord>> {
-        Ok(self
-            .client
-            .borrow_mut()
-            .children(name)
-            .map_err(server_to_spades)?
-            .into_iter()
-            .find(|c| c.name.leaf().name == "Description"))
-    }
-
-    /// Finds the flow relationship between `data` and `action`, returning its association name
-    /// and bindings (the structural address used for re-classification).
-    fn flow_relationship(
-        &self,
-        data: &str,
-        action: &str,
-    ) -> SpadesResult<Option<seed_server::RelationshipInfo>> {
-        let hierarchy = self.schema.association_hierarchy("Access");
-        Ok(self
-            .client
-            .borrow_mut()
-            .relationships_of(data)
-            .map_err(server_to_spades)?
-            .into_iter()
-            .find(|rel| {
-                hierarchy.contains(&rel.association) && rel.involves(data) && rel.involves(action)
-            }))
     }
 }
 
@@ -174,8 +277,10 @@ impl SpecBackend for RemoteBackend {
     }
 
     fn add_element(&mut self, name: &str, kind: ElementKind) -> SpadesResult<()> {
-        if self.lookup(name).is_ok() {
-            return Err(SpadesError::Duplicate(name.to_string()));
+        match self.lookup(name) {
+            Ok(_) => return Err(SpadesError::Duplicate(name.to_string())),
+            Err(SpadesError::Unknown(_)) => {}
+            Err(e) => return Err(e),
         }
         self.transact(
             &[],
@@ -201,8 +306,7 @@ impl SpecBackend for RemoteBackend {
     }
 
     fn add_flow(&mut self, data: &str, action: &str, kind: FlowKind) -> SpadesResult<()> {
-        self.lookup(data)?;
-        self.lookup(action)?;
+        self.lookup_pair(data, action, Vec::new())?;
         let assoc = kind.association_name();
         let role0 =
             self.schema.association(assoc).and_then(|a| a.roles.first().cloned()).ok_or_else(
@@ -218,10 +322,16 @@ impl SpecBackend for RemoteBackend {
     }
 
     fn refine_flow(&mut self, data: &str, action: &str, kind: FlowKind) -> SpadesResult<()> {
-        self.lookup(data)?;
-        self.lookup(action)?;
-        let rel = self
-            .flow_relationship(data, action)?
+        let relationships = self
+            .lookup_pair(data, action, vec![Request::RelationshipsOf { name: data.to_string() }])?
+            .next::<Vec<RelationshipInfo>>()
+            .map_err(server_to_spades)?;
+        let hierarchy = self.schema.association_hierarchy("Access");
+        let rel = relationships
+            .into_iter()
+            .find(|rel| {
+                hierarchy.contains(&rel.association) && rel.involves(data) && rel.involves(action)
+            })
             .ok_or_else(|| SpadesError::Unknown(format!("flow between '{data}' and '{action}'")))?;
         let current = flow_from_association(&rel.association);
         if !current.can_refine_to(kind) {
@@ -240,18 +350,14 @@ impl SpecBackend for RemoteBackend {
     }
 
     fn set_description(&mut self, name: &str, text: &str) -> SpadesResult<()> {
-        self.lookup(name)?;
-        // Build the batch under the checkout lock: which child exists and which Text segment
-        // the server will assign must not change between the read and the check-in.
-        self.transact_locked(&[name], |this| {
-            let record = this.lookup(name)?;
-            if let Some(existing) = this.description_child(name)? {
+        self.edit_locked(name, |record, children| {
+            if let Some(existing) = children.iter().find(|c| is_leaf(c, "Description")) {
                 return Ok(vec![Update::SetValue {
                     object: existing.name.to_string(),
                     value: Value::string(text),
                 }]);
             }
-            if this.kind_of(&record) == ElementKind::Action {
+            if self.kind_of(record) == ElementKind::Action {
                 return Ok(vec![Update::CreateDependentNamed {
                     parent: name.to_string(),
                     class_local: "Description".to_string(),
@@ -261,20 +367,14 @@ impl SpecBackend for RemoteBackend {
             }
             // Data keeps its text under Text.Body.Contents; predict the auto-assigned Text
             // segment so the follow-up creations can address it within the same batch.
-            let segment = this.predicted_segment(&record, "Text")?;
-            let text_name = format!("{name}.{segment}");
+            let text_name = format!("{name}.{}", self.predicted_segment(record, children, "Text")?);
             Ok(vec![
                 Update::CreateDependent {
                     parent: name.to_string(),
                     class_local: "Text".to_string(),
                     value: Value::Undefined,
                 },
-                Update::CreateDependentNamed {
-                    parent: text_name.clone(),
-                    class_local: "Body".to_string(),
-                    name: "Body".to_string(),
-                    value: Value::Undefined,
-                },
+                body_of(&text_name),
                 Update::CreateDependentNamed {
                     parent: format!("{text_name}.Body"),
                     class_local: "Contents".to_string(),
@@ -286,58 +386,39 @@ impl SpecBackend for RemoteBackend {
     }
 
     fn add_keyword(&mut self, name: &str, keyword: &str) -> SpadesResult<()> {
-        self.lookup(name)?;
-        self.transact_locked(&[name], |this| {
-            let record = this.lookup(name)?;
+        self.edit_locked(name, |record, children| {
             let mut updates = Vec::new();
-            let text_child = this
-                .client
-                .borrow_mut()
-                .children(name)
-                .map_err(server_to_spades)?
-                .into_iter()
-                .find(|c| c.name.leaf().name == "Text");
-            let text_name = match text_child {
-                Some(t) => t.name.to_string(),
+            let body_name = match children.iter().find(|c| is_leaf(c, "Text")) {
+                Some(text) => {
+                    // The one read that depends on another: the existing Text's own children,
+                    // still under the checkout's locks.
+                    let text_name = text.name.to_string();
+                    let body = self
+                        .exchange(vec![children_of(&text_name)])?
+                        .next::<Vec<ObjectRecord>>()
+                        .map_err(server_to_spades)?
+                        .into_iter()
+                        .find(|c| is_leaf(c, "Body"));
+                    match body {
+                        Some(body) => body.name.to_string(),
+                        None => {
+                            updates.push(body_of(&text_name));
+                            format!("{text_name}.Body")
+                        }
+                    }
+                }
                 None => {
-                    let segment = this.predicted_segment(&record, "Text")?;
+                    // The whole Text/Body spine is created in this very batch.
+                    let segment = self.predicted_segment(record, children, "Text")?;
+                    let text_name = format!("{name}.{segment}");
                     updates.push(Update::CreateDependent {
                         parent: name.to_string(),
                         class_local: "Text".to_string(),
                         value: Value::Undefined,
                     });
-                    format!("{name}.{segment}")
+                    updates.push(body_of(&text_name));
+                    format!("{text_name}.Body")
                 }
-            };
-            let body_name = if updates.is_empty() {
-                let body_child = this
-                    .client
-                    .borrow_mut()
-                    .children(&text_name)
-                    .map_err(server_to_spades)?
-                    .into_iter()
-                    .find(|c| c.name.leaf().name == "Body");
-                match body_child {
-                    Some(b) => b.name.to_string(),
-                    None => {
-                        updates.push(Update::CreateDependentNamed {
-                            parent: text_name.clone(),
-                            class_local: "Body".to_string(),
-                            name: "Body".to_string(),
-                            value: Value::Undefined,
-                        });
-                        format!("{text_name}.Body")
-                    }
-                }
-            } else {
-                // The Text spine is being created in this very batch; Body follows it.
-                updates.push(Update::CreateDependentNamed {
-                    parent: text_name.clone(),
-                    class_local: "Body".to_string(),
-                    name: "Body".to_string(),
-                    value: Value::Undefined,
-                });
-                format!("{text_name}.Body")
             };
             updates.push(Update::CreateDependent {
                 parent: body_name,
@@ -349,8 +430,7 @@ impl SpecBackend for RemoteBackend {
     }
 
     fn contain(&mut self, inner: &str, outer: &str) -> SpadesResult<()> {
-        self.lookup(inner)?;
-        self.lookup(outer)?;
+        self.lookup_pair(inner, outer, Vec::new())?;
         self.transact(
             &[inner, outer],
             vec![Update::CreateRelationship {
@@ -369,32 +449,39 @@ impl SpecBackend for RemoteBackend {
     }
 
     fn element(&self, name: &str) -> SpadesResult<ElementInfo> {
-        let record = self.lookup(name)?;
+        let mut replies = self.exchange(vec![
+            retrieve(name),
+            children_of(name),
+            Request::Prefix { prefix: format!("{name}.") },
+            Request::RelationshipsOf { name: name.to_string() },
+        ])?;
+        let record = found(name, replies.next())?;
+        let children = replies.next::<Vec<ObjectRecord>>().map_err(server_to_spades)?;
+        let descendants = replies.next::<Vec<ObjectRecord>>().map_err(server_to_spades)?;
+        let relationships = replies.next::<Vec<RelationshipInfo>>().map_err(server_to_spades)?;
         let kind = self.kind_of(&record);
-        let description = match self.description_child(name)? {
+        let description = match children.iter().find(|c| is_leaf(c, "Description")) {
             Some(d) if !d.value.is_undefined() => d.value.as_str().map(|s| s.to_string()),
-            _ => self
-                .client
-                .borrow_mut()
-                .objects_with_prefix(&format!("{name}.Text"))
-                .map_err(server_to_spades)?
-                .into_iter()
-                .find(|o| o.name.leaf().name == "Contents")
-                .and_then(|o| o.value.as_str().map(|s| s.to_string())),
+            _ => {
+                // Data keeps its text under Text.Body.Contents: the descendants under the
+                // `{name}.Text` prefix, in the same name order a prefix read of it returns.
+                let text = format!("{name}.Text");
+                descendants
+                    .iter()
+                    .filter(|o| o.name.to_string().starts_with(&text))
+                    .find(|o| is_leaf(o, "Contents"))
+                    .and_then(|o| o.value.as_str().map(|s| s.to_string()))
+            }
         };
-        let mut keywords: Vec<String> = self
-            .client
-            .borrow_mut()
-            .objects_with_prefix(&format!("{name}."))
-            .map_err(server_to_spades)?
-            .into_iter()
-            .filter(|o| o.name.leaf().name == "Keywords")
+        let mut keywords: Vec<String> = descendants
+            .iter()
+            .filter(|o| is_leaf(o, "Keywords"))
             .filter_map(|o| o.value.as_str().map(|s| s.to_string()))
             .collect();
         keywords.sort();
         let hierarchy = self.schema.association_hierarchy("Access");
         let mut flows = Vec::new();
-        for rel in self.client.borrow_mut().relationships_of(name).map_err(server_to_spades)? {
+        for rel in relationships {
             if !hierarchy.contains(&rel.association) {
                 continue;
             }
@@ -410,10 +497,9 @@ impl SpecBackend for RemoteBackend {
     }
 
     fn element_names(&self) -> Vec<String> {
+        let request = Request::ObjectsOfClass { class: "Thing".to_string(), transitive: true };
         let mut names: Vec<String> = self
-            .client
-            .borrow_mut()
-            .objects_of_class("Thing", true)
+            .ask::<Vec<ObjectRecord>>(request)
             .unwrap_or_default()
             .into_iter()
             .map(|o| o.name.to_string())
@@ -423,15 +509,18 @@ impl SpecBackend for RemoteBackend {
     }
 
     fn flow_count(&self) -> usize {
-        self.client.borrow_mut().relationship_count("Access", true).unwrap_or(0)
+        let request =
+            Request::RelationshipCount { association: "Access".to_string(), transitive: true };
+        self.ask(request).unwrap_or(0)
     }
 
     fn incompleteness_findings(&self) -> usize {
-        self.client.borrow_mut().completeness_count().unwrap_or(0)
+        self.ask(Request::Completeness).unwrap_or(0)
     }
 
     fn checkpoint(&mut self, comment: &str) -> SpadesResult<String> {
-        let version = self.client.borrow_mut().create_version(comment).map_err(server_to_spades)?;
+        let version: VersionId =
+            self.ask(Request::CreateVersion { comment: comment.to_string() })?;
         self.checkpoints += 1;
         Ok(version.to_string())
     }
@@ -517,7 +606,10 @@ mod tests {
             remote.refine_element("Sensor", ElementKind::Data),
             Err(SpadesError::InvalidRefinement(_))
         ));
-        assert!(remote.refine_element("Ghost", ElementKind::Data).is_err());
+        assert!(matches!(
+            remote.refine_element("Ghost", ElementKind::Data),
+            Err(SpadesError::Unknown(_))
+        ));
         remote.add_flow("Alarms", "Sensor", FlowKind::Access).unwrap();
         // Write needs OutputData: SEED's consistency checker rejects it over the wire too, and
         // the rejection arrives as a SEED error.
@@ -575,5 +667,133 @@ mod tests {
         assert_eq!(server.core().locked_count(), 0, "the rejected check-in released its locks");
         assert_eq!(remote.element("Sensor").unwrap().description.as_deref(), Some("short"));
         server.shutdown();
+    }
+
+    /// Round trips one step costs.
+    fn trips(remote: &mut RemoteBackend, step: impl FnOnce(&mut RemoteBackend)) -> usize {
+        let before = remote.round_trips.get();
+        step(remote);
+        remote.round_trips.get() - before
+    }
+
+    #[test]
+    fn each_tool_step_costs_its_pinned_round_trips() {
+        let (server, mut remote) = remote_backend();
+        let r = &mut remote;
+        let ok = |result: SpadesResult<()>| result.unwrap();
+        assert_eq!(trips(r, |b| ok(b.add_element("Alarms", ElementKind::Data))), 2);
+        assert_eq!(trips(r, |b| ok(b.add_element("Sensor", ElementKind::Action))), 2);
+        assert_eq!(trips(r, |b| ok(b.add_element("Panel", ElementKind::Action))), 2);
+        let duplicate = trips(r, |b| {
+            assert!(matches!(
+                b.add_element("Sensor", ElementKind::Action),
+                Err(SpadesError::Duplicate(_))
+            ))
+        });
+        assert_eq!(duplicate, 1);
+        let refused = trips(r, |b| {
+            assert!(matches!(
+                b.refine_element("Sensor", ElementKind::Data),
+                Err(SpadesError::InvalidRefinement(_))
+            ))
+        });
+        assert_eq!(refused, 1, "a refused refinement costs the lookup alone");
+        let unknown = trips(r, |b| {
+            assert!(matches!(
+                b.refine_element("Ghost", ElementKind::Data),
+                Err(SpadesError::Unknown(_))
+            ))
+        });
+        assert_eq!(unknown, 1);
+        assert_eq!(trips(r, |b| ok(b.refine_element("Alarms", ElementKind::OutputData))), 2);
+        assert_eq!(trips(r, |b| ok(b.add_flow("Alarms", "Sensor", FlowKind::Access))), 2);
+        assert_eq!(trips(r, |b| ok(b.refine_flow("Alarms", "Sensor", FlowKind::Write))), 2);
+        // Data: the Text/Body/Contents spine; Action: a Description, created then edited.
+        assert_eq!(trips(r, |b| ok(b.set_description("Alarms", "alarm matrix"))), 2);
+        assert_eq!(trips(r, |b| ok(b.set_description("Sensor", "v1"))), 2);
+        assert_eq!(trips(r, |b| ok(b.set_description("Sensor", "v2"))), 2);
+        // Without a Text the whole spine rides in the batch; with one, its Body is read first.
+        assert_eq!(trips(r, |b| ok(b.add_element("Pumps", ElementKind::Data))), 2);
+        assert_eq!(trips(r, |b| ok(b.add_keyword("Pumps", "Hydraulics"))), 2);
+        assert_eq!(trips(r, |b| ok(b.add_keyword("Pumps", "Valves"))), 3);
+        assert_eq!(trips(r, |b| ok(b.add_keyword("Alarms", "Display"))), 3);
+        assert_eq!(trips(r, |b| ok(b.contain("Sensor", "Panel"))), 2);
+        assert_eq!(trips(r, |b| ok(b.remove_element("Panel"))), 2);
+        let view = trips(r, |b| {
+            let info = b.element("Alarms").unwrap();
+            assert_eq!(info.description.as_deref(), Some("alarm matrix"));
+            assert_eq!(info.keywords, vec!["Display"]);
+            assert_eq!(info.flows.len(), 1);
+        });
+        assert_eq!(view, 1, "an element view is one round trip");
+        assert_eq!(trips(r, |b| assert!(b.element("Ghost").is_err())), 1);
+        let no_flow = trips(r, |b| {
+            assert!(matches!(
+                b.refine_flow("Pumps", "Sensor", FlowKind::Read),
+                Err(SpadesError::Unknown(_))
+            ))
+        });
+        assert_eq!(no_flow, 1, "a missing flow is found out by the lookup exchange");
+        // A refused check-in costs one more round trip: the release of its locks.  Write
+        // needs OutputData, so SEED's consistency check refuses this one.
+        ok(r.add_flow("Pumps", "Sensor", FlowKind::Access));
+        let rejected = trips(r, |b| {
+            assert!(matches!(
+                b.refine_flow("Pumps", "Sensor", FlowKind::Write),
+                Err(SpadesError::Seed(_))
+            ))
+        });
+        assert_eq!(rejected, 3);
+        assert_eq!(server.core().locked_count(), 0);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_refused_checkout_leaves_its_pipelined_checkin_without_effect() {
+        let (server, mut tool) = remote_backend();
+        tool.add_element("Alarms", ElementKind::Data).unwrap();
+        tool.add_element("Sensor", ElementKind::Action).unwrap();
+        let mut holder = RemoteClient::connect(server.local_addr()).unwrap();
+        let held = holder.checkout(&["Alarms"]).unwrap().len();
+        assert_eq!(server.core().locked_count(), held);
+
+        let locked = |result: SpadesResult<()>| {
+            let err = result.unwrap_err();
+            assert!(err.to_string().contains("write-locked"), "expected a lock refusal: {err}");
+        };
+        locked(tool.refine_element("Alarms", ElementKind::InputData));
+        locked(tool.add_flow("Alarms", "Sensor", FlowKind::Access));
+        // Neither check-in behind a refused checkout changed anything or left a lock behind.
+        let info = tool.element("Alarms").unwrap();
+        assert_eq!(info.kind, ElementKind::Data);
+        assert!(info.flows.is_empty());
+        assert_eq!(tool.flow_count(), 0);
+        assert_eq!(server.core().locked_count(), held, "only the holder's locks remain");
+
+        // The holder can still check in, and then the tool's retries go through.
+        holder.checkin(Vec::new()).unwrap();
+        assert_eq!(server.core().locked_count(), 0);
+        tool.refine_element("Alarms", ElementKind::InputData).unwrap();
+        tool.add_flow("Alarms", "Sensor", FlowKind::Access).unwrap();
+        let info = tool.element("Alarms").unwrap();
+        assert_eq!(info.kind, ElementKind::InputData);
+        assert_eq!(info.flows.len(), 1);
+        assert_eq!(server.core().locked_count(), 0);
+        holder.close().unwrap();
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_dead_connection_is_not_an_unknown_element() {
+        let (server, mut remote) = remote_backend();
+        remote.add_element("Alarms", ElementKind::Data).unwrap();
+        server.shutdown();
+        let refine = remote.refine_element("Alarms", ElementKind::InputData);
+        assert!(matches!(refine, Err(SpadesError::Seed(_))), "got {refine:?}");
+        let view = remote.element("Alarms");
+        assert!(matches!(view, Err(SpadesError::Seed(_))), "got {view:?}");
+        // The duplicate check no longer reads a failed exchange as "no such element".
+        let add = remote.add_element("Alarms", ElementKind::Data);
+        assert!(matches!(add, Err(SpadesError::Seed(_))), "got {add:?}");
     }
 }
