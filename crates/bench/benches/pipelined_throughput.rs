@@ -33,13 +33,12 @@ fn pipelined_reads(c: &mut Criterion) {
                         client.retrieve(&name).expect("retrieve");
                         answered += 1;
                     } else {
-                        let mut pipeline = client.pipeline();
-                        for i in 0..batch {
-                            pipeline.submit(Request::Retrieve {
+                        let requests = (0..batch)
+                            .map(|i| Request::Retrieve {
                                 name: format!("Data{:05}", (answered + i) % OBJECTS),
-                            });
-                        }
-                        answered += pipeline.flush().expect("flush").len();
+                            })
+                            .collect();
+                        answered += client.exchange(requests).expect("exchange").len();
                     }
                 }
                 answered

@@ -945,8 +945,8 @@ pub fn e14_mvcc_snapshot_reads(
 }
 
 /// E15 — pipelined request throughput over **one** connection: the same read workload issued
-/// synchronously (depth 1, one round trip per request) and through [`seed_net::Pipeline`] at
-/// depths 8 and 64, against the event-loop server.
+/// synchronously (depth 1, one round trip per request) and as batches of 8 and 64 requests
+/// ([`seed_net::Client::exchange`]), against the event-loop server.
 ///
 /// The acceptance bar of the pipelining tentpole: at depth 64 a single connection must push at
 /// least **3×** the synchronous ops/s — the connection's shard decodes and answers many frames
@@ -977,13 +977,10 @@ pub fn e15_pipelined_throughput(objects: usize, total_ops: usize) -> ExperimentM
                 let name = format!("Data{:05}", sent % objects);
                 client.retrieve(&name).expect("retrieve");
             } else {
-                let mut pipeline = client.pipeline();
-                for i in 0..batch {
-                    pipeline.submit(Request::Retrieve {
-                        name: format!("Data{:05}", (sent + i) % objects),
-                    });
-                }
-                let results = pipeline.flush().expect("flush");
+                let requests = (0..batch)
+                    .map(|i| Request::Retrieve { name: format!("Data{:05}", (sent + i) % objects) })
+                    .collect();
+                let results = client.exchange(requests).expect("exchange");
                 assert_eq!(results.len(), batch, "every submission gets an answer");
             }
             batch_latencies.push(begin.elapsed());
@@ -1064,12 +1061,10 @@ pub fn e16_metrics_overhead(objects: usize, total_ops: usize) -> ExperimentMetri
         let mut sent = 0usize;
         while sent < total_ops {
             let batch = DEPTH.min(total_ops - sent);
-            let mut pipeline = client.pipeline();
-            for i in 0..batch {
-                pipeline
-                    .submit(Request::Retrieve { name: format!("Data{:05}", (sent + i) % objects) });
-            }
-            let results = pipeline.flush().expect("flush");
+            let requests = (0..batch)
+                .map(|i| Request::Retrieve { name: format!("Data{:05}", (sent + i) % objects) })
+                .collect();
+            let results = client.exchange(requests).expect("exchange");
             assert_eq!(results.len(), batch, "every submission gets an answer");
             sent += batch;
         }

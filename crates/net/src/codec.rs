@@ -539,9 +539,6 @@ fn decode_relationship_info(d: &mut Decoder<'_>) -> WireResult<RelationshipInfo>
 pub fn encode_request(request: &Request) -> Vec<u8> {
     let mut e = Encoder::new();
     match request {
-        Request::Connect => {
-            e.put_u8(0);
-        }
         Request::Checkout { client, objects } => {
             e.put_u8(1).put_u64(*client).put_varint(objects.len() as u64);
             for name in objects {
@@ -613,7 +610,6 @@ pub fn encode_request(request: &Request) -> Vec<u8> {
 pub fn decode_request(bytes: &[u8]) -> WireResult<Request> {
     let mut d = Decoder::new(bytes);
     let request = match d.get_u8()? {
-        0 => Request::Connect,
         1 => {
             let client = d.get_u64()?;
             let n = d.get_varint()? as usize;
@@ -689,9 +685,6 @@ fn decode_records(d: &mut Decoder<'_>) -> WireResult<Vec<seed_core::ObjectRecord
 pub fn encode_response(response: &Response) -> Vec<u8> {
     let mut e = Encoder::new();
     match response {
-        Response::Connected(id) => {
-            e.put_u8(0).put_u64(*id);
-        }
         Response::Checkout(result) => {
             e.put_u8(1);
             put_result(&mut e, result, encode_checkout_set);
@@ -770,7 +763,6 @@ pub fn encode_response(response: &Response) -> Vec<u8> {
 pub fn decode_response(bytes: &[u8]) -> WireResult<Response> {
     let mut d = Decoder::new(bytes);
     let response = match d.get_u8()? {
-        0 => Response::Connected(d.get_u64()?),
         1 => Response::Checkout(get_result(&mut d, decode_checkout_set)?),
         2 => Response::Ack(get_result(&mut d, |_| Ok(()))?),
         3 => Response::Object(get_result(&mut d, |d| Ok(decode_object(d)?))?),

@@ -16,11 +16,13 @@
 //!   only act for the client id assigned at handshake) and a client's write locks are released
 //!   on disconnect or after an idle timeout — the paper's crash-recovery rule for checked-out
 //!   data;
-//! * [`client`] — [`RemoteClient`], a blocking client exposing the same checkout / check-in /
-//!   query surface as the in-process API, so applications (the SPADES tool, the examples) run
-//!   unmodified over loopback — plus [`Pipeline`] for batched submission over one connection,
-//!   and [`ReadPreferredClient`], which fans reads out across replicas and sends writes to the
-//!   primary;
+//! * [`client`] — the one client stack: [`Client`] writes the typed checkout / check-in /
+//!   query surface once over a [`Transport`] (a batch of requests out, their answers back in
+//!   order).  [`RemoteClient`] runs it over TCP, [`ReadPreferredClient`] over a [`Router`] that
+//!   fans reads out across replicas and sends everything else to the primary, and
+//!   [`InProcess`] calls a [`seed_server::SeedServer`] on the caller's thread.
+//!   [`ClientSession`] is the paper's workstation on top of any of them: local copies,
+//!   locally staged updates, one check-in;
 //! * [`replication`] — [`ReplicaNode`], a read-only replica: it subscribes to a primary's WAL
 //!   stream (`Subscribe` / `LogBatch` / `Ack` frames), applies batches into its own
 //!   durable [`seed_core::ReplicaStore`] and serves the full read surface on its own listener.
@@ -54,7 +56,10 @@ pub mod replication;
 pub mod server;
 pub mod wire;
 
-pub use client::{FromResponse, Pipeline, ReadPreferredClient, RemoteClient};
+pub use client::{
+    Client, ClientSession, FromResponse, InProcess, ReadPreferredClient, RemoteClient, Router, Tcp,
+    Transport,
+};
 pub use error::{WireError, WireResult};
 pub use replication::{ReplicaConfig, ReplicaNode};
 pub use server::{NetServerConfig, SeedNetServer};

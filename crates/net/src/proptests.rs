@@ -199,7 +199,6 @@ fn result_of<T: std::fmt::Debug + 'static>(
 
 fn request() -> BoxedStrategy<Request> {
     prop_oneof![
-        any::<bool>().prop_map(|_| Request::Connect),
         (any::<u64>(), proptest::collection::vec(ident(), 0..4))
             .prop_map(|(client, objects)| Request::Checkout { client, objects }),
         (any::<u64>(), proptest::collection::vec(update(), 0..4))
@@ -277,7 +276,6 @@ fn schema_summary() -> BoxedStrategy<SchemaSummary> {
 
 fn response() -> BoxedStrategy<Response> {
     prop_oneof![
-        any::<u64>().prop_map(Response::Connected),
         result_of(checkout_set()).prop_map(Response::Checkout),
         result_of(any::<bool>().prop_map(|_| ()).boxed()).prop_map(Response::Ack),
         result_of(object_record()).prop_map(Response::Object),
@@ -479,7 +477,7 @@ mod unit {
 
     #[test]
     fn trailing_bytes_are_rejected() {
-        let mut payload = encode_request(&Request::Connect);
+        let mut payload = encode_request(&Request::Persistence);
         payload.push(0);
         assert!(decode_request(&payload).is_err());
         let mut payload = encode_response(&Response::ShuttingDown);

@@ -297,8 +297,8 @@ struct Acceptor {
     routes: Vec<(Sender<Accepted>, Arc<Poller>)>,
 }
 
-/// Answers one client frame: identity enforcement, the Connect rejection, activity touch,
-/// dispatch.  Returns the response and whether the session ends after it (`Shutdown`).
+/// Answers one client frame: identity enforcement, activity touch, dispatch.  Returns the
+/// response and whether the session ends after it (`Shutdown`).
 fn answer(core: &SeedServer, client: ClientId, frame: Result<Vec<u8>, String>) -> (Response, bool) {
     let payload = match frame {
         Ok(payload) => payload,
@@ -319,17 +319,6 @@ fn answer(core: &SeedServer, client: ClientId, frame: Result<Vec<u8>, String>) -
                 false,
             );
         }
-    }
-    // Identity is assigned at handshake, one per connection; serving Connect here would mint
-    // session entries nothing ever cleans up.
-    if matches!(request, Request::Connect) {
-        return (
-            Response::Error(ServerError::Protocol(
-                "client identity is assigned at handshake; open a new connection instead"
-                    .to_string(),
-            )),
-            false,
-        );
     }
     core.touch(client);
     let closing = matches!(request, Request::Shutdown);
@@ -1111,12 +1100,14 @@ mod tests {
         alice.checkout(&["Alarms"]).unwrap();
         // Mallory forges requests with Alice's client id: the session rejects them outright.
         let forged = Request::Release { client: alice.id() };
-        assert!(matches!(mallory.call(forged), Err(ServerError::Protocol(_))));
+        let answers = mallory.exchange(vec![forged]).unwrap();
+        assert!(matches!(answers.as_slice(), [Err(ServerError::Protocol(_))]));
         let forged = Request::Checkin {
             client: alice.id(),
             updates: vec![Update::SetValue { object: "Alarms".into(), value: Value::Undefined }],
         };
-        assert!(matches!(mallory.call(forged), Err(ServerError::Protocol(_))));
+        let answers = mallory.exchange(vec![forged]).unwrap();
+        assert!(matches!(answers.as_slice(), [Err(ServerError::Protocol(_))]));
         // Alice is unaffected.
         assert!(server.core().locked_count() > 0);
         alice.release().unwrap();
@@ -1395,11 +1386,10 @@ mod tests {
         let panics = counter("net_request_panics_total");
         let mut bystander = RemoteClient::connect(server.local_addr()).unwrap();
         let mut client = RemoteClient::connect(server.local_addr()).unwrap();
-        let mut pipeline = client.pipeline();
-        for name in ["Obj0000", PANIC_PROBE, "Obj0001"] {
-            pipeline.submit(Request::Retrieve { name: name.to_string() });
-        }
-        let results = pipeline.flush().unwrap();
+        let requests = ["Obj0000", PANIC_PROBE, "Obj0001"]
+            .map(|name| Request::Retrieve { name: name.to_string() })
+            .to_vec();
+        let results = client.exchange(requests).unwrap();
         assert!(
             matches!(&results[0], Ok(Response::Object(Ok(r))) if r.name.to_string() == "Obj0000")
         );

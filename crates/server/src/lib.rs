@@ -9,20 +9,19 @@
 //! > database in a single transaction.  Versions are kept both locally and globally under
 //! > control of the user and the server, respectively."
 //!
-//! The 1986 authors never built this; we implement it as an in-process simulation — a central
-//! [`SeedServer`] owning one [`seed_core::Database`], clients talking to it either by direct
-//! method call or over crossbeam channels from their own threads ([`server::ServerHandle`]).
-//! The substitution preserves the behaviour of interest (write-lock discipline, single-
-//! transaction check-in, conflict rejection, local + global version control) without requiring
-//! a network substrate.
+//! The 1986 authors never built this.  This crate is the central half: a [`SeedServer`] owning
+//! one [`seed_core::Database`], with write-lock discipline, single-transaction check-in,
+//! conflict rejection and global version control, and the [`Request`] / [`Response`] protocol
+//! that [`SeedServer::handle`] answers.  It is `Sync`, so any number of threads may call it.
+//! The client half lives in `seed-net`: one typed client surface over TCP, a replica router,
+//! or an in-process transport that calls [`SeedServer::handle`] directly, and the workstation
+//! session (local copies, staged updates, one check-in) on top of it.
 
-pub mod client;
 pub mod error;
 pub mod lock;
 pub mod protocol;
 pub mod server;
 
-pub use client::ClientSession;
 pub use error::{ServerError, ServerResult};
 pub use lock::LockTable;
 pub use protocol::{
@@ -30,4 +29,4 @@ pub use protocol::{
     PromotionReceipt, QueryAnswer, RelationshipInfo, ReplicationRole, ReplicationStatus, Request,
     Response, SchemaSummary, Update,
 };
-pub use server::{Promoter, SeedServer, ServerHandle, DEFAULT_HEALTH_LAG_BUDGET};
+pub use server::{Promoter, SeedServer, DEFAULT_HEALTH_LAG_BUDGET};

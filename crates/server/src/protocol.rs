@@ -342,11 +342,9 @@ impl RelationshipInfo {
     }
 }
 
-/// A request sent to the server thread.
-#[derive(Debug)]
+/// A request to the server ([`crate::SeedServer::handle`]).
+#[derive(Debug, Clone)]
 pub enum Request {
-    /// Register a new client; the server replies with its [`ClientId`].
-    Connect,
     /// Check out the named objects (taking write locks).
     Checkout {
         /// The requesting client.
@@ -423,7 +421,7 @@ pub enum Request {
     },
     /// Run the completeness analysis and report the number of findings.
     Completeness,
-    /// Shut the server thread down (over TCP: close this session).
+    /// End this client's session (over TCP: close the connection).
     Shutdown,
     /// Ask for a full metrics-registry snapshot (every counter, gauge and histogram — see
     /// `docs/OBSERVABILITY.md` for the catalog).
@@ -462,7 +460,6 @@ impl Request {
     /// (`net_request_us_<kind>`) and the slow-operation log.
     pub fn kind_name(&self) -> &'static str {
         match self {
-            Request::Connect => "connect",
             Request::Checkout { .. } => "checkout",
             Request::Checkin { .. } => "checkin",
             Request::Release { .. } => "release",
@@ -488,7 +485,6 @@ impl Request {
     /// Every value [`Request::kind_name`] can return, for pre-registering per-kind metric
     /// handles before the first request arrives.
     pub const KIND_NAMES: &'static [&'static str] = &[
-        "connect",
         "checkout",
         "checkin",
         "release",
@@ -511,11 +507,9 @@ impl Request {
     ];
 }
 
-/// A reply from the server thread.
+/// A reply from the server.
 #[derive(Debug)]
 pub enum Response {
-    /// Reply to [`Request::Connect`].
-    Connected(ClientId),
     /// Reply to [`Request::Checkout`].
     Checkout(Result<CheckoutSet, crate::error::ServerError>),
     /// Reply to [`Request::Checkin`] / [`Request::Release`].

@@ -3,15 +3,12 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Sender};
 use parking_lot::{Mutex, RwLock};
 
 use seed_core::{
-    Database, NameSegment, ObjectId, ObjectRecord, SeedError, Snapshot, SnapshotCell, Value,
-    VersionId,
+    Database, NameSegment, ObjectId, ObjectRecord, SeedError, Snapshot, SnapshotCell, VersionId,
 };
 
 use crate::error::{ServerError, ServerResult};
@@ -904,9 +901,9 @@ impl SeedServer {
 
     /// Dispatches one protocol request to the corresponding server operation.
     ///
-    /// [`Request::Shutdown`] is transport-scoped (stop the server thread, close the TCP
-    /// session) and is answered with [`Response::ShuttingDown`] — the caller decides what
-    /// "shutting down" means for its transport.
+    /// [`Request::Shutdown`] is transport-scoped (over TCP it closes the session) and is
+    /// answered with [`Response::ShuttingDown`] — the caller decides what "shutting down"
+    /// means for its transport.
     pub fn handle(&self, request: Request) -> Response {
         let start = Instant::now();
         let kind = request.kind_name();
@@ -936,7 +933,6 @@ impl SeedServer {
 
     fn dispatch(&self, request: Request) -> Response {
         match request {
-            Request::Connect => Response::Connected(self.connect()),
             Request::Checkout { client, objects } => {
                 let names: Vec<&str> = objects.iter().map(|s| s.as_str()).collect();
                 Response::Checkout(self.checkout(client, &names))
@@ -972,105 +968,12 @@ impl SeedServer {
             }
         }
     }
-
-    /// Spawns a server thread servicing requests over a channel; returns a cloneable handle.
-    /// The thread owns the server and hands it back from `join` once it stops.
-    pub fn spawn(self) -> (ServerHandle, JoinHandle<SeedServer>) {
-        let (tx, rx) = unbounded::<(Request, Sender<Response>)>();
-        let join = std::thread::spawn(move || {
-            while let Ok((request, reply)) = rx.recv() {
-                let shutdown = matches!(request, Request::Shutdown);
-                let _ = reply.send(self.handle(request));
-                if shutdown {
-                    break;
-                }
-            }
-            self
-        });
-        (ServerHandle { tx: Some(tx) }, join)
-    }
-}
-
-/// A handle to a spawned server thread.
-#[derive(Clone)]
-pub struct ServerHandle {
-    tx: Option<Sender<(Request, Sender<Response>)>>,
-}
-
-impl ServerHandle {
-    /// Sends a request and waits for the response.
-    pub fn call(&self, request: Request) -> ServerResult<Response> {
-        let tx = self.tx.as_ref().ok_or(ServerError::Disconnected)?;
-        let (reply_tx, reply_rx) = unbounded();
-        tx.send((request, reply_tx)).map_err(|_| ServerError::Disconnected)?;
-        reply_rx.recv().map_err(|_| ServerError::Disconnected)
-    }
-
-    /// Convenience: registers a client.
-    pub fn connect(&self) -> ServerResult<ClientId> {
-        match self.call(Request::Connect)? {
-            Response::Connected(id) => Ok(id),
-            _ => Err(ServerError::Disconnected),
-        }
-    }
-
-    /// Convenience: asks the server thread to stop.
-    pub fn shutdown(&self) -> ServerResult<()> {
-        match self.call(Request::Shutdown)? {
-            Response::ShuttingDown => Ok(()),
-            _ => Err(ServerError::Disconnected),
-        }
-    }
-
-    /// Convenience: retrieves an object by name.
-    pub fn retrieve(&self, name: &str) -> ServerResult<ObjectRecord> {
-        match self.call(Request::Retrieve { name: name.to_string() })? {
-            Response::Object(result) => result,
-            _ => Err(ServerError::Disconnected),
-        }
-    }
-
-    /// Convenience: evaluates a query (or an `explain`) on the central database.
-    pub fn query(&self, text: &str) -> ServerResult<QueryAnswer> {
-        match self.call(Request::Query { text: text.to_string() })? {
-            Response::Answer(result) => result,
-            _ => Err(ServerError::Disconnected),
-        }
-    }
-
-    /// Convenience: the durability state of the central database.
-    pub fn persistence(&self) -> ServerResult<PersistenceStatus> {
-        match self.call(Request::Persistence)? {
-            Response::Persistence(status) => Ok(status),
-            _ => Err(ServerError::Disconnected),
-        }
-    }
-
-    /// Convenience: sets a value through a one-shot checkout/check-in cycle.
-    pub fn quick_set_value(
-        &self,
-        client: ClientId,
-        object: &str,
-        value: Value,
-    ) -> ServerResult<()> {
-        match self.call(Request::Checkout { client, objects: vec![object.to_string()] })? {
-            Response::Checkout(Ok(_)) => {}
-            Response::Checkout(Err(e)) => return Err(e),
-            _ => return Err(ServerError::Disconnected),
-        }
-        match self.call(Request::Checkin {
-            client,
-            updates: vec![Update::SetValue { object: object.to_string(), value }],
-        })? {
-            Response::Ack(result) => result,
-            _ => Err(ServerError::Disconnected),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use seed_core::Value;
     use seed_schema::figure3_schema;
 
     fn server_with_data() -> SeedServer {
@@ -1236,15 +1139,20 @@ mod tests {
         assert!(matches!(server.query("bogus"), Err(ServerError::Query(_))));
         assert!(matches!(server.query("find Ghost"), Err(ServerError::Query(_))));
 
-        // The same surface over the threaded protocol.
-        let (handle, join) = server.spawn();
-        let answer = handle.query(r#"find Data where name prefix "Alarm""#).unwrap();
-        assert_eq!(answer.names, vec!["Alarms"]);
-        let answer = handle.query(r#"explain find Data where name prefix "Alarm""#).unwrap();
-        assert!(answer.plan.is_some());
-        assert!(handle.query("bogus").is_err());
-        handle.shutdown().unwrap();
-        join.join().unwrap();
+        // The same surface over the protocol, from another thread.
+        let ask = |text: &str| match server.handle(Request::Query { text: text.to_string() }) {
+            Response::Answer(result) => result,
+            other => panic!("unexpected response {other:?}"),
+        };
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let answer = ask(r#"find Data where name prefix "Alarm""#).unwrap();
+                assert_eq!(answer.names, vec!["Alarms"]);
+                let answer = ask(r#"explain find Data where name prefix "Alarm""#).unwrap();
+                assert!(answer.plan.is_some());
+                assert!(ask("bogus").is_err());
+            });
+        });
     }
 
     fn temp_dir(name: &str) -> std::path::PathBuf {
@@ -1298,22 +1206,32 @@ mod tests {
         }
         // Restart recovery, observable over the protocol.
         let server = SeedServer::open_durable(&dir).unwrap();
-        let (handle, join) = server.spawn();
-        let status = handle.persistence().unwrap();
-        assert!(status.durable);
-        assert_eq!(status.objects, 2, "committed check-in recovered");
-        assert_eq!(status.relationships, 1);
-        assert_eq!(status.versions, 1);
-        assert!(handle.retrieve("Alarms").is_ok());
-        assert!(handle.retrieve("Ghost").is_err(), "rejected check-in left no trace");
-        // Checkpoint over the protocol truncates the WAL.
-        match handle.call(Request::Checkpoint).unwrap() {
-            Response::Ack(result) => result.unwrap(),
+        let persistence = || match server.handle(Request::Persistence) {
+            Response::Persistence(status) => status,
             other => panic!("unexpected response {other:?}"),
-        }
-        assert_eq!(handle.persistence().unwrap().wal_bytes, 0);
-        handle.shutdown().unwrap();
-        join.join().unwrap();
+        };
+        let retrieve = |name: &str| match server.handle(Request::Retrieve { name: name.into() }) {
+            Response::Object(result) => result,
+            other => panic!("unexpected response {other:?}"),
+        };
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let status = persistence();
+                assert!(status.durable);
+                assert_eq!(status.objects, 2, "committed check-in recovered");
+                assert_eq!(status.relationships, 1);
+                assert_eq!(status.versions, 1);
+                assert!(retrieve("Alarms").is_ok());
+                assert!(retrieve("Ghost").is_err(), "rejected check-in left no trace");
+                // Checkpoint over the protocol truncates the WAL.
+                match server.handle(Request::Checkpoint) {
+                    Response::Ack(result) => result.unwrap(),
+                    other => panic!("unexpected response {other:?}"),
+                }
+                assert_eq!(persistence().wal_bytes, 0);
+            });
+        });
+        drop(server);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1754,46 +1672,33 @@ mod tests {
     #[test]
     fn threaded_server_serves_concurrent_clients() {
         let server = server_with_data();
-        let (handle, join) = server.spawn();
-
-        let mut workers = Vec::new();
-        for i in 0..4u64 {
-            let handle = handle.clone();
-            workers.push(std::thread::spawn(move || {
-                let client = handle.connect().unwrap();
-                // Each worker creates its own object and updates it — no conflicts.
-                let name = format!("Worker{i}Data");
-                match handle
-                    .call(Request::Checkin {
-                        client,
-                        updates: vec![Update::CreateObject {
-                            class: "Data".into(),
-                            name: name.clone(),
-                        }],
-                    })
-                    .unwrap()
-                {
-                    Response::Ack(result) => result.unwrap(),
-                    other => panic!("unexpected response {other:?}"),
-                }
-                handle
-                    .quick_set_value(
-                        client,
-                        "AlarmHandler.Description",
-                        Value::string(format!("by {i}")),
-                    )
-                    .ok(); // may conflict with another worker holding the lock; that's fine
-                handle.retrieve(&name).unwrap();
-            }));
-        }
-        for w in workers {
-            w.join().unwrap();
-        }
+        std::thread::scope(|s| {
+            for i in 0..4u64 {
+                let server = &server;
+                s.spawn(move || {
+                    let client = server.connect();
+                    // Each worker creates its own object and updates it — no conflicts.
+                    let name = format!("Worker{i}Data");
+                    let create =
+                        vec![Update::CreateObject { class: "Data".into(), name: name.clone() }];
+                    match server.handle(Request::Checkin { client, updates: create }) {
+                        Response::Ack(result) => result.unwrap(),
+                        other => panic!("unexpected response {other:?}"),
+                    }
+                    // May conflict with another worker holding the lock; that's fine.
+                    let object = "AlarmHandler.Description";
+                    let value = Value::string(format!("by {i}"));
+                    let set = [Update::SetValue { object: object.into(), value }];
+                    let _ = server
+                        .checkout(client, &[object])
+                        .and_then(|_| server.checkin(client, &set));
+                    server.retrieve(&name).unwrap();
+                });
+            }
+        });
         // All four objects exist centrally.
         for i in 0..4u64 {
-            assert!(handle.retrieve(&format!("Worker{i}Data")).is_ok());
+            assert!(server.retrieve(&format!("Worker{i}Data")).is_ok());
         }
-        handle.shutdown().unwrap();
-        let _server_back = join.join().unwrap();
     }
 }

@@ -11,12 +11,11 @@
 //! # Round trips
 //!
 //! A tool step pays one round trip per *dependent* exchange, not one per request: every
-//! exchange is one pipelined flush ([`seed_net::Pipeline`]) whose answers come back in request
-//! order.
+//! exchange is one batch ([`RemoteClient::exchange`]) whose answers come back in request order.
 //!
 //! | operation | round trips |
 //! |---|---|
-//! | `add_element` | 2: the duplicate check, then the check-in |
+//! | `add_element` | 1: the check-in (a duplicate name is refused by it) |
 //! | `refine_element`, `remove_element` | 2: the lookup, then checkout + check-in |
 //! | `add_flow`, `contain` | 2: both lookups, then checkout + check-in |
 //! | `refine_flow` | 2: both lookups and the element's relationships, then checkout + check-in |
@@ -152,12 +151,8 @@ impl RemoteBackend {
     fn exchange(&self, requests: Vec<Request>) -> SpadesResult<Replies> {
         #[cfg(test)]
         self.round_trips.set(self.round_trips.get() + 1);
-        let mut client = self.client.borrow_mut();
-        let mut pipeline = client.pipeline();
-        for request in requests {
-            pipeline.submit(request);
-        }
-        Ok(Replies(pipeline.flush().map_err(server_to_spades)?.into_iter()))
+        let answers = self.client.borrow_mut().exchange(requests).map_err(server_to_spades)?;
+        Ok(Replies(answers.into_iter()))
     }
 
     /// An exchange of one request.
@@ -204,12 +199,8 @@ impl RemoteBackend {
     }
 
     /// One tool mutation = one checkout / check-in cycle, in one exchange: the check-in rides
-    /// behind its checkout (see the module documentation for why that is safe).  A creation
-    /// locks nothing and is a check-in alone.
+    /// behind its checkout (see the module documentation for why that is safe).
     fn transact(&self, lock: &[&str], updates: Vec<Update>) -> SpadesResult<()> {
-        if lock.is_empty() {
-            return self.ask(self.checkin(updates));
-        }
         let mut replies = self.exchange(vec![self.checkout(lock), self.checkin(updates)])?;
         replies.next::<CheckoutSet>().map_err(server_to_spades)?;
         self.checked_in(replies.next())
@@ -276,16 +267,16 @@ impl SpecBackend for RemoteBackend {
         "SPADES on SEED over TCP"
     }
 
+    /// A creation locks nothing: it is a check-in alone, and the check-in refuses a taken name.
     fn add_element(&mut self, name: &str, kind: ElementKind) -> SpadesResult<()> {
-        match self.lookup(name) {
-            Ok(_) => return Err(SpadesError::Duplicate(name.to_string())),
-            Err(SpadesError::Unknown(_)) => {}
-            Err(e) => return Err(e),
+        let create =
+            Update::CreateObject { class: kind.class_name().to_string(), name: name.into() };
+        match self.ask(self.checkin(vec![create])) {
+            Err(SpadesError::Seed(SeedError::DuplicateName(name))) => {
+                Err(SpadesError::Duplicate(name))
+            }
+            outcome => outcome,
         }
-        self.transact(
-            &[],
-            vec![Update::CreateObject { class: kind.class_name().to_string(), name: name.into() }],
-        )
     }
 
     fn refine_element(&mut self, name: &str, kind: ElementKind) -> SpadesResult<()> {
@@ -681,9 +672,9 @@ mod tests {
         let (server, mut remote) = remote_backend();
         let r = &mut remote;
         let ok = |result: SpadesResult<()>| result.unwrap();
-        assert_eq!(trips(r, |b| ok(b.add_element("Alarms", ElementKind::Data))), 2);
-        assert_eq!(trips(r, |b| ok(b.add_element("Sensor", ElementKind::Action))), 2);
-        assert_eq!(trips(r, |b| ok(b.add_element("Panel", ElementKind::Action))), 2);
+        assert_eq!(trips(r, |b| ok(b.add_element("Alarms", ElementKind::Data))), 1);
+        assert_eq!(trips(r, |b| ok(b.add_element("Sensor", ElementKind::Action))), 1);
+        assert_eq!(trips(r, |b| ok(b.add_element("Panel", ElementKind::Action))), 1);
         let duplicate = trips(r, |b| {
             assert!(matches!(
                 b.add_element("Sensor", ElementKind::Action),
@@ -713,7 +704,7 @@ mod tests {
         assert_eq!(trips(r, |b| ok(b.set_description("Sensor", "v1"))), 2);
         assert_eq!(trips(r, |b| ok(b.set_description("Sensor", "v2"))), 2);
         // Without a Text the whole spine rides in the batch; with one, its Body is read first.
-        assert_eq!(trips(r, |b| ok(b.add_element("Pumps", ElementKind::Data))), 2);
+        assert_eq!(trips(r, |b| ok(b.add_element("Pumps", ElementKind::Data))), 1);
         assert_eq!(trips(r, |b| ok(b.add_keyword("Pumps", "Hydraulics"))), 2);
         assert_eq!(trips(r, |b| ok(b.add_keyword("Pumps", "Valves"))), 3);
         assert_eq!(trips(r, |b| ok(b.add_keyword("Alarms", "Display"))), 3);
@@ -780,6 +771,27 @@ mod tests {
         assert_eq!(info.flows.len(), 1);
         assert_eq!(server.core().locked_count(), 0);
         holder.close().unwrap();
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_duplicate_element_is_refused_by_its_checkin_and_changes_nothing() {
+        let (server, mut remote) = remote_backend();
+        remote.add_element("Alarms", ElementKind::Data).unwrap();
+        remote.set_description("Alarms", "alarm matrix").unwrap();
+        let before = specification_report(&remote);
+        let objects = server.core().persistence_status().objects;
+        for kind in [ElementKind::Data, ElementKind::Action] {
+            match remote.add_element("Alarms", kind) {
+                Err(SpadesError::Duplicate(name)) => assert_eq!(name, "Alarms"),
+                other => panic!("expected a duplicate refusal, got {other:?}"),
+            }
+        }
+        assert_eq!(specification_report(&remote), before);
+        assert_eq!(remote.element("Alarms").unwrap().kind, ElementKind::Data);
+        assert_eq!(server.core().persistence_status().objects, objects);
+        assert_eq!(server.core().locked_count(), 0);
+        remote.into_client().close().unwrap();
         server.shutdown();
     }
 

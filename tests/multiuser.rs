@@ -1,8 +1,9 @@
 //! Integration tests of the two-level multi-user extension (`seed-server`) against a populated
-//! SEED database, including concurrent clients on threads.
+//! SEED database, including concurrent client sessions on threads, in process and over TCP.
 
 use seed_core::{Database, Value};
-use seed_server::{ClientSession, SeedServer, ServerError, Update};
+use seed_net::{Client, ClientSession, InProcess, RemoteClient, SeedNetServer, Transport};
+use seed_server::{SeedServer, ServerError, Update};
 use spades::{SeedBackend, Workload, WorkloadConfig};
 
 fn populated_database() -> Database {
@@ -62,41 +63,52 @@ fn checkout_checkin_cycle_against_populated_database() {
     server.with_database(|db| assert!(db.version_info(&version).is_ok()));
 }
 
+/// Six sessions, one per thread, each connected by `connect`, build disjoint subsystems; the
+/// central `server` then holds all of them.
+fn build_disjoint_subsystems<T: Transport>(
+    server: &SeedServer,
+    connect: impl Fn() -> Client<T> + Sync,
+) {
+    std::thread::scope(|s| {
+        for worker in 0..6u32 {
+            let connect = &connect;
+            s.spawn(move || {
+                let mut session = ClientSession::new(connect());
+                // Each worker adds its own subsystem: an action plus data it writes.
+                let action = format!("Subsystem{worker}Control");
+                let data = format!("Subsystem{worker}State");
+                session.create_object("Action", &action);
+                session.create_object("OutputData", &data);
+                session.create_relationship("Write", &[("to", &data), ("by", &action)]);
+                session.commit().unwrap();
+
+                // Then each worker updates its own data element under a lock.
+                session.checkout(&[data.as_str()]).unwrap();
+                session.create_dependent(&data, "Text", Value::Undefined).unwrap();
+                session.commit().unwrap();
+            });
+        }
+    });
+
+    for worker in 0..6u32 {
+        let data = server.retrieve(&format!("Subsystem{worker}State")).unwrap();
+        assert!(!data.deleted);
+        server.retrieve(&format!("Subsystem{worker}Control")).unwrap();
+    }
+}
+
 #[test]
 fn concurrent_sessions_build_disjoint_subsystems() {
     let server = SeedServer::new(populated_database());
-    let (handle, join) = server.spawn();
+    build_disjoint_subsystems(&server, || Client::new(InProcess::new(&server)));
+}
 
-    let mut workers = Vec::new();
-    for worker in 0..6u32 {
-        let handle = handle.clone();
-        workers.push(std::thread::spawn(move || {
-            let mut session = ClientSession::connect(handle).unwrap();
-            // Each worker adds its own subsystem: an action plus data it writes.
-            let action = format!("Subsystem{worker}Control");
-            let data = format!("Subsystem{worker}State");
-            session.create_object("Action", &action);
-            session.create_object("OutputData", &data);
-            session.create_relationship("Write", &[("to", &data), ("by", &action)]);
-            session.commit().unwrap();
-
-            // Then each worker updates its own data element under a lock.
-            session.checkout(&[data.as_str()]).unwrap();
-            session.create_dependent(&data, "Text", Value::Undefined).unwrap();
-            session.commit().unwrap();
-        }));
-    }
-    for w in workers {
-        w.join().unwrap();
-    }
-
-    for worker in 0..6u32 {
-        let data = handle.retrieve(&format!("Subsystem{worker}State")).unwrap();
-        assert!(!data.deleted);
-        handle.retrieve(&format!("Subsystem{worker}Control")).unwrap();
-    }
-    handle.shutdown().unwrap();
-    join.join().unwrap();
+#[test]
+fn concurrent_sessions_build_disjoint_subsystems_over_tcp() {
+    let net = SeedNetServer::bind(SeedServer::new(populated_database()), "127.0.0.1:0").unwrap();
+    let addr = net.local_addr();
+    build_disjoint_subsystems(&net.core(), || RemoteClient::connect(addr).unwrap());
+    net.shutdown();
 }
 
 #[test]

@@ -6,7 +6,9 @@
 //! * two remote clients racing for the same object: exactly one checkout wins and the loser is
 //!   told the holder's id;
 //! * reads during concurrent check-ins are never torn: one request sees the database either
-//!   before or after a whole check-in.
+//!   before or after a whole check-in;
+//! * a request frame with the reserved tag 0 is answered with an error in its slot, and the
+//!   session carries on.
 
 use seed::core::{Database, Value};
 use seed::net::{RemoteClient, SeedNetServer};
@@ -145,5 +147,41 @@ fn remote_reads_never_observe_half_a_checkin() {
         probe.retrieve("Pair0.Description").expect("final value").value,
         Value::string("round 40")
     );
+    server.shutdown();
+}
+
+/// Tag 0 is reserved (`docs/PROTOCOL.md` §5): a raw request frame carrying it is answered with
+/// `Response::Error` in its slot, and the next request on the same connection is answered.
+#[test]
+fn a_reserved_tag_zero_frame_is_answered_with_an_error_and_the_session_continues() {
+    use seed::net::codec::{decode_response, encode_request};
+    use seed::net::wire::{read_frame, write_frame};
+    use seed::net::{FrameKind, Hello};
+    use seed::server::{Request, Response};
+    use std::io::{BufReader, BufWriter};
+
+    let mut db = Database::new(figure3_schema());
+    db.create_object("Data", "Alarms").unwrap();
+    let server = start(db);
+    let stream = std::net::TcpStream::connect(server.local_addr()).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = BufWriter::new(stream);
+    write_frame(&mut writer, FrameKind::Hello, &Hello::current("tag-zero").encode()).unwrap();
+    assert_eq!(read_frame(&mut reader).unwrap().kind, FrameKind::Welcome);
+
+    let retrieve = encode_request(&Request::Retrieve { name: "Alarms".into() });
+    for payload in [vec![0u8], retrieve] {
+        write_frame(&mut writer, FrameKind::Request, &payload).unwrap();
+    }
+    let mut answer = || {
+        let frame = read_frame(&mut reader).expect("an answer, not a closed connection");
+        assert_eq!(frame.kind, FrameKind::Response);
+        decode_response(&frame.payload).unwrap()
+    };
+    assert!(matches!(answer(), Response::Error(ServerError::Protocol(_))));
+    match answer() {
+        Response::Object(Ok(record)) => assert_eq!(record.name.to_string(), "Alarms"),
+        other => panic!("the request after the tag-0 frame: got {other:?}"),
+    }
     server.shutdown();
 }

@@ -107,9 +107,11 @@ fn replication_dumps_render_exactly_as_documented() {
 #[test]
 fn request_tags_match_the_table() {
     // §5: the leading payload byte of every request variant.
-    use seed::net::codec::encode_request;
+    use seed::net::codec::{decode_request, encode_request};
+    // Tag 0 is reserved (it was `Connect`) and never reused: a tag-0 payload does not decode.
+    assert!(decode_request(&[0]).is_err());
+    assert!(decode_request(&[0, 1, 0, 0, 0, 0, 0, 0, 0]).is_err());
     let cases: Vec<(Request, u8)> = vec![
-        (Request::Connect, 0),
         (Request::Checkout { client: 1, objects: vec![] }, 1),
         (Request::Checkin { client: 1, updates: vec![] }, 2),
         (Request::Release { client: 1 }, 3),
@@ -137,10 +139,12 @@ fn request_tags_match_the_table() {
 
 #[test]
 fn response_and_error_tags_match_the_tables() {
-    use seed::net::codec::encode_response;
+    use seed::net::codec::{decode_response, encode_response};
+    // Tag 0 is reserved (it was `Connected`) and never reused: a tag-0 payload does not decode.
+    assert!(decode_response(&[0]).is_err());
+    assert!(decode_response(&[0, 1, 0, 0, 0, 0, 0, 0, 0]).is_err());
     let err = || ServerError::Disconnected;
     let cases: Vec<(Response, u8)> = vec![
-        (Response::Connected(1), 0),
         (Response::Checkout(Err(err())), 1),
         (Response::Ack(Ok(())), 2),
         (Response::Object(Err(err())), 3),
