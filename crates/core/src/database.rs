@@ -113,14 +113,14 @@ impl Database {
 
     /// Rebuilds the database an engine recovered and attaches write-through durability.
     pub(crate) fn open_recovered(engine: StorageEngine, recovered: &Recovered) -> SeedResult<Self> {
-        if recovered.get(codec::KEY_META.as_bytes()).is_none() {
+        let Some(meta) = recovered.get(codec::KEY_META.as_bytes()) else {
             return Err(SeedError::NotFound(format!(
                 "no SEED database in '{}' (use Database::create_durable to start one)",
                 engine.path().unwrap_or(Path::new("")).display()
             )));
-        }
+        };
         let mut db = durability::recover(recovered)?;
-        db.attach_durability(engine);
+        db.attach_durability(engine, meta.to_vec());
         Ok(db)
     }
 
@@ -163,15 +163,17 @@ impl Database {
         });
         staged?;
         engine.commit(txn)?;
-        db.attach_durability(engine);
+        let meta = durability::encode_meta(&db);
+        db.attach_durability(engine, meta);
         Ok(db)
     }
 
-    pub(crate) fn attach_durability(&mut self, engine: StorageEngine) {
+    /// Attaches write-through durability over `engine`, whose log (or snapshot) last holds the
+    /// encoded `meta` record `committed_meta`.
+    pub(crate) fn attach_durability(&mut self, engine: StorageEngine, committed_meta: Vec<u8>) {
         self.store.set_journal(true);
         let _ = self.store.take_changed();
-        let engine = Arc::new(engine);
-        self.durability = Some(Durability { engine, txn: None, checkpoint: Default::default() });
+        self.durability = Some(Durability::new(engine, committed_meta));
     }
 
     /// Whether this database writes mutations through to durable storage.
@@ -232,10 +234,7 @@ impl Database {
     pub fn persist_topology(&mut self, epoch: u64, fenced_to: Option<String>) -> SeedResult<()> {
         self.topology_epoch = epoch;
         self.fenced_to = fenced_to;
-        let Some(dur) = self.durability.as_ref() else { return Ok(()) };
-        let txn = dur.engine.begin()?;
-        durability::stage_meta(&dur.engine, txn, self)?;
-        self.commit_storage(txn)
+        self.commit_meta()
     }
 
     // ----- replication feed (the primary side of WAL shipping) --------------------------------
@@ -307,11 +306,12 @@ impl Database {
         Ok(dur.engine.checkpoint(&image)?)
     }
 
-    /// Commits a storage transaction; when that leaves memory equal to the committed state
-    /// and the WAL has outgrown its threshold, a background checkpoint starts.
-    fn commit_storage(&self, txn: TxnId) -> SeedResult<()> {
-        let dur = self.durability.as_ref().expect("only durable databases stage");
-        dur.engine.commit(txn)?;
+    /// Commits a storage transaction that staged `meta` (from [`Durability::changed_meta`]);
+    /// when that leaves memory equal to the committed state and the WAL has outgrown its
+    /// threshold, a background checkpoint starts.
+    fn commit_storage(&mut self, txn: TxnId, meta: Option<Vec<u8>>) -> SeedResult<()> {
+        self.durability.as_mut().expect("only durable databases stage").commit(txn, meta)?;
+        let dur = self.durability.as_ref().expect("checked above");
         if self.committed_state_only().is_ok() {
             dur.checkpoint_in_background(|| self.clone_for_snapshot(), dur.engine.durable_lsn());
         }
@@ -340,28 +340,40 @@ impl Database {
         result
     }
 
-    fn stage_and_commit_changes(&mut self, changed: &[ItemId]) -> SeedResult<()> {
+    /// Stages the drained items; an auto-commit adds `meta` when it changed and commits.  Inside
+    /// an explicit transaction `meta` waits for [`Database::commit_transaction`].
+    fn stage_and_commit_changes(&mut self, changed: &[(ItemId, bool)]) -> SeedResult<()> {
         let dur = self.durability.as_ref().expect("caller checked");
         let (txn, auto) = dur.stage_txn()?;
         for item in changed {
             durability::stage_item(&dur.engine, txn, &self.store, *item)?;
         }
-        durability::stage_meta(&dur.engine, txn, self)?;
         if auto {
-            self.commit_storage(txn)?;
+            let meta = dur.stage_meta(txn, self)?;
+            self.commit_storage(txn, meta)?;
         }
         Ok(())
     }
 
-    /// Stages only the meta record (id floors, rules, version bookkeeping).
+    /// Persists the meta record (id floors, rules, version bookkeeping) when it changed.
+    /// Inside an explicit transaction this waits for [`Database::commit_transaction`], which
+    /// stages it as the transaction's last effect (or for the rollback, which re-commits it).
     fn persist_meta(&mut self) -> SeedResult<()> {
-        let Some(dur) = self.durability.as_ref() else { return Ok(()) };
-        let (txn, auto) = dur.stage_txn()?;
-        durability::stage_meta(&dur.engine, txn, self)?;
-        if auto {
-            self.commit_storage(txn)?;
+        match self.durability.as_ref() {
+            Some(dur) if dur.txn.is_none() => self.commit_meta(),
+            _ => Ok(()),
         }
-        Ok(())
+    }
+
+    /// Commits the meta record in its own storage transaction, when it changed.
+    fn commit_meta(&mut self) -> SeedResult<()> {
+        let Some(dur) = self.durability.as_ref() else { return Ok(()) };
+        if dur.changed_meta(self).is_none() {
+            return Ok(());
+        }
+        let txn = dur.engine.begin()?;
+        let meta = dur.stage_meta(txn, self)?;
+        self.commit_storage(txn, meta)
     }
 
     /// Stages a freshly created version: its delta snapshots, its metadata record, the drained
@@ -397,9 +409,9 @@ impl Database {
         let info = self.versions.info(id)?;
         let info = codec::encoded(|e| codec::encode_version_info(e, info));
         dur.engine.txn_put(txn, &Key::VersionInfo(id).to_vec(), &info)?;
-        durability::stage_meta(&dur.engine, txn, self)?;
+        let meta = dur.stage_meta(txn, self)?;
         if auto {
-            self.commit_storage(txn)?;
+            self.commit_storage(txn, meta)?;
         }
         Ok(())
     }
@@ -419,8 +431,8 @@ impl Database {
         for item in dropped {
             dur.engine.txn_delete(txn, &Key::VersionDelta(id, *item).to_vec())?;
         }
-        durability::stage_meta(&dur.engine, txn, self)?;
-        self.commit_storage(txn)
+        let meta = dur.stage_meta(txn, self)?;
+        self.commit_storage(txn, meta)
     }
 
     // ----- accessors ------------------------------------------------------------------------------
@@ -449,8 +461,8 @@ impl Database {
             let txn = dur.engine.begin()?;
             let schema = codec::encoded(|e| codec::encode_schema(e, self.schemas.current()));
             dur.engine.txn_put(txn, &Key::Schema(id).to_vec(), &schema)?;
-            durability::stage_meta(&dur.engine, txn, self)?;
-            self.commit_storage(txn)?;
+            let meta = dur.stage_meta(txn, self)?;
+            self.commit_storage(txn, meta)?;
         }
         Ok(id)
     }
@@ -581,13 +593,14 @@ impl Database {
         if self.txn.take().is_none() {
             return Err(SeedError::Transaction("no active transaction".to_string()));
         }
-        if self.durability.as_ref().is_some_and(|d| d.txn.is_some()) {
-            // Re-stage meta as the transaction's last effect: a non-transactional side-commit
-            // inside the transaction (publish_schema, delete_version) wrote a fresher meta that
-            // a copy staged earlier in this transaction would otherwise overwrite.
-            self.persist_meta()?;
-            let txn = self.durability.as_mut().and_then(|d| d.txn.take()).expect("checked above");
-            self.commit_storage(txn)?;
+        if let Some(txn) = self.durability.as_ref().and_then(|d| d.txn) {
+            // Meta is staged here only, once, as the transaction's last effect: a
+            // non-transactional side-commit inside the transaction (publish_schema,
+            // delete_version) commits its own fresher meta, which this copy then equals (and so
+            // is not staged) or supersedes — an earlier copy could overwrite it.
+            let meta = self.durability.as_ref().expect("checked above").stage_meta(txn, self)?;
+            self.durability.as_mut().expect("checked above").txn = None;
+            self.commit_storage(txn, meta)?;
         }
         Ok(())
     }
@@ -609,9 +622,10 @@ impl Database {
                 dur.engine.abort(txn)?;
             }
         }
-        // The aborted storage transaction also discarded its meta writes; re-commit the meta
-        // record so the durable id floors match the in-memory counters.
-        self.persist_meta()
+        // Ids the rolled-back work allocated stay burned: re-commit the meta record when that
+        // raised the id floors, so the durable floors match the in-memory counters.  A refused
+        // check-in that allocated nothing writes nothing.
+        self.commit_meta()
     }
 
     /// Whether a transaction is active.

@@ -44,15 +44,50 @@ use crate::store::{DataStore, ObjectChange, RelationshipChange};
 use crate::version::{ItemSnapshot, VersionInfo, VersionManager};
 
 /// The write-through handle a durable [`Database`] carries: the storage engine, the storage
-/// transaction mirroring the database's explicit transaction when one is open, and the
-/// background checkpoint in flight, if any (at most one).
+/// transaction mirroring the database's explicit transaction when one is open, the `meta`
+/// record as last committed, and the background checkpoint in flight, if any (at most one).
 pub(crate) struct Durability {
     pub(crate) engine: Arc<StorageEngine>,
     pub(crate) txn: Option<TxnId>,
-    pub(crate) checkpoint: Mutex<Option<JoinHandle<SeedResult<()>>>>,
+    /// The encoded `meta` record the log holds last.  Every staging site compares against it,
+    /// so a commit logs `meta` only when it changed; it moves only once a commit succeeded.
+    committed_meta: Vec<u8>,
+    checkpoint: Mutex<Option<JoinHandle<SeedResult<()>>>>,
 }
 
 impl Durability {
+    /// Write-through over `engine`, whose log (or snapshot) last holds `committed_meta`.
+    pub(crate) fn new(engine: StorageEngine, committed_meta: Vec<u8>) -> Self {
+        let engine = Arc::new(engine);
+        Self { engine, txn: None, committed_meta, checkpoint: Default::default() }
+    }
+
+    /// `db`'s encoded `meta` record when it differs from the last committed one, else `None`
+    /// (nothing to stage) — the one compare every staging site goes through.
+    pub(crate) fn changed_meta(&self, db: &Database) -> Option<Vec<u8>> {
+        let meta = encode_meta(db);
+        (meta != self.committed_meta).then_some(meta)
+    }
+
+    /// Stages `db`'s `meta` record into `txn` when it changed, returning the staged bytes for
+    /// [`Durability::commit`].
+    pub(crate) fn stage_meta(&self, txn: TxnId, db: &Database) -> SeedResult<Option<Vec<u8>>> {
+        let meta = self.changed_meta(db);
+        if let Some(meta) = &meta {
+            self.engine.txn_put(txn, codec::KEY_META.as_bytes(), meta)?;
+        }
+        Ok(meta)
+    }
+
+    /// Commits `txn`; the `meta` it staged becomes the committed copy once the commit succeeded.
+    pub(crate) fn commit(&mut self, txn: TxnId, meta: Option<Vec<u8>>) -> SeedResult<()> {
+        self.engine.commit(txn)?;
+        if let Some(meta) = meta {
+            self.committed_meta = meta;
+        }
+        Ok(())
+    }
+
     /// The storage transaction to stage into: the mirrored explicit transaction when one is
     /// open, otherwise a fresh auto-commit transaction (`true` = caller must commit it).
     pub(crate) fn stage_txn(&self) -> SeedResult<(TxnId, bool)> {
@@ -113,12 +148,14 @@ pub struct DurabilityStatus {
 }
 
 /// Stages the current state of one item: a put of its record (objects travel with their
-/// inherits-links) or a delete when the item was physically removed, plus its dirty marker.
+/// inherits-links) or a delete when the item was physically removed, plus its dirty marker —
+/// a put only when the dirty flag `flipped` since the last staging (an item already dirty has
+/// its marker), a delete whenever the item is clean.
 pub(crate) fn stage_item(
     engine: &StorageEngine,
     txn: TxnId,
     store: &DataStore,
-    item: ItemId,
+    (item, flipped): (ItemId, bool),
 ) -> SeedResult<()> {
     match item {
         ItemId::Object(id) => match store.object(id) {
@@ -141,7 +178,9 @@ pub(crate) fn stage_item(
     // The on-disk dirty markers mirror the in-memory dirty set, so that a reopened database
     // still knows which items the next version snapshot must record.
     if store.dirty_items().contains_key(&item) {
-        engine.txn_put(txn, &Key::Dirty(item).to_vec(), b"")?;
+        if flipped {
+            engine.txn_put(txn, &Key::Dirty(item).to_vec(), b"")?;
+        }
     } else {
         engine.txn_delete(txn, &Key::Dirty(item).to_vec())?;
     }
@@ -165,15 +204,10 @@ fn meta_record(db: &Database) -> codec::MetaRecord {
     }
 }
 
-/// Stages the small `meta` record from the database's current state.
-pub(crate) fn stage_meta(engine: &StorageEngine, txn: TxnId, db: &Database) -> SeedResult<()> {
+/// The encoded `meta` record of `db`'s current state.
+pub(crate) fn encode_meta(db: &Database) -> Vec<u8> {
     let meta = meta_record(db);
-    engine.txn_put(
-        txn,
-        codec::KEY_META.as_bytes(),
-        &codec::encoded(|e| codec::encode_meta(e, &meta)),
-    )?;
-    Ok(())
+    codec::encoded(|e| codec::encode_meta(e, &meta))
 }
 
 /// **The encoder**: hands every record of `db` to `sink` as a `(key, value)` pair, in key
@@ -557,14 +591,14 @@ mod tests {
 
     #[test]
     fn side_committed_meta_is_not_overwritten_by_a_committing_transaction() {
-        // A transaction stages meta with each mutation; a non-transactional side-commit
+        // A transaction stages meta once, at commit; a non-transactional side-commit
         // (publish_schema) inside the transaction writes a *fresher* meta in its own storage
-        // transaction.  Committing the outer transaction must not replay its earlier, stale
-        // meta copy over the side-committed one.
+        // transaction.  Committing the outer transaction must not replay a stale meta copy
+        // over the side-committed one.
         let dir = temp_dir("meta-ordering");
         let mut db = Database::create_durable(&dir, figure2_schema()).unwrap();
         db.begin_transaction().unwrap();
-        db.create_object("Data", "BeforePublish").unwrap(); // stages meta (old schema id)
+        db.create_object("Data", "BeforePublish").unwrap(); // raises the id floor
         let published = db.publish_schema(figure3_schema()).unwrap(); // side-commits fresh meta
         db.commit_transaction().unwrap();
         drop(db);
@@ -819,6 +853,96 @@ mod tests {
             delta < 2048,
             "one mutation must cost O(delta) WAL bytes, not O(database); got {delta}"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Runs `work` and returns the records it logged, as `(kind, key)` pairs.
+    fn logged(db: &mut Database, work: impl FnOnce(&mut Database)) -> Vec<(&'static str, Vec<u8>)> {
+        use seed_storage::{LogRecord, WalTail};
+        let from = db.durable_lsn().unwrap() + 1;
+        work(db);
+        let WalTail::Records(records) = db.wal_tail(from).unwrap() else {
+            panic!("the tail past the last commit is in the log")
+        };
+        records
+            .into_iter()
+            .map(|(_, record)| match record {
+                LogRecord::Begin { .. } => ("begin", Vec::new()),
+                LogRecord::Commit { .. } => ("commit", Vec::new()),
+                LogRecord::Abort { .. } => ("abort", Vec::new()),
+                LogRecord::Put { key, .. } => ("put", key),
+                LogRecord::Delete { key, .. } => ("delete", key),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn checkin_record_set_of_a_value_on_a_dirty_item_is_its_record_alone() {
+        let dir = temp_dir("record-set-value");
+        let mut db = Database::create_durable(&dir, figure3_schema()).unwrap();
+        let sensor = db.create_object("Action", "Sensor").unwrap();
+        let desc = db.create_dependent(sensor, "Description", Value::string("reads")).unwrap();
+        assert!(db.store().dirty_items().contains_key(&ItemId::Object(desc)));
+        let records = logged(&mut db, |db| {
+            db.begin_transaction().unwrap();
+            db.set_value(desc, Value::string("writes")).unwrap();
+            db.commit_transaction().unwrap();
+        });
+        assert_eq!(
+            records,
+            vec![("begin", vec![]), ("put", Key::Object(desc).to_vec()), ("commit", vec![])],
+            "meta is unchanged and the item already dirty: only its record is logged"
+        );
+        // The same holds outside a transaction (auto-commit).
+        let records = logged(&mut db, |db| db.set_value(desc, Value::string("again")).unwrap());
+        assert_eq!(records.len(), 3, "{records:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn checkin_record_set_logs_meta_once_as_the_last_put() {
+        let dir = temp_dir("record-set-meta");
+        let mut db = Database::create_durable(&dir, figure3_schema()).unwrap();
+        let records = logged(&mut db, |db| {
+            db.begin_transaction().unwrap();
+            let sensor = db.create_object("Action", "Sensor").unwrap();
+            let desc = db.create_dependent(sensor, "Description", Value::string("0")).unwrap();
+            for n in 1..=5 {
+                db.set_value(desc, Value::string(n.to_string())).unwrap();
+            }
+            db.commit_transaction().unwrap();
+        });
+        let meta = codec::KEY_META.as_bytes().to_vec();
+        let metas = records.iter().filter(|(kind, key)| *kind == "put" && *key == meta).count();
+        assert_eq!(metas, 1, "one meta put per transaction: {records:?}");
+        assert_eq!(records[records.len() - 2], ("put", meta), "meta is the last put");
+        assert_eq!(records.last().unwrap().0, "commit");
+        drop(db);
+        let reopened = Database::open_durable(&dir).unwrap();
+        let desc = reopened.object_by_name("Sensor.Description").unwrap().id;
+        assert_eq!(reopened.value(desc), Value::string("5"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn checkin_record_set_remarks_an_item_dirtied_after_a_version() {
+        let dir = temp_dir("record-set-dirty");
+        let mut db = Database::create_durable(&dir, figure3_schema()).unwrap();
+        let sensor = db.create_object("Action", "Sensor").unwrap();
+        let desc = db.create_dependent(sensor, "Description", Value::string("v1")).unwrap();
+        db.create_version("one").unwrap();
+        assert!(db.store().dirty_items().is_empty(), "the version drained the dirty set");
+        let marker = Key::Dirty(ItemId::Object(desc)).to_vec();
+        let records = logged(&mut db, |db| db.set_value(desc, Value::string("v2")).unwrap());
+        assert!(records.contains(&("put", marker.clone())), "a flip is marked: {records:?}");
+        let records = logged(&mut db, |db| db.set_value(desc, Value::string("v3")).unwrap());
+        assert!(!records.iter().any(|(_, key)| *key == marker), "no flip, no marker: {records:?}");
+        // The reopened database knows the item belongs in the next version's delta.
+        let live = db.clone_for_snapshot();
+        drop(db);
+        let reopened = Database::open_durable(&dir).unwrap();
+        assert!(reopened.store().dirty_items().contains_key(&ItemId::Object(desc)));
+        assert_same_state(&live, &reopened, true);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -38,6 +38,10 @@ pub enum SeedError {
     ReadOnlyVersion(String),
     /// Catch-all for invalid arguments.
     Invalid(String),
+    /// An error raised by a remote server whose type does not cross the wire (`Schema`,
+    /// `Storage`, `Inconsistent`), carried as the server's rendered text and displayed
+    /// verbatim — a client shows the rejection exactly as an in-process caller would.
+    Remote(String),
 }
 
 impl fmt::Display for SeedError {
@@ -69,6 +73,7 @@ impl fmt::Display for SeedError {
             SeedError::Reclassification(msg) => write!(f, "re-classification error: {msg}"),
             SeedError::ReadOnlyVersion(msg) => write!(f, "read-only version: {msg}"),
             SeedError::Invalid(msg) => write!(f, "invalid operation: {msg}"),
+            SeedError::Remote(text) => f.write_str(text),
         }
     }
 }

@@ -172,9 +172,10 @@ impl ReplicaStore {
         db.set_topology(epoch, None);
         let txn = self.engine.begin()?;
         self.engine.txn_delete(txn, codec::KEY_APPLIED.as_bytes())?;
-        durability::stage_meta(&self.engine, txn, &db)?;
+        let meta = durability::encode_meta(&db);
+        self.engine.txn_put(txn, codec::KEY_META.as_bytes(), &meta)?;
         self.engine.commit(txn)?;
-        db.attach_durability(self.engine);
+        db.attach_durability(self.engine, meta);
         Ok(db)
     }
 }

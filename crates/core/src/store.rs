@@ -60,8 +60,9 @@ pub struct DataStore {
     /// Items changed since the last version snapshot (drives delta version storage).
     dirty: PSet<ItemId>,
     /// Items changed since the durability layer last flushed (drives per-item write-through;
-    /// only populated while `journal` is on, so non-durable databases pay nothing).
-    changed: PSet<ItemId>,
+    /// only populated while `journal` is on, so non-durable databases pay nothing), each with
+    /// whether its dirty flag flipped since then (only a flip rewrites its `d/` marker).
+    changed: PMap<ItemId, bool>,
     /// Whether the change journal is recording (enabled by `Database::open_durable`).
     journal: bool,
     next_object: u64,
@@ -114,11 +115,18 @@ impl DataStore {
 
     fn mark_dirty(&mut self, item: ItemId) {
         // Test first: inserting a present key would still copy the path it shares.
-        if !self.dirty.contains_key(&item) {
+        let flipped = !self.dirty.contains_key(&item);
+        if flipped {
             self.dirty.insert(item, ());
         }
-        if self.journal && !self.changed.contains_key(&item) {
-            self.changed.insert(item, ());
+        self.journal_change(item, flipped);
+    }
+
+    /// Records `item` in the change journal (when it is on); `flipped` = its dirty flag just
+    /// changed.  A flip sticks until the next drain.
+    fn journal_change(&mut self, item: ItemId, flipped: bool) {
+        if self.journal && self.changed.get(&item).map_or(true, |seen| flipped && !seen) {
+            self.changed.insert(item, flipped);
         }
     }
 
@@ -135,29 +143,29 @@ impl DataStore {
 
     // ----- change journal (write-through durability) -----------------------------------------------
 
-    /// Turns the change journal on or off.  While on, every mutation records the touched item in
-    /// a second set drained by [`DataStore::take_changed`] — the unit of work of the per-item
-    /// write-through persistence layer.
+    /// Turns the change journal on or off.  While on, every mutation records the touched item,
+    /// and whether its dirty flag flipped, in a map drained by [`DataStore::take_changed`] —
+    /// the unit of work of the per-item write-through persistence layer.
     pub fn set_journal(&mut self, enabled: bool) {
         self.journal = enabled;
         if !enabled {
-            self.changed = PSet::new();
+            self.changed = PMap::new();
         }
     }
 
     /// Drains the change journal, returning the items touched since the last drain in sorted
-    /// order (deterministic storage-transaction layout).
-    pub fn take_changed(&mut self) -> Vec<ItemId> {
-        std::mem::take(&mut self.changed).keys().copied().collect()
+    /// order (deterministic storage-transaction layout), each with whether its dirty flag
+    /// flipped in that time.
+    pub fn take_changed(&mut self) -> Vec<(ItemId, bool)> {
+        std::mem::take(&mut self.changed).iter().map(|(item, flipped)| (*item, *flipped)).collect()
     }
 
-    /// Puts drained items back into the change journal — used when staging them to storage
-    /// failed after the drain, so a later commit retries instead of silently dropping them.
-    pub fn requeue_changed(&mut self, items: &[ItemId]) {
-        if self.journal {
-            for item in items {
-                self.changed.insert(*item, ());
-            }
+    /// Puts drained items back into the change journal, flags and all — used when staging them
+    /// to storage failed after the drain, so a later commit retries instead of silently
+    /// dropping them.
+    pub fn requeue_changed(&mut self, items: &[(ItemId, bool)]) {
+        for (item, flipped) in items {
+            self.journal_change(*item, *flipped);
         }
     }
 
@@ -341,10 +349,8 @@ impl DataStore {
         }
         self.children.remove(&id);
         self.adjacency.remove(&id);
-        self.dirty.remove(&ItemId::Object(id));
-        if self.journal {
-            self.changed.insert(ItemId::Object(id), ());
-        }
+        let was_dirty = self.dirty.remove(&ItemId::Object(id)).is_some();
+        self.journal_change(ItemId::Object(id), was_dirty);
         // Drop any inherits links touching the object.
         if let Some(patterns) = self.inherits.remove(&id) {
             for p in patterns.keys() {
@@ -366,10 +372,8 @@ impl DataStore {
         for (_, obj) in &record.bindings {
             self.adjacency.remove_from_set(obj, &id);
         }
-        self.dirty.remove(&ItemId::Relationship(id));
-        if self.journal {
-            self.changed.insert(ItemId::Relationship(id), ());
-        }
+        let was_dirty = self.dirty.remove(&ItemId::Relationship(id)).is_some();
+        self.journal_change(ItemId::Relationship(id), was_dirty);
         true
     }
 
@@ -738,14 +742,22 @@ mod tests {
         let a = obj(&mut store, "A", 0);
         store.update_object(a, |o| o.value = Value::Integer(1));
         let drained = store.take_changed();
-        assert_eq!(drained, vec![ItemId::Object(a)], "deduplicated and sorted");
+        assert_eq!(drained, vec![(ItemId::Object(a), true)], "deduplicated, sorted, flipped");
         assert!(store.take_changed().is_empty(), "drain empties the journal");
-        // A failed staging attempt puts drained items back for the next commit.
+        // A failed staging attempt puts drained items back, flags and all, for the next commit.
         store.requeue_changed(&drained);
         assert_eq!(store.take_changed(), drained);
+        // A change to an item that is already dirty does not flip its flag.
+        store.update_object(a, |o| o.value = Value::Integer(2));
+        assert_eq!(store.take_changed(), vec![(ItemId::Object(a), false)]);
+        // Dirtied again after a version cleared the dirty set: a flip.
+        store.clear_dirty();
+        store.update_object(a, |o| o.value = Value::Integer(3));
+        store.update_object(a, |o| o.value = Value::Integer(4));
+        assert_eq!(store.take_changed(), vec![(ItemId::Object(a), true)], "a flip sticks");
         // Physical removal is journaled too (the durable key must be deleted).
         store.remove_object(a);
-        assert_eq!(store.take_changed(), vec![ItemId::Object(a)]);
+        assert_eq!(store.take_changed(), vec![(ItemId::Object(a), true)]);
         // Disabling the journal clears it.
         let b = obj(&mut store, "B", 0);
         store.update_object(b, |o| o.value = Value::Integer(2));

@@ -979,14 +979,18 @@ mod tests {
         alice.set_value("AlarmHandler.Description", Value::string("Generates alarms")).unwrap();
         log.push(format!("local {:?}", alice.read("AlarmHandler.Description").unwrap()));
         log.push(format!("central {:?}", bob.read("AlarmHandler.Description").unwrap()));
-        // A refused commit keeps the staging: the name is taken.  (An error with a foreign
-        // type inside, such as a consistency violation, crosses the wire as its rendered text,
-        // so its TCP form reads differently.)
+        // A refused commit keeps the staging: the name is taken.
         alice.create_object("Data", "Alarms");
         log.push(format!("refused {:?}", alice.commit().unwrap_err()));
         log.push(format!("staged {} {:?}", alice.staged_count(), alice.workspace_names()));
         alice.abandon().unwrap();
         log.push(format!("abandoned {}", alice.staged_count()));
+        // A consistency violation (an integer in a STRING domain) has a foreign type inside:
+        // it crosses the wire as its rendered text, which reads the same as in process.
+        alice.checkout(&["AlarmHandler"]).unwrap();
+        alice.set_value("AlarmHandler.Description", Value::Integer(7)).unwrap();
+        log.push(format!("violation {}", alice.commit().unwrap_err()));
+        alice.abandon().unwrap();
         alice.checkout(&["AlarmHandler", "Alarms"]).unwrap();
         alice.set_value("AlarmHandler.Description", Value::string("ok")).unwrap();
         alice.reclassify("Alarms", "OutputData").unwrap();
@@ -1026,6 +1030,10 @@ mod tests {
 
         assert_eq!(in_process, over_tcp);
         assert!(in_process.iter().any(|line| line.contains("write-locked")), "{in_process:?}");
+        assert!(
+            in_process.iter().any(|line| line.contains("violate consistency")),
+            "{in_process:?}"
+        );
         assert_eq!(dump(&local), dump(&net.core()));
         assert!(dump(&local).contains("OperatorAlert"));
         assert_eq!(local.locked_count(), 0);

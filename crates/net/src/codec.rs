@@ -12,9 +12,9 @@
 //! Server errors travel structurally: every [`ServerError`] variant round-trips, and within
 //! [`ServerError::Rejected`] every string-carrying [`SeedError`] variant round-trips too.  The
 //! three variants wrapping foreign error types (`Schema`, `Storage`, `Inconsistent`) are sent
-//! as their display string and decode as [`SeedError::Invalid`] — the text survives, the
-//! structure does not (clients react to *which* server error occurred, not to schema
-//! internals).
+//! as their display string and decode as [`SeedError::Remote`], which displays that string
+//! verbatim — a rejection reads the same over TCP as in process, though its structure does not
+//! cross (clients react to *which* server error occurred, not to schema internals).
 
 use seed_core::codec::{
     decode_object, decode_relationship, decode_value, encode_object, encode_relationship,
@@ -117,7 +117,10 @@ fn encode_seed_error(e: &mut Encoder, err: &SeedError) {
             e.put_u8(9).put_str(s);
         }
         // Foreign-typed variants: ship the rendered text (see module docs).
-        SeedError::Schema(_) | SeedError::Storage(_) | SeedError::Inconsistent(_) => {
+        SeedError::Schema(_)
+        | SeedError::Storage(_)
+        | SeedError::Inconsistent(_)
+        | SeedError::Remote(_) => {
             e.put_u8(10).put_str(&err.to_string());
         }
     }
@@ -138,7 +141,7 @@ fn decode_seed_error(d: &mut Decoder<'_>) -> WireResult<SeedError> {
         7 => SeedError::Reclassification(d.get_str()?.to_string()),
         8 => SeedError::ReadOnlyVersion(d.get_str()?.to_string()),
         9 => SeedError::Invalid(d.get_str()?.to_string()),
-        10 => SeedError::Invalid(d.get_str()?.to_string()),
+        10 => SeedError::Remote(d.get_str()?.to_string()),
         other => return Err(bad_tag("seed error", other)),
     })
 }

@@ -130,7 +130,7 @@ fn update() -> BoxedStrategy<Update> {
 }
 
 /// Every wire-representable [`SeedError`] (the string-carrying variants; the foreign-typed ones
-/// normalize to `Invalid`, covered by a unit test in `tests`).
+/// decode as `Remote`, covered by a unit test in `unit`).
 fn seed_error() -> BoxedStrategy<SeedError> {
     prop_oneof![
         free_text().prop_map(SeedError::NotFound),
@@ -144,6 +144,7 @@ fn seed_error() -> BoxedStrategy<SeedError> {
         free_text().prop_map(SeedError::Reclassification),
         free_text().prop_map(SeedError::ReadOnlyVersion),
         free_text().prop_map(SeedError::Invalid),
+        free_text().prop_map(SeedError::Remote),
     ]
     .boxed()
 }
@@ -462,14 +463,14 @@ mod unit {
     use super::*;
 
     #[test]
-    fn foreign_seed_errors_normalize_to_invalid_with_text_preserved() {
+    fn foreign_seed_errors_decode_as_remote_with_text_preserved() {
         let schema_err = SeedError::Schema(seed_schema::SchemaError::UnknownClass("X".into()));
         let rendered = schema_err.to_string();
         let response = Response::Error(ServerError::Rejected(schema_err));
         let decoded = decode_response(&encode_response(&response)).unwrap();
         match decoded {
-            Response::Error(ServerError::Rejected(SeedError::Invalid(msg))) => {
-                assert_eq!(msg, rendered, "display text must survive the wire");
+            Response::Error(ServerError::Rejected(err @ SeedError::Remote(_))) => {
+                assert_eq!(err.to_string(), rendered, "the rendered text reads the same");
             }
             other => panic!("unexpected decode {other:?}"),
         }

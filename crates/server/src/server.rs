@@ -1235,6 +1235,70 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A durable server holding `Sensor` with a STRING `Sensor.Description`, checked out by
+    /// the returned client.
+    fn durable_sensor_server(dir: &std::path::Path) -> (SeedServer, ClientId) {
+        let server = SeedServer::create_durable(dir, figure3_schema()).unwrap();
+        let client = server.connect();
+        let sensor = [
+            Update::CreateObject { class: "Action".into(), name: "Sensor".into() },
+            Update::CreateDependent {
+                parent: "Sensor".into(),
+                class_local: "Description".into(),
+                value: Value::string("reads"),
+            },
+        ];
+        server.checkin(client, &sensor).unwrap();
+        server.checkout(client, &["Sensor", "Sensor.Description"]).unwrap();
+        (server, client)
+    }
+
+    /// An integer into the STRING domain of `Sensor.Description`: a consistency violation.
+    fn violating_value() -> Update {
+        Update::SetValue { object: "Sensor.Description".into(), value: Value::Integer(7) }
+    }
+
+    #[test]
+    fn refused_checkin_writes_nothing() {
+        let dir = temp_dir("refused");
+        let (server, client) = durable_sensor_server(&dir);
+        let lsn = || server.with_database(|db| db.durable_lsn().unwrap());
+        let before = lsn();
+        let err = server.checkin(client, &[violating_value()]).unwrap_err();
+        assert!(matches!(err, ServerError::Rejected(SeedError::Inconsistent(_))), "{err:?}");
+        assert_eq!(lsn(), before, "a refused check-in costs no WAL write and no fsync");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn refused_checkin_that_burned_ids_commits_the_raised_floors() {
+        let dir = temp_dir("refused-burned");
+        let burned = {
+            let (server, client) = durable_sensor_server(&dir);
+            let floor = || server.with_database(|db| db.store().id_floor().0);
+            let (lsn, before) = (server.with_database(|db| db.durable_lsn().unwrap()), floor());
+            let updates = [
+                Update::CreateObject { class: "Data".into(), name: "Ghost".into() },
+                violating_value(),
+            ];
+            assert!(server.checkin(client, &updates).is_err());
+            assert!(floor() > before, "the rolled-back create burned an id");
+            assert!(server.with_database(|db| db.durable_lsn().unwrap()) > lsn, "floors logged");
+            floor()
+            // Crash: dropped without checkpoint or close.
+        };
+        let server = SeedServer::open_durable(&dir).unwrap();
+        assert_eq!(server.with_database(|db| db.store().id_floor().0), burned);
+        let client = server.connect();
+        server
+            .checkin(client, &[Update::CreateObject { class: "Data".into(), name: "New".into() }])
+            .unwrap();
+        let id = server.retrieve("New").unwrap().id.0;
+        assert!(id > burned, "a burned id is never reused: got {id}, burned up to {burned}");
+        assert!(server.retrieve("Ghost").is_err());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn read_only_replica_serves_reads_and_redirects_writes() {
         let server = server_with_data();

@@ -37,7 +37,7 @@
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::Write;
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -197,6 +197,12 @@ pub trait SegmentIo: Send + Sync {
     fn list(&self) -> StorageResult<Vec<SegmentId>>;
     /// The full contents of segment `id`.
     fn read(&self, id: SegmentId) -> StorageResult<Vec<u8>>;
+    /// The contents of segment `id` from byte `offset` on (empty past its end): the tail read
+    /// that serves replication.  The default slices [`SegmentIo::read`].
+    fn read_at(&self, id: SegmentId, offset: u64) -> StorageResult<Vec<u8>> {
+        let mut raw = self.read(id)?;
+        Ok(raw.split_off((offset as usize).min(raw.len())))
+    }
     /// Creates segment `id` holding `initial`, durably (contents, then existence).
     fn create(&self, id: SegmentId, initial: &[u8]) -> StorageResult<()>;
     /// Appends `bytes` to segment `id` (buffered until [`SegmentIo::sync`]).
@@ -258,6 +264,14 @@ impl SegmentIo for FileSegmentIo {
 
     fn read(&self, id: SegmentId) -> StorageResult<Vec<u8>> {
         Ok(std::fs::read(self.path(id))?)
+    }
+
+    fn read_at(&self, id: SegmentId, offset: u64) -> StorageResult<Vec<u8>> {
+        let mut file = File::open(self.path(id))?;
+        file.seek(SeekFrom::Start(offset))?;
+        let mut tail = Vec::new();
+        file.read_to_end(&mut tail)?;
+        Ok(tail)
     }
 
     fn create(&self, id: SegmentId, initial: &[u8]) -> StorageResult<()> {
@@ -456,26 +470,29 @@ fn frame_bytes(record: &LogRecord) -> Vec<u8> {
     frame
 }
 
-/// One parsed segment payload: the decoded records at or past the asked cursor, the total frame
-/// count, the byte length of the valid frame prefix, and whether that prefix covered every byte
-/// (`false` = a torn tail follows).
+/// One parsed run of frames: the decoded records at or past the asked cursor, the payload
+/// offset of every valid frame (one per frame), the byte length of the valid frame prefix, and
+/// whether that prefix covered every byte (`false` = a torn tail follows).
 struct SegmentParse {
     records: Vec<(Lsn, LogRecord)>,
-    frames: u64,
+    offsets: Vec<u64>,
     valid_len: usize,
     complete: bool,
 }
 
-/// Walks the frames of one segment's payload (the bytes after the header).  Records are
-/// numbered from `base + 1`; only those with `lsn >= min_lsn` are decoded and returned — frames
-/// below the cursor are CRC-checked and skipped, which keeps a replication tail read
-/// O(file bytes + tail records), not O(all records).  Stops at the first truncated or
-/// checksum-failing frame — the standard WAL recovery rule.  A crash can tear the final
-/// (multi-frame, multi-sector) group-commit batch anywhere, including out of order: any frame
-/// past the first invalid one was never acknowledged (its batch's sync cannot have returned),
-/// so recovery keeps the valid prefix and discards the rest instead of refusing to open.
+/// Walks a run of frames: a segment's payload (the bytes after the header), or the tail of the
+/// active segment from one of its frames on.  Records are numbered from `base + 1`; only those
+/// with `lsn >= min_lsn` are decoded and returned, and every frame is CRC-checked.  Open and
+/// recovery walk whole segments; a replication tail read starts at the cursor's frame (the
+/// active segment's frame index gives its offset), so it reads and checks only the new frames.
+/// Stops at the first truncated or checksum-failing frame — the standard WAL recovery rule.  A
+/// crash can tear the final (multi-frame, multi-sector) group-commit batch anywhere, including
+/// out of order: any frame past the first invalid one was never acknowledged (its batch's sync
+/// cannot have returned), so recovery keeps the valid prefix and discards the rest instead of
+/// refusing to open.
 fn parse_segment(payload: &[u8], base: Lsn, min_lsn: Lsn) -> StorageResult<SegmentParse> {
     let mut records = Vec::new();
+    let mut offsets = Vec::new();
     let mut pos = 0usize;
     let mut lsn: Lsn = base + 1;
     while pos + 8 <= payload.len() {
@@ -492,15 +509,11 @@ fn parse_segment(payload: &[u8], base: Lsn, min_lsn: Lsn) -> StorageResult<Segme
         if lsn >= min_lsn {
             records.push((lsn, LogRecord::decode(frame)?));
         }
+        offsets.push(pos as u64);
         pos += 8 + len;
         lsn += 1;
     }
-    Ok(SegmentParse {
-        records,
-        frames: lsn - 1 - base,
-        valid_len: pos,
-        complete: pos == payload.len(),
-    })
+    Ok(SegmentParse { records, offsets, valid_len: pos, complete: pos == payload.len() })
 }
 
 // ----- the log ----------------------------------------------------------------------------------
@@ -526,6 +539,9 @@ struct WalState {
     /// All live segments in id order; the last one is **active** (appends go there), everything
     /// before it is sealed.  Never empty.
     segments: Vec<Segment>,
+    /// Payload offset of every frame in the active segment, in LSN order: where a tail read
+    /// starts.  Rebuilt by the parse at open, extended by each append, cleared at rotation.
+    active_offsets: Vec<u64>,
     next_lsn: Lsn,
     /// LSN through which a checkpoint has logically discarded the log.  Sealed segments at or
     /// below it may still be physically retained for replication subscribers; they no longer
@@ -582,6 +598,7 @@ impl WriteAheadLog {
     pub fn with_io(io: Arc<dyn SegmentIo>, config: WalConfig) -> StorageResult<Self> {
         let ids = io.list()?;
         let mut segments: Vec<Segment> = Vec::new();
+        let mut active_offsets = Vec::new();
         let mut stale: Vec<SegmentId> = Vec::new();
         let mut invalid_from: Option<usize> = None;
         for (i, &id) in ids.iter().enumerate() {
@@ -610,9 +627,10 @@ impl WriteAheadLog {
             segments.push(Segment {
                 id,
                 base,
-                records: parse.frames,
+                records: parse.offsets.len() as u64,
                 bytes: parse.valid_len as u64,
             });
+            active_offsets = parse.offsets;
             if !parse.complete {
                 io.truncate(id, (SEGMENT_HEADER_LEN + parse.valid_len) as u64)?;
                 invalid_from = Some(i + 1);
@@ -637,7 +655,13 @@ impl WriteAheadLog {
         Ok(Self {
             io,
             config,
-            state: Mutex::new(WalState { segments, next_lsn, pruned_to, retention_floor: None }),
+            state: Mutex::new(WalState {
+                segments,
+                active_offsets,
+                next_lsn,
+                pruned_to,
+                retention_floor: None,
+            }),
         })
     }
 
@@ -676,6 +700,12 @@ impl WriteAheadLog {
             let _ = self.io.truncate(id, SEGMENT_HEADER_LEN as u64 + bytes);
             return Err(e);
         }
+        let mut pos = 0;
+        while pos < frames.len() {
+            state.active_offsets.push(bytes + pos as u64);
+            let len = u32::from_le_bytes(frames[pos..pos + 4].try_into().expect("4 bytes"));
+            pos += 8 + len as usize;
+        }
         let active = state.active();
         active.bytes += frames.len() as u64;
         active.records += records.len() as u64;
@@ -694,6 +724,7 @@ impl WriteAheadLog {
         let base = state.next_lsn - 1;
         self.io.create(id, &segment_header(base))?;
         state.segments.push(Segment { id, base, records: 0, bytes: 0 });
+        state.active_offsets.clear();
         wal_metrics().rotations.inc();
         Ok(())
     }
@@ -816,6 +847,10 @@ impl WriteAheadLog {
     /// cursor primitive.  Returns [`WalTail::Truncated`] when `from` is no longer in the log
     /// (a checkpoint pruned it away) **or** lies beyond it (the caller's cursor belongs to a
     /// different or reset log); in both cases the caller must resynchronize from a snapshot.
+    ///
+    /// The active segment is read from the first asked frame on, so a caught-up subscriber's
+    /// read costs O(new frames), not O(segment); sealed segments (only a lagging subscriber
+    /// needs them) are read whole.
     pub fn read_from(&self, from: Lsn) -> StorageResult<WalTail> {
         let state = self.state.lock();
         let oldest = state.segments[0].base + 1;
@@ -823,13 +858,23 @@ impl WriteAheadLog {
         if from < oldest || from > end + 1 {
             return Ok(WalTail::Truncated { oldest });
         }
+        let active = state.segments.len() - 1;
         let mut out = Vec::new();
-        for seg in &state.segments {
+        for (i, seg) in state.segments.iter().enumerate() {
             if seg.records == 0 || seg.end() < from {
                 continue;
             }
-            let raw = self.io.read(seg.id)?;
-            let parse = parse_segment(&raw[SEGMENT_HEADER_LEN..], seg.base, from)?;
+            let parse = if i == active {
+                let first = from.max(seg.base + 1);
+                let offset = state.active_offsets[(first - seg.base - 1) as usize];
+                let tail = self.io.read_at(seg.id, SEGMENT_HEADER_LEN as u64 + offset)?;
+                // Only the frames the log acknowledged: never bytes of a failed append.
+                let known = tail.len().min((seg.bytes - offset) as usize);
+                parse_segment(&tail[..known], first - 1, first)?
+            } else {
+                let raw = self.io.read(seg.id)?;
+                parse_segment(&raw[SEGMENT_HEADER_LEN..], seg.base, from)?
+            };
             out.extend(parse.records);
             if !parse.complete {
                 break;
@@ -1387,6 +1432,124 @@ mod tests {
             "a zero budget retains nothing, the subscriber must snapshot"
         );
         assert_eq!(wal.size_bytes().unwrap(), 0);
+    }
+
+    /// A [`MemorySegmentIo`] that counts the segment bytes its reads return.
+    #[derive(Default)]
+    struct CountingIo {
+        inner: MemorySegmentIo,
+        read_bytes: std::sync::atomic::AtomicUsize,
+    }
+
+    impl CountingIo {
+        fn counted(&self, bytes: StorageResult<Vec<u8>>) -> StorageResult<Vec<u8>> {
+            let n = bytes.as_ref().map_or(0, Vec::len);
+            self.read_bytes.fetch_add(n, std::sync::atomic::Ordering::SeqCst);
+            bytes
+        }
+
+        fn take_read_bytes(&self) -> usize {
+            self.read_bytes.swap(0, std::sync::atomic::Ordering::SeqCst)
+        }
+    }
+
+    impl SegmentIo for CountingIo {
+        fn list(&self) -> StorageResult<Vec<SegmentId>> {
+            self.inner.list()
+        }
+        fn read(&self, id: SegmentId) -> StorageResult<Vec<u8>> {
+            self.counted(self.inner.read(id))
+        }
+        fn read_at(&self, id: SegmentId, offset: u64) -> StorageResult<Vec<u8>> {
+            self.counted(self.inner.read_at(id, offset))
+        }
+        fn create(&self, id: SegmentId, initial: &[u8]) -> StorageResult<()> {
+            self.inner.create(id, initial)
+        }
+        fn append(&self, id: SegmentId, bytes: &[u8]) -> StorageResult<()> {
+            self.inner.append(id, bytes)
+        }
+        fn sync(&self, id: SegmentId) -> StorageResult<()> {
+            self.inner.sync(id)
+        }
+        fn truncate(&self, id: SegmentId, len: u64) -> StorageResult<()> {
+            self.inner.truncate(id, len)
+        }
+        fn delete(&self, id: SegmentId) -> StorageResult<()> {
+            self.inner.delete(id)
+        }
+        fn write_snapshot(&self, image: &[u8]) -> StorageResult<()> {
+            self.inner.write_snapshot(image)
+        }
+        fn read_snapshot(&self) -> StorageResult<Option<Vec<u8>>> {
+            self.inner.read_snapshot()
+        }
+    }
+
+    #[test]
+    fn tail_read_of_a_caught_up_cursor_reads_only_the_new_frames() {
+        let io = Arc::new(CountingIo::default());
+        let wal = WriteAheadLog::with_io(io.clone(), WalConfig::default()).unwrap();
+        let mut last = Vec::new();
+        for txn in 1..=1000 {
+            last = commit_batch(txn, 64);
+            wal.append_batch(&last).unwrap();
+        }
+        assert_eq!(wal.segment_count(), 1, "every batch sits in the active segment");
+        let batch_bytes: usize = last.iter().map(|r| frame_bytes(r).len()).sum();
+        io.take_read_bytes();
+
+        let end = wal.durable_lsn();
+        let WalTail::Records(tail) = wal.read_from(end).unwrap() else { panic!("in the log") };
+        assert_eq!(tail, vec![(end, last[last.len() - 1].clone())]);
+        let read = io.take_read_bytes();
+        assert!(
+            read < 2 * batch_bytes,
+            "read {read} bytes for one frame of a {batch_bytes}-byte batch"
+        );
+
+        let first = end + 1 - last.len() as Lsn;
+        let WalTail::Records(tail) = wal.read_from(first).unwrap() else { panic!("in the log") };
+        assert_eq!(tail.into_iter().map(|(_, r)| r).collect::<Vec<_>>(), last);
+        let read = io.take_read_bytes();
+        assert!(read < 2 * batch_bytes, "read {read} bytes for a {batch_bytes}-byte batch");
+
+        assert_eq!(wal.read_from(end + 1).unwrap(), WalTail::Records(Vec::new()));
+        assert_eq!(io.take_read_bytes(), 0, "a caught-up cursor reads nothing");
+    }
+
+    #[test]
+    fn tail_read_matches_read_all_for_every_cursor_across_reopen() {
+        fn check_every_cursor(wal: &WriteAheadLog) {
+            let all = wal.read_all().unwrap();
+            for from in wal.base_lsn() + 1..=wal.durable_lsn() + 1 {
+                let expected: Vec<_> =
+                    all.iter().filter(|(lsn, _)| *lsn >= from).cloned().collect();
+                assert_eq!(wal.read_from(from).unwrap(), WalTail::Records(expected), "from {from}");
+            }
+        }
+        let dir = temp_dir("tail-read-reopen");
+        {
+            let wal = WriteAheadLog::open_dir(&dir, small_cap(1024)).unwrap();
+            for txn in 1..=12 {
+                wal.append_batch(&commit_batch(txn, 40 + txn as usize)).unwrap();
+            }
+            assert!(wal.segment_count() > 1, "sealed segments and an active one");
+            check_every_cursor(&wal);
+        }
+        // The reopen rebuilds the active segment's frame index from disk.
+        let wal = WriteAheadLog::open_dir(&dir, small_cap(1024)).unwrap();
+        check_every_cursor(&wal);
+        // Appends after the reopen extend the rebuilt index, and a rotation restarts it.
+        for txn in 13..=30 {
+            wal.append_batch(&commit_batch(txn, 40)).unwrap();
+            check_every_cursor(&wal);
+        }
+        wal.truncate(wal.durable_lsn() - 5).unwrap();
+        wal.append_batch(&commit_batch(31, 40)).unwrap();
+        check_every_cursor(&wal);
+        drop(wal);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
