@@ -1,6 +1,5 @@
-//! The quick evaluation report: one row per experiment of `EXPERIMENTS.md`, measured with plain
-//! timers (run `cargo run -p seed-bench --release`).  The Criterion benches in `benches/`
-//! measure the same scenarios with proper statistics.
+//! The evaluation report: one row per experiment of `EXPERIMENTS.md`, measured with plain
+//! timers (run `cargo run -p seed-bench --release`).
 //!
 //! Next to the human-readable table, [`run_report_mode`] writes **`BENCH.json`** — a
 //! machine-readable map of experiment id → named metrics — so the performance trajectory can be
@@ -79,6 +78,11 @@ fn scratch_dir(experiment: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("seed-bench-{experiment}-{}-{n}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// The cores this process may run on; `BENCH.json` records it, and the ratio bars skip below 2.
+fn host_cores() -> usize {
+    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
 fn row(id: &str, what: &str, measurement: String) {
@@ -533,7 +537,7 @@ pub fn e11_net_throughput(
     let single_p50 = percentile(&mut single_lat, 0.50);
     let p50 = percentile(&mut multi_lat, 0.50);
     let p99 = percentile(&mut multi_lat, 0.99);
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let cores = host_cores();
     row(
         "E11",
         &format!("net: {clients} TCP clients x {ops_per_client} reads vs 1 client, {objects} objects"),
@@ -677,7 +681,7 @@ pub fn e12_replicated_read_throughput(
     net.shutdown();
     let _ = std::fs::remove_dir_all(&base);
 
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let cores = host_cores();
     row(
         "E12",
         &format!(
@@ -912,7 +916,7 @@ pub fn e14_mvcc_snapshot_reads(
     net.shutdown();
     let _ = std::fs::remove_dir_all(&base);
 
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let cores = host_cores();
     row(
         "E14",
         &format!(
@@ -1007,7 +1011,7 @@ pub fn e15_pipelined_throughput(objects: usize, total_ops: usize) -> ExperimentM
 
     let speedup_8 = d8_ops_per_s / sync_ops_per_s.max(f64::EPSILON);
     let speedup_64 = d64_ops_per_s / sync_ops_per_s.max(f64::EPSILON);
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let cores = host_cores();
     row(
         "E15",
         &format!(
@@ -1183,7 +1187,8 @@ pub fn e17_failover_downtime(objects: usize, rounds: usize) -> ExperimentMetrics
     )
 }
 
-/// Renders the collected metrics as a JSON document (`experiment id → {metric: value}`).
+/// Renders the collected metrics as a JSON document (`experiment id → {metric: value}`), with
+/// the host's core count beside the `smoke` flag.
 pub fn render_bench_json(results: &[ExperimentMetrics], smoke: bool) -> String {
     fn number(v: f64) -> String {
         if v.is_finite() {
@@ -1197,6 +1202,7 @@ pub fn render_bench_json(results: &[ExperimentMetrics], smoke: bool) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"schema\": \"seed-bench/1\",\n");
     out.push_str(&format!("  \"smoke\": {smoke},\n"));
+    out.push_str(&format!("  \"cores\": {},\n", host_cores()));
     out.push_str("  \"experiments\": {\n");
     for (i, result) in results.iter().enumerate() {
         out.push_str(&format!("    \"{}\": {{", result.id));
@@ -1228,9 +1234,7 @@ pub fn render_bench_json(results: &[ExperimentMetrics], smoke: bool) -> String {
 /// seconds, not minutes) — the metrics are still real measurements, just noisier.
 /// Next to the table, writes `BENCH.json` into the current directory.
 pub fn run_report_mode(smoke: bool) {
-    println!(
-        "SEED reproduction — evaluation report (quick timers; see benches/ for Criterion runs)"
-    );
+    println!("SEED reproduction — evaluation report (plain timers)");
     println!("{}", "-".repeat(110));
     let mut results: Vec<ExperimentMetrics> = Vec::new();
     // Each experiment carries the registry as it stood when that experiment finished, so a
@@ -1323,6 +1327,7 @@ mod tests {
         let results = vec![with_obs, ExperimentMetrics::new("E10", &[("speedup_x", 120.25)])];
         let json = render_bench_json(&results, true);
         let value = serde_json::from_str(&json).expect("BENCH.json must parse");
+        assert_eq!(value.get("cores").and_then(|v| v.as_f64()), Some(host_cores() as f64));
         let experiments = value.get("experiments").expect("experiments key");
         let e1 = experiments.get("E1").expect("E1 entry");
         assert_eq!(e1.get("a_us").and_then(|v| v.as_f64()), Some(1.5));
@@ -1337,23 +1342,16 @@ mod tests {
         assert!(experiments.get("E10").unwrap().get("obs").is_none(), "empty obs stays absent");
     }
 
-    /// The acceptance criterion of the durability refactor, at its stated scale: at 10k
-    /// objects, committing one object mutation must be at least 50× cheaper than a full
-    /// snapshot save (write-through is sync-bound and flat; the snapshot grows with the
-    /// database).  A wall-clock ratio is only meaningful on the optimized build, so the hard
-    /// bar is ignored under debug builds (CI's bench-smoke job runs it with `--release`); the
-    /// structural O(delta) property is asserted unconditionally by
-    /// `seed-core::durability::tests::per_commit_durable_cost_is_o_delta`.
     /// The acceptance criterion of the network subsystem: with 4 concurrent TCP clients,
     /// aggregate read throughput must exceed the single-client baseline (reads proceed in
     /// parallel on the server's read–write lock; a lone blocking client is latency-bound).
-    /// Scheduling-sensitive, so asserted only on the optimized build (CI's net job runs it
+    /// Scheduling-sensitive, so asserted only on the optimized build (CI's bench job runs it
     /// with `--release`); on a single-core host the server is CPU-bound and aggregate scaling
     /// is physically impossible, so the bar is enforced only where parallelism exists.
     #[test]
     #[cfg_attr(debug_assertions, ignore = "scaling bar is only meaningful in release builds")]
     fn e11_concurrent_clients_scale_read_throughput() {
-        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        let cores = host_cores();
         if cores < 2 {
             eprintln!("skipping the scaling bar: only {cores} core(s) available");
             return;
@@ -1370,12 +1368,12 @@ mod tests {
     /// client fleet must push more aggregate reads per second through the read-preferred fanout
     /// than against the primary alone (each replica answers from its own database behind its
     /// own lock, so the topology adds serving capacity).  Scheduling-sensitive, so asserted
-    /// only on optimized builds and only where parallelism exists (CI's replication job runs it
+    /// only on optimized builds and only where parallelism exists (CI's bench job runs it
     /// with `--release`; a 1-core host is CPU-bound across all three processes' threads).
     #[test]
     #[cfg_attr(debug_assertions, ignore = "scaling bar is only meaningful in release builds")]
     fn e12_read_replicas_scale_read_throughput() {
-        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        let cores = host_cores();
         if cores < 2 {
             eprintln!("skipping the replication scaling bar: only {cores} core(s) available");
             return;
@@ -1391,13 +1389,13 @@ mod tests {
     /// The acceptance bar of the pipelining tentpole: at depth 64 one connection must push at
     /// least 3× the synchronous (depth-1) ops/s — the batch pays one round trip and one
     /// coalesced write where the sync loop pays sixty-four.  Timing-sensitive, so asserted only
-    /// on optimized builds (CI's net job runs it with `--release`) and only where parallelism
+    /// on optimized builds (CI's bench job runs it with `--release`) and only where parallelism
     /// exists: on a single-core host the server's shard and the client timeshare one CPU and the
     /// ratio measures the scheduler, not the protocol.
     #[test]
     #[cfg_attr(debug_assertions, ignore = "pipelining bar is only meaningful in release builds")]
     fn e15_deep_pipelines_beat_the_sync_baseline() {
-        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        let cores = host_cores();
         if cores < 2 {
             eprintln!("skipping the pipelining bar: only {cores} core(s) available");
             return;
@@ -1415,13 +1413,13 @@ mod tests {
     /// pathologically slower — the per-segment parse is embarrassingly parallel, so even with
     /// thread-scatter overhead it must stay within 2x of the serial path on a log of this
     /// size.  Timing-sensitive, so the ratio bar only runs on optimized builds and multi-core
-    /// hosts (CI's recovery job runs it with `--release`).
+    /// hosts (CI's bench job runs it with `--release`).
     #[test]
     #[cfg_attr(debug_assertions, ignore = "timing bar is only meaningful in release builds")]
     fn e13_parallel_replay_is_identical_and_not_pathological() {
         let result = e13_segmented_recovery(20_000, 64 * 1024);
         assert!(result.get("segments").expect("metric present") >= 8.0, "log must span segments");
-        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        let cores = host_cores();
         if cores < 2 {
             eprintln!("skipping the replay ratio bar: only {cores} core(s) available");
             return;
@@ -1437,7 +1435,7 @@ mod tests {
     /// replicas patch O(delta), never reset — is asserted on every build: it is a counter,
     /// not a timing.  The retention half (reads keep most of their throughput while a writer
     /// commits continuously) is scheduling-sensitive, so that bar only runs on optimized
-    /// multi-core builds (CI's mvcc job runs it with `--release`).
+    /// multi-core builds (CI's bench job runs it with `--release`).
     #[test]
     #[cfg_attr(debug_assertions, ignore = "retention bar is only meaningful in release builds")]
     fn e14_snapshot_reads_survive_concurrent_checkins() {
@@ -1445,7 +1443,7 @@ mod tests {
         assert_eq!(result.get("replica_resets"), Some(0.0), "stream must apply incrementally");
         let items = result.get("items_per_commit").expect("metric present");
         assert!(items <= 4.0, "replica apply touched {items} items per one-object commit");
-        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        let cores = host_cores();
         if cores < 2 {
             eprintln!("skipping the retention bar: only {cores} core(s) available");
             return;
@@ -1461,7 +1459,7 @@ mod tests {
     /// The acceptance bar of the observability tentpole: full instrumentation (per-request
     /// histograms, byte counters, WAL timers) must cost at most 5% of pipelined read
     /// throughput versus the same binary with recording switched off.  A wall-clock ratio is
-    /// only meaningful on optimized builds (CI's obs job runs it with `--release`), and on a
+    /// only meaningful on optimized builds (CI's bench job runs it with `--release`), and on a
     /// single-core host the ratio measures the scheduler, not the atomics.
     #[test]
     #[cfg_attr(debug_assertions, ignore = "overhead bar is only meaningful in release builds")]
@@ -1470,7 +1468,7 @@ mod tests {
             eprintln!("skipping the overhead bar: recording compiled out");
             return;
         }
-        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        let cores = host_cores();
         if cores < 2 {
             eprintln!("skipping the overhead bar: only {cores} core(s) available");
             return;
@@ -1499,6 +1497,13 @@ mod tests {
         );
     }
 
+    /// The acceptance criterion of the durability refactor, at its stated scale: at 10k
+    /// objects, committing one object mutation must be at least 50× cheaper than a full
+    /// snapshot save (write-through is sync-bound and flat; the snapshot grows with the
+    /// database).  A wall-clock ratio is only meaningful on the optimized build, so the hard
+    /// bar is ignored under debug builds (CI's bench job runs it with `--release`); the
+    /// structural O(delta) property is asserted unconditionally by
+    /// `seed-core::durability::tests::per_commit_durable_cost_is_o_delta`.
     #[test]
     #[cfg_attr(debug_assertions, ignore = "timing bar is only meaningful in release builds")]
     fn e10_write_through_beats_snapshot_by_50x_at_scale() {

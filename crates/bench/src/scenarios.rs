@@ -1,7 +1,7 @@
 //! Shared benchmark scenarios: databases and workloads of controlled size.
 
 use seed_core::{Database, ObjectId, RelationshipId, Value};
-use seed_schema::{figure3_schema, Cardinality, Domain, Schema, SchemaBuilder};
+use seed_schema::{figure3_schema, Domain, SchemaBuilder};
 use spades::{DirectBackend, SeedBackend, Workload, WorkloadConfig};
 
 /// Builds a Figure-3 database with `n` data elements, `n / 2` actions and one Access
@@ -52,28 +52,6 @@ pub fn valued_database(n: usize) -> Database {
             .unwrap();
     }
     db
-}
-
-/// A schema whose classes carry `width` associations each — used to sweep consistency-checking
-/// cost against schema complexity.
-pub fn wide_schema(width: usize) -> Schema {
-    let mut schema =
-        SchemaBuilder::new("Wide").class("Node", |c| c).class("Hub", |c| c).build().unwrap();
-    // `width` associations between Node and Hub, each with a bounded maximum on the Node side so
-    // the checker has real counting work to do.
-    for i in 0..width {
-        let node = schema.class_id("Node").unwrap();
-        let hub = schema.class_id("Hub").unwrap();
-        schema
-            .add_binary_association(
-                format!("Link{i}"),
-                ("node", node, Cardinality::bounded(0, 64).unwrap()),
-                ("hub", hub, Cardinality::any()),
-                false,
-            )
-            .unwrap();
-    }
-    schema
 }
 
 /// Creates a pattern with `n` inheritors; returns the database, the pattern id and the pattern's
@@ -152,9 +130,6 @@ mod tests {
         assert_eq!(objects.len(), 5);
         assert_eq!(rels.len(), 5);
         assert_eq!(db.objects_of_class("Data", true).unwrap().len(), 5);
-
-        let schema = wide_schema(4);
-        assert_eq!(schema.association_count(), 4);
 
         let db = valued_database(16);
         assert_eq!(db.object_count(), 16);

@@ -1455,7 +1455,8 @@ impl Database {
     }
 
     /// Ends work on an alternative and restores the original current state ("the original
-    /// current version is selected again").  Unsaved changes to the alternative are discarded.
+    /// current version is selected again").  Unsaved changes to the alternative are discarded,
+    /// but the ids it allocated stay burned: its version snapshots file items under them.
     pub fn return_to_current(&mut self) -> SeedResult<()> {
         if self.txn.is_some() {
             // Mirrors the guard in checkout_alternative: letting a transaction begun in the
@@ -1468,8 +1469,10 @@ impl Database {
         }
         match self.alternative.take() {
             Some(alt) => {
+                let (object_floor, relationship_floor) = self.store.id_floor();
                 self.store = alt.stashed;
-                Ok(())
+                self.store.raise_id_floor(object_floor, relationship_floor);
+                self.commit_meta()
             }
             None => Err(SeedError::Version("not working on an alternative".to_string())),
         }

@@ -624,6 +624,50 @@ mod tests {
     }
 
     #[test]
+    fn returning_from_an_alternative_keeps_its_ids_burned() {
+        let dir = temp_dir("alt-ids");
+        for durable in [false, true] {
+            let mut db = if durable {
+                Database::create_durable(&dir, figure3_schema()).unwrap()
+            } else {
+                Database::new(figure3_schema())
+            };
+            db.create_object("Data", "Main").unwrap();
+            let v1 = db.create_version("1.0").unwrap();
+            db.checkout_alternative(v1).unwrap();
+            let alt_only = db.create_object("Data", "AltOnly").unwrap();
+            let alt = db.create_version("alternative").unwrap();
+            assert_eq!(alt.to_string(), "1.0.1");
+            db.return_to_current().unwrap();
+            let main_after = db.create_object("Data", "MainAfter").unwrap();
+            let check = |db: &Database| {
+                assert_ne!(main_after, alt_only, "mainline reused an alternative's object id");
+                let versions: Vec<_> =
+                    db.versions_of_object(main_after, None).into_iter().map(|(v, _)| v).collect();
+                assert!(!versions.contains(&alt), "{versions:?} merges AltOnly's history");
+            };
+            check(&db);
+            if durable {
+                drop(db);
+                check(&Database::open_durable(&dir).unwrap());
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_empty_transaction_writes_nothing() {
+        let dir = temp_dir("empty-txn");
+        let mut db = Database::create_durable(&dir, figure3_schema()).unwrap();
+        db.create_object("Data", "Committed").unwrap();
+        let before = db.durable_lsn();
+        db.begin_transaction().unwrap();
+        db.commit_transaction().unwrap();
+        assert_eq!(db.durable_lsn(), before, "an empty transaction logged frames");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn crash_inside_open_transaction_loses_only_the_transaction() {
         let dir = temp_dir("crash-txn");
         let mut db = Database::create_durable(&dir, figure3_schema()).unwrap();

@@ -369,14 +369,18 @@ impl StorageEngine {
     }
 
     /// Commits transaction `txn`: writes its `Begin`/effect/`Commit` frames to the WAL as one
-    /// batch and syncs once.  If the write or the sync fails, the engine is poisoned: the
-    /// batch is cut off the log again, and every later `begin`/`commit` fails.
+    /// batch and syncs once.  A transaction that staged nothing logs and syncs nothing.  If the
+    /// write or the sync fails, the engine is poisoned: the batch is cut off the log again, and
+    /// every later `begin`/`commit` fails.
     pub fn commit(&self, txn: TxnId) -> StorageResult<()> {
         let mut inner = self.usable()?;
         let effects = inner
             .pending
             .remove(&txn)
             .ok_or_else(|| StorageError::InvalidArgument(format!("unknown transaction {txn}")))?;
+        if effects.is_empty() {
+            return Ok(());
+        }
         let mut records = Vec::with_capacity(effects.len() + 2);
         records.push(LogRecord::Begin { txn });
         for (key, value) in effects {
