@@ -21,16 +21,24 @@
 //! 3. **Reconnect** — a dropped primary connection is retried with a fixed backoff, resuming
 //!    from the replica's durable cursor; a crash mid-batch loses that batch atomically and it
 //!    is simply shipped again.
+//! 4. **Promotion** — runs on the thread that asked for it.  It takes the store from the apply
+//!    thread (one mutex; an abort flag unblocks the feed read), fences the old primary, drains
+//!    the shipped tail and flips the store into a durable primary.
+//!
+//! The initial sync, the stream and a promotion's drain take each batch through the same step
+//! (`ReplicaState::step`): apply, acknowledge, publish, and record the progress once, on the
+//! serving [`SeedServer`], where the node handle, the status and the health probe read it.
 //!
 //! `docs/OPERATIONS.md` is the runbook for running these in production.
 
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use seed_core::ReplicaStore;
+use seed_core::{Database, ReplicaStore};
+use seed_schema::Schema;
 use seed_server::{PromotionReceipt, SeedServer, ServerError, ServerResult};
 
 use crate::client::RemoteClient;
@@ -50,8 +58,8 @@ pub struct ReplicaConfig {
     /// How many consecutive failed reconnection attempts the stream tolerates before it stops
     /// hammering the primary's address and idles — still serving reads from the last applied
     /// state, still stoppable, still promotable.  Each attempt bumps `repl_reconnect_total`;
-    /// hitting the cap emits one `Warn` event.  A promotion order resets the count (the cap is
-    /// per topology epoch).
+    /// hitting the cap emits one `Warn` event.  A promotion attempt resets the count (the cap
+    /// is per topology epoch).
     pub max_reconnect_attempts: u32,
     /// The topology epoch this replica was (re-)pointed at its primary under.  When this is
     /// newer than the epoch recorded in the replica's own store, the local cursor belongs to a
@@ -73,18 +81,6 @@ impl Default for ReplicaConfig {
             net: NetServerConfig::default(),
         }
     }
-}
-
-/// Progress counters shared between the apply thread and the node handle.
-struct Progress {
-    applied: AtomicU64,
-    primary_lsn: AtomicU64,
-    /// Reset (full-snapshot) batches applied since this node started — a replica that catches
-    /// up from the primary's retained log keeps this at zero.
-    resets: AtomicU64,
-    /// Cumulative per-item records patched onto the serving database by incremental batches —
-    /// grows with the shipped deltas, not with batches × database size.
-    items_applied: AtomicU64,
 }
 
 /// One connection to the primary's replication stream.
@@ -159,7 +155,7 @@ impl Feed {
 
     /// Reads one frame, turning read timeouts into stop-flag polls (a mid-frame timeout keeps
     /// accumulating bytes; see the server-side `PollRead` for the same idea).  `abort` is the
-    /// promotion pre-empt: a pending promotion order must not wait behind a blocked read.
+    /// promotion pre-empt: a running promotion must not wait behind a blocked read.
     fn read_frame_blocking(
         &mut self,
         stop: &AtomicBool,
@@ -229,202 +225,274 @@ impl Feed {
     }
 }
 
-/// How long a `Promote` request blocks waiting for the apply thread to execute the order.
-const PROMOTE_TIMEOUT: Duration = Duration::from_secs(60);
-
-/// The life of one promotion order inside the [`PromoteCell`] mailbox.
-enum PromoteState {
-    /// No order outstanding; a `Promote` request may submit one.
-    Idle,
-    /// An order is waiting for the apply thread to claim it.
-    Requested { epoch: u64, new_primary: String },
-    /// The apply thread claimed the order and is fencing/draining/flipping.
-    Executing,
-    /// The outcome, waiting for the requester to consume it.
-    Done(ServerResult<PromotionReceipt>),
+/// What the apply thread and a promotion share.  The store sits behind one mutex: whichever
+/// of them steps it holds the lock, so a promotion waits for at most one batch in flight.
+struct ReplicaState {
+    slot: Mutex<Slot>,
+    /// Raised while a promotion runs: a second order is refused at once, and the apply
+    /// thread's blocked feed read gives way.
+    promoting: AtomicBool,
+    primary: SocketAddr,
+    agent: String,
+    connect_timeout: Duration,
+    /// Reset (full-snapshot) batches applied since this node started — a replica that catches
+    /// up from the primary's retained log keeps this at zero.
+    resets: AtomicU64,
+    /// Cumulative per-item records patched onto the serving database by incremental batches —
+    /// grows with the shipped deltas, not with batches × database size.
+    items_applied: AtomicU64,
 }
 
-/// The promotion mailbox between a request-serving shard (submits an order and waits for the
-/// outcome) and the apply thread (owns the [`ReplicaStore`], so only it can execute the order).
-struct PromoteCell {
-    state: Mutex<PromoteState>,
-    cond: Condvar,
-    /// Mirrors "an order is waiting" so the feed's poll loop can abort a blocked read without
-    /// taking the mutex on every tick.
-    pending: AtomicBool,
+struct Slot {
+    /// `None` once a promotion flipped the store into the primary's database.
+    store: Option<ReplicaStore>,
+    /// Promotion attempts so far.  A feed opened under an older count may hold a batch that a
+    /// promotion's drain has since applied past, so the apply thread drops such a feed.
+    promotions: u64,
 }
 
-impl PromoteCell {
-    fn new() -> Self {
-        Self {
-            state: Mutex::new(PromoteState::Idle),
-            cond: Condvar::new(),
-            pending: AtomicBool::new(false),
-        }
+impl ReplicaState {
+    fn lock(&self) -> MutexGuard<'_, Slot> {
+        self.slot.lock().expect("a replica step panicked while holding the store")
     }
 
-    fn lock(&self) -> MutexGuard<'_, PromoteState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    /// One replica step, the same for the initial sync, the stream and a promotion's drain:
+    /// applies `batch` to the store — a heartbeat (no records, nothing new) applies nothing —
+    /// acknowledges the durable cursor on `feed` and records the served state and the progress
+    /// on `core`.  A batch that fails to decode or to commit changes nothing and is refused
+    /// with [`ServerError::Rejected`].
+    fn step(
+        &self,
+        store: &mut ReplicaStore,
+        core: &SeedServer,
+        feed: &mut Feed,
+        batch: LogBatch,
+    ) -> ServerResult<()> {
+        let metrics = repl_metrics();
+        let heartbeat =
+            batch.records.is_empty() && !batch.reset && batch.last_lsn <= store.applied_lsn();
+        let served = if heartbeat {
+            None
+        } else {
+            let items = store
+                .apply(&batch.records, batch.last_lsn, batch.reset)
+                .map_err(ServerError::Rejected)?;
+            metrics.batches_applied.inc();
+            if batch.reset {
+                self.resets.fetch_add(1, Ordering::SeqCst);
+                metrics.resets.inc();
+            } else {
+                self.items_applied.fetch_add(items as u64, Ordering::SeqCst);
+            }
+            Some(store.serving_copy().expect("an applied batch leaves a database"))
+        };
+        let acked = feed.ack(store.applied_lsn());
+        core.advance_replica(store.applied_lsn(), batch.primary_lsn, served);
+        metrics.ack_lag.set(batch.primary_lsn.saturating_sub(store.applied_lsn()) as i64);
+        acked
     }
 
-    /// Apply-thread side: claims a waiting order, if any.
-    fn take_order(&self) -> Option<(u64, String)> {
-        if !self.pending.swap(false, Ordering::SeqCst) {
-            return None;
+    /// The apply thread's step for a `batch` read from a feed opened under `opened_under`
+    /// promotion attempts.  False when the feed must go: its connection failed, the store is
+    /// gone, or a promotion took the store since the feed opened — the promotion's drain may
+    /// have applied past this batch, and applying it would move the cursor and the served
+    /// state backwards.
+    fn step_fed(
+        &self,
+        core: &SeedServer,
+        feed: &mut Feed,
+        opened_under: u64,
+        batch: LogBatch,
+    ) -> bool {
+        let mut slot = self.lock();
+        if slot.promotions != opened_under {
+            return false;
         }
-        let mut state = self.lock();
-        match std::mem::replace(&mut *state, PromoteState::Executing) {
-            PromoteState::Requested { epoch, new_primary } => Some((epoch, new_primary)),
-            other => {
-                *state = other;
-                None
+        let Some(store) = slot.store.as_mut() else { return false };
+        self.step(store, core, feed, batch).is_ok()
+    }
+
+    /// The apply thread: streams batches into the store until the node stops or a promotion
+    /// flips the store.  A dropped connection is re-opened from the durable cursor after a
+    /// fixed `backoff`, at most `max_attempts` times in a row per promotion attempt; past that
+    /// the thread idles, still serving reads and still promotable.
+    fn stream(
+        &self,
+        core: &SeedServer,
+        stop: &AtomicBool,
+        feed: Feed,
+        backoff: Duration,
+        max_attempts: u32,
+    ) {
+        // The live feed and the promotion count it was opened under.
+        let mut feed = Some((feed, 0));
+        let (mut failed_attempts, mut promotions_seen) = (0, 0);
+        while !stop.load(Ordering::SeqCst) {
+            let (mut live, opened_under) = match feed.take() {
+                Some(live) => live,
+                None => {
+                    let (from_lsn, promotions) = {
+                        let slot = self.lock();
+                        let Some(store) = &slot.store else { return };
+                        (store.applied_lsn() + 1, slot.promotions)
+                    };
+                    if promotions != promotions_seen {
+                        (failed_attempts, promotions_seen) = (0, promotions);
+                    }
+                    if failed_attempts >= max_attempts {
+                        std::thread::sleep(FEED_POLL);
+                        continue;
+                    }
+                    match Feed::open(self.primary, &self.agent, from_lsn, self.connect_timeout) {
+                        Ok(live) => {
+                            failed_attempts = 0;
+                            (live, promotions)
+                        }
+                        Err(_) => {
+                            failed_attempts += 1;
+                            repl_metrics().reconnects.inc();
+                            if failed_attempts < max_attempts {
+                                std::thread::sleep(backoff);
+                            } else {
+                                seed_obs::global().events().emit(
+                                    seed_obs::Level::Warn,
+                                    "repl",
+                                    "giving up reconnecting to the primary; \
+                                     idling until stopped or promoted",
+                                    &[
+                                        ("primary", self.primary.to_string()),
+                                        ("attempts", failed_attempts.to_string()),
+                                    ],
+                                );
+                            }
+                            continue;
+                        }
+                    }
+                }
+            };
+            // Step batches until the connection drops, the node stops or a promotion runs.
+            while let Ok(batch) = live.next_batch(stop, &self.promoting) {
+                live.deadline = None;
+                if !self.step_fed(core, &mut live, opened_under, batch) {
+                    break;
+                }
+            }
+            if !stop.load(Ordering::SeqCst) && !self.promoting.load(Ordering::SeqCst) {
+                std::thread::sleep(backoff);
             }
         }
     }
 
-    /// Apply-thread side: reports the outcome of a claimed order.  If the requester already
-    /// gave up waiting (timeout), the outcome has no consumer and the mailbox just resets.
-    fn finish(&self, outcome: ServerResult<PromotionReceipt>) {
-        let mut state = self.lock();
-        *state = match *state {
-            PromoteState::Executing => PromoteState::Done(outcome),
-            _ => PromoteState::Idle,
-        };
-        self.cond.notify_all();
-    }
-
-    /// Apply-thread side: parks until an order arrives (or the timeout passes) — the idle wait
-    /// of a stream that gave up reconnecting.
-    fn wait_for_order(&self, timeout: Duration) {
-        let state = self.lock();
-        if matches!(*state, PromoteState::Requested { .. }) {
-            return;
+    /// Everything fallible that must happen *before* the store flip of a promotion: the epoch
+    /// freshness check, fencing the old primary, draining the shipped tail up to the fenced
+    /// primary's final LSN.  Leaves the store consistent on failure so the node resumes its
+    /// replica role.
+    fn prepare_promotion(
+        &self,
+        store: &mut ReplicaStore,
+        core: &SeedServer,
+        epoch: u64,
+        new_primary: &str,
+    ) -> ServerResult<()> {
+        let current = store.topology_epoch();
+        if epoch <= current {
+            return Err(ServerError::Protocol(format!(
+                "stale promotion epoch {epoch}: this replica is already at epoch {current}"
+            )));
         }
-        let _ = self.cond.wait_timeout(state, timeout).unwrap_or_else(PoisonError::into_inner);
+        // Fence the old primary.  Three outcomes:
+        //  - a `Promoted` receipt: this promotion won the compare-and-swap on the primary; its
+        //    `last_lsn` is the final write the old log will ever hold — drain up to it.
+        //  - `Fenced` (or any other rejection): a concurrent promotion won first; abort, stay a
+        //    replica.
+        //  - unreachable: a dead primary cannot be fenced, and whatever it committed beyond the
+        //    shipped tail is lost with it — the documented failover data-loss boundary.
+        let drain_to = match RemoteClient::connect_as(self.primary, "seed-replica promotion fence")
+        {
+            Ok(mut fencer) => match fencer.promote(epoch, new_primary) {
+                Ok(receipt) => Some(receipt.last_lsn),
+                Err(ServerError::Transport(_)) | Err(ServerError::Disconnected) => None,
+                Err(e) => return Err(e),
+            },
+            Err(_) => None,
+        };
+        if let Some(target) = drain_to {
+            // The fence succeeded, so the old primary was alive a moment ago and fencing does
+            // not block its replication feed — drain the tail so no write it acknowledged is
+            // lost.
+            let never = AtomicBool::new(false);
+            let deadline = std::time::Instant::now() + self.connect_timeout;
+            'drain: while store.applied_lsn() < target && std::time::Instant::now() < deadline {
+                let from_lsn = store.applied_lsn() + 1;
+                let Ok(mut feed) =
+                    Feed::open(self.primary, &self.agent, from_lsn, self.connect_timeout)
+                else {
+                    break;
+                };
+                while store.applied_lsn() < target {
+                    let Ok(batch) = feed.next_batch(&never, &never) else { continue 'drain };
+                    match self.step(store, core, &mut feed, batch) {
+                        Err(rejected @ ServerError::Rejected(_)) => return Err(rejected),
+                        Err(_) => continue 'drain,
+                        Ok(()) => {}
+                    }
+                }
+            }
+            if store.applied_lsn() < target {
+                // The primary died between the fence and the drain.  Refusing here is the safe
+                // default: the old primary is fenced but its acknowledged tail is unreachable,
+                // and the operator must send the promotion again (a retry against a now-dead
+                // primary skips the drain and accepts the loss explicitly).
+                return Err(ServerError::Transport(format!(
+                    "fenced the primary at epoch {epoch} but lost it before draining its tail: \
+                     applied {} of {}",
+                    store.applied_lsn(),
+                    target
+                )));
+            }
+        }
+        Ok(())
     }
 }
 
-/// Bridges [`SeedServer`]'s promotion dispatch to the apply thread: a [`Request::Promote`]
-/// landing on a replica is handed to the thread that owns the store, and the requester blocks
-/// until that thread reports the outcome.
-///
-/// [`Request::Promote`]: seed_server::Request::Promote
-struct PromotionDriver {
-    cell: Arc<PromoteCell>,
-}
-
-impl seed_server::Promoter for PromotionDriver {
-    fn promote(&self, epoch: u64, new_primary: &str) -> ServerResult<PromotionReceipt> {
-        let mut state = self.cell.lock();
-        if !matches!(*state, PromoteState::Idle) {
+/// A promotion runs on the thread that asked for it (a request-serving shard, or the caller
+/// of [`ReplicaNode::promote`]): it raises the abort flag so the apply thread lets go of the
+/// store, takes the store, fences and drains, then flips it.
+impl seed_server::Promoter for ReplicaState {
+    fn promote(&self, core: &SeedServer, epoch: u64, new_primary: &str) -> ServerResult<Database> {
+        if self.promoting.swap(true, Ordering::SeqCst) {
             return Err(ServerError::Protocol(
                 "another promotion is already in progress on this replica".into(),
             ));
         }
-        *state = PromoteState::Requested { epoch, new_primary: new_primary.to_string() };
-        self.cell.pending.store(true, Ordering::SeqCst);
-        self.cell.cond.notify_all();
-        let deadline = std::time::Instant::now() + PROMOTE_TIMEOUT;
-        loop {
-            if matches!(*state, PromoteState::Done(_)) {
-                let PromoteState::Done(outcome) =
-                    std::mem::replace(&mut *state, PromoteState::Idle)
-                else {
-                    unreachable!("matched Done above");
-                };
-                return outcome;
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                // Give up; `finish` sees a non-Executing state and resets the mailbox.
-                *state = PromoteState::Idle;
-                self.cell.pending.store(false, Ordering::SeqCst);
-                return Err(ServerError::Transport(
-                    "the promotion order timed out waiting for the replica's apply thread".into(),
-                ));
-            }
-            state = self
-                .cell
-                .cond
-                .wait_timeout(state, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
+        let mut slot = self.lock();
+        slot.promotions += 1;
+        let flipped = match slot.store.as_mut() {
+            None => Err(ServerError::Protocol("this replica's store was already flipped".into())),
+            Some(store) => self.prepare_promotion(store, core, epoch, new_primary),
         }
-    }
-}
-
-/// Everything fallible that must happen *before* the store flip of a promotion: the epoch
-/// freshness check, fencing the old primary, draining the shipped tail up to the fenced
-/// primary's final LSN.  Leaves the store consistent on failure so the node resumes its
-/// replica role.
-fn prepare_promotion(
-    store: &mut ReplicaStore,
-    primary: SocketAddr,
-    agent: &str,
-    connect_timeout: Duration,
-    epoch: u64,
-    new_primary: &str,
-) -> ServerResult<()> {
-    let current = store.topology_epoch();
-    if epoch <= current {
-        return Err(ServerError::Protocol(format!(
-            "stale promotion epoch {epoch}: this replica is already at epoch {current}"
-        )));
-    }
-    // Fence the old primary.  Three outcomes:
-    //  - a `Promoted` receipt: this promotion won the compare-and-swap on the primary; its
-    //    `last_lsn` is the final write the old log will ever hold — drain up to it.
-    //  - `Fenced` (or any other rejection): a concurrent promotion won first; abort, stay a
-    //    replica.
-    //  - unreachable: a dead primary cannot be fenced, and whatever it committed beyond the
-    //    shipped tail is lost with it — the documented failover data-loss boundary.
-    let drain_to = match RemoteClient::connect_as(primary, "seed-replica promotion fence") {
-        Ok(mut fencer) => match fencer.promote(epoch, new_primary) {
-            Ok(receipt) => Some(receipt.last_lsn),
-            Err(ServerError::Transport(_)) | Err(ServerError::Disconnected) => None,
-            Err(e) => return Err(e),
-        },
-        Err(_) => None,
-    };
-    if let Some(target) = drain_to {
-        // The fence succeeded, so the old primary was alive a moment ago and fencing does not
-        // block its replication feed — drain the tail so no write it acknowledged is lost.
-        let never = AtomicBool::new(false);
-        let deadline = std::time::Instant::now() + connect_timeout;
-        'drain: while store.applied_lsn() < target && std::time::Instant::now() < deadline {
-            let Ok(mut feed) = Feed::open(primary, agent, store.applied_lsn() + 1, connect_timeout)
-            else {
-                break;
-            };
-            while store.applied_lsn() < target {
-                let Ok(batch) = feed.next_batch(&never, &never) else { continue 'drain };
-                if batch.records.is_empty() && !batch.reset && batch.last_lsn <= store.applied_lsn()
-                {
-                    if feed.ack(store.applied_lsn()).is_err() {
-                        continue 'drain;
-                    }
-                    continue;
-                }
-                store
-                    .apply(&batch.records, batch.last_lsn, batch.reset)
-                    .map_err(ServerError::Rejected)?;
-                let _ = feed.ack(store.applied_lsn());
+        .and_then(|()| {
+            // Point of no return: `into_primary` consumes the store, so the apply thread
+            // finds none and ends whatever the outcome — as a primary the node has nothing
+            // left to stream, and a node that failed the flip has no store to stream into.
+            let store = slot.store.take().expect("prepared above");
+            store.into_primary(epoch).map_err(ServerError::Rejected)
+        });
+        match &flipped {
+            Ok(_) => {
+                repl_metrics().ack_lag.set(0);
+                seed_obs::global().events().emit(
+                    seed_obs::Level::Info,
+                    "repl",
+                    "promoted to primary",
+                    &[("epoch", epoch.to_string())],
+                );
             }
+            // Lost the race, or could not fence/drain: stay a replica.
+            Err(_) => self.promoting.store(false, Ordering::SeqCst),
         }
-        if store.applied_lsn() < target {
-            // The primary died between the fence and the drain.  Refusing here is the safe
-            // default: the old primary is fenced but its acknowledged tail is unreachable, and
-            // the operator must re-issue the promotion (a retry against a now-dead primary
-            // skips the drain and accepts the loss explicitly).
-            return Err(ServerError::Transport(format!(
-                "fenced the primary at epoch {epoch} but lost it before draining its tail: \
-                 applied {} of {}",
-                store.applied_lsn(),
-                target
-            )));
-        }
+        flipped
     }
-    Ok(())
 }
 
 /// What one read-locked look at the primary's log decided to ship to a subscriber at `next`.
@@ -542,8 +610,8 @@ pub(crate) fn cut_shipment(
 pub struct ReplicaNode {
     net: Option<SeedNetServer>,
     core: Arc<SeedServer>,
+    state: Arc<ReplicaState>,
     stop: Arc<AtomicBool>,
-    progress: Arc<Progress>,
     apply_thread: Option<JoinHandle<()>>,
 }
 
@@ -589,198 +657,47 @@ impl ReplicaNode {
         let repointed = config.epoch > 0 && config.epoch >= store.topology_epoch();
         let from_lsn = if demoted || repointed { u64::MAX } else { store.applied_lsn() + 1 };
 
+        let state = Arc::new(ReplicaState {
+            slot: Mutex::new(Slot { store: None, promotions: 0 }),
+            promoting: AtomicBool::new(false),
+            primary,
+            agent: config.agent.clone(),
+            connect_timeout: config.connect_timeout,
+            resets: AtomicU64::new(0),
+            items_applied: AtomicU64::new(0),
+        });
+        // The core serves the store's database keyed to its cursor.  A fresh store has none
+        // yet and the core starts on an empty one, which nobody sees: the listener opens only
+        // after the initial sync.
+        let core = SeedServer::new(Database::new(Schema::new(String::new())));
+        core.become_replica(primary.to_string(), state.clone());
+        let applied = store.applied_lsn();
+        core.advance_replica(applied, applied, store.serving_copy());
+
         // Initial sync: subscribe and apply the first batch — the primary answers immediately
         // (snapshot reset when our cursor fell behind its WAL, or when resync was forced).
         let never_stop = AtomicBool::new(false);
         let mut feed = Feed::open(primary, &config.agent, from_lsn, config.connect_timeout)?;
         let batch = feed.next_batch(&never_stop, &never_stop)?;
         feed.deadline = None; // the stream is live; only shutdown unblocks it from here on
-        store.apply(&batch.records, batch.last_lsn, batch.reset).map_err(ServerError::Rejected)?;
-        feed.ack(store.applied_lsn())?;
-        let served = || {
-            store.serving_copy().ok_or_else(|| {
-                ServerError::Protocol("the primary's first batch carried no database".into())
-            })
-        };
-        let server = SeedServer::new(served()?);
-        server.set_read_only(primary.to_string());
-        let promote = Arc::new(PromoteCell::new());
-        server.set_promoter(Arc::new(PromotionDriver { cell: promote.clone() }));
-        server.set_replica_progress(store.applied_lsn(), batch.primary_lsn);
-        repl_metrics().batches_applied.inc();
-        if batch.reset {
-            repl_metrics().resets.inc();
+        state.step(&mut store, &core, &mut feed, batch)?;
+        if !store.is_initialized() {
+            return Err(ServerError::Protocol(
+                "the primary's first batch carried no database".into(),
+            ));
         }
-        repl_metrics().ack_lag.set(batch.primary_lsn.saturating_sub(store.applied_lsn()) as i64);
-        // Key the serving snapshot to the synced cursor (the served copy is plain in-memory
-        // state and cannot derive the primary's LSN itself).
-        server.replace_database_at(served()?, store.applied_lsn());
-        let net = SeedNetServer::with_config(server, listen, config.net.clone())
+        state.lock().store = Some(store);
+        let net = SeedNetServer::with_config(core, listen, config.net.clone())
             .map_err(|e| ServerError::Transport(e.to_string()))?;
         let core = net.core();
         let stop = Arc::new(AtomicBool::new(false));
-        let progress = Arc::new(Progress {
-            applied: AtomicU64::new(store.applied_lsn()),
-            primary_lsn: AtomicU64::new(batch.primary_lsn),
-            resets: AtomicU64::new(u64::from(batch.reset)),
-            items_applied: AtomicU64::new(0),
-        });
-
         let apply_thread = {
-            let core = core.clone();
-            let stop = stop.clone();
-            let progress = progress.clone();
-            let promote = promote.clone();
-            let agent = config.agent.clone();
-            let backoff = config.reconnect_backoff;
-            let connect_timeout = config.connect_timeout;
-            let max_attempts = config.max_reconnect_attempts.max(1);
-            std::thread::spawn(move || {
-                let mut feed = Some(feed);
-                // Consecutive failed reconnects; `gave_up` parks the stream once the per-epoch
-                // cap is hit.
-                let mut failed_attempts: u32 = 0;
-                let mut gave_up = false;
-                while !stop.load(Ordering::SeqCst) {
-                    // A promotion order pre-empts everything, including a given-up stream.
-                    if let Some((epoch, new_primary)) = promote.take_order() {
-                        failed_attempts = 0;
-                        gave_up = false;
-                        feed = None; // whatever stream existed is moot after a role change
-                        match prepare_promotion(
-                            &mut store,
-                            primary,
-                            &agent,
-                            connect_timeout,
-                            epoch,
-                            &new_primary,
-                        ) {
-                            Ok(()) => {
-                                // Point of no return: flip the durable store in place and swap
-                                // the serving core to a writable primary.  `into_primary`
-                                // consumes the engine, so both arms end this thread — as a
-                                // primary the node has nothing left to stream, and a node that
-                                // failed the flip has no store left to stream into.
-                                let flipped = store.into_primary(epoch);
-                                match flipped {
-                                    Ok(db) => {
-                                        let receipt = PromotionReceipt {
-                                            epoch,
-                                            last_lsn: db.durable_lsn().unwrap_or(0),
-                                        };
-                                        core.install_primary(db);
-                                        repl_metrics().ack_lag.set(0);
-                                        seed_obs::global().events().emit(
-                                            seed_obs::Level::Info,
-                                            "repl",
-                                            "promoted to primary",
-                                            &[("epoch", epoch.to_string())],
-                                        );
-                                        promote.finish(Ok(receipt));
-                                    }
-                                    Err(e) => promote.finish(Err(ServerError::Rejected(e))),
-                                }
-                                return;
-                            }
-                            Err(e) => {
-                                // Lost the race, or could not fence/drain: stay a replica.
-                                promote.finish(Err(e));
-                                continue;
-                            }
-                        }
-                    }
-                    if gave_up {
-                        promote.wait_for_order(FEED_POLL);
-                        continue;
-                    }
-                    // (Re-)establish the stream from the durable cursor.
-                    let mut live = match feed.take() {
-                        Some(live) => live,
-                        None => match Feed::open(
-                            primary,
-                            &agent,
-                            store.applied_lsn() + 1,
-                            connect_timeout,
-                        ) {
-                            Ok(live) => {
-                                failed_attempts = 0;
-                                live
-                            }
-                            Err(_) => {
-                                failed_attempts += 1;
-                                repl_metrics().reconnects.inc();
-                                if failed_attempts >= max_attempts {
-                                    gave_up = true;
-                                    seed_obs::global().events().emit(
-                                        seed_obs::Level::Warn,
-                                        "repl",
-                                        "giving up reconnecting to the primary; \
-                                         idling until stopped or promoted",
-                                        &[
-                                            ("primary", primary.to_string()),
-                                            ("attempts", failed_attempts.to_string()),
-                                        ],
-                                    );
-                                    continue;
-                                }
-                                std::thread::sleep(backoff);
-                                continue;
-                            }
-                        },
-                    };
-                    // Drain batches until the connection drops or the node stops.
-                    while let Ok(batch) = live.next_batch(&stop, &promote.pending) {
-                        live.deadline = None;
-                        // Heartbeats (no records, nothing new) only refresh the observed
-                        // primary position — no cursor write, no fsync, no database rebuild.
-                        if batch.records.is_empty()
-                            && !batch.reset
-                            && batch.last_lsn <= store.applied_lsn()
-                        {
-                            core.set_replica_progress(store.applied_lsn(), batch.primary_lsn);
-                            progress.primary_lsn.store(batch.primary_lsn, Ordering::SeqCst);
-                            repl_metrics()
-                                .ack_lag
-                                .set(batch.primary_lsn.saturating_sub(store.applied_lsn()) as i64);
-                            if live.ack(store.applied_lsn()).is_err() {
-                                break;
-                            }
-                            continue;
-                        }
-                        // A batch that fails to decode or to commit changed nothing; the
-                        // session drops and resumes from the durable cursor.
-                        let Ok(items) = store.apply(&batch.records, batch.last_lsn, batch.reset)
-                        else {
-                            break;
-                        };
-                        if live.ack(store.applied_lsn()).is_err() {
-                            break;
-                        }
-                        let served =
-                            store.serving_copy().expect("an applied batch leaves a database");
-                        core.replace_database_at(served, store.applied_lsn());
-                        if batch.reset {
-                            progress.resets.fetch_add(1, Ordering::SeqCst);
-                            repl_metrics().resets.inc();
-                        } else {
-                            progress.items_applied.fetch_add(items as u64, Ordering::SeqCst);
-                        }
-                        core.set_replica_progress(store.applied_lsn(), batch.primary_lsn);
-                        progress.applied.store(store.applied_lsn(), Ordering::SeqCst);
-                        progress.primary_lsn.store(batch.primary_lsn, Ordering::SeqCst);
-                        repl_metrics().batches_applied.inc();
-                        repl_metrics()
-                            .ack_lag
-                            .set(batch.primary_lsn.saturating_sub(store.applied_lsn()) as i64);
-                    }
-                    if !stop.load(Ordering::SeqCst) && !promote.pending.load(Ordering::SeqCst) {
-                        std::thread::sleep(backoff);
-                    }
-                }
-            })
+            let (state, core, stop) = (state.clone(), core.clone(), stop.clone());
+            let (backoff, max_attempts) =
+                (config.reconnect_backoff, config.max_reconnect_attempts.max(1));
+            std::thread::spawn(move || state.stream(&core, &stop, feed, backoff, max_attempts))
         };
-
-        Ok(Self { net: Some(net), core, stop, progress, apply_thread: Some(apply_thread) })
+        Ok(Self { net: Some(net), core, state, stop, apply_thread: Some(apply_thread) })
     }
 
     /// The address this replica serves reads on.
@@ -793,35 +710,37 @@ impl ReplicaNode {
         self.core.clone()
     }
 
-    /// Last primary LSN applied durably on this replica.
+    /// Last primary LSN applied durably on this replica (0 once promoted: a primary's LSNs
+    /// are its own log's).
     pub fn applied_lsn(&self) -> u64 {
-        self.progress.applied.load(Ordering::SeqCst)
+        self.core.replica_progress().map_or(0, |(applied, _)| applied)
     }
 
     /// The primary's end of log as last observed (heartbeats keep this fresh when idle).
     pub fn primary_lsn(&self) -> u64 {
-        self.progress.primary_lsn.load(Ordering::SeqCst)
+        self.core.replica_progress().map_or(0, |(_, primary)| primary)
     }
 
     /// Reset (full-snapshot) batches this node has applied since it started — zero means every
     /// batch so far was an incremental log catch-up.
     pub fn resets_applied(&self) -> u64 {
-        self.progress.resets.load(Ordering::SeqCst)
+        self.state.resets.load(Ordering::SeqCst)
     }
 
     /// Cumulative count of per-item records patched onto the serving database by incremental
     /// batches.  Proportional to the shipped deltas (what the primary actually committed), not
     /// to batches × database size — the observable that replica apply is O(delta) per batch.
     pub fn items_applied(&self) -> u64 {
-        self.progress.items_applied.load(Ordering::SeqCst)
+        self.state.items_applied.load(Ordering::SeqCst)
     }
 
     /// Orders this node to take over as primary under topology epoch `epoch` — the in-process
     /// equivalent of sending `Request::Promote` to its listener.  `new_primary` is the address
     /// clients should be told to write to from now on (normally this node's own
-    /// [`local_addr`](Self::local_addr)).  Blocks until the role change completes: the old
-    /// primary is fenced (when reachable), the shipped tail drained, the store flipped.  On
-    /// success the node serves writes and its own replication feed.
+    /// [`local_addr`](Self::local_addr)).  The promotion runs on the calling thread, which
+    /// blocks until the role change completes: the old primary is fenced (when reachable), the
+    /// shipped tail drained, the store flipped.  On success the node serves writes and its own
+    /// replication feed.  A second order while one runs is refused at once.
     pub fn promote(&self, epoch: u64, new_primary: &str) -> ServerResult<PromotionReceipt> {
         self.core.promote(epoch, new_primary)
     }
@@ -1273,5 +1192,149 @@ mod tests {
         ));
         primary.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Reads `feed` until a batch carrying records arrives, acknowledging heartbeats so the
+    /// primary ships the next batch.
+    fn next_records(feed: &mut Feed) -> LogBatch {
+        let never = AtomicBool::new(false);
+        loop {
+            let batch = feed.next_batch(&never, &never).unwrap();
+            if !batch.records.is_empty() {
+                return batch;
+            }
+            feed.ack(batch.last_lsn).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_batch_read_before_a_promotion_is_never_applied_after_it() {
+        let primary_dir = temp_dir("stale-primary");
+        let replica_dir = temp_dir("stale-replica");
+        let primary = durable_primary(&primary_dir);
+        let addr = primary.local_addr();
+        let mut writer = RemoteClient::connect(addr).unwrap();
+        writer
+            .checkin(vec![Update::CreateObject { class: "Data".into(), name: "First".into() }])
+            .unwrap();
+        let replica = ReplicaNode::start(&replica_dir, addr, "127.0.0.1:0").unwrap();
+        assert!(replica.wait_for_lsn(primary_lsn(&primary), Duration::from_secs(10)));
+        let create =
+            |name: &str| vec![Update::CreateObject { class: "Data".into(), name: name.into() }];
+
+        // A feed opened before any promotion, holding a batch read off it: what the apply
+        // thread has in hand when a promotion takes the store.
+        let stale_feed = |replica: &ReplicaNode, writer: &mut RemoteClient, name: &str| {
+            let opened_under = replica.state.lock().promotions;
+            let mut feed =
+                Feed::open(addr, "stale", replica.applied_lsn() + 1, Duration::from_secs(5))
+                    .unwrap();
+            writer.checkin(create(name)).unwrap();
+            let batch = next_records(&mut feed);
+            (feed, opened_under, batch)
+        };
+
+        // A refused promotion still took the store.  The apply thread moves past the held
+        // batch meanwhile; stepping the batch afterwards would move the cursor back.
+        let (mut feed, opened_under, batch) = stale_feed(&replica, &mut writer, "Old");
+        writer.checkin(create("Newer")).unwrap();
+        assert!(matches!(replica.promote(0, "127.0.0.1:1"), Err(ServerError::Protocol(_))));
+        assert!(replica.wait_for_lsn(primary_lsn(&primary), Duration::from_secs(10)));
+        let cursor = replica.applied_lsn();
+        assert!(batch.last_lsn < cursor, "the held batch is behind the store");
+        assert!(!replica.state.step_fed(&replica.core, &mut feed, opened_under, batch));
+        assert_eq!(replica.applied_lsn(), cursor, "the cursor never moves backwards");
+        assert_eq!(replica.core.snapshot().lsn(), cursor, "reads never go back");
+
+        // A promotion that fences the live primary and drains its tail: a batch held from
+        // before it is not applied either, and the promoted state stays as the flip left it.
+        let (mut feed, opened_under, batch) = stale_feed(&replica, &mut writer, "Older");
+        writer.checkin(create("Newest")).unwrap();
+        replica.promote(1, &replica.local_addr().to_string()).unwrap();
+        let promoted = replica.core.snapshot().lsn();
+        assert!(!replica.state.step_fed(&replica.core, &mut feed, opened_under, batch));
+        assert_eq!(replica.core.snapshot().lsn(), promoted);
+        let mut client = RemoteClient::connect(replica.local_addr()).unwrap();
+        for name in ["First", "Old", "Newer", "Older", "Newest"] {
+            assert!(client.retrieve(name).is_ok(), "{name} was drained before the flip");
+        }
+        client.checkin(create("AfterPromotion")).unwrap();
+        replica.shutdown();
+        primary.shutdown();
+        let _ = std::fs::remove_dir_all(&primary_dir);
+        let _ = std::fs::remove_dir_all(&replica_dir);
+    }
+
+    #[test]
+    fn a_second_promotion_order_is_refused_while_one_runs() {
+        let primary_dir = temp_dir("second-primary");
+        let replica_dir = temp_dir("second-replica");
+        let primary = durable_primary(&primary_dir);
+        let addr = primary.local_addr();
+        let mut writer = RemoteClient::connect(addr).unwrap();
+        writer
+            .checkin(vec![Update::CreateObject { class: "Data".into(), name: "Kept".into() }])
+            .unwrap();
+        let config = ReplicaConfig {
+            reconnect_backoff: Duration::from_millis(5),
+            connect_timeout: Duration::from_millis(200),
+            ..ReplicaConfig::default()
+        };
+        let replica = ReplicaNode::with_config(&replica_dir, addr, "127.0.0.1:0", config).unwrap();
+        assert!(replica.wait_for_lsn(primary_lsn(&primary), Duration::from_secs(10)));
+
+        // The primary's address now accepts connections and never answers, so the first
+        // promotion blocks in its fence until the test lets go of them.
+        primary.shutdown();
+        let silent = std::net::TcpListener::bind(addr).unwrap();
+        silent.set_nonblocking(true).unwrap();
+        let release = Arc::new(AtomicBool::new(false));
+        let acceptor = {
+            let release = release.clone();
+            std::thread::spawn(move || {
+                let mut held = Vec::new();
+                while !release.load(Ordering::SeqCst) {
+                    match silent.accept() {
+                        Ok((stream, _)) => held.push(stream),
+                        Err(_) => std::thread::sleep(Duration::from_millis(2)),
+                    }
+                }
+            })
+        };
+        let new_primary = replica.local_addr().to_string();
+        let first = {
+            let (core, new_primary) = (replica.core(), new_primary.clone());
+            std::thread::spawn(move || core.promote(1, &new_primary))
+        };
+        while !replica.state.promoting.load(Ordering::SeqCst) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+
+        // The second order runs on its own thread so that a queued order would show as a
+        // timeout here instead of a deadlock.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let second = {
+            let (core, new_primary) = (replica.core(), new_primary.clone());
+            std::thread::spawn(move || tx.send(core.promote(1, &new_primary)).unwrap())
+        };
+        let refused = rx.recv_timeout(Duration::from_secs(1));
+        release.store(true, Ordering::SeqCst);
+        match refused.expect("the second order must be refused at once, not queued") {
+            Err(ServerError::Protocol(message)) => assert!(message.contains("already in progress")),
+            other => panic!("expected the second order to be refused, got {other:?}"),
+        }
+        second.join().unwrap();
+
+        // Closing the silent connections fails the fence (an unreachable primary), so the
+        // first promotion proceeds on the shipped tail.
+        acceptor.join().unwrap();
+        assert_eq!(first.join().unwrap().unwrap().epoch, 1);
+        let mut client = RemoteClient::connect(replica.local_addr()).unwrap();
+        client
+            .checkin(vec![Update::CreateObject { class: "Data".into(), name: "Promoted".into() }])
+            .unwrap();
+        replica.shutdown();
+        let _ = std::fs::remove_dir_all(&primary_dir);
+        let _ = std::fs::remove_dir_all(&replica_dir);
     }
 }

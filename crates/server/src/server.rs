@@ -19,18 +19,21 @@ use crate::protocol::{
     Response, SchemaSummary, Update,
 };
 
-/// The replica-side half of a controlled promotion, implemented by the replication driver
-/// (`seed-net`'s `ReplicaNode`): fence the old primary, finish applying the shipped tail, flip
-/// the replica store to a durable primary and install it on the server.  [`SeedServer`] holds a
-/// registered promoter so [`Request::Promote`] can reach the driver through the protocol.
+/// The replica-side half of a controlled promotion, implemented by `seed-net`'s `ReplicaNode`:
+/// fence the old primary, finish applying the shipped tail and flip the replica store to a
+/// durable primary.  A replica [`SeedServer`] holds its promoter in its role, so
+/// [`Request::Promote`] runs it on the requesting thread.
 pub trait Promoter: Send + Sync {
-    /// Carries out the promotion under topology epoch `epoch`; `new_primary` is the address
-    /// this node will serve from (what fenced peers and redirected clients are told).
-    fn promote(&self, epoch: u64, new_primary: &str) -> ServerResult<PromotionReceipt>;
+    /// Carries out the promotion under topology epoch `epoch`, recording the drained tail on
+    /// `server`, and returns the promoted durable database for `server` to install;
+    /// `new_primary` is the address this node will serve from (what fenced peers and
+    /// redirected clients are told).
+    fn promote(&self, server: &SeedServer, epoch: u64, new_primary: &str)
+        -> ServerResult<Database>;
 }
 
-/// Default replica readiness budget: a replica more than this many log records behind the
-/// primary reports not-ready ([`SeedServer::health`]).
+/// Replica readiness budget: a replica more than this many log records behind the primary
+/// reports not-ready ([`SeedServer::health`]).
 pub const DEFAULT_HEALTH_LAG_BUDGET: u64 = 1024;
 
 /// Process-wide lock-table metrics (`docs/OBSERVABILITY.md`): how long check-outs wait to
@@ -66,33 +69,38 @@ pub struct SeedServer {
     /// point, read lock-free by the whole read surface.
     snapshots: SnapshotCell,
     locks: Mutex<LockTable>,
-    /// Names each client has checked out (lock bookkeeping by name, since clients address
-    /// objects by name).
-    checkouts: Mutex<HashMap<ClientId, Vec<String>>>,
     /// Last activity per connected client, for idle-lock reclamation (the paper's crash
     /// recovery rule: a vanished client's checked-out data must come back).
     sessions: Mutex<HashMap<ClientId, Instant>>,
     next_client: AtomicU64,
-    /// `Some(primary address)` turns this server into a read-only replica: every write surface
-    /// answers [`ServerError::ReadOnlyReplica`] redirecting the client to the primary.
-    read_only: Mutex<Option<String>>,
-    /// `Some((new primary, epoch))` after this primary was fenced by a promotion: every write
-    /// surface answers [`ServerError::Fenced`].  Mirrors the state persisted in the database
-    /// meta (so fencing survives a restart); the authoritative compare-and-swap happens under
-    /// the database write lock in [`SeedServer::fence`].
-    fenced: Mutex<Option<(String, u64)>>,
-    /// The replica-side promotion driver, registered by the network layer ([`Promoter`]).
-    promoter: Mutex<Option<Arc<dyn Promoter>>>,
-    /// Primary side of replication: last acknowledged LSN per connected subscriber.
-    replica_acks: Mutex<HashMap<ClientId, u64>>,
-    /// Recently disconnected subscribers' last acks: their cursors keep pinning WAL retention
-    /// (bounded to [`RETIRED_ACK_CAP`] entries) so a replica that restarts across a primary
+    /// What this node does in replication.  A primary's fence is not held here: it lives in
+    /// the database, which persists it, and every snapshot carries it.
+    role: RwLock<Role>,
+    /// Primary side of replication: every subscriber's last acknowledged LSN.
+    subscribers: Mutex<HashMap<ClientId, Subscriber>>,
+}
+
+/// A node's replication role.
+enum Role {
+    /// Serves writes, unless its database records a fence ([`SeedServer::fence`]).
+    Primary,
+    /// A read-only replica: writes answer [`ServerError::ReadOnlyReplica`] naming `primary`.
+    Replica {
+        primary: String,
+        promoter: Arc<dyn Promoter>,
+        /// The primary LSN applied locally, and the primary's end of log as last observed.
+        applied_lsn: u64,
+        primary_lsn: u64,
+    },
+}
+
+/// A replication subscriber's cursor, as the primary tracks it.
+struct Subscriber {
+    acked_lsn: u64,
+    /// False once the subscriber disconnected: a retired cursor still pins WAL retention (at
+    /// most [`RETIRED_ACK_CAP`] of them), so a replica that restarts across a primary
     /// checkpoint can catch up from the retained segments instead of resyncing from a snapshot.
-    retired_acks: Mutex<HashMap<ClientId, u64>>,
-    /// Replica side of replication: `(applied LSN, last observed primary LSN)`.
-    replica_progress: Mutex<Option<(u64, u64)>>,
-    /// Readiness budget for replicas, in log records ([`DEFAULT_HEALTH_LAG_BUDGET`]).
-    health_lag_budget: AtomicU64,
+    live: bool,
 }
 
 /// How many disconnected subscribers' cursors keep pinning WAL retention.  When the set
@@ -101,25 +109,18 @@ pub struct SeedServer {
 const RETIRED_ACK_CAP: usize = 16;
 
 impl SeedServer {
-    /// Creates a server around an existing database.
+    /// Creates a server around an existing database, as a primary.  A fenced primary stays
+    /// fenced across restarts: the fence is part of the database.
     pub fn new(db: Database) -> Self {
         let snapshots = SnapshotCell::new(&db);
-        // A fenced primary stays fenced across restarts: the fence was persisted to meta.
-        let fenced = db.fenced_to().map(|p| (p.to_string(), db.topology_epoch()));
         Self {
             db: RwLock::new(db),
             snapshots,
             locks: Mutex::new(LockTable::new()),
-            checkouts: Mutex::new(HashMap::new()),
             sessions: Mutex::new(HashMap::new()),
             next_client: AtomicU64::new(1),
-            read_only: Mutex::new(None),
-            fenced: Mutex::new(fenced),
-            promoter: Mutex::new(None),
-            replica_acks: Mutex::new(HashMap::new()),
-            retired_acks: Mutex::new(HashMap::new()),
-            replica_progress: Mutex::new(None),
-            health_lag_budget: AtomicU64::new(DEFAULT_HEALTH_LAG_BUDGET),
+            role: RwLock::new(Role::Primary),
+            subscribers: Mutex::new(HashMap::new()),
         }
     }
 
@@ -127,31 +128,51 @@ impl SeedServer {
 
     /// Turns this server into a **read-only replica** of the primary at `primary`: checkout,
     /// check-in and version creation answer [`ServerError::ReadOnlyReplica`] carrying that
-    /// address, while the whole read surface keeps working.  The replication driver
-    /// (`seed-net`'s `ReplicaNode`) swaps freshly applied databases in via
-    /// [`SeedServer::replace_database`].
-    pub fn set_read_only(&self, primary: impl Into<String>) {
-        *self.read_only.lock() = Some(primary.into());
+    /// address, while the whole read surface keeps working, and [`Request::Promote`] runs
+    /// `promoter`.  The replication layer (`seed-net`'s `ReplicaNode`) then reports every
+    /// step through [`SeedServer::advance_replica`].
+    pub fn become_replica(&self, primary: impl Into<String>, promoter: Arc<dyn Promoter>) {
+        *self.role.write() =
+            Role::Replica { primary: primary.into(), promoter, applied_lsn: 0, primary_lsn: 0 };
     }
 
-    /// The primary address when this server is a read-only replica.
-    pub fn read_only_primary(&self) -> Option<String> {
-        self.read_only.lock().clone()
+    /// Records one replica step (replica side): `served`, when the step applied a batch, is
+    /// swapped in and published keyed to `applied_lsn`; then the progress the status and
+    /// health probes report moves to `(applied_lsn, primary_lsn)`.  Readers see the state
+    /// before or after the swap, never in between.
+    pub fn advance_replica(&self, applied_lsn: u64, primary_lsn: u64, served: Option<Database>) {
+        if let Some(served) = served {
+            let mut db = self.db.write();
+            *db = served;
+            self.snapshots.publish_at(&db, Some(applied_lsn));
+        }
+        if let Role::Replica { applied_lsn: applied, primary_lsn: primary, .. } =
+            &mut *self.role.write()
+        {
+            (*applied, *primary) = (applied_lsn, primary_lsn);
+        }
+    }
+
+    /// `(applied LSN, primary LSN)` while this server is a replica; `None` on a primary.
+    pub fn replica_progress(&self) -> Option<(u64, u64)> {
+        match &*self.role.read() {
+            Role::Primary => None,
+            Role::Replica { applied_lsn, primary_lsn, .. } => Some((*applied_lsn, *primary_lsn)),
+        }
     }
 
     fn guard_writable(&self) -> ServerResult<()> {
-        if let Some((new_primary, epoch)) = &*self.fenced.lock() {
-            return Err(ServerError::Fenced { new_primary: new_primary.clone(), epoch: *epoch });
+        if let Role::Replica { primary, .. } = &*self.role.read() {
+            return Err(ServerError::ReadOnlyReplica { primary: primary.clone() });
         }
-        match &*self.read_only.lock() {
-            Some(primary) => Err(ServerError::ReadOnlyReplica { primary: primary.clone() }),
-            None => Ok(()),
-        }
+        Self::guard_unfenced(&self.snapshots.read())
     }
 
-    /// Re-checks fencing **after** the database write lock is held: [`SeedServer::fence`]
-    /// persists under the same lock, so a check-in that raced past [`guard_writable`] while a
-    /// fence was landing still loses here — a fenced node never commits another write.
+    /// Refuses writes on a fenced database.  [`SeedServer::guard_writable`] asks the serving
+    /// snapshot; the write paths ask again **after** the database write lock is held:
+    /// [`SeedServer::fence`] persists under the same lock, so a check-in that raced past the
+    /// first check while a fence was landing still loses here — a fenced node never commits
+    /// another write.
     fn guard_unfenced(db: &Database) -> ServerResult<()> {
         match db.fenced_to() {
             Some(new_primary) => Err(ServerError::Fenced {
@@ -166,36 +187,31 @@ impl SeedServer {
 
     /// The topology epoch this node currently serves under (bumped by every promotion).
     pub fn topology_epoch(&self) -> u64 {
-        self.db.read().topology_epoch()
+        self.snapshots.read().topology_epoch()
     }
 
     /// `Some((new primary, epoch))` when this node was fenced by a promotion.
     pub fn fenced_state(&self) -> Option<(String, u64)> {
-        self.fenced.lock().clone()
-    }
-
-    /// Registers the replica-side promotion driver ([`Promoter`]); the network layer installs
-    /// its `ReplicaNode` here so [`Request::Promote`] can reach it.
-    pub fn set_promoter(&self, promoter: Arc<dyn Promoter>) {
-        *self.promoter.lock() = Some(promoter);
+        let snapshot = self.snapshots.read();
+        snapshot.fenced_to().map(|new_primary| (new_primary.to_string(), snapshot.topology_epoch()))
     }
 
     /// Handles [`Request::Promote`], role-dependent:
     ///
-    /// * on a **replica**, delegates to the registered [`Promoter`] — drain the shipped tail,
-    ///   flip the store, take over as primary;
+    /// * on a **replica**, runs its [`Promoter`] on the calling thread — drain the shipped
+    ///   tail, flip the store — and installs the promoted database as this node's primary
+    ///   state;
     /// * on a **primary**, the promotion happened elsewhere: [`SeedServer::fence`] this node.
     pub fn promote(&self, epoch: u64, new_primary: &str) -> ServerResult<PromotionReceipt> {
-        if self.read_only.lock().is_none() {
-            return self.fence(epoch, new_primary);
-        }
-        let promoter = self.promoter.lock().clone();
-        match promoter {
-            Some(driver) => driver.promote(epoch, new_primary),
-            None => Err(ServerError::Protocol(
-                "no promotion driver is registered on this replica".to_string(),
-            )),
-        }
+        let promoter = match &*self.role.read() {
+            Role::Primary => None,
+            Role::Replica { promoter, .. } => Some(promoter.clone()),
+        };
+        let Some(promoter) = promoter else { return self.fence(epoch, new_primary) };
+        let db = promoter.promote(self, epoch, new_primary)?;
+        let receipt = PromotionReceipt { epoch, last_lsn: db.durable_lsn().unwrap_or(0) };
+        self.install_primary(db);
+        Ok(receipt)
     }
 
     /// Fences this primary: persistently refuses all further writes, redirecting clients to
@@ -217,38 +233,19 @@ impl SeedServer {
             });
         }
         db.persist_topology(epoch, Some(new_primary.to_string())).map_err(ServerError::Rejected)?;
-        *self.fenced.lock() = Some((new_primary.to_string(), epoch));
+        self.snapshots.publish(&db);
         Ok(PromotionReceipt { epoch, last_lsn: db.durable_lsn().unwrap_or(0) })
     }
 
     /// Installs a freshly promoted database as this node's primary state (the last step of the
-    /// replica-side promotion): swaps the served database in, clears the replica role and
-    /// progress, and publishes a snapshot.  Readers see the replica state or the primary state,
-    /// never in between.
-    pub fn install_primary(&self, db: Database) {
+    /// replica-side promotion): swaps the served database in, sets the role back to primary
+    /// and publishes a snapshot.  Readers see the replica state or the primary state, never in
+    /// between.
+    fn install_primary(&self, db: Database) {
         let mut slot = self.db.write();
         *slot = db;
-        *self.read_only.lock() = None;
-        *self.replica_progress.lock() = None;
-        *self.fenced.lock() = None;
+        *self.role.write() = Role::Primary;
         self.snapshots.publish(&slot);
-    }
-
-    /// Replaces the served database wholesale and publishes a fresh snapshot (the replica
-    /// **reset** path, and test seams).  Readers see the state before or after the swap, never
-    /// in between.
-    pub fn replace_database(&self, db: Database) {
-        let mut slot = self.db.write();
-        *slot = db;
-        self.snapshots.publish(&slot);
-    }
-
-    /// Like [`SeedServer::replace_database`], keying the published snapshot to an explicit
-    /// LSN (a replica's applied cursor, which the serving database cannot derive itself).
-    pub fn replace_database_at(&self, db: Database, lsn: u64) {
-        let mut slot = self.db.write();
-        *slot = db;
-        self.snapshots.publish_at(&slot, Some(lsn));
     }
 
     /// Runs a mutating closure under the database write lock, then publishes a new snapshot —
@@ -263,11 +260,9 @@ impl SeedServer {
     /// Records a subscriber's acknowledged LSN (primary side; called by the network layer's
     /// replication sessions).  The subscriber's cursor pins WAL retention on the served
     /// database: checkpoints keep (budget permitting) every segment the slowest subscriber
-    /// still needs.
+    /// still needs.  A reconnecting subscriber's live ack supersedes its retired one.
     pub fn note_replica_ack(&self, client: ClientId, acked_lsn: u64) {
-        self.replica_acks.lock().insert(client, acked_lsn);
-        // A reconnecting subscriber sheds its retired entry — the live ack supersedes it.
-        self.retired_acks.lock().remove(&client);
+        self.subscribers.lock().insert(client, Subscriber { acked_lsn, live: true });
         self.update_retention_floor();
     }
 
@@ -275,16 +270,19 @@ impl SeedServer {
     /// its last ack keeps pinning WAL retention (bounded) so a restart within the retention
     /// budget catches up from the log instead of a full snapshot.
     pub fn retire_replica(&self, client: ClientId) {
-        if let Some(acked) = self.replica_acks.lock().remove(&client) {
-            let mut retired = self.retired_acks.lock();
-            retired.insert(client, acked);
-            while retired.len() > RETIRED_ACK_CAP {
-                let victim = *retired
+        {
+            let mut subscribers = self.subscribers.lock();
+            if let Some(subscriber) = subscribers.get_mut(&client) {
+                subscriber.live = false;
+            }
+            while subscribers.values().filter(|s| !s.live).count() > RETIRED_ACK_CAP {
+                let victim = subscribers
                     .iter()
-                    .min_by_key(|(_, lsn)| **lsn)
-                    .map(|(c, _)| c)
+                    .filter(|(_, s)| !s.live)
+                    .min_by_key(|(_, s)| s.acked_lsn)
+                    .map(|(client, _)| *client)
                     .expect("non-empty");
-                retired.remove(&victim);
+                subscribers.remove(&victim);
             }
         }
         self.update_retention_floor();
@@ -292,60 +290,50 @@ impl SeedServer {
 
     /// Forgets a subscriber entirely (primary side): its cursor stops pinning WAL retention.
     pub fn forget_replica(&self, client: ClientId) {
-        self.replica_acks.lock().remove(&client);
-        self.retired_acks.lock().remove(&client);
+        self.subscribers.lock().remove(&client);
         self.update_retention_floor();
     }
 
     /// Recomputes the WAL retention floor from every live and retired subscriber cursor and
-    /// pushes it to the served database.  The acks locks are released before the database lock
-    /// is taken (status reads nest the other way around).
+    /// pushes it to the served database.  The subscriber lock is released before the database
+    /// lock is taken (status reads nest the other way around).
     fn update_retention_floor(&self) {
-        let floor = {
-            let live = self.replica_acks.lock();
-            let retired = self.retired_acks.lock();
-            live.values().chain(retired.values()).copied().min().map(|acked| acked + 1)
-        };
+        let floor = self.subscribers.lock().values().map(|s| s.acked_lsn).min().map(|a| a + 1);
         self.db.read().set_replication_retention(floor);
     }
 
     /// Number of connected replication subscribers (primary side).
     pub fn subscriber_count(&self) -> usize {
-        self.replica_acks.lock().len()
+        self.subscribers.lock().values().filter(|s| s.live).count()
     }
 
-    /// Updates this replica's progress: the LSN applied locally and the primary's durable end
-    /// of log as last observed (replica side; called by the replication driver).
-    pub fn set_replica_progress(&self, applied_lsn: u64, primary_lsn: u64) {
-        *self.replica_progress.lock() = Some((applied_lsn, primary_lsn));
-    }
-
-    fn replication_status(&self, snapshot: &Snapshot) -> Option<ReplicationStatus> {
-        if let Some((applied, primary)) = *self.replica_progress.lock() {
-            return Some(ReplicationStatus {
+    fn replication_status(&self, snapshot: &Snapshot) -> ReplicationStatus {
+        if let Some((applied, primary)) = self.replica_progress() {
+            return ReplicationStatus {
                 role: ReplicationRole::Replica,
                 applied_lsn: applied,
                 primary_lsn: primary,
                 subscribers: 0,
                 min_acked_lsn: 0,
                 snapshot_lsn: snapshot.lsn(),
-            });
+            };
         }
         // A primary always reports: even without subscribers, the serving snapshot's LSN is
         // the operator's read-staleness observable.  An in-memory primary has no durable
         // cursor — its snapshots are keyed by the publication epoch, which is not a WAL LSN,
         // so the LSN fields report 0 rather than an epoch counter an operator could mistake
         // for a durable position.
-        let acks = self.replica_acks.lock();
+        let subscribers = self.subscribers.lock();
+        let live = subscribers.values().filter(|s| s.live);
         let lsn = if snapshot.durability().is_some() { snapshot.lsn() } else { 0 };
-        Some(ReplicationStatus {
+        ReplicationStatus {
             role: ReplicationRole::Primary,
             applied_lsn: lsn,
             primary_lsn: lsn,
-            subscribers: acks.len() as u32,
-            min_acked_lsn: acks.values().copied().min().unwrap_or(0),
+            subscribers: live.clone().count() as u32,
+            min_acked_lsn: live.map(|s| s.acked_lsn).min().unwrap_or(0),
             snapshot_lsn: lsn,
-        })
+        }
     }
 
     /// Opens a server over a **durable** database in `dir` (running restart recovery if the
@@ -380,65 +368,39 @@ impl SeedServer {
             objects: snapshot.object_count(),
             relationships: snapshot.relationship_count(),
             versions: snapshot.versions().len(),
-            replication: self.replication_status(&snapshot),
+            replication: Some(self.replication_status(&snapshot)),
         }
-    }
-
-    /// Overrides the replica readiness budget (log records behind the primary).
-    pub fn set_health_lag_budget(&self, records: u64) {
-        self.health_lag_budget.store(records, Ordering::SeqCst);
     }
 
     /// The liveness/readiness probe ([`Request::Health`]).  Liveness is implied by any answer
-    /// at all; readiness means the node can do its job right now — a primary's WAL accepts
-    /// writes ([`Database::wal_fault`] names the reason when it does not, e.g. a storage
-    /// engine poisoned by a failed commit or checkpoint), a replica is within its lag budget.  Lock-free on
-    /// the replica path; the primary path takes the database read lock for the WAL probe.
+    /// at all; readiness means the node can do its job right now — a primary is not fenced and
+    /// its WAL accepts writes ([`Database::wal_fault`] names the reason when it does not, e.g.
+    /// a storage engine poisoned by a failed commit or checkpoint), a replica is within
+    /// [`DEFAULT_HEALTH_LAG_BUDGET`].  Lock-free on the replica path; the primary path takes
+    /// the database read lock for the WAL probe.
     pub fn health(&self) -> HealthStatus {
         let snapshot = self.snapshots.read();
-        let status = self.replication_status(&snapshot).unwrap_or_default();
-        let lag_budget = self.health_lag_budget.load(Ordering::SeqCst);
-        // A fenced node is alive but permanently not-ready: it answers probes (so operators
-        // can see the fence) yet must never attract traffic again.
-        if let Some((new_primary, epoch)) = self.fenced_state() {
-            return HealthStatus {
-                ready: false,
-                role: ReplicationRole::Primary,
-                lag: 0,
-                lag_budget,
-                detail: format!("fenced at epoch {epoch}; the primary is now at {new_primary}"),
-            };
-        }
-        match status.role {
+        let status = self.replication_status(&snapshot);
+        let (lag, lag_budget) = (status.lag(), DEFAULT_HEALTH_LAG_BUDGET);
+        let (ready, detail) = match status.role {
+            ReplicationRole::Replica if lag <= lag_budget => (true, "ok".to_string()),
             ReplicationRole::Replica => {
-                let lag = status.lag();
-                let ready = lag <= lag_budget;
-                HealthStatus {
-                    ready,
-                    role: ReplicationRole::Replica,
-                    lag,
-                    lag_budget,
-                    detail: if ready {
-                        "ok".to_string()
-                    } else {
-                        format!("replica {lag} records behind primary (budget {lag_budget})")
-                    },
-                }
+                (false, format!("replica {lag} records behind primary (budget {lag_budget})"))
             }
-            ReplicationRole::Primary => {
-                let fault = self.with_database(|db| db.wal_fault());
-                HealthStatus {
-                    ready: fault.is_none(),
-                    role: ReplicationRole::Primary,
-                    lag: 0,
-                    lag_budget,
-                    detail: match fault {
-                        None => "ok".to_string(),
-                        Some(reason) => format!("WAL not writable: {reason}"),
-                    },
+            // A fenced node is alive but permanently not-ready: it answers probes (so
+            // operators can see the fence) yet must never attract traffic again.
+            ReplicationRole::Primary => match snapshot.fenced_to() {
+                Some(new_primary) => {
+                    let epoch = snapshot.topology_epoch();
+                    (false, format!("fenced at epoch {epoch}; the primary is now at {new_primary}"))
                 }
-            }
-        }
+                None => match self.with_database(|db| db.wal_fault()) {
+                    None => (true, "ok".to_string()),
+                    Some(reason) => (false, format!("WAL not writable: {reason}")),
+                },
+            },
+        };
+        HealthStatus { ready, role: status.role, lag, lag_budget, detail }
     }
 
     /// Checkpoints the durable storage (errors when the database is in-memory).  Publishes a
@@ -493,8 +455,7 @@ impl SeedServer {
     /// still holds checked-out data, and prunes the session entries of lock-free idle clients
     /// (so stale ids never accumulate).  Returns the ids whose locks were reclaimed.  This is
     /// the timeout path for clients that vanished without the transport noticing (crashed
-    /// workstation, dead TCP peer): their write locks and checkout bookkeeping must not leak
-    /// forever.
+    /// workstation, dead TCP peer): their write locks must not leak forever.
     pub fn reclaim_idle(&self, max_idle: Duration) -> Vec<ClientId> {
         let now = Instant::now();
         // Hold the sessions map for the whole sweep: `touch` (the first thing checkout/checkin
@@ -509,14 +470,7 @@ impl SeedServer {
         let mut reclaimed = Vec::new();
         for client in stale {
             sessions.remove(&client);
-            // Sequential (never nested) checkout-table and lock-table accesses, matching the
-            // lock order everywhere else.
-            let had_checkouts = self.checkouts.lock().remove(&client).is_some();
-            let mut locks = self.locks.lock();
-            let released = locks.release_all(client);
-            lock_metrics().held.set(locks.len() as i64);
-            drop(locks);
-            if had_checkouts || released > 0 {
+            if self.release(client) > 0 {
                 reclaimed.push(client);
             }
             // Idle clients without checked-out data just lose their session entry (activity
@@ -729,11 +683,6 @@ impl SeedServer {
             locks.acquire(*id, client).expect("conflicts were ruled out above");
         }
         lock_metrics().held.set(locks.len() as i64);
-        self.checkouts
-            .lock()
-            .entry(client)
-            .or_default()
-            .extend(object_ids.iter().map(|(n, _)| n.clone()));
 
         // Relationships among the checked-out objects.
         let id_set: Vec<ObjectId> = object_ids.iter().map(|(_, id)| *id).collect();
@@ -882,7 +831,6 @@ impl SeedServer {
 
     /// Releases every lock held by `client` (explicit release or after a successful check-in).
     pub fn release(&self, client: ClientId) -> usize {
-        self.checkouts.lock().remove(&client);
         let mut locks = self.locks.lock();
         let released = locks.release_all(client);
         lock_metrics().held.set(locks.len() as i64);
@@ -1299,11 +1247,27 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A promoter that hands back a fresh in-memory database holding `PostPromotion`.
+    struct FakePromoter;
+
+    impl Promoter for FakePromoter {
+        fn promote(
+            &self,
+            _: &SeedServer,
+            _epoch: u64,
+            _new_primary: &str,
+        ) -> ServerResult<Database> {
+            let mut db = Database::new(figure3_schema());
+            db.create_object("Data", "PostPromotion").unwrap();
+            Ok(db)
+        }
+    }
+
     #[test]
     fn read_only_replica_serves_reads_and_redirects_writes() {
         let server = server_with_data();
-        server.set_read_only("primary.example:7044");
-        assert_eq!(server.read_only_primary().as_deref(), Some("primary.example:7044"));
+        server.become_replica("primary.example:7044", Arc::new(FakePromoter));
+        assert_eq!(server.replica_progress(), Some((0, 0)));
         // The whole read surface keeps working.
         assert!(server.retrieve("Alarms").is_ok());
         assert_eq!(server.query("count Action").unwrap().count, 2);
@@ -1324,24 +1288,22 @@ mod tests {
             }
         }
         assert_eq!(server.locked_count(), 0, "a redirected checkout must acquire nothing");
-        // The apply path: a freshly loaded database replaces the served one atomically.
+        // The apply path: a step's database replaces the served one atomically, keyed to the
+        // applied cursor, and its progress is surfaced through the persistence status.
         let mut next = Database::new(figure3_schema());
         next.create_object("Data", "FromTheStream").unwrap();
-        server.replace_database(next);
+        server.advance_replica(41, 44, Some(next));
         assert!(server.retrieve("FromTheStream").is_ok());
         assert!(server.retrieve("Alarms").is_err(), "the old state was swapped out in full");
-        // Replica progress is surfaced through the persistence status.
-        server.set_replica_progress(41, 44);
-        let status = server.persistence_status();
-        let replication = status.replication.expect("replica status present");
+        let replication = server.persistence_status().replication.expect("replica status");
         assert_eq!(replication.role, ReplicationRole::Replica);
         assert_eq!(replication.lag(), 3);
-        // The apply path keys the serving snapshot to the applied cursor explicitly.
-        let mut next = Database::new(figure3_schema());
-        next.create_object("Data", "Keyed").unwrap();
-        server.replace_database_at(next, 41);
-        let replication = server.persistence_status().replication.expect("replica status");
         assert_eq!(replication.snapshot_lsn, 41, "snapshot keyed to the applied LSN");
+        // A heartbeat moves only the observed primary position.
+        server.advance_replica(41, 50, None);
+        assert!(server.retrieve("FromTheStream").is_ok());
+        assert_eq!(server.replica_progress(), Some((41, 50)));
+        assert_eq!(server.health().lag, 9);
     }
 
     #[test]
@@ -1413,6 +1375,21 @@ mod tests {
         let tail = server.with_database(|db| db.wal_tail(cursor + 1).unwrap());
         assert!(matches!(tail, WalTail::Truncated { .. }), "released pin must prune, got {tail:?}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn retired_cursors_are_capped_dropping_the_furthest_behind_first() {
+        let server = server_with_data();
+        server.note_replica_ack(1, 5);
+        for client in 2..RETIRED_ACK_CAP as u64 + 4 {
+            server.note_replica_ack(client, client * 10);
+            server.retire_replica(client);
+        }
+        assert_eq!(server.subscriber_count(), 1);
+        let subscribers = server.subscribers.lock();
+        assert_eq!(subscribers.values().filter(|s| !s.live).count(), RETIRED_ACK_CAP);
+        assert!(!subscribers.contains_key(&2) && !subscribers.contains_key(&3), "furthest first");
+        assert!(subscribers[&1].live, "a live cursor is never evicted, however far behind");
     }
 
     #[test]
@@ -1489,29 +1466,23 @@ mod tests {
     #[test]
     fn promote_on_a_replica_needs_a_registered_driver() {
         let server = server_with_data();
-        server.set_read_only("primary.example:7044");
-        assert!(matches!(server.promote(1, "replica.example:7044"), Err(ServerError::Protocol(_))));
-
-        struct FakeDriver;
-        impl Promoter for FakeDriver {
-            fn promote(&self, epoch: u64, _new_primary: &str) -> ServerResult<PromotionReceipt> {
-                Ok(PromotionReceipt { epoch, last_lsn: 42 })
-            }
-        }
-        server.set_promoter(Arc::new(FakeDriver));
+        server.become_replica("primary.example:7044", Arc::new(FakePromoter));
         let receipt = server.promote(2, "replica.example:7044").unwrap();
-        assert_eq!(receipt, PromotionReceipt { epoch: 2, last_lsn: 42 });
+        // The receipt's end of log is the promoted database's: none, for an in-memory one.
+        assert_eq!(receipt, PromotionReceipt { epoch: 2, last_lsn: 0 });
+        assert!(server.replica_progress().is_none(), "the node now serves as a primary");
+        assert!(server.retrieve("PostPromotion").is_ok());
     }
 
     #[test]
     fn install_primary_clears_the_replica_role_atomically() {
         let server = server_with_data();
-        server.set_read_only("old-primary:7044");
-        server.set_replica_progress(10, 10);
+        server.become_replica("old-primary:7044", Arc::new(FakePromoter));
+        server.advance_replica(10, 10, None);
         let mut promoted = Database::new(figure3_schema());
         promoted.create_object("Data", "PostPromotion").unwrap();
         server.install_primary(promoted);
-        assert!(server.read_only_primary().is_none());
+        assert!(server.replica_progress().is_none());
         assert!(server.retrieve("PostPromotion").is_ok());
         let replication = server.persistence_status().replication.expect("primary reports");
         assert_eq!(replication.role, ReplicationRole::Primary);
