@@ -119,7 +119,20 @@ impl Tcp {
     /// Connects and performs the handshake (protocol version check, client id assignment).
     /// `agent` names the client in the server's logs.
     fn connect_as(addr: impl ToSocketAddrs, agent: &str) -> ServerResult<Self> {
-        let mut stream = TcpStream::connect(addr).map_err(transport_error)?;
+        Self::handshake(TcpStream::connect(addr).map_err(transport_error)?, agent)
+    }
+
+    /// Like [`Tcp::connect_as`], but the connect and every read on the connection — the
+    /// handshake's and each answer's — fail with [`ServerError::Transport`] once `timeout`
+    /// passes.
+    fn connect_within(addr: SocketAddr, agent: &str, timeout: Duration) -> ServerResult<Self> {
+        let stream = TcpStream::connect_timeout(&addr, timeout).map_err(transport_error)?;
+        stream.set_read_timeout(Some(timeout)).map_err(transport_error)?;
+        Self::handshake(stream, agent)
+    }
+
+    /// Handshakes over a connected `stream`.
+    fn handshake(mut stream: TcpStream, agent: &str) -> ServerResult<Self> {
         stream.set_nodelay(true).map_err(transport_error)?;
         let mut reader = BufReader::new(stream.try_clone().map_err(transport_error)?);
         let mut hello = Vec::new();
@@ -411,15 +424,15 @@ impl Transport for Router {
 }
 
 /// The server on the caller's thread: every request is [`SeedServer::handle`]d in place.  The
-/// session registers a client id at construction and disconnects it (releasing its locks) when
-/// dropped, as a closed TCP connection does.
+/// session takes a client id at construction and releases its locks when dropped, as a closed
+/// TCP connection does.
 pub struct InProcess<'a> {
     server: &'a SeedServer,
     client: ClientId,
 }
 
 impl<'a> InProcess<'a> {
-    /// Registers a new client session with `server`.
+    /// Opens a new client session with `server`.
     pub fn new(server: &'a SeedServer) -> Self {
         Self { server, client: server.connect() }
     }
@@ -443,7 +456,7 @@ impl Transport for InProcess<'_> {
 
 impl Drop for InProcess<'_> {
     fn drop(&mut self) {
-        self.server.disconnect(self.client);
+        self.server.release(self.client);
     }
 }
 
@@ -468,6 +481,17 @@ impl Client<Tcp> {
     /// Like [`RemoteClient::connect`], with an explicit agent string for the server's logs.
     pub fn connect_as(addr: impl ToSocketAddrs, agent: &str) -> ServerResult<Self> {
         Tcp::connect_as(addr, agent).map(Client::new)
+    }
+
+    /// Like [`RemoteClient::connect_as`], but a peer that does not accept within `timeout`, or
+    /// takes longer than that for the handshake or any answer, fails the call with
+    /// [`ServerError::Transport`] instead of blocking it.
+    pub(crate) fn connect_within(
+        addr: SocketAddr,
+        agent: &str,
+        timeout: Duration,
+    ) -> ServerResult<Self> {
+        Tcp::connect_within(addr, agent, timeout).map(Client::new)
     }
 
     /// The server's handshake banner.

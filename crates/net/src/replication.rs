@@ -42,18 +42,22 @@ use seed_schema::Schema;
 use seed_server::{PromotionReceipt, SeedServer, ServerError, ServerResult};
 
 use crate::client::RemoteClient;
-use crate::server::{NetServerConfig, SeedNetServer};
+use crate::server::SeedNetServer;
 use crate::wire::{read_frame, write_frame, Ack, FrameKind, Hello, LogBatch, Subscribe, Welcome};
 
-/// Tuning knobs of a replica node.
+/// The agent string a replica sends to its primary in the handshake.
+const AGENT: &str = concat!("seed-replica/", env!("CARGO_PKG_VERSION"));
+
+/// Tuning knobs of a replica node.  Its own read-serving frontend runs with
+/// [`crate::NetServerConfig::default`].
 #[derive(Debug, Clone)]
 pub struct ReplicaConfig {
-    /// Free-form agent string sent to the primary in the handshake.
-    pub agent: String,
     /// Delay between reconnection attempts after the primary connection drops.
     pub reconnect_backoff: Duration,
-    /// Upper bound on connect + handshake + first batch; a primary that accepts the TCP
-    /// connection but never answers fails `ReplicaNode::start` instead of hanging it.
+    /// Upper bound on connect + handshake + first batch, and on each step of a promotion's
+    /// fence (connect, handshake, the `Promote` answer); a primary that accepts the TCP
+    /// connection but never answers fails `ReplicaNode::start`, or counts as unreachable to a
+    /// promotion, instead of hanging it.
     pub connect_timeout: Duration,
     /// How many consecutive failed reconnection attempts the stream tolerates before it stops
     /// hammering the primary's address and idles — still serving reads from the last applied
@@ -66,19 +70,15 @@ pub struct ReplicaConfig {
     /// superseded primary's log and the node forces a full-snapshot resync instead of resuming
     /// it.  Leave at 0 when no failover ever happened.
     pub epoch: u64,
-    /// Configuration of the replica's own read-serving TCP frontend.
-    pub net: NetServerConfig,
 }
 
 impl Default for ReplicaConfig {
     fn default() -> Self {
         Self {
-            agent: format!("seed-replica/{}", env!("CARGO_PKG_VERSION")),
             reconnect_backoff: Duration::from_millis(200),
             connect_timeout: Duration::from_secs(10),
             max_reconnect_attempts: 120,
             epoch: 0,
-            net: NetServerConfig::default(),
         }
     }
 }
@@ -120,18 +120,13 @@ fn repl_metrics() -> &'static ReplMetrics {
 impl Feed {
     /// Connects, handshakes as a replica and subscribes from `from_lsn`.  Everything up to
     /// (and including) the first frame read is bounded by `timeout`.
-    fn open(
-        primary: SocketAddr,
-        agent: &str,
-        from_lsn: u64,
-        timeout: Duration,
-    ) -> ServerResult<Self> {
+    fn open(primary: SocketAddr, from_lsn: u64, timeout: Duration) -> ServerResult<Self> {
         let transport = |e: std::io::Error| ServerError::Transport(e.to_string());
         let stream = TcpStream::connect_timeout(&primary, timeout).map_err(transport)?;
         stream.set_nodelay(true).map_err(transport)?;
         stream.set_read_timeout(Some(FEED_POLL)).map_err(transport)?;
         let mut feed = Self { stream, deadline: Some(std::time::Instant::now() + timeout) };
-        write_frame(&mut feed.stream, FrameKind::Hello, &Hello::replica(agent).encode())?;
+        write_frame(&mut feed.stream, FrameKind::Hello, &Hello::replica(AGENT).encode())?;
         let never = AtomicBool::new(false);
         let frame = feed.read_frame_blocking(&never, &never)?;
         match frame.kind {
@@ -233,7 +228,6 @@ struct ReplicaState {
     /// thread's blocked feed read gives way.
     promoting: AtomicBool,
     primary: SocketAddr,
-    agent: String,
     connect_timeout: Duration,
     /// Reset (full-snapshot) batches applied since this node started — a replica that catches
     /// up from the primary's retained log keeps this at zero.
@@ -343,7 +337,7 @@ impl ReplicaState {
                         std::thread::sleep(FEED_POLL);
                         continue;
                     }
-                    match Feed::open(self.primary, &self.agent, from_lsn, self.connect_timeout) {
+                    match Feed::open(self.primary, from_lsn, self.connect_timeout) {
                         Ok(live) => {
                             failed_attempts = 0;
                             (live, promotions)
@@ -406,8 +400,11 @@ impl ReplicaState {
         //  - `Fenced` (or any other rejection): a concurrent promotion won first; abort, stay a
         //    replica.
         //  - unreachable: a dead primary cannot be fenced, and whatever it committed beyond the
-        //    shipped tail is lost with it — the documented failover data-loss boundary.
-        let drain_to = match RemoteClient::connect_as(self.primary, "seed-replica promotion fence")
+        //    shipped tail is lost with it — the documented failover data-loss boundary.  One
+        //    that accepts the connection but does not answer within the connect timeout counts
+        //    as unreachable too, so it cannot hold the promotion.
+        let fence = "seed-replica promotion fence";
+        let drain_to = match RemoteClient::connect_within(self.primary, fence, self.connect_timeout)
         {
             Ok(mut fencer) => match fencer.promote(epoch, new_primary) {
                 Ok(receipt) => Some(receipt.last_lsn),
@@ -424,9 +421,7 @@ impl ReplicaState {
             let deadline = std::time::Instant::now() + self.connect_timeout;
             'drain: while store.applied_lsn() < target && std::time::Instant::now() < deadline {
                 let from_lsn = store.applied_lsn() + 1;
-                let Ok(mut feed) =
-                    Feed::open(self.primary, &self.agent, from_lsn, self.connect_timeout)
-                else {
+                let Ok(mut feed) = Feed::open(self.primary, from_lsn, self.connect_timeout) else {
                     break;
                 };
                 while store.applied_lsn() < target {
@@ -661,7 +656,6 @@ impl ReplicaNode {
             slot: Mutex::new(Slot { store: None, promotions: 0 }),
             promoting: AtomicBool::new(false),
             primary,
-            agent: config.agent.clone(),
             connect_timeout: config.connect_timeout,
             resets: AtomicU64::new(0),
             items_applied: AtomicU64::new(0),
@@ -677,7 +671,7 @@ impl ReplicaNode {
         // Initial sync: subscribe and apply the first batch — the primary answers immediately
         // (snapshot reset when our cursor fell behind its WAL, or when resync was forced).
         let never_stop = AtomicBool::new(false);
-        let mut feed = Feed::open(primary, &config.agent, from_lsn, config.connect_timeout)?;
+        let mut feed = Feed::open(primary, from_lsn, config.connect_timeout)?;
         let batch = feed.next_batch(&never_stop, &never_stop)?;
         feed.deadline = None; // the stream is live; only shutdown unblocks it from here on
         state.step(&mut store, &core, &mut feed, batch)?;
@@ -687,8 +681,8 @@ impl ReplicaNode {
             ));
         }
         state.lock().store = Some(store);
-        let net = SeedNetServer::with_config(core, listen, config.net.clone())
-            .map_err(|e| ServerError::Transport(e.to_string()))?;
+        let net =
+            SeedNetServer::bind(core, listen).map_err(|e| ServerError::Transport(e.to_string()))?;
         let core = net.core();
         let stop = Arc::new(AtomicBool::new(false));
         let apply_thread = {
@@ -1111,10 +1105,11 @@ mod tests {
         assert!(replica.wait_for_lsn(primary_lsn(&primary), Duration::from_secs(10)));
 
         // The primary dies for good.  The replica burns through its capped attempts, warns
-        // once, and idles instead of hammering the dead address forever.
-        primary.shutdown();
+        // once, and idles instead of hammering the dead address forever.  The count is taken
+        // first: the attempts start as soon as the primary's socket closes.
         let reconnects_before =
             seed_obs::global().snapshot().counter("repl_reconnect_total").unwrap_or(0);
+        primary.shutdown();
         if seed_obs::recording_compiled_in() {
             let deadline = std::time::Instant::now() + Duration::from_secs(10);
             loop {
@@ -1162,7 +1157,7 @@ mod tests {
         let primary =
             SeedNetServer::bind(SeedServer::new(Database::new(figure3_schema())), "127.0.0.1:0")
                 .unwrap();
-        let err = Feed::open(primary.local_addr(), "test", 1, Duration::from_secs(5))
+        let err = Feed::open(primary.local_addr(), 1, Duration::from_secs(5))
             .and_then(|mut feed| feed.next_batch(&AtomicBool::new(false), &AtomicBool::new(false)))
             .unwrap_err();
         assert!(
@@ -1227,8 +1222,7 @@ mod tests {
         let stale_feed = |replica: &ReplicaNode, writer: &mut RemoteClient, name: &str| {
             let opened_under = replica.state.lock().promotions;
             let mut feed =
-                Feed::open(addr, "stale", replica.applied_lsn() + 1, Duration::from_secs(5))
-                    .unwrap();
+                Feed::open(addr, replica.applied_lsn() + 1, Duration::from_secs(5)).unwrap();
             writer.checkin(create(name)).unwrap();
             let batch = next_records(&mut feed);
             (feed, opened_under, batch)
@@ -1275,16 +1269,19 @@ mod tests {
         writer
             .checkin(vec![Update::CreateObject { class: "Data".into(), name: "Kept".into() }])
             .unwrap();
+        // The fence gives up on a silent peer after the connect timeout; it is long enough
+        // for the second order to arrive while the first still runs.
         let config = ReplicaConfig {
             reconnect_backoff: Duration::from_millis(5),
-            connect_timeout: Duration::from_millis(200),
+            connect_timeout: Duration::from_secs(2),
             ..ReplicaConfig::default()
         };
         let replica = ReplicaNode::with_config(&replica_dir, addr, "127.0.0.1:0", config).unwrap();
         assert!(replica.wait_for_lsn(primary_lsn(&primary), Duration::from_secs(10)));
 
         // The primary's address now accepts connections and never answers, so the first
-        // promotion blocks in its fence until the test lets go of them.
+        // promotion blocks in its fence until the connect timeout passes or the test lets go
+        // of the connections, whichever comes first.
         primary.shutdown();
         let silent = std::net::TcpListener::bind(addr).unwrap();
         silent.set_nonblocking(true).unwrap();
@@ -1325,11 +1322,67 @@ mod tests {
         }
         second.join().unwrap();
 
-        // Closing the silent connections fails the fence (an unreachable primary), so the
-        // first promotion proceeds on the shipped tail.
+        // Closing the silent connections fails the fence (an unreachable primary) if its
+        // timeout has not already, so the first promotion proceeds on the shipped tail.
         acceptor.join().unwrap();
         assert_eq!(first.join().unwrap().unwrap().epoch, 1);
         let mut client = RemoteClient::connect(replica.local_addr()).unwrap();
+        client
+            .checkin(vec![Update::CreateObject { class: "Data".into(), name: "Promoted".into() }])
+            .unwrap();
+        replica.shutdown();
+        let _ = std::fs::remove_dir_all(&primary_dir);
+        let _ = std::fs::remove_dir_all(&replica_dir);
+    }
+
+    #[test]
+    fn a_promotion_fence_gives_up_on_a_silent_old_primary() {
+        let primary_dir = temp_dir("silent-primary");
+        let replica_dir = temp_dir("silent-replica");
+        let primary = durable_primary(&primary_dir);
+        let addr = primary.local_addr();
+        let mut writer = RemoteClient::connect(addr).unwrap();
+        writer
+            .checkin(vec![Update::CreateObject { class: "Data".into(), name: "Kept".into() }])
+            .unwrap();
+        let connect_timeout = Duration::from_millis(300);
+        let config = ReplicaConfig {
+            reconnect_backoff: Duration::from_millis(5),
+            connect_timeout,
+            ..ReplicaConfig::default()
+        };
+        let replica = ReplicaNode::with_config(&replica_dir, addr, "127.0.0.1:0", config).unwrap();
+        assert!(replica.wait_for_lsn(primary_lsn(&primary), Duration::from_secs(10)));
+
+        // The old primary's address accepts connections and holds them, never answering.
+        primary.shutdown();
+        let silent = std::net::TcpListener::bind(addr).unwrap();
+        silent.set_nonblocking(true).unwrap();
+        let release = Arc::new(AtomicBool::new(false));
+        let acceptor = {
+            let release = release.clone();
+            std::thread::spawn(move || {
+                let mut held = Vec::new();
+                while !release.load(Ordering::SeqCst) {
+                    match silent.accept() {
+                        Ok((stream, _)) => held.push(stream),
+                        Err(_) => std::thread::sleep(Duration::from_millis(2)),
+                    }
+                }
+            })
+        };
+        let started = std::time::Instant::now();
+        let promoted = replica.promote(1, &replica.local_addr().to_string());
+        let took = started.elapsed();
+        release.store(true, Ordering::SeqCst);
+        acceptor.join().unwrap();
+        assert_eq!(promoted.unwrap().epoch, 1, "a silent old primary counts as unreachable");
+        assert!(
+            took < connect_timeout + Duration::from_secs(1),
+            "the fence must give up within the connect timeout, took {took:?}"
+        );
+        let mut client = RemoteClient::connect(replica.local_addr()).unwrap();
+        client.retrieve("Kept").unwrap();
         client
             .checkin(vec![Update::CreateObject { class: "Data".into(), name: "Promoted".into() }])
             .unwrap();

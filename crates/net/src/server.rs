@@ -15,8 +15,9 @@
 //!
 //! Shard 0 also owns the listener.  It hands each accepted stream to its shard (`token %
 //! shards`, round robin) through that shard's inbox channel plus a [`Poller::notify`]: one hop
-//! per connection, none per request.  The idle reaper runs on shard 0 as well; every shard
-//! enforces the handshake deadline of its own connections.
+//! per connection, none per request.  Every timer belongs to a connection and runs on its
+//! shard: the handshake deadline, the idle-lock reclaim of a silent client and a replication
+//! session's next shipment.  A shard sleeps until the earliest of its connections' deadlines.
 //!
 //! One backpressure rule bounds memory per connection: a connection whose peer stops draining
 //! its socket (output backlog past a 1 MiB high-water mark) is not read from until the backlog
@@ -26,12 +27,13 @@
 //!
 //! Each connection is handshaken onto its own [`ClientId`]; the shard enforces that identity
 //! on every lock-table request (a peer cannot act for another connection's client), and when
-//! the connection closes — cleanly or not — the client's write locks and checkout bookkeeping
-//! are released, the paper's crash-recovery rule for checked-out data.  The shard is the
-//! executor, so a close never releases locks under a running request.  Replication sessions
-//! (Subscribe / LogBatch / Ack) ride the same loops: the owning shard keeps the framing and the
-//! one-batch-in-flight flow control, and cuts each shipment inline under one database read
-//! lock (`replication::cut_shipment`).
+//! the connection closes — cleanly or not — or stays silent past
+//! [`NetServerConfig::idle_timeout`], the client's write locks are released, the paper's
+//! crash-recovery rule for checked-out data.  The shard is the executor, so neither release
+//! runs under one of the client's requests.  Replication sessions (Subscribe / LogBatch / Ack)
+//! ride the same loops: the owning shard keeps the framing and the one-batch-in-flight flow
+//! control, and cuts each shipment inline under one database read lock
+//! (`replication::cut_shipment`).
 
 use std::any::Any;
 use std::collections::HashMap;
@@ -58,13 +60,10 @@ use crate::wire::{
 /// Tuning knobs of the TCP frontend.
 #[derive(Debug, Clone)]
 pub struct NetServerConfig {
-    /// Reclaim the locks of clients idle longer than this (`None` disables the reaper; the
-    /// disconnect path still releases locks when a connection closes).
+    /// Release the locks of a client whose connection has sent no frame for this long; the
+    /// connection stays open.  `None` turns idle reclaim off; a closing connection releases its
+    /// client's locks either way.
     pub idle_timeout: Option<Duration>,
-    /// How often the reaper checks for idle clients.
-    pub reaper_interval: Duration,
-    /// Free-form server identification sent in the handshake.
-    pub banner: String,
     /// Number of shard event loops.  Each shard owns the sockets of the connections assigned to
     /// it (round robin) and executes their requests itself, so a connection's requests run
     /// serially, in order; throughput scales across connections.
@@ -78,8 +77,6 @@ impl Default for NetServerConfig {
     fn default() -> Self {
         Self {
             idle_timeout: None,
-            reaper_interval: Duration::from_millis(200),
-            banner: format!("seed-net/{}", env!("CARGO_PKG_VERSION")),
             worker_shards: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1)
@@ -93,9 +90,12 @@ impl Default for NetServerConfig {
 /// at 1 and are unique across shards.
 const LISTENER: usize = 0;
 
+/// The server identification sent in the handshake.
+const BANNER: &str = concat!("seed-net/", env!("CARGO_PKG_VERSION"));
+
 /// How long a fresh connection may take to complete the handshake.  Without a deadline, a peer
 /// that connects and never sends its hello would hold a registration for the server's whole
-/// lifetime — and the idle reaper cannot reclaim it, because no client id exists yet.
+/// lifetime.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// How often a replication session polls the WAL for news to ship.
@@ -234,7 +234,6 @@ impl SeedNetServer {
                 inbox,
                 acceptor: acceptor.take(),
                 conns: HashMap::new(),
-                last_reap: Instant::now(),
                 draining_since: None,
             };
             // On a failed spawn, dropping `server` stops the shards already running.
@@ -297,8 +296,8 @@ struct Acceptor {
     routes: Vec<(Sender<Accepted>, Arc<Poller>)>,
 }
 
-/// Answers one client frame: identity enforcement, activity touch, dispatch.  Returns the
-/// response and whether the session ends after it (`Shutdown`).
+/// Answers one client frame: identity enforcement, dispatch.  Returns the response and whether
+/// the session ends after it (`Shutdown`).
 fn answer(core: &SeedServer, client: ClientId, frame: Result<Vec<u8>, String>) -> (Response, bool) {
     let payload = match frame {
         Ok(payload) => payload,
@@ -320,7 +319,6 @@ fn answer(core: &SeedServer, client: ClientId, frame: Result<Vec<u8>, String>) -
             );
         }
     }
-    core.touch(client);
     let closing = matches!(request, Request::Shutdown);
     let kind = request.kind_name();
     #[cfg(test)]
@@ -335,7 +333,7 @@ fn answer(core: &SeedServer, client: ClientId, frame: Result<Vec<u8>, String>) -
 
 /// Where a connection is in its lifecycle.
 enum ConnState {
-    /// Awaiting the hello frame (deadlined — no client id exists for the reaper to govern).
+    /// Awaiting the hello frame, until `deadline`.
     Handshake { deadline: Instant },
     /// A handshaken request/response session.
     Client(ClientId),
@@ -351,14 +349,13 @@ struct ReplicaSession {
     next: u64,
     /// The subscribe deserves a position-sync batch even when there is nothing to ship.
     answer_now: bool,
-    /// Pump at the next tick without waiting out [`REPLICATION_POLL`] (set by the subscribe and
-    /// by every ack — new records ship promptly, but a caught-up cursor goes idle instead of
-    /// ping-ponging heartbeats against instant acks).
-    pump_now: bool,
+    /// When the log is next checked for news: [`REPLICATION_POLL`] after the last check, or at
+    /// once after the subscribe and after every ack — new records ship promptly, but a
+    /// caught-up cursor goes idle instead of ping-ponging heartbeats against instant acks.
+    next_pump: Instant,
     /// One batch in flight: true from batch emission until the replica's ack.
     awaiting_ack: bool,
     last_sent: Instant,
-    last_pump: Instant,
 }
 
 struct Conn {
@@ -371,6 +368,9 @@ struct Conn {
     out: Vec<u8>,
     out_pos: usize,
     state: ConnState,
+    /// When the last client frame arrived; `None` before the first one and after an idle
+    /// reclaim, until the next one.
+    last_frame: Option<Instant>,
     /// No more frames are read or answered; the connection closes once its output flushes (or
     /// the write side dies).
     closing: bool,
@@ -397,6 +397,7 @@ impl Conn {
             out: Vec::new(),
             out_pos: 0,
             state: ConnState::Handshake { deadline: Instant::now() + HANDSHAKE_TIMEOUT },
+            last_frame: None,
             closing: false,
             write_dead: false,
             touched: true,
@@ -428,10 +429,10 @@ impl Conn {
 
     /// Reads until the socket runs dry, the connection pauses (backpressure) or closes,
     /// answering every complete frame as it is decoded.
-    fn pump_read(&mut self, core: &SeedServer, banner: &str) {
+    fn pump_read(&mut self, core: &SeedServer) {
         let mut buf = [0u8; READ_CHUNK];
         loop {
-            self.serve_frames(core, banner);
+            self.serve_frames(core);
             if self.closing || self.over_high_water() {
                 return;
             }
@@ -460,13 +461,13 @@ impl Conn {
 
     /// Decodes and serves every complete buffered frame, honoring backpressure between frames.
     /// Returns whether it stopped at the high-water mark with frames possibly left over.
-    fn serve_frames(&mut self, core: &SeedServer, banner: &str) -> bool {
+    fn serve_frames(&mut self, core: &SeedServer) -> bool {
         while !self.closing {
             if self.over_high_water() {
                 return true;
             }
             match self.decoder.next_frame() {
-                Ok(Some(frame)) => self.on_frame(core, banner, frame),
+                Ok(Some(frame)) => self.on_frame(core, frame),
                 Ok(None) => break,
                 // The frame boundary held.  A client session answers in the frame's slot and
                 // lives on; any other state treats it as a handshake/stream failure.
@@ -481,9 +482,9 @@ impl Conn {
         false
     }
 
-    fn on_frame(&mut self, core: &SeedServer, banner: &str, frame: Frame) {
+    fn on_frame(&mut self, core: &SeedServer, frame: Frame) {
         match self.state {
-            ConnState::Handshake { .. } => self.on_hello(core, banner, frame),
+            ConnState::Handshake { .. } => self.on_hello(core, frame),
             ConnState::Client(client) => {
                 let payload = if frame.kind == FrameKind::Request {
                     Ok(frame.payload)
@@ -500,6 +501,7 @@ impl Conn {
     /// Executes one client frame and appends its response.  A panicking handler is answered
     /// with an error in the same slot; a `Shutdown` halts the session after its answer.
     fn respond(&mut self, core: &SeedServer, client: ClientId, frame: Result<Vec<u8>, String>) {
+        self.last_frame = Some(Instant::now());
         let answered = catch_unwind(AssertUnwindSafe(|| answer(core, client, frame)));
         let (response, close) = answered.unwrap_or_else(|panic| {
             let message = note_panic(self, "request handler panicked", panic.as_ref());
@@ -513,7 +515,7 @@ impl Conn {
     }
 
     /// Hello in, Welcome (or Reject) out.
-    fn on_hello(&mut self, core: &SeedServer, banner: &str, frame: Frame) {
+    fn on_hello(&mut self, core: &SeedServer, frame: Frame) {
         if frame.kind != FrameKind::Hello {
             self.reject(b"handshake must start with a hello frame");
             return;
@@ -527,7 +529,7 @@ impl Conn {
             Err(reason) => return self.reject(reason.as_bytes()),
         };
         let client = core.connect();
-        let welcome = Welcome { version, client_id: client, banner: banner.to_string() };
+        let welcome = Welcome { version, client_id: client, banner: BANNER.to_string() };
         append_frame(&mut self.out, FrameKind::Welcome, &welcome.encode());
         self.state = match hello.role {
             HandshakeRole::Replica => ConnState::ReplicaPending { client },
@@ -554,10 +556,9 @@ impl Conn {
             client,
             next,
             answer_now: true, // the subscribe deserves a prompt position sync
-            pump_now: true,
+            next_pump: now,
             awaiting_ack: false,
             last_sent: now,
-            last_pump: now,
         });
     }
 
@@ -572,26 +573,63 @@ impl Conn {
                 return;
             }
         };
-        core.touch(session.client);
         core.note_replica_ack(session.client, ack.applied_lsn);
         // The ack IS the cursor — including backwards: a reset snapshot rebinds a replica
         // whose cursor came from a longer (different or restored) log to this log's positions,
         // and `next` must follow it down or the session would re-ship the snapshot forever.
         session.next = ack.applied_lsn + 1;
         session.awaiting_ack = false;
-        session.pump_now = true; // re-check the log promptly; idle if nothing new shipped
+        session.next_pump = Instant::now(); // re-check the log promptly; idle if nothing new
     }
 
-    /// One replication tick: when a shipment is due and no batch awaits its ack, cuts it and
-    /// queues its frame.  A panicking cut ends the session (the replica reconnects).
+    /// The next instant this connection needs its shard without a socket event: the handshake
+    /// deadline, the idle reclaim of a client heard from (with `idle_timeout` set), or the next
+    /// log check of a replication session with no batch awaiting its ack.
+    fn deadline(&self, idle_timeout: Option<Duration>) -> Option<Instant> {
+        if self.closing {
+            return None;
+        }
+        match &self.state {
+            ConnState::Handshake { deadline } => Some(*deadline),
+            ConnState::Client(_) => Some(self.last_frame? + idle_timeout?),
+            ConnState::ReplicaPending { .. } => None,
+            ConnState::Replica(session) => (!session.awaiting_ack).then_some(session.next_pump),
+        }
+    }
+
+    /// Does what is due once [`Conn::deadline`] has passed.
+    fn on_deadline(&mut self, core: &SeedServer, now: Instant) {
+        match self.state {
+            ConnState::Handshake { .. } => {
+                log_io_error(self, "handshake timed out", "no hello within deadline".into());
+                self.closing = true;
+                self.touched = true;
+            }
+            // A silent client with its connection still open (a hung workstation) gets its
+            // locks taken back; its next checkout starts afresh.  This shard is the only
+            // executor of the client's requests, so none of them runs during the release.
+            ConnState::Client(client) => {
+                self.last_frame = None;
+                if core.release(client) > 0 {
+                    net_metrics().reaper_reclaims.inc();
+                    seed_obs::global().events().emit(
+                        seed_obs::Level::Warn,
+                        "net",
+                        "idle reaper reclaimed client locks",
+                        &[("clients", format!("{:?}", [client]))],
+                    );
+                }
+            }
+            ConnState::ReplicaPending { .. } => {}
+            ConnState::Replica(_) => self.pump_replication(core, now),
+        }
+    }
+
+    /// One replication tick: cuts the shipment due at the session's cursor and queues its
+    /// frame.  A panicking cut ends the session (the replica reconnects).
     fn pump_replication(&mut self, core: &SeedServer, now: Instant) {
         let ConnState::Replica(session) = &mut self.state else { return };
-        let due = session.pump_now || now.duration_since(session.last_pump) >= REPLICATION_POLL;
-        if self.closing || session.awaiting_ack || !due {
-            return;
-        }
-        session.last_pump = now;
-        session.pump_now = false;
+        session.next_pump = now + REPLICATION_POLL;
         let answer_now = std::mem::take(&mut session.answer_now);
         let heartbeat_due = now.duration_since(session.last_sent) >= REPLICATION_HEARTBEAT;
         let next = session.next;
@@ -671,34 +709,16 @@ impl Conn {
     }
 }
 
-/// Retires a closed connection's session and returns the client whose locks and checkouts must
-/// be released (the crash-recovery rule), if a session was ever established.
-fn retire(core: &SeedServer, state: ConnState) -> Option<ClientId> {
-    match state {
-        ConnState::Handshake { .. } => None,
-        ConnState::Client(client) => Some(client),
-        // Retire (not forget): the session's last ack keeps pinning WAL retention so the
-        // replica can catch up from the retained log when it reconnects.
-        ConnState::ReplicaPending { client }
-        | ConnState::Replica(ReplicaSession { client, .. }) => {
-            core.retire_replica(client);
-            Some(client)
-        }
-    }
-}
-
-/// One shard event loop: a poller, the connections it owns, and (on shard 0) the listener and
-/// the idle reaper.
+/// One shard event loop: a poller, the connections it owns, and (on shard 0) the listener.
 struct Shard {
     core: Arc<SeedServer>,
     config: NetServerConfig,
     poller: Arc<Poller>,
     stop: Arc<AtomicBool>,
     inbox: Receiver<Accepted>,
-    /// The listener, on shard 0; the shard that owns it also runs the idle reaper.
+    /// The listener, on shard 0.
     acceptor: Option<Acceptor>,
     conns: HashMap<usize, Conn>,
-    last_reap: Instant,
     draining_since: Option<Instant>,
 }
 
@@ -722,7 +742,7 @@ impl Shard {
                 } else if let Some(conn) = self.conns.get_mut(&event.key) {
                     conn.touched = true;
                     if event.readable && !conn.closing {
-                        conn.pump_read(&self.core, &self.config.banner);
+                        conn.pump_read(&self.core);
                     }
                 }
             }
@@ -746,31 +766,15 @@ impl Shard {
         }
     }
 
+    /// How long the poller may sleep: until the earliest deadline of this shard's connections,
+    /// or until an event when none has one.
     fn poll_timeout(&self) -> Option<Duration> {
         if self.draining_since.is_some() {
             return Some(Duration::from_millis(5));
         }
-        let mut timeout: Option<Duration> = None;
-        let mut consider = |d: Duration| {
-            let d = d.max(Duration::from_millis(1));
-            timeout = Some(timeout.map_or(d, |t| t.min(d)));
-        };
-        if self.acceptor.is_some() && self.config.idle_timeout.is_some() {
-            consider(self.config.reaper_interval.saturating_sub(self.last_reap.elapsed()));
-        }
-        let now = Instant::now();
-        for conn in self.conns.values() {
-            match &conn.state {
-                ConnState::Handshake { deadline } => {
-                    consider(deadline.saturating_duration_since(now));
-                }
-                ConnState::Replica(s) if !s.awaiting_ack && !conn.closing => {
-                    consider(REPLICATION_POLL);
-                }
-                _ => {}
-            }
-        }
-        timeout
+        let idle_timeout = self.config.idle_timeout;
+        let next = self.conns.values().filter_map(|conn| conn.deadline(idle_timeout)).min()?;
+        Some(next.saturating_duration_since(Instant::now()).max(Duration::from_millis(1)))
     }
 
     /// Accepts every pending connection and routes each to its shard's inbox.
@@ -814,33 +818,13 @@ impl Shard {
         }
     }
 
-    /// Timer work: the idle reaper (shard 0), handshake deadlines, replication shipments.
+    /// Timer work: fires every connection deadline that has passed.
     fn tick(&mut self) {
         let now = Instant::now();
-        if let Some(timeout) = self.config.idle_timeout.filter(|_| self.acceptor.is_some()) {
-            if now.duration_since(self.last_reap) >= self.config.reaper_interval {
-                self.last_reap = now;
-                let reclaimed = self.core.reclaim_idle(timeout);
-                if !reclaimed.is_empty() {
-                    net_metrics().reaper_reclaims.add(reclaimed.len() as u64);
-                    seed_obs::global().events().emit(
-                        seed_obs::Level::Warn,
-                        "net",
-                        "idle reaper reclaimed client locks",
-                        &[("clients", format!("{reclaimed:?}"))],
-                    );
-                }
-            }
-        }
+        let idle_timeout = self.config.idle_timeout;
         for conn in self.conns.values_mut() {
-            match &conn.state {
-                ConnState::Handshake { deadline } if now >= *deadline => {
-                    log_io_error(conn, "handshake timed out", "no hello within deadline".into());
-                    conn.closing = true;
-                    conn.touched = true;
-                }
-                ConnState::Replica(_) => conn.pump_replication(&self.core, now),
-                _ => {}
+            if conn.deadline(idle_timeout).is_some_and(|due| due <= now) {
+                conn.on_deadline(&self.core, now);
             }
         }
     }
@@ -858,43 +842,47 @@ impl Shard {
             // bytes were already read, so no read event will come for them (re-arming read
             // interest below re-delivers anything still in the kernel buffer).
             while !conn.closing && !conn.over_high_water() && conn.decoder.buffered() > 0 {
-                let stalled = conn.serve_frames(&self.core, &self.config.banner);
+                let stalled = conn.serve_frames(&self.core);
                 conn.flush_out();
                 if !stalled {
                     break;
                 }
             }
             if conn.closing && (conn.write_dead || conn.backlog() == 0) {
-                self.close_conn(token);
+                let conn = self.conns.remove(&token).expect("swept above");
+                self.close(conn);
             } else {
                 conn.rearm(&self.poller, token);
             }
         }
     }
 
-    fn close_conn(&mut self, token: usize) {
-        let Some(conn) = self.conns.remove(&token) else { return };
+    /// Closes a connection and ends its session.  A client's locks are released (the
+    /// crash-recovery rule).  A replication subscriber is retired, not forgotten: its last ack
+    /// keeps pinning WAL retention so the replica can catch up from the retained log when it
+    /// reconnects.
+    fn close(&self, conn: Conn) {
         net_metrics().connections.dec();
         let _ = self.poller.delete(&conn.stream);
-        if let Some(client) = retire(&self.core, conn.state) {
-            self.core.disconnect(client);
+        match conn.state {
+            ConnState::Handshake { .. } => {}
+            ConnState::Client(client) => {
+                self.core.release(client);
+            }
+            ConnState::ReplicaPending { client }
+            | ConnState::Replica(ReplicaSession { client, .. }) => self.core.retire_replica(client),
         }
         let _ = conn.stream.shutdown(Shutdown::Both);
     }
 
-    /// Shutdown epilogue: flush what was answered, then disconnect every surviving client of
-    /// this shard in one sweep.  Nothing runs on this shard any more, so no lock is released
-    /// under a running request.
+    /// Shutdown epilogue: flush what was answered, then close every surviving connection of
+    /// this shard.  Nothing runs on this shard any more, so no lock is released under a running
+    /// request.
     fn finish(mut self) {
-        let mut clients = Vec::new();
-        for (_, mut conn) in self.conns.drain() {
+        for (_, mut conn) in std::mem::take(&mut self.conns) {
             conn.flush_out();
-            net_metrics().connections.dec();
-            let _ = self.poller.delete(&conn.stream);
-            clients.extend(retire(&self.core, conn.state));
-            let _ = conn.stream.shutdown(Shutdown::Both);
+            self.close(conn);
         }
-        self.core.disconnect_many(&clients);
     }
 }
 
@@ -931,12 +919,45 @@ mod tests {
 
     /// A server over `count` `Data` objects named `{prefix}{i:04}`, with `shards` shards.
     fn server_over(prefix: &str, count: usize, shards: usize) -> SeedNetServer {
+        server_with(prefix, count, NetServerConfig { worker_shards: shards, ..Default::default() })
+    }
+
+    /// A server over `count` `Data` objects named `{prefix}{i:04}`, configured by `config`.
+    fn server_with(prefix: &str, count: usize, config: NetServerConfig) -> SeedNetServer {
         let mut db = Database::new(figure3_schema());
         for i in 0..count {
             db.create_object("Data", &format!("{prefix}{i:04}")).unwrap();
         }
-        let config = NetServerConfig { worker_shards: shards, ..NetServerConfig::default() };
         SeedNetServer::with_config(SeedServer::new(db), "127.0.0.1:0", config).unwrap()
+    }
+
+    /// A server over `Obj0000`..`Obj0003` that reclaims the locks of clients silent for `idle`.
+    fn reclaiming_server(idle: Duration, shards: usize) -> SeedNetServer {
+        let config = NetServerConfig {
+            idle_timeout: Some(idle),
+            worker_shards: shards,
+            ..NetServerConfig::default()
+        };
+        server_with("Obj", 4, config)
+    }
+
+    /// Serializes the tests that reclaim locks: `net_reaper_reclaims_total` is process-wide,
+    /// and the tests that count it exactly must not see a sibling's reclaims.
+    fn reclaims_serialized() -> std::sync::MutexGuard<'static, ()> {
+        static RECLAIMS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        RECLAIMS.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    /// Polls `done` until it holds (true) or 5 s pass (false).
+    fn eventually(done: impl Fn() -> bool) -> bool {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !done() {
+            if Instant::now() >= deadline {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        true
     }
 
     /// A handshaken raw client session, for tests that pipeline frames by hand.
@@ -1068,11 +1089,11 @@ mod tests {
 
     #[test]
     fn idle_clients_are_reaped_on_timeout() {
+        let _serial = reclaims_serialized();
         let mut db = Database::new(figure3_schema());
         db.create_object("Data", "Alarms").unwrap();
         let config = NetServerConfig {
             idle_timeout: Some(Duration::from_millis(100)),
-            reaper_interval: Duration::from_millis(20),
             ..NetServerConfig::default()
         };
         let server =
@@ -1081,7 +1102,7 @@ mod tests {
         let mut sleeper = RemoteClient::connect(server.local_addr()).unwrap();
         sleeper.checkout(&["Alarms"]).unwrap();
         assert!(core.locked_count() > 0);
-        // The client keeps its TCP connection but falls silent; the reaper reclaims its locks.
+        // The client keeps its TCP connection but falls silent; its shard reclaims its locks.
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while core.locked_count() > 0 && std::time::Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(10));
@@ -1089,6 +1110,97 @@ mod tests {
         assert_eq!(core.locked_count(), 0, "idle locks must be reclaimed");
         let mut other = RemoteClient::connect(server.local_addr()).unwrap();
         other.checkout(&["Alarms"]).unwrap();
+        server.shutdown();
+    }
+
+    #[test]
+    fn idle_reclaim_keeps_the_connection_and_the_next_checkout_succeeds() {
+        let _serial = reclaims_serialized();
+        let server = reclaiming_server(Duration::from_millis(200), 1);
+        let core = server.core();
+        let reclaims = counter("net_reaper_reclaims_total");
+        let mut sleeper = RemoteClient::connect(server.local_addr()).unwrap();
+        sleeper.checkout(&["Obj0000"]).unwrap();
+        assert!(eventually(|| core.locked_count() == 0), "idle locks must be reclaimed");
+        assert_eq!(counter("net_reaper_reclaims_total"), reclaims + 1);
+
+        // The connection stayed open: the same session checks out again and holds the lock.
+        sleeper.checkout(&["Obj0000"]).unwrap();
+        let mut other = RemoteClient::connect(server.local_addr()).unwrap();
+        match other.checkout(&["Obj0000"]) {
+            Err(ServerError::Locked { holder, .. }) => assert_eq!(holder, sleeper.id()),
+            other => panic!("the sleeper must hold the lock again, got {other:?}"),
+        }
+        sleeper.close().unwrap();
+        other.close().unwrap();
+        server.shutdown();
+    }
+
+    #[test]
+    fn idle_reclaim_does_not_count_a_client_without_locks() {
+        let _serial = reclaims_serialized();
+        let server = reclaiming_server(Duration::from_millis(100), 1);
+        let core = server.core();
+        let reclaims = counter("net_reaper_reclaims_total");
+        // Heard from, then silent, holding nothing.
+        let mut idler = RemoteClient::connect(server.local_addr()).unwrap();
+        idler.checkout(&["Obj0000"]).unwrap();
+        idler.release().unwrap();
+        // Falls silent later, on the same shard, holding a lock: once that lock is reclaimed,
+        // the idler's earlier deadline has fired too.
+        let mut holder = RemoteClient::connect(server.local_addr()).unwrap();
+        holder.checkout(&["Obj0001"]).unwrap();
+        assert!(eventually(|| core.locked_count() == 0), "idle locks must be reclaimed");
+        assert_eq!(
+            counter("net_reaper_reclaims_total"),
+            reclaims + 1,
+            "only the client that held a lock is counted"
+        );
+        idler.close().unwrap();
+        holder.close().unwrap();
+        server.shutdown();
+    }
+
+    #[test]
+    fn idle_reclaim_spares_a_client_that_keeps_talking() {
+        let server = reclaiming_server(Duration::from_millis(200), 1);
+        let core = server.core();
+        let mut talker = RemoteClient::connect(server.local_addr()).unwrap();
+        talker.checkout(&["Obj0000"]).unwrap();
+        // Five idle timeouts of requests, each well inside the timeout of the one before.
+        let until = Instant::now() + Duration::from_secs(1);
+        while Instant::now() < until {
+            std::thread::sleep(Duration::from_millis(40));
+            talker.retrieve("Obj0001").unwrap();
+            assert!(core.locked_count() > 0, "a client that keeps talking keeps its locks");
+        }
+        let mut other = RemoteClient::connect(server.local_addr()).unwrap();
+        match other.checkout(&["Obj0000"]) {
+            Err(ServerError::Locked { holder, .. }) => assert_eq!(holder, talker.id()),
+            other => panic!("the talker must still hold the lock, got {other:?}"),
+        }
+        talker.close().unwrap();
+        other.close().unwrap();
+        server.shutdown();
+    }
+
+    #[test]
+    fn idle_reclaim_runs_on_every_shard() {
+        let _serial = reclaims_serialized();
+        let server = reclaiming_server(Duration::from_millis(100), 2);
+        let core = server.core();
+        let reclaims = counter("net_reaper_reclaims_total");
+        // Connections are dealt to the shards round robin: one client lands on each shard.
+        let mut clients: Vec<RemoteClient> =
+            (0..2).map(|_| RemoteClient::connect(server.local_addr()).unwrap()).collect();
+        for (i, client) in clients.iter_mut().enumerate() {
+            client.checkout(&[format!("Obj{i:04}").as_str()]).unwrap();
+        }
+        assert!(eventually(|| core.locked_count() == 0), "every shard must reclaim its client");
+        assert_eq!(counter("net_reaper_reclaims_total"), reclaims + 2);
+        for client in clients {
+            client.close().unwrap();
+        }
         server.shutdown();
     }
 

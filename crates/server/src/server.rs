@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use parking_lot::{Mutex, RwLock};
 
@@ -69,9 +69,6 @@ pub struct SeedServer {
     /// point, read lock-free by the whole read surface.
     snapshots: SnapshotCell,
     locks: Mutex<LockTable>,
-    /// Last activity per connected client, for idle-lock reclamation (the paper's crash
-    /// recovery rule: a vanished client's checked-out data must come back).
-    sessions: Mutex<HashMap<ClientId, Instant>>,
     next_client: AtomicU64,
     /// What this node does in replication.  A primary's fence is not held here: it lives in
     /// the database, which persists it, and every snapshot carries it.
@@ -117,7 +114,6 @@ impl SeedServer {
             db: RwLock::new(db),
             snapshots,
             locks: Mutex::new(LockTable::new()),
-            sessions: Mutex::new(HashMap::new()),
             next_client: AtomicU64::new(1),
             role: RwLock::new(Role::Primary),
             subscribers: Mutex::new(HashMap::new()),
@@ -412,71 +408,10 @@ impl SeedServer {
         Ok(())
     }
 
-    /// Registers a client and returns its id.
+    /// Allocates a fresh client id.  A client holds nothing until it checks something out;
+    /// whoever owns its session calls [`SeedServer::release`] when the session ends.
     pub fn connect(&self) -> ClientId {
-        let client = self.next_client.fetch_add(1, Ordering::SeqCst);
-        self.sessions.lock().insert(client, Instant::now());
-        client
-    }
-
-    /// Records activity for `client` (connect-on-first-use for clients created before the
-    /// session tracking existed).
-    pub fn touch(&self, client: ClientId) {
-        self.sessions.lock().insert(client, Instant::now());
-    }
-
-    /// Number of clients with a tracked session.
-    pub fn session_count(&self) -> usize {
-        self.sessions.lock().len()
-    }
-
-    /// Detaches a client: releases all its locks and forgets its session.  The network layer
-    /// calls this when a connection closes — the paper's crash-recovery rule for checked-out
-    /// data.  Returns the number of locks released.
-    pub fn disconnect(&self, client: ClientId) -> usize {
-        self.sessions.lock().remove(&client);
-        self.release(client)
-    }
-
-    /// Detaches a batch of clients in one session-table sweep — the event-loop server's
-    /// shutdown path, where every live connection disconnects at once.  Returns the total
-    /// number of locks released.
-    pub fn disconnect_many(&self, clients: &[ClientId]) -> usize {
-        {
-            let mut sessions = self.sessions.lock();
-            for client in clients {
-                sessions.remove(client);
-            }
-        }
-        clients.iter().map(|client| self.release(*client)).sum()
-    }
-
-    /// Reclaims the locks of every client whose last activity is older than `max_idle` and that
-    /// still holds checked-out data, and prunes the session entries of lock-free idle clients
-    /// (so stale ids never accumulate).  Returns the ids whose locks were reclaimed.  This is
-    /// the timeout path for clients that vanished without the transport noticing (crashed
-    /// workstation, dead TCP peer): their write locks must not leak forever.
-    pub fn reclaim_idle(&self, max_idle: Duration) -> Vec<ClientId> {
-        let now = Instant::now();
-        // Hold the sessions map for the whole sweep: `touch` (the first thing checkout/checkin
-        // do) blocks on it, so no client can slip a fresh checkout between the staleness check
-        // and the release and have its just-acquired locks revoked.
-        let mut sessions = self.sessions.lock();
-        let stale: Vec<ClientId> = sessions
-            .iter()
-            .filter(|(_, last)| now.duration_since(**last) >= max_idle)
-            .map(|(client, _)| *client)
-            .collect();
-        let mut reclaimed = Vec::new();
-        for client in stale {
-            sessions.remove(&client);
-            if self.release(client) > 0 {
-                reclaimed.push(client);
-            }
-            // Idle clients without checked-out data just lose their session entry (activity
-            // re-registers it) and are not reported as reclaimed.
-        }
-        reclaimed
+        self.next_client.fetch_add(1, Ordering::SeqCst)
     }
 
     /// Runs a read-only closure against the **live** central database, under its read lock.
@@ -641,7 +576,6 @@ impl SeedServer {
     /// objects) and returns copies of the objects plus the relationships among them.
     pub fn checkout(&self, client: ClientId, names: &[&str]) -> ServerResult<CheckoutSet> {
         self.guard_writable()?;
-        self.touch(client);
         // Check-out resolution reads the serving snapshot; only the lock table itself is
         // mutated.  The lock table must be acquired BEFORE the snapshot is pinned: check-in
         // publishes its snapshot and only then releases its locks under this mutex, so a
@@ -703,7 +637,6 @@ impl SeedServer {
     /// nothing is applied and the locks are kept so the client can fix and retry.
     pub fn checkin(&self, client: ClientId, updates: &[Update]) -> ServerResult<()> {
         self.guard_writable()?;
-        self.touch(client);
         let mut db = self.db.write();
         Self::guard_unfenced(&db)?;
         let locks = self.locks.lock();
@@ -829,7 +762,9 @@ impl SeedServer {
         Err(SeedError::NotFound(describe()))
     }
 
-    /// Releases every lock held by `client` (explicit release or after a successful check-in).
+    /// Releases every lock held by `client` and returns how many there were: an explicit
+    /// release, a successful check-in, and the end of the client's session — a closed
+    /// connection or an idle one (the paper's crash-recovery rule for checked-out data).
     pub fn release(&self, client: ClientId) -> usize {
         let mut locks = self.locks.lock();
         let released = locks.release_all(client);
@@ -1501,27 +1436,30 @@ mod tests {
         assert!(server.checkpoint().is_err());
     }
 
+    /// The server half of the lock-reclaim rule: the owning shard calls `release` when a
+    /// connection falls idle (counting a reclaim only when it freed a lock) and when it
+    /// closes.  The deadline itself is covered by `seed-net`'s `idle_reclaim_*` tests.
     #[test]
     fn idle_locks_are_reclaimed_and_disconnect_releases() {
         let server = server_with_data();
         let c1 = server.connect();
-        let sessions_before = server.session_count();
         server.checkout(c1, &["Alarms"]).unwrap();
-        assert!(server.locked_count() > 0);
-        // Recent activity: nothing is reclaimed.
-        assert!(server.reclaim_idle(Duration::from_secs(3600)).is_empty());
-        // Zero tolerance: the client counts as vanished and its locks come back.
-        assert_eq!(server.reclaim_idle(Duration::ZERO), vec![c1]);
+        let held = server.locked_count();
+        assert!(held > 0);
+        // An idle holder's locks come back, and the release reports how many.
+        assert_eq!(server.release(c1), held);
         assert_eq!(server.locked_count(), 0);
-        assert_eq!(server.session_count(), sessions_before - 1);
-        // A client without checked-out data is never reclaimed, no matter how idle.
+        // A client without checked-out data releases nothing, so it is never counted.
         let c2 = server.connect();
-        assert!(server.reclaim_idle(Duration::ZERO).is_empty());
-        // The reclaimed client can come back: activity re-registers its session.
+        assert_eq!(server.release(c2), 0);
+        // The reclaimed client can come back: its next checkout succeeds.
         server.checkout(c1, &["Alarms"]).unwrap();
         assert!(server.checkout(c2, &["Alarms"]).is_err());
+        // Releasing a lock-free client leaves everybody else's locks alone.
+        assert_eq!(server.release(c2), 0);
+        assert_eq!(server.locked_count(), held);
         // Disconnect (the transport's close path) releases everything at once.
-        assert!(server.disconnect(c1) > 0);
+        assert_eq!(server.release(c1), held);
         assert!(server.checkout(c2, &["Alarms"]).is_ok());
     }
 
