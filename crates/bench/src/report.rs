@@ -409,8 +409,14 @@ pub fn e9_indexed_retrieval(sizes: &[usize]) -> ExperimentMetrics {
 ///
 /// The acceptance bar of the durability refactor: at `objects` database size, the durable cost
 /// of committing **one** object mutation must be O(delta) — at least 50× cheaper than a
-/// [`Database::checkpoint`], which writes the whole key space as one snapshot image.
+/// [`Database::checkpoint`], which writes the whole key space as one snapshot image.  Each
+/// commit and each of three checkpoints is timed on its own, and `speedup_x` compares their
+/// medians, so one slow fsync cannot move the bar; `speedup_mean_x` is the ratio of the means.
 pub fn e10_durable_throughput(objects: usize, probe_commits: usize) -> ExperimentMetrics {
+    const CHECKPOINTS: usize = 3;
+    let mean_us = |samples: &[Duration]| {
+        samples.iter().map(Duration::as_secs_f64).sum::<f64>() * 1e6 / samples.len() as f64
+    };
     let base = scratch_dir("e10");
     let durable_dir = base.join("durable");
 
@@ -425,18 +431,23 @@ pub fn e10_durable_throughput(objects: usize, probe_commits: usize) -> Experimen
     db.checkpoint().unwrap();
 
     // Write-through: auto-committed single-object mutations (each is its own storage
-    // transaction with one batched WAL write + sync).
-    let (wt, _) = time(|| {
-        for k in 0..probe_commits {
-            db.set_value(ids[k % ids.len()], Value::Undefined).unwrap();
+    // transaction with one batched WAL write + sync), timed one by one, in rounds.  Each round
+    // ends with the whole-image baseline: a checkpoint of the same database (snapshot write +
+    // prune of the round's WAL), so every timed checkpoint does the same work.
+    let mut commits = Vec::with_capacity(probe_commits);
+    let mut checkpoints = Vec::with_capacity(CHECKPOINTS);
+    for round in 0..CHECKPOINTS {
+        for k in round * probe_commits / CHECKPOINTS..(round + 1) * probe_commits / CHECKPOINTS {
+            commits.push(time(|| db.set_value(ids[k % ids.len()], Value::Undefined).unwrap()).0);
         }
-    });
-    let write_through_us = wt.as_secs_f64() * 1e6 / probe_commits as f64;
-
-    // Whole-image baseline: one checkpoint of the same database (snapshot write + WAL prune).
-    let (snap, _) = time(|| db.checkpoint().unwrap());
-    let checkpoint_us = snap.as_secs_f64() * 1e6;
-    let speedup = checkpoint_us / write_through_us.max(f64::EPSILON);
+        checkpoints.push(time(|| db.checkpoint().unwrap()).0);
+    }
+    let write_through_us = mean_us(&commits);
+    let commit_p50_us = percentile(&mut commits, 0.50);
+    let checkpoint_us = mean_us(&checkpoints);
+    let checkpoint_p50_us = percentile(&mut checkpoints, 0.50);
+    let speedup = checkpoint_p50_us / commit_p50_us.max(f64::EPSILON);
+    let speedup_mean = checkpoint_us / write_through_us.max(f64::EPSILON);
 
     // Recovery time vs WAL length: reopen right after a checkpoint (short WAL), then again
     // with `probe_commits` commits in the WAL.
@@ -454,8 +465,8 @@ pub fn e10_durable_throughput(objects: usize, probe_commits: usize) -> Experimen
         "E10",
         &format!("durable write-through vs checkpoint, {objects} objects"),
         format!(
-            "commit {write_through_us:.1} µs vs checkpoint {:.1} ms ({speedup:.0}x); recovery {:.1} ms, +{probe_commits} WAL commits ({wal_bytes} B): {:.1} ms",
-            checkpoint_us / 1e3,
+            "commit p50 {commit_p50_us:.1} µs vs checkpoint p50 {:.1} ms ({speedup:.0}x, means {speedup_mean:.0}x); recovery {:.1} ms, +{probe_commits} WAL commits ({wal_bytes} B): {:.1} ms",
+            checkpoint_p50_us / 1e3,
             recovery_short.as_secs_f64() * 1e3,
             recovery_long.as_secs_f64() * 1e3
         ),
@@ -467,7 +478,10 @@ pub fn e10_durable_throughput(objects: usize, probe_commits: usize) -> Experimen
             ("objects", objects as f64),
             ("write_through_commit_us", write_through_us),
             ("checkpoint_us", checkpoint_us),
+            ("commit_p50_us", commit_p50_us),
+            ("checkpoint_p50_us", checkpoint_p50_us),
             ("speedup_x", speedup),
+            ("speedup_mean_x", speedup_mean),
             ("recovery_after_checkpoint_us", recovery_short.as_secs_f64() * 1e6),
             ("recovery_with_wal_us", recovery_long.as_secs_f64() * 1e6),
             ("wal_bytes_at_reopen", wal_bytes as f64),
@@ -514,8 +528,10 @@ pub fn e11_net_throughput(
                 })
             })
             .collect();
-        barrier.wait();
+        // Start the clock before releasing the clients (as E14 does): a main thread that is
+        // rescheduled late would otherwise undercount the span and inflate the rate.
         let start = Instant::now();
+        barrier.wait();
         let mut latencies = Vec::with_capacity(clients * ops_per_client);
         for worker in workers {
             latencies.extend(worker.join().expect("client thread"));
@@ -609,8 +625,9 @@ pub fn e12_replicated_read_throughput(
                 })
             })
             .collect();
-        barrier.wait();
+        // The clock starts before the release, as in E11 and E14.
         let start = Instant::now();
+        barrier.wait();
         for worker in workers {
             worker.join().expect("client thread");
         }
@@ -711,13 +728,12 @@ pub fn e12_replicated_read_throughput(
     )
 }
 
-/// E13 — segmented WAL recovery: replaying a long, many-segment log serially vs with the
-/// per-segment parallel parser the recovery path uses.
+/// E13 — segmented WAL recovery: one reopen of a long, many-segment log.
 ///
-/// The acceptance bar of the segmentation tentpole: parallel replay must be **bit-identical**
-/// to serial replay (asserted here on real files, and by the storage proptests on arbitrary
-/// logs), and on a multi-core host it must not be pathologically slower — segment parsing is
-/// embarrassingly parallel, the serial merge is O(records).
+/// The log's open walk is the recovery read: it reads each segment once, checks and decodes its
+/// frames, and hands the records over; the row times that open plus the replay of the committed
+/// effects (what [`seed_storage::StorageEngine`] does on open) and asserts that every committed
+/// transaction replays.
 pub fn e13_segmented_recovery(commits: usize, segment_max_bytes: u64) -> ExperimentMetrics {
     use seed_storage::{LogRecord, WalConfig, WriteAheadLog};
 
@@ -725,7 +741,7 @@ pub fn e13_segmented_recovery(commits: usize, segment_max_bytes: u64) -> Experim
     let config = WalConfig { segment_max_bytes, ..WalConfig::default() };
 
     // Build a committed history long enough to span many sealed segments.
-    let wal = WriteAheadLog::open_dir(&dir, config.clone()).unwrap();
+    let (wal, _) = WriteAheadLog::open_dir(&dir, config.clone()).unwrap();
     for txn in 0..commits as u64 {
         let key = format!("bench/{txn:08}").into_bytes();
         wal.append_batch(&[
@@ -740,24 +756,22 @@ pub fn e13_segmented_recovery(commits: usize, segment_max_bytes: u64) -> Experim
     let wal_bytes = wal.size_bytes().unwrap();
     drop(wal);
 
-    // Reopen over the same on-disk segments and time both replay paths.
-    let wal = WriteAheadLog::open_dir(&dir, config).unwrap();
-    let (serial, serial_records) = time(|| wal.read_all().unwrap());
-    let (parallel, parallel_records) = time(|| wal.read_all_parallel().unwrap());
-    assert_eq!(serial_records, parallel_records, "parallel replay must be bit-identical");
-    let effects = seed_storage::replay_committed(&serial_records);
-    assert_eq!(effects.len(), commits, "every committed transaction must replay");
-    let serial_us = serial.as_secs_f64() * 1e6;
-    let parallel_us = parallel.as_secs_f64() * 1e6;
-    let speedup = serial_us / parallel_us.max(f64::EPSILON);
+    // Reopen over the same on-disk segments: the walk plus the replay.
+    let (recovery, (records, effects)) = time(|| {
+        let (_, records) = WriteAheadLog::open_dir(&dir, config).unwrap();
+        let effects = seed_storage::replay_committed(&records);
+        (records.len(), effects.len())
+    });
+    assert_eq!(records, 3 * commits, "open must hand over every record");
+    assert_eq!(effects, commits, "every committed transaction must replay");
+    let recovery_us = recovery.as_secs_f64() * 1e6;
 
     row(
         "E13",
         &format!("segmented recovery, {commits} commits over {segments} segments"),
         format!(
-            "serial {:.2} ms vs parallel {:.2} ms ({speedup:.2}x) across {} KiB of log",
-            serial_us / 1e3,
-            parallel_us / 1e3,
+            "reopen + replay {:.2} ms across {} KiB of log",
+            recovery_us / 1e3,
             wal_bytes / 1024
         ),
     );
@@ -768,9 +782,7 @@ pub fn e13_segmented_recovery(commits: usize, segment_max_bytes: u64) -> Experim
             ("commits", commits as f64),
             ("segments", segments as f64),
             ("wal_frame_bytes", wal_bytes as f64),
-            ("serial_replay_us", serial_us),
-            ("parallel_replay_us", parallel_us),
-            ("speedup_x", speedup),
+            ("recovery_us", recovery_us),
         ],
     )
 }
@@ -1408,27 +1420,15 @@ mod tests {
         );
     }
 
-    /// The acceptance bar of the segmented-WAL tentpole: parallel replay is bit-identical to
-    /// serial replay (asserted inside the experiment on real segment files) and not
-    /// pathologically slower — the per-segment parse is embarrassingly parallel, so even with
-    /// thread-scatter overhead it must stay within 2x of the serial path on a log of this
-    /// size.  Timing-sensitive, so the ratio bar only runs on optimized builds and multi-core
-    /// hosts (CI's bench job runs it with `--release`).
+    /// The segmented-WAL recovery row at its stated scale: a 20k-commit log spanning many
+    /// segments reopens and replays every commit (asserted inside the experiment).  It carries
+    /// no timing bar: that recovery reads each segment once is a count, pinned by the storage
+    /// test `engine_open_reads_each_segment_exactly_once`.
     #[test]
-    #[cfg_attr(debug_assertions, ignore = "timing bar is only meaningful in release builds")]
-    fn e13_parallel_replay_is_identical_and_not_pathological() {
+    #[cfg_attr(debug_assertions, ignore = "the 20k-commit log is sized for release builds")]
+    fn e13_segmented_recovery_replays_every_commit() {
         let result = e13_segmented_recovery(20_000, 64 * 1024);
         assert!(result.get("segments").expect("metric present") >= 8.0, "log must span segments");
-        let cores = host_cores();
-        if cores < 2 {
-            eprintln!("skipping the replay ratio bar: only {cores} core(s) available");
-            return;
-        }
-        let speedup = result.get("speedup_x").expect("metric present");
-        assert!(
-            speedup > 0.5,
-            "parallel replay must stay within 2x of serial replay, got {speedup}x on {cores} cores"
-        );
     }
 
     /// The acceptance bars of the MVCC snapshot-reads tentpole.  The structural half —
@@ -1498,9 +1498,9 @@ mod tests {
     }
 
     /// The acceptance criterion of the durability refactor, at its stated scale: at 10k
-    /// objects, committing one object mutation must be at least 50× cheaper than a full
-    /// snapshot save (write-through is sync-bound and flat; the snapshot grows with the
-    /// database).  A wall-clock ratio is only meaningful on the optimized build, so the hard
+    /// objects, the median commit of one object mutation must be at least 50× cheaper than the
+    /// median of three full snapshot saves (write-through is sync-bound and flat; the snapshot
+    /// grows with the database).  A wall-clock ratio is only meaningful on the optimized build, so the hard
     /// bar is ignored under debug builds (CI's bench job runs it with `--release`); the
     /// structural O(delta) property is asserted unconditionally by
     /// `seed-core::durability::tests::per_commit_durable_cost_is_o_delta`.
@@ -1511,7 +1511,7 @@ mod tests {
         let speedup = result.get("speedup_x").expect("metric present");
         assert!(
             speedup >= 50.0,
-            "write-through commit must be >= 50x cheaper than a checkpoint, got {speedup}x"
+            "the median commit must be >= 50x cheaper than the median checkpoint, got {speedup}x"
         );
     }
 }

@@ -1281,8 +1281,7 @@ mod proptests {
             let incremental_dir = temp_dir("lockstep-incremental");
             let config = seed_storage::EngineConfig {
                 checkpoint_wal_bytes: Some(2048),
-                segment_max_bytes: 512,
-                retention_budget_bytes: 1 << 30,
+                wal: seed_storage::WalConfig { segment_max_bytes: 512, retention_budget_bytes: 1 << 30 },
             };
             let mut db = Database::create_durable_with(&dir, figure3_schema(), config.clone())
                 .unwrap();

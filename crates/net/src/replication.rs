@@ -954,7 +954,7 @@ mod tests {
         let primary_dir = temp_dir("ckpt-primary");
         let replica_dir = temp_dir("ckpt-replica");
         let config = seed_storage::EngineConfig {
-            retention_budget_bytes: 0,
+            wal: seed_storage::WalConfig { retention_budget_bytes: 0, ..Default::default() },
             ..seed_storage::EngineConfig::default()
         };
         let db = Database::create_durable_with(&primary_dir, figure3_schema(), config).unwrap();

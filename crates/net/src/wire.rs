@@ -109,7 +109,7 @@ pub fn write_frame(w: &mut impl Write, kind: FrameKind, payload: &[u8]) -> WireR
             payload.len()
         )));
     }
-    let mut header = [0u8; 13];
+    let mut header = [0u8; HEADER_LEN];
     header[..4].copy_from_slice(&MAGIC);
     header[4] = kind.to_u8();
     header[5..9].copy_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -120,36 +120,61 @@ pub fn write_frame(w: &mut impl Write, kind: FrameKind, payload: &[u8]) -> WireR
     Ok(())
 }
 
+/// Frame header size on the wire: magic + kind + length + checksum.
+const HEADER_LEN: usize = 13;
+
+/// A checked frame header: the payload's kind, length and checksum.
+struct Header {
+    kind: FrameKind,
+    len: usize,
+    crc: u32,
+}
+
+impl Header {
+    /// Parses a frame header.  A bad magic, an unknown kind or an oversized length is fatal:
+    /// the stream is desynchronized.
+    fn parse(header: &[u8; HEADER_LEN]) -> WireResult<Self> {
+        if header[..4] != MAGIC {
+            return Err(WireError::Fatal(format!(
+                "bad frame magic {:02x?} (stream desynchronized or not a SEED peer)",
+                &header[..4]
+            )));
+        }
+        let kind = FrameKind::from_u8(header[4])
+            .ok_or_else(|| WireError::Fatal(format!("unknown frame kind {}", header[4])))?;
+        let len = u32::from_le_bytes([header[5], header[6], header[7], header[8]]);
+        if len > MAX_FRAME_LEN {
+            return Err(WireError::Fatal(format!("frame length {len} exceeds {MAX_FRAME_LEN}")));
+        }
+        let crc = u32::from_le_bytes([header[9], header[10], header[11], header[12]]);
+        Ok(Self { kind, len: len as usize, crc })
+    }
+
+    /// The frame, once its `len` payload bytes are consumed.  A checksum mismatch is
+    /// recoverable: the frame boundary held.
+    fn frame(self, payload: Vec<u8>) -> WireResult<Frame> {
+        if crc32(&payload) != self.crc {
+            return Err(WireError::Recoverable(format!(
+                "frame checksum mismatch ({} byte payload)",
+                payload.len()
+            )));
+        }
+        Ok(Frame { kind: self.kind, payload })
+    }
+}
+
 /// Reads one frame from `r`, verifying magic, kind, length and checksum.
 ///
 /// Errors are classified for the session loop: [`WireError::Recoverable`] means the frame
 /// boundary was found and consumed (keep the connection), anything else means desync or a dead
 /// socket (close it).
 pub fn read_frame(r: &mut impl Read) -> WireResult<Frame> {
-    let mut header = [0u8; 13];
+    let mut header = [0u8; HEADER_LEN];
     r.read_exact(&mut header)?;
-    if header[..4] != MAGIC {
-        return Err(WireError::Fatal(format!(
-            "bad frame magic {:02x?} (stream desynchronized or not a SEED peer)",
-            &header[..4]
-        )));
-    }
-    let kind = FrameKind::from_u8(header[4])
-        .ok_or_else(|| WireError::Fatal(format!("unknown frame kind {}", header[4])))?;
-    let len = u32::from_le_bytes([header[5], header[6], header[7], header[8]]);
-    if len > MAX_FRAME_LEN {
-        return Err(WireError::Fatal(format!("frame length {len} exceeds {MAX_FRAME_LEN}")));
-    }
-    let expected_crc = u32::from_le_bytes([header[9], header[10], header[11], header[12]]);
-    let mut payload = vec![0u8; len as usize];
+    let header = Header::parse(&header)?;
+    let mut payload = vec![0u8; header.len];
     r.read_exact(&mut payload)?;
-    if crc32(&payload) != expected_crc {
-        return Err(WireError::Recoverable(format!(
-            "frame checksum mismatch ({} byte payload)",
-            payload.len()
-        )));
-    }
-    Ok(Frame { kind, payload })
+    header.frame(payload)
 }
 
 /// An incremental frame decoder for nonblocking (readiness-driven) readers: bytes go in as
@@ -166,9 +191,6 @@ pub struct FrameDecoder {
     buf: Vec<u8>,
     start: usize,
 }
-
-/// Frame header size on the wire: magic + kind + length + checksum.
-const HEADER_LEN: usize = 13;
 
 impl FrameDecoder {
     /// An empty decoder.
@@ -200,35 +222,17 @@ impl FrameDecoder {
     /// * `Err(fatal)` — the stream is desynchronized; close the connection.
     pub fn next_frame(&mut self) -> WireResult<Option<Frame>> {
         let avail = &self.buf[self.start..];
-        if avail.len() < HEADER_LEN {
+        let Some(header) = avail.get(..HEADER_LEN) else {
             return Ok(None);
-        }
-        if avail[..4] != MAGIC {
-            return Err(WireError::Fatal(format!(
-                "bad frame magic {:02x?} (stream desynchronized or not a SEED peer)",
-                &avail[..4]
-            )));
-        }
-        let kind = FrameKind::from_u8(avail[4])
-            .ok_or_else(|| WireError::Fatal(format!("unknown frame kind {}", avail[4])))?;
-        let len = u32::from_le_bytes([avail[5], avail[6], avail[7], avail[8]]);
-        if len > MAX_FRAME_LEN {
-            return Err(WireError::Fatal(format!("frame length {len} exceeds {MAX_FRAME_LEN}")));
-        }
-        let total = HEADER_LEN + len as usize;
+        };
+        let header = Header::parse(header.try_into().expect("HEADER_LEN bytes"))?;
+        let total = HEADER_LEN + header.len;
         if avail.len() < total {
             return Ok(None);
         }
-        let expected_crc = u32::from_le_bytes([avail[9], avail[10], avail[11], avail[12]]);
         let payload = avail[HEADER_LEN..total].to_vec();
         self.start += total; // the boundary held either way: consume exactly this frame
-        if crc32(&payload) != expected_crc {
-            return Err(WireError::Recoverable(format!(
-                "frame checksum mismatch ({} byte payload)",
-                payload.len()
-            )));
-        }
-        Ok(Some(Frame { kind, payload }))
+        header.frame(payload).map(Some)
     }
 }
 

@@ -49,22 +49,13 @@ pub struct EngineConfig {
     /// many bytes (`None` = never).  Bounding the WAL bounds recovery time: replay work on open
     /// is proportional to the log, not to the database.
     pub checkpoint_wal_bytes: Option<u64>,
-    /// Size cap of one WAL segment file: the log rotates to a fresh segment once the active
-    /// one reaches this many frame bytes (see [`WalConfig::segment_max_bytes`]).
-    pub segment_max_bytes: u64,
-    /// Upper bound on WAL bytes retained past a checkpoint for lagging replication
-    /// subscribers (see [`WalConfig::retention_budget_bytes`]).
-    pub retention_budget_bytes: u64,
+    /// The log's own settings: segment size cap and replication retention budget.
+    pub wal: WalConfig,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
-        let wal = WalConfig::default();
-        Self {
-            checkpoint_wal_bytes: Some(4 * 1024 * 1024),
-            segment_max_bytes: wal.segment_max_bytes,
-            retention_budget_bytes: wal.retention_budget_bytes,
-        }
+        Self { checkpoint_wal_bytes: Some(4 * 1024 * 1024), wal: WalConfig::default() }
     }
 }
 
@@ -222,7 +213,8 @@ pub struct StorageEngine {
     /// overlap and an image older than the one on disk is refused.
     snapshot_lsn: Mutex<Lsn>,
     next_txn: AtomicU64,
-    config: EngineConfig,
+    /// [`EngineConfig::checkpoint_wal_bytes`]; the log holds its own settings.
+    checkpoint_wal_bytes: Option<u64>,
     /// Path of the database directory (None for in-memory engines).
     path: Option<PathBuf>,
 }
@@ -254,8 +246,9 @@ impl StorageEngine {
     /// Opens an engine over an arbitrary [`SegmentIo`] — what [`StorageEngine::open_with`] and
     /// [`StorageEngine::in_memory`] build on, and the injection point for fault-injection
     /// tests.  Recovery reads the snapshot, then replays the committed WAL records logged
-    /// after the snapshot's LSN; both are returned, and the engine keeps neither.  Sealed
-    /// segments are parsed in parallel across threads; the replay itself stays serial, in LSN
+    /// after the snapshot's LSN; both are returned, and the engine keeps neither.  The records
+    /// are the ones the log's open walk already read and checked
+    /// ([`WriteAheadLog::with_io`]), so each segment is read once; the replay is serial, in LSN
     /// order.
     pub fn with_io(
         io: Arc<dyn SegmentIo>,
@@ -267,13 +260,8 @@ impl StorageEngine {
             .map(|image| decode_snapshot(&image))
             .transpose()?
             .unwrap_or_default();
-        let wal = WriteAheadLog::with_io(
-            io.clone(),
-            WalConfig {
-                segment_max_bytes: config.segment_max_bytes,
-                retention_budget_bytes: config.retention_budget_bytes,
-            },
-        )?;
+        let start = std::time::Instant::now();
+        let (wal, records) = WriteAheadLog::with_io(io.clone(), config.wal)?;
         if wal.base_lsn() > snapshot_lsn {
             // Only a checkpoint prunes the log, and it writes the snapshot first.
             return Err(StorageError::Corrupt(format!(
@@ -288,8 +276,6 @@ impl StorageEngine {
                 wal.durable_lsn()
             )));
         }
-        let start = std::time::Instant::now();
-        let records = wal.read_all_parallel()?;
         // Track transaction ids so new transactions do not collide with logged ones.
         let max_txn = records
             .iter()
@@ -315,7 +301,7 @@ impl StorageEngine {
             inner: Mutex::new(EngineInner { pending: HashMap::new(), poisoned: None }),
             snapshot_lsn: Mutex::new(snapshot_lsn),
             next_txn: AtomicU64::new(max_txn + 1),
-            config,
+            checkpoint_wal_bytes: config.checkpoint_wal_bytes,
             path: None,
         };
         Ok((engine, Recovered { snapshot, effects }))
@@ -414,8 +400,7 @@ impl StorageEngine {
     /// time for the owner of the data to encode an image and call
     /// [`StorageEngine::checkpoint`].  Retained replication segments do not count.
     pub fn checkpoint_due(&self) -> bool {
-        self.config
-            .checkpoint_wal_bytes
+        self.checkpoint_wal_bytes
             .is_some_and(|threshold| self.wal.uncheckpointed_bytes().is_ok_and(|b| b >= threshold))
     }
 
@@ -484,7 +469,7 @@ impl StorageEngine {
 
     /// Sets the oldest LSN a replication subscriber still needs (`None` = no subscribers).
     /// Checkpoints keep the sealed WAL segments covering it — within
-    /// [`EngineConfig::retention_budget_bytes`] — so a lagging subscriber catches up from the
+    /// [`WalConfig::retention_budget_bytes`] — so a lagging subscriber catches up from the
     /// log instead of a full snapshot.
     pub fn set_replication_retention(&self, floor: Option<Lsn>) {
         self.wal.set_retention_floor(floor);
@@ -732,9 +717,8 @@ pub(crate) mod tests {
         let dir = temp_dir("segmented");
         {
             let config = EngineConfig {
-                segment_max_bytes: 256,
                 checkpoint_wal_bytes: None,
-                ..EngineConfig::default()
+                wal: WalConfig { segment_max_bytes: 256, ..WalConfig::default() },
             };
             let (engine, _) = StorageEngine::open_with(&dir, config).unwrap();
             for i in 0..40u32 {
@@ -744,7 +728,7 @@ pub(crate) mod tests {
                 .unwrap()
                 .filter(|e| e.as_ref().unwrap().file_name().to_string_lossy().ends_with(".seg"));
             assert!(segments.count() > 1, "commits rotated into multiple segments");
-            // No checkpoint: recovery replays all segments (in parallel) on reopen.
+            // No checkpoint: recovery replays all segments on reopen.
         }
         let recovered = recovered(&dir);
         assert_eq!(recovered.len(), 40);
@@ -784,7 +768,10 @@ pub(crate) mod tests {
         let dir = temp_dir("late-image");
         let mut model = KeySpace::new();
         {
-            let config = EngineConfig { segment_max_bytes: 128, ..EngineConfig::default() };
+            let config = EngineConfig {
+                wal: WalConfig { segment_max_bytes: 128, ..WalConfig::default() },
+                ..EngineConfig::default()
+            };
             let (engine, _) = StorageEngine::open_with(&dir, config).unwrap();
             for i in 0..10u32 {
                 put(&engine, format!("k/{i}").as_bytes(), b"before").unwrap();
@@ -1137,8 +1124,7 @@ mod proptests {
             let dir = temp_dir("model");
             let config = EngineConfig {
                 checkpoint_wal_bytes: Some(4096),
-                segment_max_bytes: 1024,
-                ..EngineConfig::default()
+                wal: WalConfig { segment_max_bytes: 1024, ..WalConfig::default() },
             };
             let (mut engine, _) = StorageEngine::open_with(&dir, config.clone()).unwrap();
             let mut model = KeySpace::new();

@@ -8,7 +8,7 @@
 //! the disk holds exactly one format —
 //!
 //! * [`wal`] — a segmented write-ahead log with CRC-protected frames, whole-segment checkpoint
-//!   pruning, replication retention, and parallel redo recovery,
+//!   pruning, replication retention, and redo recovery from the records its open walk reads,
 //! * one CRC-framed, key-sorted snapshot image of the whole key space, rewritten atomically
 //!   on every checkpoint,
 //!

@@ -16,8 +16,8 @@
 //!   whole sealed segments oldest-first, instead of rewriting anything.  Segments holding
 //!   records a replication subscriber still needs (at or past the **retention floor**) are kept,
 //!   up to [`WalConfig::retention_budget_bytes`];
-//! * **recovery** parses sealed segments in parallel across threads
-//!   ([`WriteAheadLog::read_all_parallel`]), then replays the merged record stream serially.
+//! * **recovery** is the open walk itself: [`WriteAheadLog::with_io`] reads each segment once,
+//!   checks and decodes its frames, and hands the valid records back for the caller to replay.
 //!
 //! Segment layout: a 24-byte header (`magic | format version | base LSN | crc`) followed by
 //! frames of `len: u32 | crc: u32 | payload: len bytes`.
@@ -482,8 +482,8 @@ struct SegmentParse {
 
 /// Walks a run of frames: a segment's payload (the bytes after the header), or the tail of the
 /// active segment from one of its frames on.  Records are numbered from `base + 1`; only those
-/// with `lsn >= min_lsn` are decoded and returned, and every frame is CRC-checked.  Open and
-/// recovery walk whole segments; a replication tail read starts at the cursor's frame (the
+/// with `lsn >= min_lsn` are decoded and returned, and every frame is CRC-checked.  Open (which
+/// is recovery) walks whole segments; a replication tail read starts at the cursor's frame (the
 /// active segment's frame index gives its offset), so it reads and checks only the new frames.
 /// Stops at the first truncated or checksum-failing frame — the standard WAL recovery rule.  A
 /// crash can tear the final (multi-frame, multi-sector) group-commit batch anywhere, including
@@ -577,10 +577,15 @@ impl WriteAheadLog {
     pub fn in_memory_with(config: WalConfig) -> Self {
         Self::with_io(Arc::new(MemorySegmentIo::new()), config)
             .expect("in-memory segment store cannot fail to open")
+            .0
     }
 
-    /// Opens (or creates) a segmented log inside directory `dir`.
-    pub fn open_dir(dir: impl AsRef<Path>, config: WalConfig) -> StorageResult<Self> {
+    /// Opens (or creates) a segmented log inside directory `dir`, returning it with the
+    /// records it holds (see [`WriteAheadLog::with_io`]).
+    pub fn open_dir(
+        dir: impl AsRef<Path>,
+        config: WalConfig,
+    ) -> StorageResult<(Self, Vec<(Lsn, LogRecord)>)> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
         Self::with_io(Arc::new(FileSegmentIo::new(&dir)), config)
@@ -588,16 +593,23 @@ impl WriteAheadLog {
 
     /// Opens a log over an arbitrary [`SegmentIo`] — the injection point for fault-injection
     /// tests, and what [`WriteAheadLog::open_dir`] / [`WriteAheadLog::in_memory`] build on.
+    /// Returns the log together with every valid record it holds, in LSN order: the open walk
+    /// is the recovery read, so each segment is read, checked and decoded exactly once.
     ///
     /// Recovery scan: segments are walked in id order; the first torn segment header, torn or
     /// checksum-failing frame, or LSN discontinuity ends the valid prefix — the offending tail
     /// is physically truncated and every later segment deleted (bytes past the first invalid
     /// point were never acknowledged).  A missing-prefix discontinuity (older segments deleted
-    /// by an interrupted prune) instead drops the stale older segments and keeps the newest
-    /// contiguous run, which necessarily starts at or past the last checkpoint.
-    pub fn with_io(io: Arc<dyn SegmentIo>, config: WalConfig) -> StorageResult<Self> {
+    /// by an interrupted prune) instead drops the stale older segments, and their records,
+    /// and keeps the newest contiguous run, which necessarily starts at or past the last
+    /// checkpoint.
+    pub fn with_io(
+        io: Arc<dyn SegmentIo>,
+        config: WalConfig,
+    ) -> StorageResult<(Self, Vec<(Lsn, LogRecord)>)> {
         let ids = io.list()?;
         let mut segments: Vec<Segment> = Vec::new();
+        let mut records = Vec::new();
         let mut active_offsets = Vec::new();
         let mut stale: Vec<SegmentId> = Vec::new();
         let mut invalid_from: Option<usize> = None;
@@ -613,6 +625,7 @@ impl WriteAheadLog {
                     // A hole: only an interrupted oldest-first prune leaves one, so the run
                     // before the hole predates a checkpoint and the newest run wins.
                     stale.extend(segments.drain(..).map(|s| s.id));
+                    records.clear();
                 } else if base < prev.end() {
                     // Overlapping numbering cannot come from any crash of ours.
                     return Err(StorageError::Corrupt(format!(
@@ -621,15 +634,14 @@ impl WriteAheadLog {
                     )));
                 }
             }
-            // Headers and frame CRCs are validated here; record decoding is deferred to the
-            // first read.
-            let parse = parse_segment(&raw[SEGMENT_HEADER_LEN..], base, u64::MAX)?;
+            let parse = parse_segment(&raw[SEGMENT_HEADER_LEN..], base, 0)?;
             segments.push(Segment {
                 id,
                 base,
                 records: parse.offsets.len() as u64,
                 bytes: parse.valid_len as u64,
             });
+            records.extend(parse.records);
             active_offsets = parse.offsets;
             if !parse.complete {
                 io.truncate(id, (SEGMENT_HEADER_LEN + parse.valid_len) as u64)?;
@@ -652,17 +664,9 @@ impl WriteAheadLog {
         }
         let next_lsn = segments.last().expect("non-empty").end() + 1;
         let pruned_to = segments[0].base;
-        Ok(Self {
-            io,
-            config,
-            state: Mutex::new(WalState {
-                segments,
-                active_offsets,
-                next_lsn,
-                pruned_to,
-                retention_floor: None,
-            }),
-        })
+        let state =
+            WalState { segments, active_offsets, next_lsn, pruned_to, retention_floor: None };
+        Ok((Self { io, config, state: Mutex::new(state) }, records))
     }
 
     /// Appends one record and syncs it, returning its LSN.
@@ -766,81 +770,6 @@ impl WriteAheadLog {
     /// nothing past a checkpoint.
     pub fn set_retention_floor(&self, floor: Option<Lsn>) {
         self.state.lock().retention_floor = floor;
-    }
-
-    /// Reads every valid record from the beginning of the log, serially.
-    pub fn read_all(&self) -> StorageResult<Vec<(Lsn, LogRecord)>> {
-        let state = self.state.lock();
-        let mut out = Vec::new();
-        for seg in &state.segments {
-            let raw = self.io.read(seg.id)?;
-            let parse = parse_segment(&raw[SEGMENT_HEADER_LEN..], seg.base, 0)?;
-            out.extend(parse.records);
-            if !parse.complete {
-                break;
-            }
-        }
-        Ok(out)
-    }
-
-    /// Reads every valid record, parsing sealed segments **in parallel** across threads before
-    /// the active segment's serial tail parse.  The merged stream is byte-for-byte identical to
-    /// [`WriteAheadLog::read_all`] — the recovery path uses this, the property tests pin the
-    /// equivalence.
-    pub fn read_all_parallel(&self) -> StorageResult<Vec<(Lsn, LogRecord)>> {
-        // Snapshot segment metadata and bytes under the lock, parse outside it.
-        let raws: Vec<(Lsn, Vec<u8>)> = {
-            let state = self.state.lock();
-            state
-                .segments
-                .iter()
-                .map(|seg| Ok((seg.base, self.io.read(seg.id)?)))
-                .collect::<StorageResult<_>>()?
-        };
-        let workers = std::thread::available_parallelism().map_or(1, |n| n.get()).min(raws.len());
-        if workers <= 1 {
-            let mut out = Vec::new();
-            for (base, raw) in &raws {
-                let parse = parse_segment(&raw[SEGMENT_HEADER_LEN..], *base, 0)?;
-                out.extend(parse.records);
-                if !parse.complete {
-                    break;
-                }
-            }
-            return Ok(out);
-        }
-        let mut parses: Vec<Option<StorageResult<SegmentParse>>> =
-            (0..raws.len()).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for worker in 0..workers {
-                let assigned: Vec<(usize, &(Lsn, Vec<u8>))> =
-                    raws.iter().enumerate().filter(|(i, _)| i % workers == worker).collect();
-                handles.push(scope.spawn(move || {
-                    assigned
-                        .into_iter()
-                        .map(|(i, (base, raw))| {
-                            (i, parse_segment(&raw[SEGMENT_HEADER_LEN..], *base, 0))
-                        })
-                        .collect::<Vec<_>>()
-                }));
-            }
-            for handle in handles {
-                for (i, parse) in handle.join().expect("segment parser panicked") {
-                    parses[i] = Some(parse);
-                }
-            }
-        });
-        let mut out = Vec::new();
-        for parse in parses.into_iter().map(|p| p.expect("every slot parsed")) {
-            let parse = parse?;
-            out.extend(parse.records);
-            if !parse.complete {
-                // Same global rule as the serial read: nothing past the first invalid frame.
-                break;
-            }
-        }
-        Ok(out)
     }
 
     /// The tail of the log from LSN `from` (inclusive) to the durable end — the replication
@@ -999,6 +928,14 @@ mod tests {
         segment_files(dir).pop().expect("at least one segment file")
     }
 
+    /// Every record the live log holds: the tail read from its first LSN.
+    fn records_of(wal: &WriteAheadLog) -> Vec<(Lsn, LogRecord)> {
+        match wal.read_from(wal.base_lsn() + 1).unwrap() {
+            WalTail::Records(records) => records,
+            other => panic!("the log's first LSN is in the log, got {other:?}"),
+        }
+    }
+
     fn segment_files(dir: &Path) -> Vec<PathBuf> {
         let mut files: Vec<(SegmentId, PathBuf)> = std::fs::read_dir(dir)
             .unwrap()
@@ -1053,7 +990,7 @@ mod tests {
         let l2 = wal.append(&LogRecord::Commit { txn: 7 }).unwrap();
         assert_eq!(l1, 1);
         assert_eq!(l2, 2);
-        let all = wal.read_all().unwrap();
+        let all = records_of(&wal);
         assert_eq!(all.len(), 2);
         assert_eq!(all[0].1, LogRecord::Begin { txn: 7 });
         assert_eq!(all[1].1, LogRecord::Commit { txn: 7 });
@@ -1063,7 +1000,7 @@ mod tests {
     fn file_log_survives_reopen() {
         let dir = temp_dir("reopen");
         {
-            let wal = WriteAheadLog::open_dir(&dir, WalConfig::default()).unwrap();
+            let (wal, _) = WriteAheadLog::open_dir(&dir, WalConfig::default()).unwrap();
             wal.append(&LogRecord::Begin { txn: 1 }).unwrap();
             wal.append(&LogRecord::Put { txn: 1, key: b"k".to_vec(), value: b"v".to_vec() })
                 .unwrap();
@@ -1071,8 +1008,7 @@ mod tests {
             wal.sync().unwrap();
         }
         {
-            let wal = WriteAheadLog::open_dir(&dir, WalConfig::default()).unwrap();
-            let all = wal.read_all().unwrap();
+            let (wal, all) = WriteAheadLog::open_dir(&dir, WalConfig::default()).unwrap();
             assert_eq!(all.len(), 3);
             assert_eq!(wal.next_lsn(), 4);
         }
@@ -1083,7 +1019,7 @@ mod tests {
     fn torn_tail_is_ignored() {
         let dir = temp_dir("torn");
         {
-            let wal = WriteAheadLog::open_dir(&dir, WalConfig::default()).unwrap();
+            let (wal, _) = WriteAheadLog::open_dir(&dir, WalConfig::default()).unwrap();
             wal.append(&LogRecord::Begin { txn: 1 }).unwrap();
             wal.append(&LogRecord::Commit { txn: 1 }).unwrap();
             wal.sync().unwrap();
@@ -1093,8 +1029,7 @@ mod tests {
             let mut f = OpenOptions::new().append(true).open(active_segment(&dir)).unwrap();
             f.write_all(&[200, 0, 0, 0, 1, 2, 3]).unwrap();
         }
-        let wal = WriteAheadLog::open_dir(&dir, WalConfig::default()).unwrap();
-        let all = wal.read_all().unwrap();
+        let (_, all) = WriteAheadLog::open_dir(&dir, WalConfig::default()).unwrap();
         assert_eq!(all.len(), 2, "torn frame must be dropped, durable prefix kept");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1104,7 +1039,7 @@ mod tests {
         let dir = temp_dir("midframe");
         let committed_file_len;
         {
-            let wal = WriteAheadLog::open_dir(&dir, WalConfig::default()).unwrap();
+            let (wal, _) = WriteAheadLog::open_dir(&dir, WalConfig::default()).unwrap();
             wal.append(&LogRecord::Begin { txn: 1 }).unwrap();
             wal.append(&LogRecord::Put { txn: 1, key: b"a".to_vec(), value: b"1".to_vec() })
                 .unwrap();
@@ -1123,8 +1058,8 @@ mod tests {
         let full = std::fs::read(&seg).unwrap();
         std::fs::write(&seg, &full[..(committed_file_len as usize + 5)]).unwrap();
 
-        let wal = WriteAheadLog::open_dir(&dir, WalConfig::default()).unwrap();
-        let records: Vec<LogRecord> = wal.read_all().unwrap().into_iter().map(|(_, r)| r).collect();
+        let (wal, recovered) = WriteAheadLog::open_dir(&dir, WalConfig::default()).unwrap();
+        let records: Vec<LogRecord> = recovered.iter().map(|(_, r)| r.clone()).collect();
         assert_eq!(
             records,
             vec![
@@ -1134,7 +1069,7 @@ mod tests {
             ],
             "recovery stops at the last valid committed frame"
         );
-        let effects = replay_committed(&wal.read_all().unwrap());
+        let effects = replay_committed(&recovered);
         assert_eq!(effects, vec![(b"a".to_vec(), Some(b"1".to_vec()))]);
         // The torn bytes were physically truncated, so new appends extend the valid prefix.
         assert_eq!(std::fs::metadata(&seg).unwrap().len(), committed_file_len);
@@ -1142,8 +1077,8 @@ mod tests {
         wal.append(&LogRecord::Commit { txn: 3 }).unwrap();
         wal.sync().unwrap();
         drop(wal);
-        let wal = WriteAheadLog::open_dir(&dir, WalConfig::default()).unwrap();
-        assert_eq!(wal.read_all().unwrap().len(), 5, "appends after a torn tail stay readable");
+        let (_, all) = WriteAheadLog::open_dir(&dir, WalConfig::default()).unwrap();
+        assert_eq!(all.len(), 5, "appends after a torn tail stay readable");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1151,7 +1086,7 @@ mod tests {
     fn torn_tail_inside_uncommitted_transaction_is_dropped() {
         let dir = temp_dir("torn-uncommitted");
         {
-            let wal = WriteAheadLog::open_dir(&dir, WalConfig::default()).unwrap();
+            let (wal, _) = WriteAheadLog::open_dir(&dir, WalConfig::default()).unwrap();
             wal.append(&LogRecord::Begin { txn: 1 }).unwrap();
             wal.append(&LogRecord::Put { txn: 1, key: b"k".to_vec(), value: b"v".to_vec() })
                 .unwrap();
@@ -1166,8 +1101,7 @@ mod tests {
         let full = std::fs::read(&seg).unwrap();
         std::fs::write(&seg, &full[..full.len() - 3]).unwrap();
 
-        let wal = WriteAheadLog::open_dir(&dir, WalConfig::default()).unwrap();
-        let records = wal.read_all().unwrap();
+        let (_, records) = WriteAheadLog::open_dir(&dir, WalConfig::default()).unwrap();
         assert_eq!(records.len(), 4, "only the torn frame is dropped");
         let effects = replay_committed(&records);
         assert_eq!(effects, vec![(b"k".to_vec(), Some(b"v".to_vec()))]);
@@ -1178,7 +1112,7 @@ mod tests {
     fn partially_overwritten_final_frame_is_treated_as_torn() {
         let dir = temp_dir("partial-final");
         {
-            let wal = WriteAheadLog::open_dir(&dir, WalConfig::default()).unwrap();
+            let (wal, _) = WriteAheadLog::open_dir(&dir, WalConfig::default()).unwrap();
             wal.append(&LogRecord::Commit { txn: 1 }).unwrap();
             wal.append(&LogRecord::Put { txn: 2, key: b"k".to_vec(), value: b"v".to_vec() })
                 .unwrap();
@@ -1193,8 +1127,7 @@ mod tests {
             bytes[n - 2] ^= 0xFF;
             std::fs::write(&seg, &bytes).unwrap();
         }
-        let wal = WriteAheadLog::open_dir(&dir, WalConfig::default()).unwrap();
-        let records = wal.read_all().unwrap();
+        let (_, records) = WriteAheadLog::open_dir(&dir, WalConfig::default()).unwrap();
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].1, LogRecord::Commit { txn: 1 });
         let _ = std::fs::remove_dir_all(&dir);
@@ -1212,7 +1145,7 @@ mod tests {
             .unwrap();
         assert_eq!(first, 1);
         assert_eq!(wal.next_lsn(), 4);
-        let records: Vec<LogRecord> = wal.read_all().unwrap().into_iter().map(|(_, r)| r).collect();
+        let records: Vec<LogRecord> = records_of(&wal).into_iter().map(|(_, r)| r).collect();
         assert_eq!(records.len(), 3);
         assert_eq!(records[2], LogRecord::Commit { txn: 9 });
     }
@@ -1225,7 +1158,7 @@ mod tests {
         let dir = temp_dir("corrupt");
         let first_frame_end;
         {
-            let wal = WriteAheadLog::open_dir(&dir, WalConfig::default()).unwrap();
+            let (wal, _) = WriteAheadLog::open_dir(&dir, WalConfig::default()).unwrap();
             wal.append(&LogRecord::Begin { txn: 1 }).unwrap();
             wal.sync().unwrap();
             first_frame_end = std::fs::metadata(active_segment(&dir)).unwrap().len();
@@ -1242,8 +1175,7 @@ mod tests {
             bytes[first_frame_end as usize + 10] ^= 0xFF;
             std::fs::write(&seg, &bytes).unwrap();
         }
-        let wal = WriteAheadLog::open_dir(&dir, WalConfig::default()).unwrap();
-        let records = wal.read_all().unwrap();
+        let (_, records) = WriteAheadLog::open_dir(&dir, WalConfig::default()).unwrap();
         assert_eq!(records.len(), 1, "valid prefix kept, torn batch discarded");
         assert_eq!(records[0].1, LogRecord::Begin { txn: 1 });
         assert_eq!(
@@ -1259,13 +1191,13 @@ mod tests {
         let wal = WriteAheadLog::in_memory();
         wal.append(&LogRecord::Begin { txn: 1 }).unwrap();
         wal.truncate(wal.durable_lsn()).unwrap();
-        assert_eq!(wal.read_all().unwrap().len(), 0);
+        assert_eq!(records_of(&wal).len(), 0);
         assert_eq!(wal.next_lsn(), 2, "absolute LSNs survive truncation");
         assert_eq!(wal.base_lsn(), 1);
         assert_eq!(wal.size_bytes().unwrap(), 0);
         // The next append continues the sequence.
         assert_eq!(wal.append(&LogRecord::Commit { txn: 1 }).unwrap(), 2);
-        assert_eq!(wal.read_all().unwrap(), vec![(2, LogRecord::Commit { txn: 1 })]);
+        assert_eq!(records_of(&wal), vec![(2, LogRecord::Commit { txn: 1 })]);
     }
 
     #[test]
@@ -1302,7 +1234,7 @@ mod tests {
     fn base_lsn_survives_reopen_of_a_file_log() {
         let dir = temp_dir("base-reopen");
         {
-            let wal = WriteAheadLog::open_dir(&dir, WalConfig::default()).unwrap();
+            let (wal, _) = WriteAheadLog::open_dir(&dir, WalConfig::default()).unwrap();
             wal.append(&LogRecord::Begin { txn: 1 }).unwrap();
             wal.append(&LogRecord::Commit { txn: 1 }).unwrap();
             wal.sync().unwrap();
@@ -1311,10 +1243,10 @@ mod tests {
             wal.sync().unwrap();
         }
         {
-            let wal = WriteAheadLog::open_dir(&dir, WalConfig::default()).unwrap();
+            let (wal, records) = WriteAheadLog::open_dir(&dir, WalConfig::default()).unwrap();
             assert_eq!(wal.base_lsn(), 2, "base restored from the segment header");
             assert_eq!(wal.next_lsn(), 4);
-            assert_eq!(wal.read_all().unwrap(), vec![(3, LogRecord::Begin { txn: 2 })]);
+            assert_eq!(records, vec![(3, LogRecord::Begin { txn: 2 })]);
             assert!(matches!(wal.read_from(1).unwrap(), WalTail::Truncated { oldest: 3 }));
         }
         let _ = std::fs::remove_dir_all(&dir);
@@ -1340,21 +1272,21 @@ mod tests {
     fn rotation_splits_the_log_across_segment_files() {
         let dir = temp_dir("rotate");
         {
-            let wal = WriteAheadLog::open_dir(&dir, small_cap(128)).unwrap();
+            let (wal, _) = WriteAheadLog::open_dir(&dir, small_cap(128)).unwrap();
             for txn in 1..=10 {
                 wal.append_batch(&commit_batch(txn, 48)).unwrap();
                 wal.sync().unwrap();
             }
             assert!(wal.segment_count() > 1, "small cap must force rotations");
             assert_eq!(segment_files(&dir).len(), wal.segment_count());
-            let all = wal.read_all().unwrap();
+            let all = records_of(&wal);
             assert_eq!(all.len(), 30);
             let lsns: Vec<Lsn> = all.iter().map(|(l, _)| *l).collect();
             assert_eq!(lsns, (1..=30).collect::<Vec<_>>(), "LSNs stay contiguous across files");
         }
         {
-            let wal = WriteAheadLog::open_dir(&dir, small_cap(128)).unwrap();
-            assert_eq!(wal.read_all().unwrap().len(), 30);
+            let (wal, all) = WriteAheadLog::open_dir(&dir, small_cap(128)).unwrap();
+            assert_eq!(all.len(), 30);
             assert_eq!(wal.next_lsn(), 31);
         }
         let _ = std::fs::remove_dir_all(&dir);
@@ -1376,7 +1308,7 @@ mod tests {
     #[test]
     fn truncate_prunes_whole_sealed_segments() {
         let dir = temp_dir("prune");
-        let wal = WriteAheadLog::open_dir(&dir, small_cap(128)).unwrap();
+        let (wal, _) = WriteAheadLog::open_dir(&dir, small_cap(128)).unwrap();
         for txn in 1..=10 {
             wal.append_batch(&commit_batch(txn, 48)).unwrap();
         }
@@ -1434,18 +1366,24 @@ mod tests {
         assert_eq!(wal.size_bytes().unwrap(), 0);
     }
 
-    /// A [`MemorySegmentIo`] that counts the segment bytes its reads return.
+    /// A [`MemorySegmentIo`] that counts its segment reads and the bytes they return.
     #[derive(Default)]
     struct CountingIo {
         inner: MemorySegmentIo,
+        reads: std::sync::atomic::AtomicUsize,
         read_bytes: std::sync::atomic::AtomicUsize,
     }
 
     impl CountingIo {
         fn counted(&self, bytes: StorageResult<Vec<u8>>) -> StorageResult<Vec<u8>> {
             let n = bytes.as_ref().map_or(0, Vec::len);
+            self.reads.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
             self.read_bytes.fetch_add(n, std::sync::atomic::Ordering::SeqCst);
             bytes
+        }
+
+        fn take_reads(&self) -> usize {
+            self.reads.swap(0, std::sync::atomic::Ordering::SeqCst)
         }
 
         fn take_read_bytes(&self) -> usize {
@@ -1489,7 +1427,7 @@ mod tests {
     #[test]
     fn tail_read_of_a_caught_up_cursor_reads_only_the_new_frames() {
         let io = Arc::new(CountingIo::default());
-        let wal = WriteAheadLog::with_io(io.clone(), WalConfig::default()).unwrap();
+        let (wal, _) = WriteAheadLog::with_io(io.clone(), WalConfig::default()).unwrap();
         let mut last = Vec::new();
         for txn in 1..=1000 {
             last = commit_batch(txn, 64);
@@ -1518,37 +1456,53 @@ mod tests {
         assert_eq!(io.take_read_bytes(), 0, "a caught-up cursor reads nothing");
     }
 
+    /// Appends `batch` to `wal` and to `log`, the model of every record ever appended.
+    fn append_logged(wal: &WriteAheadLog, log: &mut Vec<(Lsn, LogRecord)>, batch: Vec<LogRecord>) {
+        let first = wal.append_batch(&batch).unwrap();
+        log.extend((first..).zip(batch));
+    }
+
+    /// The records of `log` the live log still holds: those past its base.
+    fn held(wal: &WriteAheadLog, log: &[(Lsn, LogRecord)]) -> Vec<(Lsn, LogRecord)> {
+        log.iter().filter(|(lsn, _)| *lsn > wal.base_lsn()).cloned().collect()
+    }
+
     #[test]
-    fn tail_read_matches_read_all_for_every_cursor_across_reopen() {
-        fn check_every_cursor(wal: &WriteAheadLog) {
-            let all = wal.read_all().unwrap();
+    fn tail_read_matches_the_full_log_for_every_cursor_across_reopen() {
+        fn check_every_cursor(wal: &WriteAheadLog, log: &[(Lsn, LogRecord)]) {
+            assert_eq!(wal.durable_lsn(), log.last().map_or(0, |(lsn, _)| *lsn));
             for from in wal.base_lsn() + 1..=wal.durable_lsn() + 1 {
                 let expected: Vec<_> =
-                    all.iter().filter(|(lsn, _)| *lsn >= from).cloned().collect();
+                    log.iter().filter(|(lsn, _)| *lsn >= from).cloned().collect();
                 assert_eq!(wal.read_from(from).unwrap(), WalTail::Records(expected), "from {from}");
             }
         }
         let dir = temp_dir("tail-read-reopen");
+        let mut log = Vec::new();
         {
-            let wal = WriteAheadLog::open_dir(&dir, small_cap(1024)).unwrap();
+            let (wal, _) = WriteAheadLog::open_dir(&dir, small_cap(1024)).unwrap();
             for txn in 1..=12 {
-                wal.append_batch(&commit_batch(txn, 40 + txn as usize)).unwrap();
+                append_logged(&wal, &mut log, commit_batch(txn, 40 + txn as usize));
             }
             assert!(wal.segment_count() > 1, "sealed segments and an active one");
-            check_every_cursor(&wal);
+            check_every_cursor(&wal, &log);
         }
         // The reopen rebuilds the active segment's frame index from disk.
-        let wal = WriteAheadLog::open_dir(&dir, small_cap(1024)).unwrap();
-        check_every_cursor(&wal);
+        let (wal, recovered) = WriteAheadLog::open_dir(&dir, small_cap(1024)).unwrap();
+        assert_eq!(recovered, log);
+        check_every_cursor(&wal, &log);
         // Appends after the reopen extend the rebuilt index, and a rotation restarts it.
         for txn in 13..=30 {
-            wal.append_batch(&commit_batch(txn, 40)).unwrap();
-            check_every_cursor(&wal);
+            append_logged(&wal, &mut log, commit_batch(txn, 40));
+            check_every_cursor(&wal, &log);
         }
         wal.truncate(wal.durable_lsn() - 5).unwrap();
-        wal.append_batch(&commit_batch(31, 40)).unwrap();
-        check_every_cursor(&wal);
+        append_logged(&wal, &mut log, commit_batch(31, 40));
+        check_every_cursor(&wal, &log);
+        let kept = held(&wal, &log);
         drop(wal);
+        let (_, recovered) = WriteAheadLog::open_dir(&dir, small_cap(1024)).unwrap();
+        assert_eq!(recovered, kept, "a reopen hands over what the live log held");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1556,7 +1510,7 @@ mod tests {
     fn torn_rotation_artifact_is_deleted_on_open() {
         let dir = temp_dir("torn-rotation");
         {
-            let wal = WriteAheadLog::open_dir(&dir, small_cap(64)).unwrap();
+            let (wal, _) = WriteAheadLog::open_dir(&dir, small_cap(64)).unwrap();
             for txn in 1..=3 {
                 wal.append_batch(&commit_batch(txn, 32)).unwrap();
             }
@@ -1566,11 +1520,11 @@ mod tests {
         let next_id = segment_files(&dir).len() as SegmentId + 1;
         let artifact = dir.join(format!("wal.{next_id:06}.seg"));
         std::fs::write(&artifact, &segment_header(999)[..7]).unwrap();
-        let wal = WriteAheadLog::open_dir(&dir, small_cap(64)).unwrap();
+        let (wal, records) = WriteAheadLog::open_dir(&dir, small_cap(64)).unwrap();
         assert!(!artifact.exists(), "rotation artifact removed");
-        assert_eq!(wal.read_all().unwrap().len(), 9, "sealed records all survive");
+        assert_eq!(records.len(), 9, "sealed records all survive");
         wal.append(&LogRecord::Begin { txn: 4 }).unwrap();
-        assert_eq!(wal.read_all().unwrap().len(), 10, "appends continue after cleanup");
+        assert_eq!(records_of(&wal).len(), 10, "appends continue after cleanup");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1578,7 +1532,7 @@ mod tests {
     fn torn_prune_hole_keeps_the_newest_contiguous_run() {
         let dir = temp_dir("torn-prune");
         {
-            let wal = WriteAheadLog::open_dir(&dir, small_cap(64)).unwrap();
+            let (wal, _) = WriteAheadLog::open_dir(&dir, small_cap(64)).unwrap();
             for txn in 1..=4 {
                 wal.append_batch(&commit_batch(txn, 48)).unwrap();
             }
@@ -1589,9 +1543,9 @@ mod tests {
         // after the hole (it starts at or past the checkpoint) and drop the stale prefix.
         let files = segment_files(&dir);
         std::fs::remove_file(&files[1]).unwrap();
-        let wal = WriteAheadLog::open_dir(&dir, small_cap(64)).unwrap();
+        let (wal, all) = WriteAheadLog::open_dir(&dir, small_cap(64)).unwrap();
         assert!(!files[0].exists(), "stale pre-hole segment deleted");
-        let all = wal.read_all().unwrap();
+        assert_eq!(all, records_of(&wal), "nothing from the stale segments is handed over");
         assert!(!all.is_empty());
         assert!(all[0].0 > 1, "records before the hole are gone");
         let lsns: Vec<Lsn> = all.iter().map(|(l, _)| *l).collect();
@@ -1604,26 +1558,48 @@ mod tests {
     }
 
     #[test]
-    fn parallel_read_matches_serial_including_torn_tails() {
-        let dir = temp_dir("parallel");
+    fn open_returns_every_record_across_segments_and_stops_at_a_torn_tail() {
+        let dir = temp_dir("open-records");
+        let mut log = Vec::new();
         {
-            let wal = WriteAheadLog::open_dir(&dir, small_cap(96)).unwrap();
+            let (wal, _) = WriteAheadLog::open_dir(&dir, small_cap(96)).unwrap();
             for txn in 1..=12 {
-                wal.append_batch(&commit_batch(txn, 40)).unwrap();
+                append_logged(&wal, &mut log, commit_batch(txn, 40));
             }
             wal.sync().unwrap();
             assert!(wal.segment_count() > 2);
-            assert_eq!(wal.read_all_parallel().unwrap(), wal.read_all().unwrap());
         }
-        // Tear the active segment's tail; both reads must agree on the shortened stream.
+        let (wal, recovered) = WriteAheadLog::open_dir(&dir, small_cap(96)).unwrap();
+        assert_eq!(recovered, log, "every record of every segment, in LSN order");
+        drop(wal);
+        // Tear the active segment's tail: open hands over a strict prefix, the live log agrees.
         let seg = active_segment(&dir);
         let full = std::fs::read(&seg).unwrap();
         std::fs::write(&seg, &full[..full.len() - 4]).unwrap();
-        let wal = WriteAheadLog::open_dir(&dir, small_cap(96)).unwrap();
-        let serial = wal.read_all().unwrap();
-        assert_eq!(wal.read_all_parallel().unwrap(), serial);
-        assert!(serial.len() < 36);
+        let (wal, recovered) = WriteAheadLog::open_dir(&dir, small_cap(96)).unwrap();
+        assert!(recovered.len() < log.len());
+        assert_eq!(recovered, log[..recovered.len()], "the valid prefix, nothing past the tear");
+        assert_eq!(recovered, records_of(&wal));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn engine_open_reads_each_segment_exactly_once() {
+        let io = Arc::new(CountingIo::default());
+        let commits = 40;
+        let segments = {
+            let (wal, _) = WriteAheadLog::with_io(io.clone(), small_cap(256)).unwrap();
+            for txn in 1..=commits {
+                wal.append_batch(&commit_batch(txn, 48)).unwrap();
+            }
+            wal.segment_count()
+        };
+        assert!(segments >= 8, "the log must span segments, got {segments}");
+        io.take_reads();
+        let config = crate::EngineConfig { wal: small_cap(256), ..Default::default() };
+        let (_, recovered) = crate::StorageEngine::with_io(io.clone(), config).unwrap();
+        assert_eq!(recovered.effects.len(), commits as usize, "every commit replays");
+        assert_eq!(io.take_reads(), segments, "recovery reads each of {segments} segments once");
     }
 
     #[test]
@@ -1690,8 +1666,10 @@ mod proptests {
             for r in &records {
                 wal.append(r).unwrap();
             }
-            let read: Vec<LogRecord> = wal.read_all().unwrap().into_iter().map(|(_, r)| r).collect();
-            prop_assert_eq!(read, records);
+            let WalTail::Records(read) = wal.read_from(1).unwrap() else {
+                panic!("LSN 1 is the log's first");
+            };
+            prop_assert_eq!(read.into_iter().map(|(_, r)| r).collect::<Vec<_>>(), records);
         }
     }
 
@@ -1700,8 +1678,8 @@ mod proptests {
 
         /// The segmentation tentpole's core property: random commit-size sequences over an
         /// arbitrary segment cap recover identically to the single-file oracle (a log whose cap
-        /// never rotates), across checkpoints and a simulated restart — and the parallel replay
-        /// path equals the serial one at every step.
+        /// never rotates), across checkpoints and a simulated restart — live, the full tail
+        /// reads agree; reopened, the records each open hands over agree.
         #[test]
         fn segmented_log_matches_single_file_oracle(
             steps in proptest::collection::vec(
@@ -1712,11 +1690,12 @@ mod proptests {
         ) {
             let io = Arc::new(MemorySegmentIo::new());
             let config = WalConfig { segment_max_bytes: cap, ..WalConfig::default() };
-            let wal = WriteAheadLog::with_io(io.clone(), config.clone()).unwrap();
-            let oracle = WriteAheadLog::in_memory_with(WalConfig {
-                segment_max_bytes: u64::MAX,
-                ..WalConfig::default()
-            });
+            let (wal, _) = WriteAheadLog::with_io(io.clone(), config.clone()).unwrap();
+            let oracle_io = Arc::new(MemorySegmentIo::new());
+            let oracle_config = WalConfig { segment_max_bytes: u64::MAX, ..WalConfig::default() };
+            let (oracle, _) =
+                WriteAheadLog::with_io(oracle_io.clone(), oracle_config.clone()).unwrap();
+            let all = |log: &WriteAheadLog| log.read_from(log.base_lsn() + 1).unwrap();
             for (batch, checkpoint) in &steps {
                 prop_assert_eq!(
                     wal.append_batch(batch).unwrap(),
@@ -1727,16 +1706,18 @@ mod proptests {
                     oracle.truncate(oracle.durable_lsn()).unwrap();
                 }
             }
-            prop_assert_eq!(wal.read_all().unwrap(), oracle.read_all().unwrap());
-            prop_assert_eq!(wal.read_all_parallel().unwrap(), wal.read_all().unwrap());
+            prop_assert_eq!(all(&wal), all(&oracle));
             prop_assert_eq!(wal.next_lsn(), oracle.next_lsn());
             prop_assert_eq!(wal.base_lsn(), oracle.base_lsn());
 
-            // Restart: reopen over the same segment bytes; nothing may change.
-            drop(wal);
-            let reopened = WriteAheadLog::with_io(io, config).unwrap();
-            prop_assert_eq!(reopened.read_all().unwrap(), oracle.read_all().unwrap());
-            prop_assert_eq!(reopened.read_all_parallel().unwrap(), reopened.read_all().unwrap());
+            // Restart: reopen both over the same bytes; nothing may change.
+            let live = all(&oracle);
+            drop((wal, oracle));
+            let (reopened, recovered) = WriteAheadLog::with_io(io, config).unwrap();
+            let (oracle, oracle_recovered) = WriteAheadLog::with_io(oracle_io, oracle_config).unwrap();
+            prop_assert_eq!(&recovered, &oracle_recovered);
+            prop_assert_eq!(WalTail::Records(recovered), live);
+            prop_assert_eq!(all(&reopened), all(&oracle));
             prop_assert_eq!(reopened.next_lsn(), oracle.next_lsn());
             prop_assert_eq!(reopened.base_lsn(), oracle.base_lsn());
         }

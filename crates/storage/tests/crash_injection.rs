@@ -18,7 +18,8 @@
 //!   reordered one,
 //! * every transaction whose commit sync was acknowledged before the crash (and that a
 //!   checkpoint had not already pruned) is recovered,
-//! * parallel segment replay recovers byte-for-byte what serial replay recovers.
+//! * the records the open hands over are exactly what the reopened log serves from its first
+//!   LSN, and a second reopen hands over the same records.
 //!
 //! The engine-level sweep drives commits, rotations, prunes and model-driven checkpoints (due
 //! ones, an explicit one, one whose image predates the last commit, and a replica-style reset)
@@ -31,7 +32,8 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use seed_storage::wal::{
-    replay_committed, LogRecord, MemorySegmentIo, SegmentId, SegmentIo, WalConfig, WriteAheadLog,
+    replay_committed, LogRecord, MemorySegmentIo, SegmentId, SegmentIo, WalConfig, WalTail,
+    WriteAheadLog,
 };
 use seed_storage::{
     EngineConfig, ImageWriter, SnapshotImage, StorageEngine, StorageError, StorageResult,
@@ -256,12 +258,13 @@ fn run_workload(wal: &WriteAheadLog) -> (Vec<u64>, Vec<u64>) {
 /// Which transactions the recovered log yields, given the surviving bytes.
 fn recover(survivors: BTreeMap<SegmentId, Vec<u8>>) -> (Vec<u64>, Vec<u64>) {
     let io = Arc::new(MemorySegmentIo::from_segments(survivors));
-    let wal = WriteAheadLog::with_io(io, harness_config())
+    let (wal, records) = WriteAheadLog::with_io(io.clone(), harness_config())
         .expect("recovery must succeed from every crash state");
-    let serial = wal.read_all().expect("serial replay");
-    let parallel = wal.read_all_parallel().expect("parallel replay");
-    assert_eq!(parallel, serial, "parallel replay must equal serial replay");
-    let txns = replay_committed(&serial)
+    let WalTail::Records(served) = wal.read_from(wal.base_lsn() + 1).expect("tail read") else {
+        panic!("the log's first LSN must be in the log");
+    };
+    assert_eq!(records, served, "open hands over exactly the records the log serves");
+    let txns = replay_committed(&records)
         .into_iter()
         .map(|(key, value)| {
             let key = String::from_utf8(key).expect("workload keys are utf-8");
@@ -269,9 +272,11 @@ fn recover(survivors: BTreeMap<SegmentId, Vec<u8>>) -> (Vec<u64>, Vec<u64>) {
             key.strip_prefix("txn/").expect("workload key shape").parse::<u64>().unwrap()
         })
         .collect();
-    let serial_after_reopen = wal.read_all().expect("replay is repeatable");
-    assert_eq!(serial_after_reopen, serial);
-    (txns, serial.iter().map(|(l, _)| *l).collect())
+    drop(wal);
+    let (_, again) =
+        WriteAheadLog::with_io(io, harness_config()).expect("the repaired log reopens");
+    assert_eq!(again, records, "recovery is repeatable");
+    (txns, records.iter().map(|(l, _)| *l).collect())
 }
 
 #[test]
@@ -279,7 +284,7 @@ fn recovery_yields_a_committed_prefix_at_every_crash_point() {
     // Size the sweep: run the whole workload once with an effectively infinite budget.
     let infinite = CrashPoint(u64::MAX / 2);
     let probe = Arc::new(FaultFs::new(infinite));
-    let wal = WriteAheadLog::with_io(probe.clone(), harness_config()).unwrap();
+    let (wal, _) = WriteAheadLog::with_io(probe.clone(), harness_config()).unwrap();
     let (acked, _) = run_workload(&wal);
     assert_eq!(acked.len() as u64, TXNS, "the probe run must complete");
     let total = probe.consumed(infinite);
@@ -292,7 +297,7 @@ fn recovery_yields_a_committed_prefix_at_every_crash_point() {
         // Opening an empty log creates the first segment, which itself can crash; that is a
         // legal crash state too, and recovery below must still cope.
         let (acked, pruned) = match WriteAheadLog::with_io(fs.clone(), harness_config()) {
-            Ok(wal) => run_workload(&wal),
+            Ok((wal, _)) => run_workload(&wal),
             Err(_) => (Vec::new(), Vec::new()),
         };
         let (recovered, lsns) = recover(fs.surviving_segments());
@@ -343,7 +348,7 @@ fn the_crash_sweep_covers_rotations_and_deletions() {
     // claims to sweep — segment creations (rotations) and deletions (checkpoint prunes).
     let infinite = CrashPoint(u64::MAX / 2);
     let fs = Arc::new(FaultFs::new(infinite));
-    let wal = WriteAheadLog::with_io(fs.clone(), harness_config()).unwrap();
+    let (wal, _) = WriteAheadLog::with_io(fs.clone(), harness_config()).unwrap();
     let _ = run_workload(&wal);
     assert!(wal.segment_count() >= 2, "workload must end with rotated segments");
     let survivors = fs.surviving_segments();
@@ -360,8 +365,7 @@ fn the_crash_sweep_covers_rotations_and_deletions() {
 fn engine_config() -> EngineConfig {
     EngineConfig {
         checkpoint_wal_bytes: Some(320),
-        segment_max_bytes: 128,
-        retention_budget_bytes: 256,
+        wal: WalConfig { segment_max_bytes: 128, retention_budget_bytes: 256 },
     }
 }
 
