@@ -1055,28 +1055,66 @@ pub fn e15_pipelined_throughput(objects: usize, total_ops: usize) -> ExperimentM
     )
 }
 
+/// Process CPU time — user plus system, every thread of the process, ended ones included — in
+/// microseconds, read from `clock_gettime(CLOCK_PROCESS_CPUTIME_ID)` (Linux).  The client and
+/// the server of a loopback row share the process, so this is the CPU the whole exchange cost,
+/// whatever the scheduler did with the wall clock meanwhile.
+fn cpu_time_us() -> f64 {
+    #[repr(C)]
+    struct Timespec {
+        tv_sec: i64,
+        tv_nsec: i64,
+    }
+    extern "C" {
+        fn clock_gettime(clock: i32, ts: *mut Timespec) -> i32;
+    }
+    const CLOCK_PROCESS_CPUTIME_ID: i32 = 2;
+    let mut ts = Timespec { tv_sec: 0, tv_nsec: 0 };
+    // SAFETY: `ts` is a valid, writable `struct timespec` (two 64-bit fields on 64-bit
+    // Linux); the call writes only into it.
+    if unsafe { clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut ts) } != 0 {
+        return 0.0;
+    }
+    ts.tv_sec as f64 * 1e6 + ts.tv_nsec as f64 / 1e3
+}
+
+/// The median of a sample (sorts in place; 0 when empty).
+fn median(values: &mut [f64]) -> f64 {
+    values.sort_by(f64::total_cmp);
+    match values.len() {
+        0 => 0.0,
+        n if n % 2 == 1 => values[n / 2],
+        n => (values[n / 2 - 1] + values[n / 2]) / 2.0,
+    }
+}
+
+/// Windows per mode in [`e16_metrics_overhead`]: each mode's figure is the median of these.
+const E16_WINDOWS: usize = 15;
+
 /// E16 — observability overhead: the same pipelined read workload over loopback with the
 /// metrics registry recording vs runtime-disabled ([`seed_obs::Registry::set_enabled`]).
 ///
-/// The acceptance bar of the observability tentpole: instrumentation must cost **≤ 5%**
-/// throughput on the hottest wire path (per-request latency histogram, byte counters, in-flight
-/// gauge, WAL timers all firing per request).  Every recording is a handful of relaxed atomic
-/// ops, so the two rates must be indistinguishable up to scheduler noise; `overhead_x` is
-/// disabled / enabled ops/s (1.0 = free, above 1.05 = bar failed).  CI additionally builds and
-/// tests with `--features seed-obs/off` to prove the *compile-out* path, where the same handles
-/// fold to no-ops at compile time.
-pub fn e16_metrics_overhead(objects: usize, total_ops: usize) -> ExperimentMetrics {
+/// The acceptance bar of the observability tentpole: instrumentation must cost **≤ 5%** on the
+/// hottest wire path (per-request latency histogram, byte counters, in-flight gauge, WAL timers
+/// all firing per request).  The modes alternate over 15 windows each of `window_ops` depth-64
+/// retrieves on one connection.  `cpu_overhead_x` is the median process CPU per op with
+/// recording on over the median with it off (1.0 = free, above 1.05 = bar failed): CPU time
+/// does not count the time a thread waits for a core, so the ratio asks what the recording
+/// costs, not what the scheduler did.  `overhead_x`, the same ratio of median wall
+/// time per op, is reported beside it.  CI additionally builds and tests with
+/// `--features seed-obs/off` to prove the *compile-out* path, where the same handles fold to
+/// no-ops at compile time.
+pub fn e16_metrics_overhead(objects: usize, window_ops: usize) -> ExperimentMetrics {
     use seed_net::{RemoteClient, SeedNetServer};
     use seed_server::Request;
 
-    /// Depth-64 pipelined retrieves on one connection; returns ops/s.
-    fn run(addr: std::net::SocketAddr, total_ops: usize, objects: usize) -> f64 {
+    /// Depth-64 pipelined retrieves on `client`; returns (wall µs, process CPU µs) per op.
+    fn window(client: &mut RemoteClient, ops: usize, objects: usize) -> (f64, f64) {
         const DEPTH: usize = 64;
-        let mut client = RemoteClient::connect(addr).expect("connect");
-        let start = Instant::now();
+        let (start, cpu_start) = (Instant::now(), cpu_time_us());
         let mut sent = 0usize;
-        while sent < total_ops {
-            let batch = DEPTH.min(total_ops - sent);
+        while sent < ops {
+            let batch = DEPTH.min(ops - sent);
             let requests = (0..batch)
                 .map(|i| Request::Retrieve { name: format!("Data{:05}", (sent + i) % objects) })
                 .collect();
@@ -1084,43 +1122,58 @@ pub fn e16_metrics_overhead(objects: usize, total_ops: usize) -> ExperimentMetri
             assert_eq!(results.len(), batch, "every submission gets an answer");
             sent += batch;
         }
-        total_ops as f64 / start.elapsed().as_secs_f64().max(f64::EPSILON)
+        let ops = ops.max(1) as f64;
+        (start.elapsed().as_secs_f64() * 1e6 / ops, (cpu_time_us() - cpu_start) / ops)
     }
 
     let registry = seed_obs::global();
     let db = scenarios::populated_database(objects);
     let net = SeedNetServer::bind(SeedServer::new(db), "127.0.0.1:0").expect("bind loopback");
-    let addr = net.local_addr();
+    let mut client = RemoteClient::connect(net.local_addr()).expect("connect");
 
-    // Warm up caches and the connection path, then interleave the modes and keep the best of
-    // two runs each — the ratio of two best-cases is far less scheduler-noisy than one pair.
-    run(addr, total_ops / 10 + 1, objects);
-    let mut enabled_ops_per_s: f64 = 0.0;
-    let mut disabled_ops_per_s: f64 = 0.0;
-    for _ in 0..2 {
+    // Warm up caches and the connection path, then alternate the modes window by window, so a
+    // slow phase of the host lands on both sides.
+    window(&mut client, window_ops / 10 + 1, objects);
+    let (mut on_wall, mut on_cpu, mut off_wall, mut off_cpu) =
+        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..E16_WINDOWS {
         registry.set_enabled(true);
-        enabled_ops_per_s = enabled_ops_per_s.max(run(addr, total_ops, objects));
+        let (wall, cpu) = window(&mut client, window_ops, objects);
+        on_wall.push(wall);
+        on_cpu.push(cpu);
         registry.set_enabled(false);
-        disabled_ops_per_s = disabled_ops_per_s.max(run(addr, total_ops, objects));
+        let (wall, cpu) = window(&mut client, window_ops, objects);
+        off_wall.push(wall);
+        off_cpu.push(cpu);
     }
     registry.set_enabled(true);
+    client.close().expect("close");
     net.shutdown();
 
-    let overhead = disabled_ops_per_s / enabled_ops_per_s.max(f64::EPSILON);
+    let (on_wall, off_wall) = (median(&mut on_wall), median(&mut off_wall));
+    let (on_cpu, off_cpu) = (median(&mut on_cpu), median(&mut off_cpu));
+    let overhead = on_wall / off_wall.max(f64::EPSILON);
+    let cpu_overhead = on_cpu / off_cpu.max(f64::EPSILON);
     row(
         "E16",
-        &format!("observability: {total_ops} pipelined reads, recording on vs off"),
+        &format!(
+            "observability: {E16_WINDOWS}x2 windows of {window_ops} pipelined reads, on vs off"
+        ),
         format!(
-            "on {enabled_ops_per_s:.0} op/s  off {disabled_ops_per_s:.0} op/s  overhead {overhead:.3}x (compiled in: {})",
+            "cpu/op on {on_cpu:.2} µs  off {off_cpu:.2} µs  cpu overhead {cpu_overhead:.3}x; wall overhead {overhead:.3}x (compiled in: {})",
             seed_obs::recording_compiled_in()
         ),
     );
     ExperimentMetrics::new(
         "E16",
         &[
-            ("total_ops", total_ops as f64),
-            ("enabled_ops_per_s", enabled_ops_per_s),
-            ("disabled_ops_per_s", disabled_ops_per_s),
+            ("window_ops", window_ops as f64),
+            ("windows", E16_WINDOWS as f64),
+            ("enabled_cpu_us_per_op", on_cpu),
+            ("disabled_cpu_us_per_op", off_cpu),
+            ("cpu_overhead_x", cpu_overhead),
+            ("enabled_ops_per_s", 1e6 / on_wall.max(f64::EPSILON)),
+            ("disabled_ops_per_s", 1e6 / off_wall.max(f64::EPSILON)),
             ("overhead_x", overhead),
             ("recording_compiled_in", f64::from(u8::from(seed_obs::recording_compiled_in()))),
         ],
@@ -1289,7 +1342,7 @@ pub fn run_report_mode(smoke: bool) {
         add(&mut results, e13_segmented_recovery(20_000, 256 * 1024));
         add(&mut results, e14_mvcc_snapshot_reads(1_000, 8, 1_000, 30));
         add(&mut results, e15_pipelined_throughput(1_000, 20_000));
-        add(&mut results, e16_metrics_overhead(1_000, 20_000));
+        add(&mut results, e16_metrics_overhead(1_000, 100_000));
         add(&mut results, e17_failover_downtime(200, 8));
     }
     println!("{}", "-".repeat(110));
@@ -1457,10 +1510,11 @@ mod tests {
     }
 
     /// The acceptance bar of the observability tentpole: full instrumentation (per-request
-    /// histograms, byte counters, WAL timers) must cost at most 5% of pipelined read
-    /// throughput versus the same binary with recording switched off.  A wall-clock ratio is
-    /// only meaningful on optimized builds (CI's bench job runs it with `--release`), and on a
-    /// single-core host the ratio measures the scheduler, not the atomics.
+    /// histograms, byte counters, WAL timers) must cost at most 5% of the process CPU per
+    /// pipelined read versus the same binary with recording switched off, each side the median
+    /// of `E16_WINDOWS` windows of 100k reads.  Only meaningful on optimized builds (CI's
+    /// bench job runs it with `--release`).  The wall-clock `overhead_x` is reported, not
+    /// asserted: it also counts the time a thread waits for a core.
     #[test]
     #[cfg_attr(debug_assertions, ignore = "overhead bar is only meaningful in release builds")]
     fn e16_instrumentation_overhead_stays_within_five_percent() {
@@ -1468,17 +1522,13 @@ mod tests {
             eprintln!("skipping the overhead bar: recording compiled out");
             return;
         }
-        let cores = host_cores();
-        if cores < 2 {
-            eprintln!("skipping the overhead bar: only {cores} core(s) available");
-            return;
-        }
-        let result = e16_metrics_overhead(500, 20_000);
+        let result = e16_metrics_overhead(500, 100_000);
+        let cpu_overhead = result.get("cpu_overhead_x").expect("metric present");
         let overhead = result.get("overhead_x").expect("metric present");
+        eprintln!("E16 cpu_overhead_x {cpu_overhead:.3} overhead_x {overhead:.3}");
         assert!(
-            overhead <= 1.05,
-            "instrumentation must cost at most 5% of read throughput, got {overhead:.3}x \
-             on {cores} cores"
+            cpu_overhead <= 1.05,
+            "instrumentation must cost at most 5% of CPU per read, got {cpu_overhead:.3}x"
         );
     }
 

@@ -1561,6 +1561,48 @@ mod tests {
         Database::new(figure3_schema())
     }
 
+    /// `register_procedure` is the one way a named attached procedure reaches the checker.
+    #[test]
+    fn a_registered_procedure_vetoes_updates_through_the_database() {
+        use crate::ConsistencyViolation;
+        use seed_schema::AttachedProcedure;
+        let procedure_failed = |err: &SeedError| {
+            match err {
+            SeedError::Inconsistent(violations) => violations
+                .iter()
+                .any(|v| matches!(v, ConsistencyViolation::ProcedureFailed { procedure, .. } if procedure == "no_umlauts")),
+            _ => false,
+        }
+        };
+        let mut schema = figure3_schema();
+        let selector = schema.class_id("Data.Text.Selector").unwrap();
+        schema
+            .attach_class_procedure(selector, AttachedProcedure::Named("no_umlauts".into()))
+            .unwrap();
+        let mut db = Database::new(schema);
+        let alarms = db.create_object("Data", "Alarms").unwrap();
+        let text = db
+            .create_dependent_named(alarms, "Text", NameSegment::plain("Text"), Value::Undefined)
+            .unwrap();
+
+        // Not registered: the procedure cannot run, so it vetoes the create.
+        let err = db.create_dependent(text, "Selector", Value::string("Representation"));
+        assert!(procedure_failed(&err.unwrap_err()));
+        assert_eq!(db.object_count(), 2, "the vetoed create left nothing behind");
+
+        db.register_procedure("no_umlauts", |ctx| match ctx.value.and_then(|v| v.as_str()) {
+            Some(s) if s.contains('ä') => Err("umlauts are not allowed".to_string()),
+            _ => Ok(()),
+        });
+        let good = db.create_dependent(text, "Selector", Value::string("Representation")).unwrap();
+        assert_eq!(db.object(good).unwrap().value, Value::string("Representation"));
+
+        let before = format!("{:?}", db.objects_with_name_prefix(""));
+        let err = db.set_value(good, Value::string("Darstellung der Zustände")).unwrap_err();
+        assert!(procedure_failed(&err), "{err:?}");
+        assert_eq!(format!("{:?}", db.objects_with_name_prefix("")), before, "store unchanged");
+    }
+
     #[test]
     fn create_and_retrieve_by_name() {
         let mut db = db3();

@@ -25,7 +25,7 @@ use seed_server::{
 };
 
 use crate::codec::{decode_response, encode_request};
-use crate::wire::{read_frame, write_frame, FrameKind, Hello, Welcome, PROTOCOL_VERSION};
+use crate::wire::{read_frame, write_frame, FrameKind, Hello, Welcome};
 
 /// A typed result carried by a [`Response`]: the one place a reply is matched against the kind
 /// its request is answered with.  [`Client`]'s typed methods unwrap through it, and so do
@@ -43,11 +43,11 @@ pub trait FromResponse: Sized {
 }
 
 macro_rules! from_response {
-    ($($variant:ident($ty:ty) => $unwrap:expr),* $(,)?) => {$(
+    ($($variant:ident($ty:ty)),* $(,)?) => {$(
         impl FromResponse for $ty {
             fn from_response(response: Response) -> ServerResult<Self> {
                 match response {
-                    Response::$variant(answer) => $unwrap(answer),
+                    Response::$variant(answer) => Ok(answer),
                     _ => Err(ServerError::Disconnected),
                 }
             }
@@ -56,29 +56,37 @@ macro_rules! from_response {
 }
 
 from_response! {
-    Checkout(CheckoutSet) => std::convert::identity,
-    Ack(()) => std::convert::identity,
-    Object(ObjectRecord) => std::convert::identity,
-    Answer(QueryAnswer) => std::convert::identity,
-    Version(VersionId) => std::convert::identity,
-    Objects(Vec<ObjectRecord>) => std::convert::identity,
-    Relationships(Vec<RelationshipInfo>) => std::convert::identity,
-    Count(usize) => std::convert::identity,
-    Promoted(PromotionReceipt) => std::convert::identity,
-    Persistence(PersistenceStatus) => Ok,
-    Schema(SchemaSummary) => Ok,
-    Stats(seed_obs::RegistrySnapshot) => Ok,
-    Health(HealthStatus) => Ok,
+    Checkout(CheckoutSet),
+    Object(ObjectRecord),
+    Answer(QueryAnswer),
+    Version(VersionId),
+    Objects(Vec<ObjectRecord>),
+    Relationships(Vec<RelationshipInfo>),
+    Count(usize),
+    Promoted(PromotionReceipt),
+    Persistence(PersistenceStatus),
+    Schema(SchemaSummary),
+    Stats(seed_obs::RegistrySnapshot),
+    Health(HealthStatus),
+}
+
+impl FromResponse for () {
+    fn from_response(response: Response) -> ServerResult<Self> {
+        match response {
+            Response::Ack => Ok(()),
+            _ => Err(ServerError::Disconnected),
+        }
+    }
 }
 
 /// The one way a client reaches a server: a batch of requests out, their answers back.
 pub trait Transport {
-    /// Sends `requests` and returns their answers in request order.  A [`Response::Error`]
-    /// answer is an `Err` in its slot and leaves its neighbours alone; the outer `Err` is a
-    /// failure of the exchange itself (a dead connection), after which no answer is known.
+    /// Sends `requests` and returns their answers in request order.  A refused request is an
+    /// `Err` in its slot and leaves its neighbours alone; the outer `Err` is a failure of the
+    /// exchange itself (a dead connection), after which no answer is known.
     fn exchange(&mut self, requests: Vec<Request>) -> ServerResult<Vec<ServerResult<Response>>>;
 
-    /// The client id lock-table requests act for.
+    /// The client id the server knows this session by: its requests act for it.
     fn id(&self) -> ClientId;
 
     /// Ends the session politely (a server releases the client's locks either way).
@@ -138,26 +146,7 @@ impl Tcp {
         let mut hello = Vec::new();
         write_frame(&mut hello, FrameKind::Hello, &Hello::current(agent).encode())?;
         stream.write_all(&hello).map_err(transport_error)?;
-        let frame = read_frame(&mut reader)?;
-        let welcome = match frame.kind {
-            FrameKind::Welcome => Welcome::decode(&frame.payload)?,
-            FrameKind::Reject => {
-                return Err(ServerError::Protocol(
-                    String::from_utf8_lossy(&frame.payload).into_owned(),
-                ))
-            }
-            other => {
-                return Err(ServerError::Protocol(format!(
-                    "handshake expected welcome or reject, got {other:?}"
-                )))
-            }
-        };
-        if welcome.version != PROTOCOL_VERSION {
-            return Err(ServerError::Protocol(format!(
-                "server welcomed protocol v{}, this client speaks v{PROTOCOL_VERSION}",
-                welcome.version
-            )));
-        }
+        let welcome = Welcome::from_answer(&read_frame(&mut reader)?)?;
         stream.set_write_timeout(Some(WRITE_SLICE)).map_err(transport_error)?;
         Ok(Self { reader, stream, client: welcome.client_id, banner: welcome.banner })
     }
@@ -167,10 +156,7 @@ impl Tcp {
     fn read_answer(&mut self) -> ServerResult<ServerResult<Response>> {
         let frame = read_frame(&mut self.reader)?;
         match frame.kind {
-            FrameKind::Response => match decode_response(&frame.payload)? {
-                Response::Error(e) => Ok(Err(e)),
-                response => Ok(Ok(response)),
-            },
+            FrameKind::Response => Ok(decode_response(&frame.payload)?),
             FrameKind::Reject => {
                 Err(ServerError::Protocol(String::from_utf8_lossy(&frame.payload).into_owned()))
             }
@@ -240,8 +226,8 @@ impl Transport for Tcp {
 /// ready primary.  A resend after a **mid-exchange transport** failure is at-least-once, not
 /// exactly-once: the lost answer may have been an ack, in which case the resend surfaces the
 /// server's duplicate rejection instead of silently double-applying.  Only a one-request
-/// exchange is ever resent; a batch goes to the primary as it is.  A resent lock-table request
-/// acts for the new connection's client id.
+/// exchange is ever resent; a batch goes to the primary as it is.  Like every request, a resent
+/// one acts for the client of the connection it travels on.
 pub struct Router {
     primary: Tcp,
     primary_addr: SocketAddr,
@@ -274,35 +260,6 @@ fn replica_served(request: &Request) -> bool {
     )
 }
 
-/// The error a one-request answer carries, wherever its kind keeps it.
-fn refusal(reply: &ServerResult<Response>) -> Option<&ServerError> {
-    match reply {
-        Err(e)
-        | Ok(Response::Error(e))
-        | Ok(Response::Checkout(Err(e)))
-        | Ok(Response::Ack(Err(e)))
-        | Ok(Response::Object(Err(e)))
-        | Ok(Response::Answer(Err(e)))
-        | Ok(Response::Version(Err(e)))
-        | Ok(Response::Objects(Err(e)))
-        | Ok(Response::Relationships(Err(e)))
-        | Ok(Response::Count(Err(e)))
-        | Ok(Response::Promoted(Err(e))) => Some(e),
-        Ok(_) => None,
-    }
-}
-
-/// `request`, acting for `id` when it is a lock-table request.
-fn act_as(mut request: Request, id: ClientId) -> Request {
-    if let Request::Checkout { client, .. }
-    | Request::Checkin { client, .. }
-    | Request::Release { client } = &mut request
-    {
-        *client = id;
-    }
-    request
-}
-
 impl Router {
     /// Connects to the `primary` and to every replica.
     fn connect(primary: impl ToSocketAddrs, replicas: &[impl ToSocketAddrs]) -> ServerResult<Self> {
@@ -326,7 +283,7 @@ impl Router {
             let pick = self.cursor % self.replicas.len();
             self.cursor = self.cursor.wrapping_add(1);
             let reply = one(&mut self.replicas[pick], request.clone());
-            if !matches!(refusal(&reply), Some(ServerError::Transport(_))) {
+            if !matches!(reply, Err(ServerError::Transport(_))) {
                 return reply;
             }
         }
@@ -336,20 +293,15 @@ impl Router {
     /// Sends one request to the primary, re-routing once across a failover: a fencing refusal
     /// names the node to use instead, a dead connection triggers rediscovery.
     fn on_primary(&mut self, request: Request) -> ServerResult<Response> {
-        let reply = one(&mut self.primary, request.clone());
-        match refusal(&reply) {
-            Some(
+        match one(&mut self.primary, request.clone()) {
+            Err(
                 ServerError::Fenced { new_primary: to, .. }
                 | ServerError::ReadOnlyReplica { primary: to },
-            ) => {
-                let to = to.clone();
-                self.repoint(&to)?;
-            }
-            Some(ServerError::Transport(_)) => self.rediscover()?,
-            _ => return reply,
+            ) => self.repoint(&to)?,
+            Err(ServerError::Transport(_)) => self.rediscover()?,
+            reply => return reply,
         }
-        let id = self.primary.id();
-        one(&mut self.primary, act_as(request, id))
+        one(&mut self.primary, request)
     }
 
     /// Re-points the primary connection at the node a fencing refusal named, falling back to a
@@ -423,9 +375,9 @@ impl Transport for Router {
     }
 }
 
-/// The server on the caller's thread: every request is [`SeedServer::handle`]d in place.  The
-/// session takes a client id at construction and releases its locks when dropped, as a closed
-/// TCP connection does.
+/// The server on the caller's thread: every request is [`SeedServer::handle`]d in place, for
+/// the client id the session takes at construction.  The session releases its locks when
+/// dropped, as a closed TCP connection does.
 pub struct InProcess<'a> {
     server: &'a SeedServer,
     client: ClientId,
@@ -440,13 +392,7 @@ impl<'a> InProcess<'a> {
 
 impl Transport for InProcess<'_> {
     fn exchange(&mut self, requests: Vec<Request>) -> ServerResult<Vec<ServerResult<Response>>> {
-        Ok(requests
-            .into_iter()
-            .map(|request| match self.server.handle(request) {
-                Response::Error(e) => Err(e),
-                response => Ok(response),
-            })
-            .collect())
+        Ok(requests.into_iter().map(|request| self.server.handle(self.client, request)).collect())
     }
 
     fn id(&self) -> ClientId {
@@ -553,18 +499,18 @@ impl<T: Transport> Client<T> {
     /// Checks out the named objects, taking central write locks for this client.
     pub fn checkout(&mut self, names: &[&str]) -> ServerResult<CheckoutSet> {
         let objects = names.iter().map(|s| s.to_string()).collect();
-        self.ask(Request::Checkout { client: self.id(), objects })
+        self.ask(Request::Checkout { objects })
     }
 
     /// Checks a batch of updates in as one central transaction, releasing this client's locks
     /// on success.
     pub fn checkin(&mut self, updates: Vec<Update>) -> ServerResult<()> {
-        self.ask(Request::Checkin { client: self.id(), updates })
+        self.ask(Request::Checkin { updates })
     }
 
     /// Releases all of this client's locks without checking anything in.
     pub fn release(&mut self) -> ServerResult<()> {
-        self.ask(Request::Release { client: self.id() })
+        self.ask(Request::Release)
     }
 
     /// Retrieves one object by name.
@@ -837,25 +783,26 @@ mod tests {
     fn a_pipeline_returns_results_by_submission_index() {
         let server = start_server();
         let mut client = RemoteClient::connect(server.local_addr()).unwrap();
+        let edit = Update::SetValue { object: "Alarms".into(), value: Value::Undefined };
         let results = client
             .exchange(vec![
                 Request::Retrieve { name: "Alarms".to_string() },
                 Request::Retrieve { name: "Ghost".to_string() },
-                Request::Release { client: u64::MAX },
+                Request::Checkin { updates: vec![edit] },
                 Request::Retrieve { name: "Sensor".to_string() },
             ])
             .unwrap();
         assert_eq!(results.len(), 4);
         match &results[0] {
-            Ok(Response::Object(Ok(record))) => assert_eq!(record.name.to_string(), "Alarms"),
+            Ok(Response::Object(record)) => assert_eq!(record.name.to_string(), "Alarms"),
             other => panic!("index 0: expected Alarms, got {other:?}"),
         }
         // The unknown name errors in place without disturbing its neighbours.
-        assert!(matches!(&results[1], Ok(Response::Object(Err(ServerError::Unknown(_))))));
-        // The forged identity is rejected at its index, as an outright protocol error.
-        assert!(matches!(&results[2], Err(ServerError::Protocol(_))));
+        assert!(matches!(&results[1], Err(ServerError::Unknown(_))));
+        // So does a check-in of an object this client never checked out.
+        assert!(matches!(&results[2], Err(ServerError::NotCheckedOut(_))));
         match &results[3] {
-            Ok(Response::Object(Ok(record))) => assert_eq!(record.name.to_string(), "Sensor"),
+            Ok(Response::Object(record)) => assert_eq!(record.name.to_string(), "Sensor"),
             other => panic!("index 3: expected Sensor, got {other:?}"),
         }
         client.close().unwrap();
@@ -870,8 +817,8 @@ mod tests {
         let reply = reply.unwrap().pop().unwrap();
         assert_eq!(ObjectRecord::from_reply(reply).unwrap().name.to_string(), "Alarms");
         // An error reply stays at its index; it does not break the exchange.
-        let results = client.exchange(vec![Request::Release { client: u64::MAX }]).unwrap();
-        assert!(matches!(results.as_slice(), [Err(ServerError::Protocol(_))]));
+        let results = client.exchange(vec![Request::Retrieve { name: "Ghost".into() }]).unwrap();
+        assert!(matches!(results.as_slice(), [Err(ServerError::Unknown(_))]));
         assert_eq!(client.retrieve("Sensor").unwrap().name.to_string(), "Sensor");
         assert!(client.exchange(Vec::new()).unwrap().is_empty());
         client.close().unwrap();
@@ -889,7 +836,7 @@ mod tests {
         let requests = vec![Request::Retrieve { name: "Alarms".to_string() }; 512];
         let results = client.exchange(requests).unwrap();
         assert_eq!(results.len(), 512);
-        assert!(results.iter().all(|r| matches!(r, Ok(Response::Object(Ok(_))))));
+        assert!(results.iter().all(|r| matches!(r, Ok(Response::Object(_)))));
         // The connection is still perfectly usable for single requests afterwards.
         assert_eq!(client.retrieve("Sensor").unwrap().name.to_string(), "Sensor");
         client.close().unwrap();

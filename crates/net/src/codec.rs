@@ -1,5 +1,8 @@
 //! Binary encoding of the protocol messages ([`Request`] / [`Response`]) for the wire.
 //!
+//! A reply is a [`ServerResult<Response>`]: a success is encoded as its response's tag and
+//! payload, a refusal as the `Error` answer — tag 11, then the encoded [`ServerError`].
+//!
 //! The encoders reuse the storage crate's explicit little-endian primitives and `seed-core`'s
 //! per-item record codecs, so an [`seed_core::ObjectRecord`] has exactly one binary shape in
 //! the whole system — on disk and on the wire.
@@ -24,7 +27,7 @@ use seed_core::{SeedError, VersionId};
 use seed_server::{
     AssociationSummary, CheckoutSet, ClassSummary, HealthStatus, PersistenceStatus,
     PromotionReceipt, QueryAnswer, RelationshipInfo, ReplicationRole, ReplicationStatus, Request,
-    Response, SchemaSummary, ServerError, Update,
+    Response, SchemaSummary, ServerError, ServerResult, Update,
 };
 use seed_storage::{Decoder, Encoder};
 
@@ -196,34 +199,6 @@ fn decode_server_error(d: &mut Decoder<'_>) -> WireResult<ServerError> {
         9 => ServerError::Fenced { new_primary: d.get_str()?.to_string(), epoch: d.get_u64()? },
         other => return Err(bad_tag("server error", other)),
     })
-}
-
-fn put_result<T>(
-    e: &mut Encoder,
-    r: &Result<T, ServerError>,
-    mut put_ok: impl FnMut(&mut Encoder, &T),
-) {
-    match r {
-        Ok(v) => {
-            e.put_bool(true);
-            put_ok(e, v);
-        }
-        Err(err) => {
-            e.put_bool(false);
-            encode_server_error(e, err);
-        }
-    }
-}
-
-fn get_result<T>(
-    d: &mut Decoder<'_>,
-    mut get_ok: impl FnMut(&mut Decoder<'_>) -> WireResult<T>,
-) -> WireResult<Result<T, ServerError>> {
-    if d.get_bool()? {
-        Ok(Ok(get_ok(d)?))
-    } else {
-        Ok(Err(decode_server_error(d)?))
-    }
 }
 
 // --------------------------------------------------------------------------------------------
@@ -542,20 +517,20 @@ fn decode_relationship_info(d: &mut Decoder<'_>) -> WireResult<RelationshipInfo>
 pub fn encode_request(request: &Request) -> Vec<u8> {
     let mut e = Encoder::new();
     match request {
-        Request::Checkout { client, objects } => {
-            e.put_u8(1).put_u64(*client).put_varint(objects.len() as u64);
+        Request::Checkout { objects } => {
+            e.put_u8(1).put_varint(objects.len() as u64);
             for name in objects {
                 e.put_str(name);
             }
         }
-        Request::Checkin { client, updates } => {
-            e.put_u8(2).put_u64(*client).put_varint(updates.len() as u64);
+        Request::Checkin { updates } => {
+            e.put_u8(2).put_varint(updates.len() as u64);
             for update in updates {
                 encode_update(&mut e, update);
             }
         }
-        Request::Release { client } => {
-            e.put_u8(3).put_u64(*client);
+        Request::Release => {
+            e.put_u8(3);
         }
         Request::Retrieve { name } => {
             e.put_u8(4).put_str(name);
@@ -614,24 +589,22 @@ pub fn decode_request(bytes: &[u8]) -> WireResult<Request> {
     let mut d = Decoder::new(bytes);
     let request = match d.get_u8()? {
         1 => {
-            let client = d.get_u64()?;
             let n = d.get_varint()? as usize;
             let mut objects = Vec::with_capacity(n.min(1024));
             for _ in 0..n {
                 objects.push(d.get_str()?.to_string());
             }
-            Request::Checkout { client, objects }
+            Request::Checkout { objects }
         }
         2 => {
-            let client = d.get_u64()?;
             let n = d.get_varint()? as usize;
             let mut updates = Vec::with_capacity(n.min(1024));
             for _ in 0..n {
                 updates.push(decode_update(&mut d)?);
             }
-            Request::Checkin { client, updates }
+            Request::Checkin { updates }
         }
-        3 => Request::Release { client: d.get_u64()? },
+        3 => Request::Release,
         4 => Request::Retrieve { name: d.get_str()?.to_string() },
         5 => Request::Query { text: d.get_str()?.to_string() },
         6 => Request::CreateVersion { comment: d.get_str()?.to_string() },
@@ -684,31 +657,35 @@ fn decode_records(d: &mut Decoder<'_>) -> WireResult<Vec<seed_core::ObjectRecord
     Ok(records)
 }
 
-/// Encodes one response into a frame payload.
-pub fn encode_response(response: &Response) -> Vec<u8> {
+/// Encodes one reply into a frame payload: a response, or a refusal as the `Error` answer.
+pub fn encode_response(reply: &ServerResult<Response>) -> Vec<u8> {
     let mut e = Encoder::new();
+    let response = match reply {
+        Ok(response) => response,
+        Err(err) => {
+            e.put_u8(11);
+            encode_server_error(&mut e, err);
+            return e.finish();
+        }
+    };
     match response {
-        Response::Checkout(result) => {
+        Response::Checkout(set) => {
             e.put_u8(1);
-            put_result(&mut e, result, encode_checkout_set);
+            encode_checkout_set(&mut e, set);
         }
-        Response::Ack(result) => {
+        Response::Ack => {
             e.put_u8(2);
-            put_result(&mut e, result, |_, ()| {});
         }
-        Response::Object(result) => {
+        Response::Object(record) => {
             e.put_u8(3);
-            put_result(&mut e, result, encode_object);
+            encode_object(&mut e, record);
         }
-        Response::Answer(result) => {
+        Response::Answer(answer) => {
             e.put_u8(4);
-            put_result(&mut e, result, encode_query_answer);
+            encode_query_answer(&mut e, answer);
         }
-        Response::Version(result) => {
-            e.put_u8(5);
-            put_result(&mut e, result, |e, v: &VersionId| {
-                e.put_str(&v.to_string());
-            });
+        Response::Version(version) => {
+            e.put_u8(5).put_str(&version.to_string());
         }
         Response::Persistence(status) => {
             e.put_u8(6);
@@ -718,28 +695,18 @@ pub fn encode_response(response: &Response) -> Vec<u8> {
             e.put_u8(7);
             encode_schema_summary(&mut e, summary);
         }
-        Response::Objects(result) => {
+        Response::Objects(records) => {
             e.put_u8(8);
-            put_result(&mut e, result, |e, records: &Vec<_>| encode_records(e, records));
+            encode_records(&mut e, records);
         }
-        Response::Relationships(result) => {
-            e.put_u8(9);
-            put_result(&mut e, result, |e, infos: &Vec<RelationshipInfo>| {
-                e.put_varint(infos.len() as u64);
-                for info in infos {
-                    encode_relationship_info(e, info);
-                }
-            });
+        Response::Relationships(infos) => {
+            e.put_u8(9).put_varint(infos.len() as u64);
+            for info in infos {
+                encode_relationship_info(&mut e, info);
+            }
         }
-        Response::Count(result) => {
-            e.put_u8(10);
-            put_result(&mut e, result, |e, n: &usize| {
-                e.put_varint(*n as u64);
-            });
-        }
-        Response::Error(err) => {
-            e.put_u8(11);
-            encode_server_error(&mut e, err);
+        Response::Count(n) => {
+            e.put_u8(10).put_varint(*n as u64);
         }
         Response::ShuttingDown => {
             e.put_u8(12);
@@ -752,46 +719,41 @@ pub fn encode_response(response: &Response) -> Vec<u8> {
             e.put_u8(14);
             encode_health_status(&mut e, health);
         }
-        Response::Promoted(result) => {
-            e.put_u8(15);
-            put_result(&mut e, result, |e, receipt: &PromotionReceipt| {
-                e.put_u64(receipt.epoch).put_u64(receipt.last_lsn);
-            });
+        Response::Promoted(receipt) => {
+            e.put_u8(15).put_u64(receipt.epoch).put_u64(receipt.last_lsn);
         }
     }
     e.finish()
 }
 
-/// Decodes one response from a frame payload.
-pub fn decode_response(bytes: &[u8]) -> WireResult<Response> {
+/// Decodes one reply from a frame payload; the `Error` answer decodes as the `Err`.
+pub fn decode_response(bytes: &[u8]) -> WireResult<ServerResult<Response>> {
     let mut d = Decoder::new(bytes);
-    let response = match d.get_u8()? {
-        1 => Response::Checkout(get_result(&mut d, decode_checkout_set)?),
-        2 => Response::Ack(get_result(&mut d, |_| Ok(()))?),
-        3 => Response::Object(get_result(&mut d, |d| Ok(decode_object(d)?))?),
-        4 => Response::Answer(get_result(&mut d, decode_query_answer)?),
-        5 => Response::Version(get_result(&mut d, |d| {
-            VersionId::parse(d.get_str()?).map_err(WireError::from)
-        })?),
-        6 => Response::Persistence(decode_persistence_status(&mut d)?),
-        7 => Response::Schema(decode_schema_summary(&mut d)?),
-        8 => Response::Objects(get_result(&mut d, decode_records)?),
-        9 => Response::Relationships(get_result(&mut d, |d| {
+    let reply = match d.get_u8()? {
+        1 => Ok(Response::Checkout(decode_checkout_set(&mut d)?)),
+        2 => Ok(Response::Ack),
+        3 => Ok(Response::Object(decode_object(&mut d)?)),
+        4 => Ok(Response::Answer(decode_query_answer(&mut d)?)),
+        5 => Ok(Response::Version(VersionId::parse(d.get_str()?)?)),
+        6 => Ok(Response::Persistence(decode_persistence_status(&mut d)?)),
+        7 => Ok(Response::Schema(decode_schema_summary(&mut d)?)),
+        8 => Ok(Response::Objects(decode_records(&mut d)?)),
+        9 => {
             let n = d.get_varint()? as usize;
             let mut infos = Vec::with_capacity(n.min(1024));
             for _ in 0..n {
-                infos.push(decode_relationship_info(d)?);
+                infos.push(decode_relationship_info(&mut d)?);
             }
-            Ok(infos)
-        })?),
-        10 => Response::Count(get_result(&mut d, |d| Ok(d.get_varint()? as usize))?),
-        11 => Response::Error(decode_server_error(&mut d)?),
-        12 => Response::ShuttingDown,
-        13 => Response::Stats(decode_registry_snapshot(&mut d)?),
-        14 => Response::Health(decode_health_status(&mut d)?),
-        15 => Response::Promoted(get_result(&mut d, |d| {
-            Ok(PromotionReceipt { epoch: d.get_u64()?, last_lsn: d.get_u64()? })
-        })?),
+            Ok(Response::Relationships(infos))
+        }
+        10 => Ok(Response::Count(d.get_varint()? as usize)),
+        11 => Err(decode_server_error(&mut d)?),
+        12 => Ok(Response::ShuttingDown),
+        13 => Ok(Response::Stats(decode_registry_snapshot(&mut d)?)),
+        14 => Ok(Response::Health(decode_health_status(&mut d)?)),
+        15 => {
+            Ok(Response::Promoted(PromotionReceipt { epoch: d.get_u64()?, last_lsn: d.get_u64()? }))
+        }
         other => return Err(bad_tag("response", other)),
     };
     if !d.is_exhausted() {
@@ -800,5 +762,5 @@ pub fn decode_response(bytes: &[u8]) -> WireResult<Response> {
             d.remaining()
         )));
     }
-    Ok(response)
+    Ok(reply)
 }

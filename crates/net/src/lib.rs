@@ -12,8 +12,8 @@
 //! * [`server`] — [`SeedNetServer`], a readiness-polled event-loop TCP server over a shared
 //!   [`seed_server::SeedServer`]: each shard thread owns the sockets of its connections and
 //!   executes their requests inline, so a connection may *pipeline* many request frames and
-//!   read the responses back in request order.  Sessions are identity-bound (a connection can
-//!   only act for the client id assigned at handshake) and a client's write locks are released
+//!   read the responses back in request order.  A connection is its client: every request on
+//!   it acts for the client id assigned at handshake, and a client's write locks are released
 //!   on disconnect or after an idle timeout — the paper's crash-recovery rule for checked-out
 //!   data;
 //! * [`client`] — the one client stack: [`Client`] writes the typed checkout / check-in /

@@ -1,6 +1,6 @@
-//! Property tests of the wire codec: every [`Request`] / [`Response`] variant round-trips
-//! through encode → frame → read → decode, every strict prefix of a payload fails to decode,
-//! and corrupted payloads never panic.
+//! Property tests of the wire codec: every [`Request`] and every reply — a [`Response`] or a
+//! refusal, a [`ServerResult<Response>`] — round-trips through encode → frame → read → decode,
+//! every strict prefix of a payload fails to decode, and corrupted payloads never panic.
 //!
 //! `Request`/`Response` carry error types without `PartialEq`, so equality is checked on the
 //! `Debug` rendering (which covers every field).
@@ -9,9 +9,9 @@ use proptest::prelude::*;
 use seed_core::{NameSegment, ObjectName, ObjectRecord, RelationshipRecord, SeedError, Value};
 use seed_schema::{AssociationId, ClassId};
 use seed_server::{
-    AssociationSummary, CheckoutSet, ClassSummary, PersistenceStatus, QueryAnswer,
-    RelationshipInfo, ReplicationRole, ReplicationStatus, Request, Response, SchemaSummary,
-    ServerError, Update,
+    AssociationSummary, CheckoutSet, ClassSummary, PersistenceStatus, PromotionReceipt,
+    QueryAnswer, RelationshipInfo, ReplicationRole, ReplicationStatus, Request, Response,
+    SchemaSummary, ServerError, ServerResult, Update,
 };
 
 use crate::codec::{decode_request, decode_response, encode_request, encode_response};
@@ -192,19 +192,11 @@ fn hello() -> BoxedStrategy<Hello> {
         .boxed()
 }
 
-fn result_of<T: std::fmt::Debug + 'static>(
-    ok: BoxedStrategy<T>,
-) -> BoxedStrategy<Result<T, ServerError>> {
-    prop_oneof![ok.prop_map(Ok), server_error().prop_map(Err)].boxed()
-}
-
 fn request() -> BoxedStrategy<Request> {
     prop_oneof![
-        (any::<u64>(), proptest::collection::vec(ident(), 0..4))
-            .prop_map(|(client, objects)| Request::Checkout { client, objects }),
-        (any::<u64>(), proptest::collection::vec(update(), 0..4))
-            .prop_map(|(client, updates)| Request::Checkin { client, updates }),
-        any::<u64>().prop_map(|client| Request::Release { client }),
+        proptest::collection::vec(ident(), 0..4).prop_map(|objects| Request::Checkout { objects }),
+        proptest::collection::vec(update(), 0..4).prop_map(|updates| Request::Checkin { updates }),
+        any::<bool>().prop_map(|_| Request::Release),
         ident().prop_map(|name| Request::Retrieve { name }),
         free_text().prop_map(|text| Request::Query { text }),
         free_text().prop_map(|comment| Request::CreateVersion { comment }),
@@ -277,31 +269,23 @@ fn schema_summary() -> BoxedStrategy<SchemaSummary> {
 
 fn response() -> BoxedStrategy<Response> {
     prop_oneof![
-        result_of(checkout_set()).prop_map(Response::Checkout),
-        result_of(any::<bool>().prop_map(|_| ()).boxed()).prop_map(Response::Ack),
-        result_of(object_record()).prop_map(Response::Object),
-        result_of(
-            (
-                proptest::collection::vec(ident(), 0..4),
-                0usize..1000,
-                proptest::option::of(free_text()),
+        checkout_set().prop_map(Response::Checkout),
+        any::<bool>().prop_map(|_| Response::Ack),
+        object_record().prop_map(Response::Object),
+        (
+            proptest::collection::vec(ident(), 0..4),
+            0usize..1000,
+            proptest::option::of(free_text()),
+        )
+            .prop_map(|(names, count, plan)| Response::Answer(QueryAnswer { names, count, plan })),
+        proptest::collection::vec(1u32..9, 1..4).prop_map(|parts| {
+            let rendered = parts.iter().map(|p| p.to_string()).collect::<Vec<_>>().join(".");
+            Response::Version(
+                seed_core::VersionId::parse(&format!("{rendered}.0"))
+                    .or_else(|_| seed_core::VersionId::parse("1.0"))
+                    .expect("fallback version id parses"),
             )
-                .prop_map(|(names, count, plan)| QueryAnswer { names, count, plan })
-                .boxed()
-        )
-        .prop_map(Response::Answer),
-        result_of(
-            proptest::collection::vec(1u32..9, 1..4)
-                .prop_map(|parts| {
-                    let rendered =
-                        parts.iter().map(|p| p.to_string()).collect::<Vec<_>>().join(".");
-                    seed_core::VersionId::parse(&format!("{rendered}.0"))
-                        .or_else(|_| seed_core::VersionId::parse("1.0"))
-                        .expect("fallback version id parses")
-                })
-                .boxed()
-        )
-        .prop_map(Response::Version),
+        }),
         (
             (any::<bool>(), proptest::option::of(free_text()), any::<u64>()),
             (0usize..10_000, 0usize..10_000, 0usize..1000),
@@ -321,27 +305,30 @@ fn response() -> BoxedStrategy<Response> {
                 }
             ),
         schema_summary().prop_map(Response::Schema),
-        result_of(proptest::collection::vec(object_record(), 0..3).boxed())
-            .prop_map(Response::Objects),
-        result_of(
-            proptest::collection::vec(
-                (ident(), string_pairs(), any::<bool>()).prop_map(
-                    |(association, bindings, inherited)| RelationshipInfo {
-                        association,
-                        bindings,
-                        inherited,
-                    }
-                ),
-                0..3,
-            )
-            .boxed()
+        proptest::collection::vec(object_record(), 0..3).prop_map(Response::Objects),
+        proptest::collection::vec(
+            (ident(), string_pairs(), any::<bool>()).prop_map(
+                |(association, bindings, inherited)| RelationshipInfo {
+                    association,
+                    bindings,
+                    inherited,
+                }
+            ),
+            0..3,
         )
         .prop_map(Response::Relationships),
-        result_of((0usize..100_000).boxed()).prop_map(Response::Count),
-        server_error().prop_map(Response::Error),
+        (0usize..100_000).prop_map(Response::Count),
         any::<bool>().prop_map(|_| Response::ShuttingDown),
+        (any::<u64>(), any::<u64>()).prop_map(|(epoch, last_lsn)| {
+            Response::Promoted(PromotionReceipt { epoch, last_lsn })
+        }),
     ]
     .boxed()
+}
+
+/// A reply as the server sends it: a response, or a refusal.
+fn reply() -> BoxedStrategy<ServerResult<Response>> {
+    prop_oneof![response().prop_map(Ok), server_error().prop_map(Err)].boxed()
 }
 
 proptest! {
@@ -357,13 +344,13 @@ proptest! {
     }
 
     #[test]
-    fn responses_roundtrip_through_frames(response in response()) {
-        let payload = encode_response(&response);
+    fn responses_roundtrip_through_frames(reply in reply()) {
+        let payload = encode_response(&reply);
         let mut buf = Vec::new();
         write_frame(&mut buf, FrameKind::Response, &payload).unwrap();
         let frame = read_frame(&mut std::io::Cursor::new(buf)).unwrap();
         let decoded = decode_response(&frame.payload).unwrap();
-        prop_assert_eq!(format!("{decoded:?}"), format!("{response:?}"));
+        prop_assert_eq!(format!("{decoded:?}"), format!("{reply:?}"));
     }
 
     /// Every message has one shape, so a payload cut short anywhere — including the empty
@@ -383,11 +370,11 @@ proptest! {
 
     #[test]
     fn corrupted_response_payloads_error_never_panic(
-        response in response(),
+        reply in reply(),
         idx in any::<usize>(),
         bit in 0u8..8,
     ) {
-        let payload = encode_response(&response);
+        let payload = encode_response(&reply);
         for cut in 0..payload.len() {
             prop_assert!(
                 decode_response(&payload[..cut]).is_err(),
@@ -466,10 +453,9 @@ mod unit {
     fn foreign_seed_errors_decode_as_remote_with_text_preserved() {
         let schema_err = SeedError::Schema(seed_schema::SchemaError::UnknownClass("X".into()));
         let rendered = schema_err.to_string();
-        let response = Response::Error(ServerError::Rejected(schema_err));
-        let decoded = decode_response(&encode_response(&response)).unwrap();
-        match decoded {
-            Response::Error(ServerError::Rejected(err @ SeedError::Remote(_))) => {
+        let decoded = decode_response(&encode_response(&Err(ServerError::Rejected(schema_err))));
+        match decoded.unwrap() {
+            Err(ServerError::Rejected(err @ SeedError::Remote(_))) => {
                 assert_eq!(err.to_string(), rendered, "the rendered text reads the same");
             }
             other => panic!("unexpected decode {other:?}"),
@@ -481,7 +467,7 @@ mod unit {
         let mut payload = encode_request(&Request::Persistence);
         payload.push(0);
         assert!(decode_request(&payload).is_err());
-        let mut payload = encode_response(&Response::ShuttingDown);
+        let mut payload = encode_response(&Ok(Response::ShuttingDown));
         payload.push(0);
         assert!(decode_response(&payload).is_err());
     }

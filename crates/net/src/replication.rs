@@ -128,22 +128,7 @@ impl Feed {
         let mut feed = Self { stream, deadline: Some(std::time::Instant::now() + timeout) };
         write_frame(&mut feed.stream, FrameKind::Hello, &Hello::replica(AGENT).encode())?;
         let never = AtomicBool::new(false);
-        let frame = feed.read_frame_blocking(&never, &never)?;
-        match frame.kind {
-            FrameKind::Welcome => {
-                Welcome::decode(&frame.payload)?;
-            }
-            FrameKind::Reject => {
-                return Err(ServerError::Protocol(
-                    String::from_utf8_lossy(&frame.payload).into_owned(),
-                ));
-            }
-            other => {
-                return Err(ServerError::Protocol(format!(
-                    "replica handshake expected welcome or reject, got {other:?}"
-                )));
-            }
-        }
+        Welcome::from_answer(&feed.read_frame_blocking(&never, &never)?)?;
         write_frame(&mut feed.stream, FrameKind::Subscribe, &Subscribe { from_lsn }.encode())?;
         Ok(feed)
     }
@@ -1167,6 +1152,33 @@ mod tests {
         primary.shutdown();
     }
 
+    /// A replica checks the welcome's version as a client does: a primary that welcomes
+    /// another protocol version fails the start and gets no subscribe.
+    #[test]
+    fn a_welcome_of_another_version_fails_the_replica_start() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let primary = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
+            let mut writer = stream;
+            assert_eq!(read_frame(&mut reader).unwrap().kind, FrameKind::Hello);
+            let version = crate::wire::PROTOCOL_VERSION - 1;
+            let welcome = Welcome { version, client_id: 1, banner: "older".into() };
+            write_frame(&mut writer, FrameKind::Welcome, &welcome.encode()).unwrap();
+            // Whatever the replica sends next, if anything before it hangs up.
+            read_frame(&mut reader).ok().map(|frame| frame.kind)
+        });
+        let dir = temp_dir("other-version");
+        let err = ReplicaNode::start(&dir, addr, "127.0.0.1:0").err().expect("start must fail");
+        assert!(
+            matches!(&err, ServerError::Protocol(m) if m.contains("welcomed protocol")),
+            "{err}"
+        );
+        assert_eq!(primary.join().unwrap(), None, "no subscribe after a foreign welcome");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn a_plain_client_may_not_send_replication_frames() {
         let dir = temp_dir("plain-client");
@@ -1183,7 +1195,7 @@ mod tests {
         assert_eq!(reply.kind, FrameKind::Response);
         assert!(matches!(
             crate::codec::decode_response(&reply.payload).unwrap(),
-            seed_server::Response::Error(ServerError::Protocol(_))
+            Err(ServerError::Protocol(_))
         ));
         primary.shutdown();
         let _ = std::fs::remove_dir_all(&dir);

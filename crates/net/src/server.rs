@@ -9,9 +9,8 @@
 //! requests execute serially in arrival order (checkout → check-in ordering is preserved) and
 //! its responses are produced in request order, while connections on different shards proceed
 //! in parallel.  A peer may therefore *pipeline*: write many request frames before reading a
-//! single response, and read the responses back in the order it sent the requests.  The wire
-//! format is unchanged (still protocol v3); pipelining is purely a scheduling property of this
-//! server.
+//! single response, and read the responses back in the order it sent the requests.  Pipelining
+//! is purely a scheduling property of this server, not part of the wire format.
 //!
 //! Shard 0 also owns the listener.  It hands each accepted stream to its shard (`token %
 //! shards`, round robin) through that shard's inbox channel plus a [`Poller::notify`]: one hop
@@ -25,9 +24,9 @@
 //! A panic in one request's handler is contained: that request is answered with an error in its
 //! slot, and the shard's other connections carry on.
 //!
-//! Each connection is handshaken onto its own [`ClientId`]; the shard enforces that identity
-//! on every lock-table request (a peer cannot act for another connection's client), and when
-//! the connection closes — cleanly or not — or stays silent past
+//! Each connection is handshaken onto its own [`ClientId`], and every request it carries acts
+//! for that client: a peer has no way to name another connection's client.  When the
+//! connection closes — cleanly or not — or stays silent past
 //! [`NetServerConfig::idle_timeout`], the client's write locks are released, the paper's
 //! crash-recovery rule for checked-out data.  The shard is the executor, so neither release
 //! runs under one of the client's requests.  Replication sessions (Subscribe / LogBatch / Ack)
@@ -47,7 +46,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use polling::{Event, Poller};
-use seed_server::{ClientId, Request, Response, SeedServer, ServerError};
+use seed_server::{ClientId, Request, Response, SeedServer, ServerError, ServerResult};
 
 use crate::codec::{decode_request, encode_response};
 use crate::error::WireError;
@@ -296,39 +295,29 @@ struct Acceptor {
     routes: Vec<(Sender<Accepted>, Arc<Poller>)>,
 }
 
-/// Answers one client frame: identity enforcement, dispatch.  Returns the response and whether
-/// the session ends after it (`Shutdown`).
-fn answer(core: &SeedServer, client: ClientId, frame: Result<Vec<u8>, String>) -> (Response, bool) {
-    let payload = match frame {
-        Ok(payload) => payload,
-        Err(msg) => return (Response::Error(ServerError::Protocol(msg)), false),
-    };
-    let request = match decode_request(&payload) {
+/// Answers one client frame for the connection's `client`.  Returns the reply and whether the
+/// session ends after it (`Shutdown`).
+fn answer(
+    core: &SeedServer,
+    client: ClientId,
+    frame: Result<Vec<u8>, String>,
+) -> (ServerResult<Response>, bool) {
+    let decoded =
+        frame.map_err(ServerError::Protocol).and_then(|payload| Ok(decode_request(&payload)?));
+    let request = match decoded {
         Ok(request) => request,
-        Err(e) => return (Response::Error(ServerError::from(e)), false),
+        Err(e) => return (Err(e), false),
     };
-    // Per-connection identity: lock-table requests may only act for the client id bound to
-    // this connection at handshake.
-    if let Some(claimed) = request.client_id() {
-        if claimed != client {
-            return (
-                Response::Error(ServerError::Protocol(format!(
-                    "request claims client {claimed}, but this connection is client {client}"
-                ))),
-                false,
-            );
-        }
-    }
     let closing = matches!(request, Request::Shutdown);
     let kind = request.kind_name();
     #[cfg(test)]
     tests::panic_probe(&request);
     let start = Instant::now();
-    let response = core.handle(request);
+    let reply = core.handle(client, request);
     if let Some(latency) = net_metrics().request_us.get(kind) {
         latency.observe_duration(start.elapsed());
     }
-    (response, closing)
+    (reply, closing)
 }
 
 /// Where a connection is in its lifecycle.
@@ -503,12 +492,12 @@ impl Conn {
     fn respond(&mut self, core: &SeedServer, client: ClientId, frame: Result<Vec<u8>, String>) {
         self.last_frame = Some(Instant::now());
         let answered = catch_unwind(AssertUnwindSafe(|| answer(core, client, frame)));
-        let (response, close) = answered.unwrap_or_else(|panic| {
+        let (reply, close) = answered.unwrap_or_else(|panic| {
             let message = note_panic(self, "request handler panicked", panic.as_ref());
             let error = format!("the server failed while answering this request: {message}");
-            (Response::Error(ServerError::Protocol(error)), false)
+            (Err(ServerError::Protocol(error)), false)
         });
-        append_frame(&mut self.out, FrameKind::Response, &encode_response(&response));
+        append_frame(&mut self.out, FrameKind::Response, &encode_response(&reply));
         if close {
             self.closing = true;
         }
@@ -975,7 +964,7 @@ mod tests {
         write_frame(writer, FrameKind::Request, &crate::codec::encode_request(request)).unwrap();
     }
 
-    fn receive(reader: &mut BufReader<TcpStream>) -> Response {
+    fn receive(reader: &mut BufReader<TcpStream>) -> ServerResult<Response> {
         let reply = read_frame(reader).unwrap();
         assert_eq!(reply.kind, FrameKind::Response);
         crate::codec::decode_response(&reply.payload).unwrap()
@@ -1204,25 +1193,30 @@ mod tests {
         server.shutdown();
     }
 
+    /// A request acts for the client of the connection it arrives on, so no connection can
+    /// release or check in another's data.
     #[test]
     fn identity_is_enforced_per_connection() {
         let server = start_server();
+        let core = server.core();
         let mut alice = RemoteClient::connect(server.local_addr()).unwrap();
         let mut mallory = RemoteClient::connect(server.local_addr()).unwrap();
-        alice.checkout(&["Alarms"]).unwrap();
-        // Mallory forges requests with Alice's client id: the session rejects them outright.
-        let forged = Request::Release { client: alice.id() };
-        let answers = mallory.exchange(vec![forged]).unwrap();
-        assert!(matches!(answers.as_slice(), [Err(ServerError::Protocol(_))]));
-        let forged = Request::Checkin {
-            client: alice.id(),
-            updates: vec![Update::SetValue { object: "Alarms".into(), value: Value::Undefined }],
-        };
-        let answers = mallory.exchange(vec![forged]).unwrap();
-        assert!(matches!(answers.as_slice(), [Err(ServerError::Protocol(_))]));
-        // Alice is unaffected.
-        assert!(server.core().locked_count() > 0);
+        let held = alice.checkout(&["Alarms"]).unwrap().len();
+        mallory.checkout(&["Sensor"]).unwrap();
+        assert!(core.locked_count() > held);
+        // Mallory's release frees Mallory's locks only; Alice's stay.
+        mallory.release().unwrap();
+        assert_eq!(core.locked_count(), held);
+        let mut bob = RemoteClient::connect(server.local_addr()).unwrap();
+        assert!(matches!(bob.checkout(&["Alarms"]), Err(ServerError::Locked { .. })));
+        bob.checkout(&["Sensor"]).unwrap();
+        // Mallory's check-in of Alice's object is refused: Mallory never checked it out.
+        let edit = Update::SetValue { object: "Alarms".into(), value: Value::Undefined };
+        assert!(matches!(mallory.checkin(vec![edit]), Err(ServerError::NotCheckedOut(_))));
         alice.release().unwrap();
+        for client in [alice, mallory, bob] {
+            client.close().unwrap();
+        }
         server.shutdown();
     }
 
@@ -1243,7 +1237,7 @@ mod tests {
         assert_eq!(reply.kind, FrameKind::Response);
         assert!(matches!(
             crate::codec::decode_response(&reply.payload).unwrap(),
-            Response::Error(ServerError::Protocol(_))
+            Err(ServerError::Protocol(_))
         ));
 
         // A corrupted checksum: rejected, connection lives.
@@ -1261,7 +1255,7 @@ mod tests {
         let reply = read_frame(&mut reader).unwrap();
         assert!(matches!(
             crate::codec::decode_response(&reply.payload).unwrap(),
-            Response::Error(ServerError::Protocol(_))
+            Err(ServerError::Protocol(_))
         ));
 
         // A hello frame mid-session is also a protocol error, not a hangup.
@@ -1269,7 +1263,7 @@ mod tests {
         let reply = read_frame(&mut reader).unwrap();
         assert!(matches!(
             crate::codec::decode_response(&reply.payload).unwrap(),
-            Response::Error(ServerError::Protocol(_))
+            Err(ServerError::Protocol(_))
         ));
 
         // After all that abuse, a well-formed request still works.
@@ -1282,7 +1276,7 @@ mod tests {
         let reply = read_frame(&mut reader).unwrap();
         assert!(matches!(
             crate::codec::decode_response(&reply.payload).unwrap(),
-            Response::Persistence(_)
+            Ok(Response::Persistence(_))
         ));
         server.shutdown();
     }
@@ -1298,17 +1292,18 @@ mod tests {
             write_frame(&mut writer, FrameKind::Hello, &hello.encode()).unwrap();
             read_frame(&mut reader).unwrap()
         };
-        let too_old = [(1, 1), (2, 2), (1, 2)];
+        let too_old = [(1, 1), (2, 2), (1, 2), (3, 3), (1, 3)];
         let future = (PROTOCOL_VERSION + 1, PROTOCOL_VERSION + 2);
         for (min, max) in too_old.into_iter().chain([future]) {
             let reply = handshake(min, max);
             assert_eq!(reply.kind, FrameKind::Reject, "{min}..={max} must be rejected");
             assert!(String::from_utf8_lossy(&reply.payload).contains("no common protocol version"));
         }
-        // A range that covers the one version, as older builds send, still connects.
-        let reply = handshake(1, 3);
+        // A range that covers the one version still connects.
+        let reply = handshake(1, PROTOCOL_VERSION);
         assert_eq!(reply.kind, FrameKind::Welcome);
-        assert_eq!(crate::wire::Welcome::decode(&reply.payload).unwrap().version, 3);
+        let welcome = crate::wire::Welcome::decode(&reply.payload).unwrap();
+        assert_eq!(welcome.version, PROTOCOL_VERSION);
         server.shutdown();
     }
 
@@ -1348,18 +1343,18 @@ mod tests {
             let reply = read_frame(&mut reader).unwrap();
             assert_eq!(reply.kind, FrameKind::Response);
             match crate::codec::decode_response(&reply.payload).unwrap() {
-                Response::Object(Ok(record)) => assert_eq!(record.name.to_string(), name),
+                Ok(Response::Object(record)) => assert_eq!(record.name.to_string(), name),
                 other => panic!("expected the object {name}, got {other:?}"),
             }
         }
         let reply = read_frame(&mut reader).unwrap();
         assert!(matches!(
             crate::codec::decode_response(&reply.payload).unwrap(),
-            Response::Error(ServerError::Protocol(_))
+            Err(ServerError::Protocol(_))
         ));
         let reply = read_frame(&mut reader).unwrap();
         match crate::codec::decode_response(&reply.payload).unwrap() {
-            Response::Object(Err(ServerError::Unknown(_))) => {}
+            Err(ServerError::Unknown(_)) => {}
             other => panic!("expected unknown-object error last, got {other:?}"),
         }
         server.shutdown();
@@ -1430,12 +1425,12 @@ mod tests {
                         if k == 5 {
                             let reply = receive(&mut reader);
                             assert!(
-                                matches!(reply, Response::Error(ServerError::Protocol(_))),
+                                matches!(reply, Err(ServerError::Protocol(_))),
                                 "connection {c}: the malformed frame's slot, got {reply:?}"
                             );
                         }
                         match receive(&mut reader) {
-                            Response::Object(Ok(record)) => {
+                            Ok(Response::Object(record)) => {
                                 assert_eq!(&record.name.to_string(), name, "connection {c}")
                             }
                             other => panic!("connection {c}: expected {name}, got {other:?}"),
@@ -1479,12 +1474,12 @@ mod tests {
 
         for i in 0..bursts {
             match receive(&mut reader) {
-                Response::Objects(Ok(records)) => assert_eq!(records.len(), 2000, "listing {i}"),
+                Ok(Response::Objects(records)) => assert_eq!(records.len(), 2000, "listing {i}"),
                 other => panic!("listing {i}: expected the Data extent, got {other:?}"),
             }
             let name = format!("Backpressure-listing-member-with-a-long-name-{i:04}");
             match receive(&mut reader) {
-                Response::Object(Ok(record)) => assert_eq!(record.name.to_string(), name),
+                Ok(Response::Object(record)) => assert_eq!(record.name.to_string(), name),
                 other => panic!("retrieve {i}: expected {name}, got {other:?}"),
             }
         }
@@ -1502,18 +1497,14 @@ mod tests {
             .map(|name| Request::Retrieve { name: name.to_string() })
             .to_vec();
         let results = client.exchange(requests).unwrap();
-        assert!(
-            matches!(&results[0], Ok(Response::Object(Ok(r))) if r.name.to_string() == "Obj0000")
-        );
+        assert!(matches!(&results[0], Ok(Response::Object(r)) if r.name.to_string() == "Obj0000"));
         match &results[1] {
             Err(ServerError::Protocol(message)) => {
                 assert!(message.contains("panicked on purpose"), "{message}")
             }
             other => panic!("the panicking request's slot: got {other:?}"),
         }
-        assert!(
-            matches!(&results[2], Ok(Response::Object(Ok(r))) if r.name.to_string() == "Obj0001")
-        );
+        assert!(matches!(&results[2], Ok(Response::Object(r)) if r.name.to_string() == "Obj0001"));
         assert!(counter("net_request_panics_total") > panics);
         // The panicking connection lives on, and so does the other connection on its shard.
         assert_eq!(client.retrieve("Obj0002").unwrap().name.to_string(), "Obj0002");

@@ -36,7 +36,7 @@ use crate::error::{WireError, WireResult};
 pub const MAGIC: [u8; 4] = *b"SEWP";
 
 /// The protocol version this build speaks — the only one.
-pub const PROTOCOL_VERSION: u16 = 3;
+pub const PROTOCOL_VERSION: u16 = 4;
 
 /// Upper bound on one frame's payload; larger lengths are treated as stream desync.
 pub const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
@@ -332,8 +332,8 @@ impl Hello {
 pub struct Welcome {
     /// The protocol version the connection speaks (always [`PROTOCOL_VERSION`]).
     pub version: u16,
-    /// The client id this connection is bound to; the lock table knows the client by this id,
-    /// and the server refuses requests claiming any other id.
+    /// The client id this connection is bound to: every request on the connection acts for
+    /// it, and the lock table knows the client by it.
     pub client_id: u64,
     /// Free-form server identification.
     pub banner: String,
@@ -353,7 +353,38 @@ impl Welcome {
         let version = d.get_u16()?;
         let client_id = d.get_u64()?;
         let banner = d.get_str()?.to_string();
+        if !d.is_exhausted() {
+            return Err(WireError::Recoverable(format!(
+                "{} trailing bytes after welcome",
+                d.remaining()
+            )));
+        }
         Ok(Self { version, client_id, banner })
+    }
+
+    /// Checks the server's answer to a hello: a `Welcome` of [`PROTOCOL_VERSION`], or the
+    /// reason the session cannot start (a `Reject`'s text, another frame kind, another
+    /// version) as [`WireError::Fatal`].  Every handshake a client or replica opens reads its
+    /// answer here.
+    pub fn from_answer(frame: &Frame) -> WireResult<Self> {
+        let welcome = match frame.kind {
+            FrameKind::Welcome => Self::decode(&frame.payload)?,
+            FrameKind::Reject => {
+                return Err(WireError::Fatal(String::from_utf8_lossy(&frame.payload).into_owned()))
+            }
+            other => {
+                return Err(WireError::Fatal(format!(
+                    "handshake expected welcome or reject, got {other:?}"
+                )))
+            }
+        };
+        if welcome.version != PROTOCOL_VERSION {
+            return Err(WireError::Fatal(format!(
+                "server welcomed protocol v{}, this side speaks v{PROTOCOL_VERSION}",
+                welcome.version
+            )));
+        }
+        Ok(welcome)
     }
 }
 
@@ -639,6 +670,21 @@ mod tests {
         let mut bytes = hello.encode();
         bytes.push(0);
         assert!(Hello::decode(&bytes).unwrap_err().is_recoverable());
+        let mut bytes = welcome.encode();
+        bytes.push(0);
+        assert!(Welcome::decode(&bytes).unwrap_err().is_recoverable());
+    }
+
+    #[test]
+    fn a_client_accepts_only_a_welcome_of_its_own_version() {
+        let answer = |kind, payload: Vec<u8>| Welcome::from_answer(&Frame { kind, payload });
+        let welcome = |version| Welcome { version, client_id: 7, banner: "b".into() }.encode();
+        assert_eq!(answer(FrameKind::Welcome, welcome(PROTOCOL_VERSION)).unwrap().client_id, 7);
+        let older = answer(FrameKind::Welcome, welcome(PROTOCOL_VERSION - 1)).unwrap_err();
+        assert!(older.to_string().contains("welcomed protocol v3"), "{older}");
+        let rejected = answer(FrameKind::Reject, b"no common protocol version".to_vec());
+        assert!(rejected.unwrap_err().to_string().contains("no common protocol version"));
+        assert!(answer(FrameKind::Response, Vec::new()).is_err());
     }
 
     #[test]

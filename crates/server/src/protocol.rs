@@ -345,25 +345,18 @@ impl RelationshipInfo {
 /// A request to the server ([`crate::SeedServer::handle`]).
 #[derive(Debug, Clone)]
 pub enum Request {
-    /// Check out the named objects (taking write locks).
+    /// Check out the named objects (taking write locks for the requesting client).
     Checkout {
-        /// The requesting client.
-        client: ClientId,
         /// Root object names to check out.
         objects: Vec<String>,
     },
     /// Check in a batch of updates as a single transaction and release the client's locks.
     Checkin {
-        /// The requesting client.
-        client: ClientId,
         /// Updates to apply.
         updates: Vec<Update>,
     },
-    /// Release all locks without checking anything in.
-    Release {
-        /// The requesting client.
-        client: ClientId,
-    },
+    /// Release all of the client's locks without checking anything in.
+    Release,
     /// Read a single object by name (no lock; servers serve retrieval directly).
     Retrieve {
         /// Object name.
@@ -444,25 +437,13 @@ pub enum Request {
 }
 
 impl Request {
-    /// The client this request claims to act for, when the operation is identity-bound (lock
-    /// table operations).  The network server uses this to enforce per-connection identity: a
-    /// session may only act for the client id assigned at handshake.
-    pub fn client_id(&self) -> Option<ClientId> {
-        match self {
-            Request::Checkout { client, .. }
-            | Request::Checkin { client, .. }
-            | Request::Release { client } => Some(*client),
-            _ => None,
-        }
-    }
-
     /// A short static name for the request kind — the key used for per-kind latency metrics
     /// (`net_request_us_<kind>`) and the slow-operation log.
     pub fn kind_name(&self) -> &'static str {
         match self {
             Request::Checkout { .. } => "checkout",
             Request::Checkin { .. } => "checkin",
-            Request::Release { .. } => "release",
+            Request::Release => "release",
             Request::Retrieve { .. } => "retrieve",
             Request::Query { .. } => "query",
             Request::CreateVersion { .. } => "create_version",
@@ -507,32 +488,31 @@ impl Request {
     ];
 }
 
-/// A reply from the server.
+/// A successful reply from the server.  A refused request is answered with the
+/// [`crate::error::ServerError`] instead ([`crate::SeedServer::handle`] returns a
+/// [`crate::error::ServerResult`]), so every variant carries only its success payload.
 #[derive(Debug)]
 pub enum Response {
     /// Reply to [`Request::Checkout`].
-    Checkout(Result<CheckoutSet, crate::error::ServerError>),
-    /// Reply to [`Request::Checkin`] / [`Request::Release`].
-    Ack(Result<(), crate::error::ServerError>),
+    Checkout(CheckoutSet),
+    /// Reply to [`Request::Checkin`] / [`Request::Release`] / [`Request::Checkpoint`].
+    Ack,
     /// Reply to [`Request::Retrieve`].
-    Object(Result<ObjectRecord, crate::error::ServerError>),
+    Object(ObjectRecord),
     /// Reply to [`Request::Query`].
-    Answer(Result<QueryAnswer, crate::error::ServerError>),
+    Answer(QueryAnswer),
     /// Reply to [`Request::CreateVersion`].
-    Version(Result<VersionId, crate::error::ServerError>),
+    Version(VersionId),
     /// Reply to [`Request::Persistence`].
     Persistence(PersistenceStatus),
     /// Reply to [`Request::Schema`].
     Schema(SchemaSummary),
     /// Reply to [`Request::Children`] / [`Request::Prefix`] / [`Request::ObjectsOfClass`].
-    Objects(Result<Vec<ObjectRecord>, crate::error::ServerError>),
+    Objects(Vec<ObjectRecord>),
     /// Reply to [`Request::RelationshipsOf`].
-    Relationships(Result<Vec<RelationshipInfo>, crate::error::ServerError>),
+    Relationships(Vec<RelationshipInfo>),
     /// Reply to [`Request::RelationshipCount`] / [`Request::Completeness`].
-    Count(Result<usize, crate::error::ServerError>),
-    /// A request-independent failure: the server could not act on the frame at all (malformed
-    /// payload, identity violation).  The connection stays open.
-    Error(crate::error::ServerError),
+    Count(usize),
     /// Reply to [`Request::Shutdown`].
     ShuttingDown,
     /// Reply to [`Request::Stats`]: a point-in-time copy of the whole metrics registry.
@@ -542,7 +522,7 @@ pub enum Response {
     /// Reply to [`Request::Promote`]: the accepted topology epoch and the node's durable end of
     /// log at the moment the promotion took effect (on a fenced primary: the last LSN it will
     /// ever write — the new primary must have applied at least this far for zero data loss).
-    Promoted(Result<PromotionReceipt, crate::error::ServerError>),
+    Promoted(PromotionReceipt),
 }
 
 /// The payload of [`Response::Promoted`]: proof of where the node stood when it changed roles.
@@ -584,6 +564,70 @@ mod tests {
             .touched_objects(),
             vec!["Alarms"]
         );
+    }
+
+    /// One request of every variant.  The match is exhaustive, so a new variant does not
+    /// compile until it is listed here as well.
+    fn one_of_each() -> Vec<Request> {
+        let text = || "X".to_string();
+        let all = vec![
+            Request::Checkout { objects: vec![text()] },
+            Request::Checkin { updates: Vec::new() },
+            Request::Release,
+            Request::Retrieve { name: text() },
+            Request::Query { text: text() },
+            Request::CreateVersion { comment: text() },
+            Request::Persistence,
+            Request::Checkpoint,
+            Request::Schema,
+            Request::Children { name: text() },
+            Request::Prefix { prefix: text() },
+            Request::RelationshipsOf { name: text() },
+            Request::ObjectsOfClass { class: text(), transitive: true },
+            Request::RelationshipCount { association: text(), transitive: true },
+            Request::Completeness,
+            Request::Shutdown,
+            Request::Stats,
+            Request::Health,
+            Request::Promote { epoch: 1, new_primary: text() },
+        ];
+        for request in &all {
+            match request {
+                Request::Checkout { .. }
+                | Request::Checkin { .. }
+                | Request::Release
+                | Request::Retrieve { .. }
+                | Request::Query { .. }
+                | Request::CreateVersion { .. }
+                | Request::Persistence
+                | Request::Checkpoint
+                | Request::Schema
+                | Request::Children { .. }
+                | Request::Prefix { .. }
+                | Request::RelationshipsOf { .. }
+                | Request::ObjectsOfClass { .. }
+                | Request::RelationshipCount { .. }
+                | Request::Completeness
+                | Request::Shutdown
+                | Request::Stats
+                | Request::Health
+                | Request::Promote { .. } => {}
+            }
+        }
+        all
+    }
+
+    /// `net_request_us_<kind>` handles are registered from `KIND_NAMES` and looked up by
+    /// `kind_name()`: a kind missing from the list would silently record nothing.
+    #[test]
+    fn kind_names_list_every_request_kind_once() {
+        let kinds: std::collections::BTreeSet<&str> =
+            one_of_each().iter().map(Request::kind_name).collect();
+        let listed: std::collections::BTreeSet<&str> =
+            Request::KIND_NAMES.iter().copied().collect();
+        assert_eq!(kinds.len(), one_of_each().len(), "two variants share a kind name");
+        assert_eq!(listed.len(), Request::KIND_NAMES.len(), "KIND_NAMES repeats a name");
+        assert_eq!(kinds, listed);
     }
 
     #[test]

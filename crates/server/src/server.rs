@@ -782,21 +782,21 @@ impl SeedServer {
         Ok(version)
     }
 
-    /// Dispatches one protocol request to the corresponding server operation.
+    /// Answers one protocol request on behalf of `client`, the session it arrived on: the
+    /// lock-table requests act for that client, and a refused request is the `Err`.
     ///
     /// [`Request::Shutdown`] is transport-scoped (over TCP it closes the session) and is
     /// answered with [`Response::ShuttingDown`] — the caller decides what "shutting down"
     /// means for its transport.
-    pub fn handle(&self, request: Request) -> Response {
+    pub fn handle(&self, client: ClientId, request: Request) -> ServerResult<Response> {
         let start = Instant::now();
         let kind = request.kind_name();
-        let client = request.client_id();
         // Kept aside for the slow-op log: the request is consumed by the dispatch below.
         let query_text = match &request {
             Request::Query { text } => Some(text.clone()),
             _ => None,
         };
-        let response = self.dispatch(request);
+        let reply = self.dispatch(client, request);
         let elapsed = start.elapsed();
         let registry = seed_obs::global();
         if elapsed >= registry.slow_op_threshold() {
@@ -804,52 +804,56 @@ impl SeedServer {
             if let Some(text) = query_text {
                 detail.push(("text", text));
             }
-            if let Response::Answer(Ok(answer)) = &response {
-                if let Some(plan) = &answer.plan {
-                    detail.push(("plan", plan.clone()));
-                }
+            if let Ok(Response::Answer(QueryAnswer { plan: Some(plan), .. })) = &reply {
+                detail.push(("plan", plan.clone()));
             }
-            registry.observe_op(kind, client, elapsed, &detail);
+            registry.observe_op(kind, Some(client), elapsed, &detail);
         }
-        response
+        reply
     }
 
-    fn dispatch(&self, request: Request) -> Response {
-        match request {
-            Request::Checkout { client, objects } => {
+    fn dispatch(&self, client: ClientId, request: Request) -> ServerResult<Response> {
+        Ok(match request {
+            Request::Checkout { objects } => {
                 let names: Vec<&str> = objects.iter().map(|s| s.as_str()).collect();
-                Response::Checkout(self.checkout(client, &names))
+                Response::Checkout(self.checkout(client, &names)?)
             }
-            Request::Checkin { client, updates } => Response::Ack(self.checkin(client, &updates)),
-            Request::Release { client } => {
+            Request::Checkin { updates } => {
+                self.checkin(client, &updates)?;
+                Response::Ack
+            }
+            Request::Release => {
                 self.release(client);
-                Response::Ack(Ok(()))
+                Response::Ack
             }
-            Request::Retrieve { name } => Response::Object(self.retrieve(&name)),
-            Request::Query { text } => Response::Answer(self.query(&text)),
-            Request::CreateVersion { comment } => Response::Version(self.create_version(&comment)),
+            Request::Retrieve { name } => Response::Object(self.retrieve(&name)?),
+            Request::Query { text } => Response::Answer(self.query(&text)?),
+            Request::CreateVersion { comment } => Response::Version(self.create_version(&comment)?),
             Request::Persistence => Response::Persistence(self.persistence_status()),
-            Request::Checkpoint => Response::Ack(self.checkpoint()),
+            Request::Checkpoint => {
+                self.checkpoint()?;
+                Response::Ack
+            }
             Request::Schema => Response::Schema(self.schema_summary()),
-            Request::Children { name } => Response::Objects(self.children_of(&name)),
-            Request::Prefix { prefix } => Response::Objects(Ok(self.objects_with_prefix(&prefix))),
+            Request::Children { name } => Response::Objects(self.children_of(&name)?),
+            Request::Prefix { prefix } => Response::Objects(self.objects_with_prefix(&prefix)),
             Request::RelationshipsOf { name } => {
-                Response::Relationships(self.relationships_of(&name))
+                Response::Relationships(self.relationships_of(&name)?)
             }
             Request::ObjectsOfClass { class, transitive } => {
-                Response::Objects(self.objects_of_class(&class, transitive))
+                Response::Objects(self.objects_of_class(&class, transitive)?)
             }
             Request::RelationshipCount { association, transitive } => {
-                Response::Count(self.relationship_count_in(&association, transitive))
+                Response::Count(self.relationship_count_in(&association, transitive)?)
             }
-            Request::Completeness => Response::Count(Ok(self.completeness_count())),
+            Request::Completeness => Response::Count(self.completeness_count()),
             Request::Shutdown => Response::ShuttingDown,
             Request::Stats => Response::Stats(seed_obs::global().snapshot()),
             Request::Health => Response::Health(self.health()),
             Request::Promote { epoch, new_primary } => {
-                Response::Promoted(self.promote(epoch, &new_primary))
+                Response::Promoted(self.promote(epoch, &new_primary)?)
             }
-        }
+        })
     }
 }
 
@@ -1023,9 +1027,11 @@ mod tests {
         assert!(matches!(server.query("find Ghost"), Err(ServerError::Query(_))));
 
         // The same surface over the protocol, from another thread.
-        let ask = |text: &str| match server.handle(Request::Query { text: text.to_string() }) {
-            Response::Answer(result) => result,
-            other => panic!("unexpected response {other:?}"),
+        let client = server.connect();
+        let ask = |text: &str| match server.handle(client, Request::Query { text: text.into() }) {
+            Ok(Response::Answer(answer)) => Ok(answer),
+            Err(e) => Err(e),
+            Ok(other) => panic!("unexpected response {other:?}"),
         };
         std::thread::scope(|s| {
             s.spawn(|| {
@@ -1089,14 +1095,12 @@ mod tests {
         }
         // Restart recovery, observable over the protocol.
         let server = SeedServer::open_durable(&dir).unwrap();
-        let persistence = || match server.handle(Request::Persistence) {
-            Response::Persistence(status) => status,
+        let client = server.connect();
+        let persistence = || match server.handle(client, Request::Persistence) {
+            Ok(Response::Persistence(status)) => status,
             other => panic!("unexpected response {other:?}"),
         };
-        let retrieve = |name: &str| match server.handle(Request::Retrieve { name: name.into() }) {
-            Response::Object(result) => result,
-            other => panic!("unexpected response {other:?}"),
-        };
+        let retrieve = |name: &str| server.handle(client, Request::Retrieve { name: name.into() });
         std::thread::scope(|s| {
             s.spawn(|| {
                 let status = persistence();
@@ -1107,10 +1111,7 @@ mod tests {
                 assert!(retrieve("Alarms").is_ok());
                 assert!(retrieve("Ghost").is_err(), "rejected check-in left no trace");
                 // Checkpoint over the protocol truncates the WAL.
-                match server.handle(Request::Checkpoint) {
-                    Response::Ack(result) => result.unwrap(),
-                    other => panic!("unexpected response {other:?}"),
-                }
+                assert!(matches!(server.handle(client, Request::Checkpoint), Ok(Response::Ack)));
                 assert_eq!(persistence().wal_bytes, 0);
             });
         });
@@ -1654,10 +1655,8 @@ mod tests {
                     let name = format!("Worker{i}Data");
                     let create =
                         vec![Update::CreateObject { class: "Data".into(), name: name.clone() }];
-                    match server.handle(Request::Checkin { client, updates: create }) {
-                        Response::Ack(result) => result.unwrap(),
-                        other => panic!("unexpected response {other:?}"),
-                    }
+                    let reply = server.handle(client, Request::Checkin { updates: create });
+                    assert!(matches!(reply, Ok(Response::Ack)), "{reply:?}");
                     // May conflict with another worker holding the lock; that's fine.
                     let object = "AlarmHandler.Description";
                     let value = Value::string(format!("by {i}"));

@@ -18,8 +18,8 @@
 //!    * [`DirectBackend`] — the pre-SEED way: plain in-memory structures, no checking, versions
 //!      as full copies.
 //!
-//!    The benchmark `spades_overhead` drives both with the same [`workload`] and reports the
-//!    slowdown factor.
+//!    Row E1 of the evaluation report (`e1_spades_overhead` in `seed-bench`) drives both with
+//!    the same [`workload`] and reports the slowdown factor.
 //!
 //! Since the network layer exists, the tool also runs in the paper's *deployed* two-level
 //! shape: [`RemoteBackend`] is the same tool API over a `seed-net` [`seed_net::RemoteClient`],

@@ -42,8 +42,8 @@ use std::cell::RefCell;
 use seed_core::{ObjectRecord, SeedError, Value, VersionId};
 use seed_net::{FromResponse, RemoteClient};
 use seed_server::{
-    CheckoutSet, ClientId, RelationshipInfo, Request, Response, SchemaSummary, ServerError,
-    ServerResult, Update,
+    CheckoutSet, RelationshipInfo, Request, Response, SchemaSummary, ServerError, ServerResult,
+    Update,
 };
 
 use crate::backend::SpecBackend;
@@ -53,7 +53,6 @@ use crate::model::{ElementInfo, ElementKind, FlowKind};
 /// The tool backed by a remote SEED server.
 pub struct RemoteBackend {
     client: RefCell<RemoteClient>,
-    id: ClientId,
     schema: SchemaSummary,
     checkpoints: usize,
     /// Exchanges sent so far: the round trips the tests pin per operation.
@@ -94,6 +93,10 @@ fn children_of(name: &str) -> Request {
     Request::Children { name: name.to_string() }
 }
 
+fn checkout(lock: &[&str]) -> Request {
+    Request::Checkout { objects: lock.iter().map(|s| s.to_string()).collect() }
+}
+
 fn is_leaf(record: &ObjectRecord, leaf: &str) -> bool {
     record.name.leaf().name == leaf
 }
@@ -130,7 +133,6 @@ impl RemoteBackend {
     /// Wraps a connected client, fetching the schema summary it needs to interpret records.
     pub fn new(client: RemoteClient) -> SpadesResult<Self> {
         let mut backend = Self {
-            id: client.id(),
             client: RefCell::new(client),
             schema: SchemaSummary::default(),
             checkpoints: 0,
@@ -176,18 +178,10 @@ impl RemoteBackend {
         Ok(replies)
     }
 
-    fn checkout(&self, lock: &[&str]) -> Request {
-        Request::Checkout { client: self.id, objects: lock.iter().map(|s| s.to_string()).collect() }
-    }
-
-    fn checkin(&self, updates: Vec<Update>) -> Request {
-        Request::Checkin { client: self.id, updates }
-    }
-
     /// Releases this client's locks: a refused check-in keeps them server-side for amendment,
     /// and the tool has nothing to amend.
     fn release(&self) {
-        let _ = self.exchange(vec![Request::Release { client: self.id }]);
+        let _ = self.exchange(vec![Request::Release]);
     }
 
     /// The outcome of a check-in sent over locks this client holds.
@@ -201,7 +195,7 @@ impl RemoteBackend {
     /// One tool mutation = one checkout / check-in cycle, in one exchange: the check-in rides
     /// behind its checkout (see the module documentation for why that is safe).
     fn transact(&self, lock: &[&str], updates: Vec<Update>) -> SpadesResult<()> {
-        let mut replies = self.exchange(vec![self.checkout(lock), self.checkin(updates)])?;
+        let mut replies = self.exchange(vec![checkout(lock), Request::Checkin { updates }])?;
         replies.next::<CheckoutSet>().map_err(server_to_spades)?;
         self.checked_in(replies.next())
     }
@@ -215,7 +209,7 @@ impl RemoteBackend {
         build: impl FnOnce(&ObjectRecord, &[ObjectRecord]) -> SpadesResult<Vec<Update>>,
     ) -> SpadesResult<()> {
         let mut replies =
-            self.exchange(vec![self.checkout(&[name]), retrieve(name), children_of(name)])?;
+            self.exchange(vec![checkout(&[name]), retrieve(name), children_of(name)])?;
         let checkout = replies.next::<CheckoutSet>().map_err(server_to_spades);
         let record = found(name, replies.next());
         let kids = replies.next::<Vec<ObjectRecord>>().map_err(server_to_spades);
@@ -225,7 +219,9 @@ impl RemoteBackend {
             build(&record, &kids?)
         });
         match updates {
-            Ok(updates) => self.checked_in(self.exchange(vec![self.checkin(updates)])?.next()),
+            Ok(updates) => {
+                self.checked_in(self.exchange(vec![Request::Checkin { updates }])?.next())
+            }
             Err(e) => {
                 if locked {
                     self.release();
@@ -271,7 +267,7 @@ impl SpecBackend for RemoteBackend {
     fn add_element(&mut self, name: &str, kind: ElementKind) -> SpadesResult<()> {
         let create =
             Update::CreateObject { class: kind.class_name().to_string(), name: name.into() };
-        match self.ask(self.checkin(vec![create])) {
+        match self.ask(Request::Checkin { updates: vec![create] }) {
             Err(SpadesError::Seed(SeedError::DuplicateName(name))) => {
                 Err(SpadesError::Duplicate(name))
             }

@@ -5,7 +5,7 @@
 //! re-classification, descriptions and keywords are dependent objects, containment is the
 //! ACYCLIC `Contained` association, and checkpoints are SEED versions.  Consistency checking
 //! happens inside SEED on every update — the tool gets it for free (and pays for it; see the
-//! `spades_overhead` benchmark).
+//! evaluation report's row E1, `e1_spades_overhead`).
 
 use seed_core::{Database, NameSegment, ObjectId, SeedError, Value};
 use seed_schema::figure3_schema;

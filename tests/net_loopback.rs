@@ -151,7 +151,7 @@ fn remote_reads_never_observe_half_a_checkin() {
 }
 
 /// Tag 0 is reserved (`docs/PROTOCOL.md` §5): a raw request frame carrying it is answered with
-/// `Response::Error` in its slot, and the next request on the same connection is answered.
+/// the `Error` answer in its slot, and the next request on the same connection is answered.
 #[test]
 fn a_reserved_tag_zero_frame_is_answered_with_an_error_and_the_session_continues() {
     use seed::net::codec::{decode_response, encode_request};
@@ -178,9 +178,9 @@ fn a_reserved_tag_zero_frame_is_answered_with_an_error_and_the_session_continues
         assert_eq!(frame.kind, FrameKind::Response);
         decode_response(&frame.payload).unwrap()
     };
-    assert!(matches!(answer(), Response::Error(ServerError::Protocol(_))));
+    assert!(matches!(answer(), Err(ServerError::Protocol(_))));
     match answer() {
-        Response::Object(Ok(record)) => assert_eq!(record.name.to_string(), "Alarms"),
+        Ok(Response::Object(record)) => assert_eq!(record.name.to_string(), "Alarms"),
         other => panic!("the request after the tag-0 frame: got {other:?}"),
     }
     server.shutdown();

@@ -25,7 +25,7 @@ fn constants_match_the_document() {
     assert_eq!(seed::net::wire::MAGIC, *b"SEWP");
     assert_eq!(hex(&seed::net::wire::MAGIC), "53 45 57 50");
     assert_eq!(MAX_FRAME_LEN, 64 * 1024 * 1024);
-    assert_eq!(PROTOCOL_VERSION, 3);
+    assert_eq!(PROTOCOL_VERSION, 4);
 }
 
 #[test]
@@ -62,12 +62,12 @@ fn worked_frame_example_renders_exactly_as_documented() {
 #[test]
 fn handshake_dumps_render_exactly_as_documented() {
     // §4.
-    assert_eq!(hex(&Hello::current("spades").encode()), "03 00 03 00 06 73 70 61 64 65 73 00");
-    assert_eq!(hex(&Hello::replica("spades").encode()), "03 00 03 00 06 73 70 61 64 65 73 01");
-    let welcome = Welcome { version: 3, client_id: 7, banner: "seed-net/0.1.0".into() };
+    assert_eq!(hex(&Hello::current("spades").encode()), "04 00 04 00 06 73 70 61 64 65 73 00");
+    assert_eq!(hex(&Hello::replica("spades").encode()), "04 00 04 00 06 73 70 61 64 65 73 01");
+    let welcome = Welcome { version: 4, client_id: 7, banner: "seed-net/0.1.0".into() };
     assert_eq!(
         hex(&welcome.encode()),
-        "03 00 07 00 00 00 00 00 00 00 0e 73 65 65 64 2d 6e 65 74 2f 30 2e 31 2e 30"
+        "04 00 07 00 00 00 00 00 00 00 0e 73 65 65 64 2d 6e 65 74 2f 30 2e 31 2e 30"
     );
     // Negotiation: a hello is accepted if and only if its range covers the one version.
     assert_eq!(negotiate(&Hello::current("x")).unwrap(), PROTOCOL_VERSION);
@@ -112,9 +112,9 @@ fn request_tags_match_the_table() {
     assert!(decode_request(&[0]).is_err());
     assert!(decode_request(&[0, 1, 0, 0, 0, 0, 0, 0, 0]).is_err());
     let cases: Vec<(Request, u8)> = vec![
-        (Request::Checkout { client: 1, objects: vec![] }, 1),
-        (Request::Checkin { client: 1, updates: vec![] }, 2),
-        (Request::Release { client: 1 }, 3),
+        (Request::Checkout { objects: vec![] }, 1),
+        (Request::Checkin { updates: vec![] }, 2),
+        (Request::Release, 3),
         (Request::Retrieve { name: "X".into() }, 4),
         (Request::Query { text: "count Thing".into() }, 5),
         (Request::CreateVersion { comment: String::new() }, 6),
@@ -138,33 +138,55 @@ fn request_tags_match_the_table() {
 }
 
 #[test]
+fn lock_table_dumps_render_exactly_as_documented() {
+    // §5: lock-table requests carry no client id (the connection is the client).
+    use seed::net::codec::{decode_request, encode_request};
+    use seed::server::Update;
+    let checkout = Request::Checkout { objects: vec!["Alarms".into()] };
+    assert_eq!(hex(&encode_request(&checkout)), "01 01 06 41 6c 61 72 6d 73");
+    let create = Update::CreateObject { class: "Data".into(), name: "X".into() };
+    let checkin = Request::Checkin { updates: vec![create] };
+    assert_eq!(hex(&encode_request(&checkin)), "02 01 00 04 44 61 74 61 01 58");
+    assert_eq!(hex(&encode_request(&Request::Release)), "03");
+    for request in [checkout, checkin, Request::Release] {
+        let decoded = decode_request(&encode_request(&request)).unwrap();
+        assert_eq!(format!("{decoded:?}"), format!("{request:?}"));
+    }
+}
+
+#[test]
 fn response_and_error_tags_match_the_tables() {
     use seed::net::codec::{decode_response, encode_response};
+    use seed::server::PromotionReceipt;
     // Tag 0 is reserved (it was `Connected`) and never reused: a tag-0 payload does not decode.
     assert!(decode_response(&[0]).is_err());
     assert!(decode_response(&[0, 1, 0, 0, 0, 0, 0, 0, 0]).is_err());
-    let err = || ServerError::Disconnected;
+    let mut db = seed::core::Database::new(seed::schema::figure3_schema());
+    let object = db.create_object("Data", "X").unwrap();
+    let record = db.object(object).unwrap();
     let cases: Vec<(Response, u8)> = vec![
-        (Response::Checkout(Err(err())), 1),
-        (Response::Ack(Ok(())), 2),
-        (Response::Object(Err(err())), 3),
-        (Response::Answer(Err(err())), 4),
-        (Response::Version(Err(err())), 5),
+        (Response::Checkout(Default::default()), 1),
+        (Response::Ack, 2),
+        (Response::Object(record), 3),
+        (Response::Answer(Default::default()), 4),
+        (Response::Version(seed::core::VersionId::parse("1.0").unwrap()), 5),
         (Response::Persistence(Default::default()), 6),
         (Response::Schema(Default::default()), 7),
-        (Response::Objects(Err(err())), 8),
-        (Response::Relationships(Err(err())), 9),
-        (Response::Count(Ok(0)), 10),
-        (Response::Error(err()), 11),
+        (Response::Objects(vec![]), 8),
+        (Response::Relationships(vec![]), 9),
+        (Response::Count(0), 10),
         (Response::ShuttingDown, 12),
         (Response::Stats(Default::default()), 13),
         (Response::Health(Default::default()), 14),
-        (Response::Promoted(Err(err())), 15),
+        (Response::Promoted(PromotionReceipt::default()), 15),
     ];
     for (response, tag) in cases {
-        assert_eq!(encode_response(&response)[0], tag, "{response:?}");
+        assert_eq!(encode_response(&Ok(response))[0], tag);
     }
-    // §5: server error tags, read through Response::Error (tag 11, then the error tag).
+    // A success payload is the value alone: no leading ok-bool.
+    assert_eq!(hex(&encode_response(&Ok(Response::Ack))), "02");
+    assert_eq!(hex(&encode_response(&Ok(Response::Count(3)))), "0a 03");
+    // §5: a refused request is answered with tag 11, then the server error tag.
     let errors: Vec<(ServerError, u8)> = vec![
         (ServerError::Locked { object: "X".into(), holder: 1 }, 0),
         (ServerError::NotCheckedOut("X".into()), 1),
@@ -178,26 +200,25 @@ fn response_and_error_tags_match_the_tables() {
         (ServerError::Fenced { new_primary: "127.0.0.1:7044".into(), epoch: 1 }, 9),
     ];
     for (error, tag) in errors {
-        let bytes = encode_response(&Response::Error(error));
-        assert_eq!(bytes[1], tag);
+        let bytes = encode_response(&Err(error));
+        assert_eq!((bytes[0], bytes[1]), (11, tag));
     }
+    let refused = Err(ServerError::NotCheckedOut("X".into()));
+    assert_eq!(hex(&encode_response(&refused)), "0b 01 01 58");
     // The redirect error round-trips with its primary address intact.
-    let bytes = encode_response(&Response::Error(ServerError::ReadOnlyReplica {
-        primary: "10.0.0.9:7044".into(),
-    }));
-    match seed::net::codec::decode_response(&bytes).unwrap() {
-        Response::Error(ServerError::ReadOnlyReplica { primary }) => {
-            assert_eq!(primary, "10.0.0.9:7044");
-        }
+    let bytes =
+        encode_response(&Err(ServerError::ReadOnlyReplica { primary: "10.0.0.9:7044".into() }));
+    match decode_response(&bytes).unwrap() {
+        Err(ServerError::ReadOnlyReplica { primary }) => assert_eq!(primary, "10.0.0.9:7044"),
         other => panic!("unexpected decode: {other:?}"),
     }
     // The fencing error round-trips with the new primary and the epoch intact.
-    let bytes = encode_response(&Response::Error(ServerError::Fenced {
+    let bytes = encode_response(&Err(ServerError::Fenced {
         new_primary: "10.0.0.9:7044".into(),
         epoch: 7,
     }));
-    match seed::net::codec::decode_response(&bytes).unwrap() {
-        Response::Error(ServerError::Fenced { new_primary, epoch }) => {
+    match decode_response(&bytes).unwrap() {
+        Err(ServerError::Fenced { new_primary, epoch }) => {
             assert_eq!(new_primary, "10.0.0.9:7044");
             assert_eq!(epoch, 7);
         }
@@ -208,8 +229,8 @@ fn response_and_error_tags_match_the_tables() {
 #[test]
 fn promotion_frames_render_exactly_as_documented() {
     // §5: the failover frames, byte-exact.  `Promote` carries the epoch then the advertised
-    // address of the node being promoted; `Promoted` wraps the receipt in the usual result
-    // encoding; `Fenced` reaches clients as error tag 9 under a `Response::Error` (tag 11).
+    // address of the node being promoted; `Promoted` is the receipt alone; `Fenced` reaches
+    // clients as error tag 9 in the `Error` answer (tag 11).
     use seed::net::codec::{decode_request, decode_response, encode_request, encode_response};
     use seed::server::PromotionReceipt;
     let promote = Request::Promote { epoch: 7, new_primary: "10.0.0.9:1".into() };
@@ -224,15 +245,14 @@ fn promotion_frames_render_exactly_as_documented() {
     }
 
     let receipt = PromotionReceipt { epoch: 7, last_lsn: 46 };
-    let payload = encode_response(&Response::Promoted(Ok(receipt)));
-    assert_eq!(hex(&payload), "0f 01 07 00 00 00 00 00 00 00 2e 00 00 00 00 00 00 00");
+    let payload = encode_response(&Ok(Response::Promoted(receipt)));
+    assert_eq!(hex(&payload), "0f 07 00 00 00 00 00 00 00 2e 00 00 00 00 00 00 00");
     match decode_response(&payload).unwrap() {
-        Response::Promoted(Ok(decoded)) => assert_eq!(decoded, receipt),
+        Ok(Response::Promoted(decoded)) => assert_eq!(decoded, receipt),
         other => panic!("unexpected decode: {other:?}"),
     }
 
-    let fenced =
-        Response::Error(ServerError::Fenced { new_primary: "10.0.0.9:1".into(), epoch: 7 });
+    let fenced = Err(ServerError::Fenced { new_primary: "10.0.0.9:1".into(), epoch: 7 });
     let payload = encode_response(&fenced);
     assert_eq!(hex(&payload), "0b 09 0a 31 30 2e 30 2e 30 2e 39 3a 31 07 00 00 00 00 00 00 00");
 }
