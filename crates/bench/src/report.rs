@@ -283,19 +283,15 @@ pub fn e7_storage_engine(n: usize) -> ExperimentMetrics {
     let key = |i: usize| format!("obj/{i:06}");
     let (write_time, _) = time(|| {
         for i in 0..n {
-            let txn = engine.begin().unwrap();
-            engine.txn_put(txn, key(i).as_bytes(), &value).unwrap();
-            engine.commit(txn).unwrap();
+            engine.commit(vec![(key(i).into_bytes(), Some(value.clone()))]).unwrap();
         }
     });
     let dir = scratch_dir("e7");
     let (durable, _) = StorageEngine::open(&dir).unwrap();
     let (durable_write, _) = time(|| {
-        let txn = durable.begin().unwrap();
-        for i in 0..n {
-            durable.txn_put(txn, key(i).as_bytes(), &value).unwrap();
-        }
-        durable.commit(txn).unwrap();
+        durable
+            .commit((0..n).map(|i| (key(i).into_bytes(), Some(value.clone()))).collect())
+            .unwrap();
         let mut image = ImageWriter::new(durable.durable_lsn());
         for i in 0..n {
             image.put(key(i).as_bytes(), &value);

@@ -11,7 +11,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use seed_schema::{ClassId, Schema, SchemaRegistry, SchemaVersionId};
-use seed_storage::{Recovered, StorageEngine, TxnId};
+use seed_storage::{KeyEffect, Recovered, StorageEngine};
 
 use crate::codec;
 use crate::codec::Key;
@@ -141,7 +141,7 @@ impl Database {
     }
 
     /// Writes a fresh database over `schema` through `engine`, whose recovered key space must
-    /// not already hold one: the encoder's pairs, committed as one transaction.
+    /// not already hold one: the encoder's pairs, committed as one batch.
     pub(crate) fn create_recovered(
         engine: StorageEngine,
         recovered: &Recovered,
@@ -154,15 +154,11 @@ impl Database {
             )));
         }
         let mut db = Database::new(schema);
-        let txn = engine.begin()?;
-        let mut staged = Ok(());
+        let mut pairs = Vec::new();
         durability::encode_pairs(&db, None, &mut |key, value| {
-            if staged.is_ok() {
-                staged = engine.txn_put(txn, key, value);
-            }
+            pairs.push((key.to_vec(), Some(value.to_vec())));
         });
-        staged?;
-        engine.commit(txn)?;
+        engine.commit(pairs)?;
         let meta = durability::encode_meta(&db);
         db.attach_durability(engine, meta);
         Ok(db)
@@ -228,13 +224,13 @@ impl Database {
     }
 
     /// Records a topology change (a promotion's epoch bump, a fence, or a rejoin clearing one)
-    /// and commits the updated meta record immediately in its own storage transaction, so the
+    /// and commits the updated meta record immediately in its own storage batch, so the
     /// decision survives a restart.  Fencing must not ride an open explicit transaction — a
     /// rollback could then un-fence a demoted primary.
     pub fn persist_topology(&mut self, epoch: u64, fenced_to: Option<String>) -> SeedResult<()> {
         self.topology_epoch = epoch;
         self.fenced_to = fenced_to;
-        self.commit_meta()
+        self.commit_batch(Vec::new())
     }
 
     // ----- replication feed (the primary side of WAL shipping) --------------------------------
@@ -258,13 +254,15 @@ impl Database {
 
     /// The committed state as an O(1) read-only copy plus the LSN it corresponds to — the
     /// full-resync cut for a replica whose cursor fell behind a checkpoint
-    /// ([`crate::replica::snapshot_records`] encodes it).  Errors for in-memory databases and
-    /// while a transaction is open or an alternative is checked out.
+    /// ([`crate::replica::snapshot_records`] encodes it).  Errors for in-memory databases,
+    /// while a transaction is open or an alternative is checked out, and once the storage
+    /// engine is poisoned (a failed auto-commit leaves memory ahead of the log).
     pub fn replication_snapshot(&self) -> SeedResult<(Database, seed_storage::Lsn)> {
         let dur = self.durability.as_ref().ok_or_else(|| {
             SeedError::Invalid("in-memory database has no state to replicate".to_string())
         })?;
         self.committed_state_only()?;
+        dur.engine.usable()?;
         Ok((self.clone_for_snapshot(), dur.engine.durable_lsn()))
     }
 
@@ -306,11 +304,15 @@ impl Database {
         Ok(dur.engine.checkpoint(&image)?)
     }
 
-    /// Commits a storage transaction that staged `meta` (from [`Durability::changed_meta`]);
-    /// when that leaves memory equal to the committed state and the WAL has outgrown its
-    /// threshold, a background checkpoint starts.
-    fn commit_storage(&mut self, txn: TxnId, meta: Option<Vec<u8>>) -> SeedResult<()> {
-        self.durability.as_mut().expect("only durable databases stage").commit(txn, meta)?;
+    /// Commits `effects` and, last, the `meta` record when it changed as one storage batch
+    /// (no-op for in-memory databases); when that leaves memory equal to the committed state
+    /// and the WAL has outgrown its threshold, a background checkpoint starts.
+    fn commit_batch(&mut self, effects: Vec<KeyEffect>) -> SeedResult<()> {
+        if self.durability.is_none() {
+            return Ok(());
+        }
+        let meta = durability::encode_meta(self);
+        self.durability.as_mut().expect("checked above").commit(effects, meta)?;
         let dur = self.durability.as_ref().expect("checked above");
         if self.committed_state_only().is_ok() {
             dur.checkpoint_in_background(|| self.clone_for_snapshot(), dur.engine.durable_lsn());
@@ -318,70 +320,43 @@ impl Database {
         Ok(())
     }
 
-    /// Write-through: drains the store's change journal and stages the touched records into the
-    /// mirrored storage transaction (committing immediately when no explicit transaction is
-    /// open).  No-op for in-memory databases and while working on an alternative (the
-    /// alternative store is scratch state; only its version snapshots persist).
+    /// Write-through: outside an explicit transaction, drains the store's change journal and
+    /// commits the touched records as one batch.  Inside one the journal only accumulates
+    /// (the savepoint holds it too) until [`Database::commit_transaction`].  No-op for
+    /// in-memory databases and while working on an alternative (the alternative store is
+    /// scratch state; only its version snapshots persist).
     fn persist_changes(&mut self) -> SeedResult<()> {
-        if self.alternative.is_some() || self.durability.is_none() {
+        if self.txn.is_some() || self.alternative.is_some() || self.durability.is_none() {
             return Ok(());
         }
         let changed = self.store.take_changed();
-        if changed.is_empty() {
-            return Ok(());
+        let mut effects = Vec::with_capacity(changed.len() + 1);
+        for item in &changed {
+            durability::item_effects(&self.store, *item, &mut effects);
         }
-        let result = self.stage_and_commit_changes(&changed);
+        let result = self.commit_batch(effects);
         if result.is_err() {
             // The in-memory mutation stands, so the items must stay queued: a later successful
-            // commit (or an explicit retry) re-stages them instead of silently dropping them
-            // from durability.
+            // commit re-encodes them instead of silently dropping them from durability.
             self.store.requeue_changed(&changed);
         }
         result
     }
 
-    /// Stages the drained items; an auto-commit adds `meta` when it changed and commits.  Inside
-    /// an explicit transaction `meta` waits for [`Database::commit_transaction`].
-    fn stage_and_commit_changes(&mut self, changed: &[(ItemId, bool)]) -> SeedResult<()> {
-        let dur = self.durability.as_ref().expect("caller checked");
-        let (txn, auto) = dur.stage_txn()?;
-        for item in changed {
-            durability::stage_item(&dur.engine, txn, &self.store, *item)?;
-        }
-        if auto {
-            let meta = dur.stage_meta(txn, self)?;
-            self.commit_storage(txn, meta)?;
-        }
-        Ok(())
-    }
-
     /// Persists the meta record (id floors, rules, version bookkeeping) when it changed.
     /// Inside an explicit transaction this waits for [`Database::commit_transaction`], which
-    /// stages it as the transaction's last effect (or for the rollback, which re-commits it).
+    /// adds it as the batch's last effect (or for the rollback, which re-commits it).
     fn persist_meta(&mut self) -> SeedResult<()> {
-        match self.durability.as_ref() {
-            Some(dur) if dur.txn.is_none() => self.commit_meta(),
-            _ => Ok(()),
-        }
-    }
-
-    /// Commits the meta record in its own storage transaction, when it changed.
-    fn commit_meta(&mut self) -> SeedResult<()> {
-        let Some(dur) = self.durability.as_ref() else { return Ok(()) };
-        if dur.changed_meta(self).is_none() {
+        if self.txn.is_some() {
             return Ok(());
         }
-        let txn = dur.engine.begin()?;
-        let meta = dur.stage_meta(txn, self)?;
-        self.commit_storage(txn, meta)
+        self.commit_batch(Vec::new())
     }
 
-    /// Stages a freshly created version: its delta snapshots, its metadata record, the drained
-    /// dirty markers and the updated meta, in one commit.
+    /// Commits a freshly created version: its delta snapshots, its metadata record, the
+    /// drained dirty markers and the updated meta, as one batch.
     fn persist_version_created(&mut self, id: &VersionId, delta: &[ItemId]) -> SeedResult<()> {
-        let in_alternative = self.alternative.is_some();
-        let Some(dur) = self.durability.as_ref() else { return Ok(()) };
-        let (txn, auto) = dur.stage_txn()?;
+        let mut effects = Vec::with_capacity(delta.len() * 2 + 1);
         for item in delta {
             let snapshot = match *item {
                 ItemId::Object(oid) => {
@@ -394,45 +369,32 @@ impl Database {
                     .map(crate::version::ItemSnapshot::Relationship),
             };
             if let Some(snapshot) = snapshot {
-                dur.engine.txn_put(
-                    txn,
-                    &Key::VersionDelta(id, *item).to_vec(),
-                    &codec::encoded(|e| codec::encode_snapshot(e, &snapshot)),
-                )?;
+                let value = codec::encoded(|e| codec::encode_snapshot(e, &snapshot));
+                effects.push((Key::VersionDelta(id, *item).to_vec(), Some(value)));
             }
-            if !in_alternative {
+            if self.alternative.is_none() {
                 // The on-disk dirty markers mirror the main store's dirty set; an alternative
                 // drains its own scratch dirty set, which never had markers.
-                dur.engine.txn_delete(txn, &Key::Dirty(*item).to_vec())?;
+                effects.push((Key::Dirty(*item).to_vec(), None));
             }
         }
         let info = self.versions.info(id)?;
         let info = codec::encoded(|e| codec::encode_version_info(e, info));
-        dur.engine.txn_put(txn, &Key::VersionInfo(id).to_vec(), &info)?;
-        let meta = dur.stage_meta(txn, self)?;
-        if auto {
-            self.commit_storage(txn, meta)?;
-        }
-        Ok(())
+        effects.push((Key::VersionInfo(id).to_vec(), Some(info)));
+        self.commit_batch(effects)
     }
 
-    /// Stages a version deletion: drop its metadata record and the delta snapshot of every
+    /// Commits a version deletion: drop its metadata record and the delta snapshot of every
     /// item it had recorded (`dropped`), plus the updated meta.
     ///
     /// Like schema publication, version deletion is not transactional (the version is gone from
     /// memory immediately and the transaction savepoint covers only the store), so the deletes
-    /// commit in their own storage transaction even while an explicit transaction is open —
-    /// otherwise a later rollback would abort them and the deleted version would resurrect on
-    /// reopen.
+    /// commit in their own batch even while an explicit transaction is open — otherwise a later
+    /// rollback would drop them and the deleted version would resurrect on reopen.
     fn persist_version_deleted(&mut self, id: &VersionId, dropped: &[ItemId]) -> SeedResult<()> {
-        let Some(dur) = self.durability.as_ref() else { return Ok(()) };
-        let txn = dur.engine.begin()?;
-        dur.engine.txn_delete(txn, &Key::VersionInfo(id).to_vec())?;
-        for item in dropped {
-            dur.engine.txn_delete(txn, &Key::VersionDelta(id, *item).to_vec())?;
-        }
-        let meta = dur.stage_meta(txn, self)?;
-        self.commit_storage(txn, meta)
+        let mut effects = vec![(Key::VersionInfo(id).to_vec(), None)];
+        effects.extend(dropped.iter().map(|item| (Key::VersionDelta(id, *item).to_vec(), None)));
+        self.commit_batch(effects)
     }
 
     // ----- accessors ------------------------------------------------------------------------------
@@ -451,18 +413,15 @@ impl Database {
     /// committed as its own `s/<svid>` record).
     ///
     /// Schema publication is **not transactional**: the transaction savepoint covers only the
-    /// store, so on a durable database the record commits in its own storage transaction even
-    /// while an explicit transaction is open — otherwise a later rollback would abort the
-    /// `s/<svid>` record while the in-memory registry (and the re-committed meta) still
-    /// reference it, leaving the directory unopenable.
+    /// store, so on a durable database the record commits in its own batch even while an
+    /// explicit transaction is open — otherwise a later rollback would drop the `s/<svid>`
+    /// record while the in-memory registry (and the re-committed meta) still reference it,
+    /// leaving the directory unopenable.
     pub fn publish_schema(&mut self, schema: Schema) -> SeedResult<SchemaVersionId> {
         let id = Arc::make_mut(&mut self.schemas).publish(schema);
-        if let Some(dur) = self.durability.as_ref() {
-            let txn = dur.engine.begin()?;
+        if self.durability.is_some() {
             let schema = codec::encoded(|e| codec::encode_schema(e, self.schemas.current()));
-            dur.engine.txn_put(txn, &Key::Schema(id).to_vec(), &schema)?;
-            let meta = dur.stage_meta(txn, self)?;
-            self.commit_storage(txn, meta)?;
+            self.commit_batch(vec![(Key::Schema(id).to_vec(), Some(schema))])?;
         }
         Ok(id)
     }
@@ -570,62 +529,60 @@ impl Database {
     // ----- transactions ------------------------------------------------------------------------------
 
     /// Begins a transaction by saving the store (a clone that shares every node until the
-    /// first write); [`Database::rollback_transaction`] restores it.  On a durable database, a
-    /// storage transaction is opened in lockstep: staged per-item records become durable only
-    /// at [`Database::commit_transaction`].
+    /// first write, change journal included); [`Database::rollback_transaction`] restores it.
+    /// On a durable database the transaction's mutations only journal what they touch, and
+    /// become durable together at [`Database::commit_transaction`].  A poisoned storage engine
+    /// refuses the begin.
     pub fn begin_transaction(&mut self) -> SeedResult<()> {
         if self.txn.is_some() {
             return Err(SeedError::Transaction("a transaction is already active".to_string()));
         }
-        if self.alternative.is_none() {
-            if let Some(dur) = self.durability.as_mut() {
-                dur.txn = Some(dur.engine.begin()?);
-            }
+        if let (None, Some(dur)) = (&self.alternative, &self.durability) {
+            dur.engine.usable()?;
         }
         self.txn = Some(self.store.clone());
         Ok(())
     }
 
-    /// Commits the active transaction (updates were applied and checked as they happened; on a
-    /// durable database the mirrored storage transaction commits now, making every staged
-    /// per-item record durable with a single WAL sync).
+    /// Commits the active transaction (updates were applied and checked as they happened).  On
+    /// a durable database the journal is drained once: every touched record, encoded once, and
+    /// then `meta` when it changed, commit as one batch with a single WAL sync.  If that commit
+    /// fails, the transaction is rolled back in memory too (ids it allocated stay burned) and
+    /// the commit's error is returned, so memory never holds what the log does not.
     pub fn commit_transaction(&mut self) -> SeedResult<()> {
-        if self.txn.take().is_none() {
+        let Some(savepoint) = self.txn.take() else {
             return Err(SeedError::Transaction("no active transaction".to_string()));
+        };
+        // Meta goes in last, once: a non-transactional side-commit inside the transaction
+        // (publish_schema, delete_version) committed its own fresher meta, which this copy then
+        // equals (and so is not logged) or supersedes.
+        let committed = self.persist_changes();
+        if committed.is_err() {
+            self.replace_store(savepoint);
         }
-        if let Some(txn) = self.durability.as_ref().and_then(|d| d.txn) {
-            // Meta is staged here only, once, as the transaction's last effect: a
-            // non-transactional side-commit inside the transaction (publish_schema,
-            // delete_version) commits its own fresher meta, which this copy then equals (and so
-            // is not staged) or supersedes — an earlier copy could overwrite it.
-            let meta = self.durability.as_ref().expect("checked above").stage_meta(txn, self)?;
-            self.durability.as_mut().expect("checked above").txn = None;
-            self.commit_storage(txn, meta)?;
-        }
-        Ok(())
+        committed
     }
 
     /// Rolls back the active transaction by restoring the store saved at
-    /// [`Database::begin_transaction`] — records, indexes, dirty set and change journal alike.
-    /// On a durable database the mirrored storage transaction aborts in lockstep, so nothing
-    /// staged since the begin reaches storage (or the WAL), and memory and disk agree again.
+    /// [`Database::begin_transaction`] — records, indexes, dirty set and change journal alike —
+    /// so nothing the transaction touched is owed to storage any more.
     pub fn rollback_transaction(&mut self) -> SeedResult<()> {
         let Some(savepoint) = self.txn.take() else {
             return Err(SeedError::Transaction("no active transaction".to_string()));
         };
-        // Ids allocated by the rolled-back transaction stay burned.
-        let (object_floor, relationship_floor) = self.store.id_floor();
-        self.store = savepoint;
-        self.store.raise_id_floor(object_floor, relationship_floor);
-        if let Some(dur) = self.durability.as_mut() {
-            if let Some(txn) = dur.txn.take() {
-                dur.engine.abort(txn)?;
-            }
-        }
+        self.replace_store(savepoint);
         // Ids the rolled-back work allocated stay burned: re-commit the meta record when that
         // raised the id floors, so the durable floors match the in-memory counters.  A refused
         // check-in that allocated nothing writes nothing.
-        self.commit_meta()
+        self.commit_batch(Vec::new())
+    }
+
+    /// Makes `store` (a savepoint, or the stashed mainline) the working store again, keeping
+    /// the ids the replaced one allocated burned.
+    fn replace_store(&mut self, store: DataStore) {
+        let (object_floor, relationship_floor) = self.store.id_floor();
+        self.store = store;
+        self.store.raise_id_floor(object_floor, relationship_floor);
     }
 
     /// Whether a transaction is active.
@@ -1460,19 +1417,15 @@ impl Database {
     pub fn return_to_current(&mut self) -> SeedResult<()> {
         if self.txn.is_some() {
             // Mirrors the guard in checkout_alternative: letting a transaction begun in the
-            // alternative span the store swap would roll back against the wrong store — and,
-            // on a durable database, auto-commit mainline mutations with no storage
-            // transaction to abort.
+            // alternative span the store swap would roll back against the wrong store.
             return Err(SeedError::Transaction(
                 "finish the active transaction before returning to the current version".to_string(),
             ));
         }
         match self.alternative.take() {
             Some(alt) => {
-                let (object_floor, relationship_floor) = self.store.id_floor();
-                self.store = alt.stashed;
-                self.store.raise_id_floor(object_floor, relationship_floor);
-                self.commit_meta()
+                self.replace_store(alt.stashed);
+                self.commit_batch(Vec::new())
             }
             None => Err(SeedError::Version("not working on an alternative".to_string())),
         }

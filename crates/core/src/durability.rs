@@ -1,17 +1,20 @@
 //! Incremental durability: per-item write-through persistence over the WAL.
 //!
-//! [`Database::open_durable`] returns a database whose mutation paths stage fine-grained
-//! per-item records (see [`crate::codec`] for the key layout) into a storage transaction that
-//! commits at the mutation's commit point:
+//! [`Database::open_durable`] returns a database whose mutations are written through as
+//! fine-grained per-item records (see [`crate::codec`] for the key layout).  The transaction
+//! lives in the database alone: the store's change journal records which items a mutation
+//! touched, and at the commit point the journal is drained, each touched item is encoded once,
+//! and the records — `meta` last, only when it changed — go to the storage engine as **one**
+//! batch ([`StorageEngine::commit`]: one WAL write, one sync):
 //!
-//! * outside an explicit transaction, every successful mutation **auto-commits** — one storage
-//!   transaction, one batched WAL write, one sync — so the durable cost of a commit is
-//!   O(items touched), not O(database);
-//! * inside [`Database::begin_transaction`] … [`Database::commit_transaction`], all staged
-//!   records ride in **one** storage transaction that commits (or, on
-//!   [`Database::rollback_transaction`], aborts) in lockstep with the in-memory savepoint;
+//! * outside an explicit transaction, every successful mutation **auto-commits** its batch, so
+//!   the durable cost of a commit is O(items touched), not O(database);
+//! * inside [`Database::begin_transaction`] … [`Database::commit_transaction`], mutations only
+//!   journal; the commit drains the journal once.  The savepoint holds the journal too, so
+//!   [`Database::rollback_transaction`] restores memory and what is owed to disk together,
+//!   with no storage call; a commit that fails restores the savepoint the same way;
 //! * version creation writes the version's delta snapshots (`v/<vid>/…`), its metadata record
-//!   (`vi/<vid>`) and the drained dirty markers in the same commit.
+//!   (`vi/<vid>`) and the drained dirty markers in the same batch.
 //!
 //! The storage engine keeps no copy of the data; the database in memory is the one resident
 //! copy.  `encode_pairs` (**the encoder**) turns a database into its ordered key/value pairs:
@@ -23,10 +26,9 @@
 //!
 //! Crash contract: dropping the database (or the process) without a checkpoint loses nothing
 //! that was committed — recovery replays the storage WAL, which holds only complete
-//! transactions (group commit writes a transaction's frames as one batch).  A crash
-//! mid-transaction leaves no trace: neither the WAL (nothing is written before commit) nor the
-//! per-item keys (the storage transaction never committed).  `docs/DURABILITY.md` specifies the
-//! layout and the contract in full.
+//! transactions (a transaction's frames are written as one batch).  A crash mid-transaction
+//! leaves no trace: nothing of an explicit transaction reaches the WAL before its commit.
+//! `docs/DURABILITY.md` specifies the layout and the contract in full.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -34,7 +36,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 use seed_schema::{Schema, SchemaRegistry, SchemaVersionId};
-use seed_storage::{Encoder, ImageWriter, Lsn, Recovered, SnapshotImage, StorageEngine, TxnId};
+use seed_storage::{Encoder, ImageWriter, KeyEffect, Lsn, Recovered, SnapshotImage, StorageEngine};
 
 use crate::codec::{self, Key};
 use crate::database::Database;
@@ -43,14 +45,12 @@ use crate::ident::{ItemId, VersionId};
 use crate::store::{DataStore, ObjectChange, RelationshipChange};
 use crate::version::{ItemSnapshot, VersionInfo, VersionManager};
 
-/// The write-through handle a durable [`Database`] carries: the storage engine, the storage
-/// transaction mirroring the database's explicit transaction when one is open, the `meta`
+/// The write-through handle a durable [`Database`] carries: the storage engine, the `meta`
 /// record as last committed, and the background checkpoint in flight, if any (at most one).
 pub(crate) struct Durability {
     pub(crate) engine: Arc<StorageEngine>,
-    pub(crate) txn: Option<TxnId>,
-    /// The encoded `meta` record the log holds last.  Every staging site compares against it,
-    /// so a commit logs `meta` only when it changed; it moves only once a commit succeeded.
+    /// The encoded `meta` record the log holds last.  A commit logs `meta` only when it differs
+    /// from this copy, which moves only once a commit succeeded.
     committed_meta: Vec<u8>,
     checkpoint: Mutex<Option<JoinHandle<SeedResult<()>>>>,
 }
@@ -59,42 +59,21 @@ impl Durability {
     /// Write-through over `engine`, whose log (or snapshot) last holds `committed_meta`.
     pub(crate) fn new(engine: StorageEngine, committed_meta: Vec<u8>) -> Self {
         let engine = Arc::new(engine);
-        Self { engine, txn: None, committed_meta, checkpoint: Default::default() }
+        Self { engine, committed_meta, checkpoint: Default::default() }
     }
 
-    /// `db`'s encoded `meta` record when it differs from the last committed one, else `None`
-    /// (nothing to stage) — the one compare every staging site goes through.
-    pub(crate) fn changed_meta(&self, db: &Database) -> Option<Vec<u8>> {
-        let meta = encode_meta(db);
-        (meta != self.committed_meta).then_some(meta)
-    }
-
-    /// Stages `db`'s `meta` record into `txn` when it changed, returning the staged bytes for
-    /// [`Durability::commit`].
-    pub(crate) fn stage_meta(&self, txn: TxnId, db: &Database) -> SeedResult<Option<Vec<u8>>> {
-        let meta = self.changed_meta(db);
-        if let Some(meta) = &meta {
-            self.engine.txn_put(txn, codec::KEY_META.as_bytes(), meta)?;
+    /// Commits `effects` as one batch, with the encoded `meta` record appended last when it
+    /// differs from the committed copy; it becomes the committed copy once the commit succeeded.
+    pub(crate) fn commit(&mut self, mut effects: Vec<KeyEffect>, meta: Vec<u8>) -> SeedResult<()> {
+        let changed = meta != self.committed_meta;
+        if changed {
+            effects.push((codec::KEY_META.as_bytes().to_vec(), Some(meta.clone())));
         }
-        Ok(meta)
-    }
-
-    /// Commits `txn`; the `meta` it staged becomes the committed copy once the commit succeeded.
-    pub(crate) fn commit(&mut self, txn: TxnId, meta: Option<Vec<u8>>) -> SeedResult<()> {
-        self.engine.commit(txn)?;
-        if let Some(meta) = meta {
+        self.engine.commit(effects)?;
+        if changed {
             self.committed_meta = meta;
         }
         Ok(())
-    }
-
-    /// The storage transaction to stage into: the mirrored explicit transaction when one is
-    /// open, otherwise a fresh auto-commit transaction (`true` = caller must commit it).
-    pub(crate) fn stage_txn(&self) -> SeedResult<(TxnId, bool)> {
-        match self.txn {
-            Some(txn) => Ok((txn, false)),
-            None => Ok((self.engine.begin()?, true)),
-        }
     }
 
     fn in_flight(&self) -> std::sync::MutexGuard<'_, Option<JoinHandle<SeedResult<()>>>> {
@@ -147,44 +126,38 @@ pub struct DurabilityStatus {
     pub wal_bytes: u64,
 }
 
-/// Stages the current state of one item: a put of its record (objects travel with their
-/// inherits-links) or a delete when the item was physically removed, plus its dirty marker —
-/// a put only when the dirty flag `flipped` since the last staging (an item already dirty has
-/// its marker), a delete whenever the item is clean.
-pub(crate) fn stage_item(
-    engine: &StorageEngine,
-    txn: TxnId,
+/// The effects of one journaled item's current state: a put of its record (objects travel
+/// with their inherits-links) or a delete when the item was physically removed, plus its dirty
+/// marker — a put only when the dirty flag `flipped` since the last drain (an item already
+/// dirty has its marker), a delete whenever the item is clean.
+pub(crate) fn item_effects(
     store: &DataStore,
     (item, flipped): (ItemId, bool),
-) -> SeedResult<()> {
-    match item {
-        ItemId::Object(id) => match store.object(id) {
-            Some(record) => {
+    effects: &mut Vec<KeyEffect>,
+) {
+    let (key, record) = match item {
+        ItemId::Object(id) => (
+            Key::Object(id),
+            store.object(id).map(|record| {
                 let inherits = store.inherited_patterns(id);
-                let value = codec::encoded(|e| codec::encode_object_entry(e, record, &inherits));
-                engine.txn_put(txn, &Key::Object(id).to_vec(), &value)?;
-            }
-            None => engine.txn_delete(txn, &Key::Object(id).to_vec())?,
-        },
-        ItemId::Relationship(id) => match store.relationship(id) {
-            Some(record) => engine.txn_put(
-                txn,
-                &Key::Relationship(id).to_vec(),
-                &codec::encoded(|e| codec::encode_relationship(e, record)),
-            )?,
-            None => engine.txn_delete(txn, &Key::Relationship(id).to_vec())?,
-        },
-    }
+                codec::encoded(|e| codec::encode_object_entry(e, record, &inherits))
+            }),
+        ),
+        ItemId::Relationship(id) => (
+            Key::Relationship(id),
+            store
+                .relationship(id)
+                .map(|record| codec::encoded(|e| codec::encode_relationship(e, record))),
+        ),
+    };
+    effects.push((key.to_vec(), record));
     // The on-disk dirty markers mirror the in-memory dirty set, so that a reopened database
     // still knows which items the next version snapshot must record.
-    if store.dirty_items().contains_key(&item) {
-        if flipped {
-            engine.txn_put(txn, &Key::Dirty(item).to_vec(), b"")?;
-        }
-    } else {
-        engine.txn_delete(txn, &Key::Dirty(item).to_vec())?;
+    if !store.dirty_items().contains_key(&item) {
+        effects.push((Key::Dirty(item).to_vec(), None));
+    } else if flipped {
+        effects.push((Key::Dirty(item).to_vec(), Some(Vec::new())));
     }
-    Ok(())
 }
 
 /// The `meta` record describing `db`'s current state.
@@ -541,7 +514,7 @@ mod tests {
         db.commit_transaction().unwrap();
         let _ = a;
 
-        // Rolled-back transaction: the storage transaction aborts in lockstep.
+        // Rolled-back transaction: the savepoint restore drops its journal, so nothing logs.
         db.begin_transaction().unwrap();
         db.create_object("Data", "RolledBack").unwrap();
         db.rollback_transaction().unwrap();
@@ -674,8 +647,8 @@ mod tests {
         db.create_object("Data", "Committed").unwrap();
         db.begin_transaction().unwrap();
         db.create_object("Data", "Uncommitted").unwrap();
-        // Crash with the transaction open: neither the storage transaction nor the WAL saw a
-        // commit, so recovery must surface only the committed prefix.
+        // Crash with the transaction open: nothing of it reached the WAL, so recovery must
+        // surface only the committed prefix.
         drop(db);
         let recovered = Database::open_durable(&dir).unwrap();
         assert!(recovered.object_by_name("Committed").is_ok());
@@ -785,14 +758,26 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// In-memory segments whose next snapshot write fails (the image's own sync).
+    /// In-memory segments whose next segment sync, or next snapshot write (the image's own
+    /// sync), fails on demand.
     #[derive(Default)]
-    struct FlakySnapshots {
+    struct FlakyIo {
         inner: seed_storage::MemorySegmentIo,
+        fail_sync: std::sync::atomic::AtomicBool,
         fail_snapshot: std::sync::atomic::AtomicBool,
     }
 
-    impl seed_storage::SegmentIo for FlakySnapshots {
+    impl FlakyIo {
+        fn injected(flag: &std::sync::atomic::AtomicBool, what: &str) -> StorageResult<()> {
+            if flag.swap(false, std::sync::atomic::Ordering::SeqCst) {
+                let failed = std::io::Error::other(format!("injected {what} failure"));
+                return Err(seed_storage::StorageError::Io(failed));
+            }
+            Ok(())
+        }
+    }
+
+    impl seed_storage::SegmentIo for FlakyIo {
         fn list(&self) -> seed_storage::StorageResult<Vec<seed_storage::SegmentId>> {
             self.inner.list()
         }
@@ -806,6 +791,7 @@ mod tests {
             self.inner.append(id, bytes)
         }
         fn sync(&self, id: seed_storage::SegmentId) -> StorageResult<()> {
+            Self::injected(&self.fail_sync, "sync")?;
             self.inner.sync(id)
         }
         fn truncate(&self, id: seed_storage::SegmentId, len: u64) -> StorageResult<()> {
@@ -815,10 +801,7 @@ mod tests {
             self.inner.delete(id)
         }
         fn write_snapshot(&self, image: &[u8]) -> StorageResult<()> {
-            if self.fail_snapshot.swap(false, std::sync::atomic::Ordering::SeqCst) {
-                let failed = std::io::Error::other("injected snapshot sync failure");
-                return Err(seed_storage::StorageError::Io(failed));
-            }
+            Self::injected(&self.fail_snapshot, "snapshot sync")?;
             self.inner.write_snapshot(image)
         }
         fn read_snapshot(&self) -> StorageResult<Option<Vec<u8>>> {
@@ -826,9 +809,69 @@ mod tests {
         }
     }
 
+    /// A durable database over `io` holding one committed object, `Kept`.
+    fn flaky_database(io: &std::sync::Arc<FlakyIo>) -> Database {
+        let config = seed_storage::EngineConfig::default();
+        let (engine, recovered) = StorageEngine::with_io(io.clone(), config).unwrap();
+        let mut db = Database::create_recovered(engine, &recovered, figure3_schema()).unwrap();
+        db.create_object("Data", "Kept").unwrap();
+        db
+    }
+
+    /// What a restart over `io` recovers.
+    fn reopen(io: std::sync::Arc<FlakyIo>) -> Database {
+        let config = seed_storage::EngineConfig::default();
+        let (engine, recovered) = StorageEngine::with_io(io, config).unwrap();
+        Database::open_recovered(engine, &recovered).unwrap()
+    }
+
+    #[test]
+    fn a_failed_commit_leaves_memory_the_resync_cut_and_a_reopen_in_agreement() {
+        let dirty = |db: &Database| db.store().dirty_items().keys().copied().collect::<Vec<_>>();
+        let io = std::sync::Arc::new(FlakyIo::default());
+        let mut db = flaky_database(&io);
+        let floors = db.store().id_floor();
+        db.begin_transaction().unwrap();
+        db.create_object("Data", "Lost").unwrap();
+        io.fail_sync.store(true, std::sync::atomic::Ordering::SeqCst);
+        match db.commit_transaction() {
+            Err(SeedError::Storage(seed_storage::StorageError::Io(_))) => {}
+            other => panic!("the commit's sync failure must surface, got {other:?}"),
+        }
+        // The transaction is rolled back in memory: it is gone, and its ids stay burned.
+        assert!(!db.in_transaction());
+        assert!(db.object_by_name("Lost").is_err(), "the failed transaction is still live");
+        assert!(db.object_by_name("Kept").is_ok());
+        assert!(db.store().id_floor() > floors, "the rolled-back ids were reused");
+        // The poisoned engine refuses the resync cut and further transactions.
+        assert!(matches!(db.replication_snapshot(), Err(SeedError::Storage(_))));
+        assert!(matches!(db.begin_transaction(), Err(SeedError::Storage(_))));
+        let live = db.clone_for_snapshot();
+        drop(db);
+        let reopened = reopen(io);
+        assert_same_state(&live, &reopened, false);
+        assert_eq!(dirty(&live), dirty(&reopened), "dirty sets differ");
+
+        // A failed auto-commit leaves its mutation in memory, ahead of the log: the resync cut
+        // must not ship it either.
+        let io = std::sync::Arc::new(FlakyIo::default());
+        let mut db = flaky_database(&io);
+        io.fail_sync.store(true, std::sync::atomic::Ordering::SeqCst);
+        assert!(matches!(db.create_object("Data", "Ahead"), Err(SeedError::Storage(_))));
+        match db.replication_snapshot() {
+            Err(SeedError::Storage(seed_storage::StorageError::Poisoned(reason))) => {
+                assert!(reason.contains("commit"), "{reason}")
+            }
+            Err(other) => panic!("expected the engine's poison, got {other}"),
+            Ok(_) => panic!("a poisoned primary handed out its resync cut"),
+        }
+        drop(db);
+        assert!(reopen(io).object_by_name("Ahead").is_err());
+    }
+
     #[test]
     fn poison_after_a_failed_background_checkpoint_keeps_every_acknowledged_commit() {
-        let io = std::sync::Arc::new(FlakySnapshots::default());
+        let io = std::sync::Arc::new(FlakyIo::default());
         let config =
             seed_storage::EngineConfig { checkpoint_wal_bytes: Some(2048), ..Default::default() };
         let (engine, recovered) = StorageEngine::with_io(io.clone(), config.clone()).unwrap();
@@ -959,6 +1002,12 @@ mod tests {
         let meta = codec::KEY_META.as_bytes().to_vec();
         let metas = records.iter().filter(|(kind, key)| *kind == "put" && *key == meta).count();
         assert_eq!(metas, 1, "one meta put per transaction: {records:?}");
+        let mut puts: Vec<&Vec<u8>> =
+            records.iter().filter(|(kind, _)| *kind == "put").map(|(_, key)| key).collect();
+        let logged_puts = puts.len();
+        puts.sort();
+        puts.dedup();
+        assert_eq!(puts.len(), logged_puts, "a key put twice in one transaction: {records:?}");
         assert_eq!(records[records.len() - 2], ("put", meta), "meta is the last put");
         assert_eq!(records.last().unwrap().0, "commit");
         drop(db);
@@ -1133,7 +1182,7 @@ mod proptests {
             }
             let crashed_in_txn = durable.in_transaction();
             if crashed_in_txn {
-                // The open storage transaction never commits, so the committed prefix is the
+                // The open transaction never committed its batch, so the committed prefix is the
                 // model with the open transaction rolled back.
                 model.rollback_transaction().unwrap();
             }
@@ -1152,7 +1201,7 @@ mod proptests {
         /// `rollback_transaction` on a durable database leave no trace.  In memory, every read
         /// equals the state before the begin (the id floors aside: ids the transaction
         /// allocated stay burned).  On disk, a reopen reproduces the live database exactly,
-        /// dirty set included — the aborted storage transaction wrote no `d/` markers, so the
+        /// dirty set included — the rolled-back transaction logged no `d/` markers, so the
         /// rolled-back items must not be dirty in memory either.
         #[test]
         fn rollback_restores_memory_and_disk_agrees(

@@ -5,10 +5,10 @@
 //! database it mirrors.  A shipped batch of the primary's [`LogRecord`]s is reduced to its
 //! committed key effects ([`replay_committed`], exactly as restart recovery does) and decoded
 //! **completely** before anything is committed, so a batch that fails to decode touches
-//! neither disk nor memory.  Then the effects commit as **one** local storage transaction
-//! together with the new cursor position, and the applier of [`crate::durability`] patches
-//! the mirrored database in O(delta).  Because the applied-LSN cursor rides in the same
-//! transaction as the effects it covers, a crash mid-batch loses the whole batch or nothing:
+//! neither disk nor memory.  Then the effects and the new cursor position commit as **one**
+//! local storage batch ([`StorageEngine::commit`]), and the applier of [`crate::durability`]
+//! patches the mirrored database in O(delta).  Because the applied-LSN cursor rides in the
+//! same batch as the effects it covers, a crash mid-batch loses the whole batch or nothing:
 //! on reopen the replica resumes from its last durable LSN and re-requests exactly the records
 //! it lost.
 //!
@@ -86,7 +86,7 @@ impl ReplicaStore {
     /// Applies one shipped batch: the committed key effects of `records` (uncommitted
     /// transactions are discarded, exactly as restart recovery would) plus the new cursor
     /// `up_to`.  The batch is decoded completely first; a batch that fails to decode changes
-    /// nothing.  An incremental batch commits as **one** local storage transaction and patches
+    /// nothing.  An incremental batch commits as **one** local storage batch and patches
     /// the mirrored database; with `reset`, the batch becomes a fresh database written as the
     /// store's own snapshot in one atomic replace, so a crash mid-resync leaves the old state
     /// intact.
@@ -103,7 +103,7 @@ impl ReplicaStore {
         let items = changes.items();
         match self.db {
             Some(_) if !reset => {
-                self.commit_effects(&effects, up_to)?;
+                self.commit_effects(effects, up_to)?;
                 changes.apply(self.db.as_mut().expect("matched above"));
             }
             _ => {
@@ -112,7 +112,7 @@ impl ReplicaStore {
                     let lsn = self.engine.durable_lsn();
                     self.engine.checkpoint(&durability::encode_image(&db, lsn, Some(up_to)))?;
                 } else {
-                    self.commit_effects(&effects, up_to)?;
+                    self.commit_effects(effects, up_to)?;
                 }
                 self.db = Some(db);
             }
@@ -125,17 +125,10 @@ impl ReplicaStore {
         Ok(items)
     }
 
-    /// Commits a batch's effects and the new cursor as one local storage transaction.
-    fn commit_effects(&self, effects: &[KeyEffect], up_to: Lsn) -> SeedResult<()> {
-        let txn = self.engine.begin()?;
-        for (key, value) in effects {
-            match value {
-                Some(v) => self.engine.txn_put(txn, key, v)?,
-                None => self.engine.txn_delete(txn, key)?,
-            }
-        }
-        self.engine.txn_put(txn, codec::KEY_APPLIED.as_bytes(), &up_to.to_le_bytes())?;
-        Ok(self.engine.commit(txn)?)
+    /// Commits a batch's effects and the new cursor as one local storage batch.
+    fn commit_effects(&self, mut effects: Vec<KeyEffect>, up_to: Lsn) -> SeedResult<()> {
+        effects.push((codec::KEY_APPLIED.as_bytes().to_vec(), Some(up_to.to_le_bytes().to_vec())));
+        Ok(self.engine.commit(effects)?)
     }
 
     /// Checkpoints the replica's own engine: the mirrored database and the cursor as one
@@ -158,7 +151,7 @@ impl ReplicaStore {
 
     /// Promotion: consumes the replica store and turns its directory into a **durable primary**
     /// at topology epoch `epoch` — reusing the engine, the mirrored database and the segmented
-    /// WAL in place, no data copy.  In one local transaction the replication cursor key is
+    /// WAL in place, no data copy.  In one local batch the replication cursor key is
     /// deleted (the directory stops being a replica store; a later [`ReplicaStore::open`] on it
     /// reads cursor 0, which forces the snapshot resync path on rejoin-as-replica) and the meta
     /// record is rewritten with the new epoch and no fence.  Then write-through durability is
@@ -170,11 +163,11 @@ impl ReplicaStore {
     pub fn into_primary(self, epoch: u64) -> SeedResult<Database> {
         let mut db = self.db.ok_or_else(not_initialized)?;
         db.set_topology(epoch, None);
-        let txn = self.engine.begin()?;
-        self.engine.txn_delete(txn, codec::KEY_APPLIED.as_bytes())?;
         let meta = durability::encode_meta(&db);
-        self.engine.txn_put(txn, codec::KEY_META.as_bytes(), &meta)?;
-        self.engine.commit(txn)?;
+        self.engine.commit(vec![
+            (codec::KEY_APPLIED.as_bytes().to_vec(), None),
+            (codec::KEY_META.as_bytes().to_vec(), Some(meta.clone())),
+        ])?;
         db.attach_durability(self.engine, meta);
         Ok(db)
     }

@@ -434,12 +434,18 @@ proptest! {
         prop_assert!(decode_all(stream.chunks(1)) == whole, "byte-at-a-time feed diverged");
     }
 
+    /// Request tags end at 19 (`Promote`) and response tags at 15 (`Promoted`); every tag past
+    /// them, up to 255, is unknown.  (Drawn as `u16` so the half-open range reaches 255.)
     #[test]
-    fn unknown_tags_are_rejected(tag in 17u8..255, garbage in proptest::collection::vec(any::<u8>(), 0..16)) {
-        let mut request_payload = vec![tag];
+    fn unknown_tags_are_rejected(
+        request_tag in 20u16..256,
+        response_tag in 16u16..256,
+        garbage in proptest::collection::vec(any::<u8>(), 0..16),
+    ) {
+        let mut request_payload = vec![request_tag as u8];
         request_payload.extend_from_slice(&garbage);
         prop_assert!(decode_request(&request_payload).is_err());
-        let mut response_payload = vec![tag.max(13)];
+        let mut response_payload = vec![response_tag as u8];
         response_payload.extend_from_slice(&garbage);
         prop_assert!(decode_response(&response_payload).is_err());
     }

@@ -333,9 +333,9 @@ impl SeedServer {
     }
 
     /// Opens a server over a **durable** database in `dir` (running restart recovery if the
-    /// previous process crashed).  Every check-in commits as exactly one storage transaction:
-    /// the per-item records staged by the batch's updates become durable with a single WAL
-    /// sync, or not at all.
+    /// previous process crashed).  Every check-in commits as exactly one storage batch: the
+    /// per-item records its updates touched become durable with a single WAL sync, or not at
+    /// all.
     pub fn open_durable(dir: impl AsRef<std::path::Path>) -> ServerResult<Self> {
         let db = Database::open_durable(dir).map_err(ServerError::Rejected)?;
         Ok(Self::new(db))
@@ -1079,7 +1079,7 @@ mod tests {
                     ],
                 )
                 .unwrap();
-            // A rejected check-in leaves no durable trace (its storage transaction aborts).
+            // A rejected check-in leaves no durable trace (its rollback owes storage nothing).
             let err = server
                 .checkin(
                     c1,

@@ -5,15 +5,18 @@
 //! keeps **no copy** of that key space — the in-memory database is the one resident copy of
 //! the data — and provides:
 //!
-//! * transactions (`begin`/`commit`/`abort`) with **group commit**: effects are buffered and
-//!   written to the WAL as one contiguous batch with a single sync at commit time, so a crash
-//!   before commit leaves no trace and a transaction's durability cost is O(1) syncs,
+//! * one-call transactions ([`StorageEngine::commit`]): the caller hands over a transaction's
+//!   whole batch of key effects, which is written to the WAL as one contiguous batch with a
+//!   single sync, so a transaction's durability cost is O(1) syncs and a crash before the sync
+//!   leaves no committed trace.  The caller owns the open transaction (in `seed-core` it is
+//!   the database's savepoint and change journal); the engine holds none,
 //! * checkpoints of a [`SnapshotImage`] the caller encodes from its own state: the image
 //!   replaces the snapshot on disk and the log below the image's LSN is pruned,
 //! * recovery on open: the snapshot's pairs plus the committed effects logged after its LSN,
 //!   handed to the caller once, by value ([`Recovered`]),
-//! * poisoning: once a commit or a checkpoint fails on I/O, every later `begin`, `commit` and
-//!   `checkpoint` fails with [`StorageError::Poisoned`] until the engine is reopened.
+//! * poisoning: once a commit or a checkpoint fails on I/O, every later `commit` and
+//!   `checkpoint` fails with [`StorageError::Poisoned`] until the engine is reopened
+//!   ([`StorageEngine::usable`] asks the same question without writing).
 //!
 //! On disk there is exactly one format — the WAL segments plus one snapshot image written
 //! through [`SegmentIo::write_snapshot`]:
@@ -28,7 +31,6 @@
 //! included), bad CRC, short file, unsorted keys — is [`StorageError::Corrupt`], never an empty
 //! database.
 
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -58,9 +60,6 @@ impl Default for EngineConfig {
         Self { checkpoint_wal_bytes: Some(4 * 1024 * 1024), wal: WalConfig::default() }
     }
 }
-
-/// Identifier of an open transaction.
-pub type TxnId = u64;
 
 /// Magic (and format version) opening every snapshot image.
 const SNAPSHOT_MAGIC: &[u8; 8] = b"SEEDSNP2";
@@ -195,23 +194,19 @@ impl Recovered {
     }
 }
 
-struct EngineInner {
-    /// Pending (uncommitted) effects per transaction: key -> Some(value) for put, None for delete.
-    pending: HashMap<TxnId, Vec<KeyEffect>>,
-    /// Why the engine refuses work, once a commit or a checkpoint failed on I/O.
-    poisoned: Option<String>,
-}
-
 /// A durable, transactional key/value log with snapshot checkpoints and WAL-based recovery.
 pub struct StorageEngine {
     /// Every byte the engine persists goes through this one door: WAL segments and the
     /// checkpoint snapshot alike.
     io: Arc<dyn SegmentIo>,
     wal: WriteAheadLog,
-    inner: Mutex<EngineInner>,
+    /// Why the engine refuses work, once a commit or a checkpoint failed on I/O.  Held while a
+    /// commit appends, so commits run one at a time and none starts after a failed one.
+    poisoned: Mutex<Option<String>>,
     /// The LSN the snapshot on disk covers; held while a checkpoint runs, so checkpoints never
     /// overlap and an image older than the one on disk is refused.
     snapshot_lsn: Mutex<Lsn>,
+    /// The id the next commit logs its frames under, past every id already in the log.
     next_txn: AtomicU64,
     /// [`EngineConfig::checkpoint_wal_bytes`]; the log holds its own settings.
     checkpoint_wal_bytes: Option<u64>,
@@ -276,7 +271,7 @@ impl StorageEngine {
                 wal.durable_lsn()
             )));
         }
-        // Track transaction ids so new transactions do not collide with logged ones.
+        // Track transaction ids so new commits do not collide with logged ones.
         let max_txn = records
             .iter()
             .map(|(_, r)| match r {
@@ -298,7 +293,7 @@ impl StorageEngine {
         let engine = Self {
             io,
             wal,
-            inner: Mutex::new(EngineInner { pending: HashMap::new(), poisoned: None }),
+            poisoned: Mutex::new(None),
             snapshot_lsn: Mutex::new(snapshot_lsn),
             next_txn: AtomicU64::new(max_txn + 1),
             checkpoint_wal_bytes: config.checkpoint_wal_bytes,
@@ -312,85 +307,46 @@ impl StorageEngine {
         self.path.as_deref()
     }
 
-    /// Locks the engine state, failing once the engine is poisoned.
-    fn usable(&self) -> StorageResult<MutexGuard<'_, EngineInner>> {
-        let inner = self.inner.lock();
-        match &inner.poisoned {
+    /// Fails with [`StorageError::Poisoned`] once a commit or a checkpoint failed on I/O: from
+    /// then on memory may be ahead of the log, and the engine refuses work until reopened.
+    pub fn usable(&self) -> StorageResult<()> {
+        self.lock_usable().map(drop)
+    }
+
+    /// Locks the poison state, failing once the engine is poisoned.
+    fn lock_usable(&self) -> StorageResult<MutexGuard<'_, Option<String>>> {
+        let poisoned = self.poisoned.lock();
+        match &*poisoned {
             Some(reason) => Err(StorageError::Poisoned(reason.clone())),
-            None => Ok(inner),
+            None => Ok(poisoned),
         }
     }
 
-    // ----- transactions -------------------------------------------------------------------------
+    // ----- commit ------------------------------------------------------------------------------
 
-    /// Begins a transaction.  Nothing reaches the WAL until commit: the transaction's effects
-    /// are buffered and logged as one contiguous batch (group commit), so a transaction costs a
-    /// single backend write and a single sync regardless of how many keys it touches — and an
-    /// abort (or crash) before commit leaves no trace in the log at all.
-    pub fn begin(&self) -> StorageResult<TxnId> {
-        let mut inner = self.usable()?;
-        let txn = self.next_txn.fetch_add(1, Ordering::SeqCst);
-        inner.pending.insert(txn, Vec::new());
-        Ok(txn)
-    }
-
-    /// Buffers a put inside transaction `txn`.
-    pub fn txn_put(&self, txn: TxnId, key: &[u8], value: &[u8]) -> StorageResult<()> {
-        self.buffer_effect(txn, key, Some(value.to_vec()))
-    }
-
-    /// Buffers a delete inside transaction `txn`.
-    pub fn txn_delete(&self, txn: TxnId, key: &[u8]) -> StorageResult<()> {
-        self.buffer_effect(txn, key, None)
-    }
-
-    fn buffer_effect(&self, txn: TxnId, key: &[u8], value: Option<Vec<u8>>) -> StorageResult<()> {
-        self.inner
-            .lock()
-            .pending
-            .get_mut(&txn)
-            .ok_or_else(|| StorageError::InvalidArgument(format!("unknown transaction {txn}")))?
-            .push((key.to_vec(), value));
-        Ok(())
-    }
-
-    /// Commits transaction `txn`: writes its `Begin`/effect/`Commit` frames to the WAL as one
-    /// batch and syncs once.  A transaction that staged nothing logs and syncs nothing.  If the
-    /// write or the sync fails, the engine is poisoned: the batch is cut off the log again, and
-    /// every later `begin`/`commit` fails.
-    pub fn commit(&self, txn: TxnId) -> StorageResult<()> {
-        let mut inner = self.usable()?;
-        let effects = inner
-            .pending
-            .remove(&txn)
-            .ok_or_else(|| StorageError::InvalidArgument(format!("unknown transaction {txn}")))?;
+    /// Commits `effects` (key -> `Some(value)` for a put, `None` for a delete) as one
+    /// transaction: its `Begin`/effect/`Commit` frames go to the WAL as one batch with a single
+    /// sync, so a transaction's durability cost is O(1) syncs and a crash before the sync
+    /// leaves at most a batch without its `Commit`, which recovery discards.  An empty batch
+    /// logs and syncs nothing, and so cannot fail.  If the write or the sync fails, the engine
+    /// is poisoned: the batch is cut off the log again, and every later commit fails.
+    pub fn commit(&self, effects: Vec<KeyEffect>) -> StorageResult<()> {
         if effects.is_empty() {
             return Ok(());
         }
+        let mut poisoned = self.lock_usable()?;
+        let txn = self.next_txn.fetch_add(1, Ordering::SeqCst);
         let mut records = Vec::with_capacity(effects.len() + 2);
         records.push(LogRecord::Begin { txn });
-        for (key, value) in effects {
-            records.push(match value {
-                Some(value) => LogRecord::Put { txn, key, value },
-                None => LogRecord::Delete { txn, key },
-            });
-        }
+        records.extend(effects.into_iter().map(|(key, value)| match value {
+            Some(value) => LogRecord::Put { txn, key, value },
+            None => LogRecord::Delete { txn, key },
+        }));
         records.push(LogRecord::Commit { txn });
         if let Err(e) = self.wal.append_batch(&records) {
-            inner.poisoned = Some(format!("commit of transaction {txn} failed: {e}"));
+            *poisoned = Some(format!("commit of transaction {txn} failed: {e}"));
             return Err(e);
         }
-        Ok(())
-    }
-
-    /// Aborts transaction `txn`, discarding its buffered effects.  Nothing of the transaction
-    /// was logged, so the abort costs no I/O.
-    pub fn abort(&self, txn: TxnId) -> StorageResult<()> {
-        self.inner
-            .lock()
-            .pending
-            .remove(&txn)
-            .ok_or_else(|| StorageError::InvalidArgument(format!("unknown transaction {txn}")))?;
         Ok(())
     }
 
@@ -413,7 +369,7 @@ impl StorageEngine {
     pub fn checkpoint(&self, image: &SnapshotImage) -> StorageResult<()> {
         let start = std::time::Instant::now();
         let mut covered = self.snapshot_lsn.lock();
-        drop(self.usable()?);
+        self.usable()?;
         let end = self.wal.durable_lsn();
         if image.lsn < *covered || image.lsn > end {
             return Err(StorageError::InvalidArgument(format!(
@@ -425,8 +381,7 @@ impl StorageEngine {
         let written =
             self.io.write_snapshot(&image.bytes).and_then(|()| self.wal.truncate(image.lsn));
         if let Err(e) = written {
-            self.inner.lock().poisoned =
-                Some(format!("checkpoint at LSN {} failed: {e}", image.lsn));
+            *self.poisoned.lock() = Some(format!("checkpoint at LSN {} failed: {e}", image.lsn));
             return Err(e);
         }
         *covered = image.lsn;
@@ -447,7 +402,7 @@ impl StorageEngine {
     /// segment and reports whether the log is currently writable at all (a failing disk or a
     /// vanished directory surfaces here).  No-op `Ok` for in-memory logs.
     pub fn wal_probe(&self) -> StorageResult<()> {
-        drop(self.usable()?);
+        self.usable()?;
         self.wal.sync()
     }
 
@@ -508,16 +463,12 @@ pub(crate) mod tests {
 
     /// Commits `value` under `key` in a transaction of its own.
     pub(crate) fn put(engine: &StorageEngine, key: &[u8], value: &[u8]) -> StorageResult<()> {
-        let txn = engine.begin()?;
-        engine.txn_put(txn, key, value)?;
-        engine.commit(txn)
+        engine.commit(vec![(key.to_vec(), Some(value.to_vec()))])
     }
 
     /// Commits the removal of `key` in a transaction of its own.
     pub(crate) fn delete(engine: &StorageEngine, key: &[u8]) -> StorageResult<()> {
-        let txn = engine.begin()?;
-        engine.txn_delete(txn, key)?;
-        engine.commit(txn)
+        engine.commit(vec![(key.to_vec(), None)])
     }
 
     /// The image of `space` covering the log up to `lsn`.
@@ -572,32 +523,38 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn transaction_isolation_until_commit() {
-        // Two open transactions: committing one logs only its own buffered effects.
+    fn a_batch_is_one_transaction_and_an_empty_batch_logs_nothing() {
         let io = Arc::new(MemorySegmentIo::new());
         let (engine, _) = memory_engine(&io);
-        let pending = engine.begin().unwrap();
-        engine.txn_put(pending, b"k", b"pending").unwrap();
-        let other = engine.begin().unwrap();
-        engine.txn_put(other, b"other", b"committed").unwrap();
-        engine.commit(other).unwrap();
+        engine.commit(Vec::new()).unwrap();
+        assert_eq!(engine.wal_size_bytes().unwrap(), 0, "an empty batch logged frames");
+        put(&engine, b"gone", b"0").unwrap();
+        let from = engine.durable_lsn() + 1;
+        let batch = vec![
+            (b"a".to_vec(), Some(b"1".to_vec())),
+            (b"gone".to_vec(), None),
+            (b"b".to_vec(), Some(b"2".to_vec())),
+        ];
+        engine.commit(batch).unwrap();
+        let WalTail::Records(records) = engine.wal_tail(from).unwrap() else {
+            panic!("the tail past the last commit is in the log")
+        };
+        let txns: Vec<u64> = records
+            .iter()
+            .map(|(_, r)| match r {
+                LogRecord::Begin { txn }
+                | LogRecord::Commit { txn }
+                | LogRecord::Abort { txn }
+                | LogRecord::Put { txn, .. }
+                | LogRecord::Delete { txn, .. } => *txn,
+            })
+            .collect();
+        assert_eq!(txns.len(), 5, "Begin, three effects, Commit: {records:?}");
+        assert!(txns.iter().all(|t| *t == txns[0]), "one transaction: {records:?}");
+        assert!(matches!(records.first(), Some((_, LogRecord::Begin { .. }))));
+        assert!(matches!(records.last(), Some((_, LogRecord::Commit { .. }))));
         drop(engine);
-        assert_eq!(memory_engine(&io).1, space(&[("other", b"committed")]));
-    }
-
-    #[test]
-    fn abort_discards_effects() {
-        let io = Arc::new(MemorySegmentIo::new());
-        let (engine, _) = memory_engine(&io);
-        put(&engine, b"stable", b"1").unwrap();
-        let txn = engine.begin().unwrap();
-        engine.txn_put(txn, b"volatile", b"x").unwrap();
-        engine.txn_delete(txn, b"stable").unwrap();
-        engine.abort(txn).unwrap();
-        // The aborted transaction can no longer be used.
-        assert!(engine.txn_put(txn, b"volatile", b"y").is_err());
-        drop(engine);
-        assert_eq!(memory_engine(&io).1, space(&[("stable", b"1")]));
+        assert_eq!(memory_engine(&io).1, space(&[("a", b"1"), ("b", b"2")]));
     }
 
     #[test]
@@ -649,20 +606,30 @@ pub(crate) mod tests {
         {
             let (engine, _) = StorageEngine::open(&dir).unwrap();
             put(&engine, b"committed", b"yes").unwrap();
-            let txn = engine.begin().unwrap();
-            engine.txn_put(txn, b"uncommitted", b"no").unwrap();
-            // Simulated crash: engine dropped without commit.
+        }
+        {
+            // A crash during a commit: the batch's `Begin` and `Put` reached the log, its
+            // `Commit` frame never did.
+            let (wal, _) =
+                WriteAheadLog::with_io(Arc::new(FileSegmentIo::new(&dir)), WalConfig::default())
+                    .unwrap();
+            let txn = 1 << 40;
+            let key = b"uncommitted".to_vec();
+            wal.append_batch(&[
+                LogRecord::Begin { txn },
+                LogRecord::Put { txn, key, value: b"no".to_vec() },
+            ])
+            .unwrap();
         }
         assert_eq!(recovered(&dir), space(&[("committed", b"yes")]));
+        // The reopened engine numbers its commits past the orphaned batch's id, so a later
+        // commit cannot complete it.
+        {
+            let (engine, _) = StorageEngine::open(&dir).unwrap();
+            put(&engine, b"later", b"1").unwrap();
+        }
+        assert_eq!(recovered(&dir), space(&[("committed", b"yes"), ("later", b"1")]));
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn unknown_transaction_rejected() {
-        let engine = StorageEngine::in_memory().unwrap();
-        assert!(engine.commit(999).is_err());
-        assert!(engine.abort(999).is_err());
-        assert!(engine.txn_put(999, b"k", b"v").is_err());
     }
 
     #[test]
@@ -696,20 +663,6 @@ pub(crate) mod tests {
         }
         assert_eq!(recovered(&dir), model);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn aborted_transactions_write_no_wal_frames() {
-        let engine = StorageEngine::in_memory().unwrap();
-        let txn = engine.begin().unwrap();
-        engine.txn_put(txn, b"k", b"v").unwrap();
-        engine.abort(txn).unwrap();
-        assert_eq!(engine.wal_size_bytes().unwrap(), 0, "abort leaves no trace in the log");
-        let txn = engine.begin().unwrap();
-        engine.txn_put(txn, b"k", b"v").unwrap();
-        assert_eq!(engine.wal_size_bytes().unwrap(), 0, "effects are buffered until commit");
-        engine.commit(txn).unwrap();
-        assert!(engine.wal_size_bytes().unwrap() > 0);
     }
 
     #[test]
@@ -1015,8 +968,8 @@ pub(crate) mod tests {
         put(&engine, b"acked", b"1").unwrap();
         io.fail_sync.store(true, Ordering::SeqCst);
         assert!(matches!(put(&engine, b"failed", b"2"), Err(StorageError::Io(_))));
-        // Every later begin/commit is refused, and the probe reports why.
-        assert!(matches!(engine.begin(), Err(StorageError::Poisoned(_))));
+        // Every later commit is refused, and the probe reports why.
+        assert!(matches!(engine.usable(), Err(StorageError::Poisoned(_))));
         assert!(matches!(put(&engine, b"later", b"3"), Err(StorageError::Poisoned(_))));
         match engine.wal_probe() {
             Err(StorageError::Poisoned(reason)) => assert!(reason.contains("commit"), "{reason}"),
@@ -1043,7 +996,7 @@ pub(crate) mod tests {
             std::thread::spawn(move || engine.checkpoint(&image))
         };
         assert!(matches!(background.join().unwrap(), Err(StorageError::Io(_))));
-        assert!(matches!(engine.begin(), Err(StorageError::Poisoned(_))));
+        assert!(matches!(engine.usable(), Err(StorageError::Poisoned(_))));
         assert!(matches!(put(&engine, b"c", b"3"), Err(StorageError::Poisoned(_))));
         drop(engine);
         let (_, recovered) = StorageEngine::with_io(io, EngineConfig::default()).unwrap();

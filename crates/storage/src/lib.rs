@@ -13,9 +13,10 @@
 //!   on every checkpoint,
 //!
 //! both reached through one door, the [`SegmentIo`] trait.  [`engine`] ties them together as a
-//! small transactional key/value engine; [`codec`] holds the binary primitives and the CRC.
+//! small key/value engine; [`codec`] holds the binary primitives and the CRC.
 //!
-//! The engine exposes exactly what `seed-core` needs: durable transactions over byte keys,
+//! The engine exposes exactly what `seed-core` needs: a durable one-call commit of a batch of
+//! byte-key effects (the caller owns the open transaction; the engine holds none),
 //! checkpoints of a caller-encoded [`SnapshotImage`], and recovery that hands the recovered
 //! key space back once at open.  Higher-level notions (objects, relationships, versions,
 //! patterns) live in `seed-core`.
@@ -26,7 +27,7 @@ pub mod error;
 pub mod wal;
 
 pub use codec::{Decoder, Encoder};
-pub use engine::{EngineConfig, ImageWriter, Recovered, SnapshotImage, StorageEngine, TxnId};
+pub use engine::{EngineConfig, ImageWriter, Recovered, SnapshotImage, StorageEngine};
 pub use error::{StorageError, StorageResult};
 pub use wal::{
     replay_committed, FileSegmentIo, KeyEffect, LogRecord, Lsn, MemorySegmentIo, SegmentId,

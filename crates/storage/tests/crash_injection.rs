@@ -446,15 +446,7 @@ fn run_engine_workload(engine: &StorageEngine, states: &[KeySpace]) -> usize {
             }
             continue;
         }
-        let Ok(txn) = engine.begin() else { return i };
-        for (key, value) in commit_effects(i) {
-            let staged = match value {
-                Some(v) => engine.txn_put(txn, &key, &v),
-                None => engine.txn_delete(txn, &key),
-            };
-            staged.expect("staging does no I/O");
-        }
-        if engine.commit(txn).is_err() {
+        if engine.commit(commit_effects(i)).is_err() {
             return i;
         }
         let checkpointed = match late_image.take() {
@@ -523,9 +515,7 @@ fn engine_recovers_a_committed_prefix_at_every_crash_point() {
              (recovered {recovered:?})"
         );
         // The recovered engine keeps working: a further commit survives another restart.
-        let txn = engine.begin().unwrap();
-        engine.txn_put(txn, b"after/crash", b"ok").unwrap();
-        engine.commit(txn).unwrap();
+        engine.commit(vec![(b"after/crash".to_vec(), Some(b"ok".to_vec()))]).unwrap();
         drop(engine);
         let (_, again) = reopen(reopened).unwrap();
         let mut expected = recovered;
