@@ -727,27 +727,21 @@ pub fn e12_replicated_read_throughput(
 /// E13 — segmented WAL recovery: one reopen of a long, many-segment log.
 ///
 /// The log's open walk is the recovery read: it reads each segment once, checks and decodes its
-/// frames, and hands the records over; the row times that open plus the replay of the committed
-/// effects (what [`seed_storage::StorageEngine`] does on open) and asserts that every committed
-/// transaction replays.
+/// frames — one per commit — and hands the commits over; the row times that open plus the
+/// concatenation of their effects (what [`seed_storage::StorageEngine`] does on open) and
+/// asserts that every commit replays.
 pub fn e13_segmented_recovery(commits: usize, segment_max_bytes: u64) -> ExperimentMetrics {
-    use seed_storage::{LogRecord, WalConfig, WriteAheadLog};
+    use seed_storage::{Commit, KeyEffect, WalConfig, WriteAheadLog};
 
     let dir = scratch_dir("e13");
     let config = WalConfig { segment_max_bytes, ..WalConfig::default() };
 
     // Build a committed history long enough to span many sealed segments.
     let (wal, _) = WriteAheadLog::open_dir(&dir, config.clone()).unwrap();
-    for txn in 0..commits as u64 {
-        let key = format!("bench/{txn:08}").into_bytes();
-        wal.append_batch(&[
-            LogRecord::Begin { txn },
-            LogRecord::Put { txn, key, value: vec![0xA5; 96] },
-            LogRecord::Commit { txn },
-        ])
-        .unwrap();
+    for n in 0..commits {
+        let key = format!("bench/{n:08}").into_bytes();
+        wal.append(&Commit { effects: vec![(key, Some(vec![0xA5; 96]))] }).unwrap();
     }
-    wal.sync().unwrap();
     let segments = wal.segment_count();
     let wal_bytes = wal.size_bytes().unwrap();
     drop(wal);
@@ -755,11 +749,12 @@ pub fn e13_segmented_recovery(commits: usize, segment_max_bytes: u64) -> Experim
     // Reopen over the same on-disk segments: the walk plus the replay.
     let (recovery, (records, effects)) = time(|| {
         let (_, records) = WriteAheadLog::open_dir(&dir, config).unwrap();
-        let effects = seed_storage::replay_committed(&records);
-        (records.len(), effects.len())
+        let n = records.len();
+        let effects: Vec<KeyEffect> = records.into_iter().flat_map(|(_, c)| c.effects).collect();
+        (n, effects.len())
     });
-    assert_eq!(records, 3 * commits, "open must hand over every record");
-    assert_eq!(effects, commits, "every committed transaction must replay");
+    assert_eq!(records, commits, "open must hand over one record per commit");
+    assert_eq!(effects, commits, "every commit must replay");
     let recovery_us = recovery.as_secs_f64() * 1e6;
 
     row(

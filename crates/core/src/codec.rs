@@ -814,10 +814,8 @@ pub(crate) fn decode_meta(bytes: &[u8]) -> SeedResult<MetaRecord> {
     }
     let last_created = if d.get_bool()? { Some(VersionId::parse(d.get_str()?)?) } else { None };
     let version_seq = d.get_u64()?;
-    // Topology fields appended by the failover work: absent on pre-promotion meta records.
-    let epoch = if d.is_exhausted() { 0 } else { d.get_u64()? };
-    let fenced_to =
-        if d.is_exhausted() || !d.get_bool()? { None } else { Some(d.get_str()?.to_string()) };
+    let epoch = d.get_u64()?;
+    let fenced_to = if d.get_bool()? { Some(d.get_str()?.to_string()) } else { None };
     Ok(MetaRecord {
         format,
         object_floor,
@@ -935,28 +933,5 @@ mod tests {
         let mut bad = meta.clone();
         bad.format = FORMAT_VERSION + 1;
         assert!(decode_meta(&encoded(|e| encode_meta(e, &bad))).is_err());
-    }
-
-    #[test]
-    fn meta_without_topology_fields_decodes_with_defaults() {
-        // A pre-promotion meta record ends after version_seq; it must still open, reading
-        // back as epoch 0 / not fenced.
-        let meta = MetaRecord {
-            format: FORMAT_VERSION,
-            object_floor: 1,
-            relationship_floor: 1,
-            current_schema: SchemaVersionId(1),
-            rules: vec![],
-            last_created: None,
-            version_seq: 0,
-            epoch: 0,
-            fenced_to: None,
-        };
-        let mut bytes = encoded(|e| encode_meta(e, &meta));
-        bytes.truncate(bytes.len() - 8 - 1); // drop epoch (u64) and the fenced_to flag
-        let decoded = decode_meta(&bytes).unwrap();
-        assert_eq!(decoded.epoch, 0);
-        assert_eq!(decoded.fenced_to, None);
-        assert_eq!(decoded.version_seq, 0);
     }
 }

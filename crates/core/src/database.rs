@@ -241,7 +241,7 @@ impl Database {
         self.durability.as_ref().map(|d| d.engine.durable_lsn())
     }
 
-    /// The storage WAL tail from LSN `from` (inclusive): the committed records a replica at
+    /// The storage WAL tail from LSN `from` (inclusive): the commits a replica at
     /// position `from - 1` still needs, or [`seed_storage::WalTail::Truncated`] when a
     /// checkpoint already truncated them away (the replica must then resync from
     /// [`Database::replication_snapshot`]).  Errors for in-memory databases.
@@ -254,7 +254,7 @@ impl Database {
 
     /// The committed state as an O(1) read-only copy plus the LSN it corresponds to — the
     /// full-resync cut for a replica whose cursor fell behind a checkpoint
-    /// ([`crate::replica::snapshot_records`] encodes it).  Errors for in-memory databases,
+    /// ([`crate::replica::snapshot_commit`] encodes it).  Errors for in-memory databases,
     /// while a transaction is open or an alternative is checked out, and once the storage
     /// engine is poisoned (a failed auto-commit leaves memory ahead of the log).
     pub fn replication_snapshot(&self) -> SeedResult<(Database, seed_storage::Lsn)> {

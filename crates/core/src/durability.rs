@@ -25,8 +25,8 @@
 //! holding no database lock.
 //!
 //! Crash contract: dropping the database (or the process) without a checkpoint loses nothing
-//! that was committed — recovery replays the storage WAL, which holds only complete
-//! transactions (a transaction's frames are written as one batch).  A crash mid-transaction
+//! that was committed — recovery replays the storage WAL, whose every record is one complete
+//! transaction (one CRC-checked frame; a torn one is cut).  A crash mid-transaction
 //! leaves no trace: nothing of an explicit transaction reaches the WAL before its commit.
 //! `docs/DURABILITY.md` specifies the layout and the contract in full.
 
@@ -636,7 +636,7 @@ mod tests {
         let before = db.durable_lsn();
         db.begin_transaction().unwrap();
         db.commit_transaction().unwrap();
-        assert_eq!(db.durable_lsn(), before, "an empty transaction logged frames");
+        assert_eq!(db.durable_lsn(), before, "an empty transaction logged a commit");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -943,23 +943,20 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Runs `work` and returns the records it logged, as `(kind, key)` pairs.
-    fn logged(db: &mut Database, work: impl FnOnce(&mut Database)) -> Vec<(&'static str, Vec<u8>)> {
-        use seed_storage::{LogRecord, WalTail};
+    /// One logged commit's effects, as `(kind, key)` pairs.
+    type Logged = Vec<(&'static str, Vec<u8>)>;
+
+    /// Runs `work` and returns the commits it logged, one WAL record each.
+    fn logged(db: &mut Database, work: impl FnOnce(&mut Database)) -> Vec<Logged> {
         let from = db.durable_lsn().unwrap() + 1;
         work(db);
-        let WalTail::Records(records) = db.wal_tail(from).unwrap() else {
+        let seed_storage::WalTail::Records(commits) = db.wal_tail(from).unwrap() else {
             panic!("the tail past the last commit is in the log")
         };
-        records
+        let kind = |(key, value): KeyEffect| (if value.is_some() { "put" } else { "delete" }, key);
+        commits
             .into_iter()
-            .map(|(_, record)| match record {
-                LogRecord::Begin { .. } => ("begin", Vec::new()),
-                LogRecord::Commit { .. } => ("commit", Vec::new()),
-                LogRecord::Abort { .. } => ("abort", Vec::new()),
-                LogRecord::Put { key, .. } => ("put", key),
-                LogRecord::Delete { key, .. } => ("delete", key),
-            })
+            .map(|(_, commit)| commit.effects.into_iter().map(kind).collect())
             .collect()
     }
 
@@ -970,19 +967,19 @@ mod tests {
         let sensor = db.create_object("Action", "Sensor").unwrap();
         let desc = db.create_dependent(sensor, "Description", Value::string("reads")).unwrap();
         assert!(db.store().dirty_items().contains_key(&ItemId::Object(desc)));
-        let records = logged(&mut db, |db| {
+        let commits = logged(&mut db, |db| {
             db.begin_transaction().unwrap();
             db.set_value(desc, Value::string("writes")).unwrap();
             db.commit_transaction().unwrap();
         });
         assert_eq!(
-            records,
-            vec![("begin", vec![]), ("put", Key::Object(desc).to_vec()), ("commit", vec![])],
-            "meta is unchanged and the item already dirty: only its record is logged"
+            commits,
+            vec![vec![("put", Key::Object(desc).to_vec())]],
+            "meta is unchanged and the item already dirty: one record holding the item's put"
         );
         // The same holds outside a transaction (auto-commit).
-        let records = logged(&mut db, |db| db.set_value(desc, Value::string("again")).unwrap());
-        assert_eq!(records.len(), 3, "{records:?}");
+        let again = logged(&mut db, |db| db.set_value(desc, Value::string("again")).unwrap());
+        assert_eq!(again, commits, "{again:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -990,7 +987,7 @@ mod tests {
     fn checkin_record_set_logs_meta_once_as_the_last_put() {
         let dir = temp_dir("record-set-meta");
         let mut db = Database::create_durable(&dir, figure3_schema()).unwrap();
-        let records = logged(&mut db, |db| {
+        let commits = logged(&mut db, |db| {
             db.begin_transaction().unwrap();
             let sensor = db.create_object("Action", "Sensor").unwrap();
             let desc = db.create_dependent(sensor, "Description", Value::string("0")).unwrap();
@@ -999,6 +996,7 @@ mod tests {
             }
             db.commit_transaction().unwrap();
         });
+        let [records] = &commits[..] else { panic!("one transaction, one record: {commits:?}") };
         let meta = codec::KEY_META.as_bytes().to_vec();
         let metas = records.iter().filter(|(kind, key)| *kind == "put" && *key == meta).count();
         assert_eq!(metas, 1, "one meta put per transaction: {records:?}");
@@ -1008,8 +1006,7 @@ mod tests {
         puts.sort();
         puts.dedup();
         assert_eq!(puts.len(), logged_puts, "a key put twice in one transaction: {records:?}");
-        assert_eq!(records[records.len() - 2], ("put", meta), "meta is the last put");
-        assert_eq!(records.last().unwrap().0, "commit");
+        assert_eq!(records.last(), Some(&("put", meta)), "meta is the last put");
         drop(db);
         let reopened = Database::open_durable(&dir).unwrap();
         let desc = reopened.object_by_name("Sensor.Description").unwrap().id;
@@ -1026,9 +1023,11 @@ mod tests {
         db.create_version("one").unwrap();
         assert!(db.store().dirty_items().is_empty(), "the version drained the dirty set");
         let marker = Key::Dirty(ItemId::Object(desc)).to_vec();
-        let records = logged(&mut db, |db| db.set_value(desc, Value::string("v2")).unwrap());
+        let commits = logged(&mut db, |db| db.set_value(desc, Value::string("v2")).unwrap());
+        let [records] = &commits[..] else { panic!("one mutation, one record: {commits:?}") };
         assert!(records.contains(&("put", marker.clone())), "a flip is marked: {records:?}");
-        let records = logged(&mut db, |db| db.set_value(desc, Value::string("v3")).unwrap());
+        let commits = logged(&mut db, |db| db.set_value(desc, Value::string("v3")).unwrap());
+        let [records] = &commits[..] else { panic!("one mutation, one record: {commits:?}") };
         assert!(!records.iter().any(|(_, key)| *key == marker), "no flip, no marker: {records:?}");
         // The reopened database knows the item belongs in the next version's delta.
         let live = db.clone_for_snapshot();
@@ -1044,7 +1043,7 @@ mod tests {
 mod proptests {
     use super::test_support::{assert_same_state, temp_dir};
     use super::*;
-    use crate::replica::{snapshot_records, ReplicaStore};
+    use crate::replica::{snapshot_commit, ReplicaStore};
     use crate::value::Value;
     use proptest::prelude::*;
     use seed_schema::figure3_schema;
@@ -1303,13 +1302,12 @@ mod proptests {
 
     /// Ships the primary's WAL tail past the replica's cursor as one incremental batch.
     fn feed(replica: &mut ReplicaStore, primary: &Database) {
-        let records = match primary.wal_tail(replica.applied_lsn() + 1).unwrap() {
-            seed_storage::WalTail::Records(records) => records,
+        let commits = match primary.wal_tail(replica.applied_lsn() + 1).unwrap() {
+            seed_storage::WalTail::Records(commits) => commits,
             other => panic!("the retention floor must keep the replica's tail, got {other:?}"),
         };
-        if let Some(&(up_to, _)) = records.last() {
-            let records: Vec<_> = records.into_iter().map(|(_, r)| r).collect();
-            replica.apply(&records, up_to, false).unwrap();
+        if let Some(&(up_to, _)) = commits.last() {
+            replica.apply(commits.into_iter().map(|(_, c)| c).collect(), up_to, false).unwrap();
         }
     }
 
@@ -1367,7 +1365,7 @@ mod proptests {
 
                 let reset_dir = temp_dir("lockstep-reset");
                 let mut reset = ReplicaStore::open(&reset_dir).unwrap();
-                reset.apply(&snapshot_records(&resync_cut), lsn, true).unwrap();
+                reset.apply(vec![snapshot_commit(&resync_cut)], lsn, true).unwrap();
                 drop(reset);
                 let reset = ReplicaStore::open(&reset_dir).unwrap();
                 prop_assert_eq!(reset.applied_lsn(), lsn);

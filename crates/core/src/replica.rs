@@ -1,22 +1,22 @@
 //! The replica side of WAL-shipping replication: a durable store rebuilt from a primary's
-//! shipped log records.
+//! shipped commits.
 //!
 //! A [`ReplicaStore`] owns its **own** storage engine (its own WAL and checkpoints) and the
-//! database it mirrors.  A shipped batch of the primary's [`LogRecord`]s is reduced to its
-//! committed key effects ([`replay_committed`], exactly as restart recovery does) and decoded
-//! **completely** before anything is committed, so a batch that fails to decode touches
-//! neither disk nor memory.  Then the effects and the new cursor position commit as **one**
-//! local storage batch ([`StorageEngine::commit`]), and the applier of [`crate::durability`]
-//! patches the mirrored database in O(delta).  Because the applied-LSN cursor rides in the
-//! same batch as the effects it covers, a crash mid-batch loses the whole batch or nothing:
-//! on reopen the replica resumes from its last durable LSN and re-requests exactly the records
-//! it lost.
+//! database it mirrors.  A shipped batch of the primary's [`Commit`]s — each one WAL record,
+//! whole by construction — is flattened into its key effects, in order, exactly as restart
+//! recovery does, and decoded **completely** before anything is committed, so a batch that
+//! fails to decode touches neither disk nor memory.  Then the effects and the new cursor
+//! position commit as **one** local storage batch ([`StorageEngine::commit`]), and the applier
+//! of [`crate::durability`] patches the mirrored database in O(delta).  Because the
+//! applied-LSN cursor rides in the same commit as the effects it covers, a crash mid-batch
+//! loses the whole batch or nothing: on reopen the replica resumes from its last durable LSN
+//! and re-requests exactly the commits it lost.
 //!
 //! Two batch shapes exist (see `docs/PROTOCOL.md` for the wire contract):
 //!
 //! * **incremental** — the primary's WAL tail since the replica's cursor; applied on top of the
 //!   mirrored database;
-//! * **reset** — a full keyed snapshot (shipped when the replica's cursor fell behind a primary
+//! * **reset** — a full keyed snapshot as one commit (shipped when the replica's cursor fell behind a primary
 //!   checkpoint, or when the replica is empty and the primary's WAL no longer reaches back to
 //!   LSN 1); it is applied to a fresh database, which the store writes as its own snapshot
 //!   image — cursor included — in one atomic replace.
@@ -27,8 +27,7 @@
 
 use std::path::Path;
 
-use seed_storage::wal::replay_committed;
-use seed_storage::{KeyEffect, LogRecord, Lsn, StorageEngine};
+use seed_storage::{Commit, KeyEffect, Lsn, StorageEngine};
 
 use crate::codec;
 use crate::database::Database;
@@ -83,8 +82,7 @@ impl ReplicaStore {
         self.db.as_ref().map(Database::clone_for_snapshot)
     }
 
-    /// Applies one shipped batch: the committed key effects of `records` (uncommitted
-    /// transactions are discarded, exactly as restart recovery would) plus the new cursor
+    /// Applies one shipped batch: the key effects of `commits`, in order, plus the new cursor
     /// `up_to`.  The batch is decoded completely first; a batch that fails to decode changes
     /// nothing.  An incremental batch commits as **one** local storage batch and patches
     /// the mirrored database; with `reset`, the batch becomes a fresh database written as the
@@ -93,10 +91,8 @@ impl ReplicaStore {
     ///
     /// Returns the number of per-item records the batch changed (the replica's cost
     /// observable: O(delta) for incremental batches).
-    pub fn apply(&mut self, records: &[LogRecord], up_to: Lsn, reset: bool) -> SeedResult<usize> {
-        let numbered: Vec<(Lsn, LogRecord)> =
-            records.iter().cloned().enumerate().map(|(i, r)| (i as Lsn + 1, r)).collect();
-        let effects = replay_committed(&numbered);
+    pub fn apply(&mut self, commits: Vec<Commit>, up_to: Lsn, reset: bool) -> SeedResult<usize> {
+        let effects: Vec<KeyEffect> = commits.into_iter().flat_map(|c| c.effects).collect();
         let known = self.db.as_ref().filter(|_| !reset).map(Database::schema_registry);
         let changes =
             Changes::decode(effects.iter().map(|(k, v)| (k.as_slice(), v.as_deref())), known)?;
@@ -177,17 +173,16 @@ fn not_initialized() -> SeedError {
     SeedError::NotFound("replica store holds no database yet (no batch applied)".to_string())
 }
 
-/// Builds the reset-batch record list from a primary's committed state (see
-/// [`Database::replication_snapshot`]): one synthetic committed transaction (`Begin`, one
-/// `Put` per encoded pair, `Commit`) that rebuilds the whole key space.  Kept next to
-/// [`ReplicaStore::apply`] so the two sides of the snapshot contract stay in one file.
-pub fn snapshot_records(db: &Database) -> Vec<LogRecord> {
-    let mut records = vec![LogRecord::Begin { txn: 0 }];
+/// Builds the reset batch's one commit from a primary's committed state (see
+/// [`Database::replication_snapshot`]): a put per encoded pair, rebuilding the whole key space.
+/// Kept next to [`ReplicaStore::apply`] so the two sides of the snapshot contract stay in one
+/// file.
+pub fn snapshot_commit(db: &Database) -> Commit {
+    let mut effects = Vec::new();
     durability::encode_pairs(db, None, &mut |key, value| {
-        records.push(LogRecord::Put { txn: 0, key: key.to_vec(), value: value.to_vec() });
+        effects.push((key.to_vec(), Some(value.to_vec())));
     });
-    records.push(LogRecord::Commit { txn: 0 });
-    records
+    Commit { effects }
 }
 
 #[cfg(test)]
@@ -198,7 +193,7 @@ mod tests {
     use seed_schema::figure3_schema;
     use seed_storage::WalTail;
 
-    fn tail_records(db: &Database, from: Lsn) -> (Vec<LogRecord>, Lsn) {
+    fn tail_records(db: &Database, from: Lsn) -> (Vec<Commit>, Lsn) {
         match db.wal_tail(from).unwrap() {
             WalTail::Records(recs) => {
                 let up_to = recs.last().map(|(l, _)| *l).unwrap_or(from - 1);
@@ -224,7 +219,7 @@ mod tests {
 
         // First batch: the whole WAL from LSN 1 (the primary never checkpointed).
         let (records, up_to) = tail_records(&primary, 1);
-        replica.apply(&records, up_to, false).unwrap();
+        replica.apply(records, up_to, false).unwrap();
         assert_eq!(replica.applied_lsn(), up_to);
         assert_same_state(replica.database().unwrap(), &primary, true);
 
@@ -233,7 +228,7 @@ mod tests {
         primary.set_value(desc, Value::string("v2")).unwrap();
         let (records, new_up_to) = tail_records(&primary, up_to + 1);
         assert!(!records.is_empty());
-        replica.apply(&records, new_up_to, false).unwrap();
+        replica.apply(records, new_up_to, false).unwrap();
         assert_same_state(replica.database().unwrap(), &primary, true);
 
         // Cursor is durable: reopening the store resumes where it left off.
@@ -263,14 +258,14 @@ mod tests {
         }
         // Resync from the snapshot, as the primary's session loop would.
         let (view, lsn) = primary.replication_snapshot().unwrap();
-        replica.apply(&snapshot_records(&view), lsn, true).unwrap();
+        replica.apply(vec![snapshot_commit(&view)], lsn, true).unwrap();
         assert_eq!(replica.applied_lsn(), lsn);
         assert_same_state(replica.database().unwrap(), &primary, true);
 
         // And incremental shipping continues cleanly after the reset.
         primary.create_object("Action", "Later").unwrap();
         let (records, up_to) = tail_records(&primary, lsn + 1);
-        replica.apply(&records, up_to, false).unwrap();
+        replica.apply(records, up_to, false).unwrap();
         assert_same_state(replica.database().unwrap(), &primary, true);
         let _ = std::fs::remove_dir_all(&primary_dir);
         let _ = std::fs::remove_dir_all(&replica_dir);
@@ -284,7 +279,7 @@ mod tests {
         let doomed = primary.create_object("Data", "Doomed").unwrap();
         let mut replica = ReplicaStore::open(&replica_dir).unwrap();
         let (records, up_to) = tail_records(&primary, 1);
-        replica.apply(&records, up_to, false).unwrap();
+        replica.apply(records, up_to, false).unwrap();
         assert!(replica.database().unwrap().object_by_name("Doomed").is_ok());
 
         // The primary physically removes the object's key space... (delete marks it deleted;
@@ -292,7 +287,7 @@ mod tests {
         primary.delete_object(doomed).unwrap();
         primary.checkpoint().unwrap();
         let (view, lsn) = primary.replication_snapshot().unwrap();
-        replica.apply(&snapshot_records(&view), lsn, true).unwrap();
+        replica.apply(vec![snapshot_commit(&view)], lsn, true).unwrap();
         assert_same_state(replica.database().unwrap(), &primary, true);
         let _ = std::fs::remove_dir_all(&primary_dir);
         let _ = std::fs::remove_dir_all(&replica_dir);
@@ -310,7 +305,7 @@ mod tests {
 
         let mut replica = ReplicaStore::open(&replica_dir).unwrap();
         let (records, batch1_lsn) = tail_records(&primary, 1);
-        replica.apply(&records, batch1_lsn, false).unwrap();
+        replica.apply(records, batch1_lsn, false).unwrap();
         drop(replica);
 
         // Batch 2 exists on the primary...
@@ -322,7 +317,7 @@ mod tests {
         // batch's single commit frame never became fully durable.
         {
             let mut replica = ReplicaStore::open(&replica_dir).unwrap();
-            replica.apply(&batch2, batch2_lsn, false).unwrap();
+            replica.apply(batch2, batch2_lsn, false).unwrap();
         }
         // The tail of the log lives in the newest `wal.*.seg` segment file.
         let wal_path = std::fs::read_dir(&replica_dir)
@@ -348,7 +343,7 @@ mod tests {
 
         // Re-request from the durable cursor and converge.
         let (records, up_to) = tail_records(&primary, replica.applied_lsn() + 1);
-        replica.apply(&records, up_to, false).unwrap();
+        replica.apply(records, up_to, false).unwrap();
         assert_eq!(up_to, batch2_lsn);
         assert_same_state(replica.database().unwrap(), &primary, true);
         let _ = std::fs::remove_dir_all(&primary_dir);
@@ -369,7 +364,7 @@ mod tests {
 
         let mut replica = ReplicaStore::open(&replica_dir).unwrap();
         let (records, mut cursor) = tail_records(&primary, 1);
-        replica.apply(&records, cursor, false).unwrap();
+        replica.apply(records, cursor, false).unwrap();
 
         // A sequence of batches exercising every record kind; after each one, the patched
         // database must equal a fresh reload, and the touched count must stay O(delta).
@@ -400,7 +395,7 @@ mod tests {
         for mutate in mutate {
             mutate(&mut primary);
             let (records, up_to) = tail_records(&primary, cursor + 1);
-            let touched = replica.apply(&records, up_to, false).unwrap();
+            let touched = replica.apply(records, up_to, false).unwrap();
             cursor = up_to;
             assert!(touched <= 8, "batch touched {touched} items, expected O(delta)");
             let patched = replica.serving_copy().unwrap();
@@ -424,19 +419,17 @@ mod tests {
         primary.create_object("Data", "Before").unwrap();
         let mut replica = ReplicaStore::open(&replica_dir).unwrap();
         let (records, cursor) = tail_records(&primary, 1);
-        replica.apply(&records, cursor, false).unwrap();
+        replica.apply(records, cursor, false).unwrap();
 
         primary.create_object("Data", "Shipped").unwrap();
         let (mut records, up_to) = tail_records(&primary, cursor + 1);
-        for record in &mut records {
-            if let LogRecord::Put { key, value, .. } = record {
-                if key.starts_with(codec::PREFIX_OBJECT) {
-                    value.truncate(value.len() / 2); // a torn `o/` record
-                }
+        for (key, value) in records.iter_mut().flat_map(|c| &mut c.effects) {
+            if let (true, Some(value)) = (key.starts_with(codec::PREFIX_OBJECT), value) {
+                value.truncate(value.len() / 2); // a torn `o/` record
             }
         }
         let before = replica.serving_copy().unwrap();
-        assert!(replica.apply(&records, up_to, false).is_err());
+        assert!(replica.apply(records, up_to, false).is_err());
         assert_eq!(replica.applied_lsn(), cursor);
         assert_same_state(replica.database().unwrap(), &before, true);
         drop(replica);
@@ -460,7 +453,7 @@ mod tests {
 
         let mut replica = ReplicaStore::open(&replica_dir).unwrap();
         let (records, up_to) = tail_records(&primary, 1);
-        replica.apply(&records, up_to, false).unwrap();
+        replica.apply(records, up_to, false).unwrap();
         assert_eq!(replica.topology_epoch(), 0);
 
         let mut promoted = replica.into_primary(7).unwrap();
@@ -499,7 +492,7 @@ mod tests {
 
         let mut replica = ReplicaStore::open(&replica_dir).unwrap();
         let (records, up_to) = tail_records(&primary, 1);
-        replica.apply(&records, up_to, false).unwrap();
+        replica.apply(records, up_to, false).unwrap();
         let mut loaded = replica.serving_copy().unwrap();
         assert_eq!(loaded.versions().len(), 1);
         loaded.select_version(Some(v1)).unwrap();

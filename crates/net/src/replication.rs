@@ -95,7 +95,7 @@ struct Feed {
 const FEED_POLL: Duration = Duration::from_millis(50);
 
 /// Replica-side replication metric handles, registered once on first use.  `repl_ack_lag` is
-/// the records-behind gauge (`primary_lsn − applied_lsn`) — the one number a health check or a
+/// the commits-behind gauge (`primary_lsn − applied_lsn`) — the one number a health check or a
 /// dashboard should watch instead of polling `PersistenceStatus` in a loop.
 struct ReplMetrics {
     batches_applied: seed_obs::Counter,
@@ -254,7 +254,7 @@ impl ReplicaState {
             None
         } else {
             let items = store
-                .apply(&batch.records, batch.last_lsn, batch.reset)
+                .apply(batch.records, batch.last_lsn, batch.reset)
                 .map_err(ServerError::Rejected)?;
             metrics.batches_applied.inc();
             if batch.reset {
@@ -481,8 +481,8 @@ enum Shipment {
     InMemory,
     /// Nothing new past the cursor; heartbeat (or the immediate subscribe answer).
     CaughtUp { durable: u64 },
-    /// Log records covering the cursor onwards.
-    Records { records: Vec<(u64, seed_storage::LogRecord)>, durable: u64 },
+    /// The commits from the cursor onwards.
+    Records { records: Vec<(u64, seed_storage::Commit)>, durable: u64 },
     /// The log no longer reaches the cursor; the committed state (an O(1) copy, encoded
     /// outside the lock) ships as a full keyed snapshot with reset semantics.
     Snapshot { cut: Box<seed_core::Database>, lsn: u64 },
@@ -532,7 +532,7 @@ pub(crate) fn cut_shipment(
 ) -> ShipmentPlan {
     let shipment = core.with_database(|db| {
         // Caught-up check first: the durable LSN is a counter read, so an idle poll tick
-        // never touches the WAL files (reading the tail re-parses segments from disk).
+        // never touches the WAL files (a tail read reads the new frames from disk).
         let Some(durable) = db.durable_lsn() else { return Shipment::InMemory };
         if durable + 1 == next {
             return Shipment::CaughtUp { durable };
@@ -581,7 +581,7 @@ pub(crate) fn cut_shipment(
             first_lsn: 0,
             last_lsn: lsn,
             primary_lsn: lsn,
-            records: seed_core::replica::snapshot_records(&cut),
+            records: vec![seed_core::replica::snapshot_commit(&cut)],
         }),
     }
 }

@@ -1292,7 +1292,7 @@ mod tests {
             write_frame(&mut writer, FrameKind::Hello, &hello.encode()).unwrap();
             read_frame(&mut reader).unwrap()
         };
-        let too_old = [(1, 1), (2, 2), (1, 2), (3, 3), (1, 3)];
+        let too_old = [(1, 1), (2, 2), (1, 2), (3, 3), (1, 3), (4, 4), (1, 4)];
         let future = (PROTOCOL_VERSION + 1, PROTOCOL_VERSION + 2);
         for (min, max) in too_old.into_iter().chain([future]) {
             let reply = handshake(min, max);

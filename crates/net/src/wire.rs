@@ -28,7 +28,7 @@
 use std::io::{Read, Write};
 
 use seed_storage::codec::crc32;
-use seed_storage::{Decoder, Encoder, LogRecord, Lsn};
+use seed_storage::{Commit, Decoder, Encoder, Lsn};
 
 use crate::error::{WireError, WireResult};
 
@@ -36,7 +36,7 @@ use crate::error::{WireError, WireResult};
 pub const MAGIC: [u8; 4] = *b"SEWP";
 
 /// The protocol version this build speaks — the only one.
-pub const PROTOCOL_VERSION: u16 = 4;
+pub const PROTOCOL_VERSION: u16 = 5;
 
 /// Upper bound on one frame's payload; larger lengths are treated as stream desync.
 pub const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
@@ -388,7 +388,7 @@ impl Welcome {
     }
 }
 
-/// A replica's stream opener: ask for every record from `from_lsn` on.  The primary answers
+/// A replica's stream opener: ask for every commit from `from_lsn` on.  The primary answers
 /// with one [`LogBatch`] immediately (possibly empty — it carries the primary's current end of
 /// log either way), then with a batch per news or heartbeat tick.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -423,26 +423,26 @@ impl Subscribe {
 ///
 /// Two shapes (see `docs/PROTOCOL.md` §6):
 ///
-/// * **incremental** (`reset == false`): `records` are the primary's WAL records
-///   `first_lsn ..= last_lsn`, whole transactions only — the replica reduces them with the same
-///   committed-effects replay restart recovery uses and applies them on top of its keys;
-/// * **reset** (`reset == true`): `records` are one synthetic committed transaction rebuilding
-///   the full key space as of `last_lsn` (`first_lsn` is 0); the replica clears its store and
-///   applies them in one local transaction.  Sent when the subscriber's cursor fell behind a
-///   primary checkpoint, or came from a different log.
+/// * **incremental** (`reset == false`): `records` are the primary's WAL commits
+///   `first_lsn ..= last_lsn` — the replica applies their effects, in order, on top of its
+///   keys;
+/// * **reset** (`reset == true`): `records` is one commit rebuilding the full key space as of
+///   `last_lsn` (`first_lsn` is 0); the replica builds a fresh store from it.  Sent when the
+///   subscriber's cursor fell behind a primary checkpoint, or came from a different log.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LogBatch {
     /// Whether the replica must clear its store before applying (snapshot resync).
     pub reset: bool,
-    /// LSN of the first shipped record (0 in reset batches).
+    /// LSN of the first shipped commit (0 in reset batches).
     pub first_lsn: Lsn,
     /// LSN the replica's state reaches after applying this batch (its next `Ack` value).
     pub last_lsn: Lsn,
     /// The primary's durable end of log when the batch was cut — what replica lag is measured
     /// against.
     pub primary_lsn: Lsn,
-    /// The shipped records (empty in heartbeat batches).
-    pub records: Vec<LogRecord>,
+    /// The shipped commits, each in the bytes of its WAL frame payload (empty in heartbeat
+    /// batches).
+    pub records: Vec<Commit>,
 }
 
 impl LogBatch {
@@ -470,7 +470,7 @@ impl LogBatch {
         let n = d.get_varint()? as usize;
         let mut records = Vec::with_capacity(n.min(4096));
         for _ in 0..n {
-            records.push(LogRecord::decode(d.get_bytes()?)?);
+            records.push(Commit::decode(d.get_bytes()?)?);
         }
         if !d.is_exhausted() {
             return Err(WireError::Recoverable(format!(
@@ -681,7 +681,7 @@ mod tests {
         let welcome = |version| Welcome { version, client_id: 7, banner: "b".into() }.encode();
         assert_eq!(answer(FrameKind::Welcome, welcome(PROTOCOL_VERSION)).unwrap().client_id, 7);
         let older = answer(FrameKind::Welcome, welcome(PROTOCOL_VERSION - 1)).unwrap_err();
-        assert!(older.to_string().contains("welcomed protocol v3"), "{older}");
+        assert!(older.to_string().contains("welcomed protocol v4"), "{older}");
         let rejected = answer(FrameKind::Reject, b"no common protocol version".to_vec());
         assert!(rejected.unwrap_err().to_string().contains("no common protocol version"));
         assert!(answer(FrameKind::Response, Vec::new()).is_err());
@@ -696,13 +696,16 @@ mod tests {
         let batch = LogBatch {
             reset: false,
             first_lsn: 18,
-            last_lsn: 21,
+            last_lsn: 19,
             primary_lsn: 25,
             records: vec![
-                LogRecord::Begin { txn: 4 },
-                LogRecord::Put { txn: 4, key: b"o/1".to_vec(), value: b"data".to_vec() },
-                LogRecord::Delete { txn: 4, key: b"d/o1".to_vec() },
-                LogRecord::Commit { txn: 4 },
+                Commit {
+                    effects: vec![
+                        (b"o/1".to_vec(), Some(b"data".to_vec())),
+                        (b"d/o1".to_vec(), None),
+                    ],
+                },
+                Commit { effects: vec![(b"o/2".to_vec(), Some(Vec::new()))] },
             ],
         };
         assert_eq!(LogBatch::decode(&batch.encode()).unwrap(), batch);

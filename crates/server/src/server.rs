@@ -32,7 +32,7 @@ pub trait Promoter: Send + Sync {
         -> ServerResult<Database>;
 }
 
-/// Replica readiness budget: a replica more than this many log records behind the primary
+/// Replica readiness budget: a replica more than this many commits (LSNs) behind the primary
 /// reports not-ready ([`SeedServer::health`]).
 pub const DEFAULT_HEALTH_LAG_BUDGET: u64 = 1024;
 

@@ -6,14 +6,15 @@
 //! the data — and provides:
 //!
 //! * one-call transactions ([`StorageEngine::commit`]): the caller hands over a transaction's
-//!   whole batch of key effects, which is written to the WAL as one contiguous batch with a
-//!   single sync, so a transaction's durability cost is O(1) syncs and a crash before the sync
-//!   leaves no committed trace.  The caller owns the open transaction (in `seed-core` it is
-//!   the database's savepoint and change journal); the engine holds none,
+//!   whole batch of key effects, which is written to the WAL as one CRC-checked frame — one
+//!   [`Commit`] record, one LSN — with a single sync, so a transaction's durability cost is one
+//!   sync and a crash before the sync leaves at most a torn frame, which recovery cuts.  The
+//!   caller owns the open transaction (in `seed-core` it is the database's savepoint and
+//!   change journal); the engine holds none,
 //! * checkpoints of a [`SnapshotImage`] the caller encodes from its own state: the image
 //!   replaces the snapshot on disk and the log below the image's LSN is pruned,
-//! * recovery on open: the snapshot's pairs plus the committed effects logged after its LSN,
-//!   handed to the caller once, by value ([`Recovered`]),
+//! * recovery on open: the snapshot's pairs plus the effects of the commits logged after its
+//!   LSN, handed to the caller once, by value ([`Recovered`]),
 //! * poisoning: once a commit or a checkpoint fails on I/O, every later `commit` and
 //!   `checkpoint` fails with [`StorageError::Poisoned`] until the engine is reopened
 //!   ([`StorageEngine::usable`] asks the same question without writing).
@@ -26,13 +27,12 @@
 //!     | count × (key_len: u32 | key | value_len: u32 | value) in key order | crc32: u32
 //! ```
 //!
-//! (integers little-endian; the CRC covers everything before it; `lsn` is the last WAL record
+//! (integers little-endian; the CRC covers everything before it; `lsn` is the last WAL commit
 //! whose effects the image holds).  A damaged image — bad magic (the older `SEEDSNP1` layout
 //! included), bad CRC, short file, unsorted keys — is [`StorageError::Corrupt`], never an empty
 //! database.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard};
@@ -40,8 +40,8 @@ use parking_lot::{Mutex, MutexGuard};
 use crate::codec::crc32;
 use crate::error::{StorageError, StorageResult};
 use crate::wal::{
-    replay_committed, FileSegmentIo, KeyEffect, LogRecord, Lsn, MemorySegmentIo, SegmentIo,
-    WalConfig, WalTail, WriteAheadLog,
+    Commit, FileSegmentIo, KeyEffect, Lsn, MemorySegmentIo, SegmentIo, WalConfig, WalTail,
+    WriteAheadLog,
 };
 
 /// Configuration for opening a [`StorageEngine`].
@@ -75,7 +75,7 @@ pub struct SnapshotImage {
 }
 
 impl SnapshotImage {
-    /// The last WAL record whose effects the image holds.
+    /// The last WAL commit whose effects the image holds.
     pub fn lsn(&self) -> Lsn {
         self.lsn
     }
@@ -179,7 +179,7 @@ type Pairs = Vec<(Vec<u8>, Vec<u8>)>;
 pub struct Recovered {
     /// The snapshot image's pairs, in key order (empty without a snapshot).
     pub snapshot: Pairs,
-    /// The committed effects logged after the snapshot's LSN, in log order.
+    /// The effects of the commits logged after the snapshot's LSN, in log order.
     pub effects: Vec<KeyEffect>,
 }
 
@@ -206,8 +206,6 @@ pub struct StorageEngine {
     /// The LSN the snapshot on disk covers; held while a checkpoint runs, so checkpoints never
     /// overlap and an image older than the one on disk is refused.
     snapshot_lsn: Mutex<Lsn>,
-    /// The id the next commit logs its frames under, past every id already in the log.
-    next_txn: AtomicU64,
     /// [`EngineConfig::checkpoint_wal_bytes`]; the log holds its own settings.
     checkpoint_wal_bytes: Option<u64>,
     /// Path of the database directory (None for in-memory engines).
@@ -240,11 +238,10 @@ impl StorageEngine {
 
     /// Opens an engine over an arbitrary [`SegmentIo`] — what [`StorageEngine::open_with`] and
     /// [`StorageEngine::in_memory`] build on, and the injection point for fault-injection
-    /// tests.  Recovery reads the snapshot, then replays the committed WAL records logged
-    /// after the snapshot's LSN; both are returned, and the engine keeps neither.  The records
-    /// are the ones the log's open walk already read and checked
-    /// ([`WriteAheadLog::with_io`]), so each segment is read once; the replay is serial, in LSN
-    /// order.
+    /// tests.  Recovery reads the snapshot, then concatenates the effects of the commits
+    /// logged after the snapshot's LSN; both are returned, and the engine keeps neither.  The
+    /// commits are the ones the log's open walk already read and checked
+    /// ([`WriteAheadLog::with_io`]), so each segment is read once.
     pub fn with_io(
         io: Arc<dyn SegmentIo>,
         config: EngineConfig,
@@ -256,7 +253,7 @@ impl StorageEngine {
             .transpose()?
             .unwrap_or_default();
         let start = std::time::Instant::now();
-        let (wal, records) = WriteAheadLog::with_io(io.clone(), config.wal)?;
+        let (wal, commits) = WriteAheadLog::with_io(io.clone(), config.wal)?;
         if wal.base_lsn() > snapshot_lsn {
             // Only a checkpoint prunes the log, and it writes the snapshot first.
             return Err(StorageError::Corrupt(format!(
@@ -271,21 +268,13 @@ impl StorageEngine {
                 wal.durable_lsn()
             )));
         }
-        // Track transaction ids so new commits do not collide with logged ones.
-        let max_txn = records
-            .iter()
-            .map(|(_, r)| match r {
-                LogRecord::Begin { txn }
-                | LogRecord::Commit { txn }
-                | LogRecord::Abort { txn }
-                | LogRecord::Put { txn, .. }
-                | LogRecord::Delete { txn, .. } => *txn,
-            })
-            .max()
-            .unwrap_or(0);
-        let covered = records.partition_point(|(lsn, _)| *lsn <= snapshot_lsn);
-        let effects = replay_committed(&records[covered..]);
-        if !records.is_empty() {
+        let replayed = !commits.is_empty();
+        let effects: Vec<KeyEffect> = commits
+            .into_iter()
+            .filter(|(lsn, _)| *lsn > snapshot_lsn)
+            .flat_map(|(_, commit)| commit.effects)
+            .collect();
+        if replayed {
             seed_obs::global()
                 .histogram("wal_recovery_replay_us")
                 .observe_duration(start.elapsed());
@@ -295,7 +284,6 @@ impl StorageEngine {
             wal,
             poisoned: Mutex::new(None),
             snapshot_lsn: Mutex::new(snapshot_lsn),
-            next_txn: AtomicU64::new(max_txn + 1),
             checkpoint_wal_bytes: config.checkpoint_wal_bytes,
             path: None,
         };
@@ -325,26 +313,17 @@ impl StorageEngine {
     // ----- commit ------------------------------------------------------------------------------
 
     /// Commits `effects` (key -> `Some(value)` for a put, `None` for a delete) as one
-    /// transaction: its `Begin`/effect/`Commit` frames go to the WAL as one batch with a single
-    /// sync, so a transaction's durability cost is O(1) syncs and a crash before the sync
-    /// leaves at most a batch without its `Commit`, which recovery discards.  An empty batch
-    /// logs and syncs nothing, and so cannot fail.  If the write or the sync fails, the engine
-    /// is poisoned: the batch is cut off the log again, and every later commit fails.
+    /// transaction: one [`Commit`] frame with a single sync, taking the log's next LSN.  A crash
+    /// before the sync leaves at most a torn frame, which recovery cuts.  An empty batch logs
+    /// and syncs nothing, and so cannot fail.  If the write or the sync fails, the engine is
+    /// poisoned: the frame is cut off the log again, and every later commit fails.
     pub fn commit(&self, effects: Vec<KeyEffect>) -> StorageResult<()> {
         if effects.is_empty() {
             return Ok(());
         }
         let mut poisoned = self.lock_usable()?;
-        let txn = self.next_txn.fetch_add(1, Ordering::SeqCst);
-        let mut records = Vec::with_capacity(effects.len() + 2);
-        records.push(LogRecord::Begin { txn });
-        records.extend(effects.into_iter().map(|(key, value)| match value {
-            Some(value) => LogRecord::Put { txn, key, value },
-            None => LogRecord::Delete { txn, key },
-        }));
-        records.push(LogRecord::Commit { txn });
-        if let Err(e) = self.wal.append_batch(&records) {
-            *poisoned = Some(format!("commit of transaction {txn} failed: {e}"));
+        if let Err(e) = self.wal.append(&Commit { effects }) {
+            *poisoned = Some(format!("commit at LSN {} failed: {e}", self.wal.next_lsn()));
             return Err(e);
         }
         Ok(())
@@ -360,7 +339,7 @@ impl StorageEngine {
             .is_some_and(|threshold| self.wal.uncheckpointed_bytes().is_ok_and(|b| b >= threshold))
     }
 
-    /// Writes `image` as the new snapshot, then prunes the WAL below the image's LSN — records
+    /// Writes `image` as the new snapshot, then prunes the WAL below the image's LSN — commits
     /// appended after it stay, so the image may be encoded while commits continue.  The
     /// snapshot replace is atomic ([`SegmentIo::write_snapshot`]) and precedes the prune, so a
     /// crash anywhere leaves a snapshot plus a log that together recover every committed
@@ -408,14 +387,14 @@ impl StorageEngine {
 
     // ----- replication feed ---------------------------------------------------------------------
 
-    /// The absolute LSN of the last record in the WAL — the position a fully caught-up
+    /// The absolute LSN of the last commit in the WAL — the position a fully caught-up
     /// replication subscriber has applied.  Checkpoint-stable: truncation advances the log's
     /// base instead of resetting the numbering.
     pub fn durable_lsn(&self) -> Lsn {
         self.wal.durable_lsn()
     }
 
-    /// The WAL tail from `from` (inclusive): the committed log records a replication subscriber
+    /// The WAL tail from `from` (inclusive): the commits a replication subscriber
     /// at position `from - 1` still needs, or [`WalTail::Truncated`] when a checkpoint already
     /// truncated them away and the subscriber must resync from a snapshot of the data.
     pub fn wal_tail(&self, from: Lsn) -> StorageResult<WalTail> {
@@ -435,6 +414,7 @@ impl StorageEngine {
 pub(crate) mod tests {
     use super::*;
     use std::collections::BTreeMap;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     /// A fresh directory per call: the process id keeps concurrent test runs apart, the counter
     /// keeps this process's tests (threads of one binary) apart.
@@ -535,24 +515,11 @@ pub(crate) mod tests {
             (b"gone".to_vec(), None),
             (b"b".to_vec(), Some(b"2".to_vec())),
         ];
-        engine.commit(batch).unwrap();
+        engine.commit(batch.clone()).unwrap();
         let WalTail::Records(records) = engine.wal_tail(from).unwrap() else {
             panic!("the tail past the last commit is in the log")
         };
-        let txns: Vec<u64> = records
-            .iter()
-            .map(|(_, r)| match r {
-                LogRecord::Begin { txn }
-                | LogRecord::Commit { txn }
-                | LogRecord::Abort { txn }
-                | LogRecord::Put { txn, .. }
-                | LogRecord::Delete { txn, .. } => *txn,
-            })
-            .collect();
-        assert_eq!(txns.len(), 5, "Begin, three effects, Commit: {records:?}");
-        assert!(txns.iter().all(|t| *t == txns[0]), "one transaction: {records:?}");
-        assert!(matches!(records.first(), Some((_, LogRecord::Begin { .. }))));
-        assert!(matches!(records.last(), Some((_, LogRecord::Commit { .. }))));
+        assert_eq!(records, vec![(from, Commit { effects: batch })], "one record, one LSN");
         drop(engine);
         assert_eq!(memory_engine(&io).1, space(&[("a", b"1"), ("b", b"2")]));
     }
@@ -602,34 +569,38 @@ pub(crate) mod tests {
 
     #[test]
     fn uncommitted_transaction_is_not_recovered() {
-        let dir = temp_dir("uncommitted");
-        {
-            let (engine, _) = StorageEngine::open(&dir).unwrap();
-            put(&engine, b"committed", b"yes").unwrap();
-        }
-        {
-            // A crash during a commit: the batch's `Begin` and `Put` reached the log, its
-            // `Commit` frame never did.
-            let (wal, _) =
-                WriteAheadLog::with_io(Arc::new(FileSegmentIo::new(&dir)), WalConfig::default())
-                    .unwrap();
-            let txn = 1 << 40;
-            let key = b"uncommitted".to_vec();
-            wal.append_batch(&[
-                LogRecord::Begin { txn },
-                LogRecord::Put { txn, key, value: b"no".to_vec() },
-            ])
-            .unwrap();
-        }
-        assert_eq!(recovered(&dir), space(&[("committed", b"yes")]));
-        // The reopened engine numbers its commits past the orphaned batch's id, so a later
-        // commit cannot complete it.
-        {
-            let (engine, _) = StorageEngine::open(&dir).unwrap();
+        let io = Arc::new(MemorySegmentIo::new());
+        let (engine, _) = memory_engine(&io);
+        put(&engine, b"committed", b"yes").unwrap();
+        let acknowledged = io.read(1).unwrap().len();
+        engine.commit(vec![(b"a".to_vec(), Some(b"no".to_vec())), (b"b".to_vec(), None)]).unwrap();
+        let cut_lsn = engine.durable_lsn();
+        let full = io.read(1).unwrap();
+        drop(engine);
+        // A crash during the second commit's write leaves any prefix of its frame.
+        for cut in acknowledged..full.len() {
+            let crashed = BTreeMap::from([(1, full[..cut].to_vec())]);
+            let crashed = Arc::new(MemorySegmentIo::from_segments(crashed));
+            let (engine, recovered) = memory_engine(&crashed);
+            assert_eq!(recovered, space(&[("committed", b"yes")]), "frame cut at byte {cut}");
             put(&engine, b"later", b"1").unwrap();
+            assert_eq!(engine.durable_lsn(), cut_lsn, "the next commit takes the cut one's LSN");
+            drop(engine);
+            let expected = space(&[("committed", b"yes"), ("later", b"1")]);
+            assert_eq!(memory_engine(&crashed).1, expected, "frame cut at byte {cut}");
         }
-        assert_eq!(recovered(&dir), space(&[("committed", b"yes"), ("later", b"1")]));
-        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn n_commits_advance_durable_lsn_by_n() {
+        let engine = StorageEngine::in_memory().unwrap();
+        for (n, size) in [1usize, 3, 40, 1000].into_iter().enumerate() {
+            let effects = (0..size)
+                .map(|k| (format!("k/{n}/{k}").into_bytes(), (k % 4 != 0).then(|| vec![7; k])))
+                .collect();
+            engine.commit(effects).unwrap();
+            assert_eq!(engine.durable_lsn(), n as Lsn + 1, "a commit of {size} effects");
+        }
     }
 
     #[test]
@@ -653,7 +624,7 @@ pub(crate) mod tests {
                     checkpoints += 1;
                 }
             }
-            // Each put is ~90 bytes of WAL, so the 512-byte threshold has fired several times.
+            // Each put is an ~80-byte frame, so the 512-byte threshold has fired several times.
             assert!(checkpoints >= 4, "only {checkpoints} checkpoints were due");
             assert!(
                 engine.wal_size_bytes().unwrap() < 512,

@@ -20,7 +20,7 @@ pub enum StorageError {
     /// An earlier commit or checkpoint failed on I/O, so the log may no longer match what
     /// callers were told; the engine refuses all further work until it is reopened.
     Poisoned(String),
-    /// Catch-all for invalid arguments (unknown transaction, bad configuration, ...).
+    /// Catch-all for invalid arguments (bad configuration, a stale snapshot image, ...).
     InvalidArgument(String),
 }
 

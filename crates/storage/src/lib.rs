@@ -7,8 +7,9 @@
 //! no copy of the data (the in-memory database in `seed-core` is the one resident copy), and
 //! the disk holds exactly one format —
 //!
-//! * [`wal`] — a segmented write-ahead log with CRC-protected frames, whole-segment checkpoint
-//!   pruning, replication retention, and redo recovery from the records its open walk reads,
+//! * [`wal`] — a segmented write-ahead log of CRC-protected frames, one frame per commit, with
+//!   whole-segment checkpoint pruning, replication retention, and redo recovery from the
+//!   commits its open walk reads,
 //! * one CRC-framed, key-sorted snapshot image of the whole key space, rewritten atomically
 //!   on every checkpoint,
 //!
@@ -16,7 +17,8 @@
 //! small key/value engine; [`codec`] holds the binary primitives and the CRC.
 //!
 //! The engine exposes exactly what `seed-core` needs: a durable one-call commit of a batch of
-//! byte-key effects (the caller owns the open transaction; the engine holds none),
+//! byte-key effects, logged as one WAL record (the caller owns the open transaction; the
+//! engine holds none),
 //! checkpoints of a caller-encoded [`SnapshotImage`], and recovery that hands the recovered
 //! key space back once at open.  Higher-level notions (objects, relationships, versions,
 //! patterns) live in `seed-core`.
@@ -30,6 +32,6 @@ pub use codec::{Decoder, Encoder};
 pub use engine::{EngineConfig, ImageWriter, Recovered, SnapshotImage, StorageEngine};
 pub use error::{StorageError, StorageResult};
 pub use wal::{
-    replay_committed, FileSegmentIo, KeyEffect, LogRecord, Lsn, MemorySegmentIo, SegmentId,
-    SegmentIo, WalConfig, WalTail, WriteAheadLog,
+    Commit, FileSegmentIo, KeyEffect, Lsn, MemorySegmentIo, SegmentId, SegmentIo, WalConfig,
+    WalTail, WriteAheadLog,
 };

@@ -1,31 +1,36 @@
 //! Segmented write-ahead log.
 //!
-//! Every engine mutation is appended to the log before it is applied to the in-memory key space
-//! (and so before any snapshot can contain it).  Frames are CRC-protected; recovery replays
-//! committed transactions in order and stops at the first corrupt or torn frame (everything
-//! after a torn write is, by definition, not yet durable).
+//! A WAL record is **one committed transaction** ([`Commit`]): the engine appends a commit's
+//! whole batch of key effects as one CRC-protected frame with one sync, and only then applies
+//! it in memory (and so before any snapshot can contain it).  One frame, one CRC and one LSN
+//! per commit: a crash either leaves the whole frame or tears it, and recovery replays the
+//! commits in order and stops at the first corrupt or torn frame (everything after a torn
+//! write is, by definition, not yet durable).  The torn-tail rule is the whole atomicity rule —
+//! there is no transaction framing to reassemble.
 //!
 //! The log is a sequence of bounded **segment files** (`wal.000017.seg`) instead of one
 //! monolithic file:
 //!
 //! * appends go to the **active** (last) segment; once it outgrows
-//!   [`WalConfig::segment_max_bytes`] the next batch triggers a **rotation** — the active
-//!   segment is synced shut (sealed) and a fresh one is created.  A group-commit batch never
-//!   spans segments, so fsync batching stays per-segment;
+//!   [`WalConfig::segment_max_bytes`] the next commit triggers a **rotation** — the active
+//!   segment is synced shut (sealed) and a fresh one is created.  A commit never spans
+//!   segments;
 //! * a **checkpoint** ([`WriteAheadLog::truncate`]) seals the active segment and then deletes
 //!   whole sealed segments oldest-first, instead of rewriting anything.  Segments holding
-//!   records a replication subscriber still needs (at or past the **retention floor**) are kept,
-//!   up to [`WalConfig::retention_budget_bytes`];
+//!   commits a replication subscriber still needs (at or past the **retention floor**) are
+//!   kept, up to [`WalConfig::retention_budget_bytes`];
 //! * **recovery** is the open walk itself: [`WriteAheadLog::with_io`] reads each segment once,
-//!   checks and decodes its frames, and hands the valid records back for the caller to replay.
+//!   checks and decodes its frames, and hands the valid commits back for the caller to replay.
 //!
 //! Segment layout: a 24-byte header (`magic | format version | base LSN | crc`) followed by
-//! frames of `len: u32 | crc: u32 | payload: len bytes`.
+//! frames of `len: u32 | crc: u32 | payload: len bytes`, each payload one [`Commit`]:
+//! `count: varint | count × (tag: u8 | key: bytes | value: bytes if the tag is put)`.  A
+//! segment with an intact header of another format version is refused, never repaired.
 //!
 //! ## Checkpoint-stable LSNs
 //!
-//! LSNs are **absolute**: they number every record ever appended, and checkpoint pruning does
-//! not reset them.  Each segment's header carries its *base* — the LSN before its first record —
+//! LSNs are **absolute**: they number every commit ever appended, and checkpoint pruning does
+//! not reset them.  Each segment's header carries its *base* — the LSN before its first commit —
 //! so the first frame of segment with base `b` always carries LSN `b + 1`.  This is what lets a
 //! replication subscriber hold a durable cursor into the primary's log
 //! ([`WriteAheadLog::read_from`]) across checkpoints and restarts on either side.
@@ -69,20 +74,20 @@ fn wal_metrics() -> &'static WalMetrics {
     })
 }
 
-/// Log sequence number: the absolute, checkpoint-stable index of a record in the log (1-based;
+/// Log sequence number: the absolute, checkpoint-stable index of a commit in the log (1-based;
 /// 0 means "none").  Pruning advances the log's base instead of resetting the numbering.
 pub type Lsn = u64;
 
 /// Identifier of one segment file (monotonically increasing; gaps mark pruned segments).
 pub type SegmentId = u64;
 
-/// The answer to a tail read ([`WriteAheadLog::read_from`]): either the records from the asked
+/// The answer to a tail read ([`WriteAheadLog::read_from`]): either the commits from the asked
 /// position to the durable end, or the news that the position has been truncated away and the
 /// subscriber must resynchronize from a snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WalTail {
-    /// Every record with `lsn >= from`, in order (possibly empty when the caller is caught up).
-    Records(Vec<(Lsn, LogRecord)>),
+    /// Every commit with `lsn >= from`, in order (possibly empty when the caller is caught up).
+    Records(Vec<(Lsn, Commit)>),
     /// The asked position is no longer in the log — either a checkpoint pruned it away, or
     /// the caller's cursor is ahead of this log (a different or reset log).  `oldest` is the
     /// first LSN still available.
@@ -92,70 +97,64 @@ pub enum WalTail {
     },
 }
 
-/// A logical WAL record.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LogRecord {
-    /// A transaction began.
-    Begin { txn: u64 },
-    /// A transaction committed; its effects must survive recovery.
-    Commit { txn: u64 },
-    /// A transaction aborted; its effects must be discarded by recovery.
-    Abort { txn: u64 },
-    /// A key was set to a value within a transaction.
-    Put { txn: u64, key: Vec<u8>, value: Vec<u8> },
-    /// A key was removed within a transaction.
-    Delete { txn: u64, key: Vec<u8> },
+/// One logged effect on a key: `Some(value)` for a put, `None` for a delete.
+pub type KeyEffect = (Vec<u8>, Option<Vec<u8>>);
+
+/// A WAL record: the key effects of one committed transaction, in the order they apply.  It is
+/// also the replication unit — a `LogBatch` ships commits in exactly these bytes.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Commit {
+    /// The transaction's effects: `(key, Some(value))` puts and `(key, None)` deletes.
+    pub effects: Vec<KeyEffect>,
 }
 
-impl LogRecord {
-    const TAG_BEGIN: u8 = 1;
-    const TAG_COMMIT: u8 = 2;
-    const TAG_ABORT: u8 = 3;
-    const TAG_PUT: u8 = 4;
-    const TAG_DELETE: u8 = 5;
+impl Commit {
+    const TAG_PUT: u8 = 1;
+    const TAG_DELETE: u8 = 2;
 
-    /// Serializes the record to bytes (without the frame header).
+    /// Serializes the commit (the frame payload, without the frame header).
     pub fn encode(&self) -> Vec<u8> {
         let mut e = Encoder::new();
-        match self {
-            LogRecord::Begin { txn } => {
-                e.put_u8(Self::TAG_BEGIN).put_u64(*txn);
-            }
-            LogRecord::Commit { txn } => {
-                e.put_u8(Self::TAG_COMMIT).put_u64(*txn);
-            }
-            LogRecord::Abort { txn } => {
-                e.put_u8(Self::TAG_ABORT).put_u64(*txn);
-            }
-            LogRecord::Put { txn, key, value } => {
-                e.put_u8(Self::TAG_PUT).put_u64(*txn).put_bytes(key).put_bytes(value);
-            }
-            LogRecord::Delete { txn, key } => {
-                e.put_u8(Self::TAG_DELETE).put_u64(*txn).put_bytes(key);
-            }
-        }
+        self.encode_into(&mut e);
         e.finish()
     }
 
-    /// Deserializes a record produced by [`LogRecord::encode`].
+    fn encode_into(&self, e: &mut Encoder) {
+        e.put_varint(self.effects.len() as u64);
+        for (key, value) in &self.effects {
+            match value {
+                Some(value) => e.put_u8(Self::TAG_PUT).put_bytes(key).put_bytes(value),
+                None => e.put_u8(Self::TAG_DELETE).put_bytes(key),
+            };
+        }
+    }
+
+    /// Deserializes a commit produced by [`Commit::encode`]; a payload that ends early or
+    /// carries trailing bytes is [`StorageError::Corrupt`].
     pub fn decode(bytes: &[u8]) -> StorageResult<Self> {
         let mut d = Decoder::new(bytes);
-        let tag = d.get_u8()?;
-        let rec = match tag {
-            Self::TAG_BEGIN => LogRecord::Begin { txn: d.get_u64()? },
-            Self::TAG_COMMIT => LogRecord::Commit { txn: d.get_u64()? },
-            Self::TAG_ABORT => LogRecord::Abort { txn: d.get_u64()? },
-            Self::TAG_PUT => LogRecord::Put {
-                txn: d.get_u64()?,
-                key: d.get_bytes()?.to_vec(),
-                value: d.get_bytes()?.to_vec(),
-            },
-            Self::TAG_DELETE => {
-                LogRecord::Delete { txn: d.get_u64()?, key: d.get_bytes()?.to_vec() }
-            }
-            other => return Err(StorageError::Corrupt(format!("unknown WAL record tag {other}"))),
-        };
-        Ok(rec)
+        let count = d.get_varint()? as usize;
+        // Every effect takes at least two bytes, so a lying count cannot over-allocate.
+        let mut effects = Vec::with_capacity(count.min(bytes.len() / 2));
+        for _ in 0..count {
+            let tag = d.get_u8()?;
+            let key = d.get_bytes()?.to_vec();
+            let value = match tag {
+                Self::TAG_PUT => Some(d.get_bytes()?.to_vec()),
+                Self::TAG_DELETE => None,
+                other => {
+                    return Err(StorageError::Corrupt(format!("unknown commit effect tag {other}")))
+                }
+            };
+            effects.push((key, value));
+        }
+        if !d.is_exhausted() {
+            return Err(StorageError::Corrupt(format!(
+                "{} trailing bytes after a commit",
+                d.remaining()
+            )));
+        }
+        Ok(Self { effects })
     }
 }
 
@@ -432,7 +431,8 @@ impl SegmentIo for MemorySegmentIo {
 // ----- segment format ---------------------------------------------------------------------------
 
 const SEGMENT_MAGIC: &[u8; 8] = b"SEEDWSEG";
-const SEGMENT_FORMAT_VERSION: u32 = 1;
+/// Version 2: one frame per commit.  A segment of any other version is refused at open.
+const SEGMENT_FORMAT_VERSION: u32 = 2;
 /// Bytes of the segment header: magic (8) + version (4) + base LSN (8) + CRC (4).
 pub const SEGMENT_HEADER_LEN: usize = 24;
 
@@ -444,54 +444,61 @@ fn segment_header(base: Lsn) -> Vec<u8> {
     e.finish()
 }
 
-/// Parses a segment header, returning its base LSN.  `None` means torn or foreign bytes — the
-/// segment is a rotation artifact (creation cut by a crash) and carries no acknowledged data.
-fn parse_segment_header(raw: &[u8]) -> Option<Lsn> {
-    if raw.len() < SEGMENT_HEADER_LEN || &raw[..8] != SEGMENT_MAGIC {
-        return None;
+/// Parses segment `id`'s header, returning its base LSN.  `Ok(None)` means torn bytes (short,
+/// bad magic or bad CRC): the segment is a rotation artifact (creation cut by a crash) and
+/// carries no acknowledged data.  An intact header of another format version is
+/// [`StorageError::Corrupt`]: the segment holds data this build cannot read, so nothing may
+/// treat it as torn and delete it.
+fn parse_segment_header(id: SegmentId, raw: &[u8]) -> StorageResult<Option<Lsn>> {
+    let Some(header) = raw.get(..SEGMENT_HEADER_LEN) else { return Ok(None) };
+    let (body, crc) = header.split_at(SEGMENT_HEADER_LEN - 4);
+    if &body[..8] != SEGMENT_MAGIC || crc32(body).to_le_bytes() != crc {
+        return Ok(None);
     }
-    let mut d = Decoder::new(&raw[..SEGMENT_HEADER_LEN]);
-    d.get_raw(8).ok()?;
-    let version = d.get_u32().ok()?;
-    let base = d.get_u64().ok()?;
-    let crc = d.get_u32().ok()?;
-    if version != SEGMENT_FORMAT_VERSION || crc != crc32(&raw[..SEGMENT_HEADER_LEN - 4]) {
-        return None;
+    let version = u32::from_le_bytes(body[8..12].try_into().expect("4 bytes"));
+    if version != SEGMENT_FORMAT_VERSION {
+        return Err(StorageError::Corrupt(format!(
+            "WAL segment {id} has format version {version}; this build reads only version \
+             {SEGMENT_FORMAT_VERSION} (resync the directory from a primary or a backup)"
+        )));
     }
-    Some(base)
+    Ok(Some(u64::from_le_bytes(body[12..20].try_into().expect("8 bytes"))))
 }
 
-fn frame_bytes(record: &LogRecord) -> Vec<u8> {
-    let payload = record.encode();
-    let mut frame = Vec::with_capacity(payload.len() + 8);
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-    frame.extend_from_slice(&payload);
+/// One commit as a frame: `len | crc | payload`, built in one buffer.
+fn frame_bytes(commit: &Commit) -> Vec<u8> {
+    let mut e = Encoder::new();
+    e.put_raw(&[0; 8]);
+    commit.encode_into(&mut e);
+    let mut frame = e.finish();
+    let len = u32::try_from(frame.len() - 8).expect("a commit is shorter than 4 GiB");
+    let crc = crc32(&frame[8..]);
+    frame[..4].copy_from_slice(&len.to_le_bytes());
+    frame[4..8].copy_from_slice(&crc.to_le_bytes());
     frame
 }
 
-/// One parsed run of frames: the decoded records at or past the asked cursor, the payload
+/// One parsed run of frames: the decoded commits at or past the asked cursor, the payload
 /// offset of every valid frame (one per frame), the byte length of the valid frame prefix, and
 /// whether that prefix covered every byte (`false` = a torn tail follows).
 struct SegmentParse {
-    records: Vec<(Lsn, LogRecord)>,
+    commits: Vec<(Lsn, Commit)>,
     offsets: Vec<u64>,
     valid_len: usize,
     complete: bool,
 }
 
 /// Walks a run of frames: a segment's payload (the bytes after the header), or the tail of the
-/// active segment from one of its frames on.  Records are numbered from `base + 1`; only those
+/// active segment from one of its frames on.  Commits are numbered from `base + 1`; only those
 /// with `lsn >= min_lsn` are decoded and returned, and every frame is CRC-checked.  Open (which
 /// is recovery) walks whole segments; a replication tail read starts at the cursor's frame (the
 /// active segment's frame index gives its offset), so it reads and checks only the new frames.
 /// Stops at the first truncated or checksum-failing frame — the standard WAL recovery rule.  A
-/// crash can tear the final (multi-frame, multi-sector) group-commit batch anywhere, including
-/// out of order: any frame past the first invalid one was never acknowledged (its batch's sync
-/// cannot have returned), so recovery keeps the valid prefix and discards the rest instead of
-/// refusing to open.
+/// crash can tear the last commit's frame anywhere (it may span sectors written out of order),
+/// and nothing past it was acknowledged (its sync cannot have returned), so recovery keeps the
+/// valid prefix and discards the rest instead of refusing to open.
 fn parse_segment(payload: &[u8], base: Lsn, min_lsn: Lsn) -> StorageResult<SegmentParse> {
-    let mut records = Vec::new();
+    let mut commits = Vec::new();
     let mut offsets = Vec::new();
     let mut pos = 0usize;
     let mut lsn: Lsn = base + 1;
@@ -507,13 +514,13 @@ fn parse_segment(payload: &[u8], base: Lsn, min_lsn: Lsn) -> StorageResult<Segme
             break;
         }
         if lsn >= min_lsn {
-            records.push((lsn, LogRecord::decode(frame)?));
+            commits.push((lsn, Commit::decode(frame)?));
         }
         offsets.push(pos as u64);
         pos += 8 + len;
         lsn += 1;
     }
-    Ok(SegmentParse { records, offsets, valid_len: pos, complete: pos == payload.len() })
+    Ok(SegmentParse { commits, offsets, valid_len: pos, complete: pos == payload.len() })
 }
 
 // ----- the log ----------------------------------------------------------------------------------
@@ -522,16 +529,16 @@ fn parse_segment(payload: &[u8], base: Lsn, min_lsn: Lsn) -> StorageResult<Segme
 #[derive(Debug, Clone)]
 struct Segment {
     id: SegmentId,
-    /// LSN before this segment's first record: its frames carry `base + 1 ..= base + records`.
+    /// LSN before this segment's first commit: its frames carry `base + 1 ..= base + commits`.
     base: Lsn,
-    records: u64,
+    commits: u64,
     /// Frame bytes (the header is excluded everywhere sizes are reported).
     bytes: u64,
 }
 
 impl Segment {
     fn end(&self) -> Lsn {
-        self.base + self.records
+        self.base + self.commits
     }
 }
 
@@ -581,11 +588,11 @@ impl WriteAheadLog {
     }
 
     /// Opens (or creates) a segmented log inside directory `dir`, returning it with the
-    /// records it holds (see [`WriteAheadLog::with_io`]).
+    /// commits it holds (see [`WriteAheadLog::with_io`]).
     pub fn open_dir(
         dir: impl AsRef<Path>,
         config: WalConfig,
-    ) -> StorageResult<(Self, Vec<(Lsn, LogRecord)>)> {
+    ) -> StorageResult<(Self, Vec<(Lsn, Commit)>)> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
         Self::with_io(Arc::new(FileSegmentIo::new(&dir)), config)
@@ -593,29 +600,30 @@ impl WriteAheadLog {
 
     /// Opens a log over an arbitrary [`SegmentIo`] — the injection point for fault-injection
     /// tests, and what [`WriteAheadLog::open_dir`] / [`WriteAheadLog::in_memory`] build on.
-    /// Returns the log together with every valid record it holds, in LSN order: the open walk
+    /// Returns the log together with every valid commit it holds, in LSN order: the open walk
     /// is the recovery read, so each segment is read, checked and decoded exactly once.
     ///
     /// Recovery scan: segments are walked in id order; the first torn segment header, torn or
     /// checksum-failing frame, or LSN discontinuity ends the valid prefix — the offending tail
     /// is physically truncated and every later segment deleted (bytes past the first invalid
     /// point were never acknowledged).  A missing-prefix discontinuity (older segments deleted
-    /// by an interrupted prune) instead drops the stale older segments, and their records,
+    /// by an interrupted prune) instead drops the stale older segments, and their commits,
     /// and keeps the newest contiguous run, which necessarily starts at or past the last
-    /// checkpoint.
+    /// checkpoint.  A segment of another format version fails the open with
+    /// [`StorageError::Corrupt`] before anything is repaired or deleted.
     pub fn with_io(
         io: Arc<dyn SegmentIo>,
         config: WalConfig,
-    ) -> StorageResult<(Self, Vec<(Lsn, LogRecord)>)> {
+    ) -> StorageResult<(Self, Vec<(Lsn, Commit)>)> {
         let ids = io.list()?;
         let mut segments: Vec<Segment> = Vec::new();
-        let mut records = Vec::new();
+        let mut commits = Vec::new();
         let mut active_offsets = Vec::new();
         let mut stale: Vec<SegmentId> = Vec::new();
         let mut invalid_from: Option<usize> = None;
         for (i, &id) in ids.iter().enumerate() {
             let raw = io.read(id)?;
-            let Some(base) = parse_segment_header(&raw) else {
+            let Some(base) = parse_segment_header(id, &raw)? else {
                 // Torn creation: the segment carries no acknowledged data.
                 invalid_from = Some(i);
                 break;
@@ -625,7 +633,7 @@ impl WriteAheadLog {
                     // A hole: only an interrupted oldest-first prune leaves one, so the run
                     // before the hole predates a checkpoint and the newest run wins.
                     stale.extend(segments.drain(..).map(|s| s.id));
-                    records.clear();
+                    commits.clear();
                 } else if base < prev.end() {
                     // Overlapping numbering cannot come from any crash of ours.
                     return Err(StorageError::Corrupt(format!(
@@ -638,10 +646,10 @@ impl WriteAheadLog {
             segments.push(Segment {
                 id,
                 base,
-                records: parse.offsets.len() as u64,
+                commits: parse.offsets.len() as u64,
                 bytes: parse.valid_len as u64,
             });
-            records.extend(parse.records);
+            commits.extend(parse.commits);
             active_offsets = parse.offsets;
             if !parse.complete {
                 io.truncate(id, (SEGMENT_HEADER_LEN + parse.valid_len) as u64)?;
@@ -660,40 +668,30 @@ impl WriteAheadLog {
         if segments.is_empty() {
             let id = ids.last().map_or(1, |last| last + 1);
             io.create(id, &segment_header(0))?;
-            segments.push(Segment { id, base: 0, records: 0, bytes: 0 });
+            segments.push(Segment { id, base: 0, commits: 0, bytes: 0 });
         }
         let next_lsn = segments.last().expect("non-empty").end() + 1;
         let pruned_to = segments[0].base;
         let state =
             WalState { segments, active_offsets, next_lsn, pruned_to, retention_floor: None };
-        Ok((Self { io, config, state: Mutex::new(state) }, records))
+        Ok((Self { io, config, state: Mutex::new(state) }, commits))
     }
 
-    /// Appends one record and syncs it, returning its LSN.
-    pub fn append(&self, record: &LogRecord) -> StorageResult<Lsn> {
-        self.append_batch(std::slice::from_ref(record))
-    }
-
-    /// Appends a batch of records with **one** backend write and syncs it — the group-commit
-    /// primitive: a committing transaction hands its `Begin`/`Put`/`Delete`/`Commit` frames over
-    /// in a single contiguous write, then syncs once.  Returns the LSN of the first record.  If
-    /// the active segment is already at the rotation threshold, the batch opens a fresh
-    /// segment — a batch never spans two.  When the write or the sync fails, the batch's frames
-    /// are cut off the segment again (best effort) and the log's counters stay where they were,
+    /// Appends one commit as one frame with **one** backend write and syncs it, returning its
+    /// LSN.  If the active segment is already at the rotation threshold, the commit opens a
+    /// fresh segment — a commit never spans two.  When the write or the sync fails, the frame
+    /// is cut off the segment again (best effort) and the log's counters stay where they were,
     /// so a reopen does not resurrect a commit that was reported failed.
-    pub fn append_batch(&self, records: &[LogRecord]) -> StorageResult<Lsn> {
+    pub fn append(&self, commit: &Commit) -> StorageResult<Lsn> {
         let start = Instant::now();
-        let mut frames = Vec::new();
-        for record in records {
-            frames.extend_from_slice(&frame_bytes(record));
-        }
+        let frame = frame_bytes(commit);
         let mut state = self.state.lock();
-        if !records.is_empty() && state.active().bytes >= self.config.segment_max_bytes {
+        if state.active().bytes >= self.config.segment_max_bytes {
             self.rotate_locked(&mut state)?;
         }
         let (id, bytes) = (state.active().id, state.active().bytes);
         let metrics = wal_metrics();
-        let written = self.io.append(id, &frames).and_then(|()| {
+        let written = self.io.append(id, &frame).and_then(|()| {
             metrics.append_us.observe_duration(start.elapsed());
             let synced = Instant::now();
             let result = self.io.sync(id);
@@ -704,19 +702,14 @@ impl WriteAheadLog {
             let _ = self.io.truncate(id, SEGMENT_HEADER_LEN as u64 + bytes);
             return Err(e);
         }
-        let mut pos = 0;
-        while pos < frames.len() {
-            state.active_offsets.push(bytes + pos as u64);
-            let len = u32::from_le_bytes(frames[pos..pos + 4].try_into().expect("4 bytes"));
-            pos += 8 + len as usize;
-        }
+        state.active_offsets.push(bytes);
         let active = state.active();
-        active.bytes += frames.len() as u64;
-        active.records += records.len() as u64;
-        let first = state.next_lsn;
-        state.next_lsn += records.len() as Lsn;
-        metrics.batch_records.observe(records.len() as u64);
-        Ok(first)
+        active.bytes += frame.len() as u64;
+        active.commits += 1;
+        let lsn = state.next_lsn;
+        state.next_lsn += 1;
+        metrics.batch_records.observe(1);
+        Ok(lsn)
     }
 
     /// Seals the active segment (sync, so nothing in it can tear after the new segment exists)
@@ -727,13 +720,13 @@ impl WriteAheadLog {
         let id = active.id + 1;
         let base = state.next_lsn - 1;
         self.io.create(id, &segment_header(base))?;
-        state.segments.push(Segment { id, base, records: 0, bytes: 0 });
+        state.segments.push(Segment { id, base, commits: 0, bytes: 0 });
         state.active_offsets.clear();
         wal_metrics().rotations.inc();
         Ok(())
     }
 
-    /// Forces appended records to durable storage (the active segment; sealed segments were
+    /// Forces appended commits to durable storage (the active segment; sealed segments were
     /// synced when they were sealed).
     pub fn sync(&self) -> StorageResult<()> {
         let start = Instant::now();
@@ -744,17 +737,17 @@ impl WriteAheadLog {
         result
     }
 
-    /// LSN that will be assigned to the next appended record.
+    /// LSN that will be assigned to the next appended commit.
     pub fn next_lsn(&self) -> Lsn {
         self.state.lock().next_lsn
     }
 
-    /// LSN of the last appended record (0 when nothing was ever appended).
+    /// LSN of the last appended commit (0 when nothing was ever appended).
     pub fn durable_lsn(&self) -> Lsn {
         self.state.lock().next_lsn - 1
     }
 
-    /// LSN before the oldest record still in the log (`base_lsn() + 1 ..` are readable).
+    /// LSN before the oldest commit still in the log (`base_lsn() + 1 ..` are readable).
     pub fn base_lsn(&self) -> Lsn {
         self.state.lock().segments[0].base
     }
@@ -790,7 +783,7 @@ impl WriteAheadLog {
         let active = state.segments.len() - 1;
         let mut out = Vec::new();
         for (i, seg) in state.segments.iter().enumerate() {
-            if seg.records == 0 || seg.end() < from {
+            if seg.commits == 0 || seg.end() < from {
                 continue;
             }
             let parse = if i == active {
@@ -804,7 +797,7 @@ impl WriteAheadLog {
                 let raw = self.io.read(seg.id)?;
                 parse_segment(&raw[SEGMENT_HEADER_LEN..], seg.base, from)?
             };
-            out.extend(parse.records);
+            out.extend(parse.commits);
             if !parse.complete {
                 break;
             }
@@ -815,11 +808,11 @@ impl WriteAheadLog {
     /// Checkpoint pruning: the log below `up_to` is covered by a snapshot.  Seals the active
     /// segment and deletes sealed segments that end at or below `up_to`, oldest-first, except
     /// those still needed by replication (see [`WriteAheadLog::set_retention_floor`]) within
-    /// the retention budget.  Records past `up_to` — commits appended while the snapshot was
+    /// the retention budget.  Commits past `up_to` — commits appended while the snapshot was
     /// being encoded — stay.  The LSN numbering is **not** reset: segment headers carry
     /// absolute bases, so the next append continues the sequence ([`WriteAheadLog::read_from`]
     /// cursors stay valid or report [`WalTail::Truncated`], never silently re-bind to
-    /// different records).
+    /// different commits).
     pub fn truncate(&self, up_to: Lsn) -> StorageResult<()> {
         let mut state = self.state.lock();
         if state.active().bytes > 0 {
@@ -864,48 +857,12 @@ impl WriteAheadLog {
     /// Frame bytes of the segments that start past the last checkpoint — what the engine's
     /// checkpoint policy watches.  Excludes segments retained purely for replication, so
     /// retention cannot retrigger checkpoints in a loop, and the one segment a checkpoint cut
-    /// in two (its records past the checkpoint still replay on recovery, but count toward no
+    /// in two (its commits past the checkpoint still replay on recovery, but count toward no
     /// new checkpoint: at most one segment's worth).
     pub fn uncheckpointed_bytes(&self) -> StorageResult<u64> {
         let state = self.state.lock();
         Ok(state.segments.iter().filter(|s| s.base >= state.pruned_to).map(|s| s.bytes).sum())
     }
-}
-
-/// One logged effect on a key: `Some(value)` for a put, `None` for a delete.
-pub type KeyEffect = (Vec<u8>, Option<Vec<u8>>);
-
-/// Replays a log into the set of committed key/value effects.
-///
-/// Effects of transactions without a `Commit` record are discarded, matching the paper's
-/// requirement that the database "permanently ensures consistency": only complete, checked
-/// transactions become visible.
-pub fn replay_committed(records: &[(Lsn, LogRecord)]) -> Vec<KeyEffect> {
-    use std::collections::HashMap;
-    let mut pending: HashMap<u64, Vec<KeyEffect>> = HashMap::new();
-    let mut committed: Vec<KeyEffect> = Vec::new();
-    for (_, rec) in records {
-        match rec {
-            LogRecord::Begin { txn } => {
-                pending.entry(*txn).or_default();
-            }
-            LogRecord::Put { txn, key, value } => {
-                pending.entry(*txn).or_default().push((key.clone(), Some(value.clone())));
-            }
-            LogRecord::Delete { txn, key } => {
-                pending.entry(*txn).or_default().push((key.clone(), None));
-            }
-            LogRecord::Commit { txn } => {
-                if let Some(effects) = pending.remove(txn) {
-                    committed.extend(effects);
-                }
-            }
-            LogRecord::Abort { txn } => {
-                pending.remove(txn);
-            }
-        }
-    }
-    committed
 }
 
 #[cfg(test)]
@@ -928,8 +885,8 @@ mod tests {
         segment_files(dir).pop().expect("at least one segment file")
     }
 
-    /// Every record the live log holds: the tail read from its first LSN.
-    fn records_of(wal: &WriteAheadLog) -> Vec<(Lsn, LogRecord)> {
+    /// Every commit the live log holds: the tail read from its first LSN.
+    fn records_of(wal: &WriteAheadLog) -> Vec<(Lsn, Commit)> {
         match wal.read_from(wal.base_lsn() + 1).unwrap() {
             WalTail::Records(records) => records,
             other => panic!("the log's first LSN is in the log, got {other:?}"),
@@ -949,51 +906,97 @@ mod tests {
         files.into_iter().map(|(_, p)| p).collect()
     }
 
+    /// A commit of one put.
+    fn put(key: &[u8], value: &[u8]) -> Commit {
+        Commit { effects: vec![(key.to_vec(), Some(value.to_vec()))] }
+    }
+
+    /// Commit number `n`: one put of a `payload`-byte value under a key naming it.
+    fn commit_batch(n: u64, payload: usize) -> Commit {
+        put(format!("k/{n:04}").as_bytes(), &vec![7; payload])
+    }
+
     #[test]
     fn record_encode_decode_roundtrip() {
-        let records = vec![
-            LogRecord::Begin { txn: 1 },
-            LogRecord::Put { txn: 1, key: b"obj/Alarms".to_vec(), value: b"data".to_vec() },
-            LogRecord::Delete { txn: 1, key: b"obj/Old".to_vec() },
-            LogRecord::Commit { txn: 1 },
-            LogRecord::Abort { txn: 2 },
-        ];
-        for rec in records {
-            let bytes = rec.encode();
-            assert_eq!(LogRecord::decode(&bytes).unwrap(), rec);
+        let commit = Commit {
+            effects: vec![
+                (b"obj/Alarms".to_vec(), Some(b"data".to_vec())),
+                (b"obj/Old".to_vec(), None),
+                (Vec::new(), Some(Vec::new())),
+            ],
+        };
+        let bytes = commit.encode();
+        assert_eq!(Commit::decode(&bytes).unwrap(), commit);
+        assert_eq!(Commit::decode(&Commit::default().encode()).unwrap(), Commit::default());
+        // A payload that ends early or runs on is corrupt, never a different commit.
+        for cut in 0..bytes.len() {
+            assert!(matches!(Commit::decode(&bytes[..cut]), Err(StorageError::Corrupt(_))));
         }
+        let mut longer = bytes;
+        longer.push(0);
+        assert!(matches!(Commit::decode(&longer), Err(StorageError::Corrupt(_))));
     }
 
     #[test]
     fn decode_unknown_tag_errors() {
-        assert!(LogRecord::decode(&[99, 0, 0]).is_err());
+        assert!(Commit::decode(&[1, 99, 0]).is_err());
     }
 
     #[test]
     fn segment_header_roundtrips_and_rejects_damage() {
         let header = segment_header(1234);
         assert_eq!(header.len(), SEGMENT_HEADER_LEN);
-        assert_eq!(parse_segment_header(&header), Some(1234));
-        assert_eq!(parse_segment_header(&header[..SEGMENT_HEADER_LEN - 1]), None, "torn header");
+        assert_eq!(parse_segment_header(1, &header).unwrap(), Some(1234));
+        let torn = parse_segment_header(1, &header[..SEGMENT_HEADER_LEN - 1]).unwrap();
+        assert_eq!(torn, None, "torn header");
         let mut flipped = header.clone();
         flipped[12] ^= 0xFF;
-        assert_eq!(parse_segment_header(&flipped), None, "corrupt header");
+        assert_eq!(parse_segment_header(1, &flipped).unwrap(), None, "corrupt header");
         let mut foreign = header;
         foreign[0] = b'X';
-        assert_eq!(parse_segment_header(&foreign), None, "foreign magic");
+        assert_eq!(parse_segment_header(1, &foreign).unwrap(), None, "foreign magic");
+    }
+
+    /// `raw` with its header rewritten to format `version`, magic and CRC intact.
+    fn with_format_version(raw: &[u8], version: u32) -> Vec<u8> {
+        let mut bytes = raw.to_vec();
+        bytes[8..12].copy_from_slice(&version.to_le_bytes());
+        let crc = crc32(&bytes[..SEGMENT_HEADER_LEN - 4]);
+        bytes[SEGMENT_HEADER_LEN - 4..SEGMENT_HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn a_segment_of_another_format_version_is_refused_and_kept() {
+        let io = Arc::new(MemorySegmentIo::new());
+        let (wal, _) = WriteAheadLog::with_io(io.clone(), WalConfig::default()).unwrap();
+        wal.append(&put(b"k", b"v")).unwrap();
+        drop(wal);
+        let other = SEGMENT_FORMAT_VERSION + 1;
+        let foreign = with_format_version(&io.read(1).unwrap(), other);
+        let io = Arc::new(MemorySegmentIo::from_segments(BTreeMap::from([(1, foreign.clone())])));
+        for open in [
+            WriteAheadLog::with_io(io.clone(), WalConfig::default()).map(drop),
+            crate::StorageEngine::with_io(io.clone(), crate::EngineConfig::default()).map(drop),
+        ] {
+            match open {
+                Err(StorageError::Corrupt(reason)) => {
+                    let versions = [other, SEGMENT_FORMAT_VERSION].map(|v| format!("version {v}"));
+                    assert!(versions.iter().all(|v| reason.contains(v)), "{reason}");
+                }
+                other => panic!("a segment of format {other:?} must be refused"),
+            }
+        }
+        assert_eq!(io.list().unwrap(), vec![1], "nothing deleted, nothing created");
+        assert_eq!(io.read(1).unwrap(), foreign, "the refused segment is left as it was");
     }
 
     #[test]
     fn memory_log_appends_and_reads_back() {
         let wal = WriteAheadLog::in_memory();
-        let l1 = wal.append(&LogRecord::Begin { txn: 7 }).unwrap();
-        let l2 = wal.append(&LogRecord::Commit { txn: 7 }).unwrap();
-        assert_eq!(l1, 1);
-        assert_eq!(l2, 2);
-        let all = records_of(&wal);
-        assert_eq!(all.len(), 2);
-        assert_eq!(all[0].1, LogRecord::Begin { txn: 7 });
-        assert_eq!(all[1].1, LogRecord::Commit { txn: 7 });
+        assert_eq!(wal.append(&put(b"a", b"1")).unwrap(), 1);
+        assert_eq!(wal.append(&put(b"b", b"2")).unwrap(), 2);
+        assert_eq!(records_of(&wal), vec![(1, put(b"a", b"1")), (2, put(b"b", b"2"))]);
     }
 
     #[test]
@@ -1001,11 +1004,9 @@ mod tests {
         let dir = temp_dir("reopen");
         {
             let (wal, _) = WriteAheadLog::open_dir(&dir, WalConfig::default()).unwrap();
-            wal.append(&LogRecord::Begin { txn: 1 }).unwrap();
-            wal.append(&LogRecord::Put { txn: 1, key: b"k".to_vec(), value: b"v".to_vec() })
-                .unwrap();
-            wal.append(&LogRecord::Commit { txn: 1 }).unwrap();
-            wal.sync().unwrap();
+            for n in 1..=3 {
+                wal.append(&commit_batch(n, 8)).unwrap();
+            }
         }
         {
             let (wal, all) = WriteAheadLog::open_dir(&dir, WalConfig::default()).unwrap();
@@ -1020,9 +1021,8 @@ mod tests {
         let dir = temp_dir("torn");
         {
             let (wal, _) = WriteAheadLog::open_dir(&dir, WalConfig::default()).unwrap();
-            wal.append(&LogRecord::Begin { txn: 1 }).unwrap();
-            wal.append(&LogRecord::Commit { txn: 1 }).unwrap();
-            wal.sync().unwrap();
+            wal.append(&commit_batch(1, 8)).unwrap();
+            wal.append(&commit_batch(2, 8)).unwrap();
         }
         // Simulate a torn write: append garbage that looks like the start of a frame.
         {
@@ -1040,18 +1040,10 @@ mod tests {
         let committed_file_len;
         {
             let (wal, _) = WriteAheadLog::open_dir(&dir, WalConfig::default()).unwrap();
-            wal.append(&LogRecord::Begin { txn: 1 }).unwrap();
-            wal.append(&LogRecord::Put { txn: 1, key: b"a".to_vec(), value: b"1".to_vec() })
-                .unwrap();
-            wal.append(&LogRecord::Commit { txn: 1 }).unwrap();
-            wal.sync().unwrap();
+            wal.append(&put(b"a", b"1")).unwrap();
             committed_file_len = std::fs::metadata(active_segment(&dir)).unwrap().len();
-            // A second transaction whose frames the crash will cut in half.
-            wal.append(&LogRecord::Begin { txn: 2 }).unwrap();
-            wal.append(&LogRecord::Put { txn: 2, key: b"b".to_vec(), value: b"2".to_vec() })
-                .unwrap();
-            wal.append(&LogRecord::Commit { txn: 2 }).unwrap();
-            wal.sync().unwrap();
+            // A second commit whose frame the crash will cut in half.
+            wal.append(&put(b"b", b"2")).unwrap();
         }
         // Crash mid-frame: cut the file a few bytes into the torn region.
         let seg = active_segment(&dir);
@@ -1059,52 +1051,13 @@ mod tests {
         std::fs::write(&seg, &full[..(committed_file_len as usize + 5)]).unwrap();
 
         let (wal, recovered) = WriteAheadLog::open_dir(&dir, WalConfig::default()).unwrap();
-        let records: Vec<LogRecord> = recovered.iter().map(|(_, r)| r.clone()).collect();
-        assert_eq!(
-            records,
-            vec![
-                LogRecord::Begin { txn: 1 },
-                LogRecord::Put { txn: 1, key: b"a".to_vec(), value: b"1".to_vec() },
-                LogRecord::Commit { txn: 1 },
-            ],
-            "recovery stops at the last valid committed frame"
-        );
-        let effects = replay_committed(&recovered);
-        assert_eq!(effects, vec![(b"a".to_vec(), Some(b"1".to_vec()))]);
+        assert_eq!(recovered, vec![(1, put(b"a", b"1"))], "recovery stops at the last whole frame");
         // The torn bytes were physically truncated, so new appends extend the valid prefix.
         assert_eq!(std::fs::metadata(&seg).unwrap().len(), committed_file_len);
-        wal.append(&LogRecord::Begin { txn: 3 }).unwrap();
-        wal.append(&LogRecord::Commit { txn: 3 }).unwrap();
-        wal.sync().unwrap();
+        assert_eq!(wal.append(&put(b"c", b"3")).unwrap(), 2, "the next commit takes LSN 2");
         drop(wal);
         let (_, all) = WriteAheadLog::open_dir(&dir, WalConfig::default()).unwrap();
-        assert_eq!(all.len(), 5, "appends after a torn tail stay readable");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn torn_tail_inside_uncommitted_transaction_is_dropped() {
-        let dir = temp_dir("torn-uncommitted");
-        {
-            let (wal, _) = WriteAheadLog::open_dir(&dir, WalConfig::default()).unwrap();
-            wal.append(&LogRecord::Begin { txn: 1 }).unwrap();
-            wal.append(&LogRecord::Put { txn: 1, key: b"k".to_vec(), value: b"v".to_vec() })
-                .unwrap();
-            wal.append(&LogRecord::Commit { txn: 1 }).unwrap();
-            // Uncommitted transaction, then the crash tears its last frame.
-            wal.append(&LogRecord::Begin { txn: 2 }).unwrap();
-            wal.append(&LogRecord::Put { txn: 2, key: b"x".to_vec(), value: b"y".to_vec() })
-                .unwrap();
-            wal.sync().unwrap();
-        }
-        let seg = active_segment(&dir);
-        let full = std::fs::read(&seg).unwrap();
-        std::fs::write(&seg, &full[..full.len() - 3]).unwrap();
-
-        let (_, records) = WriteAheadLog::open_dir(&dir, WalConfig::default()).unwrap();
-        assert_eq!(records.len(), 4, "only the torn frame is dropped");
-        let effects = replay_committed(&records);
-        assert_eq!(effects, vec![(b"k".to_vec(), Some(b"v".to_vec()))]);
+        assert_eq!(all, vec![(1, put(b"a", b"1")), (2, put(b"c", b"3"))]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1113,10 +1066,8 @@ mod tests {
         let dir = temp_dir("partial-final");
         {
             let (wal, _) = WriteAheadLog::open_dir(&dir, WalConfig::default()).unwrap();
-            wal.append(&LogRecord::Commit { txn: 1 }).unwrap();
-            wal.append(&LogRecord::Put { txn: 2, key: b"k".to_vec(), value: b"v".to_vec() })
-                .unwrap();
-            wal.sync().unwrap();
+            wal.append(&put(b"k", b"1")).unwrap();
+            wal.append(&put(b"k", b"2")).unwrap();
         }
         // Flip a byte inside the LAST frame's payload: a torn (partially written) tail frame,
         // not interior corruption — recovery must stop cleanly before it.
@@ -1128,47 +1079,49 @@ mod tests {
             std::fs::write(&seg, &bytes).unwrap();
         }
         let (_, records) = WriteAheadLog::open_dir(&dir, WalConfig::default()).unwrap();
-        assert_eq!(records.len(), 1);
-        assert_eq!(records[0].1, LogRecord::Commit { txn: 1 });
+        assert_eq!(records, vec![(1, put(b"k", b"1"))]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn append_batch_is_one_contiguous_write() {
-        let wal = WriteAheadLog::in_memory();
-        let first = wal
-            .append_batch(&[
-                LogRecord::Begin { txn: 9 },
-                LogRecord::Put { txn: 9, key: b"k".to_vec(), value: b"v".to_vec() },
-                LogRecord::Commit { txn: 9 },
-            ])
-            .unwrap();
-        assert_eq!(first, 1);
-        assert_eq!(wal.next_lsn(), 4);
-        let records: Vec<LogRecord> = records_of(&wal).into_iter().map(|(_, r)| r).collect();
-        assert_eq!(records.len(), 3);
-        assert_eq!(records[2], LogRecord::Commit { txn: 9 });
+    fn a_commit_is_one_frame_one_write_and_one_lsn() {
+        let io = Arc::new(MemorySegmentIo::new());
+        let (wal, _) = WriteAheadLog::with_io(io.clone(), WalConfig::default()).unwrap();
+        let commit = Commit {
+            effects: vec![
+                (b"k".to_vec(), Some(b"v".to_vec())),
+                (b"gone".to_vec(), None),
+                (b"big".to_vec(), Some(vec![1; 4096])),
+            ],
+        };
+        assert_eq!(wal.append(&commit).unwrap(), 1);
+        assert_eq!(wal.next_lsn(), 2, "three effects, one LSN");
+        // The segment holds `len | crc | payload` and nothing else, the payload being the
+        // commit's encoding — the bytes a `LogBatch` ships.
+        let payload = commit.encode();
+        let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
+        frame.extend_from_slice(&payload);
+        assert_eq!(io.read(1).unwrap()[SEGMENT_HEADER_LEN..], frame[..], "one frame");
+        assert_eq!(records_of(&wal), vec![(1, commit)]);
     }
 
     #[test]
     fn invalid_frame_truncates_log_from_there() {
         // Standard WAL recovery rule: everything past the first invalid frame was never
-        // acknowledged (its batch's sync cannot have returned), so recovery keeps the valid
-        // prefix and discards the rest rather than refusing to open.
+        // acknowledged (its sync cannot have returned), so recovery keeps the valid prefix and
+        // discards the rest rather than refusing to open.
         let dir = temp_dir("corrupt");
         let first_frame_end;
         {
             let (wal, _) = WriteAheadLog::open_dir(&dir, WalConfig::default()).unwrap();
-            wal.append(&LogRecord::Begin { txn: 1 }).unwrap();
-            wal.sync().unwrap();
+            wal.append(&put(b"first", b"1")).unwrap();
             first_frame_end = std::fs::metadata(active_segment(&dir)).unwrap().len();
-            wal.append(&LogRecord::Put { txn: 1, key: b"key".to_vec(), value: b"value".to_vec() })
-                .unwrap();
-            wal.append(&LogRecord::Commit { txn: 1 }).unwrap();
-            wal.sync().unwrap();
+            wal.append(&put(b"key", b"value")).unwrap();
+            wal.append(&put(b"last", b"3")).unwrap();
         }
-        // Tear the middle frame (out-of-order batch persistence): bytes of the final frame
-        // still exist after the invalid one.
+        // Tear the middle frame (out-of-order persistence): the final frame's bytes still exist
+        // after the invalid one.
         let seg = active_segment(&dir);
         {
             let mut bytes = std::fs::read(&seg).unwrap();
@@ -1176,8 +1129,7 @@ mod tests {
             std::fs::write(&seg, &bytes).unwrap();
         }
         let (_, records) = WriteAheadLog::open_dir(&dir, WalConfig::default()).unwrap();
-        assert_eq!(records.len(), 1, "valid prefix kept, torn batch discarded");
-        assert_eq!(records[0].1, LogRecord::Begin { txn: 1 });
+        assert_eq!(records, vec![(1, put(b"first", b"1"))], "valid prefix kept, the rest cut");
         assert_eq!(
             std::fs::metadata(&seg).unwrap().len(),
             first_frame_end,
@@ -1189,29 +1141,28 @@ mod tests {
     #[test]
     fn truncate_clears_bytes_but_keeps_the_lsn_sequence() {
         let wal = WriteAheadLog::in_memory();
-        wal.append(&LogRecord::Begin { txn: 1 }).unwrap();
+        wal.append(&commit_batch(1, 8)).unwrap();
         wal.truncate(wal.durable_lsn()).unwrap();
         assert_eq!(records_of(&wal).len(), 0);
         assert_eq!(wal.next_lsn(), 2, "absolute LSNs survive truncation");
         assert_eq!(wal.base_lsn(), 1);
         assert_eq!(wal.size_bytes().unwrap(), 0);
         // The next append continues the sequence.
-        assert_eq!(wal.append(&LogRecord::Commit { txn: 1 }).unwrap(), 2);
-        assert_eq!(records_of(&wal), vec![(2, LogRecord::Commit { txn: 1 })]);
+        assert_eq!(wal.append(&commit_batch(2, 8)).unwrap(), 2);
+        assert_eq!(records_of(&wal), vec![(2, commit_batch(2, 8))]);
     }
 
     #[test]
     fn read_from_serves_the_tail_and_reports_truncation() {
         let wal = WriteAheadLog::in_memory();
-        for txn in 1..=3 {
-            wal.append(&LogRecord::Begin { txn }).unwrap();
-            wal.append(&LogRecord::Commit { txn }).unwrap();
+        for n in 1..=6 {
+            wal.append(&commit_batch(n, 8)).unwrap();
         }
-        // Mid-log cursor: records 4..=6.
+        // Mid-log cursor: commits 4..=6.
         match wal.read_from(4).unwrap() {
             WalTail::Records(recs) => {
                 assert_eq!(recs.len(), 3);
-                assert_eq!(recs[0], (4, LogRecord::Commit { txn: 2 }));
+                assert_eq!(recs[0], (4, commit_batch(4, 8)));
             }
             other => panic!("expected records, got {other:?}"),
         }
@@ -1223,9 +1174,9 @@ mod tests {
         wal.truncate(wal.durable_lsn()).unwrap();
         assert!(matches!(wal.read_from(3).unwrap(), WalTail::Truncated { oldest: 7 }));
         assert_eq!(wal.read_from(7).unwrap(), WalTail::Records(vec![]));
-        wal.append(&LogRecord::Begin { txn: 9 }).unwrap();
+        wal.append(&commit_batch(9, 8)).unwrap();
         match wal.read_from(7).unwrap() {
-            WalTail::Records(recs) => assert_eq!(recs, vec![(7, LogRecord::Begin { txn: 9 })]),
+            WalTail::Records(recs) => assert_eq!(recs, vec![(7, commit_batch(9, 8))]),
             other => panic!("expected records, got {other:?}"),
         }
     }
@@ -1235,18 +1186,16 @@ mod tests {
         let dir = temp_dir("base-reopen");
         {
             let (wal, _) = WriteAheadLog::open_dir(&dir, WalConfig::default()).unwrap();
-            wal.append(&LogRecord::Begin { txn: 1 }).unwrap();
-            wal.append(&LogRecord::Commit { txn: 1 }).unwrap();
-            wal.sync().unwrap();
+            wal.append(&commit_batch(1, 8)).unwrap();
+            wal.append(&commit_batch(2, 8)).unwrap();
             wal.truncate(wal.durable_lsn()).unwrap();
-            wal.append(&LogRecord::Begin { txn: 2 }).unwrap();
-            wal.sync().unwrap();
+            wal.append(&commit_batch(3, 8)).unwrap();
         }
         {
             let (wal, records) = WriteAheadLog::open_dir(&dir, WalConfig::default()).unwrap();
             assert_eq!(wal.base_lsn(), 2, "base restored from the segment header");
             assert_eq!(wal.next_lsn(), 4);
-            assert_eq!(records, vec![(3, LogRecord::Begin { txn: 2 })]);
+            assert_eq!(records, vec![(3, commit_batch(3, 8))]);
             assert!(matches!(wal.read_from(1).unwrap(), WalTail::Truncated { oldest: 3 }));
         }
         let _ = std::fs::remove_dir_all(&dir);
@@ -1256,38 +1205,23 @@ mod tests {
         WalConfig { segment_max_bytes: cap, ..WalConfig::default() }
     }
 
-    fn commit_batch(txn: u64, payload: usize) -> Vec<LogRecord> {
-        vec![
-            LogRecord::Begin { txn },
-            LogRecord::Put {
-                txn,
-                key: format!("k/{txn:04}").into_bytes(),
-                value: vec![7; payload],
-            },
-            LogRecord::Commit { txn },
-        ]
-    }
-
     #[test]
     fn rotation_splits_the_log_across_segment_files() {
         let dir = temp_dir("rotate");
         {
             let (wal, _) = WriteAheadLog::open_dir(&dir, small_cap(128)).unwrap();
-            for txn in 1..=10 {
-                wal.append_batch(&commit_batch(txn, 48)).unwrap();
-                wal.sync().unwrap();
+            for n in 1..=10 {
+                wal.append(&commit_batch(n, 48)).unwrap();
             }
             assert!(wal.segment_count() > 1, "small cap must force rotations");
             assert_eq!(segment_files(&dir).len(), wal.segment_count());
-            let all = records_of(&wal);
-            assert_eq!(all.len(), 30);
-            let lsns: Vec<Lsn> = all.iter().map(|(l, _)| *l).collect();
-            assert_eq!(lsns, (1..=30).collect::<Vec<_>>(), "LSNs stay contiguous across files");
+            let lsns: Vec<Lsn> = records_of(&wal).iter().map(|(l, _)| *l).collect();
+            assert_eq!(lsns, (1..=10).collect::<Vec<_>>(), "LSNs stay contiguous across files");
         }
         {
             let (wal, all) = WriteAheadLog::open_dir(&dir, small_cap(128)).unwrap();
-            assert_eq!(all.len(), 30);
-            assert_eq!(wal.next_lsn(), 31);
+            assert_eq!(all.len(), 10);
+            assert_eq!(wal.next_lsn(), 11);
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1295,13 +1229,14 @@ mod tests {
     #[test]
     fn a_batch_never_spans_two_segments() {
         let wal = WriteAheadLog::in_memory_with(small_cap(64));
-        for txn in 1..=6 {
-            wal.append_batch(&commit_batch(txn, 100)).unwrap();
+        for n in 1..=6 {
+            wal.append(&commit_batch(n, 100)).unwrap();
         }
-        // Every batch rotated into its own segment: records per segment divisible by 3.
+        // Every commit outgrows the cap, so each one rotated into a segment of its own.
+        let frame = frame_bytes(&commit_batch(1, 100)).len() as u64;
         let state = wal.state.lock();
-        for seg in state.segments.iter().filter(|s| s.records > 0) {
-            assert_eq!(seg.records % 3, 0, "segment holds whole batches only");
+        for seg in state.segments.iter().filter(|s| s.commits > 0) {
+            assert_eq!((seg.commits, seg.bytes), (1, frame), "segment holds whole commits only");
         }
     }
 
@@ -1309,10 +1244,9 @@ mod tests {
     fn truncate_prunes_whole_sealed_segments() {
         let dir = temp_dir("prune");
         let (wal, _) = WriteAheadLog::open_dir(&dir, small_cap(128)).unwrap();
-        for txn in 1..=10 {
-            wal.append_batch(&commit_batch(txn, 48)).unwrap();
+        for n in 1..=10 {
+            wal.append(&commit_batch(n, 48)).unwrap();
         }
-        wal.sync().unwrap();
         let end = wal.durable_lsn();
         assert!(segment_files(&dir).len() > 1);
         wal.truncate(wal.durable_lsn()).unwrap();
@@ -1326,8 +1260,8 @@ mod tests {
     #[test]
     fn retention_floor_keeps_segments_a_subscriber_still_needs() {
         let wal = WriteAheadLog::in_memory_with(small_cap(128));
-        for txn in 1..=10 {
-            wal.append_batch(&commit_batch(txn, 48)).unwrap();
+        for n in 1..=10 {
+            wal.append(&commit_batch(n, 48)).unwrap();
         }
         let end = wal.durable_lsn();
         let cursor = end - 7; // a lagging subscriber's next LSN
@@ -1354,8 +1288,8 @@ mod tests {
             segment_max_bytes: 128,
             retention_budget_bytes: 0,
         });
-        for txn in 1..=10 {
-            wal.append_batch(&commit_batch(txn, 48)).unwrap();
+        for n in 1..=10 {
+            wal.append(&commit_batch(n, 48)).unwrap();
         }
         wal.set_retention_floor(Some(2));
         wal.truncate(wal.durable_lsn()).unwrap();
@@ -1428,48 +1362,38 @@ mod tests {
     fn tail_read_of_a_caught_up_cursor_reads_only_the_new_frames() {
         let io = Arc::new(CountingIo::default());
         let (wal, _) = WriteAheadLog::with_io(io.clone(), WalConfig::default()).unwrap();
-        let mut last = Vec::new();
-        for txn in 1..=1000 {
-            last = commit_batch(txn, 64);
-            wal.append_batch(&last).unwrap();
+        for n in 1..=1000 {
+            wal.append(&commit_batch(n, 64)).unwrap();
         }
-        assert_eq!(wal.segment_count(), 1, "every batch sits in the active segment");
-        let batch_bytes: usize = last.iter().map(|r| frame_bytes(r).len()).sum();
+        assert_eq!(wal.segment_count(), 1, "every commit sits in the active segment");
+        let last = commit_batch(1000, 64);
+        let frame = frame_bytes(&last).len();
         io.take_read_bytes();
 
         let end = wal.durable_lsn();
         let WalTail::Records(tail) = wal.read_from(end).unwrap() else { panic!("in the log") };
-        assert_eq!(tail, vec![(end, last[last.len() - 1].clone())]);
+        assert_eq!(tail, vec![(end, last)]);
         let read = io.take_read_bytes();
-        assert!(
-            read < 2 * batch_bytes,
-            "read {read} bytes for one frame of a {batch_bytes}-byte batch"
-        );
-
-        let first = end + 1 - last.len() as Lsn;
-        let WalTail::Records(tail) = wal.read_from(first).unwrap() else { panic!("in the log") };
-        assert_eq!(tail.into_iter().map(|(_, r)| r).collect::<Vec<_>>(), last);
-        let read = io.take_read_bytes();
-        assert!(read < 2 * batch_bytes, "read {read} bytes for a {batch_bytes}-byte batch");
+        assert!(read < 2 * frame, "read {read} bytes for one {frame}-byte frame");
 
         assert_eq!(wal.read_from(end + 1).unwrap(), WalTail::Records(Vec::new()));
         assert_eq!(io.take_read_bytes(), 0, "a caught-up cursor reads nothing");
     }
 
-    /// Appends `batch` to `wal` and to `log`, the model of every record ever appended.
-    fn append_logged(wal: &WriteAheadLog, log: &mut Vec<(Lsn, LogRecord)>, batch: Vec<LogRecord>) {
-        let first = wal.append_batch(&batch).unwrap();
-        log.extend((first..).zip(batch));
+    /// Appends `commit` to `wal` and to `log`, the model of every commit ever appended.
+    fn append_logged(wal: &WriteAheadLog, log: &mut Vec<(Lsn, Commit)>, commit: Commit) {
+        let lsn = wal.append(&commit).unwrap();
+        log.push((lsn, commit));
     }
 
-    /// The records of `log` the live log still holds: those past its base.
-    fn held(wal: &WriteAheadLog, log: &[(Lsn, LogRecord)]) -> Vec<(Lsn, LogRecord)> {
+    /// The commits of `log` the live log still holds: those past its base.
+    fn held(wal: &WriteAheadLog, log: &[(Lsn, Commit)]) -> Vec<(Lsn, Commit)> {
         log.iter().filter(|(lsn, _)| *lsn > wal.base_lsn()).cloned().collect()
     }
 
     #[test]
     fn tail_read_matches_the_full_log_for_every_cursor_across_reopen() {
-        fn check_every_cursor(wal: &WriteAheadLog, log: &[(Lsn, LogRecord)]) {
+        fn check_every_cursor(wal: &WriteAheadLog, log: &[(Lsn, Commit)]) {
             assert_eq!(wal.durable_lsn(), log.last().map_or(0, |(lsn, _)| *lsn));
             for from in wal.base_lsn() + 1..=wal.durable_lsn() + 1 {
                 let expected: Vec<_> =
@@ -1480,20 +1404,20 @@ mod tests {
         let dir = temp_dir("tail-read-reopen");
         let mut log = Vec::new();
         {
-            let (wal, _) = WriteAheadLog::open_dir(&dir, small_cap(1024)).unwrap();
-            for txn in 1..=12 {
-                append_logged(&wal, &mut log, commit_batch(txn, 40 + txn as usize));
+            let (wal, _) = WriteAheadLog::open_dir(&dir, small_cap(512)).unwrap();
+            for n in 1..=12 {
+                append_logged(&wal, &mut log, commit_batch(n, 40 + n as usize));
             }
             assert!(wal.segment_count() > 1, "sealed segments and an active one");
             check_every_cursor(&wal, &log);
         }
         // The reopen rebuilds the active segment's frame index from disk.
-        let (wal, recovered) = WriteAheadLog::open_dir(&dir, small_cap(1024)).unwrap();
+        let (wal, recovered) = WriteAheadLog::open_dir(&dir, small_cap(512)).unwrap();
         assert_eq!(recovered, log);
         check_every_cursor(&wal, &log);
         // Appends after the reopen extend the rebuilt index, and a rotation restarts it.
-        for txn in 13..=30 {
-            append_logged(&wal, &mut log, commit_batch(txn, 40));
+        for n in 13..=30 {
+            append_logged(&wal, &mut log, commit_batch(n, 40));
             check_every_cursor(&wal, &log);
         }
         wal.truncate(wal.durable_lsn() - 5).unwrap();
@@ -1501,7 +1425,7 @@ mod tests {
         check_every_cursor(&wal, &log);
         let kept = held(&wal, &log);
         drop(wal);
-        let (_, recovered) = WriteAheadLog::open_dir(&dir, small_cap(1024)).unwrap();
+        let (_, recovered) = WriteAheadLog::open_dir(&dir, small_cap(512)).unwrap();
         assert_eq!(recovered, kept, "a reopen hands over what the live log held");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1511,10 +1435,9 @@ mod tests {
         let dir = temp_dir("torn-rotation");
         {
             let (wal, _) = WriteAheadLog::open_dir(&dir, small_cap(64)).unwrap();
-            for txn in 1..=3 {
-                wal.append_batch(&commit_batch(txn, 32)).unwrap();
+            for n in 1..=3 {
+                wal.append(&commit_batch(n, 32)).unwrap();
             }
-            wal.sync().unwrap();
         }
         // A crash mid-rotation leaves a new segment whose header write was cut short.
         let next_id = segment_files(&dir).len() as SegmentId + 1;
@@ -1522,9 +1445,8 @@ mod tests {
         std::fs::write(&artifact, &segment_header(999)[..7]).unwrap();
         let (wal, records) = WriteAheadLog::open_dir(&dir, small_cap(64)).unwrap();
         assert!(!artifact.exists(), "rotation artifact removed");
-        assert_eq!(records.len(), 9, "sealed records all survive");
-        wal.append(&LogRecord::Begin { txn: 4 }).unwrap();
-        assert_eq!(records_of(&wal).len(), 10, "appends continue after cleanup");
+        assert_eq!(records.len(), 3, "sealed commits all survive");
+        assert_eq!(wal.append(&commit_batch(4, 32)).unwrap(), 4, "appends continue after cleanup");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1533,10 +1455,9 @@ mod tests {
         let dir = temp_dir("torn-prune");
         {
             let (wal, _) = WriteAheadLog::open_dir(&dir, small_cap(64)).unwrap();
-            for txn in 1..=4 {
-                wal.append_batch(&commit_batch(txn, 48)).unwrap();
+            for n in 1..=4 {
+                wal.append(&commit_batch(n, 48)).unwrap();
             }
-            wal.sync().unwrap();
             assert!(wal.segment_count() >= 3);
         }
         // A prune interrupted out of order would leave a hole; recovery must keep the run
@@ -1547,12 +1468,12 @@ mod tests {
         assert!(!files[0].exists(), "stale pre-hole segment deleted");
         assert_eq!(all, records_of(&wal), "nothing from the stale segments is handed over");
         assert!(!all.is_empty());
-        assert!(all[0].0 > 1, "records before the hole are gone");
+        assert!(all[0].0 > 1, "commits before the hole are gone");
         let lsns: Vec<Lsn> = all.iter().map(|(l, _)| *l).collect();
         assert_eq!(
             lsns,
             (all[0].0..=all[all.len() - 1].0).collect::<Vec<_>>(),
-            "surviving records are contiguous"
+            "surviving commits are contiguous"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1563,14 +1484,13 @@ mod tests {
         let mut log = Vec::new();
         {
             let (wal, _) = WriteAheadLog::open_dir(&dir, small_cap(96)).unwrap();
-            for txn in 1..=12 {
-                append_logged(&wal, &mut log, commit_batch(txn, 40));
+            for n in 1..=12 {
+                append_logged(&wal, &mut log, commit_batch(n, 40));
             }
-            wal.sync().unwrap();
             assert!(wal.segment_count() > 2);
         }
         let (wal, recovered) = WriteAheadLog::open_dir(&dir, small_cap(96)).unwrap();
-        assert_eq!(recovered, log, "every record of every segment, in LSN order");
+        assert_eq!(recovered, log, "every commit of every segment, in LSN order");
         drop(wal);
         // Tear the active segment's tail: open hands over a strict prefix, the live log agrees.
         let seg = active_segment(&dir);
@@ -1589,8 +1509,8 @@ mod tests {
         let commits = 40;
         let segments = {
             let (wal, _) = WriteAheadLog::with_io(io.clone(), small_cap(256)).unwrap();
-            for txn in 1..=commits {
-                wal.append_batch(&commit_batch(txn, 48)).unwrap();
+            for n in 1..=commits {
+                wal.append(&commit_batch(n, 48)).unwrap();
             }
             wal.segment_count()
         };
@@ -1603,33 +1523,15 @@ mod tests {
     }
 
     #[test]
-    fn replay_skips_uncommitted_and_aborted() {
-        let records = vec![
-            (1, LogRecord::Begin { txn: 1 }),
-            (2, LogRecord::Put { txn: 1, key: b"a".to_vec(), value: b"1".to_vec() }),
-            (3, LogRecord::Begin { txn: 2 }),
-            (4, LogRecord::Put { txn: 2, key: b"b".to_vec(), value: b"2".to_vec() }),
-            (5, LogRecord::Commit { txn: 1 }),
-            (6, LogRecord::Abort { txn: 2 }),
-            (7, LogRecord::Begin { txn: 3 }),
-            (8, LogRecord::Put { txn: 3, key: b"c".to_vec(), value: b"3".to_vec() }),
-            // txn 3 never commits (crash), must not appear.
-        ];
-        let effects = replay_committed(&records);
-        assert_eq!(effects, vec![(b"a".to_vec(), Some(b"1".to_vec()))]);
-    }
-
-    #[test]
     fn replay_preserves_delete_effects() {
-        let records = vec![
-            (1, LogRecord::Begin { txn: 1 }),
-            (2, LogRecord::Put { txn: 1, key: b"x".to_vec(), value: b"1".to_vec() }),
-            (3, LogRecord::Delete { txn: 1, key: b"x".to_vec() }),
-            (4, LogRecord::Commit { txn: 1 }),
-        ];
-        let effects = replay_committed(&records);
-        assert_eq!(effects.len(), 2);
-        assert_eq!(effects[1], (b"x".to_vec(), None));
+        let io = Arc::new(MemorySegmentIo::new());
+        let (wal, _) = WriteAheadLog::with_io(io.clone(), WalConfig::default()).unwrap();
+        let commit =
+            Commit { effects: vec![(b"x".to_vec(), Some(b"1".to_vec())), (b"x".to_vec(), None)] };
+        wal.append(&commit).unwrap();
+        drop(wal);
+        let (_, recovered) = WriteAheadLog::with_io(io, WalConfig::default()).unwrap();
+        assert_eq!(recovered, vec![(1, commit)], "a commit's effects come back in order");
     }
 }
 
@@ -1638,38 +1540,30 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
-    fn arb_record() -> impl Strategy<Value = LogRecord> {
-        prop_oneof![
-            any::<u64>().prop_map(|txn| LogRecord::Begin { txn }),
-            any::<u64>().prop_map(|txn| LogRecord::Commit { txn }),
-            any::<u64>().prop_map(|txn| LogRecord::Abort { txn }),
-            (
-                any::<u64>(),
-                proptest::collection::vec(any::<u8>(), 0..64),
-                proptest::collection::vec(any::<u8>(), 0..64)
-            )
-                .prop_map(|(txn, key, value)| LogRecord::Put { txn, key, value }),
-            (any::<u64>(), proptest::collection::vec(any::<u8>(), 0..64))
-                .prop_map(|(txn, key)| LogRecord::Delete { txn, key }),
-        ]
+    fn arb_record() -> impl Strategy<Value = Commit> {
+        let effect = (
+            proptest::collection::vec(any::<u8>(), 0..64),
+            proptest::option::of(proptest::collection::vec(any::<u8>(), 0..64)),
+        );
+        proptest::collection::vec(effect, 0..6).prop_map(|effects| Commit { effects })
     }
 
     proptest! {
         #[test]
-        fn any_record_roundtrips(rec in arb_record()) {
-            prop_assert_eq!(LogRecord::decode(&rec.encode()).unwrap(), rec);
+        fn any_record_roundtrips(commit in arb_record()) {
+            prop_assert_eq!(Commit::decode(&commit.encode()).unwrap(), commit);
         }
 
         #[test]
-        fn log_preserves_order(records in proptest::collection::vec(arb_record(), 0..50)) {
+        fn log_preserves_order(commits in proptest::collection::vec(arb_record(), 0..50)) {
             let wal = WriteAheadLog::in_memory();
-            for r in &records {
-                wal.append(r).unwrap();
+            for c in &commits {
+                wal.append(c).unwrap();
             }
             let WalTail::Records(read) = wal.read_from(1).unwrap() else {
                 panic!("LSN 1 is the log's first");
             };
-            prop_assert_eq!(read.into_iter().map(|(_, r)| r).collect::<Vec<_>>(), records);
+            prop_assert_eq!(read.into_iter().map(|(_, c)| c).collect::<Vec<_>>(), commits);
         }
     }
 
@@ -1679,13 +1573,10 @@ mod proptests {
         /// The segmentation tentpole's core property: random commit-size sequences over an
         /// arbitrary segment cap recover identically to the single-file oracle (a log whose cap
         /// never rotates), across checkpoints and a simulated restart — live, the full tail
-        /// reads agree; reopened, the records each open hands over agree.
+        /// reads agree; reopened, the commits each open hands over agree.
         #[test]
         fn segmented_log_matches_single_file_oracle(
-            steps in proptest::collection::vec(
-                (proptest::collection::vec(arb_record(), 1..6), any::<bool>()),
-                1..24,
-            ),
+            steps in proptest::collection::vec((arb_record(), any::<bool>()), 1..24),
             cap in 16u64..512,
         ) {
             let io = Arc::new(MemorySegmentIo::new());
@@ -1696,11 +1587,8 @@ mod proptests {
             let (oracle, _) =
                 WriteAheadLog::with_io(oracle_io.clone(), oracle_config.clone()).unwrap();
             let all = |log: &WriteAheadLog| log.read_from(log.base_lsn() + 1).unwrap();
-            for (batch, checkpoint) in &steps {
-                prop_assert_eq!(
-                    wal.append_batch(batch).unwrap(),
-                    oracle.append_batch(batch).unwrap()
-                );
+            for (commit, checkpoint) in &steps {
+                prop_assert_eq!(wal.append(commit).unwrap(), oracle.append(commit).unwrap());
                 if *checkpoint {
                     wal.truncate(wal.durable_lsn()).unwrap();
                     oracle.truncate(oracle.durable_lsn()).unwrap();

@@ -14,12 +14,12 @@
 //! asserts the recovery contract:
 //!
 //! * recovery always succeeds (no crash state is unopenable),
-//! * the recovered effects are a **contiguous run of whole transactions** — never a torn or
+//! * the recovered effects are a **contiguous run of whole commits** — never a torn or
 //!   reordered one,
-//! * every transaction whose commit sync was acknowledged before the crash (and that a
-//!   checkpoint had not already pruned) is recovered,
-//! * the records the open hands over are exactly what the reopened log serves from its first
-//!   LSN, and a second reopen hands over the same records.
+//! * every commit whose sync was acknowledged before the crash (and that a checkpoint had not
+//!   already pruned) is recovered,
+//! * the commits the open hands over are exactly what the reopened log serves from its first
+//!   LSN, and a second reopen hands over the same commits.
 //!
 //! The engine-level sweep drives commits, rotations, prunes and model-driven checkpoints (due
 //! ones, an explicit one, one whose image predates the last commit, and a replica-style reset)
@@ -32,8 +32,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use seed_storage::wal::{
-    replay_committed, LogRecord, MemorySegmentIo, SegmentId, SegmentIo, WalConfig, WalTail,
-    WriteAheadLog,
+    Commit, MemorySegmentIo, SegmentId, SegmentIo, WalConfig, WalTail, WriteAheadLog,
 };
 use seed_storage::{
     EngineConfig, ImageWriter, SnapshotImage, StorageEngine, StorageError, StorageResult,
@@ -204,18 +203,10 @@ fn harness_config() -> WalConfig {
 
 const TXNS: u64 = 12;
 
-/// One committed transaction's batch: `Begin` / `Put` / `Commit`, with the key naming the
-/// transaction so recovered effects identify which transactions survived.
-fn batch(txn: u64) -> Vec<LogRecord> {
-    vec![
-        LogRecord::Begin { txn },
-        LogRecord::Put {
-            txn,
-            key: format!("txn/{txn:04}").into_bytes(),
-            value: vec![txn as u8; 24],
-        },
-        LogRecord::Commit { txn },
-    ]
+/// Transaction `txn`'s commit: one put whose key names the transaction, so recovered effects
+/// identify which transactions survived.
+fn commit(txn: u64) -> Commit {
+    Commit { effects: vec![(format!("txn/{txn:04}").into_bytes(), Some(vec![txn as u8; 24]))] }
 }
 
 /// Drives the workload until it finishes or the crash point kills an operation.  Returns the
@@ -226,15 +217,12 @@ fn run_workload(wal: &WriteAheadLog) -> (Vec<u64>, Vec<u64>) {
     let mut acked = Vec::new();
     let mut pruned = Vec::new();
     for txn in 1..=TXNS {
-        if wal.append_batch(&batch(txn)).is_err() {
-            break;
-        }
-        if wal.sync().is_err() {
+        if wal.append(&commit(txn)).is_err() {
             break;
         }
         acked.push(txn);
         // Checkpoint prune without subscribers after txn 4 (drops everything), and with a
-        // lagging subscriber pinned at txn 7's records after txn 8 (torn deletion of the
+        // lagging subscriber pinned at txn 7's commit after txn 8 (torn deletion of the
         // segments below the floor, retention of the rest).
         if txn == 4 {
             wal.set_retention_floor(None);
@@ -244,9 +232,8 @@ fn run_workload(wal: &WriteAheadLog) -> (Vec<u64>, Vec<u64>) {
             pruned = (1..=4).collect();
         }
         if txn == 8 {
-            // Txn 7's batch starts at LSN 19 (6 records per txn pair... exactly: 3 per txn).
-            let floor = 3 * 6 + 1; // first LSN of txn 7
-            wal.set_retention_floor(Some(floor));
+            // One commit per LSN: txn 7's commit is LSN 7.
+            wal.set_retention_floor(Some(7));
             if wal.truncate(wal.durable_lsn()).is_err() {
                 break;
             }
@@ -263,9 +250,10 @@ fn recover(survivors: BTreeMap<SegmentId, Vec<u8>>) -> (Vec<u64>, Vec<u64>) {
     let WalTail::Records(served) = wal.read_from(wal.base_lsn() + 1).expect("tail read") else {
         panic!("the log's first LSN must be in the log");
     };
-    assert_eq!(records, served, "open hands over exactly the records the log serves");
-    let txns = replay_committed(&records)
-        .into_iter()
+    assert_eq!(records, served, "open hands over exactly the commits the log serves");
+    let txns = records
+        .iter()
+        .flat_map(|(_, commit)| commit.effects.clone())
         .map(|(key, value)| {
             let key = String::from_utf8(key).expect("workload keys are utf-8");
             assert!(value.is_some(), "workload writes only puts");
@@ -331,7 +319,7 @@ fn recovery_yields_a_committed_prefix_at_every_crash_point() {
             if pruned.contains(&txn) || txn < lo {
                 // Pruned by a checkpoint that completed (or by one whose deletes partially
                 // ran — the hole rule keeps the newest contiguous run).  Either way the
-                // records below `lo` were checkpoint-covered, never lost.
+                // commits below `lo` were checkpoint-covered, never lost.
                 continue;
             }
             assert!(

@@ -8,7 +8,7 @@ use seed::net::wire::{
 };
 use seed::net::{FrameKind, WireError, MAX_FRAME_LEN, PROTOCOL_VERSION};
 use seed::server::{Request, Response, ServerError};
-use seed::storage::LogRecord;
+use seed::storage::Commit;
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect::<Vec<_>>().join(" ")
@@ -25,7 +25,7 @@ fn constants_match_the_document() {
     assert_eq!(seed::net::wire::MAGIC, *b"SEWP");
     assert_eq!(hex(&seed::net::wire::MAGIC), "53 45 57 50");
     assert_eq!(MAX_FRAME_LEN, 64 * 1024 * 1024);
-    assert_eq!(PROTOCOL_VERSION, 4);
+    assert_eq!(PROTOCOL_VERSION, 5);
 }
 
 #[test]
@@ -62,15 +62,18 @@ fn worked_frame_example_renders_exactly_as_documented() {
 #[test]
 fn handshake_dumps_render_exactly_as_documented() {
     // §4.
-    assert_eq!(hex(&Hello::current("spades").encode()), "04 00 04 00 06 73 70 61 64 65 73 00");
-    assert_eq!(hex(&Hello::replica("spades").encode()), "04 00 04 00 06 73 70 61 64 65 73 01");
-    let welcome = Welcome { version: 4, client_id: 7, banner: "seed-net/0.1.0".into() };
+    assert_eq!(hex(&Hello::current("spades").encode()), "05 00 05 00 06 73 70 61 64 65 73 00");
+    assert_eq!(hex(&Hello::replica("spades").encode()), "05 00 05 00 06 73 70 61 64 65 73 01");
+    let welcome = Welcome { version: 5, client_id: 7, banner: "seed-net/0.1.0".into() };
     assert_eq!(
         hex(&welcome.encode()),
-        "04 00 07 00 00 00 00 00 00 00 0e 73 65 65 64 2d 6e 65 74 2f 30 2e 31 2e 30"
+        "05 00 07 00 00 00 00 00 00 00 0e 73 65 65 64 2d 6e 65 74 2f 30 2e 31 2e 30"
     );
-    // Negotiation: a hello is accepted if and only if its range covers the one version.
+    // Negotiation: a hello is accepted if and only if its range covers the one version; a
+    // v4-only hello, as the previous build sends, is refused.
     assert_eq!(negotiate(&Hello::current("x")).unwrap(), PROTOCOL_VERSION);
+    let v4 = Hello { min_version: 4, max_version: 4, ..Hello::current("x") };
+    assert!(negotiate(&v4).unwrap_err().contains("no common protocol version"));
 }
 
 #[test]
@@ -82,21 +85,21 @@ fn replication_dumps_render_exactly_as_documented() {
     assert_eq!(hex(&ack_frame), "53 45 57 50 08 08 00 00 00 0d af de 89 2e 00 00 00 00 00 00 00");
     let batch = LogBatch {
         reset: false,
-        first_lsn: 43,
+        first_lsn: 45,
         last_lsn: 46,
         primary_lsn: 46,
         records: vec![
-            LogRecord::Begin { txn: 9 },
-            LogRecord::Put { txn: 9, key: b"o/1".to_vec(), value: b"v".to_vec() },
-            LogRecord::Commit { txn: 9 },
+            Commit { effects: vec![(b"o/1".to_vec(), Some(b"v".to_vec()))] },
+            Commit {
+                effects: vec![(b"o/1".to_vec(), Some(b"w".to_vec())), (b"d/1".to_vec(), None)],
+            },
         ],
     };
     assert_eq!(
         hex(&batch.encode()),
-        "00 2b 00 00 00 00 00 00 00 2e 00 00 00 00 00 00 00 2e 00 00 00 00 00 00 00 03 \
-         09 01 09 00 00 00 00 00 00 00 \
-         0f 04 09 00 00 00 00 00 00 00 03 6f 2f 31 01 76 \
-         09 02 09 00 00 00 00 00 00 00"
+        "00 2d 00 00 00 00 00 00 00 2e 00 00 00 00 00 00 00 2e 00 00 00 00 00 00 00 02 \
+         08 01 01 03 6f 2f 31 01 76 \
+         0d 02 01 03 6f 2f 31 01 77 02 03 64 2f 31"
     );
     // Every replication record round-trips.
     assert_eq!(LogBatch::decode(&batch.encode()).unwrap(), batch);
