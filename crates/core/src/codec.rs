@@ -276,7 +276,7 @@ pub(crate) fn decode_domain(d: &mut Decoder<'_>) -> SeedResult<Domain> {
         5 => Domain::Text,
         6 => {
             let n = d.get_varint()? as usize;
-            let mut lits = Vec::with_capacity(n);
+            let mut lits = Vec::with_capacity(n.min(d.remaining()));
             for _ in 0..n {
                 lits.push(d.get_str()?.to_string());
             }
@@ -359,7 +359,9 @@ pub(crate) fn decode_procedure(d: &mut Decoder<'_>) -> SeedResult<AttachedProced
 // Schema encoding
 // --------------------------------------------------------------------------------------------
 
-pub(crate) fn encode_schema(e: &mut Encoder, schema: &Schema) {
+/// Encodes one [`Schema`]: exactly the bytes of its `s/<svid>` record.  Public because the
+/// network layer (`seed-net`) ships these bytes as its `Schema` answer.
+pub fn encode_schema(e: &mut Encoder, schema: &Schema) {
     e.put_str(&schema.name);
     e.put_varint(schema.class_count() as u64);
     for class in schema.classes() {
@@ -427,7 +429,8 @@ pub(crate) fn encode_schema(e: &mut Encoder, schema: &Schema) {
     }
 }
 
-pub(crate) fn decode_schema(d: &mut Decoder<'_>) -> SeedResult<Schema> {
+/// Decodes one [`Schema`] written by [`encode_schema`].
+pub fn decode_schema(d: &mut Decoder<'_>) -> SeedResult<Schema> {
     let name = d.get_str()?.to_string();
     let mut schema = Schema::new(name);
     let class_count = d.get_varint()? as usize;
@@ -436,7 +439,7 @@ pub(crate) fn decode_schema(d: &mut Decoder<'_>) -> SeedResult<Schema> {
         covering: bool,
         procedures: Vec<AttachedProcedure>,
     }
-    let mut pending_classes = Vec::with_capacity(class_count);
+    let mut pending_classes = Vec::with_capacity(class_count.min(d.remaining()));
     for _ in 0..class_count {
         let name = d.get_str()?.to_string();
         let owner = if d.get_bool()? { Some(ClassId(d.get_u32()?)) } else { None };
@@ -445,7 +448,7 @@ pub(crate) fn decode_schema(d: &mut Decoder<'_>) -> SeedResult<Schema> {
         let superclass = if d.get_bool()? { Some(d.get_u32()?) } else { None };
         let covering = d.get_bool()?;
         let proc_count = d.get_varint()? as usize;
-        let mut procedures = Vec::with_capacity(proc_count);
+        let mut procedures = Vec::with_capacity(proc_count.min(d.remaining()));
         for _ in 0..proc_count {
             procedures.push(decode_procedure(d)?);
         }
@@ -473,11 +476,11 @@ pub(crate) fn decode_schema(d: &mut Decoder<'_>) -> SeedResult<Schema> {
         procedures: Vec<AttachedProcedure>,
         attributes: Vec<RelationshipAttribute>,
     }
-    let mut pending_assocs = Vec::with_capacity(assoc_count);
+    let mut pending_assocs = Vec::with_capacity(assoc_count.min(d.remaining()));
     for _ in 0..assoc_count {
         let name = d.get_str()?.to_string();
         let role_count = d.get_varint()? as usize;
-        let mut roles = Vec::with_capacity(role_count);
+        let mut roles = Vec::with_capacity(role_count.min(d.remaining()));
         for _ in 0..role_count {
             let role_name = d.get_str()?.to_string();
             let class = ClassId(d.get_u32()?);
@@ -488,12 +491,12 @@ pub(crate) fn decode_schema(d: &mut Decoder<'_>) -> SeedResult<Schema> {
         let superassociation = if d.get_bool()? { Some(d.get_u32()?) } else { None };
         let covering = d.get_bool()?;
         let proc_count = d.get_varint()? as usize;
-        let mut procedures = Vec::with_capacity(proc_count);
+        let mut procedures = Vec::with_capacity(proc_count.min(d.remaining()));
         for _ in 0..proc_count {
             procedures.push(decode_procedure(d)?);
         }
         let attr_count = d.get_varint()? as usize;
-        let mut attributes = Vec::with_capacity(attr_count);
+        let mut attributes = Vec::with_capacity(attr_count.min(d.remaining()));
         for _ in 0..attr_count {
             let attr_name = d.get_str()?.to_string();
             let domain = decode_domain(d)?;
@@ -603,7 +606,7 @@ pub fn decode_relationship(d: &mut Decoder<'_>) -> SeedResult<RelationshipRecord
     let id = RelationshipId(d.get_u64()?);
     let association = AssociationId(d.get_u32()?);
     let binding_count = d.get_varint()? as usize;
-    let mut bindings = Vec::with_capacity(binding_count);
+    let mut bindings = Vec::with_capacity(binding_count.min(d.remaining()));
     for _ in 0..binding_count {
         let role = d.get_str()?.to_string();
         let obj = ObjectId(d.get_u64()?);
@@ -643,7 +646,7 @@ pub(crate) fn decode_object_entry(bytes: &[u8]) -> SeedResult<(ObjectRecord, Vec
     let mut d = Decoder::new(bytes);
     let record = decode_object(&mut d)?;
     let n = d.get_varint()? as usize;
-    let mut inherits = Vec::with_capacity(n);
+    let mut inherits = Vec::with_capacity(n.min(d.remaining()));
     for _ in 0..n {
         inherits.push(ObjectId(d.get_u64()?));
     }
@@ -748,10 +751,9 @@ pub(crate) fn decode_transition_rule(d: &mut Decoder<'_>) -> SeedResult<Transiti
 /// delta.  Rewritten on every durable commit (it is a few dozen bytes), which is what keeps the
 /// id floors and the version sequence crash-consistent.
 ///
-/// The trailing topology fields (`epoch`, `fenced_to`) were appended for replica promotion:
-/// they are decoded leniently — a meta record written before the failover work simply ends
-/// after `version_seq` and reads back as epoch 0, not fenced — so the on-disk format version
-/// is unchanged and old directories open cleanly.
+/// [`decode_meta`] reads every field, the topology ones (`epoch`, `fenced_to`) included, and
+/// refuses a record of another format version; a record that ends early is an error, not a
+/// default.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct MetaRecord {
     pub format: u32,
@@ -808,7 +810,7 @@ pub(crate) fn decode_meta(bytes: &[u8]) -> SeedResult<MetaRecord> {
     let relationship_floor = d.get_u64()?;
     let current_schema = SchemaVersionId(d.get_u32()?);
     let rule_count = d.get_varint()? as usize;
-    let mut rules = Vec::with_capacity(rule_count);
+    let mut rules = Vec::with_capacity(rule_count.min(d.remaining()));
     for _ in 0..rule_count {
         rules.push(decode_transition_rule(&mut d)?);
     }

@@ -652,15 +652,7 @@ impl Database {
         class_local_name: &str,
         value: Value,
     ) -> SeedResult<ObjectId> {
-        let class = self.resolve_dependent_class(parent, class_local_name)?;
-        let class_def = self.schemas.current().class(class)?;
-        let segment = if class_def.occurrence.max == Some(1) {
-            NameSegment::plain(class_local_name)
-        } else {
-            let n = self.store.children_of_class(parent, class).len() as u32;
-            NameSegment::indexed(class_local_name, n)
-        };
-        self.create_dependent_named(parent, class_local_name, segment, value)
+        self.insert_dependent(parent, class_local_name, None, value)
     }
 
     /// Creates a dependent object with an explicit name segment (used when the caller wants the
@@ -672,9 +664,37 @@ impl Database {
         segment: NameSegment,
         value: Value,
     ) -> SeedResult<ObjectId> {
+        self.insert_dependent(parent, class_local_name, Some(segment), value)
+    }
+
+    /// Creates a dependent object named `segment` under `parent`, or, without a segment, named
+    /// as [`Database::create_dependent`] documents.
+    fn insert_dependent(
+        &mut self,
+        parent: ObjectId,
+        class_local_name: &str,
+        segment: Option<NameSegment>,
+        value: Value,
+    ) -> SeedResult<ObjectId> {
         self.mutation_allowed()?;
-        let class = self.resolve_dependent_class(parent, class_local_name)?;
         let parent_record = self.live_object(parent)?;
+        let schema = self.schemas.current();
+        let Some(class) = schema.dependent_class(parent_record.class, class_local_name) else {
+            return Err(SeedError::NotFound(format!(
+                "class '{}' has no dependent class named '{class_local_name}'",
+                schema.class(parent_record.class)?.name
+            )));
+        };
+        let segment = match segment {
+            Some(segment) => segment,
+            None if schema.class(class)?.occurrence.max == Some(1) => {
+                NameSegment::plain(class_local_name)
+            }
+            None => {
+                let n = self.store.children_of_class(parent, class).len() as u32;
+                NameSegment::indexed(class_local_name, n)
+            }
+        };
         let is_pattern = parent_record.is_pattern;
         let name = parent_record.name.child(segment);
         let name_string = name.to_string();
@@ -691,22 +711,6 @@ impl Database {
         self.store.insert_object(record);
         self.persist_changes()?;
         Ok(id)
-    }
-
-    fn resolve_dependent_class(&self, parent: ObjectId, local_name: &str) -> SeedResult<ClassId> {
-        let parent_record = self.live_object(parent)?;
-        let schema = self.schemas.current();
-        for ancestor in schema.class_ancestors(parent_record.class) {
-            for dependent in schema.dependent_classes(ancestor) {
-                if dependent.local_name() == local_name {
-                    return Ok(dependent.id);
-                }
-            }
-        }
-        Err(SeedError::NotFound(format!(
-            "class '{}' has no dependent class named '{local_name}'",
-            schema.class(parent_record.class)?.name
-        )))
     }
 
     /// Sets the value of an object.

@@ -109,7 +109,7 @@ mod tests {
         let e: SeedError = seed_schema::SchemaError::UnknownClass("X".into()).into();
         assert!(matches!(e, SeedError::Schema(_)));
         assert!(std::error::Error::source(&e).is_some());
-        let e: SeedError = seed_storage::StorageError::KeyNotFound.into();
+        let e: SeedError = seed_storage::StorageError::Corrupt("x".into()).into();
         assert!(matches!(e, SeedError::Storage(_)));
         assert!(std::error::Error::source(&SeedError::NotFound("x".into())).is_none());
     }

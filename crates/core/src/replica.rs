@@ -240,6 +240,80 @@ mod tests {
         let _ = std::fs::remove_dir_all(&replica_dir);
     }
 
+    /// A shipped record whose element count runs past its bytes is refused with an error
+    /// (not an abort reserving memory for the count), and the whole batch changes nothing:
+    /// neither the cursor nor the mirrored state moves.
+    #[test]
+    fn crafted_counts_in_a_shipped_batch_change_nothing() {
+        use crate::codec::{encode_object, encoded, Key, FORMAT_VERSION};
+        use crate::ident::RelationshipId;
+        use seed_schema::SchemaVersionId;
+        const HUGE: u64 = 1 << 36;
+        let primary_dir = temp_dir("repl-crafted-primary");
+        let replica_dir = temp_dir("repl-crafted-replica");
+        let mut primary = Database::create_durable(&primary_dir, figure3_schema()).unwrap();
+        let alarms = primary.create_object("Data", "Alarms").unwrap();
+        let alarms = primary.object(alarms).unwrap();
+        let mut replica = ReplicaStore::open(&replica_dir).unwrap();
+        let (records, up_to) = tail_records(&primary, 1);
+        replica.apply(records, up_to, false).unwrap();
+
+        let schema_key = Key::Schema(SchemaVersionId(1)).to_vec();
+        let crafted = [
+            // An object's inherits-links.
+            (Key::Object(alarms.id).to_vec(), encoded(|e| encode_object(e, &alarms))),
+            // A relationship's bindings (id, association, count).
+            (
+                Key::Relationship(RelationshipId(1)).to_vec(),
+                encoded(|e| {
+                    e.put_u64(1).put_u32(0);
+                }),
+            ),
+            // A schema's classes (name, count).
+            (
+                schema_key.clone(),
+                encoded(|e| {
+                    e.put_str("Spec");
+                }),
+            ),
+            // An enumeration domain's literals: one class `Kind`, no owner, occurrence `0..*`,
+            // an enumeration domain.
+            (
+                schema_key.clone(),
+                encoded(|e| {
+                    e.put_str("Spec").put_varint(1).put_str("Kind").put_bool(false);
+                    e.put_u32(0).put_bool(false).put_bool(true).put_u8(6);
+                }),
+            ),
+            // An association's roles: no classes, one association `A`.
+            (
+                schema_key,
+                encoded(|e| {
+                    e.put_str("Spec").put_varint(0).put_varint(1).put_str("A");
+                }),
+            ),
+            // The meta record's transition rules (format, id floors, current schema, count).
+            (
+                Key::Meta.to_vec(),
+                encoded(|e| {
+                    e.put_u32(FORMAT_VERSION).put_u64(1).put_u64(1).put_u32(0);
+                }),
+            ),
+        ];
+        for (key, mut value) in crafted {
+            value.extend(encoded(|e| {
+                e.put_varint(HUGE);
+            }));
+            let batch = Commit { effects: vec![(key.clone(), Some(value))] };
+            let key = String::from_utf8_lossy(&key).into_owned();
+            assert!(replica.apply(vec![batch], up_to + 1, false).is_err(), "{key} applied");
+            assert_eq!(replica.applied_lsn(), up_to, "{key} moved the cursor");
+            assert_same_state(replica.database().unwrap(), &primary, true);
+        }
+        let _ = std::fs::remove_dir_all(&primary_dir);
+        let _ = std::fs::remove_dir_all(&replica_dir);
+    }
+
     #[test]
     fn checkpoint_truncation_forces_a_snapshot_resync_that_converges() {
         let primary_dir = temp_dir("repl-ckpt-primary");

@@ -18,10 +18,11 @@ use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use seed_core::{ObjectRecord, Value, VersionId};
+use seed_schema::Schema;
 use seed_server::{
     CheckoutSet, ClientId, HealthStatus, PersistenceStatus, PromotionReceipt, QueryAnswer,
-    RelationshipInfo, ReplicationRole, Request, Response, SchemaSummary, SeedServer, ServerError,
-    ServerResult, Update,
+    RelationshipInfo, ReplicationRole, Request, Response, SeedServer, ServerError, ServerResult,
+    Update,
 };
 
 use crate::codec::{decode_response, encode_request};
@@ -65,7 +66,7 @@ from_response! {
     Count(usize),
     Promoted(PromotionReceipt),
     Persistence(PersistenceStatus),
-    Schema(SchemaSummary),
+    Schema(Schema),
     Stats(seed_obs::RegistrySnapshot),
     Health(HealthStatus),
 }
@@ -409,7 +410,6 @@ impl Drop for InProcess<'_> {
 /// The typed client surface, over any [`Transport`].
 pub struct Client<T> {
     transport: T,
-    schema: Option<SchemaSummary>,
 }
 
 /// A client over one TCP connection.
@@ -473,7 +473,7 @@ impl Client<Router> {
 impl<T: Transport> Client<T> {
     /// A client over `transport`.
     pub fn new(transport: T) -> Self {
-        Self { transport, schema: None }
+        Self { transport }
     }
 
     /// The client id this session acts for.
@@ -569,14 +569,9 @@ impl<T: Transport> Client<T> {
         self.ask(Request::Promote { epoch, new_primary: new_primary.to_string() })
     }
 
-    /// A structural summary of the server's schema (fetched once, then cached).
-    pub fn schema(&mut self) -> ServerResult<SchemaSummary> {
-        if let Some(schema) = &self.schema {
-            return Ok(schema.clone());
-        }
-        let summary: SchemaSummary = self.ask(Request::Schema)?;
-        self.schema = Some(summary.clone());
-        Ok(summary)
+    /// The server's current schema.
+    pub fn schema(&mut self) -> ServerResult<Schema> {
+        self.ask(Request::Schema)
     }
 
     /// The (materialized) children of an object.

@@ -4,8 +4,9 @@
 //! payload, a refusal as the `Error` answer — tag 11, then the encoded [`ServerError`].
 //!
 //! The encoders reuse the storage crate's explicit little-endian primitives and `seed-core`'s
-//! per-item record codecs, so an [`seed_core::ObjectRecord`] has exactly one binary shape in
-//! the whole system — on disk and on the wire.
+//! per-item record codecs, so an [`seed_core::ObjectRecord`] and a [`seed_schema::Schema`]
+//! each have exactly one binary shape in the whole system — on disk and on the wire (the
+//! `Schema` answer is the bytes of the `s/<svid>` record).
 //!
 //! Every message is self-delimiting inside its frame; decoding checks that the payload is
 //! consumed exactly.  Malformed payloads (unknown tags, truncation, trailing bytes) produce
@@ -20,33 +21,17 @@
 //! cross (clients react to *which* server error occurred, not to schema internals).
 
 use seed_core::codec::{
-    decode_object, decode_relationship, decode_value, encode_object, encode_relationship,
-    encode_value,
+    decode_object, decode_relationship, decode_schema, decode_value, encode_object,
+    encode_relationship, encode_schema, encode_value,
 };
 use seed_core::{SeedError, VersionId};
 use seed_server::{
-    AssociationSummary, CheckoutSet, ClassSummary, HealthStatus, PersistenceStatus,
-    PromotionReceipt, QueryAnswer, RelationshipInfo, ReplicationRole, ReplicationStatus, Request,
-    Response, SchemaSummary, ServerError, ServerResult, Update,
+    CheckoutSet, HealthStatus, PersistenceStatus, PromotionReceipt, QueryAnswer, RelationshipInfo,
+    ReplicationRole, ReplicationStatus, Request, Response, ServerError, ServerResult, Update,
 };
 use seed_storage::{Decoder, Encoder};
 
 use crate::error::{WireError, WireResult};
-
-fn put_opt_u32(e: &mut Encoder, v: Option<u32>) {
-    match v {
-        Some(x) => {
-            e.put_bool(true).put_u32(x);
-        }
-        None => {
-            e.put_bool(false);
-        }
-    }
-}
-
-fn get_opt_u32(d: &mut Decoder<'_>) -> WireResult<Option<u32>> {
-    Ok(if d.get_bool()? { Some(d.get_u32()?) } else { None })
-}
 
 fn put_opt_str(e: &mut Encoder, v: Option<&str>) {
     match v {
@@ -331,23 +316,16 @@ fn encode_persistence_status(e: &mut Encoder, s: &PersistenceStatus) {
     e.put_varint(s.objects as u64);
     e.put_varint(s.relationships as u64);
     e.put_varint(s.versions as u64);
-    match &s.replication {
-        Some(r) => {
-            e.put_bool(true)
-                .put_u8(match r.role {
-                    ReplicationRole::Primary => 0,
-                    ReplicationRole::Replica => 1,
-                })
-                .put_u64(r.applied_lsn)
-                .put_u64(r.primary_lsn)
-                .put_u32(r.subscribers)
-                .put_u64(r.min_acked_lsn)
-                .put_u64(r.snapshot_lsn);
-        }
-        None => {
-            e.put_bool(false);
-        }
-    }
+    let r = &s.replication;
+    e.put_u8(match r.role {
+        ReplicationRole::Primary => 0,
+        ReplicationRole::Replica => 1,
+    })
+    .put_u64(r.applied_lsn)
+    .put_u64(r.primary_lsn)
+    .put_u32(r.subscribers)
+    .put_u64(r.min_acked_lsn)
+    .put_u64(r.snapshot_lsn);
 }
 
 fn decode_persistence_status(d: &mut Decoder<'_>) -> WireResult<PersistenceStatus> {
@@ -358,70 +336,19 @@ fn decode_persistence_status(d: &mut Decoder<'_>) -> WireResult<PersistenceStatu
         objects: d.get_varint()? as usize,
         relationships: d.get_varint()? as usize,
         versions: d.get_varint()? as usize,
-        replication: if !d.get_bool()? {
-            None
-        } else {
-            Some(ReplicationStatus {
-                role: match d.get_u8()? {
-                    0 => ReplicationRole::Primary,
-                    1 => ReplicationRole::Replica,
-                    other => return Err(bad_tag("replication role", other)),
-                },
-                applied_lsn: d.get_u64()?,
-                primary_lsn: d.get_u64()?,
-                subscribers: d.get_u32()?,
-                min_acked_lsn: d.get_u64()?,
-                snapshot_lsn: d.get_u64()?,
-            })
+        replication: ReplicationStatus {
+            role: match d.get_u8()? {
+                0 => ReplicationRole::Primary,
+                1 => ReplicationRole::Replica,
+                other => return Err(bad_tag("replication role", other)),
+            },
+            applied_lsn: d.get_u64()?,
+            primary_lsn: d.get_u64()?,
+            subscribers: d.get_u32()?,
+            min_acked_lsn: d.get_u64()?,
+            snapshot_lsn: d.get_u64()?,
         },
     })
-}
-
-fn encode_schema_summary(e: &mut Encoder, s: &SchemaSummary) {
-    e.put_str(&s.name);
-    e.put_varint(s.classes.len() as u64);
-    for c in &s.classes {
-        e.put_str(&c.name);
-        put_opt_u32(e, c.owner);
-        put_opt_u32(e, c.superclass);
-        put_opt_u32(e, c.occurrence_max);
-    }
-    e.put_varint(s.associations.len() as u64);
-    for a in &s.associations {
-        e.put_str(&a.name);
-        put_opt_u32(e, a.superassociation);
-        e.put_varint(a.roles.len() as u64);
-        for role in &a.roles {
-            e.put_str(role);
-        }
-    }
-}
-
-fn decode_schema_summary(d: &mut Decoder<'_>) -> WireResult<SchemaSummary> {
-    let name = d.get_str()?.to_string();
-    let n = d.get_varint()? as usize;
-    let mut classes = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        classes.push(ClassSummary {
-            name: d.get_str()?.to_string(),
-            owner: get_opt_u32(d)?,
-            superclass: get_opt_u32(d)?,
-            occurrence_max: get_opt_u32(d)?,
-        });
-    }
-    let n = d.get_varint()? as usize;
-    let mut associations = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        let name = d.get_str()?.to_string();
-        let superassociation = get_opt_u32(d)?;
-        let role_count = d.get_varint()? as usize;
-        let mut roles = Vec::with_capacity(role_count.min(1024));
-        for _ in 0..role_count {
-            roles.push(d.get_str()?.to_string());
-        }
-        associations.push(AssociationSummary { name, superassociation, roles });
-    }
-    Ok(SchemaSummary { name, classes, associations })
 }
 
 fn encode_registry_snapshot(e: &mut Encoder, s: &seed_obs::RegistrySnapshot) {
@@ -691,9 +618,9 @@ pub fn encode_response(reply: &ServerResult<Response>) -> Vec<u8> {
             e.put_u8(6);
             encode_persistence_status(&mut e, status);
         }
-        Response::Schema(summary) => {
+        Response::Schema(schema) => {
             e.put_u8(7);
-            encode_schema_summary(&mut e, summary);
+            encode_schema(&mut e, schema);
         }
         Response::Objects(records) => {
             e.put_u8(8);
@@ -736,7 +663,7 @@ pub fn decode_response(bytes: &[u8]) -> WireResult<ServerResult<Response>> {
         4 => Ok(Response::Answer(decode_query_answer(&mut d)?)),
         5 => Ok(Response::Version(VersionId::parse(d.get_str()?)?)),
         6 => Ok(Response::Persistence(decode_persistence_status(&mut d)?)),
-        7 => Ok(Response::Schema(decode_schema_summary(&mut d)?)),
+        7 => Ok(Response::Schema(decode_schema(&mut d)?)),
         8 => Ok(Response::Objects(decode_records(&mut d)?)),
         9 => {
             let n = d.get_varint()? as usize;
@@ -763,4 +690,29 @@ pub fn decode_response(bytes: &[u8]) -> WireResult<ServerResult<Response>> {
         )));
     }
     Ok(reply)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A count of 2^36 elements, far past what any frame can hold.
+    const HUGE: u64 = 1 << 36;
+
+    /// A peer's counts size no allocation by themselves: a lying count fails on the bytes that
+    /// are not there instead of reserving memory for them (which would abort the process).
+    #[test]
+    fn crafted_binding_count_in_a_checkout_answer_is_an_error() {
+        let mut e = Encoder::new();
+        e.put_u8(1).put_varint(0).put_varint(1); // Checkout: no objects, one relationship
+        e.put_u64(1).put_u32(0).put_varint(HUGE); // id, association, binding count
+        assert!(decode_response(&e.finish()).is_err());
+    }
+
+    #[test]
+    fn crafted_class_count_in_a_schema_answer_is_an_error() {
+        let mut e = Encoder::new();
+        e.put_u8(7).put_str("Spec").put_varint(HUGE); // Schema: name, class count
+        assert!(decode_response(&e.finish()).is_err());
+    }
 }

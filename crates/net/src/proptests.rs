@@ -3,15 +3,18 @@
 //! every strict prefix of a payload fails to decode, and corrupted payloads never panic.
 //!
 //! `Request`/`Response` carry error types without `PartialEq`, so equality is checked on the
-//! `Debug` rendering (which covers every field).
+//! `Debug` rendering (which covers every field); a schema, whose name maps render in a
+//! per-instance order, is compared by value.
 
 use proptest::prelude::*;
 use seed_core::{NameSegment, ObjectName, ObjectRecord, RelationshipRecord, SeedError, Value};
-use seed_schema::{AssociationId, ClassId};
+use seed_schema::{
+    figure2_schema, figure3_schema, AssociationId, AttachedProcedure, ClassId, Domain,
+    RelationshipAttribute, Schema,
+};
 use seed_server::{
-    AssociationSummary, CheckoutSet, ClassSummary, PersistenceStatus, PromotionReceipt,
-    QueryAnswer, RelationshipInfo, ReplicationRole, ReplicationStatus, Request, Response,
-    SchemaSummary, ServerError, ServerResult, Update,
+    CheckoutSet, PersistenceStatus, PromotionReceipt, QueryAnswer, RelationshipInfo,
+    ReplicationRole, ReplicationStatus, Request, Response, ServerError, ServerResult, Update,
 };
 
 use crate::codec::{decode_request, decode_response, encode_request, encode_response};
@@ -226,43 +229,38 @@ fn checkout_set() -> BoxedStrategy<CheckoutSet> {
         .boxed()
 }
 
-fn schema_summary() -> BoxedStrategy<SchemaSummary> {
-    (
-        ident(),
-        proptest::collection::vec(
-            (
-                (ident(), proptest::option::of(any::<u32>())),
-                (proptest::option::of(any::<u32>()), proptest::option::of(any::<u32>())),
-            ),
-            0..4,
-        ),
-        proptest::collection::vec(
-            (
-                (ident(), proptest::option::of(any::<u32>())),
-                proptest::collection::vec(ident(), 0..3),
-            ),
-            0..3,
-        ),
-    )
-        .prop_map(|(name, classes, associations)| SchemaSummary {
-            name,
-            classes: classes
-                .into_iter()
-                .map(|((name, owner), (superclass, occurrence_max))| ClassSummary {
-                    name,
-                    owner,
-                    superclass,
-                    occurrence_max,
-                })
-                .collect(),
-            associations: associations
-                .into_iter()
-                .map(|((name, superassociation), roles)| AssociationSummary {
-                    name,
-                    superassociation,
-                    roles,
-                })
-                .collect(),
+/// The schema of figure 2, of figure 3, or figure 3 with an attached procedure of every kind
+/// and one more relationship attribute.
+fn schema() -> BoxedStrategy<Schema> {
+    (0usize..3)
+        .prop_map(|which| match which {
+            0 => figure2_schema(),
+            1 => figure3_schema(),
+            _ => {
+                let mut schema = figure3_schema();
+                let selector = schema.class_id("Data.Text.Selector").unwrap();
+                let description = schema.class_id("Action.Description").unwrap();
+                let write = schema.association_id("Write").unwrap();
+                let contained = schema.association_id("Contained").unwrap();
+                for procedure in [
+                    AttachedProcedure::ValueNotEmpty,
+                    AttachedProcedure::ValueContains("Sel".into()),
+                ] {
+                    schema.attach_class_procedure(selector, procedure).unwrap();
+                }
+                schema
+                    .attach_class_procedure(description, AttachedProcedure::MaxLength(8))
+                    .unwrap();
+                for procedure in [
+                    AttachedProcedure::ValueRange { min: Some(0), max: None },
+                    AttachedProcedure::Named("audit".into()),
+                ] {
+                    schema.attach_association_procedure(write, procedure).unwrap();
+                }
+                let depth = RelationshipAttribute::new("Depth", Domain::Integer, false);
+                schema.add_relationship_attribute(contained, depth).unwrap();
+                schema
+            }
         })
         .boxed()
 }
@@ -289,7 +287,7 @@ fn response() -> BoxedStrategy<Response> {
         (
             (any::<bool>(), proptest::option::of(free_text()), any::<u64>()),
             (0usize..10_000, 0usize..10_000, 0usize..1000),
-            proptest::option::of(replication_status()),
+            replication_status(),
         )
             .prop_map(
                 |((durable, path, wal_bytes), (objects, relationships, versions), replication)| {
@@ -304,7 +302,7 @@ fn response() -> BoxedStrategy<Response> {
                     })
                 }
             ),
-        schema_summary().prop_map(Response::Schema),
+        schema().prop_map(Response::Schema),
         proptest::collection::vec(object_record(), 0..3).prop_map(Response::Objects),
         proptest::collection::vec(
             (ident(), string_pairs(), any::<bool>()).prop_map(
@@ -324,6 +322,15 @@ fn response() -> BoxedStrategy<Response> {
         }),
     ]
     .boxed()
+}
+
+/// Whether two replies are the same: a schema by value (its name maps render in a
+/// per-instance order), everything else by its `Debug` rendering.
+fn same_reply(a: &ServerResult<Response>, b: &ServerResult<Response>) -> bool {
+    match (a, b) {
+        (Ok(Response::Schema(a)), Ok(Response::Schema(b))) => a == b,
+        _ => format!("{a:?}") == format!("{b:?}"),
+    }
 }
 
 /// A reply as the server sends it: a response, or a refusal.
@@ -350,7 +357,7 @@ proptest! {
         write_frame(&mut buf, FrameKind::Response, &payload).unwrap();
         let frame = read_frame(&mut std::io::Cursor::new(buf)).unwrap();
         let decoded = decode_response(&frame.payload).unwrap();
-        prop_assert_eq!(format!("{decoded:?}"), format!("{reply:?}"));
+        prop_assert!(same_reply(&decoded, &reply), "{decoded:?} != {reply:?}");
     }
 
     /// Every message has one shape, so a payload cut short anywhere — including the empty

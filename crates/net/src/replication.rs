@@ -833,7 +833,7 @@ mod tests {
             assert_eq!(client.retrieve("Early").unwrap().name.to_string(), "Early");
             assert_eq!(client.objects_of_class("Action", true).unwrap().len(), 1);
             assert_eq!(client.relationship_count("Access", true).unwrap(), 1);
-            assert!(client.schema().unwrap().class_id("Data").is_some());
+            assert!(client.schema().unwrap().class_id("Data").is_ok());
             // Writes are redirected to the primary, with its address in the error.
             match client.checkout(&["Alarms"]).unwrap_err() {
                 ServerError::ReadOnlyReplica { primary } => {
@@ -842,7 +842,7 @@ mod tests {
                 other => panic!("expected a redirect, got {other:?}"),
             }
             // Replication progress is observable over the wire.
-            let status = client.persistence().unwrap().replication.expect("replica status");
+            let status = client.persistence().unwrap().replication;
             assert_eq!(status.role, ReplicationRole::Replica);
             assert_eq!(status.lag(), 0, "caught-up replica reports zero lag");
             assert_eq!(
@@ -851,7 +851,7 @@ mod tests {
             );
         }
         // The primary reports its subscribers.
-        let status = primary_client.persistence().unwrap().replication.expect("primary status");
+        let status = primary_client.persistence().unwrap().replication;
         assert_eq!(status.role, ReplicationRole::Primary);
         assert_eq!(status.subscribers, 2);
 

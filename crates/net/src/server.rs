@@ -990,7 +990,7 @@ mod tests {
         assert!(matches!(client.query("bogus"), Err(ServerError::Query(_))));
         let schema = client.schema().unwrap();
         assert_eq!(schema.name, "Figure3");
-        assert!(schema.class_id("Data").is_some());
+        assert!(schema.class_id("Data").is_ok());
         assert_eq!(client.children("AlarmHandler").unwrap().len(), 1);
         assert_eq!(client.objects_of_class("Action", true).unwrap().len(), 2);
         assert_eq!(client.relationship_count("Access", true).unwrap(), 1);
@@ -1292,7 +1292,7 @@ mod tests {
             write_frame(&mut writer, FrameKind::Hello, &hello.encode()).unwrap();
             read_frame(&mut reader).unwrap()
         };
-        let too_old = [(1, 1), (2, 2), (1, 2), (3, 3), (1, 3), (4, 4), (1, 4)];
+        let too_old = [(1, 1), (2, 2), (1, 2), (3, 3), (1, 3), (4, 4), (1, 4), (5, 5), (1, 5)];
         let future = (PROTOCOL_VERSION + 1, PROTOCOL_VERSION + 2);
         for (min, max) in too_old.into_iter().chain([future]) {
             let reply = handshake(min, max);

@@ -36,7 +36,7 @@ use crate::error::{WireError, WireResult};
 pub const MAGIC: [u8; 4] = *b"SEWP";
 
 /// The protocol version this build speaks — the only one.
-pub const PROTOCOL_VERSION: u16 = 5;
+pub const PROTOCOL_VERSION: u16 = 6;
 
 /// Upper bound on one frame's payload; larger lengths are treated as stream desync.
 pub const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
@@ -681,7 +681,7 @@ mod tests {
         let welcome = |version| Welcome { version, client_id: 7, banner: "b".into() }.encode();
         assert_eq!(answer(FrameKind::Welcome, welcome(PROTOCOL_VERSION)).unwrap().client_id, 7);
         let older = answer(FrameKind::Welcome, welcome(PROTOCOL_VERSION - 1)).unwrap_err();
-        assert!(older.to_string().contains("welcomed protocol v4"), "{older}");
+        assert!(older.to_string().contains("welcomed protocol v5"), "{older}");
         let rejected = answer(FrameKind::Reject, b"no common protocol version".to_vec());
         assert!(rejected.unwrap_err().to_string().contains("no common protocol version"));
         assert!(answer(FrameKind::Response, Vec::new()).is_err());

@@ -313,6 +313,18 @@ impl Schema {
         self.classes.iter().filter(|c| c.owner == Some(owner)).collect()
     }
 
+    /// The dependent class named `local` (e.g. `"Text"`) that an object of class `owner` may
+    /// own: declared on `owner` itself or inherited from one of its generalizations, the
+    /// nearest one first.
+    pub fn dependent_class(&self, owner: ClassId, local: &str) -> Option<ClassId> {
+        self.class_ancestors(owner).into_iter().find_map(|ancestor| {
+            self.classes
+                .iter()
+                .find(|c| c.owner == Some(ancestor) && c.local_name() == local)
+                .map(|c| c.id)
+        })
+    }
+
     /// Independent (top-level) classes.
     pub fn independent_classes(&self) -> Vec<&ObjectClass> {
         self.classes.iter().filter(|c| c.owner.is_none()).collect()
@@ -450,6 +462,18 @@ mod tests {
         assert_eq!(s.dependent_classes(data).len(), 1);
         assert_eq!(s.dependent_classes(text).len(), 1);
         assert!(s.class(text).unwrap().is_dependent());
+    }
+
+    #[test]
+    fn dependent_classes_resolve_through_generalizations() {
+        let s = crate::figure3_schema();
+        let id = |name| s.class_id(name).unwrap();
+        let text = id("Data.Text");
+        assert_eq!(s.dependent_class(id("Data"), "Text"), Some(text));
+        assert_eq!(s.dependent_class(id("InputData"), "Text"), Some(text), "inherited from Data");
+        assert_eq!(s.dependent_class(text, "Body"), Some(id("Data.Text.Body")));
+        assert_eq!(s.dependent_class(id("Action"), "Text"), None);
+        assert_eq!(s.dependent_class(id("Thing"), "Text"), None, "not from a specialization");
     }
 
     #[test]

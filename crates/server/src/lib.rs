@@ -25,8 +25,7 @@ pub mod server;
 pub use error::{ServerError, ServerResult};
 pub use lock::LockTable;
 pub use protocol::{
-    AssociationSummary, CheckoutSet, ClassSummary, ClientId, HealthStatus, PersistenceStatus,
-    PromotionReceipt, QueryAnswer, RelationshipInfo, ReplicationRole, ReplicationStatus, Request,
-    Response, SchemaSummary, Update,
+    CheckoutSet, ClientId, HealthStatus, PersistenceStatus, PromotionReceipt, QueryAnswer,
+    RelationshipInfo, ReplicationRole, ReplicationStatus, Request, Response, Update,
 };
 pub use server::{Promoter, SeedServer, DEFAULT_HEALTH_LAG_BUDGET};

@@ -4,6 +4,7 @@
 //! copy and the server's central database do not share id spaces.
 
 use seed_core::{ObjectRecord, RelationshipRecord, Value, VersionId};
+use seed_schema::Schema;
 
 /// Identifier the server assigns to a connected client.
 pub type ClientId = u64;
@@ -194,9 +195,9 @@ pub struct PersistenceStatus {
     pub relationships: usize,
     /// Stored versions.
     pub versions: usize,
-    /// Replication progress and the serving snapshot's LSN.  Always `Some` on a server (both
-    /// roles report the snapshot LSN so operators can observe staleness).
-    pub replication: Option<ReplicationStatus>,
+    /// Replication progress and the serving snapshot's LSN (both roles report the snapshot
+    /// LSN so operators can observe staleness).
+    pub replication: ReplicationStatus,
 }
 
 /// The answer to a [`Request::Health`] probe: liveness is implied by any reply at all;
@@ -214,113 +215,6 @@ pub struct HealthStatus {
     pub lag_budget: u64,
     /// Human-readable reason, `"ok"` when ready.
     pub detail: String,
-}
-
-/// Summary of one class, as shipped to remote clients ([`SchemaSummary`]).  Ids are the raw
-/// `ClassId` numbers of the server's schema; the vector index in [`SchemaSummary::classes`]
-/// equals the id.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ClassSummary {
-    /// Class name (local name for dependent classes).
-    pub name: String,
-    /// Owning class id, for dependent classes.
-    pub owner: Option<u32>,
-    /// Superclass id in the generalization hierarchy.
-    pub superclass: Option<u32>,
-    /// Maximum occurrence of dependents per parent (`None` = unbounded).  `Some(1)` means
-    /// dependents of this class get plain (un-indexed) name segments.
-    pub occurrence_max: Option<u32>,
-}
-
-/// Summary of one association for remote clients; the vector index in
-/// [`SchemaSummary::associations`] equals the `AssociationId` number.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct AssociationSummary {
-    /// Association name.
-    pub name: String,
-    /// Superassociation id in the generalization hierarchy.
-    pub superassociation: Option<u32>,
-    /// Role names, in declaration order.
-    pub roles: Vec<String>,
-}
-
-/// A structural summary of the server's current schema — enough for a remote client to
-/// interpret the class ids inside [`seed_core::ObjectRecord`]s, resolve dependent classes and
-/// walk association hierarchies without holding a full [`seed_schema::Schema`].
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SchemaSummary {
-    /// Schema name.
-    pub name: String,
-    /// Classes, indexed by class id.
-    pub classes: Vec<ClassSummary>,
-    /// Associations, indexed by association id.
-    pub associations: Vec<AssociationSummary>,
-}
-
-impl SchemaSummary {
-    /// The name of the class with the given id.
-    pub fn class_name(&self, id: u32) -> Option<&str> {
-        self.classes.get(id as usize).map(|c| c.name.as_str())
-    }
-
-    /// The id of the top-level (un-owned) class with the given name.
-    pub fn class_id(&self, name: &str) -> Option<u32> {
-        self.classes.iter().position(|c| c.owner.is_none() && c.name == name).map(|i| i as u32)
-    }
-
-    /// Resolves a dependent class by its local name in the context of `parent_class`, walking
-    /// the parent's superclass chain like the server does.
-    pub fn dependent_class(&self, parent_class: u32, local: &str) -> Option<u32> {
-        let mut current = Some(parent_class);
-        while let Some(owner) = current {
-            if let Some(found) =
-                self.classes.iter().position(|c| c.owner == Some(owner) && c.name == local)
-            {
-                return Some(found as u32);
-            }
-            current = self.classes.get(owner as usize).and_then(|c| c.superclass);
-        }
-        None
-    }
-
-    /// The id of the association with the given name.
-    pub fn association_id(&self, name: &str) -> Option<u32> {
-        self.associations.iter().position(|a| a.name == name).map(|i| i as u32)
-    }
-
-    /// The association with the given name.
-    pub fn association(&self, name: &str) -> Option<&AssociationSummary> {
-        self.associations.iter().find(|a| a.name == name)
-    }
-
-    /// The names of `name`'s association hierarchy: the association itself plus every
-    /// (transitive) specialization.
-    pub fn association_hierarchy(&self, name: &str) -> Vec<String> {
-        let Some(root) = self.association_id(name) else { return Vec::new() };
-        let mut members = vec![root];
-        // Fixpoint over the superassociation links (hierarchies are shallow).
-        loop {
-            let before = members.len();
-            for (i, assoc) in self.associations.iter().enumerate() {
-                let i = i as u32;
-                if members.contains(&i) {
-                    continue;
-                }
-                if let Some(sup) = assoc.superassociation {
-                    if members.contains(&sup) {
-                        members.push(i);
-                    }
-                }
-            }
-            if members.len() == before {
-                break;
-            }
-        }
-        members
-            .into_iter()
-            .filter_map(|i| self.associations.get(i as usize).map(|a| a.name.clone()))
-            .collect()
-    }
 }
 
 /// One relationship of an object, rendered for a remote client: the association by name and the
@@ -378,8 +272,8 @@ pub enum Request {
     Persistence,
     /// Ask the server to checkpoint its durable storage (write the snapshot, prune the WAL).
     Checkpoint,
-    /// Ask for a structural summary of the current schema (class/association names, hierarchy
-    /// links, role names) so the client can interpret records locally.
+    /// Ask for the current schema, so the client can interpret records locally (class ids,
+    /// dependent classes, association hierarchies and roles).
     Schema,
     /// Read the (materialized) children of an object by name.
     Children {
@@ -506,7 +400,7 @@ pub enum Response {
     /// Reply to [`Request::Persistence`].
     Persistence(PersistenceStatus),
     /// Reply to [`Request::Schema`].
-    Schema(SchemaSummary),
+    Schema(Schema),
     /// Reply to [`Request::Children`] / [`Request::Prefix`] / [`Request::ObjectsOfClass`].
     Objects(Vec<ObjectRecord>),
     /// Reply to [`Request::RelationshipsOf`].

@@ -14,9 +14,8 @@ use seed_core::{
 use crate::error::{ServerError, ServerResult};
 use crate::lock::LockTable;
 use crate::protocol::{
-    AssociationSummary, CheckoutSet, ClassSummary, ClientId, HealthStatus, PersistenceStatus,
-    PromotionReceipt, QueryAnswer, RelationshipInfo, ReplicationRole, ReplicationStatus, Request,
-    Response, SchemaSummary, Update,
+    CheckoutSet, ClientId, HealthStatus, PersistenceStatus, PromotionReceipt, QueryAnswer,
+    RelationshipInfo, ReplicationRole, ReplicationStatus, Request, Response, Update,
 };
 
 /// The replica-side half of a controlled promotion, implemented by `seed-net`'s `ReplicaNode`:
@@ -364,7 +363,7 @@ impl SeedServer {
             objects: snapshot.object_count(),
             relationships: snapshot.relationship_count(),
             versions: snapshot.versions().len(),
-            replication: Some(self.replication_status(&snapshot)),
+            replication: self.replication_status(&snapshot),
         }
     }
 
@@ -442,34 +441,10 @@ impl SeedServer {
         self.locks.lock().len()
     }
 
-    /// A structural summary of the current schema for remote clients.
-    pub fn schema_summary(&self) -> SchemaSummary {
-        let db = self.snapshots.read();
-        let schema = db.schema();
-        SchemaSummary {
-            name: schema.name.clone(),
-            classes: schema
-                .classes()
-                .iter()
-                .map(|c| ClassSummary {
-                    // Local names: "Text", not "Data.Text" — clients resolve dependents by the
-                    // local name in the context of an owner class.
-                    name: c.local_name().to_string(),
-                    owner: c.owner.map(|o| o.0),
-                    superclass: c.superclass.map(|s| s.0),
-                    occurrence_max: c.occurrence.max,
-                })
-                .collect(),
-            associations: schema
-                .associations()
-                .iter()
-                .map(|a| AssociationSummary {
-                    name: a.name.clone(),
-                    superassociation: a.superassociation.map(|s| s.0),
-                    roles: a.roles.iter().map(|r| r.name.clone()).collect(),
-                })
-                .collect(),
-        }
+    /// The current schema of the serving snapshot: what a remote client interprets the records
+    /// it reads by ([`Request::Schema`]).
+    pub fn schema(&self) -> seed_schema::Schema {
+        self.snapshots.read().schema().clone()
     }
 
     /// The (materialized) children of an object, by name.
@@ -834,7 +809,7 @@ impl SeedServer {
                 self.checkpoint()?;
                 Response::Ack
             }
-            Request::Schema => Response::Schema(self.schema_summary()),
+            Request::Schema => Response::Schema(self.schema()),
             Request::Children { name } => Response::Objects(self.children_of(&name)?),
             Request::Prefix { prefix } => Response::Objects(self.objects_with_prefix(&prefix)),
             Request::RelationshipsOf { name } => {
@@ -1207,7 +1182,7 @@ mod tests {
         // The whole read surface keeps working.
         assert!(server.retrieve("Alarms").is_ok());
         assert_eq!(server.query("count Action").unwrap().count, 2);
-        assert!(server.schema_summary().class_id("Data").is_some());
+        assert!(server.schema().class_id("Data").is_ok());
         assert!(server.completeness_count() > 0);
         // Writes are redirected, not applied.
         let c1 = server.connect();
@@ -1231,7 +1206,7 @@ mod tests {
         server.advance_replica(41, 44, Some(next));
         assert!(server.retrieve("FromTheStream").is_ok());
         assert!(server.retrieve("Alarms").is_err(), "the old state was swapped out in full");
-        let replication = server.persistence_status().replication.expect("replica status");
+        let replication = server.persistence_status().replication;
         assert_eq!(replication.role, ReplicationRole::Replica);
         assert_eq!(replication.lag(), 3);
         assert_eq!(replication.snapshot_lsn, 41, "snapshot keyed to the applied LSN");
@@ -1247,7 +1222,7 @@ mod tests {
         let server = server_with_data();
         // Even without subscribers the primary reports: the serving snapshot's LSN is the
         // operator's read-staleness observable.
-        let idle = server.persistence_status().replication.expect("primary always reports");
+        let idle = server.persistence_status().replication;
         assert_eq!(idle.role, ReplicationRole::Primary);
         assert_eq!(idle.subscribers, 0);
         // An in-memory primary keys its snapshots by publication epoch, which is NOT a WAL
@@ -1258,7 +1233,7 @@ mod tests {
         assert_eq!(idle.primary_lsn, 0);
         server.note_replica_ack(7, 12);
         server.note_replica_ack(9, 8);
-        let status = server.persistence_status().replication.expect("primary status present");
+        let status = server.persistence_status().replication;
         assert_eq!(status.role, ReplicationRole::Primary);
         assert_eq!(status.subscribers, 2);
         assert_eq!(status.min_acked_lsn, 8);
@@ -1268,7 +1243,7 @@ mod tests {
         server.forget_replica(9);
         assert_eq!(server.subscriber_count(), 1);
         server.forget_replica(7);
-        let status = server.persistence_status().replication.expect("primary always reports");
+        let status = server.persistence_status().replication;
         assert_eq!(status.subscribers, 0);
     }
 
@@ -1287,7 +1262,7 @@ mod tests {
                 .unwrap();
         }
         let durable = server.with_database(|db| db.durable_lsn().unwrap());
-        let replication = server.persistence_status().replication.expect("primary status");
+        let replication = server.persistence_status().replication;
         assert_eq!(replication.snapshot_lsn, durable, "durable primary reports the real WAL LSN");
         assert_eq!(replication.applied_lsn, durable);
         let cursor = durable - 5;
@@ -1420,7 +1395,7 @@ mod tests {
         server.install_primary(promoted);
         assert!(server.replica_progress().is_none());
         assert!(server.retrieve("PostPromotion").is_ok());
-        let replication = server.persistence_status().replication.expect("primary reports");
+        let replication = server.persistence_status().replication;
         assert_eq!(replication.role, ReplicationRole::Primary);
         let client = server.connect();
         server
@@ -1557,15 +1532,16 @@ mod tests {
     #[test]
     fn read_surface_serves_schema_children_and_counts() {
         let server = server_with_data();
-        let schema = server.schema_summary();
-        assert_eq!(schema.name, "Figure3");
-        assert!(schema.class_id("Data").is_some());
-        assert!(schema.class_name(0).is_some());
-        let hierarchy = server.schema_summary().association_hierarchy("Access");
-        assert!(hierarchy.contains(&"Access".to_string()));
-        assert!(hierarchy.contains(&"Read".to_string()));
-        assert!(hierarchy.contains(&"Write".to_string()));
-        assert_eq!(schema.association("Access").unwrap().roles[0], "from");
+        let schema = server.schema();
+        assert_eq!(schema, seed_schema::figure3_schema());
+        let access = schema.association_id("Access").unwrap();
+        let names: Vec<&str> = schema
+            .association_descendants(access)
+            .into_iter()
+            .map(|a| schema.association(a).unwrap().name.as_str())
+            .collect();
+        assert_eq!(names, ["Read", "Write"]);
+        assert_eq!(schema.association(access).unwrap().roles[0].name, "from");
 
         let children = server.children_of("AlarmHandler").unwrap();
         assert_eq!(children.len(), 1);

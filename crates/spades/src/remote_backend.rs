@@ -41,9 +41,9 @@ use std::cell::RefCell;
 
 use seed_core::{ObjectRecord, SeedError, Value, VersionId};
 use seed_net::{FromResponse, RemoteClient};
+use seed_schema::Schema;
 use seed_server::{
-    CheckoutSet, RelationshipInfo, Request, Response, SchemaSummary, ServerError, ServerResult,
-    Update,
+    CheckoutSet, RelationshipInfo, Request, Response, ServerError, ServerResult, Update,
 };
 
 use crate::backend::SpecBackend;
@@ -53,7 +53,9 @@ use crate::model::{ElementInfo, ElementKind, FlowKind};
 /// The tool backed by a remote SEED server.
 pub struct RemoteBackend {
     client: RefCell<RemoteClient>,
-    schema: SchemaSummary,
+    /// The server's schema, fetched once by [`RemoteBackend::new`]: the tool's own schema
+    /// does not change while it runs.
+    schema: Schema,
     checkpoints: usize,
     /// Exchanges sent so far: the round trips the tests pin per operation.
     #[cfg(test)]
@@ -130,11 +132,11 @@ fn flow_from_association(name: &str) -> FlowKind {
 }
 
 impl RemoteBackend {
-    /// Wraps a connected client, fetching the schema summary it needs to interpret records.
+    /// Wraps a connected client, fetching the schema it needs to interpret records.
     pub fn new(client: RemoteClient) -> SpadesResult<Self> {
         let mut backend = Self {
             client: RefCell::new(client),
-            schema: SchemaSummary::default(),
+            schema: Schema::new(""),
             checkpoints: 0,
             #[cfg(test)]
             round_trips: Cell::new(0),
@@ -232,7 +234,17 @@ impl RemoteBackend {
     }
 
     fn kind_of(&self, record: &ObjectRecord) -> ElementKind {
-        self.schema.class_name(record.class.0).map(kind_from_class).unwrap_or(ElementKind::Thing)
+        self.schema
+            .class(record.class)
+            .map_or(ElementKind::Thing, |c| kind_from_class(c.local_name()))
+    }
+
+    /// Whether `association` is `Access` or one of its specializations (a flow).
+    fn is_flow(&self, association: &str) -> bool {
+        match (self.schema.association_id(association), self.schema.association_id("Access")) {
+            (Ok(id), Ok(access)) => self.schema.association_is_a(id, access),
+            _ => false,
+        }
     }
 
     /// The name segment the server will give the next auto-named `class_local` dependent of
@@ -244,16 +256,16 @@ impl RemoteBackend {
         siblings: &[ObjectRecord],
         class_local: &str,
     ) -> SpadesResult<String> {
-        let class = self.schema.dependent_class(parent.class.0, class_local).ok_or_else(|| {
+        let class = self.schema.dependent_class(parent.class, class_local).ok_or_else(|| {
             SpadesError::Seed(SeedError::Invalid(format!(
                 "no dependent class '{class_local}' for '{}'",
                 parent.name
             )))
         })?;
-        if self.schema.classes[class as usize].occurrence_max == Some(1) {
+        if self.schema.classes()[class.index()].occurrence.max == Some(1) {
             return Ok(class_local.to_string());
         }
-        let siblings = siblings.iter().filter(|c| c.class.0 == class).count();
+        let siblings = siblings.iter().filter(|c| c.class == class).count();
         Ok(format!("{class_local}[{siblings}]"))
     }
 }
@@ -295,10 +307,10 @@ impl SpecBackend for RemoteBackend {
     fn add_flow(&mut self, data: &str, action: &str, kind: FlowKind) -> SpadesResult<()> {
         self.lookup_pair(data, action, Vec::new())?;
         let assoc = kind.association_name();
-        let role0 =
-            self.schema.association(assoc).and_then(|a| a.roles.first().cloned()).ok_or_else(
-                || SpadesError::Seed(SeedError::Invalid(format!("unknown association '{assoc}'"))),
-            )?;
+        let role0 = self.schema.association_by_name(assoc).ok().and_then(|a| a.roles.first());
+        let role0 = role0.map(|role| role.name.clone()).ok_or_else(|| {
+            SpadesError::Seed(SeedError::Invalid(format!("unknown association '{assoc}'")))
+        })?;
         self.transact(
             &[data, action],
             vec![Update::CreateRelationship {
@@ -313,11 +325,10 @@ impl SpecBackend for RemoteBackend {
             .lookup_pair(data, action, vec![Request::RelationshipsOf { name: data.to_string() }])?
             .next::<Vec<RelationshipInfo>>()
             .map_err(server_to_spades)?;
-        let hierarchy = self.schema.association_hierarchy("Access");
         let rel = relationships
             .into_iter()
             .find(|rel| {
-                hierarchy.contains(&rel.association) && rel.involves(data) && rel.involves(action)
+                self.is_flow(&rel.association) && rel.involves(data) && rel.involves(action)
             })
             .ok_or_else(|| SpadesError::Unknown(format!("flow between '{data}' and '{action}'")))?;
         let current = flow_from_association(&rel.association);
@@ -466,10 +477,9 @@ impl SpecBackend for RemoteBackend {
             .filter_map(|o| o.value.as_str().map(|s| s.to_string()))
             .collect();
         keywords.sort();
-        let hierarchy = self.schema.association_hierarchy("Access");
         let mut flows = Vec::new();
         for rel in relationships {
-            if !hierarchy.contains(&rel.association) {
+            if !self.is_flow(&rel.association) {
                 continue;
             }
             let kind = flow_from_association(&rel.association);

@@ -13,10 +13,6 @@ pub enum StorageError {
     Io(io::Error),
     /// Malformed bytes encountered while decoding (corrupt snapshot, WAL frame, or value).
     Corrupt(String),
-    /// The write-ahead log contained a frame whose checksum did not match.
-    ChecksumMismatch { lsn: u64 },
-    /// A key was not found.
-    KeyNotFound,
     /// An earlier commit or checkpoint failed on I/O, so the log may no longer match what
     /// callers were told; the engine refuses all further work until it is reopened.
     Poisoned(String),
@@ -29,10 +25,6 @@ impl fmt::Display for StorageError {
         match self {
             StorageError::Io(e) => write!(f, "i/o error: {e}"),
             StorageError::Corrupt(msg) => write!(f, "corrupt data: {msg}"),
-            StorageError::ChecksumMismatch { lsn } => {
-                write!(f, "checksum mismatch in WAL frame at lsn {lsn}")
-            }
-            StorageError::KeyNotFound => write!(f, "key not found"),
             StorageError::Poisoned(reason) => write!(f, "storage engine poisoned: {reason}"),
             StorageError::InvalidArgument(msg) => write!(f, "invalid argument: {msg}"),
         }
@@ -63,8 +55,8 @@ mod tests {
         let e = StorageError::Corrupt("snapshot: bad magic".into());
         assert!(e.to_string().contains("bad magic"));
 
-        let e = StorageError::ChecksumMismatch { lsn: 42 };
-        assert!(e.to_string().contains("lsn 42"));
+        let e = StorageError::Poisoned("commit at lsn 42 failed".into());
+        assert!(e.to_string().contains("poisoned: commit at lsn 42"));
     }
 
     #[test]
@@ -77,6 +69,6 @@ mod tests {
 
     #[test]
     fn non_io_errors_have_no_source() {
-        assert!(std::error::Error::source(&StorageError::KeyNotFound).is_none());
+        assert!(std::error::Error::source(&StorageError::Corrupt("x".into())).is_none());
     }
 }

@@ -89,7 +89,7 @@ fn main() {
         }
         other => panic!("expected a redirect, got {other:?}"),
     }
-    let status = on_replica.persistence().expect("status").replication.expect("replica status");
+    let status = on_replica.persistence().expect("status").replication;
     println!(
         "  replica status: applied LSN {} / primary LSN {} (lag {} records)",
         status.applied_lsn,

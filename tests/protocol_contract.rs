@@ -25,7 +25,7 @@ fn constants_match_the_document() {
     assert_eq!(seed::net::wire::MAGIC, *b"SEWP");
     assert_eq!(hex(&seed::net::wire::MAGIC), "53 45 57 50");
     assert_eq!(MAX_FRAME_LEN, 64 * 1024 * 1024);
-    assert_eq!(PROTOCOL_VERSION, 5);
+    assert_eq!(PROTOCOL_VERSION, 6);
 }
 
 #[test]
@@ -62,18 +62,18 @@ fn worked_frame_example_renders_exactly_as_documented() {
 #[test]
 fn handshake_dumps_render_exactly_as_documented() {
     // §4.
-    assert_eq!(hex(&Hello::current("spades").encode()), "05 00 05 00 06 73 70 61 64 65 73 00");
-    assert_eq!(hex(&Hello::replica("spades").encode()), "05 00 05 00 06 73 70 61 64 65 73 01");
-    let welcome = Welcome { version: 5, client_id: 7, banner: "seed-net/0.1.0".into() };
+    assert_eq!(hex(&Hello::current("spades").encode()), "06 00 06 00 06 73 70 61 64 65 73 00");
+    assert_eq!(hex(&Hello::replica("spades").encode()), "06 00 06 00 06 73 70 61 64 65 73 01");
+    let welcome = Welcome { version: 6, client_id: 7, banner: "seed-net/0.1.0".into() };
     assert_eq!(
         hex(&welcome.encode()),
-        "05 00 07 00 00 00 00 00 00 00 0e 73 65 65 64 2d 6e 65 74 2f 30 2e 31 2e 30"
+        "06 00 07 00 00 00 00 00 00 00 0e 73 65 65 64 2d 6e 65 74 2f 30 2e 31 2e 30"
     );
     // Negotiation: a hello is accepted if and only if its range covers the one version; a
-    // v4-only hello, as the previous build sends, is refused.
+    // v5-only hello, as the previous build sends, is refused.
     assert_eq!(negotiate(&Hello::current("x")).unwrap(), PROTOCOL_VERSION);
-    let v4 = Hello { min_version: 4, max_version: 4, ..Hello::current("x") };
-    assert!(negotiate(&v4).unwrap_err().contains("no common protocol version"));
+    let v5 = Hello { min_version: 5, max_version: 5, ..Hello::current("x") };
+    assert!(negotiate(&v5).unwrap_err().contains("no common protocol version"));
 }
 
 #[test]
@@ -174,7 +174,7 @@ fn response_and_error_tags_match_the_tables() {
         (Response::Answer(Default::default()), 4),
         (Response::Version(seed::core::VersionId::parse("1.0").unwrap()), 5),
         (Response::Persistence(Default::default()), 6),
-        (Response::Schema(Default::default()), 7),
+        (Response::Schema(seed::schema::figure3_schema()), 7),
         (Response::Objects(vec![]), 8),
         (Response::Relationships(vec![]), 9),
         (Response::Count(0), 10),
@@ -227,6 +227,27 @@ fn response_and_error_tags_match_the_tables() {
         }
         other => panic!("unexpected decode: {other:?}"),
     }
+}
+
+#[test]
+fn schema_answer_is_the_stored_schema_record() {
+    // §5: the Schema answer is tag 7, then exactly the bytes of the `s/<svid>` record.
+    use seed::net::codec::{decode_response, encode_response};
+    use seed::server::SeedServer;
+    let dir = std::env::temp_dir().join(format!("seed-protocol-schema-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let server = SeedServer::create_durable(&dir, seed::schema::figure3_schema()).unwrap();
+    let payload = encode_response(&server.handle(server.connect(), Request::Schema));
+    drop(server);
+    let (_engine, recovered) = seed::storage::StorageEngine::open(&dir).unwrap();
+    let record = recovered.get(b"s/00000001").expect("the schema record");
+    assert_eq!(payload[0], 7);
+    assert_eq!(&payload[1..], record);
+    match decode_response(&payload).unwrap() {
+        Ok(Response::Schema(schema)) => assert_eq!(schema, seed::schema::figure3_schema()),
+        other => panic!("unexpected decode: {other:?}"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -73,11 +73,11 @@ fn spades_reports_are_byte_identical_across_primary_and_replicas() {
 
     // Both sides surface replication in their persistence status.
     let mut primary_client = RemoteClient::connect(addr).unwrap();
-    let status = primary_client.persistence().unwrap().replication.expect("primary status");
+    let status = primary_client.persistence().unwrap().replication;
     assert_eq!(status.role, ReplicationRole::Primary);
     assert_eq!(status.subscribers, 2);
     let mut replica_client = RemoteClient::connect(replicas[0].local_addr()).unwrap();
-    let status = replica_client.persistence().unwrap().replication.expect("replica status");
+    let status = replica_client.persistence().unwrap().replication;
     assert_eq!(status.role, ReplicationRole::Replica);
     assert_eq!(status.lag(), 0);
 
@@ -198,7 +198,7 @@ fn long_streams_apply_incrementally_without_wholesale_reloads() {
     let mut reader = RemoteClient::connect(replica.local_addr()).unwrap();
     assert_eq!(reader.query("count Data").unwrap().count, 240);
     assert!(reader.retrieve("Stream39").is_ok());
-    let status = reader.persistence().unwrap().replication.expect("replica status");
+    let status = reader.persistence().unwrap().replication;
     assert_eq!(status.snapshot_lsn, status.applied_lsn, "reads serve the applied cursor");
 
     replica.shutdown();
