@@ -526,8 +526,22 @@ pub fn decode_schema(d: &mut Decoder<'_>) -> SeedResult<Schema> {
 
 /// Decodes a standalone `s/<svid>` record.
 pub(crate) fn decode_schema_entry(bytes: &[u8]) -> SeedResult<Schema> {
+    decode_whole(bytes, "a schema record", decode_schema)
+}
+
+/// Decodes one whole stored record with `decode`, which must consume every byte: a record
+/// with trailing bytes is an error, not a record that decodes as if whole.
+fn decode_whole<T>(
+    bytes: &[u8],
+    what: &str,
+    decode: impl FnOnce(&mut Decoder<'_>) -> SeedResult<T>,
+) -> SeedResult<T> {
     let mut d = Decoder::new(bytes);
-    decode_schema(&mut d)
+    let record = decode(&mut d)?;
+    match d.remaining() {
+        0 => Ok(record),
+        n => Err(SeedError::Invalid(format!("{n} trailing bytes after {what}"))),
+    }
 }
 
 // --------------------------------------------------------------------------------------------
@@ -643,20 +657,20 @@ pub(crate) fn encode_object_entry(e: &mut Encoder, o: &ObjectRecord, inherits: &
 
 /// Decodes an `o/<id>` record into the object and its inherited patterns.
 pub(crate) fn decode_object_entry(bytes: &[u8]) -> SeedResult<(ObjectRecord, Vec<ObjectId>)> {
-    let mut d = Decoder::new(bytes);
-    let record = decode_object(&mut d)?;
-    let n = d.get_varint()? as usize;
-    let mut inherits = Vec::with_capacity(n.min(d.remaining()));
-    for _ in 0..n {
-        inherits.push(ObjectId(d.get_u64()?));
-    }
-    Ok((record, inherits))
+    decode_whole(bytes, "an object record", |d| {
+        let record = decode_object(d)?;
+        let n = d.get_varint()? as usize;
+        let mut inherits = Vec::with_capacity(n.min(d.remaining()));
+        for _ in 0..n {
+            inherits.push(ObjectId(d.get_u64()?));
+        }
+        Ok((record, inherits))
+    })
 }
 
 /// Decodes an `r/<id>` record.
 pub(crate) fn decode_relationship_entry(bytes: &[u8]) -> SeedResult<RelationshipRecord> {
-    let mut d = Decoder::new(bytes);
-    decode_relationship(&mut d)
+    decode_whole(bytes, "a relationship record", decode_relationship)
 }
 
 // --------------------------------------------------------------------------------------------
@@ -664,7 +678,7 @@ pub(crate) fn decode_relationship_entry(bytes: &[u8]) -> SeedResult<Relationship
 // --------------------------------------------------------------------------------------------
 
 /// Encodes one `v/<vid>/<item>` delta snapshot.
-pub(crate) fn encode_snapshot(e: &mut Encoder, snapshot: &ItemSnapshot) {
+pub(crate) fn encode_item_snapshot(e: &mut Encoder, snapshot: &ItemSnapshot) {
     match snapshot {
         ItemSnapshot::Object(o) => {
             e.put_u8(0);
@@ -678,12 +692,13 @@ pub(crate) fn encode_snapshot(e: &mut Encoder, snapshot: &ItemSnapshot) {
 }
 
 /// Decodes a `v/<vid>/<item>` delta snapshot.
-pub(crate) fn decode_snapshot(bytes: &[u8]) -> SeedResult<ItemSnapshot> {
-    let mut d = Decoder::new(bytes);
-    Ok(match d.get_u8()? {
-        0 => ItemSnapshot::Object(decode_object(&mut d)?),
-        1 => ItemSnapshot::Relationship(decode_relationship(&mut d)?),
-        other => return Err(SeedError::Invalid(format!("unknown snapshot tag {other}"))),
+pub(crate) fn decode_item_snapshot(bytes: &[u8]) -> SeedResult<ItemSnapshot> {
+    decode_whole(bytes, "a delta snapshot", |d| {
+        Ok(match d.get_u8()? {
+            0 => ItemSnapshot::Object(decode_object(d)?),
+            1 => ItemSnapshot::Relationship(decode_relationship(d)?),
+            other => return Err(SeedError::Invalid(format!("unknown snapshot tag {other}"))),
+        })
     })
 }
 
@@ -706,14 +721,15 @@ pub(crate) fn encode_version_info(e: &mut Encoder, info: &VersionInfo) {
 
 /// Decodes a `vi/<vid>` record.
 pub(crate) fn decode_version_info(bytes: &[u8]) -> SeedResult<VersionInfo> {
-    let mut d = Decoder::new(bytes);
-    let id = VersionId::parse(d.get_str()?)?;
-    let parent = if d.get_bool()? { Some(VersionId::parse(d.get_str()?)?) } else { None };
-    let schema_version = SchemaVersionId(d.get_u32()?);
-    let comment = d.get_str()?.to_string();
-    let seq = d.get_u64()?;
-    let delta_size = d.get_varint()? as usize;
-    Ok(VersionInfo { id, parent, schema_version, comment, seq, delta_size })
+    decode_whole(bytes, "a version record", |d| {
+        let id = VersionId::parse(d.get_str()?)?;
+        let parent = if d.get_bool()? { Some(VersionId::parse(d.get_str()?)?) } else { None };
+        let schema_version = SchemaVersionId(d.get_u32()?);
+        let comment = d.get_str()?.to_string();
+        let seq = d.get_u64()?;
+        let delta_size = d.get_varint()? as usize;
+        Ok(VersionInfo { id, parent, schema_version, comment, seq, delta_size })
+    })
 }
 
 // --------------------------------------------------------------------------------------------
@@ -799,7 +815,10 @@ pub(crate) fn encode_meta(e: &mut Encoder, meta: &MetaRecord) {
 }
 
 pub(crate) fn decode_meta(bytes: &[u8]) -> SeedResult<MetaRecord> {
-    let mut d = Decoder::new(bytes);
+    decode_whole(bytes, "the meta record", decode_meta_fields)
+}
+
+fn decode_meta_fields(d: &mut Decoder<'_>) -> SeedResult<MetaRecord> {
     let format = d.get_u32()?;
     if format != FORMAT_VERSION {
         return Err(SeedError::Invalid(format!(
@@ -812,7 +831,7 @@ pub(crate) fn decode_meta(bytes: &[u8]) -> SeedResult<MetaRecord> {
     let rule_count = d.get_varint()? as usize;
     let mut rules = Vec::with_capacity(rule_count.min(d.remaining()));
     for _ in 0..rule_count {
-        rules.push(decode_transition_rule(&mut d)?);
+        rules.push(decode_transition_rule(d)?);
     }
     let last_created = if d.get_bool()? { Some(VersionId::parse(d.get_str()?)?) } else { None };
     let version_seq = d.get_u64()?;
@@ -935,5 +954,89 @@ mod tests {
         let mut bad = meta.clone();
         bad.format = FORMAT_VERSION + 1;
         assert!(decode_meta(&encoded(|e| encode_meta(e, &bad))).is_err());
+    }
+
+    /// `bytes` with one more byte: a record that does not end where its decoder stops.
+    fn extended(mut bytes: Vec<u8>) -> Vec<u8> {
+        bytes.push(0);
+        bytes
+    }
+
+    fn sample_object() -> ObjectRecord {
+        let name = ObjectName::parse("Alarms").unwrap();
+        let mut record = ObjectRecord::new(ObjectId(7), ClassId(2), name, None);
+        record.value = Value::string("x");
+        record
+    }
+
+    fn sample_relationship() -> RelationshipRecord {
+        let bindings = vec![("from".to_string(), ObjectId(1)), ("by".to_string(), ObjectId(2))];
+        RelationshipRecord::new(RelationshipId(4), AssociationId(0), bindings)
+    }
+
+    #[test]
+    fn trailing_byte_after_an_object_record_is_an_error() {
+        let bytes = encoded(|e| encode_object_entry(e, &sample_object(), &[ObjectId(3)]));
+        assert!(decode_object_entry(&bytes).is_ok());
+        assert!(decode_object_entry(&extended(bytes)).is_err());
+    }
+
+    #[test]
+    fn trailing_byte_after_a_relationship_record_is_an_error() {
+        let bytes = encoded(|e| encode_relationship(e, &sample_relationship()));
+        assert!(decode_relationship_entry(&bytes).is_ok());
+        assert!(decode_relationship_entry(&extended(bytes)).is_err());
+    }
+
+    #[test]
+    fn trailing_byte_after_a_schema_record_is_an_error() {
+        let bytes = encoded(|e| encode_schema(e, &figure3_schema()));
+        assert!(decode_schema_entry(&bytes).is_ok());
+        assert!(decode_schema_entry(&extended(bytes)).is_err());
+    }
+
+    #[test]
+    fn trailing_byte_after_a_delta_snapshot_is_an_error() {
+        for snapshot in [
+            ItemSnapshot::Object(sample_object()),
+            ItemSnapshot::Relationship(sample_relationship()),
+        ] {
+            let bytes = encoded(|e| encode_item_snapshot(e, &snapshot));
+            assert_eq!(decode_item_snapshot(&bytes).unwrap(), snapshot);
+            assert!(decode_item_snapshot(&extended(bytes)).is_err());
+        }
+    }
+
+    #[test]
+    fn trailing_byte_after_a_version_record_is_an_error() {
+        let info = VersionInfo {
+            id: VersionId::parse("1.0").unwrap(),
+            parent: None,
+            schema_version: SchemaVersionId(1),
+            comment: "first".to_string(),
+            seq: 1,
+            delta_size: 2,
+        };
+        let bytes = encoded(|e| encode_version_info(e, &info));
+        assert!(decode_version_info(&bytes).is_ok());
+        assert!(decode_version_info(&extended(bytes)).is_err());
+    }
+
+    #[test]
+    fn trailing_byte_after_the_meta_record_is_an_error() {
+        let meta = MetaRecord {
+            format: FORMAT_VERSION,
+            object_floor: 1,
+            relationship_floor: 1,
+            current_schema: SchemaVersionId(1),
+            rules: Vec::new(),
+            last_created: None,
+            version_seq: 0,
+            epoch: 0,
+            fenced_to: None,
+        };
+        let bytes = encoded(|e| encode_meta(e, &meta));
+        assert!(decode_meta(&bytes).is_ok());
+        assert!(decode_meta(&extended(bytes)).is_err());
     }
 }

@@ -11,7 +11,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use seed_schema::{ClassId, Schema, SchemaRegistry, SchemaVersionId};
-use seed_storage::{KeyEffect, Recovered, StorageEngine};
+use seed_storage::{Commit, KeyEffect, Recovered, StorageEngine};
 
 use crate::codec;
 use crate::codec::Key;
@@ -243,27 +243,28 @@ impl Database {
 
     /// The storage WAL tail from LSN `from` (inclusive): the commits a replica at
     /// position `from - 1` still needs, or [`seed_storage::WalTail::Truncated`] when a
-    /// checkpoint already truncated them away (the replica must then resync from
-    /// [`Database::replication_snapshot`]).  Errors for in-memory databases.
+    /// checkpoint already truncated them away (the replica must then reset from
+    /// [`Database::replication_cut`]).  Errors for in-memory databases.
     pub fn wal_tail(&self, from: seed_storage::Lsn) -> SeedResult<seed_storage::WalTail> {
+        Ok(self.engine()?.wal_tail(from)?)
+    }
+
+    /// The full-resync cut for a replica whose cursor fell behind a checkpoint: the snapshot's
+    /// commits, then the WAL tail past it, and the LSN the list ends at
+    /// ([`StorageEngine::replication_cut`]).  Read from the files, which hold only committed
+    /// state, so an open transaction or a checked-out alternative is never part of it.  Errors
+    /// for in-memory databases and once the storage engine is poisoned (a failed auto-commit
+    /// leaves memory ahead of the log).
+    pub fn replication_cut(&self) -> SeedResult<(Vec<Commit>, seed_storage::Lsn)> {
+        Ok(self.engine()?.replication_cut()?)
+    }
+
+    /// The storage engine a replica is fed from; errors for in-memory databases.
+    fn engine(&self) -> SeedResult<&StorageEngine> {
         let dur = self.durability.as_ref().ok_or_else(|| {
             SeedError::Invalid("in-memory database has no WAL to replicate from".to_string())
         })?;
-        Ok(dur.engine.wal_tail(from)?)
-    }
-
-    /// The committed state as an O(1) read-only copy plus the LSN it corresponds to — the
-    /// full-resync cut for a replica whose cursor fell behind a checkpoint
-    /// ([`crate::replica::snapshot_commit`] encodes it).  Errors for in-memory databases,
-    /// while a transaction is open or an alternative is checked out, and once the storage
-    /// engine is poisoned (a failed auto-commit leaves memory ahead of the log).
-    pub fn replication_snapshot(&self) -> SeedResult<(Database, seed_storage::Lsn)> {
-        let dur = self.durability.as_ref().ok_or_else(|| {
-            SeedError::Invalid("in-memory database has no state to replicate".to_string())
-        })?;
-        self.committed_state_only()?;
-        dur.engine.usable()?;
-        Ok((self.clone_for_snapshot(), dur.engine.durable_lsn()))
+        Ok(&dur.engine)
     }
 
     /// Fails unless memory holds exactly the committed state: no open transaction, no
@@ -369,7 +370,7 @@ impl Database {
                     .map(crate::version::ItemSnapshot::Relationship),
             };
             if let Some(snapshot) = snapshot {
-                let value = codec::encoded(|e| codec::encode_snapshot(e, &snapshot));
+                let value = codec::encoded(|e| codec::encode_item_snapshot(e, &snapshot));
                 effects.push((Key::VersionDelta(id, *item).to_vec(), Some(value)));
             }
             if self.alternative.is_none() {

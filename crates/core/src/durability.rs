@@ -18,11 +18,10 @@
 //!
 //! The storage engine keeps no copy of the data; the database in memory is the one resident
 //! copy.  `encode_pairs` (**the encoder**) turns a database into its ordered key/value pairs:
-//! checkpoint images, the initial write, replica resyncs.  `Changes` (**the applier**) turns
-//! key effects into database state: open-time recovery and both replica batch shapes.  Once
-//! the WAL outgrows its threshold, a commit that leaves no transaction open hands an O(1)
-//! clone of the database to a background thread, which encodes and writes the checkpoint
-//! holding no database lock.
+//! checkpoint images and the initial write.  `Changes` (**the applier**) turns key effects into
+//! database state: open-time recovery and both replica batch shapes.  Once the WAL outgrows its
+//! threshold, a commit that leaves no transaction open hands an O(1) clone of the database to
+//! a background thread, which encodes and writes the checkpoint holding no database lock.
 //!
 //! Crash contract: dropping the database (or the process) without a checkpoint loses nothing
 //! that was committed — recovery replays the storage WAL, whose every record is one complete
@@ -231,7 +230,7 @@ pub(crate) fn encode_pairs(db: &Database, cursor: Option<Lsn>, sink: &mut dyn Fn
         .collect();
     deltas.sort_unstable_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)));
     for (_, item, id, snapshot) in deltas {
-        out(Key::VersionDelta(id, item), &|e| codec::encode_snapshot(e, snapshot));
+        out(Key::VersionDelta(id, item), &|e| codec::encode_item_snapshot(e, snapshot));
     }
     let mut infos: Vec<(String, &VersionInfo)> =
         versions.versions().into_iter().map(|info| (info.id.to_string(), info)).collect();
@@ -290,7 +289,8 @@ impl Changes {
                 changes.infos.push((codec::parse_version_info_key(key)?, info));
             } else if key.starts_with(codec::PREFIX_VERSION_DELTA) {
                 let (vid, item) = codec::parse_version_delta_key(key)?;
-                changes.deltas.push((vid, item, value.map(codec::decode_snapshot).transpose()?));
+                let snapshot = value.map(codec::decode_item_snapshot).transpose()?;
+                changes.deltas.push((vid, item, snapshot));
             } else if key == codec::KEY_META.as_bytes() {
                 changes.meta = Some(codec::decode_meta(kept("the meta record")?)?);
             }
@@ -373,12 +373,11 @@ impl Changes {
     }
 }
 
-/// Open-time recovery: the snapshot's pairs, then the effects logged after it, applied to an
-/// empty database.
+/// Open-time recovery: the recovered effects (the snapshot's puts, then the effects logged
+/// after it) applied to an empty database.
 pub(crate) fn recover(recovered: &Recovered) -> SeedResult<Database> {
-    let snapshot = recovered.snapshot.iter().map(|(k, v)| (k.as_slice(), Some(v.as_slice())));
-    let logged = recovered.effects.iter().map(|(k, v)| (k.as_slice(), v.as_deref()));
-    Changes::decode(snapshot.chain(logged), None)?.into_database()
+    let effects = recovered.effects.iter().map(|(k, v)| (k.as_slice(), v.as_deref()));
+    Changes::decode(effects, None)?.into_database()
 }
 
 #[cfg(test)]
@@ -395,6 +394,13 @@ pub(crate) mod test_support {
             .join(format!("seed-durable-test-{}-{name}-{n}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// The key space the encoder derives from a database.
+    pub(crate) fn encoder_pairs(db: &Database) -> Vec<(Vec<u8>, Vec<u8>)> {
+        let mut pairs = Vec::new();
+        encode_pairs(db, None, &mut |key, value| pairs.push((key.to_vec(), value.to_vec())));
+        pairs
     }
 
     /// Structural equality of two databases: records, links, versions, rules and floors.
@@ -844,7 +850,7 @@ mod tests {
         assert!(db.object_by_name("Kept").is_ok());
         assert!(db.store().id_floor() > floors, "the rolled-back ids were reused");
         // The poisoned engine refuses the resync cut and further transactions.
-        assert!(matches!(db.replication_snapshot(), Err(SeedError::Storage(_))));
+        assert!(matches!(db.replication_cut(), Err(SeedError::Storage(_))));
         assert!(matches!(db.begin_transaction(), Err(SeedError::Storage(_))));
         let live = db.clone_for_snapshot();
         drop(db);
@@ -858,7 +864,7 @@ mod tests {
         let mut db = flaky_database(&io);
         io.fail_sync.store(true, std::sync::atomic::Ordering::SeqCst);
         assert!(matches!(db.create_object("Data", "Ahead"), Err(SeedError::Storage(_))));
-        match db.replication_snapshot() {
+        match db.replication_cut() {
             Err(SeedError::Storage(seed_storage::StorageError::Poisoned(reason))) => {
                 assert!(reason.contains("commit"), "{reason}")
             }
@@ -1041,9 +1047,9 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
-    use super::test_support::{assert_same_state, temp_dir};
+    use super::test_support::{assert_same_state, encoder_pairs, temp_dir};
     use super::*;
-    use crate::replica::{snapshot_commit, ReplicaStore};
+    use crate::replica::ReplicaStore;
     use crate::value::Value;
     use proptest::prelude::*;
     use seed_schema::figure3_schema;
@@ -1293,13 +1299,6 @@ mod proptests {
         }
     }
 
-    /// The key space the encoder derives from the live database.
-    fn encoder_pairs(db: &Database) -> Vec<(Vec<u8>, Vec<u8>)> {
-        let mut pairs = Vec::new();
-        encode_pairs(db, None, &mut |key, value| pairs.push((key.to_vec(), value.to_vec())));
-        pairs
-    }
-
     /// Ships the primary's WAL tail past the replica's cursor as one incremental batch.
     fn feed(replica: &mut ReplicaStore, primary: &Database) {
         let commits = match primary.wal_tail(replica.applied_lsn() + 1).unwrap() {
@@ -1317,7 +1316,7 @@ mod proptests {
         /// re-classification, versions, schema publication, explicit commit and rollback,
         /// checkpoints — explicit and automatic), the live database agrees with every other
         /// copy of its state: the directory dropped and reopened, a replica fed the WAL tail
-        /// incrementally, a second replica reset from the replication snapshot, and that
+        /// incrementally, a second replica reset from the replication cut (the files), and that
         /// replica promoted to a primary.  The encoder's key space equals the durable one, so
         /// a checkpoint image can be derived from memory.
         #[test]
@@ -1339,7 +1338,7 @@ mod proptests {
                 prop_assert!(!db.in_transaction());
                 let live = db.clone_for_snapshot();
                 let live_pairs = encoder_pairs(&live);
-                let (resync_cut, lsn) = db.replication_snapshot().unwrap();
+                let (resync_cut, lsn) = db.replication_cut().unwrap();
 
                 drop(db);
                 let (engine, recovered) =
@@ -1347,8 +1346,7 @@ mod proptests {
                 db = Database::open_recovered(engine, &recovered).unwrap();
                 assert_same_state(&live, &db, true);
                 prop_assert!(encoder_pairs(&db) == live_pairs, "step {}: reopened differs", i);
-                let mut on_disk: std::collections::BTreeMap<_, _> =
-                    recovered.snapshot.into_iter().collect();
+                let mut on_disk = std::collections::BTreeMap::new();
                 for (key, value) in recovered.effects {
                     match value {
                         Some(value) => on_disk.insert(key, value),
@@ -1365,7 +1363,7 @@ mod proptests {
 
                 let reset_dir = temp_dir("lockstep-reset");
                 let mut reset = ReplicaStore::open(&reset_dir).unwrap();
-                reset.apply(vec![snapshot_commit(&resync_cut)], lsn, true).unwrap();
+                reset.apply(resync_cut, lsn, true).unwrap();
                 drop(reset);
                 let reset = ReplicaStore::open(&reset_dir).unwrap();
                 prop_assert_eq!(reset.applied_lsn(), lsn);

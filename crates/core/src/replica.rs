@@ -16,10 +16,12 @@
 //!
 //! * **incremental** — the primary's WAL tail since the replica's cursor; applied on top of the
 //!   mirrored database;
-//! * **reset** — a full keyed snapshot as one commit (shipped when the replica's cursor fell behind a primary
-//!   checkpoint, or when the replica is empty and the primary's WAL no longer reaches back to
-//!   LSN 1); it is applied to a fresh database, which the store writes as its own snapshot
-//!   image — cursor included — in one atomic replace.
+//! * **reset** — the primary's files from the start: its snapshot's commits, then its WAL
+//!   tail past the snapshot ([`Database::replication_cut`]); shipped when the replica's cursor
+//!   fell behind a primary checkpoint, or when the replica is empty and the primary's WAL no
+//!   longer reaches back to LSN 1.  It is applied to a fresh database, exactly as restart
+//!   recovery applies the same files, which the store writes as its own snapshot image —
+//!   cursor included — in one atomic replace.
 //!
 //! The store never mutates through [`Database`] write paths — replicas are read-only by
 //! construction.  A serving copy of the mirrored database ([`ReplicaStore::serving_copy`])
@@ -173,22 +175,10 @@ fn not_initialized() -> SeedError {
     SeedError::NotFound("replica store holds no database yet (no batch applied)".to_string())
 }
 
-/// Builds the reset batch's one commit from a primary's committed state (see
-/// [`Database::replication_snapshot`]): a put per encoded pair, rebuilding the whole key space.
-/// Kept next to [`ReplicaStore::apply`] so the two sides of the snapshot contract stay in one
-/// file.
-pub fn snapshot_commit(db: &Database) -> Commit {
-    let mut effects = Vec::new();
-    durability::encode_pairs(db, None, &mut |key, value| {
-        effects.push((key.to_vec(), Some(value.to_vec())));
-    });
-    Commit { effects }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::durability::test_support::{assert_same_state, temp_dir};
+    use crate::durability::test_support::{assert_same_state, encoder_pairs, temp_dir};
     use crate::value::Value;
     use seed_schema::figure3_schema;
     use seed_storage::WalTail;
@@ -330,9 +320,10 @@ mod tests {
             WalTail::Truncated { oldest } => assert!(oldest > 1),
             other => panic!("expected truncation, got {other:?}"),
         }
-        // Resync from the snapshot, as the primary's session loop would.
-        let (view, lsn) = primary.replication_snapshot().unwrap();
-        replica.apply(vec![snapshot_commit(&view)], lsn, true).unwrap();
+        // Resync from the primary's files, as the primary's session loop would.
+        let (cut, lsn) = primary.replication_cut().unwrap();
+        assert_eq!(lsn, primary.durable_lsn().unwrap(), "the cut ends at the end of the log");
+        replica.apply(cut, lsn, true).unwrap();
         assert_eq!(replica.applied_lsn(), lsn);
         assert_same_state(replica.database().unwrap(), &primary, true);
 
@@ -360,8 +351,8 @@ mod tests {
         // exercise the reset path with a checkpoint + fresh snapshot instead).
         primary.delete_object(doomed).unwrap();
         primary.checkpoint().unwrap();
-        let (view, lsn) = primary.replication_snapshot().unwrap();
-        replica.apply(vec![snapshot_commit(&view)], lsn, true).unwrap();
+        let (cut, lsn) = primary.replication_cut().unwrap();
+        replica.apply(cut, lsn, true).unwrap();
         assert_same_state(replica.database().unwrap(), &primary, true);
         let _ = std::fs::remove_dir_all(&primary_dir);
         let _ = std::fs::remove_dir_all(&replica_dir);
@@ -571,6 +562,144 @@ mod tests {
         assert_eq!(loaded.versions().len(), 1);
         loaded.select_version(Some(v1)).unwrap();
         assert_eq!(loaded.object(desc).unwrap().value, Value::string("v1"));
+        let _ = std::fs::remove_dir_all(&primary_dir);
+        let _ = std::fs::remove_dir_all(&replica_dir);
+    }
+
+    /// The same mutations, in the same order, on any database.
+    fn workload(db: &mut Database, round: u32) {
+        let data = db.create_object("Data", &format!("Data{round}")).unwrap();
+        let action = db.create_object("Action", &format!("Action{round}")).unwrap();
+        db.create_relationship("Access", &[("from", data), ("by", action)]).unwrap();
+        let desc = db.create_dependent(action, "Description", Value::string("v1")).unwrap();
+        db.set_value(desc, Value::string(format!("round {round}"))).unwrap();
+        if round % 2 == 1 {
+            db.create_version(&format!("round {round}")).unwrap();
+            db.rename_object(data, &format!("Renamed{round}")).unwrap();
+        }
+        let victim = db.create_object("Data", &format!("Victim{round}")).unwrap();
+        db.delete_object(victim).unwrap();
+    }
+
+    /// A reset from the primary's files is a replay: a replica reset from a primary that
+    /// checkpointed twice and committed since ends equal to a replica fed every commit from
+    /// LSN 1 off a never-checkpointed twin, and both equal the primary.
+    #[test]
+    fn a_reset_from_the_files_equals_replay_from_lsn_one() {
+        let primary_dir = temp_dir("repl-replay-primary");
+        let twin_dir = temp_dir("repl-replay-twin");
+        let reset_dir = temp_dir("repl-replay-reset");
+        let replay_dir = temp_dir("repl-replay-replay");
+        let mut primary = Database::create_durable(&primary_dir, figure3_schema()).unwrap();
+        let config = seed_storage::EngineConfig {
+            checkpoint_wal_bytes: None,
+            ..seed_storage::EngineConfig::default()
+        };
+        let mut twin = Database::create_durable_with(&twin_dir, figure3_schema(), config).unwrap();
+        for round in 0..6 {
+            workload(&mut primary, round);
+            workload(&mut twin, round);
+            if round == 1 || round == 3 {
+                primary.checkpoint().unwrap();
+            }
+        }
+        assert!(matches!(primary.wal_tail(1).unwrap(), WalTail::Truncated { .. }));
+
+        let mut reset = ReplicaStore::open(&reset_dir).unwrap();
+        let (cut, lsn) = primary.replication_cut().unwrap();
+        assert_eq!(lsn, primary.durable_lsn().unwrap());
+        reset.apply(cut, lsn, true).unwrap();
+
+        let mut replay = ReplicaStore::open(&replay_dir).unwrap();
+        let mut cursor = 0;
+        while cursor < twin.durable_lsn().unwrap() {
+            let (mut records, _) = tail_records(&twin, cursor + 1);
+            records.truncate(3); // several incremental batches
+            cursor += records.len() as Lsn;
+            replay.apply(records, cursor, false).unwrap();
+        }
+        assert_eq!(reset.applied_lsn(), replay.applied_lsn(), "the twins number commits alike");
+
+        let (reset_db, replay_db) = (reset.database().unwrap(), replay.database().unwrap());
+        assert_same_state(reset_db, &primary, true);
+        assert_same_state(replay_db, &primary, true);
+        assert!(encoder_pairs(reset_db) == encoder_pairs(replay_db), "the key spaces differ");
+        assert!(encoder_pairs(reset_db) == encoder_pairs(&primary), "the primary differs");
+        for dir in [primary_dir, twin_dir, reset_dir, replay_dir] {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+
+    /// The cut is read from the files, so an open transaction or a checked-out alternative is
+    /// served rather than refused, and none of its uncommitted state ships.
+    #[test]
+    fn a_cut_during_a_transaction_or_an_alternative_ships_only_committed_state() {
+        let primary_dir = temp_dir("repl-uncommitted-primary");
+        let mut primary = Database::create_durable(&primary_dir, figure3_schema()).unwrap();
+        primary.create_object("Data", "Committed").unwrap();
+        let base = primary.create_version("base").unwrap();
+        primary.checkpoint().unwrap();
+        primary.create_object("Data", "Logged").unwrap();
+        let committed = primary.clone_for_snapshot();
+
+        let reset_from_cut = |primary: &Database, name: &str| {
+            let dir = temp_dir(name);
+            let mut replica = ReplicaStore::open(&dir).unwrap();
+            let (cut, lsn) = primary.replication_cut().expect("the cut is served");
+            replica.apply(cut, lsn, true).unwrap();
+            let db = replica.serving_copy().unwrap();
+            let _ = std::fs::remove_dir_all(&dir);
+            db
+        };
+
+        primary.begin_transaction().unwrap();
+        primary.create_object("Data", "Uncommitted").unwrap();
+        let during_txn = reset_from_cut(&primary, "repl-uncommitted-txn");
+        assert!(during_txn.object_by_name("Uncommitted").is_err());
+        assert_same_state(&during_txn, &committed, true);
+        primary.rollback_transaction().unwrap();
+
+        let committed = primary.clone_for_snapshot(); // the rolled-back ids stay burned
+        primary.checkout_alternative(base).unwrap();
+        primary.create_object("Data", "AltOnly").unwrap();
+        let during_alternative = reset_from_cut(&primary, "repl-uncommitted-alt");
+        assert!(during_alternative.object_by_name("AltOnly").is_err());
+        assert!(during_alternative.object_by_name("Logged").is_ok());
+        assert_same_state(&during_alternative, &committed, true);
+        let _ = std::fs::remove_dir_all(&primary_dir);
+    }
+
+    /// A reset batch holding an `o/` record with one byte too many is refused whole: the
+    /// strict record decoders reject trailing bytes, so neither the cursor nor the state moves.
+    #[test]
+    fn a_reset_batch_with_an_extended_record_changes_nothing() {
+        let primary_dir = temp_dir("repl-extended-primary");
+        let replica_dir = temp_dir("repl-extended-replica");
+        let mut primary = Database::create_durable(&primary_dir, figure3_schema()).unwrap();
+        primary.create_object("Data", "Before").unwrap();
+        let mut replica = ReplicaStore::open(&replica_dir).unwrap();
+        let (records, cursor) = tail_records(&primary, 1);
+        replica.apply(records, cursor, false).unwrap();
+        let before = replica.serving_copy().unwrap();
+
+        primary.create_object("Data", "After").unwrap();
+        primary.checkpoint().unwrap();
+        let (mut cut, lsn) = primary.replication_cut().unwrap();
+        let record = cut
+            .iter_mut()
+            .flat_map(|c| &mut c.effects)
+            .find_map(|(key, value)| {
+                value.as_mut().filter(|_| key.starts_with(codec::PREFIX_OBJECT))
+            })
+            .expect("the cut holds an object record");
+        record.push(0);
+        assert!(replica.apply(cut, lsn, true).is_err(), "an extended o/ record was applied");
+        assert_eq!(replica.applied_lsn(), cursor);
+        assert_same_state(replica.database().unwrap(), &before, true);
+        drop(replica);
+        let replica = ReplicaStore::open(&replica_dir).unwrap();
+        assert_eq!(replica.applied_lsn(), cursor, "the refused reset reached the disk");
+        assert_same_state(replica.database().unwrap(), &before, true);
         let _ = std::fs::remove_dir_all(&primary_dir);
         let _ = std::fs::remove_dir_all(&replica_dir);
     }

@@ -475,21 +475,6 @@ impl seed_server::Promoter for ReplicaState {
     }
 }
 
-/// What one read-locked look at the primary's log decided to ship to a subscriber at `next`.
-enum Shipment {
-    /// The database has no WAL at all — replication is impossible, reject the session.
-    InMemory,
-    /// Nothing new past the cursor; heartbeat (or the immediate subscribe answer).
-    CaughtUp { durable: u64 },
-    /// The commits from the cursor onwards.
-    Records { records: Vec<(u64, seed_storage::Commit)>, durable: u64 },
-    /// The log no longer reaches the cursor; the committed state (an O(1) copy, encoded
-    /// outside the lock) ships as a full keyed snapshot with reset semantics.
-    Snapshot { cut: Box<seed_core::Database>, lsn: u64 },
-    /// A storage error reading the tail or cutting the snapshot; end the session.
-    Failed,
-}
-
 /// What a primary-side replication session should do at this poll tick, as planned by
 /// [`cut_shipment`] on the shard that owns the session.  That shard's event loop in
 /// [`crate::server`] also owns the framing (the [`Subscribe`] opener, [`Ack`] consumption, the
@@ -497,7 +482,7 @@ enum Shipment {
 pub(crate) enum ShipmentPlan {
     /// Reject the session with this reason and close it.
     Reject(&'static str),
-    /// A storage error reading the tail or cutting the snapshot; end the session.
+    /// A storage error reading the tail or the reset cut; end the session.
     End,
     /// Caught up, the prompt answer already went out and no heartbeat is due: send nothing.
     Idle,
@@ -515,75 +500,66 @@ pub(crate) enum ShipmentPlan {
 /// are bridged by heartbeat batches (`heartbeat_due`, paced by the server's one-second
 /// heartbeat interval).  A cursor the WAL no longer covers (the replica
 /// outslept the retention budget, or its store belongs to a different log) is answered with a
-/// full-snapshot reset batch.
+/// reset batch: the primary's files from the start, its snapshot's commits and then its log
+/// ([`seed_core::Database::replication_cut`]).
 ///
 /// Two guarantees keep checkpoints from racing a session into a spurious resync:
 ///
 /// - The cursor is registered as an ack **at subscribe time** (before the first batch ships),
 ///   so segment retention covers the tail this session is about to read.
-/// - The caught-up check, the tail read and the snapshot cut all happen under **one** database
-///   read lock per poll tick ([`Shipment`]); a checkpoint can never truncate the log between
-///   the durable-LSN read and the tail read and turn an idle heartbeat into a snapshot.
+/// - The caught-up check, the tail read and the reset cut all happen under **one** database
+///   read lock per poll tick; a checkpoint can never truncate the log between the durable-LSN
+///   read and the tail read and turn an idle heartbeat into a reset.
 pub(crate) fn cut_shipment(
     core: &SeedServer,
     next: u64,
     answer_now: bool,
     heartbeat_due: bool,
 ) -> ShipmentPlan {
-    let shipment = core.with_database(|db| {
+    core.with_database(|db| {
         // Caught-up check first: the durable LSN is a counter read, so an idle poll tick
         // never touches the WAL files (a tail read reads the new frames from disk).
-        let Some(durable) = db.durable_lsn() else { return Shipment::InMemory };
+        let Some(durable) = db.durable_lsn() else {
+            return ShipmentPlan::Reject(
+                "this primary serves an in-memory database; nothing to replicate",
+            );
+        };
         if durable + 1 == next {
-            return Shipment::CaughtUp { durable };
-        }
-        match db.wal_tail(next) {
-            Err(_) => Shipment::Failed,
-            Ok(seed_storage::WalTail::Records(records)) => Shipment::Records { records, durable },
-            Ok(seed_storage::WalTail::Truncated { .. }) => match db.replication_snapshot() {
-                Ok((cut, lsn)) => Shipment::Snapshot { cut: Box::new(cut), lsn },
-                Err(_) => Shipment::Failed,
-            },
-        }
-    });
-    match shipment {
-        Shipment::InMemory => {
-            ShipmentPlan::Reject("this primary serves an in-memory database; nothing to replicate")
-        }
-        Shipment::Failed => ShipmentPlan::End,
-        Shipment::CaughtUp { durable } => {
             if !answer_now && !heartbeat_due {
                 return ShipmentPlan::Idle;
             }
             // Heartbeat (or the immediate answer to the subscribe): nothing to ship, just
             // the primary's position.
-            ShipmentPlan::Batch(LogBatch {
+            return ShipmentPlan::Batch(LogBatch {
                 reset: false,
                 first_lsn: 0,
                 last_lsn: next - 1,
                 primary_lsn: durable,
                 records: Vec::new(),
-            })
+            });
         }
-        Shipment::Records { records, durable } => {
-            let first = records.first().map(|(lsn, _)| *lsn).unwrap_or(0);
-            let last = records.last().map(|(lsn, _)| *lsn).unwrap_or(next - 1);
-            ShipmentPlan::Batch(LogBatch {
-                reset: false,
-                first_lsn: first,
-                last_lsn: last,
-                primary_lsn: durable.max(last),
-                records: records.into_iter().map(|(_, record)| record).collect(),
-            })
-        }
-        Shipment::Snapshot { cut, lsn } => ShipmentPlan::Batch(LogBatch {
-            reset: true,
-            first_lsn: 0,
-            last_lsn: lsn,
-            primary_lsn: lsn,
-            records: vec![seed_core::replica::snapshot_commit(&cut)],
-        }),
-    }
+        let batch = match db.wal_tail(next) {
+            Ok(seed_storage::WalTail::Records(records)) => {
+                let first = records.first().map(|(lsn, _)| *lsn).unwrap_or(0);
+                let last = records.last().map(|(lsn, _)| *lsn).unwrap_or(next - 1);
+                LogBatch {
+                    reset: false,
+                    first_lsn: first,
+                    last_lsn: last,
+                    primary_lsn: durable.max(last),
+                    records: records.into_iter().map(|(_, record)| record).collect(),
+                }
+            }
+            Ok(seed_storage::WalTail::Truncated { .. }) => match db.replication_cut() {
+                Ok((records, lsn)) => {
+                    LogBatch { reset: true, first_lsn: 0, last_lsn: lsn, primary_lsn: lsn, records }
+                }
+                Err(_) => return ShipmentPlan::End,
+            },
+            Err(_) => return ShipmentPlan::End,
+        };
+        ShipmentPlan::Batch(batch)
+    })
 }
 
 /// A running read-only replica: replication stream in, read-serving TCP listener out.

@@ -426,12 +426,14 @@ impl Subscribe {
 /// * **incremental** (`reset == false`): `records` are the primary's WAL commits
 ///   `first_lsn ..= last_lsn` — the replica applies their effects, in order, on top of its
 ///   keys;
-/// * **reset** (`reset == true`): `records` is one commit rebuilding the full key space as of
-///   `last_lsn` (`first_lsn` is 0); the replica builds a fresh store from it.  Sent when the
-///   subscriber's cursor fell behind a primary checkpoint, or came from a different log.
+/// * **reset** (`reset == true`): `records` are the primary's files from the start — its
+///   snapshot's commits, then its WAL commits past the snapshot — and `last_lsn` is the end of
+///   its log at the cut (`first_lsn` is 0); the replica builds a fresh store from their
+///   effects, in order.  Sent when the subscriber's cursor fell behind a primary checkpoint,
+///   or came from a different log.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LogBatch {
-    /// Whether the replica must clear its store before applying (snapshot resync).
+    /// Whether the replica must clear its store before applying (a reset from the files).
     pub reset: bool,
     /// LSN of the first shipped commit (0 in reset batches).
     pub first_lsn: Lsn,

@@ -415,7 +415,7 @@ impl SeedServer {
 
     /// Runs a read-only closure against the **live** central database, under its read lock.
     /// This is for callers that need the durability engine underneath (WAL tails, replication
-    /// snapshots, retention floors) — it blocks while a check-in holds the write lock.  The
+    /// cut, retention floors) — it blocks while a check-in holds the write lock.  The
     /// query/read surface uses [`SeedServer::snapshot`] instead, which never blocks.
     pub fn with_database<R>(&self, f: impl FnOnce(&Database) -> R) -> R {
         f(&self.db.read())

@@ -120,9 +120,9 @@ impl Encoder {
         self
     }
 
-    /// Consumes the encoder, returning the encoded bytes.
+    /// Consumes the encoder, returning the encoded bytes (its buffer, not a copy).
     pub fn finish(self) -> Vec<u8> {
-        self.buf.to_vec()
+        self.buf.into_vec()
     }
 
     /// Returns a view of the bytes written so far.

@@ -13,35 +13,40 @@
 //!   change journal); the engine holds none,
 //! * checkpoints of a [`SnapshotImage`] the caller encodes from its own state: the image
 //!   replaces the snapshot on disk and the log below the image's LSN is pruned,
-//! * recovery on open: the snapshot's pairs plus the effects of the commits logged after its
-//!   LSN, handed to the caller once, by value ([`Recovered`]),
+//! * recovery on open: the snapshot's puts, then the effects of the commits logged after its
+//!   LSN, handed to the caller once, by value, as one list ([`Recovered`]),
+//! * the replica reset cut ([`StorageEngine::replication_cut`]): the snapshot's commits, then
+//!   the log past it, read from the files,
 //! * poisoning: once a commit or a checkpoint fails on I/O, every later `commit` and
 //!   `checkpoint` fails with [`StorageError::Poisoned`] until the engine is reopened
 //!   ([`StorageEngine::usable`] asks the same question without writing).
 //!
-//! On disk there is exactly one format — the WAL segments plus one snapshot image written
-//! through [`SegmentIo::write_snapshot`]:
+//! On disk there is exactly one frame format.  The snapshot (`snapshot.db`, written through
+//! [`SegmentIo::write_snapshot`]) is a header and then WAL frames, each one [`Commit`] of the
+//! image's puts, built and walked by the log's own code:
 //!
 //! ```text
-//! magic "SEEDSNP2" | lsn: u64 | count: u64
-//!     | count × (key_len: u32 | key | value_len: u32 | value) in key order | crc32: u32
+//! magic "SEEDSNP3" | lsn: u64 | frames: u64 | crc32: u32
+//!     | frames × (len: u32 | crc: u32 | payload: one commit of puts)
 //! ```
 //!
-//! (integers little-endian; the CRC covers everything before it; `lsn` is the last WAL commit
-//! whose effects the image holds).  A damaged image — bad magic (the older `SEEDSNP1` layout
-//! included), bad CRC, short file, unsorted keys — is [`StorageError::Corrupt`], never an empty
-//! database.
+//! (integers little-endian; the header CRC covers the 24 bytes before it; `lsn` is the last WAL
+//! commit whose effects the image holds).  A frame's payload stays within a 64 KiB bound, except
+//! that a larger pair gets a frame of its own.  A damaged image — bad magic (the older
+//! `SEEDSNP1` and `SEEDSNP2` pair layouts included), bad header CRC, a torn or checksum-failing
+//! frame, fewer or more frames than the header counts — is [`StorageError::Corrupt`], never a
+//! smaller database.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard};
 
-use crate::codec::crc32;
+use crate::codec::{crc32, Encoder};
 use crate::error::{StorageError, StorageResult};
 use crate::wal::{
-    Commit, FileSegmentIo, KeyEffect, Lsn, MemorySegmentIo, SegmentIo, WalConfig, WalTail,
-    WriteAheadLog,
+    frame_bytes, parse_segment, Commit, FileSegmentIo, KeyEffect, Lsn, MemorySegmentIo, SegmentIo,
+    WalConfig, WalTail, WriteAheadLog,
 };
 
 /// Configuration for opening a [`StorageEngine`].
@@ -62,10 +67,13 @@ impl Default for EngineConfig {
 }
 
 /// Magic (and format version) opening every snapshot image.
-const SNAPSHOT_MAGIC: &[u8; 8] = b"SEEDSNP2";
+const SNAPSHOT_MAGIC: &[u8; 8] = b"SEEDSNP3";
 
-/// Magic + LSN + pair count.
-const IMAGE_HEADER_LEN: usize = 24;
+/// Magic + LSN + frame count + CRC.
+const SNAPSHOT_HEADER_LEN: usize = 28;
+
+/// The payload bound of one snapshot frame; a pair larger than this gets a frame of its own.
+const FRAME_PAYLOAD_BOUND: usize = 64 * 1024;
 
 /// A complete snapshot image, ready for [`StorageEngine::checkpoint`].
 #[derive(Debug, Clone)]
@@ -81,116 +89,108 @@ impl SnapshotImage {
     }
 }
 
-/// Builds a [`SnapshotImage`] pair by pair, straight into one buffer.
+/// Builds a [`SnapshotImage`] pair by pair: the pairs gather, encoded, into one commit, which
+/// becomes a frame once the next pair would take its payload past the bound.
 pub struct ImageWriter {
     buf: Vec<u8>,
     lsn: Lsn,
+    frames: u64,
+    /// The puts of the frame being filled, encoded as a commit's payload holds them.
+    effects: Encoder,
     count: u64,
-    /// Where the previous key sits in `buf`, for the key-order check.
-    last_key: std::ops::Range<usize>,
 }
 
 impl ImageWriter {
     /// An empty image covering the WAL up to and including `lsn`.
     pub fn new(lsn: Lsn) -> Self {
         let mut buf = Vec::with_capacity(64 * 1024);
-        buf.extend_from_slice(SNAPSHOT_MAGIC);
-        buf.extend_from_slice(&lsn.to_le_bytes());
-        buf.extend_from_slice(&0u64.to_le_bytes()); // the pair count, patched by `finish`
-        Self { buf, lsn, count: 0, last_key: 0..0 }
+        buf.resize(SNAPSHOT_HEADER_LEN, 0); // written by `finish`, once the frames are counted
+        let effects = Encoder::with_capacity(FRAME_PAYLOAD_BOUND);
+        Self { buf, lsn, frames: 0, effects, count: 0 }
     }
 
-    /// Appends one pair.  Keys must arrive in strictly increasing byte order.
+    /// Appends one pair.
     pub fn put(&mut self, key: &[u8], value: &[u8]) {
-        assert!(
-            self.count == 0 || self.buf[self.last_key.clone()] < *key,
-            "snapshot image keys must arrive in strictly increasing order"
-        );
-        put_len(&mut self.buf, key.len());
-        self.last_key = self.buf.len()..self.buf.len() + key.len();
-        self.buf.extend_from_slice(key);
-        put_len(&mut self.buf, value.len());
-        self.buf.extend_from_slice(value);
+        // The pair takes at most a tag, two 5-byte length varints and its bytes; the count
+        // varint at most 10 bytes.
+        let len = 11 + key.len() + value.len();
+        if self.count > 0 && 10 + self.effects.len() + len > FRAME_PAYLOAD_BOUND {
+            self.flush();
+        }
+        Commit::put_effect(&mut self.effects, key, Some(value));
         self.count += 1;
     }
 
-    /// Seals the image: patches in the pair count and appends the CRC.
+    fn flush(&mut self) {
+        let (count, effects) = (self.count, self.effects.as_slice());
+        self.buf.extend_from_slice(&frame_bytes(|e| {
+            e.put_varint(count).put_raw(effects);
+        }));
+        self.effects.clear();
+        self.count = 0;
+        self.frames += 1;
+    }
+
+    /// Seals the image: frames the last pairs and writes the header.
     pub fn finish(mut self) -> SnapshotImage {
-        self.buf[16..IMAGE_HEADER_LEN].copy_from_slice(&self.count.to_le_bytes());
-        let crc = crc32(&self.buf);
-        self.buf.extend_from_slice(&crc.to_le_bytes());
+        if self.count > 0 {
+            self.flush();
+        }
+        let mut header = Encoder::with_capacity(SNAPSHOT_HEADER_LEN);
+        header.put_raw(SNAPSHOT_MAGIC).put_u64(self.lsn).put_u64(self.frames);
+        let crc = crc32(header.as_slice());
+        header.put_u32(crc);
+        self.buf[..SNAPSHOT_HEADER_LEN].copy_from_slice(header.as_slice());
         SnapshotImage { bytes: self.buf, lsn: self.lsn }
     }
 }
 
-fn put_len(buf: &mut Vec<u8>, len: usize) {
-    let len = u32::try_from(len).expect("snapshot keys and values are shorter than 4 GiB");
-    buf.extend_from_slice(&len.to_le_bytes());
-}
-
-/// Parses a snapshot image, verifying magic, CRC, key order and that the pairs fill the image
-/// exactly.  Returns the image's LSN and its pairs in key order.
-fn decode_snapshot(image: &[u8]) -> StorageResult<(Lsn, Pairs)> {
-    let corrupt = |what: &str| StorageError::Corrupt(format!("snapshot: {what}"));
-    if image.len() >= 8 && &image[..8] == b"SEEDSNP1" {
-        return Err(corrupt("SEEDSNP1 image (no LSN field); this build reads only SEEDSNP2"));
+/// Reads a snapshot image: checks the header, then walks the frames with the log's own walker.
+/// Returns the image's LSN and its commits.  A walk that stops short, or that finds another
+/// number of frames than the header counts, is [`StorageError::Corrupt`].
+fn read_snapshot(image: &[u8]) -> StorageResult<(Lsn, Vec<Commit>)> {
+    let corrupt = |what: String| StorageError::Corrupt(format!("snapshot.db: {what}"));
+    if let Some(old) = [b"SEEDSNP1", b"SEEDSNP2"].into_iter().find(|old| image.starts_with(*old)) {
+        let (old, new) = (String::from_utf8_lossy(old), String::from_utf8_lossy(SNAPSHOT_MAGIC));
+        return Err(corrupt(format!(
+            "a {old} image of key/value pairs; this build reads only {new} images of WAL commit \
+             frames (resync the directory from a primary or a backup)"
+        )));
     }
-    if image.len() < IMAGE_HEADER_LEN + 4 {
-        return Err(corrupt("image too short"));
+    let Some(header) = image.get(..SNAPSHOT_HEADER_LEN) else {
+        return Err(corrupt(format!("{} bytes, shorter than its header", image.len())));
+    };
+    let (body, crc) = header.split_at(SNAPSHOT_HEADER_LEN - 4);
+    if &body[..8] != SNAPSHOT_MAGIC {
+        return Err(corrupt("bad magic".to_string()));
     }
-    if &image[..8] != SNAPSHOT_MAGIC {
-        return Err(corrupt("bad magic"));
-    }
-    let (body, tail) = image.split_at(image.len() - 4);
-    if crc32(body) != u32::from_le_bytes(tail.try_into().expect("4 bytes")) {
-        return Err(corrupt("checksum mismatch"));
+    if crc32(body).to_le_bytes() != crc {
+        return Err(corrupt("header checksum mismatch".to_string()));
     }
     let u64_at = |at: usize| u64::from_le_bytes(body[at..at + 8].try_into().expect("8 bytes"));
-    let (lsn, count) = (u64_at(8), u64_at(16));
-    let mut rest = &body[IMAGE_HEADER_LEN..];
-    let mut take = || -> StorageResult<Vec<u8>> {
-        let short = || corrupt("pair runs past the end of the image");
-        let len = rest.get(..4).ok_or_else(short)?;
-        let len = u32::from_le_bytes(len.try_into().expect("4 bytes")) as usize;
-        let bytes = rest.get(4..4 + len).ok_or_else(short)?.to_vec();
-        rest = &rest[4 + len..];
-        Ok(bytes)
-    };
-    let mut pairs = Pairs::new();
-    for _ in 0..count {
-        let key = take()?;
-        let value = take()?;
-        if pairs.last().is_some_and(|(prev, _)| *prev >= key) {
-            return Err(corrupt("keys out of order"));
-        }
-        pairs.push((key, value));
+    let (lsn, frames) = (u64_at(8), u64_at(16));
+    let walk = parse_segment(&image[SNAPSHOT_HEADER_LEN..], 0, 0)?;
+    if !walk.complete || walk.offsets.len() as u64 != frames {
+        return Err(corrupt(format!(
+            "{} whole frames{} where the header counts {frames}",
+            walk.offsets.len(),
+            if walk.complete { "" } else { " before a torn or damaged one" }
+        )));
     }
-    if !rest.is_empty() {
-        return Err(corrupt("trailing bytes after the last pair"));
-    }
-    Ok((lsn, pairs))
+    Ok((lsn, walk.commits.into_iter().map(|(_, commit)| commit).collect()))
 }
-
-/// `(key, value)` pairs in key order.
-type Pairs = Vec<(Vec<u8>, Vec<u8>)>;
 
 /// What recovery found on disk, handed to the caller once when the engine opens.
 #[derive(Debug, Default)]
 pub struct Recovered {
-    /// The snapshot image's pairs, in key order (empty without a snapshot).
-    pub snapshot: Pairs,
-    /// The effects of the commits logged after the snapshot's LSN, in log order.
+    /// The snapshot's puts, then the effects of the commits logged after its LSN, in log order.
     pub effects: Vec<KeyEffect>,
 }
 
 impl Recovered {
-    /// The recovered value of `key`: its last logged effect, else its snapshot pair.
+    /// The recovered value of `key`: its last effect.
     pub fn get(&self, key: &[u8]) -> Option<&[u8]> {
-        if let Some((_, value)) = self.effects.iter().rev().find(|(k, _)| k.as_slice() == key) {
-            return value.as_deref();
-        }
-        let i = self.snapshot.binary_search_by(|(k, _)| k.as_slice().cmp(key)).ok()?;
-        Some(&self.snapshot[i].1)
+        self.effects.iter().rev().find(|(k, _)| k.as_slice() == key)?.1.as_deref()
     }
 }
 
@@ -238,8 +238,8 @@ impl StorageEngine {
 
     /// Opens an engine over an arbitrary [`SegmentIo`] — what [`StorageEngine::open_with`] and
     /// [`StorageEngine::in_memory`] build on, and the injection point for fault-injection
-    /// tests.  Recovery reads the snapshot, then concatenates the effects of the commits
-    /// logged after the snapshot's LSN; both are returned, and the engine keeps neither.  The
+    /// tests.  Recovery reads the snapshot, then concatenates the effects of its commits and of
+    /// the commits logged after its LSN into one list; the engine keeps none of it.  The
     /// commits are the ones the log's open walk already read and checked
     /// ([`WriteAheadLog::with_io`]), so each segment is read once.
     pub fn with_io(
@@ -247,11 +247,10 @@ impl StorageEngine {
         config: EngineConfig,
     ) -> StorageResult<(Self, Recovered)> {
         // The snapshot is validated before the WAL's open-time repair touches any segment.
-        let (snapshot_lsn, snapshot) = io
-            .read_snapshot()?
-            .map(|image| decode_snapshot(&image))
-            .transpose()?
-            .unwrap_or_default();
+        let (snapshot_lsn, snapshot) = match io.read_snapshot()? {
+            Some(image) => read_snapshot(&image)?,
+            None => (0, Vec::new()),
+        };
         let start = std::time::Instant::now();
         let (wal, commits) = WriteAheadLog::with_io(io.clone(), config.wal)?;
         if wal.base_lsn() > snapshot_lsn {
@@ -269,11 +268,9 @@ impl StorageEngine {
             )));
         }
         let replayed = !commits.is_empty();
-        let effects: Vec<KeyEffect> = commits
-            .into_iter()
-            .filter(|(lsn, _)| *lsn > snapshot_lsn)
-            .flat_map(|(_, commit)| commit.effects)
-            .collect();
+        let logged = commits.into_iter().filter(|(lsn, _)| *lsn > snapshot_lsn).map(|(_, c)| c);
+        let effects: Vec<KeyEffect> =
+            snapshot.into_iter().chain(logged).flat_map(|commit| commit.effects).collect();
         if replayed {
             seed_obs::global()
                 .histogram("wal_recovery_replay_us")
@@ -287,7 +284,7 @@ impl StorageEngine {
             checkpoint_wal_bytes: config.checkpoint_wal_bytes,
             path: None,
         };
-        Ok((engine, Recovered { snapshot, effects }))
+        Ok((engine, Recovered { effects }))
     }
 
     /// Directory of a durable engine, if any.
@@ -401,6 +398,30 @@ impl StorageEngine {
         self.wal.read_from(from)
     }
 
+    /// What a replica reset ships: the snapshot's commits, then the WAL tail past the
+    /// snapshot's LSN, as one list, with the LSN the list ends at.  Both reads happen under the
+    /// checkpoint lock, so no checkpoint's snapshot replace or prune falls between them.  The
+    /// files hold only committed state.  A poisoned engine refuses: its log may lag what its
+    /// callers were told.
+    pub fn replication_cut(&self) -> StorageResult<(Vec<Commit>, Lsn)> {
+        let covered = self.snapshot_lsn.lock();
+        self.usable()?;
+        let mut commits = match self.io.read_snapshot()? {
+            Some(image) => read_snapshot(&image)?.1,
+            None => Vec::new(),
+        };
+        let WalTail::Records(tail) = self.wal.read_from(*covered + 1)? else {
+            // Only a checkpoint prunes the log, and it never prunes past its own snapshot.
+            return Err(StorageError::Corrupt(format!(
+                "the WAL no longer follows the snapshot at LSN {}",
+                *covered
+            )));
+        };
+        let end = tail.last().map_or(*covered, |(lsn, _)| *lsn);
+        commits.extend(tail.into_iter().map(|(_, commit)| commit));
+        Ok((commits, end))
+    }
+
     /// Sets the oldest LSN a replication subscriber still needs (`None` = no subscribers).
     /// Checkpoints keep the sealed WAL segments covering it — within
     /// [`WalConfig::retention_budget_bytes`] — so a lagging subscriber catches up from the
@@ -429,9 +450,9 @@ pub(crate) mod tests {
 
     pub(crate) type KeySpace = BTreeMap<Vec<u8>, Vec<u8>>;
 
-    /// The recovered snapshot with the effects replayed on top, as one ordered key space.
+    /// The recovered effects replayed in order, as one ordered key space.
     pub(crate) fn key_space(recovered: Recovered) -> KeySpace {
-        let mut space: KeySpace = recovered.snapshot.into_iter().collect();
+        let mut space = KeySpace::new();
         for (key, value) in recovered.effects {
             match value {
                 Some(v) => space.insert(key, v),
@@ -558,8 +579,8 @@ pub(crate) mod tests {
             delete(&engine, b"key/000").unwrap();
         }
         let recovered = StorageEngine::open(&dir).unwrap().1;
-        assert_eq!(recovered.snapshot.len(), 100, "the image holds the checkpointed pairs");
-        assert_eq!(recovered.effects.len(), 2, "only records past the image's LSN replay");
+        // The image's 100 puts, then only the 2 effects logged past the image's LSN.
+        assert_eq!(recovered.effects.len(), 102, "only records past the image's LSN replay");
         assert_eq!(recovered.get(b"key/001"), Some(&b"value 1"[..]));
         assert_eq!(recovered.get(b"key/100"), Some(&b"after checkpoint"[..]));
         assert_eq!(recovered.get(b"key/000"), None);
@@ -733,7 +754,7 @@ pub(crate) mod tests {
             engine.checkpoint(&image_of(&model, engine.durable_lsn())).unwrap();
         }
         let recovered = StorageEngine::open(&dir).unwrap().1;
-        assert!(recovered.effects.is_empty(), "everything came from the snapshot");
+        assert_eq!(recovered.effects.len(), 2000, "everything came from the snapshot");
         assert_eq!(recovered.get(b"obj/01999"), Some(&vec![(1999 % 251) as u8; 64][..]));
         assert_eq!(key_space(recovered), model);
         let _ = std::fs::remove_dir_all(&dir);
@@ -826,31 +847,15 @@ pub(crate) mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A well-framed, correctly checksummed image body.
-    fn framed(magic: &[u8; 8], lsn: Lsn, pairs: &[(&[u8], &[u8])]) -> Vec<u8> {
-        let mut bytes = magic.to_vec();
-        bytes.extend_from_slice(&lsn.to_le_bytes());
-        bytes.extend_from_slice(&(pairs.len() as u64).to_le_bytes());
-        for (key, value) in pairs {
-            put_len(&mut bytes, key.len());
-            bytes.extend_from_slice(key);
-            put_len(&mut bytes, value.len());
-            bytes.extend_from_slice(value);
-        }
-        let crc = crc32(&bytes);
-        bytes.extend_from_slice(&crc.to_le_bytes());
-        bytes
-    }
-
-    #[test]
-    fn snapshot_codec_rejects_unsorted_keys() {
-        let model = space(&[("a", b"1"), ("b", b"2")]);
-        let image = image_of(&model, 7);
-        let (lsn, pairs) = decode_snapshot(&image.bytes).unwrap();
-        assert_eq!((lsn, pairs.into_iter().collect::<KeySpace>()), (7, model));
-        // Well framed, correctly checksummed, but out of key order.
-        let unsorted = framed(SNAPSHOT_MAGIC, 7, &[(b"b", b"2"), (b"a", b"1")]);
-        assert!(matches!(decode_snapshot(&unsorted), Err(StorageError::Corrupt(_))));
+    /// Every file in `dir` with its bytes.
+    fn files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap())
+            .map(|e| {
+                (e.file_name().to_string_lossy().into_owned(), std::fs::read(e.path()).unwrap())
+            })
+            .collect()
     }
 
     #[test]
@@ -858,21 +863,87 @@ pub(crate) mod tests {
         for lsn in [0, 1, 41, u64::MAX] {
             let image = image_of(&space(&[("k", b"v")]), lsn);
             assert_eq!(image.lsn(), lsn);
-            assert_eq!(decode_snapshot(&image.bytes).unwrap().0, lsn);
+            let (read_lsn, commits) = read_snapshot(&image.bytes).unwrap();
+            assert_eq!(read_lsn, lsn);
+            assert_eq!(
+                commits,
+                vec![Commit { effects: vec![(b"k".to_vec(), Some(b"v".to_vec()))] }]
+            );
         }
-        assert_eq!(
-            framed(SNAPSHOT_MAGIC, 3, &[(b"k", b"v")]),
-            image_of(&space(&[("k", b"v")]), 3).bytes
-        );
+        let empty = image_of(&KeySpace::new(), 3);
+        assert_eq!(empty.bytes.len(), SNAPSHOT_HEADER_LEN, "an empty image is its header alone");
+        assert_eq!(read_snapshot(&empty.bytes).unwrap(), (3, Vec::new()));
         // The pre-LSN layout: magic, count, LEB128-framed pairs, CRC.  No migration.
         let mut old = b"SEEDSNP1".to_vec();
         old.extend_from_slice(&0u64.to_le_bytes());
         let crc = crc32(&old);
         old.extend_from_slice(&crc.to_le_bytes());
-        match decode_snapshot(&old) {
+        match read_snapshot(&old) {
             Err(StorageError::Corrupt(reason)) => assert!(reason.contains("SEEDSNP1"), "{reason}"),
             other => panic!("a SEEDSNP1 image must be refused, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_seedsnp2_snapshot_is_refused_naming_both_formats_and_nothing_changes() {
+        let (dir, _) = checkpointed_dir("snap-old-format");
+        put(&StorageEngine::open(&dir).unwrap().0, b"obj/Later", b"logged").unwrap();
+        // A SEEDSNP2 image: magic, LSN, pair count, `u32`-framed pairs, CRC over all of it.
+        let mut old = b"SEEDSNP2".to_vec();
+        old.extend_from_slice(&2u64.to_le_bytes());
+        old.extend_from_slice(&1u64.to_le_bytes());
+        for part in [&b"obj/Alarms"[..], b"alarm data"] {
+            old.extend_from_slice(&(part.len() as u32).to_le_bytes());
+            old.extend_from_slice(part);
+        }
+        let crc = crc32(&old);
+        old.extend_from_slice(&crc.to_le_bytes());
+        std::fs::write(dir.join("snapshot.db"), &old).unwrap();
+        let before = files(&dir);
+        match StorageEngine::open(&dir) {
+            Err(StorageError::Corrupt(reason)) => {
+                assert!(reason.contains("SEEDSNP2") && reason.contains("SEEDSNP3"), "{reason}")
+            }
+            Err(other) => panic!("expected Corrupt, got {other}"),
+            Ok(_) => panic!("a SEEDSNP2 snapshot opened"),
+        }
+        assert_eq!(files(&dir), before, "the failed open changed the directory");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_image_is_written_as_bounded_frames_and_an_oversize_pair_is_its_own_frame() {
+        let mut model: KeySpace = (0..3000u32)
+            .map(|i| (format!("obj/{i:05}").into_bytes(), vec![(i % 251) as u8; 100]))
+            .collect();
+        model.insert(b"obj/01500-big".to_vec(), vec![7; 3 * FRAME_PAYLOAD_BOUND]);
+        let image = image_of(&model, 9);
+        // The frames as they lie on disk: `len | crc | payload`.
+        let mut lens = Vec::new();
+        let mut rest = &image.bytes[SNAPSHOT_HEADER_LEN..];
+        while !rest.is_empty() {
+            let len = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
+            lens.push(len);
+            rest = &rest[8 + len..];
+        }
+        let (lsn, commits) = read_snapshot(&image.bytes).unwrap();
+        assert_eq!(lsn, 9);
+        assert_eq!(commits.len(), lens.len());
+        assert!(commits.len() >= 5, "{} frames for ~300 KiB of small pairs", commits.len());
+        for (commit, len) in commits.iter().zip(&lens) {
+            let oversize = commit.effects.iter().any(|(k, _)| k == b"obj/01500-big");
+            if oversize {
+                assert_eq!(commit.effects.len(), 1, "the oversize pair shares its frame");
+            } else {
+                assert!(*len <= FRAME_PAYLOAD_BOUND, "a frame of {len} bytes");
+            }
+        }
+        let pairs: Vec<(Vec<u8>, Vec<u8>)> = commits
+            .into_iter()
+            .flat_map(|c| c.effects)
+            .map(|(k, v)| (k, v.expect("an image holds puts")))
+            .collect();
+        assert_eq!(pairs, model.into_iter().collect::<Vec<_>>(), "every pair, in order, once");
     }
 
     /// Segment storage that fails on demand: the next `sync`, or the next snapshot write.

@@ -10,8 +10,8 @@
 //! * [`wal`] — a segmented write-ahead log of CRC-protected frames, one frame per commit, with
 //!   whole-segment checkpoint pruning, replication retention, and redo recovery from the
 //!   commits its open walk reads,
-//! * one CRC-framed, key-sorted snapshot image of the whole key space, rewritten atomically
-//!   on every checkpoint,
+//! * one snapshot image of the whole key space, rewritten atomically on every checkpoint: a
+//!   small header and then the log's own commit frames, walked by the log's own walker,
 //!
 //! both reached through one door, the [`SegmentIo`] trait.  [`engine`] ties them together as a
 //! small key/value engine; [`codec`] holds the binary primitives and the CRC.
@@ -19,9 +19,9 @@
 //! The engine exposes exactly what `seed-core` needs: a durable one-call commit of a batch of
 //! byte-key effects, logged as one WAL record (the caller owns the open transaction; the
 //! engine holds none),
-//! checkpoints of a caller-encoded [`SnapshotImage`], and recovery that hands the recovered
-//! key space back once at open.  Higher-level notions (objects, relationships, versions,
-//! patterns) live in `seed-core`.
+//! checkpoints of a caller-encoded [`SnapshotImage`], recovery that hands the recovered
+//! key space back once at open, and the replica reset cut read from the same files.
+//! Higher-level notions (objects, relationships, versions, patterns) live in `seed-core`.
 
 pub mod codec;
 pub mod engine;

@@ -122,11 +122,16 @@ impl Commit {
     fn encode_into(&self, e: &mut Encoder) {
         e.put_varint(self.effects.len() as u64);
         for (key, value) in &self.effects {
-            match value {
-                Some(value) => e.put_u8(Self::TAG_PUT).put_bytes(key).put_bytes(value),
-                None => e.put_u8(Self::TAG_DELETE).put_bytes(key),
-            };
+            Self::put_effect(e, key, value.as_deref());
         }
+    }
+
+    /// Appends one effect as a commit's payload holds it, after the effect count.
+    pub(crate) fn put_effect(e: &mut Encoder, key: &[u8], value: Option<&[u8]>) {
+        match value {
+            Some(value) => e.put_u8(Self::TAG_PUT).put_bytes(key).put_bytes(value),
+            None => e.put_u8(Self::TAG_DELETE).put_bytes(key),
+        };
     }
 
     /// Deserializes a commit produced by [`Commit::encode`]; a payload that ends early or
@@ -465,11 +470,12 @@ fn parse_segment_header(id: SegmentId, raw: &[u8]) -> StorageResult<Option<Lsn>>
     Ok(Some(u64::from_le_bytes(body[12..20].try_into().expect("8 bytes"))))
 }
 
-/// One commit as a frame: `len | crc | payload`, built in one buffer.
-fn frame_bytes(commit: &Commit) -> Vec<u8> {
+/// One frame: `len | crc | payload`, built in one buffer, with the payload (a commit) written
+/// by `payload`.  Every frame on disk, in a segment or in the checkpoint snapshot, is built here.
+pub(crate) fn frame_bytes(payload: impl FnOnce(&mut Encoder)) -> Vec<u8> {
     let mut e = Encoder::new();
     e.put_raw(&[0; 8]);
-    commit.encode_into(&mut e);
+    payload(&mut e);
     let mut frame = e.finish();
     let len = u32::try_from(frame.len() - 8).expect("a commit is shorter than 4 GiB");
     let crc = crc32(&frame[8..]);
@@ -481,23 +487,28 @@ fn frame_bytes(commit: &Commit) -> Vec<u8> {
 /// One parsed run of frames: the decoded commits at or past the asked cursor, the payload
 /// offset of every valid frame (one per frame), the byte length of the valid frame prefix, and
 /// whether that prefix covered every byte (`false` = a torn tail follows).
-struct SegmentParse {
-    commits: Vec<(Lsn, Commit)>,
-    offsets: Vec<u64>,
+pub(crate) struct SegmentParse {
+    pub(crate) commits: Vec<(Lsn, Commit)>,
+    pub(crate) offsets: Vec<u64>,
     valid_len: usize,
-    complete: bool,
+    pub(crate) complete: bool,
 }
 
-/// Walks a run of frames: a segment's payload (the bytes after the header), or the tail of the
-/// active segment from one of its frames on.  Commits are numbered from `base + 1`; only those
-/// with `lsn >= min_lsn` are decoded and returned, and every frame is CRC-checked.  Open (which
-/// is recovery) walks whole segments; a replication tail read starts at the cursor's frame (the
-/// active segment's frame index gives its offset), so it reads and checks only the new frames.
-/// Stops at the first truncated or checksum-failing frame — the standard WAL recovery rule.  A
-/// crash can tear the last commit's frame anywhere (it may span sectors written out of order),
-/// and nothing past it was acknowledged (its sync cannot have returned), so recovery keeps the
-/// valid prefix and discards the rest instead of refusing to open.
-fn parse_segment(payload: &[u8], base: Lsn, min_lsn: Lsn) -> StorageResult<SegmentParse> {
+/// Walks a run of frames: a segment's payload (the bytes after the header), the tail of the
+/// active segment from one of its frames on, or the checkpoint snapshot's frames.  Commits are
+/// numbered from `base + 1`; only those with `lsn >= min_lsn` are decoded and returned, and
+/// every frame is CRC-checked.  Open (which is recovery) walks whole segments; a replication
+/// tail read starts at the cursor's frame (the active segment's frame index gives its offset),
+/// so it reads and checks only the new frames.  Stops at the first truncated or
+/// checksum-failing frame — the standard WAL recovery rule.  A crash can tear the last commit's
+/// frame anywhere (it may span sectors written out of order), and nothing past it was
+/// acknowledged (its sync cannot have returned), so recovery keeps the valid prefix and
+/// discards the rest instead of refusing to open.
+pub(crate) fn parse_segment(
+    payload: &[u8],
+    base: Lsn,
+    min_lsn: Lsn,
+) -> StorageResult<SegmentParse> {
     let mut commits = Vec::new();
     let mut offsets = Vec::new();
     let mut pos = 0usize;
@@ -684,7 +695,7 @@ impl WriteAheadLog {
     /// so a reopen does not resurrect a commit that was reported failed.
     pub fn append(&self, commit: &Commit) -> StorageResult<Lsn> {
         let start = Instant::now();
-        let frame = frame_bytes(commit);
+        let frame = frame_bytes(|e| commit.encode_into(e));
         let mut state = self.state.lock();
         if state.active().bytes >= self.config.segment_max_bytes {
             self.rotate_locked(&mut state)?;
@@ -1233,7 +1244,7 @@ mod tests {
             wal.append(&commit_batch(n, 100)).unwrap();
         }
         // Every commit outgrows the cap, so each one rotated into a segment of its own.
-        let frame = frame_bytes(&commit_batch(1, 100)).len() as u64;
+        let frame = frame_bytes(|e| commit_batch(1, 100).encode_into(e)).len() as u64;
         let state = wal.state.lock();
         for seg in state.segments.iter().filter(|s| s.commits > 0) {
             assert_eq!((seg.commits, seg.bytes), (1, frame), "segment holds whole commits only");
@@ -1367,7 +1378,7 @@ mod tests {
         }
         assert_eq!(wal.segment_count(), 1, "every commit sits in the active segment");
         let last = commit_batch(1000, 64);
-        let frame = frame_bytes(&last).len();
+        let frame = frame_bytes(|e| last.encode_into(e)).len();
         io.take_read_bytes();
 
         let end = wal.durable_lsn();

@@ -458,7 +458,7 @@ fn run_engine_workload(engine: &StorageEngine, states: &[KeySpace]) -> usize {
 /// What a restart over `disk` recovers, and the reopened engine.
 fn reopen(disk: Arc<FaultFs>) -> StorageResult<(StorageEngine, KeySpace)> {
     let (engine, recovered) = StorageEngine::with_io(disk, engine_config())?;
-    let mut space: KeySpace = recovered.snapshot.into_iter().collect();
+    let mut space = KeySpace::new();
     for (key, value) in recovered.effects {
         match value {
             Some(v) => space.insert(key, v),
