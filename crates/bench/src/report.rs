@@ -740,7 +740,7 @@ pub fn e13_segmented_recovery(commits: usize, segment_max_bytes: u64) -> Experim
     let (wal, _) = WriteAheadLog::open_dir(&dir, config.clone()).unwrap();
     for n in 0..commits {
         let key = format!("bench/{n:08}").into_bytes();
-        wal.append(&Commit { effects: vec![(key, Some(vec![0xA5; 96]))] }).unwrap();
+        wal.append(&[Commit { effects: vec![(key, Some(vec![0xA5; 96]))] }]).unwrap();
     }
     let segments = wal.segment_count();
     let wal_bytes = wal.size_bytes().unwrap();

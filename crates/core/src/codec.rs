@@ -6,7 +6,7 @@
 //!
 //! | key                    | value                                            |
 //! |------------------------|--------------------------------------------------|
-//! | `meta`                 | format tag, id floors, current schema version, transition rules, version sequence |
+//! | `meta`                 | format tag, id floors, current schema version, transition rules, version sequence, topology (epoch, fence, epoch history) |
 //! | `o/<id:016x>`          | one [`ObjectRecord`] plus the patterns it inherits |
 //! | `r/<id:016x>`          | one [`RelationshipRecord`]                       |
 //! | `s/<svid:08x>`         | one published [`Schema`] version                 |
@@ -14,7 +14,6 @@
 //! | `v/<vid>/o<id:016x>`   | an object's delta snapshot recorded at version `vid` |
 //! | `v/<vid>/r<id:016x>`   | a relationship's delta snapshot recorded at `vid` |
 //! | `d/o<id:016x>` etc.    | presence marker: the item is dirty (changed since the last version snapshot) |
-//! | `repl/applied`         | a replica's cursor: the last primary LSN applied (replica stores only) |
 //!
 //! Ids are zero-padded hexadecimal so that lexicographic key order equals numeric id order and
 //! each prefix (`o/`, `v/1.0/`, ...) names exactly one kind of record.  All values go through
@@ -26,7 +25,7 @@ use seed_schema::{
 };
 use std::fmt::Write as _;
 
-use seed_storage::{Decoder, Encoder};
+use seed_storage::{Decoder, Encoder, Lsn};
 
 use crate::error::{SeedError, SeedResult};
 use crate::history::TransitionRule;
@@ -37,8 +36,9 @@ use crate::relationship::RelationshipRecord;
 use crate::value::Value;
 use crate::version::{ItemSnapshot, VersionInfo};
 
-/// Version tag written into the `meta` record; bump on incompatible layout changes.
-pub(crate) const FORMAT_VERSION: u32 = 1;
+/// Version tag written into the `meta` record; bump on incompatible layout changes.  Format 2
+/// added the log's epoch history.
+pub(crate) const FORMAT_VERSION: u32 = 2;
 
 /// The key of the meta record.
 pub(crate) const KEY_META: &str = "meta";
@@ -55,16 +55,11 @@ pub(crate) const PREFIX_VERSION_INFO: &[u8] = b"vi/";
 pub(crate) const PREFIX_VERSION_DELTA: &[u8] = b"v/";
 pub(crate) const PREFIX_DIRTY: &[u8] = b"d/";
 
-/// Key holding a replica's durable cursor: the last primary LSN whose effects are committed
-/// locally.  Outside every per-item prefix, so it carries no database state.
-pub(crate) const KEY_APPLIED: &str = "repl/applied";
-
 /// One key of the layout (the table above), written straight into a buffer
 /// ([`Key::write_to`]).
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Key<'a> {
     Meta,
-    Applied,
     Object(ObjectId),
     Relationship(RelationshipId),
     Schema(SchemaVersionId),
@@ -80,9 +75,6 @@ impl Key<'_> {
         match self {
             Key::Meta => {
                 e.put_raw(KEY_META.as_bytes());
-            }
-            Key::Applied => {
-                e.put_raw(KEY_APPLIED.as_bytes());
             }
             Key::Object(id) => put_hex(e.put_raw(b"o/"), id.0, 16),
             Key::Relationship(id) => put_hex(e.put_raw(b"r/"), id.0, 16),
@@ -784,6 +776,9 @@ pub(crate) struct MetaRecord {
     /// When set, this store was fenced as primary: writes must be refused and redirected to
     /// the named address.  Persisted so a fenced primary that restarts *stays* fenced.
     pub fenced_to: Option<String>,
+    /// The log's epoch history: `(epoch, first LSN)`, one entry per promotion, in log order.
+    /// An LSN below every entry was written at epoch 0.
+    pub epochs: Vec<(u64, Lsn)>,
 }
 
 pub(crate) fn encode_meta(e: &mut Encoder, meta: &MetaRecord) {
@@ -812,6 +807,10 @@ pub(crate) fn encode_meta(e: &mut Encoder, meta: &MetaRecord) {
             e.put_bool(false);
         }
     }
+    e.put_varint(meta.epochs.len() as u64);
+    for &(epoch, first) in &meta.epochs {
+        e.put_u64(epoch).put_u64(first);
+    }
 }
 
 pub(crate) fn decode_meta(bytes: &[u8]) -> SeedResult<MetaRecord> {
@@ -822,7 +821,8 @@ fn decode_meta_fields(d: &mut Decoder<'_>) -> SeedResult<MetaRecord> {
     let format = d.get_u32()?;
     if format != FORMAT_VERSION {
         return Err(SeedError::Invalid(format!(
-            "unsupported database format {format} (this build reads format {FORMAT_VERSION})"
+            "unsupported database format {format}; this build reads only format {FORMAT_VERSION} \
+             (resync the directory from a primary or a backup)"
         )));
     }
     let object_floor = d.get_u64()?;
@@ -837,6 +837,11 @@ fn decode_meta_fields(d: &mut Decoder<'_>) -> SeedResult<MetaRecord> {
     let version_seq = d.get_u64()?;
     let epoch = d.get_u64()?;
     let fenced_to = if d.get_bool()? { Some(d.get_str()?.to_string()) } else { None };
+    let count = d.get_varint()? as usize;
+    let mut epochs = Vec::with_capacity(count.min(d.remaining() / 16));
+    for _ in 0..count {
+        epochs.push((d.get_u64()?, d.get_u64()?));
+    }
     Ok(MetaRecord {
         format,
         object_floor,
@@ -847,6 +852,7 @@ fn decode_meta_fields(d: &mut Decoder<'_>) -> SeedResult<MetaRecord> {
         version_seq,
         epoch,
         fenced_to,
+        epochs,
     })
 }
 
@@ -949,6 +955,7 @@ mod tests {
             version_seq: 11,
             epoch: 3,
             fenced_to: Some("10.0.0.9:7044".to_string()),
+            epochs: vec![(1, 5), (3, 40)],
         };
         assert_eq!(decode_meta(&encoded(|e| encode_meta(e, &meta))).unwrap(), meta);
         let mut bad = meta.clone();
@@ -1034,6 +1041,7 @@ mod tests {
             version_seq: 0,
             epoch: 0,
             fenced_to: None,
+            epochs: Vec::new(),
         };
         let bytes = encoded(|e| encode_meta(e, &meta));
         assert!(decode_meta(&bytes).is_ok());

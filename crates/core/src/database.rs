@@ -11,7 +11,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use seed_schema::{ClassId, Schema, SchemaRegistry, SchemaVersionId};
-use seed_storage::{Commit, KeyEffect, Recovered, StorageEngine};
+use seed_storage::{Commit, KeyEffect, Lsn, Recovered, StorageEngine, WalTail};
 
 use crate::codec;
 use crate::codec::Key;
@@ -64,9 +64,43 @@ pub struct Database {
     /// Topology epoch: bumped on every replica promotion, persisted in the meta record so a
     /// restarted node knows which fencing round it last witnessed.
     topology_epoch: u64,
-    /// Set while this store is fenced as a demoted primary: the address of the primary that
-    /// superseded it.  Persisted so fencing survives a restart.
+    /// Set while this store is fenced as a superseded primary: the address of the primary that
+    /// took over.  Persisted so fencing survives a restart.
     fenced_to: Option<String>,
+    /// The log's epoch history, `(epoch, first LSN)` per promotion (see
+    /// [`Database::continues_log`]).
+    epochs: Vec<(u64, Lsn)>,
+}
+
+/// A durable database's log, for the primary side of replication ([`Database::log_feed`]).  It
+/// shares the storage engine, so its reads take no database lock: the engine orders them
+/// against commits and checkpoints itself, and the retention floor keeps a subscriber's tail.
+#[derive(Clone)]
+pub struct LogFeed(Arc<StorageEngine>);
+
+impl LogFeed {
+    /// The absolute, checkpoint-stable LSN of the last committed storage record — what a fully
+    /// caught-up replica has applied.
+    pub fn durable_lsn(&self) -> Lsn {
+        self.0.durable_lsn()
+    }
+
+    /// The WAL tail from LSN `from` (inclusive): the commits a replica at position `from - 1`
+    /// still needs, or [`WalTail::Truncated`] when `from` is not in the log (a checkpoint
+    /// pruned it, or it lies past the end) and the replica must reset from
+    /// [`LogFeed::replication_cut`].
+    pub fn wal_tail(&self, from: Lsn) -> SeedResult<WalTail> {
+        Ok(self.0.wal_tail(from)?)
+    }
+
+    /// The full-resync cut: the snapshot's commits, then the WAL tail past it, and the LSN the
+    /// list ends at ([`StorageEngine::replication_cut`]).  Read from the files, which hold only
+    /// committed state, so an open transaction or a checked-out alternative is never part of
+    /// it.  Errors once the storage engine is poisoned (a failed auto-commit leaves memory
+    /// ahead of the log).
+    pub fn replication_cut(&self) -> SeedResult<(Vec<Commit>, Lsn)> {
+        Ok(self.0.replication_cut()?)
+    }
 }
 
 impl std::fmt::Debug for Database {
@@ -155,7 +189,7 @@ impl Database {
         }
         let mut db = Database::new(schema);
         let mut pairs = Vec::new();
-        durability::encode_pairs(&db, None, &mut |key, value| {
+        durability::encode_pairs(&db, &mut |key, value| {
             pairs.push((key.to_vec(), Some(value.to_vec())));
         });
         engine.commit(pairs)?;
@@ -212,21 +246,48 @@ impl Database {
         self.topology_epoch
     }
 
-    /// When this store was fenced as a demoted primary: the address of the primary that
-    /// superseded it.  A fenced store must refuse writes and redirect clients there.
+    /// When this store was fenced as a superseded primary: the address of the primary that took
+    /// over.  A fenced store must refuse writes and redirect clients there.
     pub fn fenced_to(&self) -> Option<&str> {
         self.fenced_to.as_deref()
     }
 
-    pub(crate) fn set_topology(&mut self, epoch: u64, fenced_to: Option<String>) {
-        self.topology_epoch = epoch;
-        self.fenced_to = fenced_to;
+    /// The log's epoch history: one `(epoch, first LSN)` entry per promotion, in log order.  A
+    /// promotion's entry is logged in the commit that starts its epoch; a fence adds none (its
+    /// commit belongs to the old epoch's log).
+    pub fn epoch_history(&self) -> &[(u64, Lsn)] {
+        &self.epochs
     }
 
-    /// Records a topology change (a promotion's epoch bump, a fence, or a rejoin clearing one)
-    /// and commits the updated meta record immediately in its own storage batch, so the
-    /// decision survives a restart.  Fencing must not ride an open explicit transaction — a
-    /// rollback could then un-fence a demoted primary.
+    /// The epoch in force at `lsn` in this log: that of the last promotion at or before it, 0
+    /// before any.
+    pub fn epoch_at(&self, lsn: Lsn) -> u64 {
+        self.epochs.iter().rev().find(|(_, first)| *first <= lsn).map_or(0, |(epoch, _)| *epoch)
+    }
+
+    /// Whether a log that ends at `lsn`, with `epoch` in force there, is a prefix of this
+    /// durable database's log — the log-matching rule, with the topology epoch as the term:
+    /// this log holds `lsn`, and wrote it under the same epoch.  A replica whose log does is
+    /// streamed on from `lsn + 1`; one whose log does not is reset.
+    pub fn continues_log(&self, lsn: Lsn, epoch: u64) -> bool {
+        self.durable_lsn().is_some_and(|end| lsn <= end) && self.epoch_at(lsn) == epoch
+    }
+
+    pub(crate) fn set_topology(
+        &mut self,
+        epoch: u64,
+        fenced_to: Option<String>,
+        epochs: Vec<(u64, Lsn)>,
+    ) {
+        self.topology_epoch = epoch;
+        self.fenced_to = fenced_to;
+        self.epochs = epochs;
+    }
+
+    /// Records a topology change (a fence, or a rejoin clearing one) and commits the updated
+    /// meta record immediately in its own storage batch, so the decision survives a restart.
+    /// Fencing must not ride an open explicit transaction — a rollback could then un-fence a
+    /// superseded primary.
     pub fn persist_topology(&mut self, epoch: u64, fenced_to: Option<String>) -> SeedResult<()> {
         self.topology_epoch = epoch;
         self.fenced_to = fenced_to;
@@ -241,26 +302,14 @@ impl Database {
         self.durability.as_ref().map(|d| d.engine.durable_lsn())
     }
 
-    /// The storage WAL tail from LSN `from` (inclusive): the commits a replica at
-    /// position `from - 1` still needs, or [`seed_storage::WalTail::Truncated`] when a
-    /// checkpoint already truncated them away (the replica must then reset from
-    /// [`Database::replication_cut`]).  Errors for in-memory databases.
-    pub fn wal_tail(&self, from: seed_storage::Lsn) -> SeedResult<seed_storage::WalTail> {
-        Ok(self.engine()?.wal_tail(from)?)
-    }
-
-    /// The full-resync cut for a replica whose cursor fell behind a checkpoint: the snapshot's
-    /// commits, then the WAL tail past it, and the LSN the list ends at
-    /// ([`StorageEngine::replication_cut`]).  Read from the files, which hold only committed
-    /// state, so an open transaction or a checked-out alternative is never part of it.  Errors
-    /// for in-memory databases and once the storage engine is poisoned (a failed auto-commit
-    /// leaves memory ahead of the log).
-    pub fn replication_cut(&self) -> SeedResult<(Vec<Commit>, seed_storage::Lsn)> {
-        Ok(self.engine()?.replication_cut()?)
+    /// A handle on this database's log for the primary side of replication — the WAL tail and
+    /// the full-resync cut — read with no database lock held; errors for in-memory databases.
+    pub fn log_feed(&self) -> SeedResult<LogFeed> {
+        Ok(LogFeed(self.engine()?.clone()))
     }
 
     /// The storage engine a replica is fed from; errors for in-memory databases.
-    fn engine(&self) -> SeedResult<&StorageEngine> {
+    fn engine(&self) -> SeedResult<&Arc<StorageEngine>> {
         let dur = self.durability.as_ref().ok_or_else(|| {
             SeedError::Invalid("in-memory database has no WAL to replicate from".to_string())
         })?;
@@ -301,7 +350,7 @@ impl Database {
         };
         dur.join_checkpoint()?;
         self.committed_state_only()?;
-        let image = durability::encode_image(self, dur.engine.durable_lsn(), None);
+        let image = durability::encode_image(self, dur.engine.durable_lsn());
         Ok(dur.engine.checkpoint(&image)?)
     }
 
@@ -1473,6 +1522,7 @@ impl Database {
             durability: None,
             topology_epoch: 0,
             fenced_to: None,
+            epochs: Vec::new(),
         }
     }
 
@@ -1487,7 +1537,7 @@ impl Database {
         db.selected_version = self.selected_version.clone();
         db.selected_view = self.selected_view.clone();
         db.consistency_checking = self.consistency_checking;
-        db.set_topology(self.topology_epoch, self.fenced_to.clone());
+        db.set_topology(self.topology_epoch, self.fenced_to.clone(), self.epochs.clone());
         db
     }
 

@@ -103,9 +103,8 @@ impl Durability {
             let _ = done.join();
         }
         let (view, engine) = (view(), self.engine.clone());
-        *in_flight = Some(std::thread::spawn(move || {
-            Ok(engine.checkpoint(&encode_image(&view, lsn, None))?)
-        }));
+        *in_flight =
+            Some(std::thread::spawn(move || Ok(engine.checkpoint(&encode_image(&view, lsn))?)));
     }
 }
 
@@ -173,6 +172,7 @@ fn meta_record(db: &Database) -> codec::MetaRecord {
         version_seq: versions.seq(),
         epoch: db.topology_epoch(),
         fenced_to: db.fenced_to().map(str::to_string),
+        epochs: db.epoch_history().to_vec(),
     }
 }
 
@@ -183,10 +183,9 @@ pub(crate) fn encode_meta(db: &Database) -> Vec<u8> {
 }
 
 /// **The encoder**: hands every record of `db` to `sink` as a `(key, value)` pair, in key
-/// order, out of two reused buffers — no allocation per item.  `cursor` adds a replica's
-/// `repl/applied` cell at its place in that order.  Callers make sure no transaction is open
-/// and no alternative is checked out, so `db` is exactly its committed state.
-pub(crate) fn encode_pairs(db: &Database, cursor: Option<Lsn>, sink: &mut dyn FnMut(&[u8], &[u8])) {
+/// order, out of two reused buffers — no allocation per item.  Callers make sure no transaction
+/// is open and no alternative is checked out, so `db` is exactly its committed state.
+pub(crate) fn encode_pairs(db: &Database, sink: &mut dyn FnMut(&[u8], &[u8])) {
     let (schemas, store, versions, _) = db.parts();
     let (mut key, mut value) = (Encoder::new(), Encoder::new());
     let mut out = |k: Key, write_value: &dyn Fn(&mut Encoder)| {
@@ -196,7 +195,7 @@ pub(crate) fn encode_pairs(db: &Database, cursor: Option<Lsn>, sink: &mut dyn Fn
         write_value(&mut value);
         sink(key.as_slice(), value.as_slice());
     };
-    // Key order: d/ < meta < o/ < r/ < repl/applied < s/ < v/ < vi/.
+    // Key order: d/ < meta < o/ < r/ < s/ < v/ < vi/.
     for item in store.dirty_items().keys() {
         out(Key::Dirty(*item), &|_| {});
     }
@@ -208,11 +207,6 @@ pub(crate) fn encode_pairs(db: &Database, cursor: Option<Lsn>, sink: &mut dyn Fn
     }
     for record in store.all_relationships() {
         out(Key::Relationship(record.id), &|e| codec::encode_relationship(e, record));
-    }
-    if let Some(cursor) = cursor {
-        out(Key::Applied, &|e| {
-            e.put_raw(&cursor.to_le_bytes());
-        });
     }
     for id in schemas.version_ids() {
         let schema = schemas.get(id).expect("listed versions exist");
@@ -241,9 +235,9 @@ pub(crate) fn encode_pairs(db: &Database, cursor: Option<Lsn>, sink: &mut dyn Fn
 }
 
 /// The checkpoint image of `db` covering the WAL up to `lsn`.
-pub(crate) fn encode_image(db: &Database, lsn: Lsn, cursor: Option<Lsn>) -> SnapshotImage {
+pub(crate) fn encode_image(db: &Database, lsn: Lsn) -> SnapshotImage {
     let mut writer = ImageWriter::new(lsn);
-    encode_pairs(db, cursor, &mut |key, value| writer.put(key, value));
+    encode_pairs(db, &mut |key, value| writer.put(key, value));
     writer.finish()
 }
 
@@ -294,7 +288,7 @@ impl Changes {
             } else if key == codec::KEY_META.as_bytes() {
                 changes.meta = Some(codec::decode_meta(kept("the meta record")?)?);
             }
-            // Anything else (a replica's `repl/applied` cursor) carries no database state.
+            // A key outside the layout carries no database state.
         }
         if let Some(meta) = &changes.meta {
             let current = meta.current_schema;
@@ -350,7 +344,7 @@ impl Changes {
             db.versions_mut().set_counters(meta.last_created, meta.version_seq);
         }
         db.set_transition_rules(meta.rules);
-        db.set_topology(meta.epoch, meta.fenced_to);
+        db.set_topology(meta.epoch, meta.fenced_to, meta.epochs);
     }
 
     /// A fresh database holding exactly the decoded state (recovery, replica resets).
@@ -399,7 +393,7 @@ pub(crate) mod test_support {
     /// The key space the encoder derives from a database.
     pub(crate) fn encoder_pairs(db: &Database) -> Vec<(Vec<u8>, Vec<u8>)> {
         let mut pairs = Vec::new();
-        encode_pairs(db, None, &mut |key, value| pairs.push((key.to_vec(), value.to_vec())));
+        encode_pairs(db, &mut |key, value| pairs.push((key.to_vec(), value.to_vec())));
         pairs
     }
 
@@ -850,7 +844,7 @@ mod tests {
         assert!(db.object_by_name("Kept").is_ok());
         assert!(db.store().id_floor() > floors, "the rolled-back ids were reused");
         // The poisoned engine refuses the resync cut and further transactions.
-        assert!(matches!(db.replication_cut(), Err(SeedError::Storage(_))));
+        assert!(matches!(db.log_feed().unwrap().replication_cut(), Err(SeedError::Storage(_))));
         assert!(matches!(db.begin_transaction(), Err(SeedError::Storage(_))));
         let live = db.clone_for_snapshot();
         drop(db);
@@ -864,7 +858,7 @@ mod tests {
         let mut db = flaky_database(&io);
         io.fail_sync.store(true, std::sync::atomic::Ordering::SeqCst);
         assert!(matches!(db.create_object("Data", "Ahead"), Err(SeedError::Storage(_))));
-        match db.replication_cut() {
+        match db.log_feed().unwrap().replication_cut() {
             Err(SeedError::Storage(seed_storage::StorageError::Poisoned(reason))) => {
                 assert!(reason.contains("commit"), "{reason}")
             }
@@ -956,7 +950,9 @@ mod tests {
     fn logged(db: &mut Database, work: impl FnOnce(&mut Database)) -> Vec<Logged> {
         let from = db.durable_lsn().unwrap() + 1;
         work(db);
-        let seed_storage::WalTail::Records(commits) = db.wal_tail(from).unwrap() else {
+        let seed_storage::WalTail::Records(commits) =
+            db.log_feed().unwrap().wal_tail(from).unwrap()
+        else {
             panic!("the tail past the last commit is in the log")
         };
         let kind = |(key, value): KeyEffect| (if value.is_some() { "put" } else { "delete" }, key);
@@ -1041,6 +1037,39 @@ mod tests {
         let reopened = Database::open_durable(&dir).unwrap();
         assert!(reopened.store().dirty_items().contains_key(&ItemId::Object(desc)));
         assert_same_state(&live, &reopened, true);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A directory whose meta record is format 1 (no epoch history) fails the open, as a
+    /// primary and as a replica store, with an error naming both formats, and nothing in it
+    /// changes.
+    #[test]
+    fn a_format_1_meta_is_refused_naming_both_formats_and_nothing_changes() {
+        let dir = temp_dir("format-1");
+        let mut db = Database::create_durable(&dir, figure3_schema()).unwrap();
+        db.create_object("Data", "Kept").unwrap();
+        let mut meta = codec::decode_meta(&encode_meta(&db)).unwrap();
+        drop(db);
+        meta.format = 1;
+        let mut old = codec::encoded(|e| codec::encode_meta(e, &meta));
+        old.pop(); // format 1 ends after the fence: no epoch history
+        let (engine, _) = StorageEngine::open(&dir).unwrap();
+        engine.commit(vec![(codec::KEY_META.as_bytes().to_vec(), Some(old))]).unwrap();
+        drop(engine);
+        let files = || -> Vec<(PathBuf, Vec<u8>)> {
+            let mut files: Vec<_> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .map(|path| (path.clone(), std::fs::read(path).unwrap()))
+                .collect();
+            files.sort();
+            files
+        };
+        let before = files();
+        let refused = Database::open_durable(&dir).unwrap_err().to_string();
+        assert!(refused.contains("format 1") && refused.contains("format 2"), "{refused}");
+        assert!(crate::replica::ReplicaStore::open(&dir).is_err());
+        assert!(files() == before, "a refused open changed the directory");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -1301,7 +1330,8 @@ mod proptests {
 
     /// Ships the primary's WAL tail past the replica's cursor as one incremental batch.
     fn feed(replica: &mut ReplicaStore, primary: &Database) {
-        let commits = match primary.wal_tail(replica.applied_lsn() + 1).unwrap() {
+        let commits = match primary.log_feed().unwrap().wal_tail(replica.applied_lsn() + 1).unwrap()
+        {
             seed_storage::WalTail::Records(commits) => commits,
             other => panic!("the retention floor must keep the replica's tail, got {other:?}"),
         };
@@ -1338,7 +1368,7 @@ mod proptests {
                 prop_assert!(!db.in_transaction());
                 let live = db.clone_for_snapshot();
                 let live_pairs = encoder_pairs(&live);
-                let (resync_cut, lsn) = db.replication_cut().unwrap();
+                let (resync_cut, lsn) = db.log_feed().unwrap().replication_cut().unwrap();
 
                 drop(db);
                 let (engine, recovered) =

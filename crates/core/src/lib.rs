@@ -73,7 +73,7 @@ pub mod version;
 
 pub use completeness::{CompletenessReport, Incompleteness};
 pub use consistency::{ConsistencyChecker, ConsistencyViolation};
-pub use database::Database;
+pub use database::{Database, LogFeed};
 pub use durability::DurabilityStatus;
 pub use error::{SeedError, SeedResult};
 pub use history::{TransitionRule, TransitionViolation};

@@ -1,27 +1,32 @@
 //! The replica side of WAL-shipping replication: a durable store rebuilt from a primary's
 //! shipped commits.
 //!
-//! A [`ReplicaStore`] owns its **own** storage engine (its own WAL and checkpoints) and the
-//! database it mirrors.  A shipped batch of the primary's [`Commit`]s — each one WAL record,
-//! whole by construction — is flattened into its key effects, in order, exactly as restart
-//! recovery does, and decoded **completely** before anything is committed, so a batch that
-//! fails to decode touches neither disk nor memory.  Then the effects and the new cursor
-//! position commit as **one** local storage batch ([`StorageEngine::commit`]), and the applier
-//! of [`crate::durability`] patches the mirrored database in O(delta).  Because the
-//! applied-LSN cursor rides in the same commit as the effects it covers, a crash mid-batch
-//! loses the whole batch or nothing: on reopen the replica resumes from its last durable LSN
-//! and re-requests exactly the commits it lost.
+//! A [`ReplicaStore`] owns its own storage engine and the database it mirrors, and its WAL **is
+//! the primary's log**: every shipped [`Commit`] is appended at the LSN it has on the primary,
+//! in the same frame bytes, so a replica's position is simply the end of its own log
+//! ([`StorageEngine::durable_lsn`]) and one LSN space spans the cluster.  A shipped batch — each
+//! commit one WAL record, whole by construction — is decoded **completely** before anything is
+//! written, so a batch that fails to decode touches neither disk nor memory.  Then its commits
+//! are appended in one write with one sync ([`StorageEngine::append`], which refuses a batch
+//! that does not start at the log's next LSN), and the applier of [`crate::durability`]
+//! patches the mirrored database in O(delta).  A crash mid-batch keeps a prefix of whole
+//! commits, as on the primary; on reopen the replica resumes from the end of its log.
 //!
 //! Two batch shapes exist (see `docs/PROTOCOL.md` for the wire contract):
 //!
-//! * **incremental** — the primary's WAL tail since the replica's cursor; applied on top of the
-//!   mirrored database;
+//! * **incremental** — the primary's WAL tail past the replica's last LSN; applied on top of
+//!   the mirrored database;
 //! * **reset** — the primary's files from the start: its snapshot's commits, then its WAL
-//!   tail past the snapshot ([`Database::replication_cut`]); shipped when the replica's cursor
-//!   fell behind a primary checkpoint, or when the replica is empty and the primary's WAL no
-//!   longer reaches back to LSN 1.  It is applied to a fresh database, exactly as restart
-//!   recovery applies the same files, which the store writes as its own snapshot image —
-//!   cursor included — in one atomic replace.
+//!   tail past the snapshot ([`crate::LogFeed::replication_cut`]); shipped when the primary's
+//!   log no longer holds the replica's next LSN, or does not continue the replica's log
+//!   ([`Database::continues_log`]).  It is applied to a fresh database, exactly as restart
+//!   recovery applies the same files, which the store installs as its whole state at the
+//!   primary's end of log ([`StorageEngine::install`]): the old log is dropped first, so none
+//!   of its frames is ever replayed over the new image, wherever the old log ended.
+//!
+//! The mirrored meta record carries the primary's epoch history, so the store knows the epoch
+//! in force at its last LSN ([`ReplicaStore::log_end`]) — the pair a subscription carries.  A
+//! promotion ([`ReplicaStore::into_primary`]) keeps numbering from the end of the log.
 //!
 //! The store never mutates through [`Database`] write paths — replicas are read-only by
 //! construction.  A serving copy of the mirrored database ([`ReplicaStore::serving_copy`])
@@ -29,42 +34,46 @@
 
 use std::path::Path;
 
-use seed_storage::{Commit, KeyEffect, Lsn, StorageEngine};
+use seed_storage::{Commit, Lsn, StorageEngine};
 
 use crate::codec;
 use crate::database::Database;
 use crate::durability::{self, Changes};
 use crate::error::{SeedError, SeedResult};
 
-/// A replica's durable store: the mirrored database, its local WAL and snapshot, and the
-/// cursor of how far into the primary's WAL the mirror reaches.
+/// A replica's durable store: the mirrored database and its log, which holds the primary's
+/// commits at the primary's LSNs.
 pub struct ReplicaStore {
     engine: StorageEngine,
-    applied: Lsn,
     /// `None` until a batch carrying the primary's `meta` record has been applied.
     db: Option<Database>,
 }
 
 impl ReplicaStore {
     /// Opens (or creates) a replica store in `dir`, running the engine's normal restart
-    /// recovery.  A fresh directory starts at cursor 0 — the first subscription asks the
-    /// primary for everything.
+    /// recovery.  A fresh directory's log is empty — the first subscription asks the primary
+    /// for everything.  Any durable database directory opens too: a former primary rejoins
+    /// with its own log.
     pub fn open(dir: impl AsRef<Path>) -> SeedResult<Self> {
         let (engine, recovered) = StorageEngine::open(dir)?;
-        let applied = recovered
-            .get(codec::KEY_APPLIED.as_bytes())
-            .and_then(|bytes| <[u8; 8]>::try_from(bytes).ok())
-            .map_or(0, u64::from_le_bytes);
         let db = match recovered.get(codec::KEY_META.as_bytes()) {
             Some(_) => Some(durability::recover(&recovered)?),
             None => None,
         };
-        Ok(Self { engine, applied, db })
+        Ok(Self { engine, db })
     }
 
-    /// The last primary LSN whose effects are durable locally (0 = nothing applied yet).
+    /// The last primary LSN whose effects are durable locally: the end of the store's log (0 =
+    /// nothing applied yet).
     pub fn applied_lsn(&self) -> Lsn {
-        self.applied
+        self.engine.durable_lsn()
+    }
+
+    /// Where the store's log ends: its last LSN and the epoch in force there — what a
+    /// subscription carries for the primary to match against its own log.
+    pub fn log_end(&self) -> (Lsn, u64) {
+        let lsn = self.applied_lsn();
+        (lsn, self.db.as_ref().map_or(0, |db| db.epoch_at(lsn)))
     }
 
     /// Whether at least one batch carrying the primary's `meta` record has been applied — i.e.
@@ -84,38 +93,35 @@ impl ReplicaStore {
         self.db.as_ref().map(Database::clone_for_snapshot)
     }
 
-    /// Applies one shipped batch: the key effects of `commits`, in order, plus the new cursor
-    /// `up_to`.  The batch is decoded completely first; a batch that fails to decode changes
-    /// nothing.  An incremental batch commits as **one** local storage batch and patches
-    /// the mirrored database; with `reset`, the batch becomes a fresh database written as the
-    /// store's own snapshot in one atomic replace, so a crash mid-resync leaves the old state
-    /// intact.
+    /// Applies one shipped batch whose last commit is the primary's LSN `up_to`.  The batch is
+    /// decoded completely first; a batch that fails to decode changes nothing.  An incremental
+    /// batch is appended to the log at the primary's LSNs (one write, one sync) and patches the
+    /// mirrored database; with `reset`, the batch becomes a fresh database installed as the
+    /// store's whole state at LSN `up_to`.
     ///
     /// Returns the number of per-item records the batch changed (the replica's cost
     /// observable: O(delta) for incremental batches).
     pub fn apply(&mut self, commits: Vec<Commit>, up_to: Lsn, reset: bool) -> SeedResult<usize> {
-        let effects: Vec<KeyEffect> = commits.into_iter().flat_map(|c| c.effects).collect();
+        let effects = commits.iter().flat_map(|c| &c.effects);
         let known = self.db.as_ref().filter(|_| !reset).map(Database::schema_registry);
-        let changes =
-            Changes::decode(effects.iter().map(|(k, v)| (k.as_slice(), v.as_deref())), known)?;
+        let changes = Changes::decode(effects.map(|(k, v)| (k.as_slice(), v.as_deref())), known)?;
         let items = changes.items();
-        match self.db {
-            Some(_) if !reset => {
-                self.commit_effects(effects, up_to)?;
-                changes.apply(self.db.as_mut().expect("matched above"));
+        let first = (up_to + 1).saturating_sub(commits.len() as Lsn);
+        match self.db.as_mut().filter(|_| !reset) {
+            Some(db) => {
+                self.engine.append(first, &commits)?;
+                changes.apply(db);
             }
-            _ => {
+            None => {
                 let db = changes.into_database()?;
                 if reset {
-                    let lsn = self.engine.durable_lsn();
-                    self.engine.checkpoint(&durability::encode_image(&db, lsn, Some(up_to)))?;
+                    self.engine.install(&durability::encode_image(&db, up_to))?;
                 } else {
-                    self.commit_effects(effects, up_to)?;
+                    self.engine.append(first, &commits)?;
                 }
                 self.db = Some(db);
             }
         }
-        self.applied = up_to;
         if self.engine.checkpoint_due() {
             // A failure poisons the engine, which then refuses the next batch.
             let _ = self.checkpoint();
@@ -123,49 +129,37 @@ impl ReplicaStore {
         Ok(items)
     }
 
-    /// Commits a batch's effects and the new cursor as one local storage batch.
-    fn commit_effects(&self, mut effects: Vec<KeyEffect>, up_to: Lsn) -> SeedResult<()> {
-        effects.push((codec::KEY_APPLIED.as_bytes().to_vec(), Some(up_to.to_le_bytes().to_vec())));
-        Ok(self.engine.commit(effects)?)
-    }
-
-    /// Checkpoints the replica's own engine: the mirrored database and the cursor as one
-    /// snapshot image, then the local WAL pruned.  [`ReplicaStore::apply`] does this whenever
-    /// the local WAL outgrows its threshold; replication correctness does not depend on it —
-    /// the cursor lives in the keyed state, not the local WAL.
+    /// Checkpoints the replica's own engine: the mirrored database as one snapshot image at the
+    /// end of the log, then the log pruned.  [`ReplicaStore::apply`] does this whenever the
+    /// log outgrows its threshold.
     pub fn checkpoint(&self) -> SeedResult<()> {
         let db = self.db.as_ref().ok_or_else(not_initialized)?;
-        let image = durability::encode_image(db, self.engine.durable_lsn(), Some(self.applied));
-        Ok(self.engine.checkpoint(&image)?)
+        Ok(self.engine.checkpoint(&durability::encode_image(db, self.applied_lsn()))?)
     }
 
     /// The topology epoch recorded in the mirrored meta record (0 for an uninitialized store
-    /// or a pre-promotion primary's state).  A `ReplicaNode` re-pointed at a new primary
-    /// compares this against the promotion epoch to decide whether its local state may be
-    /// continued incrementally or must be resynced from a snapshot.
+    /// or before any promotion) — what a promotion order's epoch must exceed.
     pub fn topology_epoch(&self) -> u64 {
         self.db.as_ref().map_or(0, Database::topology_epoch)
     }
 
     /// Promotion: consumes the replica store and turns its directory into a **durable primary**
-    /// at topology epoch `epoch` — reusing the engine, the mirrored database and the segmented
-    /// WAL in place, no data copy.  In one local batch the replication cursor key is
-    /// deleted (the directory stops being a replica store; a later [`ReplicaStore::open`] on it
-    /// reads cursor 0, which forces the snapshot resync path on rejoin-as-replica) and the meta
-    /// record is rewritten with the new epoch and no fence.  Then write-through durability is
-    /// attached to the mirrored database.
+    /// at topology epoch `epoch` — reusing the engine, the mirrored database and the log in
+    /// place, no data copy.  One commit, at the log's next LSN `n`, rewrites the meta record
+    /// with the new epoch, no fence, and `(epoch, n)` added to the epoch history; the log keeps
+    /// numbering from there, so every node's LSNs stay in one space.  Then write-through
+    /// durability is attached to the mirrored database.
     ///
     /// The caller is responsible for having drained the shipped tail first: records the old
     /// primary committed but never shipped here are lost by design (they were never
-    /// acknowledged to this node).
+    /// acknowledged to this node), and the epoch history tells that log apart from this one.
     pub fn into_primary(self, epoch: u64) -> SeedResult<Database> {
         let mut db = self.db.ok_or_else(not_initialized)?;
-        db.set_topology(epoch, None);
+        let mut epochs = db.epoch_history().to_vec();
+        epochs.push((epoch, self.engine.durable_lsn() + 1));
+        db.set_topology(epoch, None, epochs);
         let meta = durability::encode_meta(&db);
-        self.engine.commit(vec![
-            (codec::KEY_APPLIED.as_bytes().to_vec(), None),
-            (codec::KEY_META.as_bytes().to_vec(), Some(meta.clone())),
-        ])?;
+        self.engine.commit(vec![(codec::KEY_META.as_bytes().to_vec(), Some(meta.clone()))])?;
         db.attach_durability(self.engine, meta);
         Ok(db)
     }
@@ -184,7 +178,7 @@ mod tests {
     use seed_storage::WalTail;
 
     fn tail_records(db: &Database, from: Lsn) -> (Vec<Commit>, Lsn) {
-        match db.wal_tail(from).unwrap() {
+        match db.log_feed().unwrap().wal_tail(from).unwrap() {
             WalTail::Records(recs) => {
                 let up_to = recs.last().map(|(l, _)| *l).unwrap_or(from - 1);
                 (recs.into_iter().map(|(_, r)| r).collect(), up_to)
@@ -316,12 +310,12 @@ mod tests {
         primary.create_object("Data", "After").unwrap();
 
         let mut replica = ReplicaStore::open(&replica_dir).unwrap();
-        match primary.wal_tail(replica.applied_lsn() + 1).unwrap() {
+        match primary.log_feed().unwrap().wal_tail(replica.applied_lsn() + 1).unwrap() {
             WalTail::Truncated { oldest } => assert!(oldest > 1),
             other => panic!("expected truncation, got {other:?}"),
         }
         // Resync from the primary's files, as the primary's session loop would.
-        let (cut, lsn) = primary.replication_cut().unwrap();
+        let (cut, lsn) = primary.log_feed().unwrap().replication_cut().unwrap();
         assert_eq!(lsn, primary.durable_lsn().unwrap(), "the cut ends at the end of the log");
         replica.apply(cut, lsn, true).unwrap();
         assert_eq!(replica.applied_lsn(), lsn);
@@ -351,16 +345,16 @@ mod tests {
         // exercise the reset path with a checkpoint + fresh snapshot instead).
         primary.delete_object(doomed).unwrap();
         primary.checkpoint().unwrap();
-        let (cut, lsn) = primary.replication_cut().unwrap();
+        let (cut, lsn) = primary.log_feed().unwrap().replication_cut().unwrap();
         replica.apply(cut, lsn, true).unwrap();
         assert_same_state(replica.database().unwrap(), &primary, true);
         let _ = std::fs::remove_dir_all(&primary_dir);
         let _ = std::fs::remove_dir_all(&replica_dir);
     }
 
-    /// The satellite crash test: a replica killed mid-`LogBatch` apply loses the whole batch
-    /// (its local transaction never committed), reopens at its last durable LSN, re-requests
-    /// the lost records and converges to the primary's state.
+    /// A replica killed mid-`LogBatch` apply keeps a prefix of the batch's whole commits (its
+    /// one write was torn inside the last frame), reopens at the end of that prefix,
+    /// re-requests the rest and converges to the primary's state.
     #[test]
     fn crash_mid_batch_resumes_from_last_durable_lsn_and_converges() {
         let primary_dir = temp_dir("repl-crash-primary");
@@ -373,13 +367,16 @@ mod tests {
         replica.apply(records, batch1_lsn, false).unwrap();
         drop(replica);
 
-        // Batch 2 exists on the primary...
-        primary.create_object("Data", "InFlight").unwrap();
+        // Batch 2 exists on the primary: three commits...
+        for name in ["InFlight0", "InFlight1", "InFlight2"] {
+            primary.create_object("Data", name).unwrap();
+        }
         let (batch2, batch2_lsn) = tail_records(&primary, batch1_lsn + 1);
+        assert_eq!(batch2.len(), 3);
 
-        // ...and the replica crashes mid-apply: its local group-commit write is torn.  Simulate
-        // by applying the batch and then tearing the tail of the replica's own WAL — the
-        // batch's single commit frame never became fully durable.
+        // ...and the replica crashes mid-apply: the batch's one write is torn inside its last
+        // frame.  Simulate by applying the batch and then tearing the tail of the replica's
+        // own WAL.
         {
             let mut replica = ReplicaStore::open(&replica_dir).unwrap();
             replica.apply(batch2, batch2_lsn, false).unwrap();
@@ -397,17 +394,16 @@ mod tests {
         let bytes = std::fs::read(&wal_path).unwrap();
         std::fs::write(&wal_path, &bytes[..bytes.len() - 3]).unwrap();
 
-        // Reopen: the torn batch is gone in full, the cursor is back at batch 1.
+        // Reopen: the two whole commits stay, the torn one is gone.
         let mut replica = ReplicaStore::open(&replica_dir).unwrap();
-        assert_eq!(
-            replica.applied_lsn(),
-            batch1_lsn,
-            "the torn batch must roll back atomically, cursor included"
-        );
-        assert!(replica.database().unwrap().object_by_name("InFlight").is_err());
+        assert_eq!(replica.applied_lsn(), batch2_lsn - 1, "a prefix of whole commits stays");
+        let db = replica.database().unwrap();
+        assert!(db.object_by_name("InFlight1").is_ok());
+        assert!(db.object_by_name("InFlight2").is_err());
 
-        // Re-request from the durable cursor and converge.
+        // Re-request from the end of the log and converge.
         let (records, up_to) = tail_records(&primary, replica.applied_lsn() + 1);
+        assert_eq!(records.len(), 1, "only the torn commit ships again");
         replica.apply(records, up_to, false).unwrap();
         assert_eq!(up_to, batch2_lsn);
         assert_same_state(replica.database().unwrap(), &primary, true);
@@ -506,11 +502,11 @@ mod tests {
     }
 
     /// The promotion flip: a synced replica store becomes a writable durable primary in place
-    /// (no data copy), carrying the promotion epoch in its meta; reopening the same directory
-    /// as a replica store afterwards reads cursor 0 — the signature that forces a snapshot
-    /// resync instead of continuing in a foreign LSN space.
+    /// (no data copy), carrying the promotion epoch in its meta and `(epoch, first LSN)` in its
+    /// epoch history; the log keeps numbering from the end of the shipped tail, and reopening
+    /// the directory as a replica store afterwards finds its position at the end of that log.
     #[test]
-    fn into_primary_flips_the_store_in_place_and_resets_the_cursor() {
+    fn into_primary_flips_the_store_in_place_and_keeps_numbering_the_log() {
         let primary_dir = temp_dir("repl-flip-primary");
         let replica_dir = temp_dir("repl-flip-replica");
         let mut primary = Database::create_durable(&primary_dir, figure3_schema()).unwrap();
@@ -520,27 +516,187 @@ mod tests {
         let (records, up_to) = tail_records(&primary, 1);
         replica.apply(records, up_to, false).unwrap();
         assert_eq!(replica.topology_epoch(), 0);
+        assert_eq!(replica.log_end(), (up_to, 0));
 
         let mut promoted = replica.into_primary(7).unwrap();
         assert!(promoted.is_durable(), "the flipped store writes through");
         assert_eq!(promoted.topology_epoch(), 7);
         assert_eq!(promoted.fenced_to(), None);
+        assert_eq!(promoted.epoch_history(), [(7, up_to + 1)]);
+        assert_eq!(promoted.durable_lsn(), Some(up_to + 1), "the flip is the next commit");
         assert!(promoted.object_by_name("Survivor").is_ok(), "no data was lost in the flip");
         promoted.create_object("Data", "PostPromotion").unwrap();
+        let end = promoted.durable_lsn().unwrap();
         drop(promoted);
 
         // The directory now recovers as an ordinary durable primary...
         let reopened = Database::open_durable(&replica_dir).unwrap();
         assert_eq!(reopened.topology_epoch(), 7);
+        assert_eq!(reopened.epoch_history(), [(7, up_to + 1)]);
         assert!(reopened.object_by_name("PostPromotion").is_ok());
         drop(reopened);
 
-        // ...and reopening it as a replica store reads cursor 0 with state present — the
-        // former-primary signature that demotion-to-replica resyncs from a snapshot.
+        // ...and reopening it as a replica store finds the end of the same log, under the
+        // promotion's epoch.
         let rejoined = ReplicaStore::open(&replica_dir).unwrap();
-        assert_eq!(rejoined.applied_lsn(), 0);
+        assert_eq!(rejoined.applied_lsn(), end);
+        assert_eq!(rejoined.log_end(), (end, 7));
         assert!(rejoined.is_initialized());
         assert_eq!(rejoined.topology_epoch(), 7);
+        let _ = std::fs::remove_dir_all(&primary_dir);
+        let _ = std::fs::remove_dir_all(&replica_dir);
+    }
+
+    /// Ships the primary's tail past the replica's last LSN as one incremental batch.
+    fn ship(replica: &mut ReplicaStore, primary: &Database) {
+        let (records, up_to) = tail_records(primary, replica.applied_lsn() + 1);
+        replica.apply(records, up_to, false).unwrap();
+    }
+
+    /// Every whole frame in `dir`'s WAL segments, by LSN, as it lies on disk (`len | crc |
+    /// payload`).  Parsed here from the documented layout: a 24-byte header whose bytes
+    /// 12..20 hold the segment's base LSN, then the frames.
+    fn frames_by_lsn(dir: &Path) -> std::collections::BTreeMap<Lsn, Vec<u8>> {
+        let mut frames = std::collections::BTreeMap::new();
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            if !(name.starts_with("wal.") && name.ends_with(".seg")) {
+                continue;
+            }
+            let bytes = std::fs::read(&path).unwrap();
+            let mut lsn = u64::from_le_bytes(bytes[12..20].try_into().unwrap()) + 1;
+            let mut rest = &bytes[24..];
+            while rest.len() >= 8 {
+                let len = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize + 8;
+                frames.insert(lsn, rest[..len].to_vec());
+                rest = &rest[len..];
+                lsn += 1;
+            }
+        }
+        frames
+    }
+
+    /// One log across primary and replica: streamed with a checkpoint on each side, the
+    /// replica's log holds the primary's commits at the primary's LSNs, frame for frame.
+    #[test]
+    fn the_replica_log_holds_the_primary_frames_at_the_primary_lsns() {
+        let primary_dir = temp_dir("repl-frames-primary");
+        let replica_dir = temp_dir("repl-frames-replica");
+        let mut primary = Database::create_durable(&primary_dir, figure3_schema()).unwrap();
+        let mut replica = ReplicaStore::open(&replica_dir).unwrap();
+        for round in 0..5 {
+            workload(&mut primary, round);
+            ship(&mut replica, &primary);
+            match round {
+                1 => primary.checkpoint().unwrap(),
+                2 => replica.checkpoint().unwrap(),
+                _ => {}
+            }
+        }
+        assert_eq!(replica.applied_lsn(), primary.durable_lsn().unwrap(), "one LSN space");
+        let (on_primary, on_replica) = (frames_by_lsn(&primary_dir), frames_by_lsn(&replica_dir));
+        let shared: Vec<Lsn> =
+            on_primary.keys().filter(|l| on_replica.contains_key(l)).copied().collect();
+        assert!(shared.len() >= 10, "only {} LSNs in both logs", shared.len());
+        let first =
+            |frames: &std::collections::BTreeMap<Lsn, Vec<u8>>| *frames.keys().next().unwrap();
+        assert!(first(&on_primary) > 1, "the primary's checkpoint pruned its log");
+        assert!(first(&on_replica) > first(&on_primary), "the replica's checkpoint came later");
+        for lsn in shared {
+            assert!(on_primary[&lsn] == on_replica[&lsn], "the frames at LSN {lsn} differ");
+        }
+        drop(replica);
+        let replica = ReplicaStore::open(&replica_dir).unwrap();
+        assert_eq!(replica.applied_lsn(), primary.durable_lsn().unwrap());
+        assert_same_state(replica.database().unwrap(), &primary, true);
+        let _ = std::fs::remove_dir_all(&primary_dir);
+        let _ = std::fs::remove_dir_all(&replica_dir);
+    }
+
+    /// Log matching with the topology epoch as the term.  A replica store synced to LSN `n` is
+    /// promoted at epoch 1, so its log holds the promotion at `n + 1`.  The old primary at
+    /// `(n, 0)` continues it; after `k` = 3 commits it never shipped, the old primary's log ends
+    /// at `(n + 3, 0)`, while the promoted log holds LSNs `n + 1 ..= n + 3` under epoch 1: no
+    /// match, although the promoted log runs past `n + 3`.  The old primary, rejoining as a
+    /// replica at that position, is reset to the promoted log and streams on from there.
+    #[test]
+    fn a_promoted_log_continues_the_old_one_up_to_the_promotion_and_not_past_it() {
+        let old_dir = temp_dir("repl-match-old");
+        let promoted_dir = temp_dir("repl-match-promoted");
+        let mut old = Database::create_durable(&old_dir, figure3_schema()).unwrap();
+        workload(&mut old, 0);
+        let mut replica = ReplicaStore::open(&promoted_dir).unwrap();
+        ship(&mut replica, &old);
+        let n = old.durable_lsn().unwrap();
+        assert_eq!(replica.log_end(), (n, 0));
+        let mut promoted = replica.into_primary(1).unwrap();
+        assert_eq!(promoted.epoch_history(), [(1, n + 1)]);
+        assert_eq!((promoted.epoch_at(n), promoted.epoch_at(n + 1)), (0, 1));
+
+        // The old primary at (n, 0) — fenced or stopped before it wrote again — matches.
+        assert!(promoted.continues_log(n, 0));
+        assert!(!promoted.continues_log(n, 1), "LSN n was written under epoch 0");
+        assert!(!promoted.continues_log(n + 2, 1), "past the promoted log's end");
+
+        // Three commits the old primary never shipped: LSNs n + 1 ..= n + 3 of its log.
+        for name in ["Unshipped0", "Unshipped1", "Unshipped2"] {
+            old.create_object("Data", name).unwrap();
+        }
+        assert_eq!(old.durable_lsn(), Some(n + 3));
+        for name in ["Promoted0", "Promoted1", "Promoted2", "Promoted3"] {
+            promoted.create_object("Data", name).unwrap();
+        }
+        assert_eq!(promoted.durable_lsn(), Some(n + 5), "the promoted log holds LSN n + 3");
+        assert!(!promoted.continues_log(n + 3, 0), "LSN n + 3 differs between the two logs");
+        assert!(promoted.continues_log(n + 3, 1));
+
+        drop(old);
+        let mut rejoined = ReplicaStore::open(&old_dir).unwrap();
+        assert_eq!(rejoined.log_end(), (n + 3, 0));
+        let (cut, lsn) = promoted.log_feed().unwrap().replication_cut().unwrap();
+        assert_eq!(lsn, n + 5);
+        rejoined.apply(cut, lsn, true).unwrap();
+        assert_eq!(rejoined.log_end(), (n + 5, 1));
+        assert_same_state(rejoined.database().unwrap(), &promoted, true);
+        assert!(rejoined.database().unwrap().object_by_name("Unshipped0").is_err());
+
+        promoted.create_object("Data", "AfterRejoin").unwrap();
+        ship(&mut rejoined, &promoted);
+        drop(rejoined);
+        let rejoined = ReplicaStore::open(&old_dir).unwrap();
+        assert_eq!(rejoined.log_end(), (n + 6, 1));
+        assert_same_state(rejoined.database().unwrap(), &promoted, true);
+        let _ = std::fs::remove_dir_all(&old_dir);
+        let _ = std::fs::remove_dir_all(&promoted_dir);
+    }
+
+    /// A batch that does not start at the log's next LSN — a gap or an overlap — is refused
+    /// and changes nothing, on disk or in memory.
+    #[test]
+    fn a_batch_with_a_gap_or_an_overlap_is_refused_and_changes_nothing() {
+        let primary_dir = temp_dir("repl-gap-primary");
+        let replica_dir = temp_dir("repl-gap-replica");
+        let mut primary = Database::create_durable(&primary_dir, figure3_schema()).unwrap();
+        primary.create_object("Data", "First").unwrap();
+        let mut replica = ReplicaStore::open(&replica_dir).unwrap();
+        ship(&mut replica, &primary);
+        let cursor = replica.applied_lsn();
+        let before = replica.serving_copy().unwrap();
+
+        primary.create_object("Data", "Second").unwrap();
+        primary.create_object("Data", "Third").unwrap();
+        let (records, up_to) = tail_records(&primary, cursor + 2);
+        assert!(replica.apply(records, up_to, false).is_err(), "a gap was applied");
+        let (records, up_to) = tail_records(&primary, cursor);
+        assert!(replica.apply(records, up_to, false).is_err(), "an overlap was applied");
+        assert_eq!(replica.applied_lsn(), cursor);
+        assert_same_state(replica.database().unwrap(), &before, true);
+        drop(replica);
+        let mut replica = ReplicaStore::open(&replica_dir).unwrap();
+        assert_eq!(replica.applied_lsn(), cursor, "a refused batch reached the disk");
+        ship(&mut replica, &primary);
+        assert_same_state(replica.database().unwrap(), &primary, true);
         let _ = std::fs::remove_dir_all(&primary_dir);
         let _ = std::fs::remove_dir_all(&replica_dir);
     }
@@ -603,10 +759,13 @@ mod tests {
                 primary.checkpoint().unwrap();
             }
         }
-        assert!(matches!(primary.wal_tail(1).unwrap(), WalTail::Truncated { .. }));
+        assert!(matches!(
+            primary.log_feed().unwrap().wal_tail(1).unwrap(),
+            WalTail::Truncated { .. }
+        ));
 
         let mut reset = ReplicaStore::open(&reset_dir).unwrap();
-        let (cut, lsn) = primary.replication_cut().unwrap();
+        let (cut, lsn) = primary.log_feed().unwrap().replication_cut().unwrap();
         assert_eq!(lsn, primary.durable_lsn().unwrap());
         reset.apply(cut, lsn, true).unwrap();
 
@@ -645,7 +804,8 @@ mod tests {
         let reset_from_cut = |primary: &Database, name: &str| {
             let dir = temp_dir(name);
             let mut replica = ReplicaStore::open(&dir).unwrap();
-            let (cut, lsn) = primary.replication_cut().expect("the cut is served");
+            let (cut, lsn) =
+                primary.log_feed().unwrap().replication_cut().expect("the cut is served");
             replica.apply(cut, lsn, true).unwrap();
             let db = replica.serving_copy().unwrap();
             let _ = std::fs::remove_dir_all(&dir);
@@ -684,7 +844,7 @@ mod tests {
 
         primary.create_object("Data", "After").unwrap();
         primary.checkpoint().unwrap();
-        let (mut cut, lsn) = primary.replication_cut().unwrap();
+        let (mut cut, lsn) = primary.log_feed().unwrap().replication_cut().unwrap();
         let record = cut
             .iter_mut()
             .flat_map(|c| &mut c.effects)

@@ -220,11 +220,11 @@ impl Transport for Tcp {
 /// whose replica connection died mid-exchange.
 ///
 /// The router survives a failover without application involvement: when the primary refuses a
-/// request with [`ServerError::Fenced`] (or [`ServerError::ReadOnlyReplica`], the demoted form)
-/// it reconnects to the node the refusal names and sends it once more — safe because a refused
-/// write was refused outright, never half-applied.  When the primary connection is simply dead,
-/// it sweeps every known endpoint with a health probe and adopts whichever node reports itself a
-/// ready primary.  A resend after a **mid-exchange transport** failure is at-least-once, not
+/// request with [`ServerError::Fenced`] (or [`ServerError::ReadOnlyReplica`], the answer of an
+/// old primary that rejoined as a replica) it reconnects to the node the refusal names and sends
+/// it once more — safe because a refused write was refused outright, never half-applied.  When
+/// the primary connection is simply dead, it sweeps every known endpoint with a health probe and
+/// adopts whichever node reports itself a ready primary.  A resend after a **mid-exchange transport** failure is at-least-once, not
 /// exactly-once: the lost answer may have been an ack, in which case the resend surfaces the
 /// server's duplicate rejection instead of silently double-applying.  Only a one-request
 /// exchange is ever resent; a batch goes to the primary as it is.  Like every request, a resent

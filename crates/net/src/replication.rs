@@ -8,22 +8,32 @@
 //! `Retrieve`, …) on its own TCP listener — while checkouts, check-ins and version creation
 //! answer `ServerError::ReadOnlyReplica` carrying the primary's address.
 //!
+//! There is one log across the cluster: a replica's WAL holds the primary's commits at the
+//! primary's LSNs, so its position is the end of its own log plus the epoch in force there
+//! ([`ReplicaStore::log_end`]).  Every subscription carries that position, and the primary
+//! decides once whether its log continues the replica's (the log-matching rule,
+//! [`seed_core::Database::continues_log`]): it streams on when it does and sends a reset when
+//! it does not.  A replica re-pointed at a promoted node, and an old primary rejoining as a
+//! replica, therefore resume from their own logs with no setting to get right.
+//!
 //! Lifecycle:
 //!
 //! 1. **Initial sync** — `start` blocks until the first batch is applied (the primary answers a
-//!    subscribe immediately, with a snapshot reset batch when the replica's cursor fell behind
-//!    the primary's WAL), so the node never listens before it has a database to serve.
+//!    subscribe immediately, with a reset batch when its log does not hold the replica's next
+//!    LSN or does not continue the replica's log), so the node never listens before it has a
+//!    database to serve.
 //! 2. **Streaming** — a background thread applies batches to the [`ReplicaStore`], which
-//!    decodes each one completely, commits it locally and patches its mirrored database
+//!    decodes each one completely, appends it to its log and patches its mirrored database
 //!    **O(delta)** (a reset batch builds a fresh one); the node then publishes an O(1) copy of
 //!    it as the read snapshot keyed to the applied LSN — a read sees whole batches, never
 //!    halves — and acknowledges each batch once it is durable locally.
 //! 3. **Reconnect** — a dropped primary connection is retried with a fixed backoff, resuming
-//!    from the replica's durable cursor; a crash mid-batch loses that batch atomically and it
-//!    is simply shipped again.
+//!    from the end of the replica's log; a crash mid-batch keeps a prefix of whole commits and
+//!    the rest is simply shipped again.
 //! 4. **Promotion** — runs on the thread that asked for it.  It takes the store from the apply
 //!    thread (one mutex; an abort flag unblocks the feed read), fences the old primary, drains
-//!    the shipped tail and flips the store into a durable primary.
+//!    the shipped tail and flips the store into a durable primary, which keeps numbering the
+//!    same log.
 //!
 //! The initial sync, the stream and a promotion's drain take each batch through the same step
 //! (`ReplicaState::step`): apply, acknowledge, publish, and record the progress once, on the
@@ -37,7 +47,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use seed_core::{Database, ReplicaStore};
+use seed_core::{Database, LogFeed, ReplicaStore};
 use seed_schema::Schema;
 use seed_server::{PromotionReceipt, SeedServer, ServerError, ServerResult};
 
@@ -65,11 +75,6 @@ pub struct ReplicaConfig {
     /// hitting the cap emits one `Warn` event.  A promotion attempt resets the count (the cap
     /// is per topology epoch).
     pub max_reconnect_attempts: u32,
-    /// The topology epoch this replica was (re-)pointed at its primary under.  When this is
-    /// newer than the epoch recorded in the replica's own store, the local cursor belongs to a
-    /// superseded primary's log and the node forces a full-snapshot resync instead of resuming
-    /// it.  Leave at 0 when no failover ever happened.
-    pub epoch: u64,
 }
 
 impl Default for ReplicaConfig {
@@ -78,7 +83,6 @@ impl Default for ReplicaConfig {
             reconnect_backoff: Duration::from_millis(200),
             connect_timeout: Duration::from_secs(10),
             max_reconnect_attempts: 120,
-            epoch: 0,
         }
     }
 }
@@ -118,9 +122,14 @@ fn repl_metrics() -> &'static ReplMetrics {
 }
 
 impl Feed {
-    /// Connects, handshakes as a replica and subscribes from `from_lsn`.  Everything up to
-    /// (and including) the first frame read is bounded by `timeout`.
-    fn open(primary: SocketAddr, from_lsn: u64, timeout: Duration) -> ServerResult<Self> {
+    /// Connects, handshakes as a replica and subscribes with the position of a log that ends
+    /// at `(lsn, epoch)` ([`ReplicaStore::log_end`]).  Everything up to (and including) the
+    /// first frame read is bounded by `timeout`.
+    fn open(
+        primary: SocketAddr,
+        (lsn, epoch): (u64, u64),
+        timeout: Duration,
+    ) -> ServerResult<Self> {
         let transport = |e: std::io::Error| ServerError::Transport(e.to_string());
         let stream = TcpStream::connect_timeout(&primary, timeout).map_err(transport)?;
         stream.set_nodelay(true).map_err(transport)?;
@@ -129,7 +138,8 @@ impl Feed {
         write_frame(&mut feed.stream, FrameKind::Hello, &Hello::replica(AGENT).encode())?;
         let never = AtomicBool::new(false);
         Welcome::from_answer(&feed.read_frame_blocking(&never, &never)?)?;
-        write_frame(&mut feed.stream, FrameKind::Subscribe, &Subscribe { from_lsn }.encode())?;
+        let subscribe = Subscribe { from_lsn: lsn + 1, epoch };
+        write_frame(&mut feed.stream, FrameKind::Subscribe, &subscribe.encode())?;
         Ok(feed)
     }
 
@@ -292,7 +302,7 @@ impl ReplicaState {
     }
 
     /// The apply thread: streams batches into the store until the node stops or a promotion
-    /// flips the store.  A dropped connection is re-opened from the durable cursor after a
+    /// flips the store.  A dropped connection is re-opened from the end of the log after a
     /// fixed `backoff`, at most `max_attempts` times in a row per promotion attempt; past that
     /// the thread idles, still serving reads and still promotable.
     fn stream(
@@ -310,10 +320,10 @@ impl ReplicaState {
             let (mut live, opened_under) = match feed.take() {
                 Some(live) => live,
                 None => {
-                    let (from_lsn, promotions) = {
+                    let (log_end, promotions) = {
                         let slot = self.lock();
                         let Some(store) = &slot.store else { return };
-                        (store.applied_lsn() + 1, slot.promotions)
+                        (store.log_end(), slot.promotions)
                     };
                     if promotions != promotions_seen {
                         (failed_attempts, promotions_seen) = (0, promotions);
@@ -322,7 +332,7 @@ impl ReplicaState {
                         std::thread::sleep(FEED_POLL);
                         continue;
                     }
-                    match Feed::open(self.primary, from_lsn, self.connect_timeout) {
+                    match Feed::open(self.primary, log_end, self.connect_timeout) {
                         Ok(live) => {
                             failed_attempts = 0;
                             (live, promotions)
@@ -405,8 +415,8 @@ impl ReplicaState {
             let never = AtomicBool::new(false);
             let deadline = std::time::Instant::now() + self.connect_timeout;
             'drain: while store.applied_lsn() < target && std::time::Instant::now() < deadline {
-                let from_lsn = store.applied_lsn() + 1;
-                let Ok(mut feed) = Feed::open(self.primary, from_lsn, self.connect_timeout) else {
+                let Ok(mut feed) = Feed::open(self.primary, store.log_end(), self.connect_timeout)
+                else {
                     break;
                 };
                 while store.applied_lsn() < target {
@@ -480,8 +490,6 @@ impl seed_server::Promoter for ReplicaState {
 /// [`crate::server`] also owns the framing (the [`Subscribe`] opener, [`Ack`] consumption, the
 /// one-batch-in-flight flow control); this is the database side of one tick.
 pub(crate) enum ShipmentPlan {
-    /// Reject the session with this reason and close it.
-    Reject(&'static str),
     /// A storage error reading the tail or the reset cut; end the session.
     End,
     /// Caught up, the prompt answer already went out and no heartbeat is due: send nothing.
@@ -490,76 +498,69 @@ pub(crate) enum ShipmentPlan {
     Batch(LogBatch),
 }
 
-/// Cuts what a replication session at cursor `next` should ship, under **one** database read
-/// lock — the primary side of the Subscribe/LogBatch/Ack session, run inline by the shard that
-/// owns the session.
+/// Cuts what a replication session at cursor `next` should ship — the primary side of the
+/// Subscribe/LogBatch/Ack session, run inline by the shard that owns the session.
 ///
 /// The cursor is driven by the **acks** (`next = acked + 1`), so a batch the replica never made
 /// durable is simply cut again.  `answer_now` is set for the first tick after the subscribe —
 /// the opener deserves a position sync even when there is nothing to ship — and idle periods
 /// are bridged by heartbeat batches (`heartbeat_due`, paced by the server's one-second
-/// heartbeat interval).  A cursor the WAL no longer covers (the replica
-/// outslept the retention budget, or its store belongs to a different log) is answered with a
-/// reset batch: the primary's files from the start, its snapshot's commits and then its log
-/// ([`seed_core::Database::replication_cut`]).
+/// heartbeat interval).  A cursor the WAL does not hold (the replica outslept the retention
+/// budget, or the subscribe found that this log does not continue the replica's, cursor 0) is
+/// answered with a reset batch: the primary's files from the start, its snapshot's commits and
+/// then its log ([`seed_core::LogFeed::replication_cut`]).
 ///
-/// Two guarantees keep checkpoints from racing a session into a spurious resync:
-///
-/// - The cursor is registered as an ack **at subscribe time** (before the first batch ships),
-///   so segment retention covers the tail this session is about to read.
-/// - The caught-up check, the tail read and the reset cut all happen under **one** database
-///   read lock per poll tick; a checkpoint can never truncate the log between the durable-LSN
-///   read and the tail read and turn an idle heartbeat into a reset.
+/// `log` is the handle the session cloned at subscribe; the durable LSN, the tail and the cut
+/// are read through it with no database lock held, so a reset cut never stalls a check-in.
+/// The engine orders each read against commits and checkpoints itself.  What keeps a
+/// checkpoint from pruning the tail a session is about to read is the retention floor: the
+/// cursor is registered as an ack at subscribe time, before the first batch ships, and every
+/// ack moves it.  A tail the budget could not retain reads as truncated and is answered with a
+/// reset.
 pub(crate) fn cut_shipment(
-    core: &SeedServer,
+    log: &LogFeed,
     next: u64,
     answer_now: bool,
     heartbeat_due: bool,
 ) -> ShipmentPlan {
-    core.with_database(|db| {
-        // Caught-up check first: the durable LSN is a counter read, so an idle poll tick
-        // never touches the WAL files (a tail read reads the new frames from disk).
-        let Some(durable) = db.durable_lsn() else {
-            return ShipmentPlan::Reject(
-                "this primary serves an in-memory database; nothing to replicate",
-            );
-        };
-        if durable + 1 == next {
-            if !answer_now && !heartbeat_due {
-                return ShipmentPlan::Idle;
-            }
-            // Heartbeat (or the immediate answer to the subscribe): nothing to ship, just
-            // the primary's position.
-            return ShipmentPlan::Batch(LogBatch {
-                reset: false,
-                first_lsn: 0,
-                last_lsn: next - 1,
-                primary_lsn: durable,
-                records: Vec::new(),
-            });
+    // Caught-up check first: the durable LSN is a counter read, so an idle poll tick never
+    // touches the WAL files (a tail read reads the new frames from disk).
+    let durable = log.durable_lsn();
+    if durable + 1 == next {
+        if !answer_now && !heartbeat_due {
+            return ShipmentPlan::Idle;
         }
-        let batch = match db.wal_tail(next) {
-            Ok(seed_storage::WalTail::Records(records)) => {
-                let first = records.first().map(|(lsn, _)| *lsn).unwrap_or(0);
-                let last = records.last().map(|(lsn, _)| *lsn).unwrap_or(next - 1);
-                LogBatch {
-                    reset: false,
-                    first_lsn: first,
-                    last_lsn: last,
-                    primary_lsn: durable.max(last),
-                    records: records.into_iter().map(|(_, record)| record).collect(),
-                }
+        // Heartbeat (or the immediate answer to the subscribe): nothing to ship, just the
+        // primary's position.
+        return ShipmentPlan::Batch(LogBatch {
+            reset: false,
+            first_lsn: 0,
+            last_lsn: next - 1,
+            primary_lsn: durable,
+            records: Vec::new(),
+        });
+    }
+    let batch = match log.wal_tail(next) {
+        Ok(seed_storage::WalTail::Records(records)) => {
+            let first = records.first().map(|(lsn, _)| *lsn).unwrap_or(0);
+            let last = records.last().map(|(lsn, _)| *lsn).unwrap_or(next - 1);
+            LogBatch {
+                reset: false,
+                first_lsn: first,
+                last_lsn: last,
+                primary_lsn: durable.max(last),
+                records: records.into_iter().map(|(_, record)| record).collect(),
             }
-            Ok(seed_storage::WalTail::Truncated { .. }) => match db.replication_cut() {
-                Ok((records, lsn)) => {
-                    LogBatch { reset: true, first_lsn: 0, last_lsn: lsn, primary_lsn: lsn, records }
-                }
-                Err(_) => return ShipmentPlan::End,
-            },
+        }
+        Ok(seed_storage::WalTail::Truncated { .. }) => match log.replication_cut() {
+            Ok((records, lsn)) => {
+                LogBatch { reset: true, first_lsn: 0, last_lsn: lsn, primary_lsn: lsn, records }
+            }
             Err(_) => return ShipmentPlan::End,
-        };
-        ShipmentPlan::Batch(batch)
-    })
+        },
+        Err(_) => return ShipmentPlan::End,
+    };
+    ShipmentPlan::Batch(batch)
 }
 
 /// A running read-only replica: replication stream in, read-serving TCP listener out.
@@ -596,23 +597,6 @@ impl ReplicaNode {
                 ServerError::Transport("primary address resolves to nothing".into())
             })?;
         let mut store = ReplicaStore::open(dir).map_err(ServerError::Rejected)?;
-
-        // A store that once was a primary (meta but no replication cursor: an old primary
-        // rejoining after a failover, or a promoted replica being re-pointed) — or one the
-        // operator re-pointed under a promotion epoch — must NOT resume its cursor: its
-        // LSNs belong to a superseded log.  Subscribing from a cursor no log can cover forces
-        // the full-snapshot reset path, which rebinds the cursor downwards.
-        //
-        // The epoch comparison is `>=`, not `>`: the winner's fence record replicates, so a
-        // replica that stayed subscribed to the fenced primary may already carry the promotion
-        // epoch in its meta — but its cursor still belongs to the OLD log, and resuming it
-        // against the new primary would read a foreign LSN space.  Any configured epoch at or
-        // past the store's therefore forces the resync; plain restarts (default `epoch: 0`
-        // against an un-promoted topology) keep the cheap cursor resume.
-        let demoted = store.is_initialized() && store.applied_lsn() == 0;
-        let repointed = config.epoch > 0 && config.epoch >= store.topology_epoch();
-        let from_lsn = if demoted || repointed { u64::MAX } else { store.applied_lsn() + 1 };
-
         let state = Arc::new(ReplicaState {
             slot: Mutex::new(Slot { store: None, promotions: 0 }),
             promoting: AtomicBool::new(false),
@@ -629,10 +613,11 @@ impl ReplicaNode {
         let applied = store.applied_lsn();
         core.advance_replica(applied, applied, store.serving_copy());
 
-        // Initial sync: subscribe and apply the first batch — the primary answers immediately
-        // (snapshot reset when our cursor fell behind its WAL, or when resync was forced).
+        // Initial sync: subscribe from the end of the store's log and apply the first batch —
+        // the primary answers immediately (a reset when its log does not hold our next LSN or
+        // does not continue our log).
         let never_stop = AtomicBool::new(false);
-        let mut feed = Feed::open(primary, from_lsn, config.connect_timeout)?;
+        let mut feed = Feed::open(primary, store.log_end(), config.connect_timeout)?;
         let batch = feed.next_batch(&never_stop, &never_stop)?;
         feed.deadline = None; // the stream is live; only shutdown unblocks it from here on
         state.step(&mut store, &core, &mut feed, batch)?;
@@ -665,8 +650,8 @@ impl ReplicaNode {
         self.core.clone()
     }
 
-    /// Last primary LSN applied durably on this replica (0 once promoted: a primary's LSNs
-    /// are its own log's).
+    /// Last primary LSN applied durably on this replica: the end of its log (0 once promoted:
+    /// a primary reports no replica progress).
     pub fn applied_lsn(&self) -> u64 {
         self.core.replica_progress().map_or(0, |(applied, _)| applied)
     }
@@ -1047,6 +1032,49 @@ mod tests {
         }
     }
 
+    /// The reset cut reads the primary's files with no database lock held: it completes while
+    /// another thread holds the database write lock (a check-in in progress).  The wait is
+    /// bounded, so a cut that does take the lock fails here instead of hanging.
+    #[test]
+    fn a_reset_cut_completes_while_the_database_write_lock_is_held() {
+        let dir = temp_dir("unlocked-cut");
+        let db = Database::create_durable(&dir, figure3_schema()).unwrap();
+        let core = Arc::new(SeedServer::new(db));
+        let log = core.with_database_mut(|db| {
+            db.create_object("Data", "Cut").unwrap();
+            db.checkpoint().unwrap(); // LSN 1 is pruned: cursor 1 is answered with a reset
+            db.log_feed().unwrap() // what a session clones at subscribe
+        });
+        let (entered_tx, entered) = std::sync::mpsc::channel();
+        let (release, release_rx) = std::sync::mpsc::channel::<()>();
+        let holder = {
+            let core = core.clone();
+            std::thread::spawn(move || {
+                core.with_database_mut(|_| {
+                    entered_tx.send(()).unwrap();
+                    let _ = release_rx.recv();
+                })
+            })
+        };
+        entered.recv().unwrap();
+        let (cut_tx, cut) = std::sync::mpsc::channel();
+        let cutter = {
+            std::thread::spawn(move || {
+                let reset = match cut_shipment(&log, 1, true, false) {
+                    ShipmentPlan::Batch(batch) => batch.reset && !batch.records.is_empty(),
+                    _ => false,
+                };
+                let _ = cut_tx.send(reset);
+            })
+        };
+        let outcome = cut.recv_timeout(Duration::from_secs(5));
+        release.send(()).unwrap();
+        holder.join().unwrap();
+        cutter.join().unwrap();
+        assert_eq!(outcome, Ok(true), "the reset cut waited for the database write lock");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn reconnects_are_capped_and_a_given_up_replica_is_still_promotable() {
         let primary_dir = temp_dir("cap-primary");
@@ -1118,7 +1146,7 @@ mod tests {
         let primary =
             SeedNetServer::bind(SeedServer::new(Database::new(figure3_schema())), "127.0.0.1:0")
                 .unwrap();
-        let err = Feed::open(primary.local_addr(), 1, Duration::from_secs(5))
+        let err = Feed::open(primary.local_addr(), (0, 0), Duration::from_secs(5))
             .and_then(|mut feed| feed.next_batch(&AtomicBool::new(false), &AtomicBool::new(false)))
             .unwrap_err();
         assert!(
@@ -1165,8 +1193,8 @@ mod tests {
         write_frame(&mut writer, FrameKind::Hello, &Hello::current("raw").encode()).unwrap();
         assert_eq!(read_frame(&mut reader).unwrap().kind, FrameKind::Welcome);
         // A client-role session sending Subscribe gets a protocol error, not a stream.
-        write_frame(&mut writer, FrameKind::Subscribe, &Subscribe { from_lsn: 1 }.encode())
-            .unwrap();
+        let subscribe = Subscribe { from_lsn: 1, epoch: 0 };
+        write_frame(&mut writer, FrameKind::Subscribe, &subscribe.encode()).unwrap();
         let reply = read_frame(&mut reader).unwrap();
         assert_eq!(reply.kind, FrameKind::Response);
         assert!(matches!(
@@ -1210,7 +1238,7 @@ mod tests {
         let stale_feed = |replica: &ReplicaNode, writer: &mut RemoteClient, name: &str| {
             let opened_under = replica.state.lock().promotions;
             let mut feed =
-                Feed::open(addr, replica.applied_lsn() + 1, Duration::from_secs(5)).unwrap();
+                Feed::open(addr, (replica.applied_lsn(), 0), Duration::from_secs(5)).unwrap();
             writer.checkin(create(name)).unwrap();
             let batch = next_records(&mut feed);
             (feed, opened_under, batch)

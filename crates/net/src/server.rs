@@ -31,8 +31,8 @@
 //! crash-recovery rule for checked-out data.  The shard is the executor, so neither release
 //! runs under one of the client's requests.  Replication sessions (Subscribe / LogBatch / Ack)
 //! ride the same loops: the owning shard keeps the framing and the one-batch-in-flight flow
-//! control, and cuts each shipment inline under one database read lock
-//! (`replication::cut_shipment`).
+//! control, and cuts each shipment inline from the log handle the session took at subscribe,
+//! holding no database lock (`replication::cut_shipment`).
 
 use std::any::Any;
 use std::collections::HashMap;
@@ -46,6 +46,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use polling::{Event, Poller};
+use seed_core::LogFeed;
 use seed_server::{ClientId, Request, Response, SeedServer, ServerError, ServerResult};
 
 use crate::codec::{decode_request, encode_response};
@@ -334,7 +335,10 @@ enum ConnState {
 
 struct ReplicaSession {
     client: ClientId,
-    /// First LSN the replica still needs (`acked + 1`; acks may move it down on a resync).
+    /// The served database's log, read by every cut of the session.
+    log: LogFeed,
+    /// First LSN the replica still needs (`acked + 1`; acks may move it down on a resync; 0
+    /// until a replica whose log does not continue this one has acked its reset).
     next: u64,
     /// The subscribe deserves a position-sync batch even when there is nothing to ship.
     answer_now: bool,
@@ -535,14 +539,26 @@ impl Conn {
             Ok(subscribe) => subscribe,
             Err(e) => return self.reject(e.to_string().as_bytes()),
         };
-        let next = subscribe.from_lsn.max(1);
+        // The one database read lock of the session: it clones the log handle, which the
+        // session's cuts read with no lock held, and decides once whether this log continues
+        // the replica's.  A replica whose log it does streams on from its next LSN; any other
+        // gets cursor 0, which no log holds, so its first batch is a reset.
+        let from = subscribe.from_lsn.max(1);
+        let opened = core.with_database(|db| {
+            let next = if db.continues_log(from - 1, subscribe.epoch) { from } else { 0 };
+            db.log_feed().map(|log| (log, next))
+        });
+        let Ok((log, next)) = opened else {
+            return self.reject(b"this primary serves an in-memory database; nothing to replicate");
+        };
         // The subscribe IS the first ack: pin WAL retention to the cursor before the first
         // batch ships, so a checkpoint racing the subscribe cannot truncate the tail out from
         // under it.
-        core.note_replica_ack(client, next - 1);
+        core.note_replica_ack(client, next.saturating_sub(1));
         let now = Instant::now();
         self.state = ConnState::Replica(ReplicaSession {
             client,
+            log,
             next,
             answer_now: true, // the subscribe deserves a prompt position sync
             next_pump: now,
@@ -610,20 +626,20 @@ impl Conn {
                 }
             }
             ConnState::ReplicaPending { .. } => {}
-            ConnState::Replica(_) => self.pump_replication(core, now),
+            ConnState::Replica(_) => self.pump_replication(now),
         }
     }
 
     /// One replication tick: cuts the shipment due at the session's cursor and queues its
     /// frame.  A panicking cut ends the session (the replica reconnects).
-    fn pump_replication(&mut self, core: &SeedServer, now: Instant) {
+    fn pump_replication(&mut self, now: Instant) {
         let ConnState::Replica(session) = &mut self.state else { return };
         session.next_pump = now + REPLICATION_POLL;
         let answer_now = std::mem::take(&mut session.answer_now);
         let heartbeat_due = now.duration_since(session.last_sent) >= REPLICATION_HEARTBEAT;
-        let next = session.next;
+        let (log, next) = (&session.log, session.next);
         let plan =
-            catch_unwind(AssertUnwindSafe(|| cut_shipment(core, next, answer_now, heartbeat_due)));
+            catch_unwind(AssertUnwindSafe(|| cut_shipment(log, next, answer_now, heartbeat_due)));
         match plan {
             Ok(ShipmentPlan::Idle) => return,
             Ok(ShipmentPlan::Batch(batch)) => {
@@ -632,7 +648,6 @@ impl Conn {
                 session.last_sent = now;
                 net_metrics().batches_shipped.inc();
             }
-            Ok(ShipmentPlan::Reject(reason)) => self.reject(reason.as_bytes()),
             Ok(ShipmentPlan::End) => self.closing = true,
             Err(panic) => {
                 note_panic(self, "replication shipment panicked", panic.as_ref());

@@ -36,7 +36,7 @@ use crate::error::{WireError, WireResult};
 pub const MAGIC: [u8; 4] = *b"SEWP";
 
 /// The protocol version this build speaks — the only one.
-pub const PROTOCOL_VERSION: u16 = 6;
+pub const PROTOCOL_VERSION: u16 = 7;
 
 /// Upper bound on one frame's payload; larger lengths are treated as stream desync.
 pub const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
@@ -388,20 +388,26 @@ impl Welcome {
     }
 }
 
-/// A replica's stream opener: ask for every commit from `from_lsn` on.  The primary answers
-/// with one [`LogBatch`] immediately (possibly empty — it carries the primary's current end of
-/// log either way), then with a batch per news or heartbeat tick.
+/// A replica's stream opener: where its log ends, as the LSN after its last commit and the
+/// topology epoch in force at that commit.  The primary matches the position against its own log
+/// once: when its log holds the replica's last commit under that epoch it streams every commit
+/// from `from_lsn` on, and otherwise it sends a reset.  It answers with one [`LogBatch`]
+/// immediately (possibly empty — it carries the primary's current end of log either way), then
+/// with a batch per news or heartbeat tick.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Subscribe {
-    /// First LSN the replica still needs (its durable applied LSN + 1; 1 for an empty store).
+    /// First LSN the replica still needs (its last LSN + 1; 1 for an empty store).
     pub from_lsn: Lsn,
+    /// The epoch in force at the replica's last LSN, by the epoch history its log holds (0
+    /// before any promotion, and for an empty store).
+    pub epoch: u64,
 }
 
 impl Subscribe {
     /// Encodes the subscribe payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut e = Encoder::new();
-        e.put_u64(self.from_lsn);
+        e.put_u64(self.from_lsn).put_u64(self.epoch);
         e.finish()
     }
 
@@ -409,13 +415,14 @@ impl Subscribe {
     pub fn decode(bytes: &[u8]) -> WireResult<Self> {
         let mut d = Decoder::new(bytes);
         let from_lsn = d.get_u64()?;
+        let epoch = d.get_u64()?;
         if !d.is_exhausted() {
             return Err(WireError::Recoverable(format!(
                 "{} trailing bytes after subscribe",
                 d.remaining()
             )));
         }
-        Ok(Self { from_lsn })
+        Ok(Self { from_lsn, epoch })
     }
 }
 
@@ -424,13 +431,14 @@ impl Subscribe {
 /// Two shapes (see `docs/PROTOCOL.md` §6):
 ///
 /// * **incremental** (`reset == false`): `records` are the primary's WAL commits
-///   `first_lsn ..= last_lsn` — the replica applies their effects, in order, on top of its
-///   keys;
+///   `first_lsn ..= last_lsn` — the replica appends them to its log at those LSNs and applies
+///   their effects, in order, on top of its keys;
 /// * **reset** (`reset == true`): `records` are the primary's files from the start — its
 ///   snapshot's commits, then its WAL commits past the snapshot — and `last_lsn` is the end of
 ///   its log at the cut (`first_lsn` is 0); the replica builds a fresh store from their
-///   effects, in order.  Sent when the subscriber's cursor fell behind a primary checkpoint,
-///   or came from a different log.
+///   effects, in order, and installs it as its whole state at `last_lsn`.  Sent when the
+///   primary's log no longer holds the subscriber's next LSN, or does not continue the
+///   subscriber's log ([`Subscribe`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LogBatch {
     /// Whether the replica must clear its store before applying (a reset from the files).
@@ -683,7 +691,7 @@ mod tests {
         let welcome = |version| Welcome { version, client_id: 7, banner: "b".into() }.encode();
         assert_eq!(answer(FrameKind::Welcome, welcome(PROTOCOL_VERSION)).unwrap().client_id, 7);
         let older = answer(FrameKind::Welcome, welcome(PROTOCOL_VERSION - 1)).unwrap_err();
-        assert!(older.to_string().contains("welcomed protocol v5"), "{older}");
+        assert!(older.to_string().contains("welcomed protocol v6"), "{older}");
         let rejected = answer(FrameKind::Reject, b"no common protocol version".to_vec());
         assert!(rejected.unwrap_err().to_string().contains("no common protocol version"));
         assert!(answer(FrameKind::Response, Vec::new()).is_err());
@@ -691,7 +699,7 @@ mod tests {
 
     #[test]
     fn replication_records_roundtrip() {
-        let sub = Subscribe { from_lsn: 17 };
+        let sub = Subscribe { from_lsn: 17, epoch: 2 };
         assert_eq!(Subscribe::decode(&sub.encode()).unwrap(), sub);
         let ack = Ack { applied_lsn: 99 };
         assert_eq!(Ack::decode(&ack.encode()).unwrap(), ack);

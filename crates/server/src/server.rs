@@ -1270,20 +1270,20 @@ mod tests {
         // A live subscriber's cursor survives a checkpoint: the tail it still needs is retained.
         server.note_replica_ack(client, cursor);
         server.checkpoint().unwrap();
-        let tail = server.with_database(|db| db.wal_tail(cursor + 1).unwrap());
+        let tail = server.with_database(|db| db.log_feed().unwrap().wal_tail(cursor + 1).unwrap());
         assert!(matches!(tail, WalTail::Records(_)), "live ack must pin the tail, got {tail:?}");
 
         // A retired (disconnected) subscriber keeps pinning until it is forgotten.
         server.retire_replica(client);
         assert_eq!(server.subscriber_count(), 0);
         server.checkpoint().unwrap();
-        let tail = server.with_database(|db| db.wal_tail(cursor + 1).unwrap());
+        let tail = server.with_database(|db| db.log_feed().unwrap().wal_tail(cursor + 1).unwrap());
         assert!(matches!(tail, WalTail::Records(_)), "retired ack must pin the tail");
 
         // Forgetting releases the pin: the next checkpoint prunes everything.
         server.forget_replica(client);
         server.checkpoint().unwrap();
-        let tail = server.with_database(|db| db.wal_tail(cursor + 1).unwrap());
+        let tail = server.with_database(|db| db.log_feed().unwrap().wal_tail(cursor + 1).unwrap());
         assert!(matches!(tail, WalTail::Truncated { .. }), "released pin must prune, got {tail:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -130,6 +130,11 @@ impl Encoder {
         &self.buf
     }
 
+    /// The bytes written so far, for patching a header in place once its body is written.
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [u8] {
+        &mut self.buf
+    }
+
     /// Forgets the bytes written so far, keeping the allocation for reuse.
     pub fn clear(&mut self) {
         self.buf.clear();

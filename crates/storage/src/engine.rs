@@ -17,8 +17,13 @@
 //!   LSN, handed to the caller once, by value, as one list ([`Recovered`]),
 //! * the replica reset cut ([`StorageEngine::replication_cut`]): the snapshot's commits, then
 //!   the log past it, read from the files,
-//! * poisoning: once a commit or a checkpoint fails on I/O, every later `commit` and
-//!   `checkpoint` fails with [`StorageError::Poisoned`] until the engine is reopened
+//! * the replica side of one log across the cluster: a shipped run of another log's commits
+//!   appended at their own LSNs ([`StorageEngine::append`], the append path `commit` uses), and
+//!   a reset image installed as the whole state at another log's position
+//!   ([`StorageEngine::install`]: the old log deleted, the snapshot replaced, the log restarted
+//!   after it — in that order, so no old frame is ever replayed over the image),
+//! * poisoning: once a commit, an append, a checkpoint or an install fails on I/O, every later
+//!   `commit` and `checkpoint` fails with [`StorageError::Poisoned`] until the engine is reopened
 //!   ([`StorageEngine::usable`] asks the same question without writing).
 //!
 //! On disk there is exactly one frame format.  The snapshot (`snapshot.db`, written through
@@ -45,7 +50,7 @@ use parking_lot::{Mutex, MutexGuard};
 use crate::codec::{crc32, Encoder};
 use crate::error::{StorageError, StorageResult};
 use crate::wal::{
-    frame_bytes, parse_segment, Commit, FileSegmentIo, KeyEffect, Lsn, MemorySegmentIo, SegmentIo,
+    parse_segment, put_frame, Commit, FileSegmentIo, KeyEffect, Lsn, MemorySegmentIo, SegmentIo,
     WalConfig, WalTail, WriteAheadLog,
 };
 
@@ -92,7 +97,7 @@ impl SnapshotImage {
 /// Builds a [`SnapshotImage`] pair by pair: the pairs gather, encoded, into one commit, which
 /// becomes a frame once the next pair would take its payload past the bound.
 pub struct ImageWriter {
-    buf: Vec<u8>,
+    buf: Encoder,
     lsn: Lsn,
     frames: u64,
     /// The puts of the frame being filled, encoded as a commit's payload holds them.
@@ -103,8 +108,8 @@ pub struct ImageWriter {
 impl ImageWriter {
     /// An empty image covering the WAL up to and including `lsn`.
     pub fn new(lsn: Lsn) -> Self {
-        let mut buf = Vec::with_capacity(64 * 1024);
-        buf.resize(SNAPSHOT_HEADER_LEN, 0); // written by `finish`, once the frames are counted
+        let mut buf = Encoder::with_capacity(64 * 1024);
+        buf.put_raw(&[0; SNAPSHOT_HEADER_LEN]); // written by `finish`, once the frames are counted
         let effects = Encoder::with_capacity(FRAME_PAYLOAD_BOUND);
         Self { buf, lsn, frames: 0, effects, count: 0 }
     }
@@ -123,9 +128,9 @@ impl ImageWriter {
 
     fn flush(&mut self) {
         let (count, effects) = (self.count, self.effects.as_slice());
-        self.buf.extend_from_slice(&frame_bytes(|e| {
+        put_frame(&mut self.buf, |e| {
             e.put_varint(count).put_raw(effects);
-        }));
+        });
         self.effects.clear();
         self.count = 0;
         self.frames += 1;
@@ -140,8 +145,9 @@ impl ImageWriter {
         header.put_raw(SNAPSHOT_MAGIC).put_u64(self.lsn).put_u64(self.frames);
         let crc = crc32(header.as_slice());
         header.put_u32(crc);
-        self.buf[..SNAPSHOT_HEADER_LEN].copy_from_slice(header.as_slice());
-        SnapshotImage { bytes: self.buf, lsn: self.lsn }
+        let mut bytes = self.buf.finish();
+        bytes[..SNAPSHOT_HEADER_LEN].copy_from_slice(header.as_slice());
+        SnapshotImage { bytes, lsn: self.lsn }
     }
 }
 
@@ -261,11 +267,10 @@ impl StorageEngine {
             )));
         }
         if wal.durable_lsn() < snapshot_lsn {
-            // New commits would reuse LSNs the snapshot claims, and vanish on the next open.
-            return Err(StorageError::Corrupt(format!(
-                "the snapshot covers LSN {snapshot_lsn} but the WAL ends at LSN {}",
-                wal.durable_lsn()
-            )));
+            // Every logged commit is covered: a reset install ([`StorageEngine::install`]) was
+            // cut after its snapshot, or while it dropped the old log.  The log restarts after
+            // the snapshot, so new commits never reuse the LSNs it claims.
+            wal.restart(snapshot_lsn, || Ok(()))?;
         }
         let replayed = !commits.is_empty();
         let logged = commits.into_iter().filter(|(lsn, _)| *lsn > snapshot_lsn).map(|(_, c)| c);
@@ -318,8 +323,33 @@ impl StorageEngine {
         if effects.is_empty() {
             return Ok(());
         }
-        let mut poisoned = self.lock_usable()?;
-        if let Err(e) = self.wal.append(&Commit { effects }) {
+        let poisoned = self.lock_usable()?;
+        self.log(poisoned, &[Commit { effects }])
+    }
+
+    /// Appends commits another log holds at LSNs `first ..` — a replica's shipped batch — at
+    /// the same LSNs: their frames in one write with one sync.  A batch whose first LSN is not
+    /// this log's next LSN (a gap or an overlap) is refused and changes nothing; an I/O failure
+    /// poisons the engine, as for [`StorageEngine::commit`].
+    pub fn append(&self, first: Lsn, commits: &[Commit]) -> StorageResult<()> {
+        let poisoned = self.lock_usable()?;
+        let next = self.wal.next_lsn();
+        if first != next {
+            return Err(StorageError::InvalidArgument(format!(
+                "a batch from LSN {first} does not continue a log that ends at LSN {}",
+                next - 1
+            )));
+        }
+        self.log(poisoned, commits)
+    }
+
+    /// The one append path: logs `commits`, poisoning the engine when that fails.
+    fn log(
+        &self,
+        mut poisoned: MutexGuard<'_, Option<String>>,
+        commits: &[Commit],
+    ) -> StorageResult<()> {
+        if let Err(e) = self.wal.append(commits) {
             *poisoned = Some(format!("commit at LSN {} failed: {e}", self.wal.next_lsn()));
             return Err(e);
         }
@@ -364,6 +394,23 @@ impl StorageEngine {
         let registry = seed_obs::global();
         registry.counter("wal_checkpoints_total").inc();
         registry.histogram("wal_checkpoint_us").observe_duration(start.elapsed());
+        Ok(())
+    }
+
+    /// Makes `image` the whole state, at its LSN, whether that lies below or past this log's
+    /// end (a replica reset to its primary's position).  In order: every segment is deleted,
+    /// newest first; the snapshot is replaced; an empty segment opens after the image's LSN.
+    /// A crash while deleting reopens as the old snapshot and a prefix of the old log; a crash
+    /// after the replace reopens as the image, with the log restarted after it.  No frame of the
+    /// old log is ever replayed over the image.  An I/O failure poisons the engine.
+    pub fn install(&self, image: &SnapshotImage) -> StorageResult<()> {
+        let mut covered = self.snapshot_lsn.lock();
+        let mut poisoned = self.lock_usable()?;
+        if let Err(e) = self.wal.restart(image.lsn, || self.io.write_snapshot(&image.bytes)) {
+            *poisoned = Some(format!("installing an image at LSN {} failed: {e}", image.lsn));
+            return Err(e);
+        }
+        *covered = image.lsn;
         Ok(())
     }
 
@@ -609,6 +656,60 @@ pub(crate) mod tests {
             drop(engine);
             let expected = space(&[("committed", b"yes"), ("later", b"1")]);
             assert_eq!(memory_engine(&crashed).1, expected, "frame cut at byte {cut}");
+        }
+    }
+
+    #[test]
+    fn append_takes_the_next_lsns_and_refuses_a_gap_or_an_overlap() {
+        let io = Arc::new(MemorySegmentIo::new());
+        let (engine, _) = memory_engine(&io);
+        let batch = |first: Lsn, n: Lsn| -> Vec<Commit> {
+            let effect = |i: Lsn| (format!("k/{i}").into_bytes(), Some(vec![i as u8]));
+            (first..first + n).map(|i| Commit { effects: vec![effect(i)] }).collect()
+        };
+        engine.append(1, &batch(1, 3)).unwrap();
+        assert_eq!(engine.durable_lsn(), 3, "three commits, three LSNs");
+        for first in [3, 5] {
+            let refused = engine.append(first, &batch(first, 2));
+            assert!(matches!(refused, Err(StorageError::InvalidArgument(_))), "from LSN {first}");
+        }
+        assert_eq!(engine.durable_lsn(), 3, "a refused batch changes nothing");
+        engine.usable().unwrap();
+        engine.append(4, &batch(4, 2)).unwrap();
+        let WalTail::Records(records) = engine.wal_tail(1).unwrap() else {
+            panic!("the log holds LSN 1")
+        };
+        assert_eq!(records, (1..=5).zip(batch(1, 5)).collect::<Vec<_>>());
+        drop(engine);
+        assert_eq!(memory_engine(&io).1.len(), 5);
+    }
+
+    #[test]
+    fn install_makes_an_image_the_whole_state_below_at_or_past_the_log_end() {
+        for cut in [2, 8, 30] {
+            let dir = temp_dir("install");
+            let (engine, _) = StorageEngine::open(&dir).unwrap();
+            let mut old = KeySpace::new();
+            for i in 0..8u32 {
+                put(&engine, format!("old/{i}").as_bytes(), b"v").unwrap();
+                old.insert(format!("old/{i}").into_bytes(), b"v".to_vec());
+                if i == 3 {
+                    engine.checkpoint(&image_of(&old, engine.durable_lsn())).unwrap();
+                }
+            }
+            engine.install(&image_of(&space(&[("new", b"image")]), cut)).unwrap();
+            assert_eq!(engine.durable_lsn(), cut, "cut {cut}");
+            assert!(matches!(engine.wal_tail(cut).unwrap(), WalTail::Truncated { .. }));
+            let (commits, end) = engine.replication_cut().unwrap();
+            assert_eq!((commits.len(), end), (1, cut), "cut {cut}: the image alone");
+            put(&engine, b"after", b"1").unwrap();
+            assert_eq!(engine.durable_lsn(), cut + 1);
+            drop(engine);
+            let (engine, recovered) = StorageEngine::open(&dir).unwrap();
+            let expected = space(&[("after", b"1"), ("new", b"image")]);
+            assert_eq!(key_space(recovered), expected, "cut {cut}: no old frame replayed");
+            assert_eq!(engine.durable_lsn(), cut + 1);
+            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 

@@ -2,7 +2,8 @@
 //!
 //! A WAL record is **one committed transaction** ([`Commit`]): the engine appends a commit's
 //! whole batch of key effects as one CRC-protected frame with one sync, and only then applies
-//! it in memory (and so before any snapshot can contain it).  One frame, one CRC and one LSN
+//! it in memory (and so before any snapshot can contain it).  A replica appends a shipped run
+//! of the primary's commits the same way, one frame each, in one write with one sync.  One frame, one CRC and one LSN
 //! per commit: a crash either leaves the whole frame or tears it, and recovery replays the
 //! commits in order and stops at the first corrupt or torn frame (everything after a torn
 //! write is, by definition, not yet durable).  The torn-tail rule is the whole atomicity rule —
@@ -470,18 +471,18 @@ fn parse_segment_header(id: SegmentId, raw: &[u8]) -> StorageResult<Option<Lsn>>
     Ok(Some(u64::from_le_bytes(body[12..20].try_into().expect("8 bytes"))))
 }
 
-/// One frame: `len | crc | payload`, built in one buffer, with the payload (a commit) written
-/// by `payload`.  Every frame on disk, in a segment or in the checkpoint snapshot, is built here.
-pub(crate) fn frame_bytes(payload: impl FnOnce(&mut Encoder)) -> Vec<u8> {
-    let mut e = Encoder::new();
+/// Appends one frame to `e`: `len | crc | payload`, with the payload (a commit) written in place
+/// by `payload` and the header patched in once the payload's length and CRC are known.  Every
+/// frame on disk, in a segment or in the checkpoint snapshot, is built here.
+pub(crate) fn put_frame(e: &mut Encoder, payload: impl FnOnce(&mut Encoder)) {
+    let start = e.len();
     e.put_raw(&[0; 8]);
-    payload(&mut e);
-    let mut frame = e.finish();
+    payload(e);
+    let frame = &mut e.as_mut_slice()[start..];
     let len = u32::try_from(frame.len() - 8).expect("a commit is shorter than 4 GiB");
     let crc = crc32(&frame[8..]);
     frame[..4].copy_from_slice(&len.to_le_bytes());
     frame[4..8].copy_from_slice(&crc.to_le_bytes());
-    frame
 }
 
 /// One parsed run of frames: the decoded commits at or past the asked cursor, the payload
@@ -688,21 +689,31 @@ impl WriteAheadLog {
         Ok((Self { io, config, state: Mutex::new(state) }, commits))
     }
 
-    /// Appends one commit as one frame with **one** backend write and syncs it, returning its
-    /// LSN.  If the active segment is already at the rotation threshold, the commit opens a
-    /// fresh segment — a commit never spans two.  When the write or the sync fails, the frame
-    /// is cut off the segment again (best effort) and the log's counters stay where they were,
-    /// so a reopen does not resurrect a commit that was reported failed.
-    pub fn append(&self, commit: &Commit) -> StorageResult<Lsn> {
+    /// Appends `commits` as one frame each, with **one** backend write and one sync, returning
+    /// the last one's LSN (an empty slice appends nothing).  A primary appends one commit at a
+    /// time; a replica appends a shipped batch.  If the active segment is already at the
+    /// rotation threshold, the batch opens a fresh segment — a batch never spans two.  When the
+    /// write or the sync fails, the frames are cut off the segment again (best effort) and the
+    /// log's counters stay where they were, so a reopen does not resurrect a commit that was
+    /// reported failed.
+    pub fn append(&self, commits: &[Commit]) -> StorageResult<Lsn> {
         let start = Instant::now();
-        let frame = frame_bytes(|e| commit.encode_into(e));
+        let mut frames = Encoder::new();
+        let mut offsets = Vec::with_capacity(commits.len());
+        for commit in commits {
+            offsets.push(frames.len() as u64);
+            put_frame(&mut frames, |e| commit.encode_into(e));
+        }
         let mut state = self.state.lock();
+        if commits.is_empty() {
+            return Ok(state.next_lsn - 1);
+        }
         if state.active().bytes >= self.config.segment_max_bytes {
             self.rotate_locked(&mut state)?;
         }
         let (id, bytes) = (state.active().id, state.active().bytes);
         let metrics = wal_metrics();
-        let written = self.io.append(id, &frame).and_then(|()| {
+        let written = self.io.append(id, frames.as_slice()).and_then(|()| {
             metrics.append_us.observe_duration(start.elapsed());
             let synced = Instant::now();
             let result = self.io.sync(id);
@@ -713,14 +724,39 @@ impl WriteAheadLog {
             let _ = self.io.truncate(id, SEGMENT_HEADER_LEN as u64 + bytes);
             return Err(e);
         }
-        state.active_offsets.push(bytes);
+        state.active_offsets.extend(offsets.into_iter().map(|offset| bytes + offset));
         let active = state.active();
-        active.bytes += frame.len() as u64;
-        active.commits += 1;
-        let lsn = state.next_lsn;
-        state.next_lsn += 1;
-        metrics.batch_records.observe(1);
-        Ok(lsn)
+        active.bytes += frames.len() as u64;
+        active.commits += commits.len() as u64;
+        state.next_lsn += commits.len() as Lsn;
+        metrics.batch_records.observe(commits.len() as u64);
+        Ok(state.next_lsn - 1)
+    }
+
+    /// Restarts the log after `base`: deletes every segment, newest first, runs `cover` — which
+    /// must make every commit up to `base` durable elsewhere (the engine writes its snapshot
+    /// there) — and opens an empty segment whose first commit takes LSN `base + 1`.  `base` may
+    /// lie below or past the old end.  A crash while deleting leaves a prefix of the old log; a
+    /// crash after `cover` leaves no segment at all, and the engine's open restarts the log
+    /// after its snapshot.  Old frames are gone before `cover` runs, so none can ever be read
+    /// past a snapshot they do not belong to.
+    pub fn restart(
+        &self,
+        base: Lsn,
+        cover: impl FnOnce() -> StorageResult<()>,
+    ) -> StorageResult<()> {
+        let mut state = self.state.lock();
+        for segment in state.segments.iter().rev() {
+            self.io.delete(segment.id)?;
+        }
+        cover()?;
+        let id = state.active().id + 1;
+        self.io.create(id, &segment_header(base))?;
+        state.segments = vec![Segment { id, base, commits: 0, bytes: 0 }];
+        state.active_offsets.clear();
+        state.next_lsn = base + 1;
+        state.pruned_to = base;
+        Ok(())
     }
 
     /// Seals the active segment (sync, so nothing in it can tear after the new segment exists)
@@ -917,6 +953,13 @@ mod tests {
         files.into_iter().map(|(_, p)| p).collect()
     }
 
+    /// The bytes of `commit`'s frame.
+    fn frame_len(commit: &Commit) -> usize {
+        let mut e = Encoder::new();
+        put_frame(&mut e, |e| commit.encode_into(e));
+        e.len()
+    }
+
     /// A commit of one put.
     fn put(key: &[u8], value: &[u8]) -> Commit {
         Commit { effects: vec![(key.to_vec(), Some(value.to_vec()))] }
@@ -981,7 +1024,7 @@ mod tests {
     fn a_segment_of_another_format_version_is_refused_and_kept() {
         let io = Arc::new(MemorySegmentIo::new());
         let (wal, _) = WriteAheadLog::with_io(io.clone(), WalConfig::default()).unwrap();
-        wal.append(&put(b"k", b"v")).unwrap();
+        wal.append(&[put(b"k", b"v")]).unwrap();
         drop(wal);
         let other = SEGMENT_FORMAT_VERSION + 1;
         let foreign = with_format_version(&io.read(1).unwrap(), other);
@@ -1005,8 +1048,8 @@ mod tests {
     #[test]
     fn memory_log_appends_and_reads_back() {
         let wal = WriteAheadLog::in_memory();
-        assert_eq!(wal.append(&put(b"a", b"1")).unwrap(), 1);
-        assert_eq!(wal.append(&put(b"b", b"2")).unwrap(), 2);
+        assert_eq!(wal.append(&[put(b"a", b"1")]).unwrap(), 1);
+        assert_eq!(wal.append(&[put(b"b", b"2")]).unwrap(), 2);
         assert_eq!(records_of(&wal), vec![(1, put(b"a", b"1")), (2, put(b"b", b"2"))]);
     }
 
@@ -1016,7 +1059,7 @@ mod tests {
         {
             let (wal, _) = WriteAheadLog::open_dir(&dir, WalConfig::default()).unwrap();
             for n in 1..=3 {
-                wal.append(&commit_batch(n, 8)).unwrap();
+                wal.append(&[commit_batch(n, 8)]).unwrap();
             }
         }
         {
@@ -1032,8 +1075,8 @@ mod tests {
         let dir = temp_dir("torn");
         {
             let (wal, _) = WriteAheadLog::open_dir(&dir, WalConfig::default()).unwrap();
-            wal.append(&commit_batch(1, 8)).unwrap();
-            wal.append(&commit_batch(2, 8)).unwrap();
+            wal.append(&[commit_batch(1, 8)]).unwrap();
+            wal.append(&[commit_batch(2, 8)]).unwrap();
         }
         // Simulate a torn write: append garbage that looks like the start of a frame.
         {
@@ -1051,10 +1094,10 @@ mod tests {
         let committed_file_len;
         {
             let (wal, _) = WriteAheadLog::open_dir(&dir, WalConfig::default()).unwrap();
-            wal.append(&put(b"a", b"1")).unwrap();
+            wal.append(&[put(b"a", b"1")]).unwrap();
             committed_file_len = std::fs::metadata(active_segment(&dir)).unwrap().len();
             // A second commit whose frame the crash will cut in half.
-            wal.append(&put(b"b", b"2")).unwrap();
+            wal.append(&[put(b"b", b"2")]).unwrap();
         }
         // Crash mid-frame: cut the file a few bytes into the torn region.
         let seg = active_segment(&dir);
@@ -1065,7 +1108,7 @@ mod tests {
         assert_eq!(recovered, vec![(1, put(b"a", b"1"))], "recovery stops at the last whole frame");
         // The torn bytes were physically truncated, so new appends extend the valid prefix.
         assert_eq!(std::fs::metadata(&seg).unwrap().len(), committed_file_len);
-        assert_eq!(wal.append(&put(b"c", b"3")).unwrap(), 2, "the next commit takes LSN 2");
+        assert_eq!(wal.append(&[put(b"c", b"3")]).unwrap(), 2, "the next commit takes LSN 2");
         drop(wal);
         let (_, all) = WriteAheadLog::open_dir(&dir, WalConfig::default()).unwrap();
         assert_eq!(all, vec![(1, put(b"a", b"1")), (2, put(b"c", b"3"))]);
@@ -1077,8 +1120,8 @@ mod tests {
         let dir = temp_dir("partial-final");
         {
             let (wal, _) = WriteAheadLog::open_dir(&dir, WalConfig::default()).unwrap();
-            wal.append(&put(b"k", b"1")).unwrap();
-            wal.append(&put(b"k", b"2")).unwrap();
+            wal.append(&[put(b"k", b"1")]).unwrap();
+            wal.append(&[put(b"k", b"2")]).unwrap();
         }
         // Flip a byte inside the LAST frame's payload: a torn (partially written) tail frame,
         // not interior corruption — recovery must stop cleanly before it.
@@ -1105,7 +1148,7 @@ mod tests {
                 (b"big".to_vec(), Some(vec![1; 4096])),
             ],
         };
-        assert_eq!(wal.append(&commit).unwrap(), 1);
+        assert_eq!(wal.append(std::slice::from_ref(&commit)).unwrap(), 1);
         assert_eq!(wal.next_lsn(), 2, "three effects, one LSN");
         // The segment holds `len | crc | payload` and nothing else, the payload being the
         // commit's encoding — the bytes a `LogBatch` ships.
@@ -1126,10 +1169,10 @@ mod tests {
         let first_frame_end;
         {
             let (wal, _) = WriteAheadLog::open_dir(&dir, WalConfig::default()).unwrap();
-            wal.append(&put(b"first", b"1")).unwrap();
+            wal.append(&[put(b"first", b"1")]).unwrap();
             first_frame_end = std::fs::metadata(active_segment(&dir)).unwrap().len();
-            wal.append(&put(b"key", b"value")).unwrap();
-            wal.append(&put(b"last", b"3")).unwrap();
+            wal.append(&[put(b"key", b"value")]).unwrap();
+            wal.append(&[put(b"last", b"3")]).unwrap();
         }
         // Tear the middle frame (out-of-order persistence): the final frame's bytes still exist
         // after the invalid one.
@@ -1152,14 +1195,14 @@ mod tests {
     #[test]
     fn truncate_clears_bytes_but_keeps_the_lsn_sequence() {
         let wal = WriteAheadLog::in_memory();
-        wal.append(&commit_batch(1, 8)).unwrap();
+        wal.append(&[commit_batch(1, 8)]).unwrap();
         wal.truncate(wal.durable_lsn()).unwrap();
         assert_eq!(records_of(&wal).len(), 0);
         assert_eq!(wal.next_lsn(), 2, "absolute LSNs survive truncation");
         assert_eq!(wal.base_lsn(), 1);
         assert_eq!(wal.size_bytes().unwrap(), 0);
         // The next append continues the sequence.
-        assert_eq!(wal.append(&commit_batch(2, 8)).unwrap(), 2);
+        assert_eq!(wal.append(&[commit_batch(2, 8)]).unwrap(), 2);
         assert_eq!(records_of(&wal), vec![(2, commit_batch(2, 8))]);
     }
 
@@ -1167,7 +1210,7 @@ mod tests {
     fn read_from_serves_the_tail_and_reports_truncation() {
         let wal = WriteAheadLog::in_memory();
         for n in 1..=6 {
-            wal.append(&commit_batch(n, 8)).unwrap();
+            wal.append(&[commit_batch(n, 8)]).unwrap();
         }
         // Mid-log cursor: commits 4..=6.
         match wal.read_from(4).unwrap() {
@@ -1185,7 +1228,7 @@ mod tests {
         wal.truncate(wal.durable_lsn()).unwrap();
         assert!(matches!(wal.read_from(3).unwrap(), WalTail::Truncated { oldest: 7 }));
         assert_eq!(wal.read_from(7).unwrap(), WalTail::Records(vec![]));
-        wal.append(&commit_batch(9, 8)).unwrap();
+        wal.append(&[commit_batch(9, 8)]).unwrap();
         match wal.read_from(7).unwrap() {
             WalTail::Records(recs) => assert_eq!(recs, vec![(7, commit_batch(9, 8))]),
             other => panic!("expected records, got {other:?}"),
@@ -1197,10 +1240,10 @@ mod tests {
         let dir = temp_dir("base-reopen");
         {
             let (wal, _) = WriteAheadLog::open_dir(&dir, WalConfig::default()).unwrap();
-            wal.append(&commit_batch(1, 8)).unwrap();
-            wal.append(&commit_batch(2, 8)).unwrap();
+            wal.append(&[commit_batch(1, 8)]).unwrap();
+            wal.append(&[commit_batch(2, 8)]).unwrap();
             wal.truncate(wal.durable_lsn()).unwrap();
-            wal.append(&commit_batch(3, 8)).unwrap();
+            wal.append(&[commit_batch(3, 8)]).unwrap();
         }
         {
             let (wal, records) = WriteAheadLog::open_dir(&dir, WalConfig::default()).unwrap();
@@ -1222,7 +1265,7 @@ mod tests {
         {
             let (wal, _) = WriteAheadLog::open_dir(&dir, small_cap(128)).unwrap();
             for n in 1..=10 {
-                wal.append(&commit_batch(n, 48)).unwrap();
+                wal.append(&[commit_batch(n, 48)]).unwrap();
             }
             assert!(wal.segment_count() > 1, "small cap must force rotations");
             assert_eq!(segment_files(&dir).len(), wal.segment_count());
@@ -1241,10 +1284,10 @@ mod tests {
     fn a_batch_never_spans_two_segments() {
         let wal = WriteAheadLog::in_memory_with(small_cap(64));
         for n in 1..=6 {
-            wal.append(&commit_batch(n, 100)).unwrap();
+            wal.append(&[commit_batch(n, 100)]).unwrap();
         }
         // Every commit outgrows the cap, so each one rotated into a segment of its own.
-        let frame = frame_bytes(|e| commit_batch(1, 100).encode_into(e)).len() as u64;
+        let frame = frame_len(&commit_batch(1, 100)) as u64;
         let state = wal.state.lock();
         for seg in state.segments.iter().filter(|s| s.commits > 0) {
             assert_eq!((seg.commits, seg.bytes), (1, frame), "segment holds whole commits only");
@@ -1256,7 +1299,7 @@ mod tests {
         let dir = temp_dir("prune");
         let (wal, _) = WriteAheadLog::open_dir(&dir, small_cap(128)).unwrap();
         for n in 1..=10 {
-            wal.append(&commit_batch(n, 48)).unwrap();
+            wal.append(&[commit_batch(n, 48)]).unwrap();
         }
         let end = wal.durable_lsn();
         assert!(segment_files(&dir).len() > 1);
@@ -1272,7 +1315,7 @@ mod tests {
     fn retention_floor_keeps_segments_a_subscriber_still_needs() {
         let wal = WriteAheadLog::in_memory_with(small_cap(128));
         for n in 1..=10 {
-            wal.append(&commit_batch(n, 48)).unwrap();
+            wal.append(&[commit_batch(n, 48)]).unwrap();
         }
         let end = wal.durable_lsn();
         let cursor = end - 7; // a lagging subscriber's next LSN
@@ -1300,7 +1343,7 @@ mod tests {
             retention_budget_bytes: 0,
         });
         for n in 1..=10 {
-            wal.append(&commit_batch(n, 48)).unwrap();
+            wal.append(&[commit_batch(n, 48)]).unwrap();
         }
         wal.set_retention_floor(Some(2));
         wal.truncate(wal.durable_lsn()).unwrap();
@@ -1374,11 +1417,11 @@ mod tests {
         let io = Arc::new(CountingIo::default());
         let (wal, _) = WriteAheadLog::with_io(io.clone(), WalConfig::default()).unwrap();
         for n in 1..=1000 {
-            wal.append(&commit_batch(n, 64)).unwrap();
+            wal.append(&[commit_batch(n, 64)]).unwrap();
         }
         assert_eq!(wal.segment_count(), 1, "every commit sits in the active segment");
         let last = commit_batch(1000, 64);
-        let frame = frame_bytes(|e| last.encode_into(e)).len();
+        let frame = frame_len(&last);
         io.take_read_bytes();
 
         let end = wal.durable_lsn();
@@ -1393,7 +1436,7 @@ mod tests {
 
     /// Appends `commit` to `wal` and to `log`, the model of every commit ever appended.
     fn append_logged(wal: &WriteAheadLog, log: &mut Vec<(Lsn, Commit)>, commit: Commit) {
-        let lsn = wal.append(&commit).unwrap();
+        let lsn = wal.append(std::slice::from_ref(&commit)).unwrap();
         log.push((lsn, commit));
     }
 
@@ -1447,7 +1490,7 @@ mod tests {
         {
             let (wal, _) = WriteAheadLog::open_dir(&dir, small_cap(64)).unwrap();
             for n in 1..=3 {
-                wal.append(&commit_batch(n, 32)).unwrap();
+                wal.append(&[commit_batch(n, 32)]).unwrap();
             }
         }
         // A crash mid-rotation leaves a new segment whose header write was cut short.
@@ -1457,7 +1500,11 @@ mod tests {
         let (wal, records) = WriteAheadLog::open_dir(&dir, small_cap(64)).unwrap();
         assert!(!artifact.exists(), "rotation artifact removed");
         assert_eq!(records.len(), 3, "sealed commits all survive");
-        assert_eq!(wal.append(&commit_batch(4, 32)).unwrap(), 4, "appends continue after cleanup");
+        assert_eq!(
+            wal.append(&[commit_batch(4, 32)]).unwrap(),
+            4,
+            "appends continue after cleanup"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1467,7 +1514,7 @@ mod tests {
         {
             let (wal, _) = WriteAheadLog::open_dir(&dir, small_cap(64)).unwrap();
             for n in 1..=4 {
-                wal.append(&commit_batch(n, 48)).unwrap();
+                wal.append(&[commit_batch(n, 48)]).unwrap();
             }
             assert!(wal.segment_count() >= 3);
         }
@@ -1521,7 +1568,7 @@ mod tests {
         let segments = {
             let (wal, _) = WriteAheadLog::with_io(io.clone(), small_cap(256)).unwrap();
             for n in 1..=commits {
-                wal.append(&commit_batch(n, 48)).unwrap();
+                wal.append(&[commit_batch(n, 48)]).unwrap();
             }
             wal.segment_count()
         };
@@ -1539,7 +1586,7 @@ mod tests {
         let (wal, _) = WriteAheadLog::with_io(io.clone(), WalConfig::default()).unwrap();
         let commit =
             Commit { effects: vec![(b"x".to_vec(), Some(b"1".to_vec())), (b"x".to_vec(), None)] };
-        wal.append(&commit).unwrap();
+        wal.append(std::slice::from_ref(&commit)).unwrap();
         drop(wal);
         let (_, recovered) = WriteAheadLog::with_io(io, WalConfig::default()).unwrap();
         assert_eq!(recovered, vec![(1, commit)], "a commit's effects come back in order");
@@ -1569,7 +1616,7 @@ mod proptests {
         fn log_preserves_order(commits in proptest::collection::vec(arb_record(), 0..50)) {
             let wal = WriteAheadLog::in_memory();
             for c in &commits {
-                wal.append(c).unwrap();
+                wal.append(std::slice::from_ref(c)).unwrap();
             }
             let WalTail::Records(read) = wal.read_from(1).unwrap() else {
                 panic!("LSN 1 is the log's first");
@@ -1599,6 +1646,7 @@ mod proptests {
                 WriteAheadLog::with_io(oracle_io.clone(), oracle_config.clone()).unwrap();
             let all = |log: &WriteAheadLog| log.read_from(log.base_lsn() + 1).unwrap();
             for (commit, checkpoint) in &steps {
+                let commit = std::slice::from_ref(commit);
                 prop_assert_eq!(wal.append(commit).unwrap(), oracle.append(commit).unwrap());
                 if *checkpoint {
                     wal.truncate(wal.durable_lsn()).unwrap();

@@ -25,6 +25,12 @@
 //! ones, an explicit one, one whose image predates the last commit, and a replica-style reset)
 //! through a [`StorageEngine`] and asserts that every crash state reopens and recovers exactly
 //! the key space of some prefix of the steps that contains every acknowledged one.
+//!
+//! The reset-install sweep crashes [`StorageEngine::install`] — a replica's whole state replaced
+//! at another log's position, below, inside, at and past the end of its old log — at every
+//! disk-op unit, and asserts that each crash state reopens (never `Corrupt`) as either the new
+//! image at its LSN, with no old frame left in the log, or the old state at some prefix of the
+//! old log.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -217,7 +223,7 @@ fn run_workload(wal: &WriteAheadLog) -> (Vec<u64>, Vec<u64>) {
     let mut acked = Vec::new();
     let mut pruned = Vec::new();
     for txn in 1..=TXNS {
-        if wal.append(&commit(txn)).is_err() {
+        if wal.append(&[commit(txn)]).is_err() {
             break;
         }
         acked.push(txn);
@@ -524,4 +530,79 @@ fn the_engine_sweep_covers_checkpoints_rotations_and_prunes() {
     let last = *segments.keys().last().unwrap();
     assert!(first > 1, "checkpoints must have pruned early segments");
     assert!(last >= 4, "the workload must rotate through several segments");
+}
+
+// ----- reset-install sweep: the whole state replaced at another log's position ---------------
+
+/// Commits in the log a reset install replaces (a checkpoint at [`OLD_CHECKPOINT`] prunes its
+/// start, so the old disk holds a snapshot and several segments).
+const OLD_COMMITS: usize = 12;
+const OLD_CHECKPOINT: usize = 6;
+
+/// The disk of a store whose log ends at LSN [`OLD_COMMITS`], each commit `i` at LSN `i + 1`.
+fn old_disk(states: &[KeySpace]) -> DiskState {
+    let fs = Arc::new(FaultFs::new(CrashPoint(u64::MAX / 2)));
+    let (engine, _) = StorageEngine::with_io(fs.clone(), engine_config()).unwrap();
+    for i in 0..OLD_COMMITS {
+        engine.commit(commit_effects(i)).unwrap();
+        if i + 1 == OLD_CHECKPOINT {
+            engine.checkpoint(&image_of(&states[i + 1], engine.durable_lsn())).unwrap();
+        }
+    }
+    assert_eq!(engine.durable_lsn(), OLD_COMMITS as u64);
+    drop(engine);
+    fs.surviving_disk()
+}
+
+#[test]
+fn a_reset_install_reopens_as_the_old_state_a_prefix_of_it_or_the_new_one_at_every_crash_point() {
+    let states = model_states();
+    let old = old_disk(&states);
+    assert!(old.0.len() >= 2, "the old log spans several segments: {:?}", old.0.keys());
+    let infinite = CrashPoint(u64::MAX / 2);
+    // Below the old snapshot, inside the old log, at its end, and past it: the first three are
+    // a replica whose old log runs past the cut.
+    for cut in [2, 9, OLD_COMMITS as u64, 40] {
+        let image = image_of(&reset_space(), cut);
+        let probe = Arc::new(FaultFs::reopen(old.clone(), infinite));
+        let (engine, _) = StorageEngine::with_io(probe.clone(), engine_config()).unwrap();
+        assert_eq!(probe.consumed(infinite), 0, "opening the old disk writes nothing");
+        engine.install(&image).unwrap();
+        drop(engine);
+        let total = probe.consumed(infinite);
+        assert!(total > old.0.len() as u64 + 24, "cut {cut}: {total} crash points");
+
+        for point in 0..=total {
+            let fs = Arc::new(FaultFs::reopen(old.clone(), CrashPoint(point)));
+            let (engine, _) = StorageEngine::with_io(fs.clone(), engine_config()).unwrap();
+            let installed = engine.install(&image).is_ok();
+            drop(engine);
+            let reopened = Arc::new(FaultFs::reopen(fs.surviving_disk(), infinite));
+            let (engine, recovered) = reopen(reopened.clone())
+                .unwrap_or_else(|e| panic!("cut {cut}, crash point {point}: reopen failed: {e}"));
+            let end = engine.durable_lsn();
+            if recovered == reset_space() {
+                assert_eq!(end, cut, "cut {cut}, crash point {point}: the image's position");
+                // No frame of the old log is left to serve, below or past the cut.
+                assert_eq!(engine.wal_tail(cut + 1).unwrap(), WalTail::Records(Vec::new()));
+                assert!(matches!(engine.wal_tail(cut).unwrap(), WalTail::Truncated { .. }));
+            } else {
+                assert!(!installed, "cut {cut}, crash point {point}: an acknowledged install lost");
+                assert!(
+                    end <= OLD_COMMITS as u64 && recovered == states[end as usize],
+                    "cut {cut}, crash point {point}: recovered neither the image nor the old \
+                     state at LSN {end} (recovered {recovered:?})"
+                );
+            }
+            // The reopened engine keeps numbering after its end, across another restart.
+            engine.commit(vec![(b"after/crash".to_vec(), Some(b"ok".to_vec()))]).unwrap();
+            assert_eq!(engine.durable_lsn(), end + 1);
+            drop(engine);
+            let (engine, again) = reopen(reopened).unwrap();
+            let mut expected = recovered;
+            expected.insert(b"after/crash".to_vec(), b"ok".to_vec());
+            assert_eq!(again, expected, "cut {cut}, crash point {point}: second restart");
+            assert_eq!(engine.durable_lsn(), end + 1);
+        }
+    }
 }

@@ -8,6 +8,9 @@
 //!   epoch, so racing promotions elect one winner and the loser stays a replica.
 //! - **SPADES reports are byte-identical across the failover**: the promoted node, a
 //!   re-pointed replica and the rejoined old primary all render the same specification report.
+//! - **One log across the cluster**: every node numbers the same commits alike, so a caught-up
+//!   replica re-pointed at the promoted node and the fenced old primary rejoining as a replica
+//!   both resume from their own logs, with no reset.
 //!
 //! The fencing semantics and the operator's runbook are `docs/OPERATIONS.md` §7; the wire
 //! frames (`Promote`, `Promoted`, the `Fenced` error) are `docs/PROTOCOL.md`.
@@ -18,7 +21,7 @@ use std::time::Duration;
 
 use proptest::{prop_assert, prop_assert_eq, proptest, ProptestConfig};
 use seed::core::Database;
-use seed::net::{RemoteClient, ReplicaConfig, ReplicaNode, SeedNetServer};
+use seed::net::{RemoteClient, ReplicaNode, SeedNetServer};
 use seed::schema::figure3_schema;
 use seed::server::{ReplicationRole, SeedServer, ServerError, Update};
 use seed::spades::{specification_report, RemoteBackend};
@@ -69,8 +72,9 @@ fn ready_primaries(addrs: &[std::net::SocketAddr]) -> usize {
 
 /// The headline scenario: a controlled switchover.  The old primary stays up and is fenced;
 /// the promoted replica drains the shipped tail first, so **zero** committed writes are lost;
-/// the second replica is re-pointed under the new epoch; the old primary rejoins as a replica;
-/// and the SPADES specification report is byte-identical on all three nodes afterwards.
+/// the second replica is re-pointed at the new primary and the old primary rejoins as a
+/// replica, both without a reset; and the SPADES specification report is byte-identical on all
+/// three nodes afterwards.
 #[test]
 fn controlled_promotion_fences_the_old_primary_and_loses_no_committed_write() {
     let primary_dir = temp_dir("ctl-primary");
@@ -97,7 +101,8 @@ fn controlled_promotion_fences_the_old_primary_and_loses_no_committed_write() {
     assert_eq!(receipt.epoch, 1);
     assert!(
         receipt.last_lsn > 0,
-        "the receipt reports the promoted node's durable end of log (its own LSN space)"
+        "the receipt reports the promoted node's durable end of log (the one LSN space the \
+         whole cluster shares)"
     );
 
     // The old primary is fenced: every write surface refuses with the new primary's address,
@@ -133,29 +138,21 @@ fn controlled_promotion_fences_the_old_primary_and_loses_no_committed_write() {
     assert_eq!(fanout.retrieve("ViaReroute").unwrap().name.to_string(), "ViaReroute");
     fanout.close().unwrap();
 
-    // Re-point r2 at the new primary under epoch 1: its cursor belongs to the old log, so the
-    // epoch bump forces a full-snapshot resync and it converges on the new stream.
+    // Re-point r2 at the new primary: its log is a prefix of the promoted node's (the same
+    // commits at the same LSNs, all before the promotion), so it streams on from its own end.
     r2.shutdown();
-    let r2 = ReplicaNode::with_config(
-        &r2_dir,
-        new_addr,
-        "127.0.0.1:0",
-        ReplicaConfig { epoch: 1, ..ReplicaConfig::default() },
-    )
-    .unwrap();
-    // Convergence on the new stream implies the reset ran: the cursor belongs to the old log,
-    // so the only way to the new primary's LSNs is the epoch-forced snapshot resync.
+    let r2 = ReplicaNode::start(&r2_dir, new_addr, "127.0.0.1:0").unwrap();
     assert!(r2.wait_for_lsn(node_lsn(&r1), Duration::from_secs(30)));
-    assert!(r2.resets_applied() >= 1, "the epoch bump must force a snapshot resync");
+    assert_eq!(r2.resets_applied(), 0, "a re-pointed replica continues its own log");
 
-    // The old primary rejoins as a replica on its own directory: the store has a meta record
-    // but no replication cursor, which forces the same resync path (the demotion).
+    // The old primary rejoins as a replica on its own directory: its log ends with the fence
+    // commit, which the promoted node drained, so it streams on as well.
     primary.shutdown();
     let rejoined = ReplicaNode::start(&primary_dir, new_addr, "127.0.0.1:0").unwrap();
     assert!(rejoined.wait_for_lsn(node_lsn(&r1), Duration::from_secs(30)));
-    assert!(rejoined.resets_applied() >= 1, "a demoted primary must resync from snapshot");
-    let mut demoted_reader = RemoteClient::connect(rejoined.local_addr()).unwrap();
-    match demoted_reader.checkin(create("StillNotHere")).unwrap_err() {
+    assert_eq!(rejoined.resets_applied(), 0, "a fenced old primary continues its own log");
+    let mut rejoined_reader = RemoteClient::connect(rejoined.local_addr()).unwrap();
+    match rejoined_reader.checkin(create("StillNotHere")).unwrap_err() {
         ServerError::ReadOnlyReplica { primary } => assert_eq!(primary, new_addr.to_string()),
         other => panic!("expected the rejoined node to redirect writes, got {other:?}"),
     }
@@ -230,17 +227,12 @@ fn killing_the_primary_then_promoting_a_replica_keeps_every_acked_write() {
     assert_eq!(fanout.query("count Data").unwrap().count, 11);
     fanout.close().unwrap();
 
-    // Re-pointing the surviving replica under the new epoch converges it on the new stream,
-    // and the reports agree byte-for-byte.
+    // Re-pointing the surviving replica converges it on the new stream from its own log, with
+    // no reset, and the reports agree byte-for-byte.
     r2.shutdown();
-    let r2 = ReplicaNode::with_config(
-        &r2_dir,
-        new_addr,
-        "127.0.0.1:0",
-        ReplicaConfig { epoch: 1, ..ReplicaConfig::default() },
-    )
-    .unwrap();
+    let r2 = ReplicaNode::start(&r2_dir, new_addr, "127.0.0.1:0").unwrap();
     assert!(r2.wait_for_lsn(node_lsn(&r1), Duration::from_secs(30)));
+    assert_eq!(r2.resets_applied(), 0, "a re-pointed replica continues its own log");
     assert_eq!(report_via(r2.local_addr()), report_via(new_addr));
     assert_eq!(ready_primaries(&[new_addr, r2.local_addr()]), 1);
 

@@ -25,7 +25,7 @@ fn constants_match_the_document() {
     assert_eq!(seed::net::wire::MAGIC, *b"SEWP");
     assert_eq!(hex(&seed::net::wire::MAGIC), "53 45 57 50");
     assert_eq!(MAX_FRAME_LEN, 64 * 1024 * 1024);
-    assert_eq!(PROTOCOL_VERSION, 6);
+    assert_eq!(PROTOCOL_VERSION, 7);
 }
 
 #[test]
@@ -62,24 +62,25 @@ fn worked_frame_example_renders_exactly_as_documented() {
 #[test]
 fn handshake_dumps_render_exactly_as_documented() {
     // §4.
-    assert_eq!(hex(&Hello::current("spades").encode()), "06 00 06 00 06 73 70 61 64 65 73 00");
-    assert_eq!(hex(&Hello::replica("spades").encode()), "06 00 06 00 06 73 70 61 64 65 73 01");
-    let welcome = Welcome { version: 6, client_id: 7, banner: "seed-net/0.1.0".into() };
+    assert_eq!(hex(&Hello::current("spades").encode()), "07 00 07 00 06 73 70 61 64 65 73 00");
+    assert_eq!(hex(&Hello::replica("spades").encode()), "07 00 07 00 06 73 70 61 64 65 73 01");
+    let welcome = Welcome { version: 7, client_id: 7, banner: "seed-net/0.1.0".into() };
     assert_eq!(
         hex(&welcome.encode()),
-        "06 00 07 00 00 00 00 00 00 00 0e 73 65 65 64 2d 6e 65 74 2f 30 2e 31 2e 30"
+        "07 00 07 00 00 00 00 00 00 00 0e 73 65 65 64 2d 6e 65 74 2f 30 2e 31 2e 30"
     );
     // Negotiation: a hello is accepted if and only if its range covers the one version; a
-    // v5-only hello, as the previous build sends, is refused.
+    // v6-only hello, as the previous build sends, is refused.
     assert_eq!(negotiate(&Hello::current("x")).unwrap(), PROTOCOL_VERSION);
-    let v5 = Hello { min_version: 5, max_version: 5, ..Hello::current("x") };
-    assert!(negotiate(&v5).unwrap_err().contains("no common protocol version"));
+    let v6 = Hello { min_version: 6, max_version: 6, ..Hello::current("x") };
+    assert!(negotiate(&v6).unwrap_err().contains("no common protocol version"));
 }
 
 #[test]
 fn replication_dumps_render_exactly_as_documented() {
     // §6.
-    assert_eq!(hex(&Subscribe { from_lsn: 42 }.encode()), "2a 00 00 00 00 00 00 00");
+    let subscribe = Subscribe { from_lsn: 42, epoch: 1 };
+    assert_eq!(hex(&subscribe.encode()), "2a 00 00 00 00 00 00 00 01 00 00 00 00 00 00 00");
     assert_eq!(hex(&Ack { applied_lsn: 46 }.encode()), "2e 00 00 00 00 00 00 00");
     let ack_frame = frame_bytes(FrameKind::Ack, &Ack { applied_lsn: 46 }.encode());
     assert_eq!(hex(&ack_frame), "53 45 57 50 08 08 00 00 00 0d af de 89 2e 00 00 00 00 00 00 00");
@@ -103,7 +104,7 @@ fn replication_dumps_render_exactly_as_documented() {
     );
     // Every replication record round-trips.
     assert_eq!(LogBatch::decode(&batch.encode()).unwrap(), batch);
-    assert_eq!(Subscribe::decode(&Subscribe { from_lsn: 42 }.encode()).unwrap().from_lsn, 42);
+    assert_eq!(Subscribe::decode(&subscribe.encode()).unwrap(), subscribe);
     assert_eq!(Ack::decode(&Ack { applied_lsn: 46 }.encode()).unwrap().applied_lsn, 46);
 }
 
