@@ -60,7 +60,7 @@ pub struct Database {
     transition_rules: Vec<TransitionRule>,
     consistency_checking: bool,
     /// Write-through persistence handle (`None` for purely in-memory databases).
-    durability: Option<Durability>,
+    pub(crate) durability: Option<Durability>,
     /// Topology epoch: bumped on every replica promotion, persisted in the meta record so a
     /// restarted node knows which fencing round it last witnessed.
     topology_epoch: u64,
@@ -357,17 +357,22 @@ impl Database {
     /// Commits `effects` and, last, the `meta` record when it changed as one storage batch
     /// (no-op for in-memory databases); when that leaves memory equal to the committed state
     /// and the WAL has outgrown its threshold, a background checkpoint starts.
-    fn commit_batch(&mut self, effects: Vec<KeyEffect>) -> SeedResult<()> {
+    pub(crate) fn commit_batch(&mut self, effects: Vec<KeyEffect>) -> SeedResult<()> {
         if self.durability.is_none() {
             return Ok(());
         }
         let meta = durability::encode_meta(self);
         self.durability.as_mut().expect("checked above").commit(effects, meta)?;
-        let dur = self.durability.as_ref().expect("checked above");
-        if self.committed_state_only().is_ok() {
+        self.checkpoint_if_due();
+        Ok(())
+    }
+
+    /// Starts a background checkpoint when memory equals the committed state and the WAL has
+    /// outgrown its threshold.
+    pub(crate) fn checkpoint_if_due(&self) {
+        if let (Some(dur), Ok(())) = (&self.durability, self.committed_state_only()) {
             dur.checkpoint_in_background(|| self.clone_for_snapshot(), dur.engine.durable_lsn());
         }
-        Ok(())
     }
 
     /// Write-through: outside an explicit transaction, drains the store's change journal and

@@ -49,8 +49,8 @@ use crate::version::{ItemSnapshot, VersionInfo, VersionManager};
 pub(crate) struct Durability {
     pub(crate) engine: Arc<StorageEngine>,
     /// The encoded `meta` record the log holds last.  A commit logs `meta` only when it differs
-    /// from this copy, which moves only once a commit succeeded.
-    committed_meta: Vec<u8>,
+    /// from this copy, which moves only once a commit (or a shipped batch) is logged.
+    pub(crate) committed_meta: Vec<u8>,
     checkpoint: Mutex<Option<JoinHandle<SeedResult<()>>>>,
 }
 
@@ -259,11 +259,12 @@ impl Changes {
     /// the changes will be applied to (`None` for a fresh database): the meta record's current
     /// schema must exist there or in the effects themselves.
     pub(crate) fn decode<'a>(
-        effects: impl IntoIterator<Item = (&'a [u8], Option<&'a [u8]>)>,
+        effects: impl IntoIterator<Item = &'a KeyEffect>,
         known: Option<&SchemaRegistry>,
     ) -> SeedResult<Self> {
         let mut changes = Self::default();
         for (key, value) in effects {
+            let value = value.as_deref();
             let kept = |what: &str| {
                 value.ok_or_else(|| SeedError::Invalid(format!("{what} is never deleted")))
             };
@@ -367,11 +368,10 @@ impl Changes {
     }
 }
 
-/// Open-time recovery: the recovered effects (the snapshot's puts, then the effects logged
+/// Open-time recovery: the recovered effects (the snapshot's, then those logged
 /// after it) applied to an empty database.
 pub(crate) fn recover(recovered: &Recovered) -> SeedResult<Database> {
-    let effects = recovered.effects.iter().map(|(k, v)| (k.as_slice(), v.as_deref()));
-    Changes::decode(effects, None)?.into_database()
+    Changes::decode(&recovered.effects, None)?.into_database()
 }
 
 #[cfg(test)]
@@ -1041,7 +1041,7 @@ mod tests {
     }
 
     /// A directory whose meta record is format 1 (no epoch history) fails the open, as a
-    /// primary and as a replica store, with an error naming both formats, and nothing in it
+    /// primary and as a replica, with an error naming both formats, and nothing in it
     /// changes.
     #[test]
     fn a_format_1_meta_is_refused_naming_both_formats_and_nothing_changes() {
@@ -1068,7 +1068,7 @@ mod tests {
         let before = files();
         let refused = Database::open_durable(&dir).unwrap_err().to_string();
         assert!(refused.contains("format 1") && refused.contains("format 2"), "{refused}");
-        assert!(crate::replica::ReplicaStore::open(&dir).is_err());
+        assert!(Database::open_replica(&dir).is_err());
         assert!(files() == before, "a refused open changed the directory");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1078,7 +1078,6 @@ mod tests {
 mod proptests {
     use super::test_support::{assert_same_state, encoder_pairs, temp_dir};
     use super::*;
-    use crate::replica::ReplicaStore;
     use crate::value::Value;
     use proptest::prelude::*;
     use seed_schema::figure3_schema;
@@ -1329,14 +1328,15 @@ mod proptests {
     }
 
     /// Ships the primary's WAL tail past the replica's cursor as one incremental batch.
-    fn feed(replica: &mut ReplicaStore, primary: &Database) {
-        let commits = match primary.log_feed().unwrap().wal_tail(replica.applied_lsn() + 1).unwrap()
-        {
+    fn feed(replica: &mut Database, primary: &Database) {
+        let commits = match primary.log_feed().unwrap().wal_tail(replica.log_end().0 + 1).unwrap() {
             seed_storage::WalTail::Records(commits) => commits,
             other => panic!("the retention floor must keep the replica's tail, got {other:?}"),
         };
         if let Some(&(up_to, _)) = commits.last() {
-            replica.apply(commits.into_iter().map(|(_, c)| c).collect(), up_to, false).unwrap();
+            replica
+                .apply_batch(commits.into_iter().map(|(_, c)| c).collect(), up_to, false)
+                .unwrap();
         }
     }
 
@@ -1361,9 +1361,13 @@ mod proptests {
             };
             let mut db = Database::create_durable_with(&dir, figure3_schema(), config.clone())
                 .unwrap();
-            let mut incremental = ReplicaStore::open(&incremental_dir).unwrap();
+            let (engine, _) = StorageEngine::open(&incremental_dir).unwrap();
+            let seed_storage::WalTail::Records(first) = db.log_feed().unwrap().wal_tail(1).unwrap()
+            else { unreachable!("a fresh primary's log starts at LSN 1") };
+            let first = first.into_iter().map(|(_, c)| c).collect();
+            let mut incremental = Database::from_first_batch(engine, first, 1, false).unwrap();
             for (i, step) in steps.iter().enumerate() {
-                db.set_replication_retention(Some(incremental.applied_lsn() + 1));
+                db.set_replication_retention(Some(incremental.log_end().0 + 1));
                 run_step(&mut db, step);
                 prop_assert!(!db.in_transaction());
                 let live = db.clone_for_snapshot();
@@ -1387,20 +1391,20 @@ mod proptests {
                 prop_assert!(on_disk == live_pairs, "step {}: disk differs from memory", i);
 
                 feed(&mut incremental, &db);
-                let replica_db = incremental.database().unwrap();
+                let replica_db = &incremental;
                 assert_same_state(&live, replica_db, true);
                 prop_assert!(encoder_pairs(replica_db) == live_pairs, "step {}: replica", i);
 
                 let reset_dir = temp_dir("lockstep-reset");
-                let mut reset = ReplicaStore::open(&reset_dir).unwrap();
-                reset.apply(resync_cut, lsn, true).unwrap();
-                drop(reset);
-                let reset = ReplicaStore::open(&reset_dir).unwrap();
-                prop_assert_eq!(reset.applied_lsn(), lsn);
-                let reset_db = reset.database().unwrap();
+                let (engine, _) = StorageEngine::open(&reset_dir).unwrap();
+                drop(Database::from_first_batch(engine, resync_cut, lsn, true).unwrap());
+                let mut reset = Database::open_durable(&reset_dir).unwrap();
+                prop_assert_eq!(reset.durable_lsn(), Some(lsn));
+                let reset_db = &reset;
                 assert_same_state(&live, reset_db, true);
                 prop_assert!(encoder_pairs(reset_db) == live_pairs, "step {}: reset", i);
-                let promoted = reset.into_primary(1).unwrap();
+                reset.promote(1).unwrap();
+                let promoted = reset;
                 assert_same_state(&live, &promoted, true);
                 drop(promoted);
                 let _ = std::fs::remove_dir_all(&reset_dir);

@@ -84,7 +84,6 @@ pub use object::ObjectRecord;
 pub use pattern::{MaterializedChild, MaterializedRelationship, VariantFamily};
 pub use procedures::{ProcedureContext, ProcedureRegistry};
 pub use relationship::RelationshipRecord;
-pub use replica::ReplicaStore;
 pub use snapshot::{Snapshot, SnapshotCell};
 pub use store::DataStore;
 pub use value::Value;

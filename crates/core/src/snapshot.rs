@@ -25,8 +25,7 @@
 //!
 //! Every snapshot carries the **durable LSN** it corresponds to (the storage engine's last
 //! committed record at publication time).  In-memory databases, which have no WAL, fall back
-//! to the publication epoch — still monotonic, so staleness remains observable.  Replicas
-//! publish with an explicit LSN override: the shipped batch's `last_lsn`.
+//! to the publication epoch — still monotonic, so staleness remains observable.
 
 use std::ops::Deref;
 use std::sync::Arc;
@@ -127,19 +126,13 @@ impl SnapshotCell {
     /// Publishes the database's current state as the next snapshot generation (LSN taken from
     /// the database's durable cursor, or the epoch when in-memory).
     pub fn publish(&self, db: &Database) {
-        self.publish_at(db, None)
-    }
-
-    /// [`SnapshotCell::publish`] with an explicit LSN — the replica apply path, where the
-    /// serving database is in-memory but the position is the shipped batch's `last_lsn`.
-    pub fn publish_at(&self, db: &Database, lsn_hint: Option<u64>) {
         let start = std::time::Instant::now();
         let _publishing = self.publishing.lock();
         let mut gen = capture(db);
         let retired = {
             let mut slot = self.published.write();
             gen.epoch = slot.epoch() + 1;
-            gen.lsn = lsn_hint.or_else(|| db.durable_lsn()).unwrap_or(gen.epoch);
+            gen.lsn = db.durable_lsn().unwrap_or(gen.epoch);
             std::mem::replace(&mut *slot, Snapshot { inner: Arc::new(gen) })
         };
         // Release the retired generation outside the slot lock.
@@ -373,9 +366,6 @@ pub(crate) mod tests {
         assert_eq!(Some(s.lsn()), db.durable_lsn());
         assert!(s.lsn() > initial);
         assert!(s.durability().is_some(), "durable snapshots carry the storage status");
-        // Explicit override (the replica path).
-        cell.publish_at(&db, Some(777));
-        assert_eq!(cell.read().lsn(), 777);
         drop(db);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -24,8 +24,9 @@
 //!   [`ClientSession`] is the paper's workstation on top of any of them: local copies,
 //!   locally staged updates, one check-in;
 //! * [`replication`] — [`ReplicaNode`], a read-only replica: it subscribes to a primary's WAL
-//!   stream (`Subscribe` / `LogBatch` / `Ack` frames), applies batches into its own
-//!   durable [`seed_core::ReplicaStore`] and serves the full read surface on its own listener.
+//!   stream (`Subscribe` / `LogBatch` / `Ack` frames), applies batches in place to its own
+//!   durable [`seed_core::Database`], as a primary serves one, and serves the full read surface
+//!   on its own listener.
 //!   `docs/PROTOCOL.md` pins the wire contract; `docs/OPERATIONS.md` is the runbook.
 //!
 //! ```no_run

@@ -1,16 +1,17 @@
 //! The replica side of WAL-shipping replication over `seed-net`.
 //!
-//! A [`ReplicaNode`] is a complete read-only SEED node: it opens (or resumes) a durable
-//! [`ReplicaStore`] in its own directory, subscribes to a primary's replication stream
-//! (handshake with [`crate::wire::HandshakeRole::Replica`], one [`Subscribe`] frame), applies
-//! every [`LogBatch`] through the PR 3 recovery path, and serves the **full
-//! read surface** (`Query`, `Schema`, `Children`, `Prefix`, `ObjectsOfClass`, `Completeness`,
-//! `Retrieve`, …) on its own TCP listener — while checkouts, check-ins and version creation
-//! answer `ServerError::ReadOnlyReplica` carrying the primary's address.
+//! A [`ReplicaNode`] is a complete read-only SEED node: it serves one durable [`Database`] in
+//! its own directory, as a primary does, opened (or resumed) there and kept in step with a
+//! primary's replication stream (handshake with [`crate::wire::HandshakeRole::Replica`], one
+//! [`Subscribe`] frame, then every [`LogBatch`] applied in place).  It serves the **full read
+//! surface** (`Query`, `Schema`, `Children`, `Prefix`, `ObjectsOfClass`, `Completeness`,
+//! `Retrieve`, `Persistence`, …) on its own TCP listener — while checkouts, check-ins and
+//! version creation answer `ServerError::ReadOnlyReplica` carrying the primary's address, and
+//! a `Subscribe` is refused with that address too.
 //!
 //! There is one log across the cluster: a replica's WAL holds the primary's commits at the
 //! primary's LSNs, so its position is the end of its own log plus the epoch in force there
-//! ([`ReplicaStore::log_end`]).  Every subscription carries that position, and the primary
+//! ([`Database::log_end`]).  Every subscription carries that position, and the primary
 //! decides once whether its log continues the replica's (the log-matching rule,
 //! [`seed_core::Database::continues_log`]): it streams on when it does and sends a reset when
 //! it does not.  A replica re-pointed at a promoted node, and an old primary rejoining as a
@@ -21,23 +22,26 @@
 //! 1. **Initial sync** — `start` blocks until the first batch is applied (the primary answers a
 //!    subscribe immediately, with a reset batch when its log does not hold the replica's next
 //!    LSN or does not continue the replica's log), so the node never listens before it has a
-//!    database to serve.
-//! 2. **Streaming** — a background thread applies batches to the [`ReplicaStore`], which
-//!    decodes each one completely, appends it to its log and patches its mirrored database
-//!    **O(delta)** (a reset batch builds a fresh one); the node then publishes an O(1) copy of
-//!    it as the read snapshot keyed to the applied LSN — a read sees whole batches, never
-//!    halves — and acknowledges each batch once it is durable locally.
+//!    database to serve.  A directory that holds none yet builds it from that batch
+//!    ([`Database::from_first_batch`]).
+//! 2. **Streaming** — a background thread applies batches to the served database under its
+//!    write lock ([`Database::apply_batch`]: decoded completely, appended to its log, patched
+//!    **O(delta)** in memory; a reset batch is installed and rebuilds it), publishes it as the
+//!    read snapshot — a read sees whole batches, never halves — and acknowledges each batch
+//!    once it is durable locally.  The database checkpoints itself in the background, as a
+//!    primary's does, and an operator's `Checkpoint` request checkpoints it too.
 //! 3. **Reconnect** — a dropped primary connection is retried with a fixed backoff, resuming
 //!    from the end of the replica's log; a crash mid-batch keeps a prefix of whole commits and
 //!    the rest is simply shipped again.
-//! 4. **Promotion** — runs on the thread that asked for it.  It takes the store from the apply
-//!    thread (one mutex; an abort flag unblocks the feed read), fences the old primary, drains
-//!    the shipped tail and flips the store into a durable primary, which keeps numbering the
-//!    same log.
+//! 4. **Promotion** — runs on the thread that asked for it.  It takes the stepping mutex from
+//!    the apply thread (an abort flag unblocks the feed read), fences the old primary, drains
+//!    the shipped tail and flips the node's role; the served database turns primary in place
+//!    and keeps numbering the same log.
 //!
 //! The initial sync, the stream and a promotion's drain take each batch through the same step
-//! (`ReplicaState::step`): apply, acknowledge, publish, and record the progress once, on the
-//! serving [`SeedServer`], where the node handle, the status and the health probe read it.
+//! (`ReplicaState::step`): apply, publish and record the progress on the serving
+//! [`SeedServer`], where the node handle, the status and the health probe read it, then
+//! acknowledge.
 //!
 //! `docs/OPERATIONS.md` is the runbook for running these in production.
 
@@ -47,8 +51,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use seed_core::{Database, LogFeed, ReplicaStore};
-use seed_schema::Schema;
+use seed_core::{Database, LogFeed};
 use seed_server::{PromotionReceipt, SeedServer, ServerError, ServerResult};
 
 use crate::client::RemoteClient;
@@ -123,7 +126,7 @@ fn repl_metrics() -> &'static ReplMetrics {
 
 impl Feed {
     /// Connects, handshakes as a replica and subscribes with the position of a log that ends
-    /// at `(lsn, epoch)` ([`ReplicaStore::log_end`]).  Everything up to (and including) the
+    /// at `(lsn, epoch)` ([`Database::log_end`]).  Everything up to (and including) the
     /// first frame read is bounded by `timeout`.
     fn open(
         primary: SocketAddr,
@@ -215,10 +218,12 @@ impl Feed {
     }
 }
 
-/// What the apply thread and a promotion share.  The store sits behind one mutex: whichever
-/// of them steps it holds the lock, so a promotion waits for at most one batch in flight.
+/// What the apply thread and a promotion share.  Whichever of them steps the served database
+/// holds the stepping mutex, so a promotion waits for at most one batch in flight.
 struct ReplicaState {
-    slot: Mutex<Slot>,
+    /// Promotion attempts so far.  A feed opened under an older count may hold a batch that a
+    /// promotion's drain has since applied past, so the apply thread drops such a feed.
+    promotions: Mutex<u64>,
     /// Raised while a promotion runs: a second order is refused at once, and the apply
     /// thread's blocked feed read gives way.
     promoting: AtomicBool,
@@ -232,60 +237,46 @@ struct ReplicaState {
     items_applied: AtomicU64,
 }
 
-struct Slot {
-    /// `None` once a promotion flipped the store into the primary's database.
-    store: Option<ReplicaStore>,
-    /// Promotion attempts so far.  A feed opened under an older count may hold a batch that a
-    /// promotion's drain has since applied past, so the apply thread drops such a feed.
-    promotions: u64,
-}
-
 impl ReplicaState {
-    fn lock(&self) -> MutexGuard<'_, Slot> {
-        self.slot.lock().expect("a replica step panicked while holding the store")
+    fn lock(&self) -> MutexGuard<'_, u64> {
+        self.promotions.lock().expect("a replica step panicked while holding the stepping mutex")
+    }
+
+    /// Counts one applied batch: a reset, or an incremental batch that patched `items`
+    /// records.
+    fn count(&self, reset: bool, items: usize) {
+        let metrics = repl_metrics();
+        metrics.batches_applied.inc();
+        if reset {
+            self.resets.fetch_add(1, Ordering::SeqCst);
+            metrics.resets.inc();
+        } else {
+            self.items_applied.fetch_add(items as u64, Ordering::SeqCst);
+        }
     }
 
     /// One replica step, the same for the initial sync, the stream and a promotion's drain:
-    /// applies `batch` to the store — a heartbeat (no records, nothing new) applies nothing —
-    /// acknowledges the durable cursor on `feed` and records the served state and the progress
-    /// on `core`.  A batch that fails to decode or to commit changes nothing and is refused
-    /// with [`ServerError::Rejected`].
-    fn step(
-        &self,
-        store: &mut ReplicaStore,
-        core: &SeedServer,
-        feed: &mut Feed,
-        batch: LogBatch,
-    ) -> ServerResult<()> {
-        let metrics = repl_metrics();
-        let heartbeat =
-            batch.records.is_empty() && !batch.reset && batch.last_lsn <= store.applied_lsn();
-        let served = if heartbeat {
-            None
-        } else {
-            let items = store
-                .apply(batch.records, batch.last_lsn, batch.reset)
-                .map_err(ServerError::Rejected)?;
-            metrics.batches_applied.inc();
-            if batch.reset {
-                self.resets.fetch_add(1, Ordering::SeqCst);
-                metrics.resets.inc();
-            } else {
-                self.items_applied.fetch_add(items as u64, Ordering::SeqCst);
-            }
-            Some(store.serving_copy().expect("an applied batch leaves a database"))
-        };
-        let acked = feed.ack(store.applied_lsn());
-        core.advance_replica(store.applied_lsn(), batch.primary_lsn, served);
-        metrics.ack_lag.set(batch.primary_lsn.saturating_sub(store.applied_lsn()) as i64);
-        acked
+    /// applies `batch` to the database `core` serves — a heartbeat (no records, nothing new)
+    /// applies nothing — records the progress there and acknowledges the durable end of log on
+    /// `feed`.  A batch that fails to decode or to commit changes nothing and is refused with
+    /// [`ServerError::Rejected`].
+    fn step(&self, core: &SeedServer, feed: &mut Feed, batch: LogBatch) -> ServerResult<()> {
+        let LogBatch { reset, last_lsn, primary_lsn, records, .. } = batch;
+        let (applied, items) = core.advance_replica(primary_lsn, |db| {
+            let heartbeat = records.is_empty() && !reset && last_lsn <= db.log_end().0;
+            (!heartbeat).then(|| db.apply_batch(records, last_lsn, reset)).transpose()
+        })?;
+        if let Some(items) = items {
+            self.count(reset, items);
+        }
+        repl_metrics().ack_lag.set(primary_lsn.saturating_sub(applied) as i64);
+        feed.ack(applied)
     }
 
     /// The apply thread's step for a `batch` read from a feed opened under `opened_under`
-    /// promotion attempts.  False when the feed must go: its connection failed, the store is
-    /// gone, or a promotion took the store since the feed opened — the promotion's drain may
-    /// have applied past this batch, and applying it would move the cursor and the served
-    /// state backwards.
+    /// promotion attempts.  False when the feed must go: its connection failed, or a promotion
+    /// ran since the feed opened — the promotion's drain may have applied past this batch, and
+    /// applying it would move the cursor and the served state backwards.
     fn step_fed(
         &self,
         core: &SeedServer,
@@ -293,18 +284,14 @@ impl ReplicaState {
         opened_under: u64,
         batch: LogBatch,
     ) -> bool {
-        let mut slot = self.lock();
-        if slot.promotions != opened_under {
-            return false;
-        }
-        let Some(store) = slot.store.as_mut() else { return false };
-        self.step(store, core, feed, batch).is_ok()
+        let promotions = self.lock();
+        *promotions == opened_under && self.step(core, feed, batch).is_ok()
     }
 
-    /// The apply thread: streams batches into the store until the node stops or a promotion
-    /// flips the store.  A dropped connection is re-opened from the end of the log after a
-    /// fixed `backoff`, at most `max_attempts` times in a row per promotion attempt; past that
-    /// the thread idles, still serving reads and still promotable.
+    /// The apply thread: streams batches into the served database until the node stops or is
+    /// promoted.  A dropped connection is re-opened from the end of the log after a fixed
+    /// `backoff`, at most `max_attempts` times in a row per promotion attempt; past that the
+    /// thread idles, still serving reads and still promotable.
     fn stream(
         &self,
         core: &SeedServer,
@@ -321,9 +308,11 @@ impl ReplicaState {
                 Some(live) => live,
                 None => {
                     let (log_end, promotions) = {
-                        let slot = self.lock();
-                        let Some(store) = &slot.store else { return };
-                        (store.log_end(), slot.promotions)
+                        let promotions = self.lock();
+                        if core.replica_of().is_none() {
+                            return; // promoted: as a primary the node has nothing to stream
+                        }
+                        (core.with_database(Database::log_end), *promotions)
                     };
                     if promotions != promotions_seen {
                         (failed_attempts, promotions_seen) = (0, promotions);
@@ -372,18 +361,17 @@ impl ReplicaState {
         }
     }
 
-    /// Everything fallible that must happen *before* the store flip of a promotion: the epoch
+    /// Everything fallible that must happen *before* the role flip of a promotion: the epoch
     /// freshness check, fencing the old primary, draining the shipped tail up to the fenced
-    /// primary's final LSN.  Leaves the store consistent on failure so the node resumes its
+    /// primary's final LSN.  Leaves the database consistent on failure so the node resumes its
     /// replica role.
     fn prepare_promotion(
         &self,
-        store: &mut ReplicaStore,
         core: &SeedServer,
         epoch: u64,
         new_primary: &str,
     ) -> ServerResult<()> {
-        let current = store.topology_epoch();
+        let current = core.topology_epoch();
         if epoch <= current {
             return Err(ServerError::Protocol(format!(
                 "stale promotion epoch {epoch}: this replica is already at epoch {current}"
@@ -414,30 +402,29 @@ impl ReplicaState {
             // lost.
             let never = AtomicBool::new(false);
             let deadline = std::time::Instant::now() + self.connect_timeout;
-            'drain: while store.applied_lsn() < target && std::time::Instant::now() < deadline {
-                let Ok(mut feed) = Feed::open(self.primary, store.log_end(), self.connect_timeout)
-                else {
+            let log_end = || core.with_database(Database::log_end);
+            'drain: while log_end().0 < target && std::time::Instant::now() < deadline {
+                let Ok(mut feed) = Feed::open(self.primary, log_end(), self.connect_timeout) else {
                     break;
                 };
-                while store.applied_lsn() < target {
+                while log_end().0 < target {
                     let Ok(batch) = feed.next_batch(&never, &never) else { continue 'drain };
-                    match self.step(store, core, &mut feed, batch) {
+                    match self.step(core, &mut feed, batch) {
                         Err(rejected @ ServerError::Rejected(_)) => return Err(rejected),
                         Err(_) => continue 'drain,
                         Ok(()) => {}
                     }
                 }
             }
-            if store.applied_lsn() < target {
+            let applied = log_end().0;
+            if applied < target {
                 // The primary died between the fence and the drain.  Refusing here is the safe
                 // default: the old primary is fenced but its acknowledged tail is unreachable,
                 // and the operator must send the promotion again (a retry against a now-dead
                 // primary skips the drain and accepts the loss explicitly).
                 return Err(ServerError::Transport(format!(
                     "fenced the primary at epoch {epoch} but lost it before draining its tail: \
-                     applied {} of {}",
-                    store.applied_lsn(),
-                    target
+                     applied {applied} of {target}"
                 )));
             }
         }
@@ -447,27 +434,20 @@ impl ReplicaState {
 
 /// A promotion runs on the thread that asked for it (a request-serving shard, or the caller
 /// of [`ReplicaNode::promote`]): it raises the abort flag so the apply thread lets go of the
-/// store, takes the store, fences and drains, then flips it.
+/// stepping mutex, takes it, fences and drains, then flips the node to the primary role while
+/// still holding it — the apply thread, which checks the role under the same mutex, ends.
 impl seed_server::Promoter for ReplicaState {
-    fn promote(&self, core: &SeedServer, epoch: u64, new_primary: &str) -> ServerResult<Database> {
+    fn promote(&self, core: &SeedServer, epoch: u64, new_primary: &str) -> ServerResult<()> {
         if self.promoting.swap(true, Ordering::SeqCst) {
             return Err(ServerError::Protocol(
                 "another promotion is already in progress on this replica".into(),
             ));
         }
-        let mut slot = self.lock();
-        slot.promotions += 1;
-        let flipped = match slot.store.as_mut() {
-            None => Err(ServerError::Protocol("this replica's store was already flipped".into())),
-            Some(store) => self.prepare_promotion(store, core, epoch, new_primary),
-        }
-        .and_then(|()| {
-            // Point of no return: `into_primary` consumes the store, so the apply thread
-            // finds none and ends whatever the outcome — as a primary the node has nothing
-            // left to stream, and a node that failed the flip has no store to stream into.
-            let store = slot.store.take().expect("prepared above");
-            store.into_primary(epoch).map_err(ServerError::Rejected)
-        });
+        let mut promotions = self.lock();
+        *promotions += 1;
+        let flipped = self
+            .prepare_promotion(core, epoch, new_primary)
+            .and_then(|()| core.become_primary(epoch));
         match &flipped {
             Ok(_) => {
                 repl_metrics().ack_lag.set(0);
@@ -573,7 +553,7 @@ pub struct ReplicaNode {
 }
 
 impl ReplicaNode {
-    /// Starts a replica with default configuration: store in `dir`, stream from `primary`,
+    /// Starts a replica with default configuration: database in `dir`, stream from `primary`,
     /// reads served on `listen` (use `"127.0.0.1:0"` to let the OS pick a port).  Blocks until
     /// the initial sync is applied — when this returns, the node answers reads.
     pub fn start(
@@ -596,37 +576,39 @@ impl ReplicaNode {
             primary.to_socket_addrs().map_err(transport)?.next().ok_or_else(|| {
                 ServerError::Transport("primary address resolves to nothing".into())
             })?;
-        let mut store = ReplicaStore::open(dir).map_err(ServerError::Rejected)?;
+        let opened = Database::open_replica(dir).map_err(ServerError::Rejected)?;
         let state = Arc::new(ReplicaState {
-            slot: Mutex::new(Slot { store: None, promotions: 0 }),
+            promotions: Mutex::new(0),
             promoting: AtomicBool::new(false),
             primary,
             connect_timeout: config.connect_timeout,
             resets: AtomicU64::new(0),
             items_applied: AtomicU64::new(0),
         });
-        // The core serves the store's database keyed to its cursor.  A fresh store has none
-        // yet and the core starts on an empty one, which nobody sees: the listener opens only
-        // after the initial sync.
-        let core = SeedServer::new(Database::new(Schema::new(String::new())));
-        core.become_replica(primary.to_string(), state.clone());
-        let applied = store.applied_lsn();
-        core.advance_replica(applied, applied, store.serving_copy());
 
-        // Initial sync: subscribe from the end of the store's log and apply the first batch —
-        // the primary answers immediately (a reset when its log does not hold our next LSN or
-        // does not continue our log).
+        // Initial sync: subscribe from the end of the log and apply the first batch — the
+        // primary answers immediately (a reset when its log does not hold our next LSN or does
+        // not continue our log).  A directory that holds no database yet builds it from that
+        // batch, which leaves only its acknowledgement to step.
+        let log_end =
+            opened.as_ref().map_or_else(|engine| (engine.durable_lsn(), 0), Database::log_end);
         let never_stop = AtomicBool::new(false);
-        let mut feed = Feed::open(primary, store.log_end(), config.connect_timeout)?;
-        let batch = feed.next_batch(&never_stop, &never_stop)?;
+        let mut feed = Feed::open(primary, log_end, config.connect_timeout)?;
+        let mut batch = feed.next_batch(&never_stop, &never_stop)?;
         feed.deadline = None; // the stream is live; only shutdown unblocks it from here on
-        state.step(&mut store, &core, &mut feed, batch)?;
-        if !store.is_initialized() {
-            return Err(ServerError::Protocol(
-                "the primary's first batch carried no database".into(),
-            ));
-        }
-        state.lock().store = Some(store);
+        let db = match opened {
+            Ok(db) => db,
+            Err(engine) => {
+                let records = std::mem::take(&mut batch.records);
+                let db = Database::from_first_batch(engine, records, batch.last_lsn, batch.reset)
+                    .map_err(ServerError::Rejected)?;
+                state.count(std::mem::take(&mut batch.reset), 0);
+                db
+            }
+        };
+        let core = SeedServer::new(db);
+        core.become_replica(primary.to_string(), state.clone());
+        state.step(&core, &mut feed, batch)?;
         let net =
             SeedNetServer::bind(core, listen).map_err(|e| ServerError::Transport(e.to_string()))?;
         let core = net.core();
@@ -679,7 +661,7 @@ impl ReplicaNode {
     /// clients should be told to write to from now on (normally this node's own
     /// [`local_addr`](Self::local_addr)).  The promotion runs on the calling thread, which
     /// blocks until the role change completes: the old primary is fenced (when reachable), the
-    /// shipped tail drained, the store flipped.  On success the node serves writes and its own
+    /// shipped tail drained, the role flipped.  On success the node serves writes and its own
     /// replication feed.  A second order while one runs is refused at once.
     pub fn promote(&self, epoch: u64, new_primary: &str) -> ServerResult<PromotionReceipt> {
         self.core.promote(epoch, new_primary)
@@ -840,6 +822,62 @@ mod tests {
         for dir in replica_dirs {
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+
+    /// A replica serves one durable database, as a primary does: over TCP its persistence
+    /// status names its own directory and WAL, and a `Checkpoint` request checkpoints its own
+    /// log.
+    #[test]
+    fn a_replica_reports_its_durable_directory_and_checkpoints_its_own_log() {
+        let primary_dir = temp_dir("durable-primary");
+        let replica_dir = temp_dir("durable-replica");
+        let primary = durable_primary(&primary_dir);
+        let mut writer = RemoteClient::connect(primary.local_addr()).unwrap();
+        writer
+            .checkin(vec![Update::CreateObject { class: "Data".into(), name: "Kept".into() }])
+            .unwrap();
+        let replica =
+            ReplicaNode::start(&replica_dir, primary.local_addr(), "127.0.0.1:0").unwrap();
+        assert!(replica.wait_for_lsn(primary_lsn(&primary), Duration::from_secs(10)));
+
+        let mut client = RemoteClient::connect(replica.local_addr()).unwrap();
+        let status = client.persistence().unwrap();
+        assert!(status.durable, "a replica's database is durable");
+        assert_eq!(status.path, Some(replica_dir.display().to_string()));
+        assert!(status.wal_bytes > 0, "the replica's log holds the shipped commits");
+        assert_eq!(status.replication.role, ReplicationRole::Replica);
+
+        assert!(!replica_dir.join("snapshot.db").exists(), "no checkpoint yet");
+        client.checkpoint().unwrap();
+        let image = std::fs::read(replica_dir.join("snapshot.db")).unwrap();
+        assert_eq!(image[8..16], replica.applied_lsn().to_le_bytes(), "the image covers the log");
+        assert_eq!(client.retrieve("Kept").unwrap().name.to_string(), "Kept");
+        replica.shutdown();
+        primary.shutdown();
+        let _ = std::fs::remove_dir_all(&primary_dir);
+        let _ = std::fs::remove_dir_all(&replica_dir);
+    }
+
+    /// A replica does not serve replication: a `Subscribe` to it is refused with the address
+    /// of the primary to subscribe to instead.
+    #[test]
+    fn a_replica_refuses_a_subscribe_naming_its_primary() {
+        let primary_dir = temp_dir("chain-primary");
+        let replica_dir = temp_dir("chain-replica");
+        let primary = durable_primary(&primary_dir);
+        let replica =
+            ReplicaNode::start(&replica_dir, primary.local_addr(), "127.0.0.1:0").unwrap();
+        let never = AtomicBool::new(false);
+        let err = Feed::open(replica.local_addr(), (0, 0), Duration::from_secs(5))
+            .and_then(|mut feed| feed.next_batch(&never, &never))
+            .unwrap_err();
+        let message = err.to_string();
+        assert!(message.contains("is a replica"), "{message}");
+        assert!(message.contains(&primary.local_addr().to_string()), "{message}");
+        replica.shutdown();
+        primary.shutdown();
+        let _ = std::fs::remove_dir_all(&primary_dir);
+        let _ = std::fs::remove_dir_all(&replica_dir);
     }
 
     #[test]
@@ -1234,9 +1272,9 @@ mod tests {
             |name: &str| vec![Update::CreateObject { class: "Data".into(), name: name.into() }];
 
         // A feed opened before any promotion, holding a batch read off it: what the apply
-        // thread has in hand when a promotion takes the store.
+        // thread has in hand when a promotion takes the stepping mutex.
         let stale_feed = |replica: &ReplicaNode, writer: &mut RemoteClient, name: &str| {
-            let opened_under = replica.state.lock().promotions;
+            let opened_under = *replica.state.lock();
             let mut feed =
                 Feed::open(addr, (replica.applied_lsn(), 0), Duration::from_secs(5)).unwrap();
             writer.checkin(create(name)).unwrap();
@@ -1244,14 +1282,14 @@ mod tests {
             (feed, opened_under, batch)
         };
 
-        // A refused promotion still took the store.  The apply thread moves past the held
+        // A refused promotion still took the stepping mutex.  The apply thread moves past the held
         // batch meanwhile; stepping the batch afterwards would move the cursor back.
         let (mut feed, opened_under, batch) = stale_feed(&replica, &mut writer, "Old");
         writer.checkin(create("Newer")).unwrap();
         assert!(matches!(replica.promote(0, "127.0.0.1:1"), Err(ServerError::Protocol(_))));
         assert!(replica.wait_for_lsn(primary_lsn(&primary), Duration::from_secs(10)));
         let cursor = replica.applied_lsn();
-        assert!(batch.last_lsn < cursor, "the held batch is behind the store");
+        assert!(batch.last_lsn < cursor, "the held batch is behind the database");
         assert!(!replica.state.step_fed(&replica.core, &mut feed, opened_under, batch));
         assert_eq!(replica.applied_lsn(), cursor, "the cursor never moves backwards");
         assert_eq!(replica.core.snapshot().lsn(), cursor, "reads never go back");

@@ -539,6 +539,10 @@ impl Conn {
             Ok(subscribe) => subscribe,
             Err(e) => return self.reject(e.to_string().as_bytes()),
         };
+        if let Some(primary) = core.replica_of() {
+            let reason = format!("this node is a replica; subscribe to its primary at {primary}");
+            return self.reject(reason.as_bytes());
+        }
         // The one database read lock of the session: it clones the log handle, which the
         // session's cuts read with no lock held, and decides once whether this log continues
         // the replica's.  A replica whose log it does streams on from its next LSN; any other

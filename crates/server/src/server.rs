@@ -19,16 +19,14 @@ use crate::protocol::{
 };
 
 /// The replica-side half of a controlled promotion, implemented by `seed-net`'s `ReplicaNode`:
-/// fence the old primary, finish applying the shipped tail and flip the replica store to a
-/// durable primary.  A replica [`SeedServer`] holds its promoter in its role, so
-/// [`Request::Promote`] runs it on the requesting thread.
+/// fence the old primary, finish applying the shipped tail and flip the node to the primary
+/// role.  A replica [`SeedServer`] holds its promoter in its role, so [`Request::Promote`] runs
+/// it on the requesting thread.
 pub trait Promoter: Send + Sync {
-    /// Carries out the promotion under topology epoch `epoch`, recording the drained tail on
-    /// `server`, and returns the promoted durable database for `server` to install;
-    /// `new_primary` is the address this node will serve from (what fenced peers and
-    /// redirected clients are told).
-    fn promote(&self, server: &SeedServer, epoch: u64, new_primary: &str)
-        -> ServerResult<Database>;
+    /// Carries out the promotion under topology epoch `epoch`, applying the drained tail on
+    /// `server` and ending with [`SeedServer::become_primary`]; `new_primary` is the address
+    /// this node will serve from (what fenced peers and redirected clients are told).
+    fn promote(&self, server: &SeedServer, epoch: u64, new_primary: &str) -> ServerResult<()>;
 }
 
 /// Replica readiness budget: a replica more than this many commits (LSNs) behind the primary
@@ -84,8 +82,7 @@ enum Role {
     Replica {
         primary: String,
         promoter: Arc<dyn Promoter>,
-        /// The primary LSN applied locally, and the primary's end of log as last observed.
-        applied_lsn: u64,
+        /// The primary's end of log as last observed (the applied one is the snapshot's).
         primary_lsn: u64,
     },
 }
@@ -124,41 +121,52 @@ impl SeedServer {
     /// Turns this server into a **read-only replica** of the primary at `primary`: checkout,
     /// check-in and version creation answer [`ServerError::ReadOnlyReplica`] carrying that
     /// address, while the whole read surface keeps working, and [`Request::Promote`] runs
-    /// `promoter`.  The replication layer (`seed-net`'s `ReplicaNode`) then reports every
-    /// step through [`SeedServer::advance_replica`].
+    /// `promoter`.  The replication layer (`seed-net`'s `ReplicaNode`) then runs every step
+    /// through [`SeedServer::advance_replica`].
     pub fn become_replica(&self, primary: impl Into<String>, promoter: Arc<dyn Promoter>) {
-        *self.role.write() =
-            Role::Replica { primary: primary.into(), promoter, applied_lsn: 0, primary_lsn: 0 };
+        *self.role.write() = Role::Replica { primary: primary.into(), promoter, primary_lsn: 0 };
     }
 
-    /// Records one replica step (replica side): `served`, when the step applied a batch, is
-    /// swapped in and published keyed to `applied_lsn`; then the progress the status and
-    /// health probes report moves to `(applied_lsn, primary_lsn)`.  Readers see the state
-    /// before or after the swap, never in between.
-    pub fn advance_replica(&self, applied_lsn: u64, primary_lsn: u64, served: Option<Database>) {
-        if let Some(served) = served {
-            let mut db = self.db.write();
-            *db = served;
-            self.snapshots.publish_at(&db, Some(applied_lsn));
+    /// Runs one replica step (replica side) under the database write lock: when `apply`
+    /// brought the served database forward (`Some`), a snapshot is published — readers see a
+    /// batch whole or not at all — and the primary's end of log is recorded as `primary_lsn`.
+    /// Returns the database's end of log and what `apply` returned.
+    pub fn advance_replica<T>(
+        &self,
+        primary_lsn: u64,
+        apply: impl FnOnce(&mut Database) -> Result<Option<T>, SeedError>,
+    ) -> ServerResult<(u64, Option<T>)> {
+        let mut db = self.db.write();
+        let applied = apply(&mut db).map_err(ServerError::Rejected)?;
+        if applied.is_some() {
+            self.snapshots.publish(&db);
         }
-        if let Role::Replica { applied_lsn: applied, primary_lsn: primary, .. } =
-            &mut *self.role.write()
-        {
-            (*applied, *primary) = (applied_lsn, primary_lsn);
+        if let Role::Replica { primary_lsn: primary, .. } = &mut *self.role.write() {
+            *primary = primary_lsn;
+        }
+        Ok((db.durable_lsn().unwrap_or(0), applied))
+    }
+
+    /// The address of the primary this node replicates, while it is a replica.
+    pub fn replica_of(&self) -> Option<String> {
+        match &*self.role.read() {
+            Role::Primary => None,
+            Role::Replica { primary, .. } => Some(primary.clone()),
         }
     }
 
-    /// `(applied LSN, primary LSN)` while this server is a replica; `None` on a primary.
+    /// `(applied LSN, primary LSN)` while this server is a replica — the serving snapshot's
+    /// end of log and the primary's as last observed; `None` on a primary.
     pub fn replica_progress(&self) -> Option<(u64, u64)> {
         match &*self.role.read() {
             Role::Primary => None,
-            Role::Replica { applied_lsn, primary_lsn, .. } => Some((*applied_lsn, *primary_lsn)),
+            Role::Replica { primary_lsn, .. } => Some((self.snapshots.read().lsn(), *primary_lsn)),
         }
     }
 
     fn guard_writable(&self) -> ServerResult<()> {
-        if let Role::Replica { primary, .. } = &*self.role.read() {
-            return Err(ServerError::ReadOnlyReplica { primary: primary.clone() });
+        if let Some(primary) = self.replica_of() {
+            return Err(ServerError::ReadOnlyReplica { primary });
         }
         Self::guard_unfenced(&self.snapshots.read())
     }
@@ -194,8 +202,7 @@ impl SeedServer {
     /// Handles [`Request::Promote`], role-dependent:
     ///
     /// * on a **replica**, runs its [`Promoter`] on the calling thread — drain the shipped
-    ///   tail, flip the store — and installs the promoted database as this node's primary
-    ///   state;
+    ///   tail, turn the served database and the role primary;
     /// * on a **primary**, the promotion happened elsewhere: [`SeedServer::fence`] this node.
     pub fn promote(&self, epoch: u64, new_primary: &str) -> ServerResult<PromotionReceipt> {
         let promoter = match &*self.role.read() {
@@ -203,10 +210,9 @@ impl SeedServer {
             Role::Replica { promoter, .. } => Some(promoter.clone()),
         };
         let Some(promoter) = promoter else { return self.fence(epoch, new_primary) };
-        let db = promoter.promote(self, epoch, new_primary)?;
-        let receipt = PromotionReceipt { epoch, last_lsn: db.durable_lsn().unwrap_or(0) };
-        self.install_primary(db);
-        Ok(receipt)
+        promoter.promote(self, epoch, new_primary)?;
+        let last_lsn = self.with_database(|db| db.durable_lsn().unwrap_or(0));
+        Ok(PromotionReceipt { epoch, last_lsn })
     }
 
     /// Fences this primary: persistently refuses all further writes, redirecting clients to
@@ -232,15 +238,16 @@ impl SeedServer {
         Ok(PromotionReceipt { epoch, last_lsn: db.durable_lsn().unwrap_or(0) })
     }
 
-    /// Installs a freshly promoted database as this node's primary state (the last step of the
-    /// replica-side promotion): swaps the served database in, sets the role back to primary
-    /// and publishes a snapshot.  Readers see the replica state or the primary state, never in
-    /// between.
-    fn install_primary(&self, db: Database) {
-        let mut slot = self.db.write();
-        *slot = db;
+    /// The last step of a replica-side promotion, once the shipped tail is drained: under the
+    /// database write lock, the served database turns primary at `epoch`
+    /// ([`Database::promote`]), the role flips and a snapshot is published.  Readers see the
+    /// replica state or the primary state, never in between.
+    pub fn become_primary(&self, epoch: u64) -> ServerResult<()> {
+        let mut db = self.db.write();
+        db.promote(epoch).map_err(ServerError::Rejected)?;
         *self.role.write() = Role::Primary;
-        self.snapshots.publish(&slot);
+        self.snapshots.publish(&db);
+        Ok(())
     }
 
     /// Runs a mutating closure under the database write lock, then publishes a new snapshot —
@@ -303,28 +310,22 @@ impl SeedServer {
     }
 
     fn replication_status(&self, snapshot: &Snapshot) -> ReplicationStatus {
-        if let Some((applied, primary)) = self.replica_progress() {
-            return ReplicationStatus {
-                role: ReplicationRole::Replica,
-                applied_lsn: applied,
-                primary_lsn: primary,
-                subscribers: 0,
-                min_acked_lsn: 0,
-                snapshot_lsn: snapshot.lsn(),
-            };
-        }
-        // A primary always reports: even without subscribers, the serving snapshot's LSN is
-        // the operator's read-staleness observable.  An in-memory primary has no durable
-        // cursor — its snapshots are keyed by the publication epoch, which is not a WAL LSN,
-        // so the LSN fields report 0 rather than an epoch counter an operator could mistake
-        // for a durable position.
+        // Every node reports: even without subscribers, the serving snapshot's LSN is the
+        // operator's read-staleness observable.  An in-memory node has no durable cursor — its
+        // snapshots are keyed by the publication epoch, which is not a WAL LSN, so the LSN
+        // fields report 0 rather than an epoch counter an operator could mistake for a durable
+        // position.  A replica serves no subscriber.
+        let lsn = if snapshot.durability().is_some() { snapshot.lsn() } else { 0 };
+        let (role, primary_lsn) = match self.replica_progress() {
+            Some((_, primary)) => (ReplicationRole::Replica, primary),
+            None => (ReplicationRole::Primary, lsn),
+        };
         let subscribers = self.subscribers.lock();
         let live = subscribers.values().filter(|s| s.live);
-        let lsn = if snapshot.durability().is_some() { snapshot.lsn() } else { 0 };
         ReplicationStatus {
-            role: ReplicationRole::Primary,
+            role,
             applied_lsn: lsn,
-            primary_lsn: lsn,
+            primary_lsn,
             subscribers: live.clone().count() as u32,
             min_acked_lsn: live.map(|s| s.acked_lsn).min().unwrap_or(0),
             snapshot_lsn: lsn,
@@ -414,9 +415,10 @@ impl SeedServer {
     }
 
     /// Runs a read-only closure against the **live** central database, under its read lock.
-    /// This is for callers that need the durability engine underneath (WAL tails, replication
-    /// cut, retention floors) — it blocks while a check-in holds the write lock.  The
-    /// query/read surface uses [`SeedServer::snapshot`] instead, which never blocks.
+    /// This is for callers that need the durability engine underneath (a replication
+    /// session's log handle, the end of the log, retention floors) — it blocks while a
+    /// check-in or a replica's batch holds the write lock.  The query/read surface uses
+    /// [`SeedServer::snapshot`] instead, which never blocks.
     pub fn with_database<R>(&self, f: impl FnOnce(&Database) -> R) -> R {
         f(&self.db.read())
     }
@@ -839,7 +841,10 @@ mod tests {
     use seed_schema::figure3_schema;
 
     fn server_with_data() -> SeedServer {
-        let mut db = Database::new(figure3_schema());
+        with_data(Database::new(figure3_schema()))
+    }
+
+    fn with_data(mut db: Database) -> SeedServer {
         let alarms = db.create_object("Data", "Alarms").unwrap();
         let sensor = db.create_object("Action", "Sensor").unwrap();
         db.create_relationship("Access", &[("from", alarms), ("by", sensor)]).unwrap();
@@ -1158,27 +1163,22 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A promoter that hands back a fresh in-memory database holding `PostPromotion`.
+    /// A promoter with no tail to drain: it flips the node at once.
     struct FakePromoter;
 
     impl Promoter for FakePromoter {
-        fn promote(
-            &self,
-            _: &SeedServer,
-            _epoch: u64,
-            _new_primary: &str,
-        ) -> ServerResult<Database> {
-            let mut db = Database::new(figure3_schema());
-            db.create_object("Data", "PostPromotion").unwrap();
-            Ok(db)
+        fn promote(&self, server: &SeedServer, epoch: u64, _new_primary: &str) -> ServerResult<()> {
+            server.become_primary(epoch)
         }
     }
 
     #[test]
     fn read_only_replica_serves_reads_and_redirects_writes() {
-        let server = server_with_data();
+        let dir = temp_dir("replica-role");
+        let server = with_data(Database::create_durable(&dir, figure3_schema()).unwrap());
         server.become_replica("primary.example:7044", Arc::new(FakePromoter));
-        assert_eq!(server.replica_progress(), Some((0, 0)));
+        let durable = server.with_database(|db| db.durable_lsn().unwrap());
+        assert_eq!(server.replica_progress(), Some((durable, 0)));
         // The whole read surface keeps working.
         assert!(server.retrieve("Alarms").is_ok());
         assert_eq!(server.query("count Action").unwrap().count, 2);
@@ -1199,22 +1199,24 @@ mod tests {
             }
         }
         assert_eq!(server.locked_count(), 0, "a redirected checkout must acquire nothing");
-        // The apply path: a step's database replaces the served one atomically, keyed to the
-        // applied cursor, and its progress is surfaced through the persistence status.
-        let mut next = Database::new(figure3_schema());
-        next.create_object("Data", "FromTheStream").unwrap();
-        server.advance_replica(41, 44, Some(next));
+        // The apply path: a step changes the served database under its write lock and
+        // publishes it, keyed to its end of log, and its progress is surfaced through the
+        // persistence status.
+        let next = durable + 1;
+        let step = |db: &mut Database| db.create_object("Data", "FromTheStream").map(Some);
+        assert_eq!(server.advance_replica(next + 3, step).unwrap().0, next);
         assert!(server.retrieve("FromTheStream").is_ok());
-        assert!(server.retrieve("Alarms").is_err(), "the old state was swapped out in full");
         let replication = server.persistence_status().replication;
         assert_eq!(replication.role, ReplicationRole::Replica);
         assert_eq!(replication.lag(), 3);
-        assert_eq!(replication.snapshot_lsn, 41, "snapshot keyed to the applied LSN");
+        assert_eq!(replication.snapshot_lsn, next, "snapshot keyed to the applied LSN");
         // A heartbeat moves only the observed primary position.
-        server.advance_replica(41, 50, None);
+        server.advance_replica(next + 9, |_| Ok(None::<()>)).unwrap();
         assert!(server.retrieve("FromTheStream").is_ok());
-        assert_eq!(server.replica_progress(), Some((41, 50)));
+        assert_eq!(server.replica_progress(), Some((next, next + 9)));
         assert_eq!(server.health().lag, 9);
+        drop(server);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1382,19 +1384,18 @@ mod tests {
         // The receipt's end of log is the promoted database's: none, for an in-memory one.
         assert_eq!(receipt, PromotionReceipt { epoch: 2, last_lsn: 0 });
         assert!(server.replica_progress().is_none(), "the node now serves as a primary");
-        assert!(server.retrieve("PostPromotion").is_ok());
+        assert_eq!(server.topology_epoch(), 2);
     }
 
     #[test]
-    fn install_primary_clears_the_replica_role_atomically() {
+    fn become_primary_clears_the_replica_role_atomically() {
         let server = server_with_data();
         server.become_replica("old-primary:7044", Arc::new(FakePromoter));
-        server.advance_replica(10, 10, None);
-        let mut promoted = Database::new(figure3_schema());
-        promoted.create_object("Data", "PostPromotion").unwrap();
-        server.install_primary(promoted);
+        server.advance_replica(10, |_| Ok(None::<()>)).unwrap();
+        server.become_primary(3).unwrap();
         assert!(server.replica_progress().is_none());
-        assert!(server.retrieve("PostPromotion").is_ok());
+        assert_eq!(server.topology_epoch(), 3);
+        assert!(server.retrieve("Alarms").is_ok(), "the served database stays in place");
         let replication = server.persistence_status().replication;
         assert_eq!(replication.role, ReplicationRole::Primary);
         let client = server.connect();

@@ -13,34 +13,34 @@
 //!   change journal); the engine holds none,
 //! * checkpoints of a [`SnapshotImage`] the caller encodes from its own state: the image
 //!   replaces the snapshot on disk and the log below the image's LSN is pruned,
-//! * recovery on open: the snapshot's puts, then the effects of the commits logged after its
+//! * recovery on open: the snapshot's effects, then those of the commits logged after its
 //!   LSN, handed to the caller once, by value, as one list ([`Recovered`]),
-//! * the replica reset cut ([`StorageEngine::replication_cut`]): the snapshot's commits, then
-//!   the log past it, read from the files,
-//! * the replica side of one log across the cluster: a shipped run of another log's commits
-//!   appended at their own LSNs ([`StorageEngine::append`], the append path `commit` uses), and
-//!   a reset image installed as the whole state at another log's position
-//!   ([`StorageEngine::install`]: the old log deleted, the snapshot replaced, the log restarted
-//!   after it — in that order, so no old frame is ever replayed over the image),
+//! * the replica side of one log across the cluster: the reset cut
+//!   ([`StorageEngine::replication_cut`]: the snapshot's commits, then the log past it, read
+//!   from the files), a shipped run of another log's commits appended at their own LSNs
+//!   ([`StorageEngine::append`], the append path `commit` uses), and a reset's commits
+//!   installed as the whole state at another log's position ([`StorageEngine::install`]: the
+//!   old log deleted, the snapshot replaced, the log restarted after it — in that order, so no
+//!   old frame is ever replayed over the image),
 //! * poisoning: once a commit, an append, a checkpoint or an install fails on I/O, every later
 //!   `commit` and `checkpoint` fails with [`StorageError::Poisoned`] until the engine is reopened
 //!   ([`StorageEngine::usable`] asks the same question without writing).
 //!
 //! On disk there is exactly one frame format.  The snapshot (`snapshot.db`, written through
-//! [`SegmentIo::write_snapshot`]) is a header and then WAL frames, each one [`Commit`] of the
-//! image's puts, built and walked by the log's own code:
+//! [`SegmentIo::write_snapshot`]) is a header and then WAL frames, each one [`Commit`], built
+//! and walked by the log's own code:
 //!
 //! ```text
 //! magic "SEEDSNP3" | lsn: u64 | frames: u64 | crc32: u32
-//!     | frames × (len: u32 | crc: u32 | payload: one commit of puts)
+//!     | frames × (len: u32 | crc: u32 | payload: one commit)
 //! ```
 //!
 //! (integers little-endian; the header CRC covers the 24 bytes before it; `lsn` is the last WAL
-//! commit whose effects the image holds).  A frame's payload stays within a 64 KiB bound, except
-//! that a larger pair gets a frame of its own.  A damaged image — bad magic (the older
-//! `SEEDSNP1` and `SEEDSNP2` pair layouts included), bad header CRC, a torn or checksum-failing
-//! frame, fewer or more frames than the header counts — is [`StorageError::Corrupt`], never a
-//! smaller database.
+//! commit whose effects the image holds).  A checkpoint's frames hold puts, each payload within
+//! 64 KiB unless one pair is larger; a reset image's frames are the shipped commits, deletes
+//! included.  A damaged image — bad magic (the older `SEEDSNP1` and `SEEDSNP2` pair layouts
+//! included), bad header CRC, a torn or checksum-failing frame, fewer or more frames than the
+//! header counts — is [`StorageError::Corrupt`], never a smaller database.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -91,6 +91,15 @@ impl SnapshotImage {
     /// The last WAL commit whose effects the image holds.
     pub fn lsn(&self) -> Lsn {
         self.lsn
+    }
+
+    /// The image covering the WAL up to `lsn` whose frames are `commits`, one each, as they are:
+    /// what a replica reset installs from its primary's snapshot commits and log tail.
+    pub fn of_commits(lsn: Lsn, commits: &[Commit]) -> Self {
+        let mut writer = ImageWriter::new(lsn);
+        commits.iter().for_each(|commit| put_frame(&mut writer.buf, |e| commit.encode_into(e)));
+        writer.frames = commits.len() as u64;
+        writer.finish()
     }
 }
 
@@ -189,7 +198,7 @@ fn read_snapshot(image: &[u8]) -> StorageResult<(Lsn, Vec<Commit>)> {
 /// What recovery found on disk, handed to the caller once when the engine opens.
 #[derive(Debug, Default)]
 pub struct Recovered {
-    /// The snapshot's puts, then the effects of the commits logged after its LSN, in log order.
+    /// The snapshot's effects, then those of the commits logged after its LSN, in log order.
     pub effects: Vec<KeyEffect>,
 }
 

@@ -120,7 +120,7 @@ impl Commit {
         e.finish()
     }
 
-    fn encode_into(&self, e: &mut Encoder) {
+    pub(crate) fn encode_into(&self, e: &mut Encoder) {
         e.put_varint(self.effects.len() as u64);
         for (key, value) in &self.effects {
             Self::put_effect(e, key, value.as_deref());
